@@ -33,7 +33,8 @@ from repro.ann.ivf import (ANN_PANEL_WIDTH, IVFFlatIndex, IVFIndexData,
 from repro.ann.pq import (IVFPQIndex, ProductQuantizer, encode_residuals,
                           train_product_quantizer)
 from repro.serve.index import scoring_ready_items
-from repro.serve.snapshot import EmbeddingSnapshot, _content_version
+from repro.serve.snapshot import (EmbeddingSnapshot, _content_version,
+                                  _publish_files)
 
 __all__ = ["ANN_INDEX_SCHEMA", "ANN_KINDS", "AnnManifest",
            "build_ann_index", "save_ann_index", "load_ann_index",
@@ -214,17 +215,21 @@ def build_ann_index(snapshot: EmbeddingSnapshot, out_dir, *,
 
 
 def _write_index(out_dir, manifest: AnnManifest, arrays: dict) -> None:
-    """Persist one ANN index directory (arrays + manifest)."""
+    """Persist one ANN index directory (arrays + manifest).
+
+    Staged and published like a snapshot: a killed rebuild leaves the
+    previous index loadable, and the PQ files of a previous ``ivfpq``
+    build go only once the new manifest has landed.
+    """
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for stale in _PQ_FILES.values():
-        (out_dir / stale).unlink(missing_ok=True)
-    for name, fname in _FILES.items():
-        np.save(out_dir / fname, arrays[name])
-    if manifest.pq is not None:
-        for name, fname in _PQ_FILES.items():
-            np.save(out_dir / fname, arrays[name])
-    (out_dir / _MANIFEST).write_text(manifest.to_json() + "\n")
+    files = dict(_FILES, **_PQ_FILES) if manifest.pq is not None else _FILES
+    _publish_files(out_dir,
+                   {fname: arrays[name] for name, fname in files.items()},
+                   manifest)
+    if manifest.pq is None:
+        for stale in _PQ_FILES.values():
+            (out_dir / stale).unlink(missing_ok=True)
 
 
 def save_ann_index(index, out_dir) -> AnnManifest:

@@ -48,7 +48,8 @@ from repro.eval.metrics import rank_items
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.serve.index import (TopKResult, build_panels, panel_scores,
-                               scoring_ready_items, scoring_ready_users)
+                               prepare_request, scoring_ready_items,
+                               scoring_ready_users)
 from repro.serve.snapshot import EmbeddingSnapshot
 
 __all__ = ["ANN_PANEL_WIDTH", "train_coarse_quantizer", "assign_lists",
@@ -590,17 +591,8 @@ class IVFFlatIndex:
         directly comparable to (and with ``nprobe == nlist``,
         bit-identical to) the exact index's scores.
         """
-        users = np.atleast_1d(np.asarray(user_ids, dtype=np.int64))
-        if users.ndim != 1:
-            raise ValueError(f"user_ids must be 1-D, got shape {users.shape}")
-        n_users = self.snapshot.manifest.num_users
-        if len(users) and (users.min() < 0 or users.max() >= n_users):
-            raise ValueError(f"user ids must lie in [0, {n_users})")
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        k = min(k, self.data.num_items)
-        out_items = np.empty((len(users), k), dtype=np.int64)
-        out_scores = np.empty((len(users), k), dtype=np.float64)
+        users, k, out_items, out_scores = prepare_request(
+            user_ids, k, self.snapshot.manifest)
         for lo in range(0, len(users), self.chunk_users):
             chunk = users[lo:lo + self.chunk_users]
             items, scores = self._chunk_topk(chunk, k, filter_seen)
@@ -676,7 +668,8 @@ class IVFFlatIndex:
         signature occupy a contiguous slice of the score block, groups
         sorted by candidate count), so assembling the block is plain
         slice copies and ranking can run per width bucket — the final
-        results are scattered back to request order at the end.
+        results are scattered back to request order at the end.  Every
+        IVF kind runs this; a subclass only adds :meth:`_refine_group`.
         """
         tracer = get_tracer()
         with tracer.span("ann.ivf.plan", users=len(users)):
@@ -720,7 +713,9 @@ class IVFFlatIndex:
                 # to the candidate columns
                 u_sq = (vectors[start:stop] ** 2).sum(axis=1, keepdims=True)
                 scores = -(u_sq + self._item_sq[ids] - 2.0 * scores)
-            block[start:stop, :c_g] = scores
+            block[start:stop, :c_g] = self._refine_group(
+                scores, vectors[start:stop], users[rows_by_group[g]],
+                groups[g], k, filter_seen)
             block[start:stop, c_g:] = -np.inf
             ids_block[start:stop, :c_g] = ids
             ids_block[start:stop, c_g:] = self.data.num_items
@@ -743,6 +738,17 @@ class IVFFlatIndex:
         self._ctr_queries.inc(m)
         self._ctr_candidates.inc(int(widths.sum()))
         return out_items[inverse], out_scores[inverse]
+
+    def _refine_group(self, scores: np.ndarray, vectors: np.ndarray,
+                      users: np.ndarray, clusters: tuple[int, ...], k: int,
+                      filter_seen: bool) -> np.ndarray:
+        """Hook: narrow one signature group's candidates before ranking.
+
+        ``scores`` is the exact ``(len(users), candidates)`` block of
+        probe set ``clusters``, ``vectors`` the prepared rows of its
+        ``users``.  Returns it with dropped candidates at ``-inf``.
+        """
+        return scores
 
     def _dynamic_seen(self, users: np.ndarray, plan: ProbePlan
                       ) -> tuple[np.ndarray, np.ndarray]:

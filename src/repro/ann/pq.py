@@ -30,8 +30,6 @@ import numpy as np
 
 from repro.analysis.kmeans import kmeans, sq_dists
 from repro.ann.ivf import ANN_PANEL_WIDTH, IVFFlatIndex, IVFIndexData
-from repro.eval.metrics import rank_items
-from repro.serve.index import panel_scores, scoring_ready_users
 from repro.serve.snapshot import EmbeddingSnapshot
 
 __all__ = ["ProductQuantizer", "train_product_quantizer",
@@ -180,13 +178,13 @@ def carry_codes(pq: ProductQuantizer, code_map: np.ndarray,
 class IVFPQIndex(IVFFlatIndex):
     """IVF-PQ with exact refinement of the ADC shortlist.
 
-    Candidate generation is inherited from :class:`IVFFlatIndex`
-    (probed lists, over-fetch, signature grouping).  On top, the ADC
-    scores of each user's candidates pick a shortlist of
-    ``max(refine * k, k + |seen|)`` postings; everything outside the
-    shortlist is masked before the exact-scored block is ranked.  The
-    shortlist floor mirrors the over-fetch contract: ``filter_seen``
-    masking can never starve the top-``k``.
+    The chunk pipeline — and with it the ``ann.ivf.*`` counters and
+    spans — is :class:`IVFFlatIndex`'s.  The one added step is
+    :meth:`_refine_group`: the ADC scores of each user's candidates
+    pick a shortlist of ``max(refine * k, k + |seen|)`` postings, and
+    everything outside it is masked before the exact-scored block is
+    ranked.  The shortlist floor mirrors the over-fetch contract:
+    ``filter_seen`` masking can never starve the top-``k``.
 
     Parameters
     ----------
@@ -253,66 +251,27 @@ class IVFPQIndex(IVFFlatIndex):
                           panel_width=self.panel_width, routed=self.routed)
 
     # ------------------------------------------------------------------
-    def _chunk_topk(self, users: np.ndarray, k: int, filter_seen: bool
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        """IVF-Flat block assembly plus ADC shortlist masking."""
-        vectors = scoring_ready_users(self.snapshot.users[users],
-                                      self.snapshot.scoring)
-        if self.routed:
-            table = self._routing_for(k, filter_seen)
-            groups, rows_by_group, seen = table.slice(users)
-        else:
-            plan = self.data.plan(vectors, self._seen_counts[users], k,
-                                  self.nprobe, filter_seen,
-                                  self.snapshot.scoring)
-            groups = plan.signatures
-            rows_by_group = plan.rows_by_group()
-            seen = (self._dynamic_seen(users, plan) if filter_seen
-                    else (np.empty(0, np.int64), np.empty(0, np.int64)))
-        centroid_scores = vectors @ self.data.centroids.T
+    def _refine_group(self, scores: np.ndarray, vectors: np.ndarray,
+                      users: np.ndarray, clusters: tuple[int, ...], k: int,
+                      filter_seen: bool) -> np.ndarray:
+        """Mask one group's exact block down to each row's ADC shortlist."""
+        ids, posting = self.data.signature(clusters)
+        shortlist = int(max(self.refine * k,
+                            k + (self._seen_counts[users].max()
+                                 if filter_seen else 0)))
+        if shortlist >= len(ids):
+            return scores
+        # ADC: centroid term of the owning list + codeword lookups
+        adc = (vectors @ self.data.centroids.T)[:, self._owner[posting]]
         luts = adc_lookup_tables(vectors, self.pq.codebooks)
-
-        live = [(g, rows) for g, rows in enumerate(rows_by_group)
-                if len(rows)]
-        c_max = max((len(self.data.signature(groups[g])[0])
-                     for g, _ in live), default=0)
-        m_users = len(users)
-        block = np.empty((m_users, c_max), dtype=np.float64)
-        ids_block = np.empty((m_users, c_max), dtype=np.int64)
-        for g, rows in live:
-            ids, panels = self.data.panels_for(groups[g], self._items_ready,
-                                               self.panel_width,
-                                               self.snapshot.version)
-            posting = self.data.signature(groups[g])[1]
-            exact = panel_scores(vectors[rows], panels, len(ids))
-            # ADC: centroid term of the owning list + codeword lookups
-            adc = centroid_scores[rows][:, self._owner[posting]]
-            codes = self.pq.codes[posting]
-            group_luts = luts[rows]
-            for s in range(self.pq.m):
-                adc += group_luts[:, s, codes[:, s]]
-            shortlist = min(len(ids),
-                            int(max(self.refine * k,
-                                    k + (self._seen_counts[users[rows]].max()
-                                         if filter_seen else 0))))
-            if shortlist < len(ids):
-                keep = np.argpartition(-adc, shortlist - 1,
-                                       axis=1)[:, :shortlist]
-                pruned = np.full_like(exact, -np.inf)
-                np.put_along_axis(
-                    pruned, keep, np.take_along_axis(exact, keep, axis=1),
-                    axis=1)
-                exact = pruned
-            block[rows, :len(ids)] = exact
-            block[rows, len(ids):] = -np.inf
-            ids_block[rows, :len(ids)] = ids
-            ids_block[rows, len(ids):] = self.data.num_items
-        if filter_seen:
-            seen_rows, seen_cols = seen
-            block[seen_rows, seen_cols] = -np.inf
-        top = rank_items(block, k)
-        return (np.take_along_axis(ids_block, top, axis=1),
-                np.take_along_axis(block, top, axis=1))
+        codes = self.pq.codes[posting]
+        for s in range(self.pq.m):
+            adc += luts[:, s, codes[:, s]]
+        keep = np.argpartition(-adc, shortlist - 1, axis=1)[:, :shortlist]
+        pruned = np.full_like(scores, -np.inf)
+        np.put_along_axis(pruned, keep,
+                          np.take_along_axis(scores, keep, axis=1), axis=1)
+        return pruned
 
     def __repr__(self) -> str:
         return (f"IVFPQIndex(nlist={self.data.nlist}, nprobe={self.nprobe}, "

@@ -314,47 +314,41 @@ def _cmd_recommend(args) -> int:
     """Serve top-K recommendations for a list of users from a snapshot.
 
     Sharded snapshot directories (written by ``repro export --shards``)
-    are detected automatically and served through the scatter-gather
-    :class:`~repro.serve.router.ShardedRecommendationService`.  With
-    ``--ann DIR`` candidates come from an IVF index built by
-    ``repro build-ann`` — over-fetched per user and re-scored exactly,
-    so scores remain comparable to the exact index.
+    are detected automatically; the one
+    :class:`~repro.serve.service.RecommendationService` serves either
+    layout.  With ``--ann DIR`` candidates come from an IVF index built
+    by ``repro build-ann`` — over-fetched per user and re-scored
+    exactly, so scores remain comparable to the exact index.
     """
-    from repro.serve import (RecommendationService,
-                             ShardedRecommendationService, ShardedTopKIndex,
-                             build_index, is_sharded_snapshot,
-                             load_sharded_snapshot, load_snapshot)
+    from repro.serve import (RecommendationService, ShardedTopKIndex,
+                             is_sharded_snapshot, load_sharded_snapshot,
+                             load_snapshot)
 
-    if is_sharded_snapshot(args.snapshot):
-        snapshot = load_sharded_snapshot(args.snapshot, verify=args.verify)
-        if args.ann:
-            from repro.ann import load_ann_generator
-            router = ShardedTopKIndex(
-                snapshot, kind=args.index,
-                ann=load_ann_generator(args.ann, snapshot=snapshot,
-                                       verify=args.verify))
-            service = ShardedRecommendationService(snapshot, index=router)
-        else:
-            service = ShardedRecommendationService(snapshot, kind=args.index)
-        index = service.index
-    else:
-        snapshot = load_snapshot(args.snapshot, verify=args.verify)
-        if args.ann:
-            if args.index != "exact":
-                # On a sharded snapshot --index picks the per-shard
-                # scorer under the ANN prefilter; unsharded ANN serving
-                # replaces the index outright, so an explicit non-exact
-                # choice would be silently ignored — refuse instead.
-                raise SystemExit(
-                    "recommend: --ann replaces the index on an unsharded "
-                    "snapshot; drop --index or use a sharded snapshot to "
-                    "combine an ANN prefilter with per-shard "
-                    f"{args.index!r} scoring")
-            from repro.ann import load_ann_index
-            index = load_ann_index(args.ann, snapshot, verify=args.verify)
-        else:
-            index = build_index(snapshot, args.index)
-        service = RecommendationService(snapshot, index=index)
+    sharded = is_sharded_snapshot(args.snapshot)
+    load = load_sharded_snapshot if sharded else load_snapshot
+    snapshot = load(args.snapshot, verify=args.verify)
+    index = None
+    if args.ann and sharded:
+        from repro.ann import load_ann_generator
+        index = ShardedTopKIndex(
+            snapshot, kind=args.index,
+            ann=load_ann_generator(args.ann, snapshot=snapshot,
+                                   verify=args.verify))
+    elif args.ann:
+        if args.index != "exact":
+            # On a sharded snapshot --index picks the per-shard scorer
+            # under the ANN prefilter; unsharded ANN serving replaces
+            # the index outright, so an explicit non-exact choice would
+            # be silently ignored — refuse instead.
+            raise SystemExit(
+                "recommend: --ann replaces the index on an unsharded "
+                "snapshot; drop --index or use a sharded snapshot to "
+                "combine an ANN prefilter with per-shard "
+                f"{args.index!r} scoring")
+        from repro.ann import load_ann_index
+        index = load_ann_index(args.ann, snapshot, verify=args.verify)
+    service = RecommendationService(snapshot, kind=args.index, index=index)
+    index = service.index
     users = [int(u) for u in args.users.split(",")]
     if args.trace:
         from repro.obs import format_span_tree, get_tracer, tracing

@@ -146,15 +146,15 @@ def _measure_cell(sharded, users, *, config: FaultsPerfConfig,
                   scenario: str, policy: str, spec) -> dict:
     """One (scenario, policy) row: fresh router, faulty shard 1, drive."""
     from repro.serve.faults import FaultPlan, FaultyShardIndex
-    from repro.serve.router import (ShardedRecommendationService,
-                                    ShardedTopKIndex)
+    from repro.serve.router import ShardedTopKIndex
+    from repro.serve.service import RecommendationService
     plan = FaultPlan(config.seed, {"shard:1": spec})
     router = ShardedTopKIndex(sharded, kind="exact", chunk_users=1,
                               resilience=_resilience(config, policy))
     router.shard_indexes[1] = FaultyShardIndex(
         router.shard_indexes[1], plan, "shard:1")
-    service = ShardedRecommendationService(sharded, index=router,
-                                           cache_size=0, max_batch=1)
+    service = RecommendationService(sharded, index=router,
+                                    cache_size=0, max_batch=1)
     try:
         row = _drive(service, users, k=config.k, slo_ms=config.slo_ms)
     finally:

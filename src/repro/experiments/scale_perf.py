@@ -196,10 +196,9 @@ def run_scale_phase(phase: str, work_dir: str | pathlib.Path) -> dict:
     if phase == "serve":
         import numpy as np
 
-        from repro.serve import (ShardedRecommendationService,
-                                 load_sharded_snapshot)
+        from repro.serve import RecommendationService, load_sharded_snapshot
         snapshot = load_sharded_snapshot(paths["snapshot"])
-        service = ShardedRecommendationService(snapshot)
+        service = RecommendationService(snapshot)
         rng = np.random.default_rng(run["seed"])
         batch, k = run["serve_batch_size"], run["k"]
         users = rng.integers(0, snapshot.manifest.num_users,

@@ -3,16 +3,17 @@
 The offline stack (train → evaluate) hands a trained backbone to this
 package, which freezes it into a memory-mappable
 :class:`~repro.serve.snapshot.EmbeddingSnapshot`, retrieves over it with
-an exact or int8-quantized :class:`~repro.serve.index.TopKIndex`, and
-answers batched user requests through
+a :class:`~repro.serve.index.TopKIndex` holding an exact (float64) or
+int8 **scorer**, and answers batched user requests through
 :class:`~repro.serve.service.RecommendationService`.
 
 For horizontal scale the same state can be exported **sharded**
 (:func:`~repro.serve.snapshot.export_sharded_snapshot`): user and item
 partitions with per-shard manifests under a content-hashed
-``shards.json``, read back by :mod:`repro.serve.shard` and served
-through the scatter-gather
-:class:`~repro.serve.router.ShardedRecommendationService`, whose exact
+``shards.json``, read back by :mod:`repro.serve.shard`.  The same
+service serves it: handed a sharded snapshot it builds the
+scatter-gather :class:`~repro.serve.router.ShardedTopKIndex`, whose
+item shards hold the same scorers over their own rows, so the exact
 path is bit-identical to the single-process index (see
 ``docs/sharding.md``).
 
@@ -59,17 +60,15 @@ from repro.serve.index import (PANEL_WIDTH, ExactTopKIndex,
 from repro.serve.resilience import (BreakerConfig, BreakerOpenError,
                                     CircuitBreaker, PartialResultError,
                                     ResilienceConfig, ShardCallError)
-from repro.serve.router import (RouterStats, ShardedRecommendationService,
-                                ShardedTopKIndex)
+from repro.serve.router import RouterStats, ShardedTopKIndex
 from repro.serve.runtime import (AsyncRequest, DeadlineExceeded, OverloadError,
                                  RuntimeConfig, RuntimeStats, ServingRuntime,
                                  WorkerCrashed)
 from repro.serve.service import (LRUCache, PendingRequest, Recommendation,
-                                 RecommendationService, ServiceStats)
-from repro.serve.shard import (ExactShardIndex, ItemShard, ItemShardIndex,
-                               QuantizedShardIndex, ShardedSnapshot,
-                               UserShard, build_shard_index,
-                               load_sharded_snapshot)
+                                 RecommendationService, ServiceStats,
+                                 ShardedRecommendationService)
+from repro.serve.shard import (ItemShard, ItemShardIndex, ShardedSnapshot,
+                               UserShard, load_sharded_snapshot)
 from repro.serve.snapshot import (SHARD_SCHEMA, SHARDED_SCHEMA,
                                   SNAPSHOT_SCHEMA, EmbeddingSnapshot,
                                   ShardManifest, ShardedManifest,
@@ -88,9 +87,8 @@ __all__ = [
     "export_sharded_source_snapshot", "is_sharded_snapshot",
     "PANEL_WIDTH", "TopKResult", "TopKIndex", "ExactTopKIndex",
     "QuantizedTopKIndex", "build_index",
-    "UserShard", "ItemShard", "ItemShardIndex", "ExactShardIndex",
-    "QuantizedShardIndex", "ShardedSnapshot", "load_sharded_snapshot",
-    "build_shard_index",
+    "UserShard", "ItemShard", "ItemShardIndex", "ShardedSnapshot",
+    "load_sharded_snapshot",
     "RouterStats", "ShardedTopKIndex", "ShardedRecommendationService",
     "Recommendation", "ServiceStats", "LRUCache", "PendingRequest",
     "RecommendationService",

@@ -36,9 +36,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import pathlib
-import shutil
 import time
 
 import numpy as np
@@ -46,8 +44,8 @@ import numpy as np
 from repro.eval.masking import seen_items_csr
 from repro.serve.snapshot import (_FILES, _MANIFEST, SNAPSHOT_SCHEMA,
                                   EmbeddingSnapshot, SnapshotManifest,
-                                  _content_version, _remove_stale_layout,
-                                  _staging_dir, _write_arrays)
+                                  _content_version, _publish_files,
+                                  _remove_stale_layout, _write_arrays)
 
 __all__ = ["DELTA_SCHEMA", "DeltaManifest", "DeltaOps", "Delta",
            "LiveState", "diff_states", "write_delta", "export_delta",
@@ -486,20 +484,11 @@ def write_delta(base, ops: DeltaOps, out_dir) -> Delta:
         **ops.counts)
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    # Crash-safe publish, same scheme as the snapshot exporter: stage
-    # every file complete, rename into place, manifest last as the
-    # commit point.  A killed writer leaves either no delta (no
-    # manifest) or complete old files — never a truncated array.
-    staging = _staging_dir(out_dir)
-    try:
-        for name, fname in _DELTA_FILES.items():
-            np.save(staging / fname, np.ascontiguousarray(getattr(ops, name)))
-        (staging / _MANIFEST).write_text(manifest.to_json() + "\n")
-        for fname in _DELTA_FILES.values():
-            os.replace(staging / fname, out_dir / fname)
-        os.replace(staging / _MANIFEST, out_dir / _MANIFEST)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+    # A killed writer leaves either no delta (no manifest) or complete
+    # old files — never a truncated array.
+    _publish_files(out_dir,
+                   {fname: np.ascontiguousarray(getattr(ops, name))
+                    for name, fname in _DELTA_FILES.items()}, manifest)
     return Delta(manifest=manifest, ops=ops, path=out_dir)
 
 

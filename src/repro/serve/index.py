@@ -19,8 +19,12 @@ Two interchangeable paths answer ``topk(user_ids, k)``:
   the serve benchmark (``repro perf-serve``) reports the measured
   overlap alongside throughput.
 
-Both indexes share masking and ranking plumbing via :class:`TopKIndex`,
-so ``filter_seen`` semantics cannot drift between paths.
+Both are the one :class:`TopKIndex` — chunk, score, mask, rank — over a
+different **scorer** (:class:`PanelScorer` / :class:`Int8Scorer`), which
+owns what one number format knows about "some rows of an item table".
+:class:`~repro.serve.shard.ItemShardIndex` holds the same scorers over
+one shard's rows, so neither scoring nor ``filter_seen`` semantics can
+drift between kinds or between sharded and unsharded serving.
 
 **Partition-invariant scoring.**  Dense BLAS matmuls are *not* bitwise
 stable across matrix shapes: computing a score block as one large GEMM
@@ -50,7 +54,8 @@ from repro.serve.snapshot import EmbeddingSnapshot
 __all__ = ["PANEL_WIDTH", "TopKResult", "TopKIndex", "ExactTopKIndex",
            "QuantizedTopKIndex", "build_index", "scoring_ready_users",
            "scoring_ready_items", "build_panels", "panel_scores",
-           "quantize_rows", "quantized_panel_scores"]
+           "quantize_rows", "PanelScorer", "Int8Scorer", "SCORERS",
+           "prepare_request"]
 
 #: Fixed item-panel width of every scoring GEMM.  Both sides of the
 #: sharded-vs-unsharded parity contract must use the same width.
@@ -108,47 +113,25 @@ def build_panels(items: np.ndarray, width: int = PANEL_WIDTH) -> np.ndarray:
     return panels
 
 
-def panel_scores(vectors: np.ndarray, panels: np.ndarray,
-                 n_items: int) -> np.ndarray:
+def panel_scores(vectors: np.ndarray, panels, n_items: int) -> np.ndarray:
     """Dense ``(len(vectors), n_items)`` score block from padded panels.
 
-    Every matmul is ``(m, dim) @ (dim, width)`` with ``width`` fixed by
-    the panel layout, so a given (user, item) pair produces bitwise the
-    same score no matter which panel — or which shard's panel — the item
-    row sits in.
+    ``panels`` is any iterable of equal-width ``(width, dim)`` panels:
+    the packed float64 block of :func:`build_panels`, or the float32
+    panels :class:`Int8Scorer` dequantizes one at a time.  Every matmul
+    is ``(m, dim) @ (dim, width)`` with ``width`` fixed by the panel
+    layout, so a given (user, item) pair produces bitwise the same
+    score no matter which panel — or which shard's panel — the item
+    row sits in.  This is the only scoring loop in the serving stack;
+    a second copy could drift and break the sharded bit-parity.
     """
-    m = len(vectors)
-    width = panels.shape[1]
-    out = np.empty((m, n_items), dtype=np.float64)
-    for p in range(panels.shape[0]):
-        lo = p * width
-        hi = min(lo + width, n_items)
-        out[:, lo:hi] = (vectors @ panels[p].T)[:, :hi - lo]
+    out = np.empty((len(vectors), n_items), dtype=np.float64)
+    lo = 0
+    for panel in panels:
+        hi = min(lo + len(panel), n_items)
+        out[:, lo:hi] = (vectors @ panel.T)[:, :hi - lo]
+        lo = hi
     return out
-
-
-def quantized_panel_scores(vectors32: np.ndarray, quantized: np.ndarray,
-                           scales: np.ndarray, width: int) -> np.ndarray:
-    """Score float32 user vectors against an int8 table, fixed panels.
-
-    Dequantizes ``width`` rows at a time into one reused zero-padded
-    float32 panel, so every GEMM is ``(m, dim) @ (dim, width)`` — the
-    float32 counterpart of :func:`panel_scores`, carrying the same
-    partition-invariance contract.  Both the unsharded
-    :class:`QuantizedTopKIndex` and the per-shard quantized scorer must
-    call exactly this loop; two copies could drift and break the
-    sharded bit-parity.  Returns a float64 block.
-    """
-    n, dim = quantized.shape
-    scores = np.empty((len(vectors32), n), dtype=np.float64)
-    panel = np.zeros((width, dim), dtype=np.float32)
-    for lo in range(0, n, width):
-        hi = min(lo + width, n)
-        panel[:hi - lo] = (quantized[lo:hi].astype(np.float32)
-                           * scales[lo:hi, None])
-        panel[hi - lo:] = 0.0
-        scores[:, lo:hi] = (vectors32 @ panel.T)[:, :hi - lo]
-    return scores
 
 
 def quantize_rows(items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -194,8 +177,135 @@ class TopKResult:
         return len(self.user_ids)
 
 
+class PanelScorer:
+    """Exact scorer: item rows packed as fixed-width float64 panels.
+
+    ``rows`` are raw ``(n, dim)`` embedding rows — the whole catalogue
+    (:class:`TopKIndex`) or one shard's slice of it
+    (:class:`~repro.serve.shard.ItemShardIndex`) — scored under
+    ``scoring`` (``inner`` / ``cosine`` / ``euclidean``) in GEMMs of
+    ``panel_width`` item rows.  The scoring-ready float64 table is a
+    construction temporary: only the panels (and, for euclidean, the
+    squared row norms) are kept.
+    """
+
+    kind = "exact"
+
+    def __init__(self, rows: np.ndarray, scoring: str,
+                 panel_width: int = PANEL_WIDTH):
+        items = scoring_ready_items(rows, scoring)
+        self.panel_width = panel_width
+        self.n_items = len(items)
+        self._panels = build_panels(items, panel_width)
+        self._item_sq = ((items ** 2).sum(axis=1)
+                         if scoring == "euclidean" else None)
+
+    @property
+    def table_bytes(self) -> int:
+        """Bytes held by the panelized float64 table."""
+        return self._panels.nbytes
+
+    def scores(self, vectors: np.ndarray, kernel) -> np.ndarray:
+        """Dense ``(len(vectors), n_items)`` float64 score block for
+        :func:`scoring_ready_users` vectors.
+
+        ``kernel`` is the **caller's** :func:`panel_scores`, passed in
+        rather than called from here: ``bench/workloads.py`` attributes
+        scoring time per layer by patching that name in the calling
+        module, so it must resolve there at call time.
+        """
+        scores = kernel(vectors, self._panels, self.n_items)
+        if self._item_sq is not None:
+            u_sq = (vectors ** 2).sum(axis=1, keepdims=True)
+            return -(u_sq + self._item_sq - 2.0 * scores)
+        return scores
+
+
+class Int8Scorer:
+    """Approximate scorer: item rows stored symmetric-int8 per row
+    (:func:`quantize_rows`), an 8x compression of the catalogue side.
+
+    Same parameters as :class:`PanelScorer`.  Scoring dequantizes
+    ``panel_width`` rows at a time into a zero-padded float32 panel, so
+    peak extra memory stays at one small panel regardless of table size
+    and every GEMM keeps the fixed partition-invariant shape.
+    Quantization is per row, so a shard's bytes, scales and scores are
+    identical to the same rows inside the unsharded table.
+    """
+
+    kind = "quantized"
+
+    def __init__(self, rows: np.ndarray, scoring: str,
+                 panel_width: int = PANEL_WIDTH):
+        if panel_width <= 0:
+            raise ValueError(f"panel width must be positive, "
+                             f"got {panel_width}")
+        self.panel_width = panel_width
+        self._quantized, self._scales = quantize_rows(
+            scoring_ready_items(rows, scoring))
+        self.n_items = len(self._quantized)
+        self._item_sq = None
+        if scoring == "euclidean":
+            deq = self._quantized.astype(np.float32) * self._scales[:, None]
+            self._item_sq = (deq.astype(np.float64) ** 2).sum(axis=1)
+
+    @property
+    def table_bytes(self) -> int:
+        """Bytes held by the quantized table (int8 rows + scales)."""
+        return self._quantized.nbytes + self._scales.nbytes
+
+    def _panels(self):
+        """Float32 panels, dequantized one at a time, tail zero-padded."""
+        width = self.panel_width
+        for lo in range(0, self.n_items, width):
+            panel = (self._quantized[lo:lo + width].astype(np.float32)
+                     * self._scales[lo:lo + width, None])
+            if len(panel) < width:
+                panel = np.pad(panel, ((0, width - len(panel)), (0, 0)))
+            yield panel
+
+    def scores(self, vectors: np.ndarray, kernel) -> np.ndarray:
+        """Float32-GEMM counterpart of :meth:`PanelScorer.scores`."""
+        vectors = vectors.astype(np.float32)
+        scores = kernel(vectors, self._panels(), self.n_items)
+        if self._item_sq is not None:
+            u_sq = (vectors.astype(np.float64) ** 2).sum(axis=1,
+                                                         keepdims=True)
+            scores = -(u_sq + self._item_sq - 2.0 * scores)
+        return scores
+
+
+#: Scorer class per kind name — one table for :class:`TopKIndex` and the
+#: sharded router, so both topologies offer the same number formats.
+SCORERS = {"exact": PanelScorer, "quantized": Int8Scorer}
+
+
+def prepare_request(user_ids, k: int, manifest
+                    ) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """The ``topk`` prologue every index shares.
+
+    Returns ``(users, k, out_items, out_scores)``: the ids as a checked
+    1-D int64 array, ``k`` clipped to the catalogue size, and the two
+    ``(len(users), k)`` result buffers the chunk loop fills.
+    """
+    users = np.atleast_1d(np.asarray(user_ids, dtype=np.int64))
+    if users.ndim != 1:
+        raise ValueError(f"user_ids must be 1-D, got shape {users.shape}")
+    if len(users) and (users.min() < 0
+                       or users.max() >= manifest.num_users):
+        raise ValueError(f"user ids must lie in [0, {manifest.num_users})")
+    if k <= 0:
+        raise ValueError(f"k must be positive, got {k}")
+    k = min(k, manifest.num_items)
+    return (users, k, np.empty((len(users), k), dtype=np.int64),
+            np.empty((len(users), k), dtype=np.float64))
+
+
 class TopKIndex:
-    """Shared chunking / masking / ranking skeleton of both index kinds.
+    """Chunk → score → mask → rank over one snapshot, through one scorer.
+
+    The concrete index behind both kinds: :attr:`kind` names the scorer
+    class, and nothing else differs between them.
 
     Parameters
     ----------
@@ -204,16 +314,28 @@ class TopKIndex:
     chunk_users:
         Users scored per dense block; bounds the ``(chunk, n_items)``
         score buffer exactly like the evaluator's ``batch_users``.
+    panel_width:
+        Item rows per scoring GEMM (default :data:`PANEL_WIDTH`).  Both
+        sides of a sharded parity comparison must use the same width.
     """
 
-    #: subclass tag recorded in benchmarks and service cache keys
-    kind = "abstract"
+    #: names the scorer in :data:`SCORERS`; also the tag recorded in
+    #: benchmarks and service cache keys
+    kind = "exact"
 
-    def __init__(self, snapshot: EmbeddingSnapshot, chunk_users: int = 256):
+    def __init__(self, snapshot: EmbeddingSnapshot, chunk_users: int = 256,
+                 panel_width: int = PANEL_WIDTH):
         if chunk_users <= 0:
             raise ValueError(f"chunk_users must be positive, got {chunk_users}")
         self.snapshot = snapshot
         self.chunk_users = chunk_users
+        self.scorer = SCORERS[self.kind](snapshot.items, snapshot.scoring,
+                                         panel_width)
+
+    @property
+    def table_bytes(self) -> int:
+        """Bytes held by the scorer's catalogue table."""
+        return self.scorer.table_bytes
 
     # ------------------------------------------------------------------
     def topk(self, user_ids, k: int = 10,
@@ -231,23 +353,17 @@ class TopKIndex:
             set (the evaluator's protocol).  Pass ``False`` to rank the
             full catalogue (e.g. for similar-item carousels).
         """
-        users = np.atleast_1d(np.asarray(user_ids, dtype=np.int64))
-        if users.ndim != 1:
-            raise ValueError(f"user_ids must be 1-D, got shape {users.shape}")
-        n_users = self.snapshot.manifest.num_users
-        if len(users) and (users.min() < 0 or users.max() >= n_users):
-            raise ValueError(f"user ids must lie in [0, {n_users})")
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        k = min(k, self.snapshot.manifest.num_items)
-        out_items = np.empty((len(users), k), dtype=np.int64)
-        out_scores = np.empty((len(users), k), dtype=np.float64)
+        snapshot = self.snapshot
+        users, k, out_items, out_scores = prepare_request(
+            user_ids, k, snapshot.manifest)
         for lo in range(0, len(users), self.chunk_users):
             chunk = users[lo:lo + self.chunk_users]
-            scores = self._score_chunk(chunk)
+            vectors = scoring_ready_users(snapshot.users[chunk],
+                                          snapshot.scoring)
+            scores = self.scorer.scores(vectors, panel_scores)
             if filter_seen:
-                mask_seen_items(scores, self.snapshot.seen_indptr,
-                                self.snapshot.seen_items, chunk)
+                mask_seen_items(scores, snapshot.seen_indptr,
+                                snapshot.seen_items, chunk)
             top = rank_items(scores, k)
             out_items[lo:lo + len(chunk)] = top
             out_scores[lo:lo + len(chunk)] = np.take_along_axis(
@@ -265,111 +381,26 @@ class TopKIndex:
         returned index serves ``snapshot`` — the receiver is untouched,
         so an in-flight request on the old index is never torn.
         """
-        return type(self)(snapshot, chunk_users=self.chunk_users)
-
-    # ------------------------------------------------------------------
-    def _score_chunk(self, users: np.ndarray) -> np.ndarray:
-        """Dense ``(len(users), n_items)`` float64 score block."""
-        raise NotImplementedError
-
-    def _user_vectors(self, users: np.ndarray) -> np.ndarray:
-        """Gather the query-side rows and apply the scoring prep."""
-        return scoring_ready_users(self.snapshot.users[users],
-                                   self.snapshot.scoring)
+        return type(self)(snapshot, chunk_users=self.chunk_users,
+                          panel_width=self.scorer.panel_width)
 
 
 class ExactTopKIndex(TopKIndex):
-    """Exact retrieval: fixed-panel float64 matmul, evaluator-identical.
-
-    Parameters
-    ----------
-    panel_width:
-        Item rows per scoring GEMM (default :data:`PANEL_WIDTH`).  Both
-        sides of a sharded parity comparison must use the same width.
-    """
-
-    kind = "exact"
-
-    def __init__(self, snapshot: EmbeddingSnapshot, chunk_users: int = 256,
-                 panel_width: int = PANEL_WIDTH):
-        super().__init__(snapshot, chunk_users)
-        self.panel_width = panel_width
-        items = scoring_ready_items(snapshot.items, snapshot.scoring)
-        self._n_items = len(items)
-        self._panels = build_panels(items, panel_width)
-        self._item_sq = ((items ** 2).sum(axis=1)
-                         if snapshot.scoring == "euclidean" else None)
-
-    def refreshed(self, snapshot: EmbeddingSnapshot) -> "ExactTopKIndex":
-        return type(self)(snapshot, chunk_users=self.chunk_users,
-                          panel_width=self.panel_width)
-
-    @property
-    def table_bytes(self) -> int:
-        """Bytes held by the panelized float64 catalogue."""
-        return self._panels.nbytes
-
-    def _score_chunk(self, users: np.ndarray) -> np.ndarray:
-        vectors = self._user_vectors(users)
-        scores = panel_scores(vectors, self._panels, self._n_items)
-        if self.snapshot.scoring == "euclidean":
-            u_sq = (vectors ** 2).sum(axis=1, keepdims=True)
-            return -(u_sq + self._item_sq - 2.0 * scores)
-        return scores
+    """Exact retrieval: fixed-panel float64 matmul, evaluator-identical."""
 
 
 class QuantizedTopKIndex(TopKIndex):
-    """Approximate retrieval over a symmetric-int8 item table.
-
-    Each (scoring-ready) item row ``i`` is stored as
-    ``int8 q[i] ≈ items[i] / scale[i]`` with
-    ``scale[i] = max|items[i]| / 127``, an 8x compression of the
-    catalogue side.  Scoring dequantizes :data:`PANEL_WIDTH` rows at a
-    time into a reused zero-padded float32 panel, so peak extra memory
-    stays at one small float32 panel regardless of catalogue size and
-    every GEMM keeps the fixed partition-invariant shape.
-
-    Parameters
-    ----------
-    chunk_items:
-        Item rows dequantized per matmul panel (the float32 panel
-        width); defaults to :data:`PANEL_WIDTH`.
-    """
+    """Approximate retrieval over a symmetric-int8 item table
+    (:class:`Int8Scorer`); ``chunk_items`` is the former name of
+    ``panel_width`` on this class, still accepted."""
 
     kind = "quantized"
 
     def __init__(self, snapshot: EmbeddingSnapshot, chunk_users: int = 256,
-                 chunk_items: int = PANEL_WIDTH):
-        super().__init__(snapshot, chunk_users)
-        if chunk_items <= 0:
-            raise ValueError(f"chunk_items must be positive, got {chunk_items}")
-        self.chunk_items = chunk_items
-        items = scoring_ready_items(snapshot.items, snapshot.scoring)
-        self._quantized, self._scales = quantize_rows(items)
-        if snapshot.scoring == "euclidean":
-            deq = self._quantized.astype(np.float32) * self._scales[:, None]
-            self._item_sq = (deq.astype(np.float64) ** 2).sum(axis=1)
-        else:
-            self._item_sq = None
-
-    def refreshed(self, snapshot: EmbeddingSnapshot) -> "QuantizedTopKIndex":
-        return type(self)(snapshot, chunk_users=self.chunk_users,
-                          chunk_items=self.chunk_items)
-
-    @property
-    def table_bytes(self) -> int:
-        """Bytes held by the quantized catalogue (table + scales)."""
-        return self._quantized.nbytes + self._scales.nbytes
-
-    def _score_chunk(self, users: np.ndarray) -> np.ndarray:
-        vectors = self._user_vectors(users).astype(np.float32)
-        scores = quantized_panel_scores(vectors, self._quantized,
-                                        self._scales, self.chunk_items)
-        if self.snapshot.scoring == "euclidean":
-            u_sq = (vectors.astype(np.float64) ** 2).sum(axis=1,
-                                                         keepdims=True)
-            scores = -(u_sq + self._item_sq - 2.0 * scores)
-        return scores
+                 panel_width: int = PANEL_WIDTH,
+                 chunk_items: int | None = None):
+        super().__init__(snapshot, chunk_users,
+                         panel_width if chunk_items is None else chunk_items)
 
 
 _INDEX_KINDS = {"exact": ExactTopKIndex, "quantized": QuantizedTopKIndex}

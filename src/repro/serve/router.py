@@ -14,18 +14,19 @@ chunk:
 3. **gather (merge)** — k-way heap merge of the per-shard partial
    lists, keyed on ``(-score, global item id)``.
 
-Because shard scoring uses the same fixed-shape panel kernels as the
-unsharded :class:`~repro.serve.index.ExactTopKIndex` and ranking/merge
-both follow the canonical ``(score desc, id asc)`` order of
+Because every shard scores through the same scorer classes and
+fixed-shape panel kernel as the unsharded
+:class:`~repro.serve.index.TopKIndex` and ranking/merge both follow the
+canonical ``(score desc, id asc)`` order of
 :func:`repro.eval.metrics.rank_items`, the merged ranking — items *and*
 scores — is bit-identical to the unsharded index for the exact path
 (``tests/test_serve_sharded.py`` pins this for every shard count ×
 partition axis; the full contract is in ``docs/sharding.md``).
 
-:class:`ShardedRecommendationService` is the drop-in request front end:
-it subclasses :class:`~repro.serve.service.RecommendationService`, so
-result caching (keyed on the sharded snapshot's content hash) and
-request micro-batching behave identically to single-process serving.
+:class:`~repro.serve.service.RecommendationService` builds this router
+as its index when handed a sharded snapshot, so result caching (keyed on
+the sharded snapshot's content hash) and request micro-batching are the
+single-process code.
 """
 
 from __future__ import annotations
@@ -40,15 +41,14 @@ import numpy as np
 from repro.obs.stats import RegistryBackedStats
 from repro.obs.trace import get_tracer
 from repro.serve.faults import _draw
-from repro.serve.index import TopKResult, scoring_ready_users
+from repro.serve.index import (SCORERS, TopKResult, prepare_request,
+                               scoring_ready_users)
 from repro.serve.resilience import (BreakerOpenError, CircuitBreaker,
                                     PartialResultError, ResilienceConfig,
                                     ShardCallError)
-from repro.serve.service import RecommendationService
-from repro.serve.shard import ShardedSnapshot, build_shard_index
+from repro.serve.shard import ItemShardIndex, ShardedSnapshot
 
-__all__ = ["RouterStats", "ShardedTopKIndex",
-           "ShardedRecommendationService"]
+__all__ = ["RouterStats", "ShardedTopKIndex"]
 
 
 class RouterStats(RegistryBackedStats):
@@ -140,9 +140,8 @@ class ShardedTopKIndex:
         (default) keeps the fail-stop fast path: no helper threads, no
         per-call overhead, bit-parity with the unsharded index exactly
         as before.
-    **index_kwargs:
-        Extra arguments for the per-shard scorers (e.g. ``panel_width``
-        for exact, ``chunk_items`` for quantized).
+    **scorer_kwargs:
+        Extra arguments for the per-shard scorers (``panel_width``).
     """
 
     def __init__(self, snapshot: ShardedSnapshot, kind: str = "exact",
@@ -150,14 +149,18 @@ class ShardedTopKIndex:
                  ann_nprobe: int | None = None,
                  workers: int | None = None,
                  resilience: ResilienceConfig | None = None,
-                 **index_kwargs):
+                 **scorer_kwargs):
         if chunk_users <= 0:
             raise ValueError(f"chunk_users must be positive, got {chunk_users}")
+        if kind not in SCORERS:
+            raise KeyError(f"unknown shard index kind {kind!r}; "
+                           f"available: {sorted(SCORERS)}")
         self.snapshot = snapshot
         self.chunk_users = chunk_users
-        self._index_kwargs = dict(index_kwargs)
+        self._scorer_kwargs = dict(scorer_kwargs)
         self.shard_indexes = [
-            build_shard_index(shard, snapshot.scoring, kind, **index_kwargs)
+            ItemShardIndex(shard, SCORERS[kind](
+                shard.embeddings, snapshot.scoring, **scorer_kwargs))
             for shard in snapshot.item_shards]
         if workers is None:
             workers = min(len(self.shard_indexes), os.cpu_count() or 1)
@@ -193,7 +196,7 @@ class ShardedTopKIndex:
     @property
     def per_shard_table_bytes(self) -> list[int]:
         """Scoring-table bytes held by each item shard's index."""
-        return [index.table_bytes for index in self.shard_indexes]
+        return [index.scorer.table_bytes for index in self.shard_indexes]
 
     # ------------------------------------------------------------------
     def refreshed(self, snapshot: ShardedSnapshot,
@@ -219,7 +222,7 @@ class ShardedTopKIndex:
                           chunk_users=self.chunk_users, ann=ann,
                           ann_nprobe=self.ann_nprobe, workers=self.workers,
                           resilience=self.resilience,
-                          **self._index_kwargs)
+                          **self._scorer_kwargs)
 
     # ------------------------------------------------------------------
     def topk(self, user_ids, k: int = 10,
@@ -231,18 +234,8 @@ class ShardedTopKIndex:
         result is bit-identical to the unsharded index's answer for the
         same request.
         """
-        users = np.atleast_1d(np.asarray(user_ids, dtype=np.int64))
-        if users.ndim != 1:
-            raise ValueError(f"user_ids must be 1-D, got shape {users.shape}")
-        manifest = self.snapshot.manifest
-        if len(users) and (users.min() < 0
-                           or users.max() >= manifest.num_users):
-            raise ValueError(f"user ids must lie in [0, {manifest.num_users})")
-        if k <= 0:
-            raise ValueError(f"k must be positive, got {k}")
-        k = min(k, manifest.num_items)
-        out_items = np.empty((len(users), k), dtype=np.int64)
-        out_scores = np.empty((len(users), k), dtype=np.float64)
+        users, k, out_items, out_scores = prepare_request(
+            user_ids, k, self.snapshot.manifest)
         failed_union: set[int] = set()
         for lo in range(0, len(users), self.chunk_users):
             chunk = users[lo:lo + self.chunk_users]
@@ -580,75 +573,3 @@ def _merge_partials(partials: list[tuple[np.ndarray, np.ndarray]],
                 heapq.heappush(
                     heap, (-scores[row, pos], int(ids[row, pos]), s, pos))
     return out_items, out_scores
-
-
-class ShardedRecommendationService(RecommendationService):
-    """Request front end over a sharded snapshot (drop-in service).
-
-    Everything request-facing — result LRU keyed on the snapshot's
-    content hash, request micro-batching via ``submit()``/``flush()`` —
-    is inherited from
-    :class:`~repro.serve.service.RecommendationService`; only the index
-    underneath is the scatter-gather router.
-
-    Parameters
-    ----------
-    snapshot:
-        Loaded :class:`~repro.serve.shard.ShardedSnapshot`.
-    kind:
-        Per-shard scorer kind (``"exact"`` / ``"quantized"``) when no
-        explicit ``index`` is given.
-    index:
-        Pre-built :class:`ShardedTopKIndex`; must wrap the same sharded
-        snapshot (checked by content version).
-    cache_size, max_batch:
-        As in the unsharded service.
-    workers:
-        Fan-out width of the constructed router (ignored when an
-        explicit ``index`` is given); see :class:`ShardedTopKIndex`.
-    resilience:
-        Optional failure policy for the constructed router (ignored
-        when an explicit ``index`` is given); see
-        :class:`ShardedTopKIndex`.  Degraded routed answers surface as
-        ``Recommendation.degraded`` and are never cached.
-    """
-
-    def __init__(self, snapshot: ShardedSnapshot, *, kind: str = "exact",
-                 index: ShardedTopKIndex | None = None,
-                 cache_size: int = 4096, max_batch: int = 256,
-                 workers: int | None = None,
-                 resilience: ResilienceConfig | None = None):
-        if index is None:
-            index = ShardedTopKIndex(snapshot, kind=kind,
-                                     chunk_users=max_batch,
-                                     workers=workers,
-                                     resilience=resilience)
-        super().__init__(snapshot, index=index, cache_size=cache_size,
-                         max_batch=max_batch)
-
-    def refresh(self, snapshot_or_deltas, *, index=None) -> int:
-        """Swap in a new **sharded** snapshot (delta lists not accepted).
-
-        Deltas describe edits to the unsharded row tables; replaying
-        them against shard files would need a reshard, so the sharded
-        service requires the caller to hand it the already-resharded
-        :class:`~repro.serve.shard.ShardedSnapshot` (and, for
-        ANN-routed setups, a refreshed router via ``index=``).  A path
-        delegates to the verified
-        :meth:`~repro.serve.service.RecommendationService.refresh_from_path`
-        (quarantine-and-fall-back on damage) and must hold a sharded
-        layout.
-        """
-        import pathlib
-        if isinstance(snapshot_or_deltas, (str, pathlib.Path)):
-            return self.refresh_from_path(snapshot_or_deltas, index=index)
-        if not isinstance(snapshot_or_deltas, ShardedSnapshot):
-            raise TypeError(
-                "sharded services refresh from a ShardedSnapshot; apply "
-                "deltas to the unsharded snapshot and re-shard it first")
-        return self._swap(snapshot_or_deltas, index)
-
-    @property
-    def router_stats(self) -> RouterStats:
-        """Scatter-gather timing counters of the underlying router."""
-        return self.index.stats

@@ -554,7 +554,7 @@ class ServingRuntime:
             "mean_batch": self.stats.mean_batch,
             "batch_size": self.batch_size,
         }
-        router = getattr(self.service, "router_stats", None)
+        router = self.service.router_stats
         if router is not None:
             sweeps = max(router.sweeps, 1)
             out.update({

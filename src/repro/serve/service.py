@@ -28,11 +28,16 @@ import numpy as np
 
 from repro.obs.stats import RegistryBackedStats
 from repro.obs.trace import get_tracer
-from repro.serve.index import ExactTopKIndex, TopKIndex
-from repro.serve.snapshot import EmbeddingSnapshot
+from repro.serve.index import TopKIndex, build_index
+from repro.serve.resilience import ResilienceConfig
+from repro.serve.router import RouterStats, ShardedTopKIndex
+from repro.serve.shard import ShardedSnapshot, load_sharded_snapshot
+from repro.serve.snapshot import (EmbeddingSnapshot, SnapshotIntegrityError,
+                                  is_sharded_snapshot, load_snapshot,
+                                  quarantine_snapshot)
 
 __all__ = ["Recommendation", "ServiceStats", "LRUCache", "PendingRequest",
-           "RecommendationService"]
+           "RecommendationService", "ShardedRecommendationService"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -208,17 +213,24 @@ class PendingRequest:
 class RecommendationService:
     """Serve ``recommend(user_ids, k)`` on top of a snapshot + index.
 
+    The one front end of both layouts: only the default index depends
+    on the snapshot's type; caching, micro-batching and refresh do not.
+
     Parameters
     ----------
     snapshot:
-        Loaded :class:`~repro.serve.snapshot.EmbeddingSnapshot`.
+        Loaded :class:`~repro.serve.snapshot.EmbeddingSnapshot` or
+        :class:`~repro.serve.shard.ShardedSnapshot`.
+    kind:
+        Scorer kind (``"exact"`` / ``"quantized"``) of the default
+        index: :func:`~repro.serve.index.build_index` over an unsharded
+        snapshot, the scatter-gather :class:`ShardedTopKIndex` (scoring
+        ``max_batch`` users per block) over a sharded one.
     index:
-        Pre-built :class:`~repro.serve.index.TopKIndex`; defaults to an
-        :class:`~repro.serve.index.ExactTopKIndex` over ``snapshot``.
-        Must wrap the same snapshot (checked by content version).  Any
-        object speaking the ``topk``/``kind``/``snapshot`` protocol
-        plugs in — including the approximate
-        :class:`~repro.ann.ivf.IVFFlatIndex` /
+        Pre-built index replacing the default.  Must wrap the same
+        snapshot (checked by content version).  Any object speaking the
+        ``topk``/``kind``/``snapshot`` protocol plugs in — including
+        the approximate :class:`~repro.ann.ivf.IVFFlatIndex` /
         :class:`~repro.ann.pq.IVFPQIndex` candidate indexes, whose
         distinct ``kind`` keeps their cache entries separate from the
         exact index's.
@@ -227,19 +239,32 @@ class RecommendationService:
     max_batch:
         Upper bound on users per index sweep — both the micro-batch
         flush threshold and the slice size of large ``recommend`` calls.
+    workers, resilience:
+        Fan-out width and failure policy of the default router (see
+        :class:`ShardedTopKIndex`); unused when none is built.  Degraded
+        answers surface as ``Recommendation.degraded``, never cached.
     """
 
-    def __init__(self, snapshot: EmbeddingSnapshot, *,
+    def __init__(self, snapshot, *, kind: str = "exact",
                  index: TopKIndex | None = None, cache_size: int = 4096,
-                 max_batch: int = 256):
+                 max_batch: int = 256, workers: int | None = None,
+                 resilience: ResilienceConfig | None = None):
         if max_batch <= 0:
             raise ValueError(f"max_batch must be positive, got {max_batch}")
-        if index is not None and index.snapshot.version != snapshot.version:
+        if index is None:
+            if isinstance(snapshot, ShardedSnapshot):
+                index = ShardedTopKIndex(snapshot, kind=kind,
+                                         chunk_users=max_batch,
+                                         workers=workers,
+                                         resilience=resilience)
+            else:
+                index = build_index(snapshot, kind)
+        elif index.snapshot.version != snapshot.version:
             raise ValueError(
                 f"index wraps snapshot {index.snapshot.version!r} but the "
                 f"service was given {snapshot.version!r}")
         self.snapshot = snapshot
-        self.index = index if index is not None else ExactTopKIndex(snapshot)
+        self.index = index
         self.cache = LRUCache(cache_size)
         self.max_batch = max_batch
         self.stats = ServiceStats()
@@ -313,7 +338,7 @@ class RecommendationService:
                                 sweep_end, users=len(batch))
             self.stats.sweep_s += sweep_end - sweep_start
             self.stats.index_sweeps += 1
-            coverage = getattr(top, "coverage", 1.0)
+            coverage = top.coverage
             degraded = coverage < 1.0
             if degraded:
                 self.stats.degraded_served += len(batch)
@@ -406,16 +431,19 @@ class RecommendationService:
                 index: TopKIndex | None = None) -> int:
         """Swap in a new snapshot version; returns evicted cache entries.
 
-        ``snapshot_or_deltas`` is either a loaded
-        :class:`~repro.serve.snapshot.EmbeddingSnapshot`, a path to a
-        snapshot directory (delegated to :meth:`refresh_from_path`,
-        which verifies, quarantines on damage, and falls back to the
-        current version), or a list of
-        :class:`~repro.serve.delta.Delta` objects, which are replayed
-        in-memory against the current snapshot
-        (:func:`~repro.serve.delta.apply_deltas`).  ``index`` overrides
-        the refreshed index; by default the current index's
-        ``refreshed(snapshot)`` rebuilds or incrementally updates it.
+        ``snapshot_or_deltas`` is either a loaded snapshot of the
+        layout being served, a path to a snapshot directory (delegated
+        to :meth:`refresh_from_path`, which verifies, quarantines on
+        damage, and falls back to the current version), or — unsharded
+        only — a list of :class:`~repro.serve.delta.Delta` objects,
+        replayed in-memory against the current snapshot
+        (:func:`~repro.serve.delta.apply_deltas`).  Deltas edit the
+        unsharded row tables, so a service over a sharded snapshot must
+        be handed the already-resharded
+        :class:`~repro.serve.shard.ShardedSnapshot` (and, for
+        ANN-routed setups, a refreshed router via ``index=``).
+        ``index`` overrides the refreshed index; by default the current
+        index's ``refreshed(snapshot)`` rebuilds or updates it.
 
         The swap is atomic from a caller's point of view: pending
         micro-batched requests are flushed against the *old* snapshot
@@ -426,12 +454,29 @@ class RecommendationService:
         """
         if isinstance(snapshot_or_deltas, (str, pathlib.Path)):
             return self.refresh_from_path(snapshot_or_deltas, index=index)
-        if isinstance(snapshot_or_deltas, EmbeddingSnapshot):
-            snapshot = snapshot_or_deltas
-        else:
+        snapshot = snapshot_or_deltas
+        if isinstance(self.snapshot, ShardedSnapshot):
+            if not isinstance(snapshot, ShardedSnapshot):
+                raise TypeError(
+                    "sharded services refresh from a ShardedSnapshot; apply "
+                    "deltas to the unsharded snapshot and re-shard it first")
+        elif not isinstance(snapshot, EmbeddingSnapshot):
             from repro.serve.delta import apply_deltas
-            snapshot = apply_deltas(self.snapshot, list(snapshot_or_deltas))
-        return self._swap(snapshot, index)
+            snapshot = apply_deltas(self.snapshot, list(snapshot))
+        if index is None:
+            index = self.index.refreshed(snapshot)
+        if index.snapshot.version != snapshot.version:
+            raise ValueError(
+                f"refresh index wraps snapshot {index.snapshot.version!r} "
+                f"but the service was given {snapshot.version!r}")
+        self.flush()
+        self.snapshot = snapshot
+        self.index = index
+        live = (snapshot.version, index.kind)
+        invalidated = self.cache.invalidate(lambda key: key[:2] != live)
+        self.stats.refreshes += 1
+        self.stats.cache_invalidated += invalidated
+        return invalidated
 
     def refresh_from_path(self, path, *, mmap: bool = True,
                           quarantine: bool = True, index=None) -> int:
@@ -449,17 +494,11 @@ class RecommendationService:
         alternative to either crashing the serving path or silently
         serving corrupt embeddings.
         """
-        from repro.serve.snapshot import (SnapshotIntegrityError,
-                                          is_sharded_snapshot, load_snapshot,
-                                          quarantine_snapshot)
         path = pathlib.Path(path)
         try:
-            if is_sharded_snapshot(path):
-                from repro.serve.shard import load_sharded_snapshot
-                snapshot = load_sharded_snapshot(path, mmap=mmap,
-                                                 verify=True)
-            else:
-                snapshot = load_snapshot(path, mmap=mmap, verify=True)
+            load = (load_sharded_snapshot if is_sharded_snapshot(path)
+                    else load_snapshot)
+            snapshot = load(path, mmap=mmap, verify=True)
         except Exception as exc:
             self.stats.refresh_rejected += 1
             quarantined = None
@@ -473,25 +512,13 @@ class RecommendationService:
                 quarantined_to=quarantined) from exc
         return self.refresh(snapshot, index=index)
 
-    def _swap(self, snapshot, index: TopKIndex | None) -> int:
-        """Version-checked snapshot/index/cache swap shared with the
-        sharded service (whose ``refresh`` validates its own input)."""
-        if index is None:
-            index = self.index.refreshed(snapshot)
-        if index.snapshot.version != snapshot.version:
-            raise ValueError(
-                f"refresh index wraps snapshot {index.snapshot.version!r} "
-                f"but the service was given {snapshot.version!r}")
-        self.flush()
-        self.snapshot = snapshot
-        self.index = index
-        live = (snapshot.version, index.kind)
-        invalidated = self.cache.invalidate(lambda key: key[:2] != live)
-        self.stats.refreshes += 1
-        self.stats.cache_invalidated += invalidated
-        return invalidated
-
     # ------------------------------------------------------------------
+    @property
+    def router_stats(self) -> RouterStats | None:
+        """Scatter-gather timing counters of the index when it is a
+        router; ``None`` for an index that routes nothing."""
+        return getattr(self.index, "stats", None)
+
     def _key(self, user: int, k: int, filter_seen: bool) -> tuple:
         return (self.snapshot.version, self.index.kind, user, k, filter_seen)
 
@@ -500,3 +527,8 @@ class RecommendationService:
                 f"snapshot={self.snapshot.version!r}, "
                 f"cache={len(self.cache)}/{self.cache.capacity}, "
                 f"hit_rate={self.stats.hit_rate:.2%})")
+
+
+#: The sharded front end's historical name.  It was a subclass adding a
+#: constructor default and a type check; both now live in the one service.
+ShardedRecommendationService = RecommendationService

@@ -7,22 +7,21 @@ state along two independent axes:
 * :class:`UserShard` — the embedding rows and seen-item CSR of a subset
   of users.  Lookup-only: user sharding never changes any score bits,
   it just bounds per-process user-table and seen-set memory.
-* :class:`ItemShard` — the embedding rows of a subset of the catalogue,
-  plus per-shard scorers (:class:`ExactShardIndex` /
-  :class:`QuantizedShardIndex`) that answer *partial* top-K queries over
-  the shard's items, in **global** item ids.
+* :class:`ItemShard` — the embedding rows of a subset of the catalogue;
+  :class:`ItemShardIndex` answers *partial* top-K queries over the
+  shard's items, in **global** item ids, through the same scorers
+  (:data:`repro.serve.index.SCORERS`) as the unsharded index.
 
 :class:`ShardedSnapshot` loads the whole directory and owns the
 global→(shard, local) routing tables.  The scatter-gather that merges
 partial answers back into the unsharded ranking lives in
 :mod:`repro.serve.router`.
 
-Every scorer here reuses the fixed-shape panel kernels and canonical
-ranking from :mod:`repro.serve.index`
-(:func:`~repro.serve.index.panel_scores`,
-:func:`~repro.eval.metrics.rank_items`) and the shared ``-inf`` scatter
-from :mod:`repro.eval.masking`, so a shard cannot drift from the
-single-process path in scoring, masking or tie order.
+A shard scores through the unsharded index's own scorer classes and
+fixed-shape panel kernel (:func:`~repro.serve.index.panel_scores`),
+ranks with :func:`~repro.eval.metrics.rank_items` and masks with the
+shared ``-inf`` scatter from :mod:`repro.eval.masking`, so it cannot
+drift from the single-process path in scoring, masking or tie order.
 """
 
 from __future__ import annotations
@@ -33,16 +32,13 @@ import numpy as np
 
 from repro.eval.masking import mask_seen_items, seen_items_csr
 from repro.eval.metrics import rank_items
-from repro.serve.index import (PANEL_WIDTH, build_panels, panel_scores,
-                               quantize_rows, quantized_panel_scores,
-                               scoring_ready_items)
+from repro.serve.index import panel_scores
 from repro.serve.snapshot import (SHARD_SCHEMA, SHARDED_SCHEMA,
                                   ShardManifest, ShardedManifest,
                                   _SHARDS_MANIFEST)
 
-__all__ = ["UserShard", "ItemShard", "ItemShardIndex", "ExactShardIndex",
-           "QuantizedShardIndex", "ShardedSnapshot",
-           "load_sharded_snapshot", "build_shard_index"]
+__all__ = ["UserShard", "ItemShard", "ItemShardIndex", "ShardedSnapshot",
+           "load_sharded_snapshot"]
 
 _MANIFEST = "manifest.json"
 
@@ -178,23 +174,19 @@ class ItemShard:
 
 
 class ItemShardIndex:
-    """Partial top-K scorer over one item shard, in global item ids.
+    """Partial top-K over one item shard, in global item ids.
 
-    Subclasses score a prepared user-vector block against the shard's
-    (scoring-ready) local table with the same fixed-shape panel kernels
-    as the unsharded indexes, mask seen items through
-    :func:`repro.eval.masking.mask_seen_items`, and rank with the
-    canonical :func:`repro.eval.metrics.rank_items` — so the partial
-    list is exactly the restriction of the global ranking to this
-    shard's items.
+    ``scorer`` is a :data:`repro.serve.index.SCORERS` instance built
+    over ``shard.embeddings`` — the object the unsharded index holds
+    over the whole catalogue.  With the shared
+    :func:`~repro.eval.masking.mask_seen_items` and canonical
+    :func:`~repro.eval.metrics.rank_items`, the partial list is exactly
+    the restriction of the global ranking to this shard's items.
     """
 
-    #: subclass tag mirrored from the unsharded index kinds
-    kind = "abstract"
-
-    def __init__(self, shard: ItemShard, scoring: str):
+    def __init__(self, shard: ItemShard, scorer):
         self.shard = shard
-        self.scoring = scoring
+        self.scorer = scorer
 
     # ------------------------------------------------------------------
     def partial_topk(self, vectors: np.ndarray, k: int,
@@ -208,8 +200,8 @@ class ItemShardIndex:
         Parameters
         ----------
         vectors:
-            ``(m, dim)`` scoring-ready user block (float64; quantized
-            subclass casts internally), produced by
+            ``(m, dim)`` scoring-ready user block (float64; the int8
+            scorer casts internally), produced by
             :func:`repro.serve.index.scoring_ready_users`.
         k:
             Global list length; clipped to the shard's item count.
@@ -228,7 +220,7 @@ class ItemShardIndex:
         each row sorted by the canonical ``(score desc, global id asc)``
         order.
         """
-        scores = self._score_block(vectors)
+        scores = self.scorer.scores(vectors, panel_scores)
         if cand_indptr is not None:
             self._restrict_candidates(scores, cand_indptr, cand_global)
         if seen_indptr is not None and len(seen_global):
@@ -269,95 +261,6 @@ class ItemShardIndex:
         indptr = np.concatenate([np.zeros(1, dtype=np.int64),
                                  np.cumsum(kept)])
         return indptr, local
-
-    def _score_block(self, vectors: np.ndarray) -> np.ndarray:
-        """Dense ``(m, len(shard))`` float64 score block."""
-        raise NotImplementedError
-
-    @property
-    def table_bytes(self) -> int:
-        """Bytes held by this shard's scoring tables."""
-        raise NotImplementedError
-
-
-class ExactShardIndex(ItemShardIndex):
-    """Exact per-shard scorer: fixed-panel float64 matmul."""
-
-    kind = "exact"
-
-    def __init__(self, shard: ItemShard, scoring: str,
-                 panel_width: int = PANEL_WIDTH):
-        super().__init__(shard, scoring)
-        items = scoring_ready_items(shard.embeddings, scoring)
-        self._panels = build_panels(items, panel_width)
-        self._item_sq = ((items ** 2).sum(axis=1)
-                         if scoring == "euclidean" else None)
-
-    @property
-    def table_bytes(self) -> int:
-        """Bytes held by the panelized float64 shard table."""
-        return self._panels.nbytes
-
-    def _score_block(self, vectors: np.ndarray) -> np.ndarray:
-        scores = panel_scores(vectors, self._panels, len(self.shard))
-        if self.scoring == "euclidean":
-            u_sq = (vectors ** 2).sum(axis=1, keepdims=True)
-            return -(u_sq + self._item_sq - 2.0 * scores)
-        return scores
-
-
-class QuantizedShardIndex(ItemShardIndex):
-    """Int8 per-shard scorer, bitwise equal to the unsharded quantized path.
-
-    Quantization is per row, so a shard's int8 bytes and scales are
-    identical to the same rows inside an unsharded
-    :class:`~repro.serve.index.QuantizedTopKIndex`; with the shared
-    fixed-width float32 panels the partial scores are too.
-    """
-
-    kind = "quantized"
-
-    def __init__(self, shard: ItemShard, scoring: str,
-                 chunk_items: int = PANEL_WIDTH):
-        super().__init__(shard, scoring)
-        if chunk_items <= 0:
-            raise ValueError(f"chunk_items must be positive, got {chunk_items}")
-        self.chunk_items = chunk_items
-        items = scoring_ready_items(shard.embeddings, scoring)
-        self._quantized, self._scales = quantize_rows(items)
-        if scoring == "euclidean":
-            deq = self._quantized.astype(np.float32) * self._scales[:, None]
-            self._item_sq = (deq.astype(np.float64) ** 2).sum(axis=1)
-        else:
-            self._item_sq = None
-
-    @property
-    def table_bytes(self) -> int:
-        """Bytes held by the quantized shard table (int8 + scales)."""
-        return self._quantized.nbytes + self._scales.nbytes
-
-    def _score_block(self, vectors: np.ndarray) -> np.ndarray:
-        vectors32 = vectors.astype(np.float32)
-        scores = quantized_panel_scores(vectors32, self._quantized,
-                                        self._scales, self.chunk_items)
-        if self.scoring == "euclidean":
-            u_sq = (vectors32.astype(np.float64) ** 2).sum(axis=1,
-                                                           keepdims=True)
-            scores = -(u_sq + self._item_sq - 2.0 * scores)
-        return scores
-
-
-_SHARD_INDEX_KINDS = {"exact": ExactShardIndex,
-                      "quantized": QuantizedShardIndex}
-
-
-def build_shard_index(shard: ItemShard, scoring: str, kind: str = "exact",
-                      **kwargs) -> ItemShardIndex:
-    """Construct a per-shard scorer by kind name (mirrors ``build_index``)."""
-    if kind not in _SHARD_INDEX_KINDS:
-        raise KeyError(f"unknown shard index kind {kind!r}; "
-                       f"available: {sorted(_SHARD_INDEX_KINDS)}")
-    return _SHARD_INDEX_KINDS[kind](shard, scoring, **kwargs)
 
 
 class ShardedSnapshot:

@@ -118,6 +118,33 @@ def _atomic_write_text(path: pathlib.Path, text: str) -> None:
         raise
 
 
+def _publish_files(out_dir: pathlib.Path, arrays: dict[str, np.ndarray],
+                   manifest) -> None:
+    """Crash-safe publish of ``{file name: array}`` plus ``manifest.json``.
+
+    The one write sequence of every flat artifact directory (snapshot,
+    delta, ANN index): each file is fully written into a staging
+    directory on the same filesystem, then published with
+    ``os.replace`` — the manifest **last**, as the commit point — and
+    the staging directory is swept either way.  A crash while staging
+    leaves the previous files untouched; a crash mid-publish can
+    interleave old and new *complete* files, a torn state a
+    ``verify=True`` load rejects by content hash.  A truncated array
+    can never be published, and writing into a fresh directory is fully
+    atomic: the artifact exists only once its manifest does.
+    """
+    staging = _staging_dir(out_dir)
+    try:
+        for fname, array in arrays.items():
+            np.save(staging / fname, array)
+        (staging / _MANIFEST).write_text(manifest.to_json() + "\n")
+        for fname in arrays:
+            os.replace(staging / fname, out_dir / fname)
+        os.replace(staging / _MANIFEST, out_dir / _MANIFEST)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+
+
 @dataclasses.dataclass(frozen=True)
 class SnapshotManifest:
     """Identity card of one exported snapshot.
@@ -271,30 +298,13 @@ def _write_arrays(out_dir: pathlib.Path, manifest: SnapshotManifest,
     The single write path shared by :func:`export_snapshot` and the
     delta-replay exporter (:func:`repro.serve.delta.export_state`), so
     "replayed chain == fresh export" can be checked byte for byte.
-
-    **Crash safety.**  Every file is fully written into a staging
-    directory on the same filesystem first, then published with
-    ``os.replace`` — the manifest **last**, as the commit point.  A
-    crash while staging leaves the previous export untouched (the
-    orphaned staging directory is swept by the next export); a crash
-    mid-publish can interleave old and new *complete* files, a torn
-    state ``load_snapshot(verify=True)`` rejects by content hash — a
-    truncated, unparseable array can never be published.  Exporting
-    into a fresh directory (the usual refresh pattern) is therefore
-    fully atomic: the snapshot exists only once its manifest does.
+    Published through :func:`_publish_files`; an orphaned staging
+    directory left by a killed export is swept by the next one.
     """
-    staging = _staging_dir(out_dir)
-    try:
-        np.save(staging / _FILES["users"], users)
-        np.save(staging / _FILES["items"], items)
-        np.save(staging / _FILES["seen_indptr"], seen_indptr)
-        np.save(staging / _FILES["seen_items"], seen_items)
-        (staging / _MANIFEST).write_text(manifest.to_json() + "\n")
-        for fname in _FILES.values():
-            os.replace(staging / fname, out_dir / fname)
-        os.replace(staging / _MANIFEST, out_dir / _MANIFEST)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+    _publish_files(out_dir,
+                   {_FILES["users"]: users, _FILES["items"]: items,
+                    _FILES["seen_indptr"]: seen_indptr,
+                    _FILES["seen_items"]: seen_items}, manifest)
 
 
 def export_snapshot(model: Recommender, dataset: InteractionDataset,

@@ -258,3 +258,72 @@ class TestFaultToleranceWiring:
         text = (REPO_ROOT / "tests" / "test_faults.py").read_text()
         assert "TestDeterministicSoak" in text
         assert "TestRuntimeChaosSoak" in text
+
+
+class TestBenchmarkSurface:
+    """``bench/workloads.py`` names the program surface the repo
+    benchmark runs on: the ``repro`` names it imports, and the module
+    attributes it patches to attribute time per layer.  Removing an
+    imported name fails the benchmark run; removing a patched one, or
+    no longer calling through it, silently zeroes a layer — so each
+    must fail tier-1 first."""
+
+    @staticmethod
+    def _surface():
+        """``(module, attr)`` pairs the benchmark imports or patches."""
+        import ast
+        tree = ast.parse((REPO_ROOT / "bench" / "workloads.py").read_text())
+        imported, patched = [], []
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ImportFrom) and node.module
+                    and node.module.split(".")[0] == "repro"):
+                imported += [(node.module, a.name) for a in node.names]
+            elif (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "patch" and len(node.args) >= 2
+                    and isinstance(node.args[1], ast.Constant)):
+                owner = ast.unparse(node.args[0])
+                if owner.split(".")[0] == "repro":
+                    patched.append((owner, node.args[1].value))
+        return imported, patched
+
+    def test_surface_is_found(self):
+        imported, patched = self._surface()
+        assert ("repro.serve", "ShardedRecommendationService") in imported
+        assert ("repro.serve.shard", "panel_scores") in patched
+
+    def test_every_imported_and_patched_name_resolves(self):
+        import importlib
+        imported, patched = self._surface()
+        missing = [f"{module}.{attr}" for module, attr in imported + patched
+                   if not hasattr(importlib.import_module(module), attr)]
+        assert not missing, f"bench/workloads.py uses {missing}"
+
+    def test_patched_serve_names_are_called_through(
+            self, tiny_dataset, tiny_mf_snapshot, tmp_path, monkeypatch):
+        """A patched name can resolve and still time nothing: serving
+        must look it up as a global of the patched module per call."""
+        import collections
+        import importlib
+
+        from repro.serve import (ExactTopKIndex, ShardedTopKIndex,
+                                 export_sharded_snapshot)
+        calls = collections.Counter()
+        serve_patches = [pair for pair in self._surface()[1]
+                         if pair[0].startswith("repro.serve")]
+        for module, attr in serve_patches:
+            owner = importlib.import_module(module)
+
+            def counting(*args, _real=getattr(owner, attr),
+                         _key=(module, attr), **kwargs):
+                calls[_key] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counting)
+        model, snapshot = tiny_mf_snapshot
+        ExactTopKIndex(snapshot).topk([0, 1], k=5)
+        sharded = export_sharded_snapshot(model, tiny_dataset, tmp_path,
+                                          shards=2)
+        ShardedTopKIndex(sharded, workers=1).topk([0, 1], k=5)
+        assert serve_patches
+        assert [pair for pair in serve_patches if not calls[pair]] == []

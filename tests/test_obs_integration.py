@@ -246,3 +246,37 @@ class TestRouterTrace:
         stats = service.router_stats
         assert sum(s.end_s - s.start_s for s in gather) \
             == pytest.approx(stats.gather_s, rel=1e-9)
+
+
+class TestIVFTelemetry:
+    """Both IVF kinds run the one chunk pipeline, so both feed the
+    ``ann.ivf.*`` counters and spans (IVF-PQ's fork once fed neither)."""
+
+    @pytest.mark.parametrize("kind", ["ivf", "ivfpq"])
+    def test_topk_moves_counters_and_records_spans(
+            self, kind, tiny_mf_snapshot, tmp_path, fresh_registry, traced):
+        import numpy as np
+
+        from repro.ann import build_ann_index
+        from repro.serve.index import scoring_ready_users
+
+        _, snapshot = tiny_mf_snapshot
+        index = build_ann_index(snapshot, tmp_path, kind=kind, nlist=4,
+                                default_nprobe=2, seed=0, pq_m=4)
+        users = np.array([5, 0, 17, 5, 42, 3], dtype=np.int64)
+        k = 5
+        # Candidate widths from the generator API the router consumes.
+        indptr, _ = index.data.candidates_csr(
+            scoring_ready_users(np.asarray(snapshot.users)[users],
+                                snapshot.scoring),
+            np.diff(snapshot.seen_indptr)[users], k, index.nprobe, True,
+            snapshot.scoring)
+        queries = fresh_registry.counter("ann.ivf.queries")
+        candidates = fresh_registry.counter("ann.ivf.candidates")
+        before = queries.value, candidates.value
+        index.topk(users, k=k)
+        assert queries.value - before[0] == len(users)
+        assert candidates.value - before[1] == int(np.diff(indptr).sum())
+        recorded = {span.name for root in traced.traces()
+                    for span, _ in root.walk()}
+        assert {"ann.ivf.plan", "ann.ivf.score"} <= recorded

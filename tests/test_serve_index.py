@@ -133,7 +133,7 @@ class TestQuantizedIndex:
     def test_table_is_int8_and_smaller(self, tiny_mf_snapshot):
         _, snapshot = tiny_mf_snapshot
         index = QuantizedTopKIndex(snapshot)
-        assert index._quantized.dtype == np.int8
+        assert index.scorer._quantized.dtype == np.int8
         assert index.table_bytes < np.asarray(snapshot.items).nbytes / 4
 
     def test_respects_filter_seen(self, tiny_dataset, tiny_mf_snapshot):
