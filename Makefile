@@ -8,13 +8,17 @@
 #   make bench-<suite>   regenerate one registry suite (fastpath, train,
 #                        serve, ann, latency, refresh, obs, scale) via
 #                        `repro bench <suite>`; see repro.experiments.bench
+#   make bench-e2e       the repo benchmark declared in BENCHMARK.json: four
+#                        workloads, every end-to-end metric, answers checked
+#                        against the brute-force oracle; see bench/README.md
+#   make bench-e2e-trace ... plus the traced pass: every per-layer metric
 #   make docs-check      just the README/docs reference checker
 #   make bench-check     just the benchmark JSON schema validator
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify verify-slow test ci docs-check bench-check bench bench-fastpath bench-train bench-serve bench-ann bench-latency bench-refresh bench-obs bench-faults bench-scale
+.PHONY: verify verify-slow test ci docs-check bench-check bench bench-fastpath bench-train bench-serve bench-ann bench-latency bench-refresh bench-obs bench-faults bench-scale bench-e2e bench-e2e-trace
 
 verify: docs-check bench-check
 	$(PYTHON) -m pytest -x -q
@@ -61,3 +65,9 @@ bench-scale:
 
 bench-faults:
 	$(PYTHON) -m repro.cli bench faults --out BENCH_faults.json
+
+bench-e2e:
+	$(PYTHON) bench/run.py --all
+
+bench-e2e-trace:
+	$(PYTHON) bench/run.py --all --trace

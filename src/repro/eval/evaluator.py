@@ -51,7 +51,8 @@ class Evaluator:
         Number of users scored per dense block (memory control).
     chunked:
         Use the vectorized fast path: per chunk of users, one dense
-        score block, one ``argpartition`` top-K, and array-level metric
+        score block, one two-level top-K selection
+        (:func:`~repro.eval.metrics.rank_items`), and array-level metric
         computation over the whole chunk.  ``chunked=False`` keeps the
         original per-user metric loop as the reference oracle; both
         paths produce identical ranked lists and metric values

@@ -8,6 +8,7 @@ must be real CLI subcommands — so the workflow cannot rot silently when
 a target or script is renamed.
 """
 
+import json
 import pathlib
 import re
 import shlex
@@ -327,3 +328,27 @@ class TestBenchmarkSurface:
         ShardedTopKIndex(sharded, workers=1).topk([0, 1], k=5)
         assert serve_patches
         assert [pair for pair in serve_patches if not calls[pair]] == []
+
+
+class TestRepoBenchmarkWiring:
+    """The repo benchmark is reachable from make, the README and CI."""
+
+    def test_make_targets_run_the_declared_command(self):
+        spec = json.loads((REPO_ROOT / "BENCHMARK.json").read_text())
+        script = spec["command"][-1]
+        assert (REPO_ROOT / script).is_file()
+        makefile = (REPO_ROOT / "Makefile").read_text()
+        assert {"bench-e2e", "bench-e2e-trace"} <= _make_targets()
+        assert re.search(rf"^bench-e2e:\n\t\S+ {script} --all$", makefile,
+                         re.MULTILINE)
+        assert re.search(rf"^bench-e2e-trace:\n\t\S+ {script} --all --trace$",
+                         makefile, re.MULTILINE)
+
+    def test_readme_points_at_the_bench_readme(self):
+        readme = (REPO_ROOT / "README.md").read_text()
+        assert "bench/README.md" in readme and "make bench-e2e" in readme
+        assert (REPO_ROOT / "bench" / "README.md").is_file()
+
+    def test_ci_slow_runs_the_tiny_suite(self):
+        commands = _run_commands(_load("ci-slow.yml"))
+        assert any("bench/run.py --all --tiny" in c for c in commands)

@@ -1,9 +1,12 @@
 """Metrics vs brute force; evaluator masking and aggregation; groups."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.data import InteractionDataset
+from repro.eval import metrics
 from repro.eval import (recall_at_k, ndcg_at_k, precision_at_k,
                         hit_rate_at_k, average_precision_at_k, rank_items,
                         overlap_at_k, Evaluator, evaluate_scores,
@@ -55,6 +58,157 @@ class TestRankItems:
         top = rank_items(scores, 10)
         again = rank_items(scores.copy(order="F"), 10)
         np.testing.assert_array_equal(top, again)
+
+    @pytest.mark.parametrize("scores, order", [
+        (np.array([[0, 3, 2]], dtype=np.uint8), [[1, 2, 0]]),    # -0 == 0
+        (np.array([[-128, 3, 2]], dtype=np.int8), [[1, 2, 0]]),  # -(-128)
+        (np.array([[False, True, False]]), [[1, 0, 2]]),   # no negative
+    ], ids=["uint8", "int8-min", "bool"])
+    def test_non_float_scores_rank_by_value(self, scores, order):
+        """Negating these dtypes wraps (or raises), so it must not happen."""
+        np.testing.assert_array_equal(rank_items(scores, 1), [order[0][:1]])
+        np.testing.assert_array_equal(rank_items(scores, 3), order)
+
+    def test_nan_ranks_below_neg_inf(self):
+        """Recorded, not designed: NaN is the worst score there is."""
+        scores = np.array([[1.0, np.nan, -np.inf, 2.0]])
+        np.testing.assert_array_equal(rank_items(scores, 4), [[3, 0, 2, 1]])
+        np.testing.assert_array_equal(rank_items(scores, 3), [[3, 0, 2]])
+
+
+def python_order(row):
+    """Every column of one NaN-free row in ``(score desc, id asc)`` order."""
+    return sorted(range(len(row)), key=lambda i: (-row[i], i))
+
+
+class TestRankItemsAgainstPythonSort:
+    """Differential test: ``rank_items`` vs a pure-Python sort.
+
+    The widths straddle the two-level cut-over (``n >= 1024`` and
+    ``n >= 32 * k``: 1023 | 1024 for ``k <= 20``, 1599 | 1600 for
+    ``k = 50``), 1031 is prime so the tail fold runs, 5000 and 25000 are
+    an eval block and a serving shard.  Every value is float32-exact, so
+    one oracle serves the float32 and float64 views of a block.
+    """
+
+    @staticmethod
+    def blocks(rng, n):
+        def exact32(block):
+            return block.astype(np.float32).astype(np.float64)
+
+        yield "continuous", exact32(rng.normal(size=(5, n)))
+        yield "heavy ties", rng.integers(0, 4, size=(5, n)).astype(np.float64)
+        yield "sparse ties", rng.integers(0, 10 * n,
+                                          size=(5, n)).astype(np.float64)
+        masked = exact32(rng.normal(size=(5, n)))
+        masked[rng.random(masked.shape) < 0.98] = -np.inf
+        masked[3] = -np.inf
+        yield "98% -inf", masked
+        posinf = exact32(rng.normal(size=(5, n)))
+        posinf[rng.random(posinf.shape) < 0.01] = np.inf
+        yield "+inf", posinf
+        zeros = np.zeros((5, n))
+        zeros[rng.random(zeros.shape) < 0.5] = -0.0
+        zeros[:, rng.integers(0, n, size=30)] = 1.0
+        yield "signed zeros", zeros
+
+    @pytest.mark.parametrize("n", [1023, 1024, 1031, 1599, 1600, 5000, 25000])
+    def test_matches_python_sort(self, n):
+        rng = np.random.default_rng(n)
+        for name, block in self.blocks(rng, n):
+            order = np.array([python_order(row) for row in block.tolist()])
+            # a view whose neighbours would win if they were ever read
+            wide = np.full((9, n + 17), 99.0)
+            wide[2:7, :n] = block
+            for k in (1, 5, 20, 50, n, n + 3):
+                want = order[:, :k]
+                layouts = {
+                    "float64": (block, want),
+                    "float32": (block.astype(np.float32), want),
+                    "fortran": (np.asfortranarray(block), want),
+                    "view": (wide[2:7, :n], want),
+                    "1-D": (block[1], want[1]),
+                    "3-D": (block[:4].reshape(2, 2, n),
+                            want[:4].reshape(2, 2, -1)),
+                    "zero rows": (block[:0], want[:0]),
+                }
+                for layout, (scores, expected) in layouts.items():
+                    got = rank_items(scores, k)
+                    assert got.dtype == np.int64
+                    np.testing.assert_array_equal(
+                        got, expected, err_msg=f"{name}, {layout}, k={k}")
+
+
+class TestRankItemsFallback:
+    """Rows the two-level selection cannot decide take the base case."""
+
+    N, K = 4000, 20
+
+    @pytest.fixture()
+    def block(self, rng):
+        """Rows 1, 3, 4 each force one fallback cause; 0, 2, 5 do not."""
+        block = rng.normal(size=(6, self.N))
+        # K - 1 winners fill at most K - 1 groups, so every other group's
+        # maximum is 0.0 and more than K groups reach the K-th one
+        block[1] = 0.0
+        block[1, rng.choice(self.N, self.K - 1, replace=False)] = 5.0
+        # one NaN makes one group maximum, hence the threshold, NaN
+        block[3, 1234] = np.nan
+        # K - 1 finite columns: the K-th best group maximum is -inf
+        block[4] = -np.inf
+        block[4, rng.choice(self.N, self.K - 1, replace=False)] = 1.0
+        return block
+
+    @pytest.fixture()
+    def base_calls(self, monkeypatch):
+        """The unpatched base case and the block shapes it is called on."""
+        base = metrics._rank_block
+        calls = []
+
+        def spy(scores, k):
+            calls.append(scores.shape)
+            return base(scores, k)
+
+        monkeypatch.setattr(metrics, "_rank_block", spy)
+        return base, calls
+
+    def test_each_cause_equals_the_base_case(self, block, base_calls):
+        base, calls = base_calls
+        for row in (1, 3, 4):
+            calls.clear()
+            got = rank_items(block[row:row + 1], self.K)
+            # the candidate block, then the whole row
+            assert len(calls) == 2 and calls[0][1] < self.N // 4
+            assert calls[1] == (1, self.N)
+            np.testing.assert_array_equal(
+                got, base(block[row:row + 1], self.K))
+        # recorded: the NaN is not returned, the tie rows are canonical
+        assert 1234 not in rank_items(block[3], self.K)
+        np.testing.assert_array_equal(
+            rank_items(block[1], self.K)[-1], np.flatnonzero(block[1] == 0)[0])
+        np.testing.assert_array_equal(
+            rank_items(block[4], self.K)[-1], np.flatnonzero(block[4] < 0)[0])
+
+    def test_mixed_block_returns_each_rows_own_answer(self, block,
+                                                      base_calls):
+        base, calls = base_calls
+        got = rank_items(block, self.K)
+        assert calls[1:] == [(3, self.N)]   # rows 1, 3, 4 and no other
+        np.testing.assert_array_equal(got, base(block, self.K))
+        for row in (0, 2, 5):
+            assert got[row].tolist() == python_order(block[row])[:self.K]
+
+
+def test_rank_items_allocates_a_fraction_of_the_block():
+    """No full-width temporary: no negated copy, no (rows, n) indices."""
+    scores = np.random.default_rng(0).normal(size=(64, 50_000))
+    tracemalloc.start()
+    try:
+        rank_items(scores, 20)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * scores.nbytes
 
 
 class TestOverlapAtK:
