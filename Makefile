@@ -6,8 +6,8 @@
 #   make ci              strict verify, exactly what .github/workflows/ci.yml runs
 #   make bench           regenerate BENCH_fastpath.json + BENCH_serve.json
 #   make bench-<suite>   regenerate one registry suite (fastpath, train,
-#                        serve, ann, latency, refresh, obs, scale) via
-#                        `repro bench <suite>`; see repro.experiments.bench
+#                        serve, ann, latency, refresh, obs, faults, scale)
+#                        via `repro bench <suite>`; see repro.experiments.bench
 #   make bench-e2e       the repo benchmark declared in BENCHMARK.json: four
 #                        workloads, every end-to-end metric, answers checked
 #                        against the brute-force oracle; see bench/README.md

@@ -9,13 +9,10 @@ Subcommands:
   plus the out-of-core scale presets (never materialized densely).
 * ``sweep-tau`` — quick SL temperature sweep on one dataset.
 * ``bench`` — run one registered benchmark suite
-  (:mod:`repro.experiments.bench`): ``bench fastpath`` / ``bench
-  train`` / ``bench serve`` / ``bench ann`` / ``bench latency`` /
-  ``bench refresh`` / ``bench scale``, each writing its registry
-  ``BENCH_*.json`` file.  The historical ``perf`` / ``perf-train`` /
-  ``perf-serve`` / ``perf-latency`` / ``perf-refresh`` verbs remain as
-  deprecated aliases; ``perf-scale`` is a supported shorthand for
-  ``bench scale``.
+  (:mod:`repro.experiments.bench`): ``bench fastpath`` / ``train`` /
+  ``serve`` / ``ann`` / ``latency`` / ``refresh`` / ``obs`` / ``faults``
+  / ``scale``, each writing its ``BENCH_<suite>.json`` file, with one
+  flag per field of the suite's config dataclass.
 * ``export`` — train (or load a checkpoint) and freeze the model into a
   serving snapshot directory (:mod:`repro.serve`); ``--shards N``
   writes a horizontally partitioned snapshot instead.  Scale presets
@@ -49,8 +46,8 @@ import argparse
 from repro.data import (SCALE_PRESETS, dataset_names, load_dataset,
                         scale_preset_names)
 from repro.experiments import ExperimentSpec, run_experiment
-from repro.experiments.bench import (ALIAS_VERBS, add_bench_subparsers,
-                                     add_legacy_verbs, get_suite, run_legacy)
+from repro.experiments.bench import (add_bench_subparsers, get_suite,
+                                     suite_names)
 from repro.experiments.report import print_series, print_table
 from repro.losses import loss_names
 from repro.models import model_names
@@ -178,7 +175,7 @@ def _cmd_sweep_tau(args) -> int:
 
 def _cmd_bench(args) -> int:
     """Dispatch ``repro bench <suite>`` through the registry."""
-    return get_suite(args.suite).run(args)
+    return get_suite(args.suite).main(args)
 
 
 def _export_scale(args) -> int:
@@ -580,8 +577,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="run a registered benchmark suite "
-             "(fastpath/train/serve/ann/latency/refresh/scale)")
+        help=f"run a registered benchmark suite "
+             f"({'/'.join(suite_names())})")
     bench_sub = bench.add_subparsers(dest="suite", required=True)
     add_bench_subparsers(bench_sub)
 
@@ -711,7 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the exposition to a file instead of "
                               "stdout")
 
-    add_legacy_verbs(sub)
     return parser
 
 
@@ -725,8 +721,6 @@ def main(argv=None) -> int:
                 "delta-export": _cmd_delta_export,
                 "apply-deltas": _cmd_apply_deltas,
                 "refresh": _cmd_refresh, "metrics": _cmd_metrics}
-    for verb in ALIAS_VERBS:
-        handlers[verb] = lambda a, v=verb: run_legacy(v, a)
     return handlers[args.command](args)
 
 

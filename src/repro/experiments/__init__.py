@@ -1,7 +1,9 @@
-"""Experiment harness, per-figure presets, report printers, perf suite.
+"""Experiment harness, per-figure presets, report printers, bench suites.
 
-The perf suite (:mod:`repro.experiments.perf`) is intentionally not
-imported eagerly — the CLI loads it only for the ``perf`` subcommand.
+The bench harnesses (:mod:`repro.experiments.perf`, ``faults_perf``,
+``scale_perf``) and their registry (:mod:`repro.experiments.bench`, the
+``repro bench <suite>`` verb) are not imported here; the CLI imports the
+registry.
 """
 
 from repro.experiments.harness import (ExperimentSpec, ExperimentResult,

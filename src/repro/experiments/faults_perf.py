@@ -39,9 +39,12 @@ from __future__ import annotations
 import pathlib
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+from repro.experiments.perf import (_flag, _payload, _request_stream,
+                                    _train_cell)
 
 __all__ = ["FAULTS_SCHEMA", "FaultsPerfConfig", "run_faults_suite",
            "summarize_faults"]
@@ -69,25 +72,24 @@ class FaultsPerfConfig:
     epochs: int = 8
     dim: int = 64
     k: int = 10
-    #: item shards of the exported snapshot (shard 1 is the faulty one)
-    shards: int = 4
-    #: sequential requests (one user each) driven per (scenario, policy)
-    requests: int = 400
-    #: full-coverage answers slower than this do not count as available
-    slo_ms: float = 15.0
-    #: per-shard deadline budget spanning all attempts of one call
-    deadline_ms: float = 12.0
-    #: resilient policy: hedge launch delay / retry count
-    hedge_ms: float = 2.0
-    retries: int = 1
-    #: injected straggler sleep for the ``slow_shard`` scenario
-    latency_ms: float = 25.0
-    fault_rates: tuple = (0.0, 0.05, 0.1, 0.2)
-    #: resilient policy: consecutive failures that open the breaker
-    breaker_threshold: int = 5
+    shards: int = _flag(4, "item shards of the exported snapshot (shard 1 "
+                           "is made faulty)")
+    requests: int = _flag(400, "sequential one-user requests per "
+                               "(scenario, policy)")
+    slo_ms: float = _flag(15.0, "full-coverage answers slower than this do "
+                                "not count as available")
+    deadline_ms: float = _flag(12.0, "per-shard deadline budget across all "
+                                     "attempts of one call")
+    hedge_ms: float = _flag(2.0, "resilient policy: hedge launch delay")
+    retries: int = _flag(1, "resilient policy: retry count")
+    latency_ms: float = _flag(25.0, "injected straggler sleep (slow_shard "
+                                    "rows)")
+    fault_rates: tuple = _flag((0.0, 0.05, 0.1, 0.2),
+                               "comma-separated slow-shard fault rates")
+    breaker_threshold: int = _flag(5, "resilient policy: consecutive "
+                                      "failures that open the breaker")
     breaker_reset_s: float = 0.25
     seed: int = 0
-    extra_info: dict = field(default_factory=dict)
 
 
 def _resilience(config: FaultsPerfConfig, policy: str):
@@ -183,30 +185,14 @@ def _measure_cell(sharded, users, *, config: FaultsPerfConfig,
 
 def run_faults_suite(config: FaultsPerfConfig | None = None) -> dict:
     """Train, export sharded, and sweep fault levels × policies."""
-    from repro.data.synthetic import load_dataset
-    from repro.losses.registry import get_loss
-    from repro.models.registry import get_model
     from repro.serve import export_sharded_snapshot, load_sharded_snapshot
     from repro.serve.faults import FaultSpec
-    from repro.train.config import TrainConfig
-    from repro.train.trainer import Trainer
 
     config = config or FaultsPerfConfig()
-    dataset = load_dataset(config.dataset)
-    model = get_model(config.model, dataset, dim=config.dim, rng=config.seed)
-    loss = get_loss(config.loss)
-    train_config = TrainConfig(epochs=config.epochs, eval_every=0, patience=0,
-                               seed=config.seed)
-    Trainer(model, loss, dataset, train_config, evaluator=None).fit()
-
-    # Fixed request stream: cycled permutations (distinct users, cache
-    # off) so every request exercises the fan-out path.
-    rng = np.random.default_rng(config.seed)
-    cycles = -(-config.requests // dataset.num_users)
-    users = np.concatenate([rng.permutation(dataset.num_users)
-                            for _ in range(cycles)])[
-        :config.requests].astype(np.int64)
-
+    dataset, model = _train_cell(config)
+    # Distinct users with the cache off, so every request exercises the
+    # fan-out path.
+    users = _request_stream(dataset.num_users, config.requests, config.seed)
     results = []
     with tempfile.TemporaryDirectory() as tmp:
         out = pathlib.Path(tmp) / "sharded"
@@ -227,32 +213,8 @@ def run_faults_suite(config: FaultsPerfConfig | None = None) -> dict:
                 sharded, users, config=config, scenario="dead_shard",
                 policy=policy, spec=dead))
         snapshot_version = sharded.version
-    return {
-        "schema": FAULTS_SCHEMA,
-        "created_unix": time.time(),
-        "dataset": config.dataset,
-        "snapshot_version": snapshot_version,
-        "config": {
-            "model": config.model,
-            "loss": config.loss,
-            "epochs": config.epochs,
-            "dim": config.dim,
-            "k": config.k,
-            "shards": config.shards,
-            "requests": config.requests,
-            "slo_ms": config.slo_ms,
-            "deadline_ms": config.deadline_ms,
-            "hedge_ms": config.hedge_ms,
-            "retries": config.retries,
-            "latency_ms": config.latency_ms,
-            "fault_rates": list(config.fault_rates),
-            "breaker_threshold": config.breaker_threshold,
-            "breaker_reset_s": config.breaker_reset_s,
-            "seed": config.seed,
-            **config.extra_info,
-        },
-        "results": results,
-    }
+    return _payload(FAULTS_SCHEMA, config, results,
+                    snapshot_version=snapshot_version)
 
 
 def summarize_faults(payload: dict) -> str:

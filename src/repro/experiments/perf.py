@@ -57,12 +57,9 @@ Programmatic entry points:
 * :func:`run_refresh_suite` — the live-refresh churn sweep; returns the
   payload.
 
-CLI: ``python -m repro.cli perf`` / ``python -m repro.cli perf-train`` /
-``python -m repro.cli perf-serve`` / ``python -m repro.cli perf-latency``
-(``--ann`` adds the ANN frontier;
-``make bench-train`` / ``make bench-ann`` / ``make bench-latency``) — or
-``python benchmarks/perf.py`` / ``python benchmarks/train_perf.py`` /
-``python benchmarks/serve_perf.py``.
+CLI: ``python -m repro.cli bench <suite>`` (``make bench-<suite>``), one
+flag per field of the suite's config dataclass; see
+:mod:`repro.experiments.bench`.
 """
 
 from __future__ import annotations
@@ -71,7 +68,7 @@ import json
 import pathlib
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -134,23 +131,107 @@ def clamp_elapsed(elapsed: float) -> float:
     return max(elapsed, CLOCK_RESOLUTION_S)
 
 
+def _timed(fn) -> float:
+    """Wall-clock seconds of one ``fn()`` call, clamped to clock ticks."""
+    start = time.perf_counter()
+    fn()
+    return clamp_elapsed(time.perf_counter() - start)
+
+
+def _flag(default, help: str):
+    """A config field whose ``repro bench <suite>`` flag shows ``help``.
+
+    A ``True`` field's flag is its ``--no-...`` switch, so its help says
+    what switching it off does.
+    """
+    return field(default=default, metadata={"help": help})
+
+
+def _payload(schema: str, config, results: list, *, dataset: str | None = None,
+             snapshot_version: str | None = None) -> dict:
+    """Assemble a suite's payload: the shared header plus ``results``.
+
+    Every field of the ``config`` dataclass lands in the ``config`` block
+    (tuples as lists) except ``dataset``, which is the top-level key.
+    """
+    block = {key: list(value) if isinstance(value, tuple) else value
+             for key, value in asdict(config).items()}
+    payload = {"schema": schema, "created_unix": time.time(),
+               "dataset": block.pop("dataset", dataset)}
+    if snapshot_version is not None:
+        payload["snapshot_version"] = snapshot_version
+    return {**payload, "config": block, "results": results}
+
+
+def _train_cell(config, **train_overrides):
+    """Train the suite's one (dataset, model, loss) cell.
+
+    Returns ``(dataset, model)``; every suite that serves a trained
+    snapshot starts here, so they all train the identical model for
+    the same config.
+    """
+    dataset = load_dataset(config.dataset)
+    model = get_model(config.model, dataset, dim=config.dim, rng=config.seed)
+    train_config = TrainConfig(epochs=config.epochs, eval_every=0, patience=0,
+                               seed=config.seed, **train_overrides)
+    Trainer(model, get_loss(config.loss), dataset, train_config,
+            evaluator=None).fit()
+    return dataset, model
+
+
+def _request_stream(num_users: int, length: int, seed: int) -> np.ndarray:
+    """A duplicate-free request stream of ``length`` user ids.
+
+    Cycled independent permutations, not draws with replacement:
+    ``recommend()`` dedups repeated users inside a batch even with the
+    cache off, so a duplicate-heavy stream would overstate cold per-user
+    throughput.
+    """
+    rng = np.random.default_rng(seed)
+    cycles = -(-length // num_users)
+    return np.concatenate([rng.permutation(num_users)
+                           for _ in range(cycles)])[:length].astype(np.int64)
+
+
+def _warmed_up(call, users: np.ndarray, *, batch_size: int, k: int,
+               repeats: int):
+    """Run one untimed pass of ``call`` over ``users``; return the pass.
+
+    ``call`` is ``service.recommend`` or ``index.topk``, fed
+    ``batch_size`` slices.  The warm-up builds lazy structures and fills
+    a cache-enabled service's cache; callers time the returned
+    ``one_pass`` ``repeats`` times.
+    """
+    if repeats <= 0:
+        raise ValueError(f"repeats must be positive, got {repeats}")
+    if batch_size <= 0:
+        raise ValueError(f"batch_size must be positive, got {batch_size}")
+
+    def one_pass() -> None:
+        for lo in range(0, len(users), batch_size):
+            call(users[lo:lo + batch_size], k=k)
+
+    one_pass()
+    return one_pass
+
+
 @dataclass
 class PerfConfig:
     """Knobs for one harness run (defaults match the paper's scales)."""
 
     dataset: str = "yelp2018-small"
-    models: tuple = ("mf", "lightgcn", "simgcl")
-    losses: tuple = ("sl", "bsl")
+    models: tuple = _flag(("mf", "lightgcn", "simgcl"),
+                          "comma-separated model registry names")
+    losses: tuple = _flag(("sl", "bsl"), "comma-separated loss registry names")
     dim: int = 64
-    steps: int = 15
+    steps: int = _flag(15, "timed optimizer steps per cell")
     warmup: int = 3
     batch_size: int = 1024
     n_negatives: int = 128
     eval_repeats: int = 3
-    #: also time the compositional/uncached reference path per cell
-    include_reference: bool = True
+    include_reference: bool = _flag(
+        True, "skip the compositional/uncached baseline rows")
     seed: int = 0
-    extra_info: dict = field(default_factory=dict)
 
 
 def _loss_with_fused(loss_name: str, fused: bool):
@@ -277,25 +358,7 @@ def run_perf_suite(config: PerfConfig | None = None) -> dict:
             results.append(time_eval(model_name, dataset, chunked=False,
                                      repeats=config.eval_repeats,
                                      dim=config.dim, seed=config.seed))
-    payload = {
-        "schema": SCHEMA,
-        "created_unix": time.time(),
-        "dataset": config.dataset,
-        "config": {
-            "models": list(config.models),
-            "losses": list(config.losses),
-            "dim": config.dim,
-            "steps": config.steps,
-            "warmup": config.warmup,
-            "batch_size": config.batch_size,
-            "n_negatives": config.n_negatives,
-            "eval_repeats": config.eval_repeats,
-            "seed": config.seed,
-            **config.extra_info,
-        },
-        "results": results,
-    }
-    return payload
+    return _payload(SCHEMA, config, results)
 
 
 def write_report(payload: dict, path) -> None:
@@ -322,22 +385,24 @@ class TrainPerfConfig:
 
     dataset: str = "yelp2018-small"
     model: str = "mf"
-    losses: tuple = ("bpr", "bsl")
-    #: multiplicative catalogue sizes swept (1 = the base preset)
-    catalogue_scales: tuple = (1, 8, 64)
+    losses: tuple = _flag(("bpr", "bsl"),
+                          "comma-separated loss registry names")
+    catalogue_scales: tuple = _flag(
+        (1, 8, 64), "comma-separated catalogue inflation factors "
+                    "(1 = the base preset)")
     dim: int = 64
-    steps: int = 15
+    steps: int = _flag(15, "timed optimizer steps per cell")
     warmup: int = 3
     batch_size: int = 1024
     n_negatives: int = 128
-    sparse_mode: str = "lazy"
-    #: epochs of the end-to-end quality comparison (0 skips it); long
-    #: enough to converge — converged dense and lazy runs agree on
-    #: NDCG@20 to well under 1%, mid-training snapshots differ more
-    quality_epochs: int = 16
+    sparse_mode: str = _flag("lazy",
+                             "sparse-optimizer mode for the sparse rows")
+    # Long enough to converge: converged dense and lazy runs agree on
+    # NDCG@20 to well under 1%, mid-training snapshots differ more.
+    quality_epochs: int = _flag(
+        16, "epochs of the end-to-end NDCG comparison (0 skips it)")
     quality_loss: str = "bsl"
     seed: int = 0
-    extra_info: dict = field(default_factory=dict)
 
 
 #: Schema of the training-throughput payload (``BENCH_train.json``).
@@ -399,27 +464,7 @@ def run_train_suite(config: TrainPerfConfig | None = None) -> dict:
                 results.append(row)
     if config.quality_epochs:
         results.extend(_train_quality_rows(config, base))
-    return {
-        "schema": TRAIN_SCHEMA,
-        "created_unix": time.time(),
-        "dataset": config.dataset,
-        "config": {
-            "model": config.model,
-            "losses": list(config.losses),
-            "catalogue_scales": list(config.catalogue_scales),
-            "dim": config.dim,
-            "steps": config.steps,
-            "warmup": config.warmup,
-            "batch_size": config.batch_size,
-            "n_negatives": config.n_negatives,
-            "sparse_mode": config.sparse_mode,
-            "quality_epochs": config.quality_epochs,
-            "quality_loss": config.quality_loss,
-            "seed": config.seed,
-            **config.extra_info,
-        },
-        "results": results,
-    }
+    return _payload(TRAIN_SCHEMA, config, results)
 
 
 def _train_quality_rows(config: TrainPerfConfig, dataset) -> list[dict]:
@@ -496,18 +541,19 @@ class ServePerfConfig:
     epochs: int = 8
     dim: int = 64
     k: int = 10
-    batch_sizes: tuple = (1, 16, 256)
+    batch_sizes: tuple = _flag((1, 16, 256),
+                               "comma-separated request batch sizes")
     repeats: int = 3
-    #: distinct request users per timing pass (cycled over the user set)
-    request_users: int = 1024
+    request_users: int = _flag(
+        1024, "request stream length per timing pass (cycled over the "
+              "user set)")
     max_batch: int = 256
-    #: shard counts for the scatter-gather sweep (empty tuple skips it)
-    shards: tuple = (2, 4)
-    partition_by: str = "both"
+    shards: tuple = _flag((2, 4), "comma-separated shard counts for the "
+                                  "sharded sweep ('' to skip)")
+    partition_by: str = _flag("both", "sharded-sweep partition axes")
     strategy: str = "contiguous"
-    include_quantized: bool = True
+    include_quantized: bool = _flag(True, "skip the int8 index rows")
     seed: int = 0
-    extra_info: dict = field(default_factory=dict)
 
 
 def time_recommend(service, users: np.ndarray, *, batch_size: int,
@@ -520,20 +566,15 @@ def time_recommend(service, users: np.ndarray, *, batch_size: int,
     warm path) and then ``repeats`` timed passes.  Returns a result row
     of the ``serve`` kind.
     """
-    if repeats <= 0:
-        raise ValueError(f"repeats must be positive, got {repeats}")
-    if batch_size <= 0:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
-
-    def one_pass() -> None:
-        for lo in range(0, len(users), batch_size):
-            service.recommend(users[lo:lo + batch_size], k=k)
-
-    one_pass()
-    start = time.perf_counter()
-    for _ in range(repeats):
-        one_pass()
-    elapsed = clamp_elapsed(time.perf_counter() - start)
+    one_pass = _warmed_up(service.recommend, users, batch_size=batch_size,
+                          k=k, repeats=repeats)
+    # The row describes the timed window: every user's first request in
+    # the warm-up is a miss, and counting those would understate the
+    # warm lane's hit rate.
+    stats = service.stats
+    hits, misses = stats.cache_hits, stats.cache_misses
+    elapsed = sum(_timed(one_pass) for _ in range(repeats))
+    hits, misses = stats.cache_hits - hits, stats.cache_misses - misses
     return {
         "kind": "serve",
         "index": service.index.kind,
@@ -546,7 +587,7 @@ def time_recommend(service, users: np.ndarray, *, batch_size: int,
         "users_per_s": len(users) * repeats / elapsed,
         "ms_per_batch": (1e3 * elapsed
                          / (repeats * -(-len(users) // batch_size))),
-        "cache_hit_rate": service.stats.hit_rate,
+        "cache_hit_rate": hits / max(hits + misses, 1),
     }
 
 
@@ -555,7 +596,8 @@ def time_recommend_sharded(service, users: np.ndarray, *, batch_size: int,
                            shards: int = 1,
                            partition_by: str = "both",
                            strategy: str = "contiguous") -> dict:
-    """Time a :class:`~repro.serve.router.ShardedRecommendationService`.
+    """Time a :class:`~repro.serve.service.RecommendationService` whose
+    index is the scatter-gather router.
 
     Same protocol as :func:`time_recommend` (one untimed warmup pass,
     then ``repeats`` timed passes) but the router's scatter/score/merge
@@ -565,22 +607,11 @@ def time_recommend_sharded(service, users: np.ndarray, *, batch_size: int,
     kind, including the largest item shard's scoring-table bytes
     (``per_shard_bytes``).
     """
-    if repeats <= 0:
-        raise ValueError(f"repeats must be positive, got {repeats}")
-    if batch_size <= 0:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
-
-    def one_pass() -> None:
-        for lo in range(0, len(users), batch_size):
-            service.recommend(users[lo:lo + batch_size], k=k)
-
-    one_pass()
+    one_pass = _warmed_up(service.recommend, users, batch_size=batch_size,
+                          k=k, repeats=repeats)
     stats = service.router_stats
     stats.reset()
-    start = time.perf_counter()
-    for _ in range(repeats):
-        one_pass()
-    elapsed = clamp_elapsed(time.perf_counter() - start)
+    elapsed = sum(_timed(one_pass) for _ in range(repeats))
     n_batches = repeats * -(-len(users) // batch_size)
     return {
         "kind": "serve_sharded",
@@ -624,27 +655,13 @@ def run_serve_suite(config: ServePerfConfig | None = None) -> dict:
     with merge-overhead and per-shard-memory columns.
     """
     from repro.serve import (ExactTopKIndex, QuantizedTopKIndex,
-                             RecommendationService,
-                             ShardedRecommendationService,
-                             ShardedTopKIndex, export_sharded_snapshot,
-                             export_snapshot, load_snapshot)
+                             RecommendationService, ShardedTopKIndex,
+                             export_sharded_snapshot, export_snapshot,
+                             load_snapshot)
     config = config or ServePerfConfig()
-    dataset = load_dataset(config.dataset)
-    model = get_model(config.model, dataset, dim=config.dim, rng=config.seed)
-    loss = get_loss(config.loss)
-    train_config = TrainConfig(epochs=config.epochs, eval_every=0, patience=0,
-                               seed=config.seed)
-    Trainer(model, loss, dataset, train_config, evaluator=None).fit()
-
-    # Request stream: cycled independent permutations, not draws with
-    # replacement — recommend() dedups repeated users inside a batch
-    # even with the cache off, so a duplicate-heavy stream would
-    # overstate cold per-user throughput.
-    rng = np.random.default_rng(config.seed)
-    cycles = -(-config.request_users // dataset.num_users)
-    users = np.concatenate([rng.permutation(dataset.num_users)
-                            for _ in range(cycles)])[
-        :config.request_users].astype(np.int64)
+    dataset, model = _train_cell(config)
+    users = _request_stream(dataset.num_users, config.request_users,
+                            config.seed)
     results = []
     with tempfile.TemporaryDirectory() as tmp:
         export_snapshot(model, dataset, tmp, model_name=config.model,
@@ -699,7 +716,7 @@ def run_serve_suite(config: ServePerfConfig | None = None) -> dict:
                 # apples-to-apples with the `serve` rows above.
                 router = ShardedTopKIndex(sharded, kind=kind)
                 for batch_size in config.batch_sizes:
-                    service = ShardedRecommendationService(
+                    service = RecommendationService(
                         sharded, index=router, cache_size=0,
                         max_batch=max(config.max_batch, batch_size))
                     results.append(time_recommend_sharded(
@@ -708,30 +725,8 @@ def run_serve_suite(config: ServePerfConfig | None = None) -> dict:
                         partition_by=config.partition_by,
                         strategy=config.strategy))
         snapshot_version = snapshot.version
-    return {
-        "schema": SERVE_SCHEMA,
-        "created_unix": time.time(),
-        "dataset": config.dataset,
-        "snapshot_version": snapshot_version,
-        "config": {
-            "model": config.model,
-            "loss": config.loss,
-            "epochs": config.epochs,
-            "dim": config.dim,
-            "k": config.k,
-            "batch_sizes": list(config.batch_sizes),
-            "repeats": config.repeats,
-            "request_users": config.request_users,
-            "max_batch": config.max_batch,
-            "shards": list(config.shards),
-            "partition_by": config.partition_by,
-            "strategy": config.strategy,
-            "include_quantized": config.include_quantized,
-            "seed": config.seed,
-            **config.extra_info,
-        },
-        "results": results,
-    }
+    return _payload(SERVE_SCHEMA, config, results,
+                    snapshot_version=snapshot_version)
 
 
 # ----------------------------------------------------------------------
@@ -758,25 +753,25 @@ class AnnPerfConfig:
 
     dataset: str = "yelp2018-small"
     model: str = "mf"
-    loss: str = "bpr"
+    loss: str = _flag("bpr", "loss of the trained cell (pairwise losses "
+                             "cluster best; see docs/ann.md)")
     epochs: int = 25
     dim: int = 64
     n_negatives: int = 16
     k: int = 10
-    nlists: tuple = (8, 16, 32)
-    nprobes: tuple = (1, 2, 4)
+    nlists: tuple = _flag((8, 16, 32), "comma-separated IVF list counts")
+    nprobes: tuple = _flag((1, 2, 4), "comma-separated probe counts")
     spill: int = 1
     train_iters: int = 25
-    #: request batch per ``topk`` call (both lanes time the same stream)
-    batch_size: int = 1024
+    batch_size: int = _flag(1024, "request batch per topk call (both lanes "
+                                  "time the same stream)")
     request_users: int = 4096
     repeats: int = 5
-    include_pq: bool = True
+    include_pq: bool = _flag(True, "skip the IVF-PQ point")
     pq_m: int = 8
     pq_ks: int = 32
     pq_refine: int = 4
     seed: int = 0
-    extra_info: dict = field(default_factory=dict)
 
 
 def time_index_topk(index, users: np.ndarray, *, batch_size: int,
@@ -792,22 +787,10 @@ def time_index_topk(index, users: np.ndarray, *, batch_size: int,
     index kinds can be compared without the shared per-user python
     overhead of result assembly and caching.
     """
-    if repeats <= 0:
-        raise ValueError(f"repeats must be positive, got {repeats}")
-    if batch_size <= 0:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
-
-    def one_pass() -> None:
-        for lo in range(0, len(users), batch_size):
-            index.topk(users[lo:lo + batch_size], k=k)
-
-    one_pass()
-    passes = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        one_pass()
-        passes.append(time.perf_counter() - start)
-    best = clamp_elapsed(min(passes))
+    one_pass = _warmed_up(index.topk, users, batch_size=batch_size, k=k,
+                          repeats=repeats)
+    passes = [_timed(one_pass) for _ in range(repeats)]
+    best = min(passes)
     return {
         "batch_size": batch_size,
         "k": k,
@@ -832,19 +815,9 @@ def run_ann_suite(config: AnnPerfConfig | None = None) -> dict:
     from repro.ann import IVFFlatIndex, build_ann_index
     from repro.serve import ExactTopKIndex, export_snapshot, load_snapshot
     config = config or AnnPerfConfig()
-    dataset = load_dataset(config.dataset)
-    model = get_model(config.model, dataset, dim=config.dim, rng=config.seed)
-    loss = get_loss(config.loss)
-    train_config = TrainConfig(epochs=config.epochs,
-                               n_negatives=config.n_negatives,
-                               eval_every=0, patience=0, seed=config.seed)
-    Trainer(model, loss, dataset, train_config, evaluator=None).fit()
-
-    rng = np.random.default_rng(config.seed)
-    cycles = -(-config.request_users // dataset.num_users)
-    users = np.concatenate([rng.permutation(dataset.num_users)
-                            for _ in range(cycles)])[
-        :config.request_users].astype(np.int64)
+    dataset, model = _train_cell(config, n_negatives=config.n_negatives)
+    users = _request_stream(dataset.num_users, config.request_users,
+                            config.seed)
     all_users = np.arange(dataset.num_users, dtype=np.int64)
     results = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -886,34 +859,8 @@ def run_ann_suite(config: AnnPerfConfig | None = None) -> dict:
                                     baseline, config,
                                     nlist=nlist, nprobe=nprobe))
         snapshot_version = snapshot.version
-    return {
-        "schema": ANN_SCHEMA,
-        "created_unix": time.time(),
-        "dataset": config.dataset,
-        "snapshot_version": snapshot_version,
-        "config": {
-            "model": config.model,
-            "loss": config.loss,
-            "epochs": config.epochs,
-            "dim": config.dim,
-            "n_negatives": config.n_negatives,
-            "k": config.k,
-            "nlists": list(config.nlists),
-            "nprobes": list(config.nprobes),
-            "spill": config.spill,
-            "train_iters": config.train_iters,
-            "batch_size": config.batch_size,
-            "request_users": config.request_users,
-            "repeats": config.repeats,
-            "include_pq": config.include_pq,
-            "pq_m": config.pq_m,
-            "pq_ks": config.pq_ks,
-            "pq_refine": config.pq_refine,
-            "seed": config.seed,
-            **config.extra_info,
-        },
-        "results": results,
-    }
+    return _payload(ANN_SCHEMA, config, results,
+                    snapshot_version=snapshot_version)
 
 
 def _ann_row(index, exact_truth: np.ndarray, all_users: np.ndarray,
@@ -972,26 +919,22 @@ class LatencyPerfConfig:
     epochs: int = 8
     dim: int = 64
     k: int = 10
-    #: offered-load sweep: starting QPS × multiplicative step, at most
-    #: ``max_levels`` levels
-    start_qps: float = 200.0
-    qps_step: float = 2.0
+    start_qps: float = _flag(200.0, "offered load of the first sweep level")
+    qps_step: float = _flag(2.0, "multiplicative step between levels")
     max_levels: int = 8
-    #: requests submitted per load level
     requests_per_level: int = 512
-    #: sweep stops once achieved/offered falls below this, or any
-    #: request was shed at admission
-    saturation_ratio: float = 0.9
-    #: runtime knobs (see :class:`~repro.serve.runtime.RuntimeConfig`)
-    slo_ms: float = 50.0
-    max_queue: int = 256
+    saturation_ratio: float = _flag(
+        0.9, "stop once achieved/offered drops below this (or any request "
+             "is shed at admission)")
+    # runtime knobs (see :class:`~repro.serve.runtime.RuntimeConfig`)
+    slo_ms: float = _flag(50.0, "runtime p99 latency target")
+    max_queue: int = _flag(256, "admission-queue bound (sheds past it)")
     initial_batch: int = 8
     max_batch: int = 256
-    window: int = 64
-    #: 0 = cold path: every unique request costs an index sweep
-    cache_size: int = 0
+    window: int = _flag(64, "completions between batch adaptations")
+    cache_size: int = _flag(0, "result-cache entries (0 = cold path: every "
+                               "unique request costs an index sweep)")
     seed: int = 0
-    extra_info: dict = field(default_factory=dict)
 
 
 def run_latency_level(service, users: np.ndarray, *, offered_qps: float,
@@ -1064,20 +1007,9 @@ def run_latency_suite(config: LatencyPerfConfig | None = None) -> dict:
                              load_snapshot)
     from repro.serve.runtime import RuntimeConfig
     config = config or LatencyPerfConfig()
-    dataset = load_dataset(config.dataset)
-    model = get_model(config.model, dataset, dim=config.dim, rng=config.seed)
-    loss = get_loss(config.loss)
-    train_config = TrainConfig(epochs=config.epochs, eval_every=0, patience=0,
-                               seed=config.seed)
-    Trainer(model, loss, dataset, train_config, evaluator=None).fit()
-
-    # Same duplicate-free request stream as the serve suite: cycled
-    # permutations so a cold service really sweeps per request.
-    rng = np.random.default_rng(config.seed)
-    cycles = -(-config.requests_per_level // dataset.num_users)
-    users = np.concatenate([rng.permutation(dataset.num_users)
-                            for _ in range(cycles)])[
-        :config.requests_per_level].astype(np.int64)
+    dataset, model = _train_cell(config)
+    users = _request_stream(dataset.num_users, config.requests_per_level,
+                            config.seed)
     runtime_config = RuntimeConfig(
         slo_ms=config.slo_ms, max_queue=config.max_queue,
         initial_batch=config.initial_batch, max_batch=config.max_batch,
@@ -1103,33 +1035,8 @@ def run_latency_suite(config: LatencyPerfConfig | None = None) -> dict:
             if saturated:
                 break
         snapshot_version = snapshot.version
-    return {
-        "schema": LATENCY_SCHEMA,
-        "created_unix": time.time(),
-        "dataset": config.dataset,
-        "snapshot_version": snapshot_version,
-        "config": {
-            "model": config.model,
-            "loss": config.loss,
-            "epochs": config.epochs,
-            "dim": config.dim,
-            "k": config.k,
-            "start_qps": config.start_qps,
-            "qps_step": config.qps_step,
-            "max_levels": config.max_levels,
-            "requests_per_level": config.requests_per_level,
-            "saturation_ratio": config.saturation_ratio,
-            "slo_ms": config.slo_ms,
-            "max_queue": config.max_queue,
-            "initial_batch": config.initial_batch,
-            "max_batch": config.max_batch,
-            "window": config.window,
-            "cache_size": config.cache_size,
-            "seed": config.seed,
-            **config.extra_info,
-        },
-        "results": results,
-    }
+    return _payload(LATENCY_SCHEMA, config, results,
+                    snapshot_version=snapshot_version)
 
 
 def summarize_latency(payload: dict) -> str:
@@ -1168,20 +1075,17 @@ class RefreshPerfConfig:
     epochs: int = 8
     dim: int = 64
     k: int = 10
-    #: IVF shape of the maintained index
-    nlist: int = 16
+    nlist: int = _flag(16, "inverted lists of the maintained index")
     nprobe: int = 2
     train_iters: int = 25
-    #: fraction of catalogue items upserted per churn level (an eighth
-    #: of that count is additionally deleted and re-added as new ids)
-    churn_fractions: tuple = (0.01, 0.05, 0.2)
-    #: best-of timing repeats for the replay/update/rebuild clocks
-    repeats: int = 3
-    #: paced request stream driven through the runtime around the swap
-    requests: int = 256
+    churn_fractions: tuple = _flag(
+        (0.01, 0.05, 0.2), "comma-separated fractions of the catalogue "
+                           "upserted per level (an eighth of that count is "
+                           "also deleted and re-added as new ids)")
+    repeats: int = _flag(3, "best-of timing repeats per clock")
+    requests: int = _flag(256, "paced lookups around each swap")
     qps: float = 2000.0
     seed: int = 0
-    extra_info: dict = field(default_factory=dict)
 
 
 def _churned_state(base_state, churn_fraction: float, dim: int, rng):
@@ -1278,13 +1182,7 @@ def run_refresh_suite(config: RefreshPerfConfig | None = None) -> dict:
     from repro.serve.index import scoring_ready_items
 
     config = config or RefreshPerfConfig()
-    dataset = load_dataset(config.dataset)
-    model = get_model(config.model, dataset, dim=config.dim, rng=config.seed)
-    loss = get_loss(config.loss)
-    train_config = TrainConfig(epochs=config.epochs, eval_every=0, patience=0,
-                               seed=config.seed)
-    Trainer(model, loss, dataset, train_config, evaluator=None).fit()
-
+    dataset, model = _train_cell(config)
     results = []
     with tempfile.TemporaryDirectory() as tmp:
         tmp = pathlib.Path(tmp)
@@ -1353,36 +1251,8 @@ def run_refresh_suite(config: RefreshPerfConfig | None = None) -> dict:
                 **swap,
             })
         snapshot_version = snapshot.version
-    return {
-        "schema": REFRESH_SCHEMA,
-        "created_unix": time.time(),
-        "dataset": config.dataset,
-        "snapshot_version": snapshot_version,
-        "config": {
-            "model": config.model,
-            "loss": config.loss,
-            "epochs": config.epochs,
-            "dim": config.dim,
-            "k": config.k,
-            "nlist": config.nlist,
-            "nprobe": config.nprobe,
-            "train_iters": config.train_iters,
-            "churn_fractions": list(config.churn_fractions),
-            "repeats": config.repeats,
-            "requests": config.requests,
-            "qps": config.qps,
-            "seed": config.seed,
-            **config.extra_info,
-        },
-        "results": results,
-    }
-
-
-def _timed(fn) -> float:
-    """Wall-clock seconds of one ``fn()`` call, clamped to clock ticks."""
-    start = time.perf_counter()
-    fn()
-    return clamp_elapsed(time.perf_counter() - start)
+    return _payload(REFRESH_SCHEMA, config, results,
+                    snapshot_version=snapshot_version)
 
 
 def summarize_refresh(payload: dict) -> str:
@@ -1475,13 +1345,12 @@ class ObsPerfConfig:
     dim: int = 64
     k: int = 10
     batch_size: int = 256
-    #: timed passes per lane; the **best** pass is kept, so scheduler
-    #: noise inflates neither the baseline nor the instrumented lanes
-    repeats: int = 5
+    # Best pass, so scheduler noise inflates neither the baseline nor
+    # the instrumented lanes.
+    repeats: int = _flag(5, "timed passes per lane (best pass kept)")
     request_users: int = 1024
     max_batch: int = 256
     seed: int = 0
-    extra_info: dict = field(default_factory=dict)
 
 
 #: Telemetry-off / metrics-on / metrics+tracing serving lanes, one row
@@ -1491,17 +1360,6 @@ OBS_SCHEMA = "bsl-obs-bench/v1"
 #: Sweep order per cache state; ``off`` must come first (it is the
 #: baseline the other lanes' ``overhead_pct`` is computed against).
 OBS_MODES = ("off", "metrics", "trace")
-
-
-def _time_obs_lane(service, users: np.ndarray, *, batch_size: int,
-                   k: int, repeats: int) -> float:
-    """Best-of-``repeats`` seconds for one full pass over ``users``."""
-    def one_pass() -> None:
-        for lo in range(0, len(users), batch_size):
-            service.recommend(users[lo:lo + batch_size], k=k)
-
-    one_pass()  # warmup: fills the cache on cache-enabled services
-    return min(_timed(one_pass) for _ in range(repeats))
 
 
 def run_obs_suite(config: ObsPerfConfig | None = None) -> dict:
@@ -1520,19 +1378,9 @@ def run_obs_suite(config: ObsPerfConfig | None = None) -> dict:
     from repro.serve import (RecommendationService, export_snapshot,
                              load_snapshot)
     config = config or ObsPerfConfig()
-    dataset = load_dataset(config.dataset)
-    model = get_model(config.model, dataset, dim=config.dim, rng=config.seed)
-    loss = get_loss(config.loss)
-    train_config = TrainConfig(epochs=config.epochs, eval_every=0, patience=0,
-                               seed=config.seed)
-    Trainer(model, loss, dataset, train_config, evaluator=None).fit()
-
-    # Duplicate-free request stream, as in the serve suite.
-    rng = np.random.default_rng(config.seed)
-    cycles = -(-config.request_users // dataset.num_users)
-    users = np.concatenate([rng.permutation(dataset.num_users)
-                            for _ in range(cycles)])[
-        :config.request_users].astype(np.int64)
+    dataset, model = _train_cell(config)
+    users = _request_stream(dataset.num_users, config.request_users,
+                            config.seed)
     max_batch = max(config.max_batch, config.batch_size)
     results = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -1549,9 +1397,12 @@ def run_obs_suite(config: ObsPerfConfig | None = None) -> dict:
                         tracing(enabled=(mode == "trace")):
                     service = RecommendationService(
                         snapshot, cache_size=cache_size, max_batch=max_batch)
-                    elapsed = _time_obs_lane(
-                        service, users, batch_size=config.batch_size,
-                        k=config.k, repeats=config.repeats)
+                    one_pass = _warmed_up(
+                        service.recommend, users,
+                        batch_size=config.batch_size, k=config.k,
+                        repeats=config.repeats)
+                    elapsed = min(_timed(one_pass)
+                                  for _ in range(config.repeats))
                 if mode == "off":
                     baseline = elapsed
                 results.append({
@@ -1569,26 +1420,8 @@ def run_obs_suite(config: ObsPerfConfig | None = None) -> dict:
                     "overhead_pct": 100.0 * (elapsed / baseline - 1.0),
                 })
         snapshot_version = snapshot.version
-    return {
-        "schema": OBS_SCHEMA,
-        "created_unix": time.time(),
-        "dataset": config.dataset,
-        "snapshot_version": snapshot_version,
-        "config": {
-            "model": config.model,
-            "loss": config.loss,
-            "epochs": config.epochs,
-            "dim": config.dim,
-            "k": config.k,
-            "batch_size": config.batch_size,
-            "repeats": config.repeats,
-            "request_users": config.request_users,
-            "max_batch": config.max_batch,
-            "seed": config.seed,
-            **config.extra_info,
-        },
-        "results": results,
-    }
+    return _payload(OBS_SCHEMA, config, results,
+                    snapshot_version=snapshot_version)
 
 
 def summarize_obs(payload: dict) -> str:

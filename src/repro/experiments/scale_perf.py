@@ -23,10 +23,9 @@ number that must stay sub-linear in the catalogue for the out-of-core
 claim to hold (``est_dense_bytes`` records what the in-memory dataset's
 positive mask alone would cost).
 
-CLI: ``python -m repro.cli bench scale`` (or the ``perf-scale`` alias /
-``make bench-scale``) writes ``BENCH_scale.json``; the committed file is
-validated by ``scripts/check_bench.py`` and pinned by
-``tests/test_scale_bench.py``.
+CLI: ``python -m repro.cli bench scale`` (or ``make bench-scale``) writes
+``BENCH_scale.json``; the committed file is validated by
+``scripts/check_bench.py`` and pinned by ``tests/test_scale_bench.py``.
 """
 
 from __future__ import annotations
@@ -39,7 +38,9 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
+
+from repro.experiments.perf import _flag, _payload, clamp_elapsed
 
 __all__ = ["SCALE_SCHEMA", "ScalePerfConfig", "run_scale_suite",
            "run_scale_phase", "summarize_scale"]
@@ -49,6 +50,10 @@ SCALE_SCHEMA = "bsl-scale-bench/v1"
 
 #: Phase order of one level; each runs in its own subprocess.
 PHASES = ("gen", "prepare", "train", "export", "serve")
+
+#: Config fields that say where the sweep works, not what it measures:
+#: kept out of each level's run spec and the payload's ``config`` block.
+_PATH_FIELDS = ("work_dir", "keep_work")
 
 
 @dataclass
@@ -61,22 +66,23 @@ class ScalePerfConfig:
     run a tiny end-to-end sweep).
     """
 
-    levels: tuple = ("scale-100k", "scale-300k", "scale-1m")
+    levels: tuple = _flag(("scale-100k", "scale-300k", "scale-1m"),
+                          "comma-separated scale preset names (see `repro "
+                          "datasets`)")
     dim: int = 16
-    steps: int = 12
+    steps: int = _flag(12, "timed sparse-grad steps per level")
     warmup: int = 2
     batch_size: int = 1024
     n_negatives: int = 8
     serve_batches: int = 8
     serve_batch_size: int = 256
     k: int = 10
-    shards: int = 4
+    shards: int = _flag(4, "partitions of the exported snapshot")
     seed: int = 0
-    #: working directory for shards/tables/snapshots (None = a fresh
-    #: temporary directory, removed afterwards unless ``keep_work``)
-    work_dir: str | None = None
-    keep_work: bool = False
-    extra_info: dict = field(default_factory=dict)
+    work_dir: str | None = _flag(
+        None, "keep shards/tables/snapshots here instead of a removed "
+              "temporary directory")
+    keep_work: bool = _flag(False, "keep the temporary working directory")
 
 
 def _peak_rss_mb() -> float:
@@ -113,8 +119,6 @@ def run_scale_phase(phase: str, work_dir: str | pathlib.Path) -> dict:
     measurements — including this process's ``peak_rss_mb``, which is
     only meaningful when the phase runs alone in a fresh process.
     """
-    from repro.experiments.perf import clamp_elapsed
-
     paths = _level_paths(pathlib.Path(work_dir))
     spec = json.loads(paths["config"].read_text())
     run = spec["run"]
@@ -268,13 +272,8 @@ def run_scale_suite(config: ScalePerfConfig | None = None) -> dict:
         pathlib.Path(tempfile.mkdtemp(prefix="repro-scale-bench-"))
     ephemeral = config.work_dir is None
     env = _child_env()
-    run_spec = {"dim": config.dim, "steps": config.steps,
-                "warmup": config.warmup, "batch_size": config.batch_size,
-                "n_negatives": config.n_negatives,
-                "serve_batches": config.serve_batches,
-                "serve_batch_size": config.serve_batch_size,
-                "k": config.k, "shards": config.shards,
-                "seed": config.seed}
+    run_spec = {key: value for key, value in vars(config).items()
+                if key not in ("levels", *_PATH_FIELDS)}
     results = []
     try:
         for cfg in levels:
@@ -320,14 +319,12 @@ def run_scale_suite(config: ScalePerfConfig | None = None) -> dict:
     finally:
         if ephemeral and not config.keep_work:
             shutil.rmtree(root, ignore_errors=True)
-    return {
-        "schema": SCALE_SCHEMA,
-        "created_unix": time.time(),
-        "dataset": ",".join(cfg.name for cfg in levels),
-        "config": {"levels": [cfg.name for cfg in levels],
-                   **run_spec, **config.extra_info},
-        "results": results,
-    }
+    names = tuple(cfg.name for cfg in levels)
+    payload = _payload(SCALE_SCHEMA, replace(config, levels=names), results,
+                       dataset=",".join(names))
+    for key in _PATH_FIELDS:
+        del payload["config"][key]
+    return payload
 
 
 def summarize_scale(payload: dict) -> str:

@@ -16,7 +16,7 @@ Two interchangeable paths answer ``topk(user_ids, k)``:
   per row (8x smaller than float64) and dequantized panel-by-panel into
   a float32 matmul.  Approximate (last-ulp rank flips are possible) but
   at paper scales it keeps >0.95 top-10 overlap with the exact path;
-  the serve benchmark (``repro perf-serve``) reports the measured
+  the serve benchmark (``repro bench serve``) reports the measured
   overlap alongside throughput.
 
 Both are the one :class:`TopKIndex` — chunk, score, mask, rank — over a

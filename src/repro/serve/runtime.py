@@ -30,7 +30,7 @@ The runtime never changes *what* is served: results are exactly the
 service's ``recommend`` answers, so every parity/caching contract of
 the layers below carries through unchanged.  The full contract is
 documented in ``docs/serving.md``; the closed-loop load generator in
-:mod:`repro.experiments.perf` (``repro perf-latency``) sweeps offered
+:mod:`repro.experiments.perf` (``repro bench latency``) sweeps offered
 load through this runtime until saturation and commits the
 ``BENCH_latency.json`` frontier.
 """

@@ -142,13 +142,13 @@ class TestCLI:
     def test_perf_serve_ann_only(self, tmp_path, capsys):
         from repro.cli import main
         out = tmp_path / "bench_ann.json"
-        rc = main(["perf-serve", "--dataset", "tiny", "--ann-only",
-                   "--ann-nlists", "2,4", "--ann-nprobes", "1,2",
-                   "--ann-epochs", "1", "--ann-out", str(out)])
+        rc = main(["bench", "ann", "--dataset", "tiny",
+                   "--nlists", "2,4", "--nprobes", "1,2",
+                   "--epochs", "1", "--out", str(out)])
         assert rc == 0
         payload = json.loads(out.read_text())
         assert payload["schema"] == ANN_SCHEMA
         captured = capsys.readouterr().out
         assert "wrote" in captured
-        # --ann-only must not have produced the serve payload
+        # `bench ann` runs the ANN suite alone: no serve payload
         assert "serve suite" not in captured

@@ -5,15 +5,24 @@ registry (:mod:`repro.experiments.bench`), so this module also pins the
 registry <-> validator <-> repo-file coverage in both directions: every
 registry suite must have its output file committed and validated, and
 every committed ``BENCH_*.json`` must belong to a registry suite.
+
+``repro bench <suite>`` flags are derived from the suites' config
+dataclasses, so the flag surface is frozen here too (``TestFlagSurface``)
+and every suite's payload must record every config field
+(``TestPayloadConfig``).
 """
 
+import dataclasses
 import importlib.util
 import json
 import pathlib
+import shlex
 
 import pytest
 
-from repro.experiments import bench
+from repro import cli
+from repro.data.synthetic import ScaleConfig
+from repro.experiments import bench, faults_perf, perf, scale_perf
 
 REPO_ROOT = pathlib.Path(__file__).parent.parent
 
@@ -388,3 +397,227 @@ class TestScaleValidation:
         payload["schema"] = "bsl-scale-bench/v0"
         problems = check_bench.check_payload("BENCH_scale.json", payload)
         assert any("does not match expected" in p for p in problems)
+
+
+# Every option string `repro bench <suite>` accepted when the flags were
+# still written out by hand (121, minus the dead `--no-quality`), each
+# given a non-default value, with the config that line must build.
+_FLAG_SURFACE = {
+    "fastpath": (
+        "--dataset tiny --models mf --losses sl --dim 8 --steps 2 "
+        "--warmup 1 --batch-size 64 --negatives 8 --eval-repeats 1 "
+        "--no-reference --seed 3 --out x.json",
+        perf.PerfConfig(
+            dataset="tiny", models=("mf",), losses=("sl",), dim=8, steps=2,
+            warmup=1, batch_size=64, n_negatives=8, eval_repeats=1,
+            include_reference=False, seed=3)),
+    "train": (
+        "--dataset tiny --model lightgcn --losses sl,bsl --scales 1,2 "
+        "--dim 8 --steps 2 --warmup 1 --batch-size 64 --negatives 8 "
+        "--sparse-mode exact --quality-epochs 1 --seed 3 --out x.json",
+        perf.TrainPerfConfig(
+            dataset="tiny", model="lightgcn", losses=("sl", "bsl"),
+            catalogue_scales=(1, 2), dim=8, steps=2, warmup=1, batch_size=64,
+            n_negatives=8, sparse_mode="exact", quality_epochs=1, seed=3)),
+    "serve": (
+        "--dataset tiny --model lightgcn --loss sl --epochs 1 --dim 8 "
+        "--k 5 --batch-sizes 4,8 --repeats 1 --request-users 16 "
+        "--shards 3 --partition-by item --no-quantized --seed 3 "
+        "--out x.json",
+        perf.ServePerfConfig(
+            dataset="tiny", model="lightgcn", loss="sl", epochs=1, dim=8,
+            k=5, batch_sizes=(4, 8), repeats=1, request_users=16,
+            shards=(3,), partition_by="item", include_quantized=False,
+            seed=3)),
+    "ann": (
+        "--dataset tiny --k 5 --nlists 2,4 --nprobes 1,2 --loss bsl "
+        "--epochs 1 --seed 3 --out x.json",
+        perf.AnnPerfConfig(
+            dataset="tiny", k=5, nlists=(2, 4), nprobes=(1, 2), loss="bsl",
+            epochs=1, seed=3)),
+    "latency": (
+        "--dataset tiny --model lightgcn --loss sl --epochs 1 --dim 8 "
+        "--k 5 --start-qps 1000 --qps-step 4 --max-levels 2 "
+        "--requests-per-level 40 --saturation-ratio 0.5 --slo-ms 20 "
+        "--max-queue 32 --initial-batch 2 --max-batch 16 --window 8 "
+        "--seed 3 --out x.json",
+        perf.LatencyPerfConfig(
+            dataset="tiny", model="lightgcn", loss="sl", epochs=1, dim=8,
+            k=5, start_qps=1000.0, qps_step=4.0, max_levels=2,
+            requests_per_level=40, saturation_ratio=0.5, slo_ms=20.0,
+            max_queue=32, initial_batch=2, max_batch=16, window=8, seed=3)),
+    "refresh": (
+        "--dataset tiny --model lightgcn --loss sl --epochs 1 --dim 8 "
+        "--k 5 --nlist 4 --nprobe 1 --churn 0.05,0.2 --repeats 1 "
+        "--requests 32 --qps 500 --seed 3 --out x.json",
+        perf.RefreshPerfConfig(
+            dataset="tiny", model="lightgcn", loss="sl", epochs=1, dim=8,
+            k=5, nlist=4, nprobe=1, churn_fractions=(0.05, 0.2), repeats=1,
+            requests=32, qps=500.0, seed=3)),
+    "obs": (
+        "--dataset tiny --model lightgcn --loss sl --epochs 1 --dim 8 "
+        "--k 5 --batch-size 16 --repeats 2 --request-users 64 --seed 3 "
+        "--out x.json",
+        perf.ObsPerfConfig(
+            dataset="tiny", model="lightgcn", loss="sl", epochs=1, dim=8,
+            k=5, batch_size=16, repeats=2, request_users=64, seed=3)),
+    "faults": (
+        "--dataset tiny --model lightgcn --loss sl --epochs 1 --dim 8 "
+        "--k 5 --shards 2 --requests 30 --slo-ms 20 --deadline-ms 10 "
+        "--hedge-ms 1 --retries 2 --latency-ms 30 --rates 0.0,0.1 "
+        "--seed 3 --out x.json",
+        faults_perf.FaultsPerfConfig(
+            dataset="tiny", model="lightgcn", loss="sl", epochs=1, dim=8,
+            k=5, shards=2, requests=30, slo_ms=20.0, deadline_ms=10.0,
+            hedge_ms=1.0, retries=2, latency_ms=30.0,
+            fault_rates=(0.0, 0.1), seed=3)),
+    "scale": (
+        "--levels scale-100k --dim 8 --steps 4 --warmup 1 --batch-size 128 "
+        "--negatives 4 --serve-batches 2 --serve-batch-size 32 --k 5 "
+        "--shards 2 --work-dir /tmp/w --keep-work --seed 3 --out x.json",
+        scale_perf.ScalePerfConfig(
+            levels=("scale-100k",), dim=8, steps=4, warmup=1, batch_size=128,
+            n_negatives=4, serve_batches=2, serve_batch_size=32, k=5,
+            shards=2, work_dir="/tmp/w", keep_work=True, seed=3)),
+}
+
+
+def _parse_bench(name, line):
+    """``(args, config)`` of one ``repro bench <name> ...`` line."""
+    args = cli.build_parser().parse_args(["bench", name, *shlex.split(line)])
+    return args, bench.get_suite(name).config_from(args)
+
+
+def _flag_of(field):
+    return "--" + bench.FLAG_SPELLINGS.get(
+        field.name, field.name).replace("_", "-")
+
+
+class TestFlagSurface:
+    """The derived flags are the flags the hand-written sets accepted."""
+
+    def test_frozen_surface_is_complete(self):
+        assert set(_FLAG_SURFACE) == set(bench.suite_names())
+        flags = [token for line, _ in _FLAG_SURFACE.values()
+                 for token in line.split() if token.startswith("--")]
+        assert len(flags) == 120
+
+    @pytest.mark.parametrize("name", sorted(_FLAG_SURFACE))
+    def test_every_frozen_flag_is_accepted(self, name):
+        line, expected = _FLAG_SURFACE[name]
+        args, config = _parse_bench(name, line)
+        assert config == expected
+        assert args.out == "x.json"
+
+    @pytest.mark.parametrize("name", sorted(_FLAG_SURFACE))
+    def test_no_flags_builds_the_default_config(self, name):
+        suite = bench.get_suite(name)
+        args, config = _parse_bench(name, "")
+        assert config == suite.config()
+        assert args.out == suite.output == f"BENCH_{name}.json"
+        assert suite.make_target == f"bench-{name}"
+
+    @pytest.mark.parametrize("name,field", [
+        pytest.param(name, field, id=f"{name}-{field.name}")
+        for name in sorted(_FLAG_SURFACE)
+        for field in dataclasses.fields(bench.get_suite(name).config)
+        if isinstance(field.default, tuple)])
+    def test_tuple_flags_round_trip(self, name, field):
+        text = ",".join(str(value) for value in field.default)
+        _, config = _parse_bench(name, f"{_flag_of(field)} {text}")
+        assert getattr(config, field.name) == field.default
+        _, config = _parse_bench(name, f"{_flag_of(field)} ''")
+        assert getattr(config, field.name) == ()
+
+    def test_ci_slow_lines_build_the_same_configs(self):
+        _, config = _parse_bench(
+            "scale", "--levels scale-100k --steps 4 --warmup 1 "
+                     "--serve-batches 2 --out /tmp/s.json")
+        assert config == scale_perf.ScalePerfConfig(
+            levels=("scale-100k",), steps=4, warmup=1, serve_batches=2)
+        _, config = _parse_bench(
+            "faults", "--requests 120 --rates 0.0,0.1 --out /tmp/f.json")
+        assert config == faults_perf.FaultsPerfConfig(
+            requests=120, fault_rates=(0.0, 0.1))
+
+    @pytest.mark.parametrize("name,flag", [
+        (name, _flag_of(field)) for name in sorted(_FLAG_SURFACE)
+        for field in dataclasses.fields(bench.get_suite(name).config)
+        if field.name in bench.FLAG_CHOICES])
+    def test_unknown_registry_name_exits_2(self, name, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _parse_bench(name, f"{flag} nope")
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
+
+_TINY_SCALE = ScaleConfig(num_users=400, num_items=300, num_clusters=8,
+                          mean_interactions=6.0, users_per_chunk=128,
+                          block_rows=512, seed=13, name="tiny")
+
+# One tiny config per suite, at or under the shapes the suite tests use.
+_TINY_CONFIGS = {
+    "fastpath": perf.PerfConfig(
+        dataset="tiny", models=("mf",), losses=("sl",), dim=8, steps=2,
+        warmup=1, batch_size=64, n_negatives=8, eval_repeats=1,
+        include_reference=False),
+    "train": perf.TrainPerfConfig(
+        dataset="tiny", losses=("bsl",), catalogue_scales=(1,), dim=8,
+        steps=2, warmup=1, batch_size=64, n_negatives=8, quality_epochs=1),
+    "serve": perf.ServePerfConfig(
+        dataset="tiny", loss="sl", epochs=1, dim=8, k=5, batch_sizes=(4,),
+        repeats=1, request_users=16, shards=(2,)),
+    "ann": perf.AnnPerfConfig(
+        dataset="tiny", epochs=1, dim=8, n_negatives=4, k=5, nlists=(2,),
+        nprobes=(1,), batch_size=32, request_users=64, repeats=1, pq_m=4,
+        pq_ks=8),
+    "latency": perf.LatencyPerfConfig(
+        dataset="tiny", epochs=1, dim=8, start_qps=1000.0, max_levels=1,
+        requests_per_level=40, window=16),
+    "refresh": perf.RefreshPerfConfig(
+        dataset="tiny", epochs=1, dim=8, k=5, nlist=4, train_iters=5,
+        churn_fractions=(0.1,), repeats=1, requests=16),
+    "obs": perf.ObsPerfConfig(
+        dataset="tiny", epochs=1, dim=8, batch_size=16, repeats=1,
+        request_users=32, max_batch=32),
+    "faults": faults_perf.FaultsPerfConfig(
+        dataset="tiny", epochs=1, dim=8, k=5, shards=2, requests=8,
+        fault_rates=(0.0,)),
+    "scale": scale_perf.ScalePerfConfig(
+        levels=(_TINY_SCALE,), dim=8, steps=2, warmup=1, batch_size=128,
+        n_negatives=4, serve_batches=1, serve_batch_size=32, k=5, shards=2),
+}
+
+
+class TestPayloadConfig:
+    """Every suite's payload records every knob of the run."""
+
+    @pytest.mark.filterwarnings("ignore")
+    @pytest.mark.parametrize("name", sorted(_TINY_CONFIGS))
+    def test_config_block_carries_every_field(self, name, check_bench,
+                                              tmp_path, monkeypatch):
+        suite = bench.get_suite(name)
+        config = _TINY_CONFIGS[name]
+        if name == "scale":
+            # the header is the parent's work, so phases may run in-process
+            monkeypatch.setattr(
+                scale_perf, "_run_phase_subprocess",
+                lambda phase, work_dir, env: scale_perf.run_scale_phase(
+                    phase, work_dir))
+            config = dataclasses.replace(config, work_dir=str(tmp_path))
+        payload = suite.run(config)
+        assert check_bench.check_payload(suite.output, payload) == []
+        assert payload["schema"] == suite.schema
+        names = {f.name for f in dataclasses.fields(suite.config)}
+        assert names - {"dataset", "work_dir", "keep_work"} \
+            <= set(payload["config"])
+        for key, value in payload["config"].items():
+            if key != "levels":
+                assert value == json.loads(json.dumps(getattr(config, key)))
+        if name == "scale":
+            assert payload["dataset"] == "tiny"
+            assert payload["config"]["levels"] == ["tiny"]
+            assert not {"work_dir", "keep_work"} & set(payload["config"])
+        else:
+            assert payload["dataset"] == config.dataset
+            assert "dataset" not in payload["config"]

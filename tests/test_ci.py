@@ -5,7 +5,7 @@ In the style of ``tests/test_docs.py``: the workflow YAML under
 against the repository — ``make`` targets must exist in the Makefile,
 referenced scripts must exist on disk, and ``repro <verb>`` invocations
 must be real CLI subcommands — so the workflow cannot rot silently when
-a target or script is renamed.
+a target, script, verb or flag is renamed.
 """
 
 import json
@@ -52,6 +52,38 @@ def _cli_verbs() -> set[str]:
     return set()
 
 
+def _assert_one_bench_spelling():
+    """`repro bench <suite>` is the only spelling of a suite: no
+    top-level `perf*` alias verb, no `benchmarks/*perf*.py` wrapper."""
+    verbs = _cli_verbs()
+    assert "bench" in verbs
+    assert not [verb for verb in verbs if verb.startswith("perf")]
+    assert not list((REPO_ROOT / "benchmarks").glob("*perf*.py"))
+
+
+def _makefile_bench_commands() -> list[str]:
+    """The recipe lines of every ``bench-<suite>`` target."""
+    from repro.experiments import bench
+    makefile = (REPO_ROOT / "Makefile").read_text()
+    commands = []
+    for name in bench.suite_names():
+        recipe = re.search(rf"^bench-{name}:\n((?:\t.*\n?)+)", makefile,
+                           re.MULTILINE)
+        assert recipe, f"Makefile has no bench-{name} recipe"
+        commands.extend(line.strip() for line in recipe[1].splitlines())
+    return commands
+
+
+def _repro_argv(command: str):
+    """``repro`` CLI arguments of a shell line (``None`` if not one)."""
+    tokens = shlex.split(command)
+    if tokens[:1] == ["repro"]:
+        return tokens[1:]
+    if tokens[1:3] == ["-m", "repro.cli"]:  # $(PYTHON) -m repro.cli ...
+        return tokens[3:]
+    return None
+
+
 class TestWorkflowsExist:
     def test_both_workflows_present(self):
         assert (WORKFLOWS / "ci.yml").is_file()
@@ -96,14 +128,23 @@ class TestWorkflowCommandsExist:
                     assert (REPO_ROOT / token).exists(), \
                         f"{name} references missing file {token!r}"
 
-    @pytest.mark.parametrize("name", ["ci.yml", "ci-slow.yml"])
+    @pytest.mark.parametrize("name", ["ci.yml", "ci-slow.yml", "Makefile"])
     def test_repro_verbs_are_real(self, name):
-        verbs = _cli_verbs()
-        for command in _run_commands(_load(name)):
-            tokens = shlex.split(command)
-            if tokens and tokens[0] == "repro":
-                assert tokens[1] in verbs, \
-                    f"{name} invokes unknown CLI verb `repro {tokens[1]}`"
+        """Every `repro ...` line parses whole: verb, suite and flags
+        (bench flags derive from config fields, so a renamed field
+        would otherwise break a workflow step silently)."""
+        commands = (_makefile_bench_commands() if name == "Makefile"
+                    else _run_commands(_load(name)))
+        argvs = [argv for argv in map(_repro_argv, commands)
+                 if argv is not None]
+        assert argvs, f"{name} runs no `repro` command"
+        parser = cli.build_parser()
+        for argv in argvs:
+            try:
+                parser.parse_args(argv)
+            except SystemExit as exc:  # argparse reports errors via exit
+                pytest.fail(f"{name}: `repro {shlex.join(argv)}` does not "
+                            f"parse (exit {exc.code})")
 
     def test_ci_gates_on_strict_verify(self):
         """The PR gate must run `make ci` (strict verify.sh)."""
@@ -133,30 +174,27 @@ class TestMakefileAndScripts:
     def test_bench_train_target_and_verb_exist(self):
         """The training-frontier entry points are wired end to end."""
         assert "bench-train" in _make_targets()
-        assert "perf-train" in _cli_verbs()  # deprecated alias still works
+        _assert_one_bench_spelling()
         makefile = (REPO_ROOT / "Makefile").read_text()
         assert "bench train" in makefile
-        assert (REPO_ROOT / "benchmarks" / "train_perf.py").is_file()
 
     def test_bench_latency_target_and_verb_exist(self):
         """The latency-frontier entry points are wired end to end."""
         assert "bench-latency" in _make_targets()
-        assert "perf-latency" in _cli_verbs()  # deprecated alias
+        _assert_one_bench_spelling()
         makefile = (REPO_ROOT / "Makefile").read_text()
         assert "bench latency" in makefile
-        assert (REPO_ROOT / "benchmarks" / "latency_perf.py").is_file()
         assert (REPO_ROOT / "BENCH_latency.json").is_file()
 
     def test_bench_refresh_target_and_verbs_exist(self):
         """The live-refresh entry points are wired end to end."""
         assert "bench-refresh" in _make_targets()
         verbs = _cli_verbs()
-        for verb in ("perf-refresh", "delta-export", "apply-deltas",
-                     "refresh"):
+        for verb in ("delta-export", "apply-deltas", "refresh"):
             assert verb in verbs, f"CLI verb {verb!r} missing"
+        _assert_one_bench_spelling()
         makefile = (REPO_ROOT / "Makefile").read_text()
         assert "bench refresh" in makefile
-        assert (REPO_ROOT / "benchmarks" / "refresh_perf.py").is_file()
         assert (REPO_ROOT / "BENCH_refresh.json").is_file()
 
     def test_bench_registry_targets_cover_every_suite(self):
@@ -169,18 +207,13 @@ class TestMakefileAndScripts:
             assert (REPO_ROOT / suite.output).is_file(), name
 
     def test_unified_bench_verb_and_aliases_exist(self):
-        """`repro bench <suite>` plus back-compat perf-* aliases."""
-        from repro.experiments.bench import ALIAS_VERBS
-        verbs = _cli_verbs()
-        assert "bench" in verbs
-        for alias in ALIAS_VERBS:
-            assert alias in verbs, f"alias {alias!r} missing"
+        """`repro bench <suite>` is the one spelling; no aliases."""
+        _assert_one_bench_spelling()
 
     def test_scale_entry_points_exist(self):
         """The out-of-core frontier is wired end to end."""
         assert "bench-scale" in _make_targets()
-        assert "perf-scale" in _cli_verbs()
-        assert (REPO_ROOT / "benchmarks" / "scale_perf.py").is_file()
+        _assert_one_bench_spelling()
         assert (REPO_ROOT / "BENCH_scale.json").is_file()
 
     def test_ci_slow_runs_out_of_core_smoke(self):
@@ -226,7 +259,7 @@ class TestObservabilityWiring:
         assert re.search(r"^bench-obs:", makefile, re.MULTILINE)
         assert "bench obs" in makefile
         assert (REPO_ROOT / "BENCH_obs.json").exists()
-        assert (REPO_ROOT / "benchmarks" / "obs_perf.py").exists()
+        _assert_one_bench_spelling()
 
     def test_verify_runs_metrics_smoke(self):
         text = (REPO_ROOT / "scripts" / "verify.sh").read_text()
@@ -241,7 +274,7 @@ class TestFaultToleranceWiring:
         assert re.search(r"^bench-faults:", makefile, re.MULTILINE)
         assert "bench faults" in makefile
         assert (REPO_ROOT / "BENCH_faults.json").exists()
-        assert (REPO_ROOT / "benchmarks" / "faults_perf.py").exists()
+        _assert_one_bench_spelling()
 
     def test_faults_suite_registered(self):
         from repro.experiments import bench

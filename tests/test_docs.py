@@ -78,7 +78,7 @@ class TestDocsLinks:
         check_docs = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(check_docs)
         verbs = check_docs.cli_verbs()
-        assert verbs >= {"train", "export", "recommend", "perf-serve"}
+        assert verbs >= {"train", "export", "recommend", "bench"}
         problems = []
         for path in check_docs.doc_files():
             problems.extend(check_docs.check_file(path, verbs))

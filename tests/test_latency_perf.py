@@ -72,7 +72,8 @@ class TestMonotonicFloor:
                 kind = "exact"
 
             class stats:
-                hit_rate = 0.0
+                cache_hits = 0
+                cache_misses = 0
 
             def recommend(self, users, k=10):
                 return []
@@ -226,7 +227,8 @@ class TestCLI:
     def test_perf_latency_subcommand(self, tmp_path, capsys):
         from repro.cli import main
         out = tmp_path / "BENCH_latency.json"
-        rc = main(["perf-latency", "--dataset", "tiny", "--epochs", "1",
+        rc = main(["bench", "latency", "--dataset", "tiny",
+                   "--epochs", "1",
                    "--dim", "8", "--start-qps", "1000", "--max-levels", "2",
                    "--requests-per-level", "40", "--out", str(out)])
         assert rc == 0

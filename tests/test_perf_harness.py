@@ -88,7 +88,8 @@ class TestCLI:
     def test_perf_subcommand(self, tmp_path, capsys):
         from repro.cli import main
         out = tmp_path / "bench.json"
-        rc = main(["perf", "--dataset", "tiny", "--models", "mf",
+        rc = main(["bench", "fastpath", "--dataset", "tiny",
+                   "--models", "mf",
                    "--losses", "sl", "--steps", "2", "--warmup", "1",
                    "--dim", "8", "--batch-size", "64", "--negatives", "8",
                    "--eval-repeats", "1", "--out", str(out)])

@@ -41,6 +41,20 @@ class TestTimers:
         assert row["cache"] == "warm"
         assert row["cache_hit_rate"] > 0.5  # warmup pass filled the cache
 
+    def test_hit_rate_describes_the_timed_window(self, tiny_mf_snapshot):
+        """The untimed warm-up pass (every user's first request a miss)
+        is not part of the row: a warm lane is all hits, a cold lane none."""
+        _, snapshot = tiny_mf_snapshot
+        users = np.arange(16, dtype=np.int64)
+        warm = time_recommend(
+            RecommendationService(snapshot, cache_size=1024), users,
+            batch_size=4, k=5, repeats=2, label="warm")
+        assert warm["cache_hit_rate"] == 1.0
+        cold = time_recommend(
+            RecommendationService(snapshot, cache_size=0), users,
+            batch_size=4, k=5, repeats=2)
+        assert cold["cache_hit_rate"] == 0.0
+
     def test_invalid_args_rejected(self, tiny_mf_snapshot):
         _, snapshot = tiny_mf_snapshot
         service = RecommendationService(snapshot)
@@ -169,7 +183,8 @@ class TestCLI:
     def test_perf_serve_subcommand(self, tmp_path, capsys):
         from repro.cli import main
         out = tmp_path / "bench.json"
-        rc = main(["perf-serve", "--dataset", "tiny", "--model", "mf",
+        rc = main(["bench", "serve", "--dataset", "tiny",
+                   "--model", "mf",
                    "--loss", "sl", "--epochs", "1", "--dim", "8",
                    "--batch-sizes", "4", "--repeats", "1",
                    "--request-users", "16", "--out", str(out)])

@@ -168,7 +168,8 @@ class TestCLI:
     def test_perf_train_subcommand(self, tmp_path, capsys):
         from repro.cli import main
         out = tmp_path / "bench.json"
-        rc = main(["perf-train", "--dataset", "tiny", "--scales", "1,2",
+        rc = main(["bench", "train", "--dataset", "tiny",
+                   "--scales", "1,2",
                    "--steps", "2", "--warmup", "1", "--dim", "8",
                    "--batch-size", "64", "--negatives", "8",
                    "--quality-epochs", "1", "--out", str(out)])
