@@ -4,9 +4,9 @@
 #   make verify          tier-1 tests + docs/bench checkers (what CI gates on)
 #   make verify-slow     everything, incl. paper-figure benches
 #   make ci              strict verify, exactly what .github/workflows/ci.yml runs
-#   make bench           regenerate BENCH_fastpath.json + BENCH_serve.json
-#   make bench-<suite>   regenerate one registry suite (fastpath, train,
-#                        serve, ann, latency, refresh, obs, faults, scale)
+#   make bench           regenerate BENCH_train.json + BENCH_serve.json
+#   make bench-<suite>   regenerate one registry suite (train, serve, ann,
+#                        latency, refresh, obs, faults, scale)
 #                        via `repro bench <suite>`; see repro.experiments.bench
 #   make bench-e2e       the repo benchmark declared in BENCHMARK.json: four
 #                        workloads, every end-to-end metric, answers checked
@@ -18,7 +18,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify verify-slow test ci docs-check bench-check bench bench-fastpath bench-train bench-serve bench-ann bench-latency bench-refresh bench-obs bench-faults bench-scale bench-e2e bench-e2e-trace
+.PHONY: verify verify-slow test ci docs-check bench-check bench bench-train bench-serve bench-ann bench-latency bench-refresh bench-obs bench-faults bench-scale bench-e2e bench-e2e-trace
 
 verify: docs-check bench-check
 	$(PYTHON) -m pytest -x -q
@@ -37,10 +37,7 @@ docs-check:
 bench-check:
 	$(PYTHON) scripts/check_bench.py
 
-bench: bench-fastpath bench-serve
-
-bench-fastpath:
-	$(PYTHON) -m repro.cli bench fastpath --out BENCH_fastpath.json
+bench: bench-train bench-serve
 
 bench-train:
 	$(PYTHON) -m repro.cli bench train --out BENCH_train.json

@@ -10,9 +10,8 @@ suite there automatically extends this validator.  The rules per file:
 
 * the top level must carry ``schema`` / ``created_unix`` / ``dataset`` /
   ``config`` / ``results`` and the schema string must match exactly;
-* every required result section (``train_step`` + ``eval`` for the
-  fast-path file; ``train_throughput`` + ``train_quality`` for the
-  training frontier, where every throughput row must carry the
+* every required result section (``train_throughput`` +
+  ``train_quality`` for the training frontier, where every throughput row must carry the
   grad_mode/num_items/ms_per_step columns; ``serve`` +
   ``serve_sharded`` for the serve file; ``ann`` + ``ann_baseline`` for
   the ANN frontier, where every ``ann`` row must carry the

@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Docs-link checker: README/docs references must not rot.
 
-Scans ``README.md`` and every ``docs/*.md`` for three kinds of
-references and fails if any is dangling:
+Scans ``README.md``, every ``docs/*.md`` and the verify skill
+(``.claude/skills/verify/SKILL.md``) for four kinds of references and
+fails if any is dangling:
 
 * **Relative markdown links** — ``[text](path)`` targets that are not
   URLs or intra-page anchors must exist on disk (resolved relative to
@@ -14,6 +15,10 @@ references and fails if any is dangling:
   must be a real subcommand of the argparse tree in
   :mod:`repro.cli` (so renaming a verb without updating the docs
   fails verification).
+* **Bench suites** — every ``repro bench <suite>``, ``make
+  bench-<suite>`` and ``BENCH_<suite>.json`` mention must name a suite
+  of the registry (:func:`repro.experiments.bench.suite_names`), so a
+  deleted suite cannot live on in prose.
 
 Run directly (``python scripts/check_docs.py``) or via
 ``scripts/verify.sh`` / ``make verify``; ``tests/test_docs.py`` runs the
@@ -28,6 +33,7 @@ turns them into failures.
 
 from __future__ import annotations
 
+import importlib
 import pathlib
 import re
 import sys
@@ -41,37 +47,55 @@ _PATH_PREFIXES = ("src/", "docs/", "tests/", "benchmarks/", "examples/",
 _MD_LINK = re.compile(r"\[[^\]]*\]\(([^)#][^)]*)\)")
 _INLINE_CODE = re.compile(r"`([^`\n]+)`")
 _CLI_VERB = re.compile(r"\brepro(?:\.cli)?\s+([a-z][a-z0-9-]*)\b")
+_BENCH_SUITE = re.compile(r"\brepro(?:\.cli)?\s+bench\s+([a-z][a-z0-9-]*)\b"
+                          r"|\bmake\s+bench-([a-z][a-z0-9-]*)\b"
+                          r"|\bBENCH_([a-z0-9]+)\.json\b")
 
 #: words following "repro"/"repro.cli" in prose that are not verbs
 _VERB_STOPWORDS = {"command", "package", "verbs", "subcommand", "module"}
 
+#: ``make bench-<x>`` targets that are not registry suites
+_NON_SUITE_BENCH_TARGETS = {"check", "e2e", "e2e-trace"}
+
 
 def doc_files() -> list[pathlib.Path]:
-    """README plus everything under docs/ (the checked corpus)."""
+    """README, everything under docs/ and the verify skill (the corpus)."""
     files = [REPO_ROOT / "README.md"]
     files.extend(sorted((REPO_ROOT / "docs").glob("*.md")))
+    files.append(REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md")
     return [f for f in files if f.is_file()]
+
+
+def _repro(module: str):
+    """Import ``repro.<module>`` from this checkout's ``src/``."""
+    sys.path.insert(0, str(REPO_ROOT / "src"))
+    try:
+        return importlib.import_module(f"repro.{module}")
+    finally:
+        sys.path.pop(0)
 
 
 def cli_verbs() -> set[str]:
     """Subcommand names of the real argparse tree."""
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    try:
-        from repro.cli import build_parser
-    finally:
-        sys.path.pop(0)
-    parser = build_parser()
+    parser = _repro("cli").build_parser()
     for action in parser._actions:  # noqa: SLF001 - argparse has no API
         if hasattr(action, "choices") and action.choices:
             return set(action.choices)
     return set()
 
 
-def check_file(path: pathlib.Path, verbs: set[str]) -> list[str]:
+def bench_suites() -> set[str]:
+    """Suite names of the bench registry."""
+    return set(_repro("experiments.bench").suite_names())
+
+
+def check_file(path: pathlib.Path, verbs: set[str],
+               suites: set[str]) -> list[str]:
     """Return a list of human-readable problems found in one file."""
     problems = []
     text = path.read_text()
-    rel = path.relative_to(REPO_ROOT)
+    rel = (path.relative_to(REPO_ROOT) if path.is_relative_to(REPO_ROOT)
+           else path)
 
     for match in _MD_LINK.finditer(text):
         target = match.group(1).strip()
@@ -93,6 +117,14 @@ def check_file(path: pathlib.Path, verbs: set[str]) -> list[str]:
             continue
         if verb not in verbs:
             problems.append(f"{rel}: unknown CLI verb `repro {verb}`")
+
+    for match in _BENCH_SUITE.finditer(text):
+        verb_suite, make_suite, file_suite = match.groups()
+        if make_suite in _NON_SUITE_BENCH_TARGETS:
+            continue
+        if (verb_suite or make_suite or file_suite) not in suites:
+            problems.append(f"{rel}: `{match.group(0)}` names no registered "
+                            f"bench suite")
 
     return problems
 
@@ -128,12 +160,13 @@ def main(argv=None) -> int:
         print(f"docs-check: unknown arguments {unknown}", file=sys.stderr)
         return 2
     verbs = cli_verbs()
+    suites = bench_suites()
     problems = []
     files = doc_files()
     if not files:
         problems.append("no documentation files found (README.md missing?)")
     for path in files:
-        problems.extend(check_file(path, verbs))
+        problems.extend(check_file(path, verbs, suites))
     warnings = find_warnings(files)
     for problem in problems:
         print(f"docs-check: {problem}", file=sys.stderr)

@@ -9,10 +9,9 @@ Subcommands:
   plus the out-of-core scale presets (never materialized densely).
 * ``sweep-tau`` — quick SL temperature sweep on one dataset.
 * ``bench`` — run one registered benchmark suite
-  (:mod:`repro.experiments.bench`): ``bench fastpath`` / ``train`` /
-  ``serve`` / ``ann`` / ``latency`` / ``refresh`` / ``obs`` / ``faults``
-  / ``scale``, each writing its ``BENCH_<suite>.json`` file, with one
-  flag per field of the suite's config dataclass.
+  (:mod:`repro.experiments.bench`; ``repro bench --help`` lists them),
+  each writing its ``BENCH_<suite>.json`` file, with one flag per field
+  of the suite's config dataclass.
 * ``export`` — train (or load a checkpoint) and freeze the model into a
   serving snapshot directory (:mod:`repro.serve`); ``--shards N``
   writes a horizontally partitioned snapshot instead.  Scale presets

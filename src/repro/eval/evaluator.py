@@ -49,35 +49,30 @@ class Evaluator:
         Subset of {"recall", "ndcg", "precision", "hit", "map"}.
     batch_users:
         Number of users scored per dense block (memory control).
-    chunked:
-        Use the vectorized fast path: per chunk of users, one dense
-        score block, one two-level top-K selection
-        (:func:`~repro.eval.metrics.rank_items`), and array-level metric
-        computation over the whole chunk.  ``chunked=False`` keeps the
-        original per-user metric loop as the reference oracle; both
-        paths produce identical ranked lists and metric values
-        (``tests/test_eval_chunked.py`` enforces this).
+
+    Each chunk of users is one dense score block, one two-level top-K
+    selection (:func:`~repro.eval.metrics.rank_items`) and array-level
+    metric computation over the whole chunk; the per-user functions of
+    :mod:`repro.eval.metrics` are the oracle it is pinned to, bit for
+    bit (``tests/test_eval_chunked.py``).
     """
 
-    _METRIC_FNS = {
-        "recall": M.recall_at_k,
-        "ndcg": M.ndcg_at_k,
-        "precision": M.precision_at_k,
-        "hit": M.hit_rate_at_k,
-        "map": M.average_precision_at_k,
-    }
+    _METRICS = ("recall", "ndcg", "precision", "hit", "map")
 
     def __init__(self, dataset: InteractionDataset, ks=(20,),
-                 metric_names=("recall", "ndcg"), batch_users: int = 256,
-                 chunked: bool = True):
-        unknown = set(metric_names) - set(self._METRIC_FNS)
+                 metric_names=("recall", "ndcg"), batch_users: int = 256):
+        unknown = set(metric_names) - set(self._METRICS)
         if unknown:
             raise ValueError(f"unknown metrics: {sorted(unknown)}")
         self.dataset = dataset
         self.ks = tuple(sorted(set(int(k) for k in ks)))
+        if not self.ks:
+            raise ValueError("ks must name at least one cutoff, got none")
+        if batch_users <= 0:
+            raise ValueError(f"batch_users must be positive, "
+                             f"got {batch_users}")
         self.metric_names = tuple(metric_names)
         self.batch_users = batch_users
-        self.chunked = chunked
         self._test_users = np.array(
             [u for u in range(dataset.num_users)
              if len(dataset.test_items_by_user[u]) > 0], dtype=np.int64)
@@ -110,16 +105,8 @@ class Evaluator:
             users = self._test_users[lo:lo + self.batch_users]
             scores = model.predict_scores(user_ids=users)
             self._mask_train_items(scores, users)
-            top = M.rank_items(scores, max_k)
-            if self.chunked:
-                self._chunk_metrics(per_user, lo, users, top)
-            else:
-                for row, u in enumerate(users):
-                    relevant = self.dataset.test_items_by_user[u]
-                    for k in self.ks:
-                        for m in self.metric_names:
-                            value = self._METRIC_FNS[m](top[row, :k], relevant)
-                            per_user[f"{m}@{k}"][lo + row] = value
+            self._chunk_metrics(per_user, lo, users,
+                                M.rank_items(scores, max_k))
         aggregated = {key: float(vals.mean()) for key, vals in per_user.items()}
         return EvalResult(aggregated, per_user=per_user,
                           evaluated_users=self._test_users.copy())

@@ -88,7 +88,7 @@ class BenchSuite:
         """One flag per config field (``dest`` is the field name) + ``--out``.
 
         A ``bool`` field is a switch away from its default (``--keep-work``;
-        ``--no-reference`` for ``include_reference=True``), a ``tuple``
+        ``--no-quantized`` for ``include_quantized=True``), a ``tuple``
         field takes comma-separated values of its default's element
         type, anything else parses with the type of its default.
         """
@@ -127,19 +127,6 @@ class BenchSuite:
 # The registry
 # ----------------------------------------------------------------------
 SUITES = {suite.name: suite for suite in (
-    BenchSuite(
-        name="fastpath",
-        help="time train/eval throughput per (model, loss) cell",
-        schema=perf.SCHEMA,
-        config=perf.PerfConfig,
-        run=perf.run_perf_suite,
-        summarize=perf.summarize,
-        required_kinds=frozenset({"train_step", "eval"}),
-        row_fields={
-            "train_step": {"model", "loss", "fused", "steps", "ms_per_step",
-                           "steps_per_s"},
-            "eval": {"model", "chunked", "users", "users_per_s"},
-        }),
     BenchSuite(
         name="train",
         help="sweep the dense-vs-sparse training-throughput frontier",

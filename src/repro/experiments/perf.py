@@ -1,13 +1,9 @@
-"""Fast-path and serving performance harnesses.
+"""Training and serving performance harnesses.
 
 Times the hot loops of the reproduction and emits results in stable
 JSON schemas so the perf trajectory of the codebase is tracked across
 PRs:
 
-* the **fast-path suite** times the training step (forward + backward +
-  Adam) and full-ranking evaluation per (model, loss) cell, for both
-  the fused/cached fast path and the compositional/uncached reference
-  path → ``BENCH_fastpath.json``;
 * the **train suite** sweeps catalogue size × loss × grad mode and
   times the training step for the dense full-catalogue path vs the
   row-sparse path (sampled scoring + ``SparseAdam``), plus an
@@ -43,8 +39,6 @@ PRs:
 Programmatic entry points:
 
 * :func:`time_train_steps` — ms/step for one (model, loss) cell.
-* :func:`time_eval` — users/s for one model's full-ranking pass.
-* :func:`run_perf_suite` — the fast-path grid; returns the JSON payload.
 * :func:`run_train_suite` — the dense-vs-sparse training frontier.
 * :func:`time_recommend` — users/s through a recommendation service.
 * :func:`time_recommend_sharded` — same, through the sharded router,
@@ -77,26 +71,21 @@ from repro.eval.evaluator import Evaluator
 from repro.eval.metrics import overlap_at_k
 from repro.losses.registry import get_loss
 from repro.models.registry import get_model
-from repro.tensor.tensor import bump_data_version
 from repro.train.config import TrainConfig
 from repro.train.trainer import Trainer
 
-__all__ = ["SCHEMA", "SERVE_SCHEMA", "ANN_SCHEMA", "TRAIN_SCHEMA",
+__all__ = ["SERVE_SCHEMA", "ANN_SCHEMA", "TRAIN_SCHEMA",
            "LATENCY_SCHEMA", "REFRESH_SCHEMA", "OBS_SCHEMA",
            "CLOCK_RESOLUTION_S", "clamp_elapsed",
-           "PerfConfig", "ServePerfConfig", "AnnPerfConfig",
-           "TrainPerfConfig", "LatencyPerfConfig", "RefreshPerfConfig",
-           "ObsPerfConfig", "inflate_catalogue",
-           "time_train_steps", "time_eval", "run_perf_suite",
-           "run_train_suite", "time_recommend", "time_recommend_sharded",
+           "ServePerfConfig", "AnnPerfConfig", "TrainPerfConfig",
+           "LatencyPerfConfig", "RefreshPerfConfig", "ObsPerfConfig",
+           "inflate_catalogue", "time_train_steps", "run_train_suite",
+           "time_recommend", "time_recommend_sharded",
            "topk_overlap", "run_serve_suite", "time_index_topk",
            "run_latency_level", "run_latency_suite", "run_refresh_suite",
-           "run_ann_suite", "run_obs_suite", "write_report", "summarize",
+           "run_ann_suite", "run_obs_suite", "write_report",
            "summarize_serve", "summarize_ann", "summarize_train",
            "summarize_latency", "summarize_refresh", "summarize_obs"]
-
-#: Bump the suffix when the payload layout changes incompatibly.
-SCHEMA = "bsl-fastpath-bench/v1"
 
 #: Schema of the serving-throughput payload (``BENCH_serve.json``).
 #: v2 added the sharded scatter-gather section (``serve_sharded`` rows).
@@ -215,43 +204,15 @@ def _warmed_up(call, users: np.ndarray, *, batch_size: int, k: int,
     return one_pass
 
 
-@dataclass
-class PerfConfig:
-    """Knobs for one harness run (defaults match the paper's scales)."""
-
-    dataset: str = "yelp2018-small"
-    models: tuple = _flag(("mf", "lightgcn", "simgcl"),
-                          "comma-separated model registry names")
-    losses: tuple = _flag(("sl", "bsl"), "comma-separated loss registry names")
-    dim: int = 64
-    steps: int = _flag(15, "timed optimizer steps per cell")
-    warmup: int = 3
-    batch_size: int = 1024
-    n_negatives: int = 128
-    eval_repeats: int = 3
-    include_reference: bool = _flag(
-        True, "skip the compositional/uncached baseline rows")
-    seed: int = 0
-
-
-def _loss_with_fused(loss_name: str, fused: bool):
-    loss = get_loss(loss_name)
-    if hasattr(loss, "fused"):
-        loss.fused = fused
-    return loss
-
-
 def time_train_steps(model_name: str, loss_name: str, dataset,
-                     *, fused: bool = True, cache_propagation: bool = True,
-                     steps: int = 15, warmup: int = 3, dim: int = 64,
+                     *, steps: int = 15, warmup: int = 3, dim: int = 64,
                      batch_size: int = 1024, n_negatives: int = 128,
                      grad_mode: str = "dense", sparse_mode: str = "lazy",
                      seed: int = 0) -> dict:
     """Wall-clock one (model, loss) training cell for ``steps`` steps.
 
-    Returns a result row of the ``train_step`` kind (see module
-    docstring for the schema).  ``grad_mode="sparse"`` times the
-    row-sparse fast path (sampled scoring + ``SparseAdam``) instead of
+    Returns one ``train_step`` result row.  ``grad_mode="sparse"`` times
+    the row-sparse path (sampled scoring + ``SparseAdam``) instead of
     the dense full-catalogue path.
     """
     if steps <= 0:
@@ -259,14 +220,12 @@ def time_train_steps(model_name: str, loss_name: str, dataset,
     if warmup < 0:
         raise ValueError(f"warmup must be non-negative, got {warmup}")
     model = get_model(model_name, dataset, dim=dim, rng=seed)
-    if hasattr(model, "cache_propagation"):
-        model.cache_propagation = cache_propagation
-    loss = _loss_with_fused(loss_name, fused)
     config = TrainConfig(epochs=1, batch_size=batch_size,
                          n_negatives=n_negatives, eval_every=0, patience=0,
                          grad_mode=grad_mode, sparse_mode=sparse_mode,
                          seed=seed)
-    trainer = Trainer(model, loss, dataset, config, evaluator=None)
+    trainer = Trainer(model, get_loss(loss_name), dataset, config,
+                      evaluator=None)
 
     def run_steps(n: int) -> None:
         done = 0
@@ -286,8 +245,6 @@ def time_train_steps(model_name: str, loss_name: str, dataset,
         "kind": "train_step",
         "model": model_name,
         "loss": loss_name,
-        "fused": bool(fused),
-        "cache_propagation": bool(cache_propagation),
         "grad_mode": grad_mode,
         "steps": steps,
         "batch_size": batch_size,
@@ -296,69 +253,6 @@ def time_train_steps(model_name: str, loss_name: str, dataset,
         "ms_per_step": 1e3 * elapsed / steps,
         "steps_per_s": steps / elapsed,
     }
-
-
-def time_eval(model_name: str, dataset, *, chunked: bool = True,
-              repeats: int = 3, dim: int = 64, ks=(20,),
-              seed: int = 0) -> dict:
-    """Wall-clock full-ranking evaluation throughput for one model.
-
-    The data version is bumped before every timed pass so graph models
-    re-run propagation each time, matching real training where periodic
-    evaluation always follows optimizer steps — otherwise the
-    propagation memo would hide the forward cost entirely.
-    """
-    if repeats <= 0:
-        raise ValueError(f"repeats must be positive, got {repeats}")
-    model = get_model(model_name, dataset, dim=dim, rng=seed)
-    evaluator = Evaluator(dataset, ks=ks, chunked=chunked)
-    evaluator.evaluate(model)  # warmup (builds caches, touches pages)
-    start = time.perf_counter()
-    for _ in range(repeats):
-        bump_data_version()
-        evaluator.evaluate(model)
-    elapsed = clamp_elapsed(time.perf_counter() - start)
-    users = len(evaluator._test_users)
-    return {
-        "kind": "eval",
-        "model": model_name,
-        "chunked": bool(chunked),
-        "repeats": repeats,
-        "users": users,
-        "total_s": elapsed,
-        "ms_per_pass": 1e3 * elapsed / repeats,
-        "users_per_s": users * repeats / elapsed,
-    }
-
-
-def run_perf_suite(config: PerfConfig | None = None) -> dict:
-    """Run the full grid and return the ``BENCH_fastpath.json`` payload."""
-    config = config or PerfConfig()
-    dataset = load_dataset(config.dataset)
-    results = []
-    for model_name in config.models:
-        for loss_name in config.losses:
-            results.append(time_train_steps(
-                model_name, loss_name, dataset, fused=True,
-                cache_propagation=True, steps=config.steps,
-                warmup=config.warmup, dim=config.dim,
-                batch_size=config.batch_size,
-                n_negatives=config.n_negatives, seed=config.seed))
-            if config.include_reference:
-                results.append(time_train_steps(
-                    model_name, loss_name, dataset, fused=False,
-                    cache_propagation=False, steps=config.steps,
-                    warmup=config.warmup, dim=config.dim,
-                    batch_size=config.batch_size,
-                    n_negatives=config.n_negatives, seed=config.seed))
-        results.append(time_eval(model_name, dataset, chunked=True,
-                                 repeats=config.eval_repeats, dim=config.dim,
-                                 seed=config.seed))
-        if config.include_reference:
-            results.append(time_eval(model_name, dataset, chunked=False,
-                                     repeats=config.eval_repeats,
-                                     dim=config.dim, seed=config.seed))
-    return _payload(SCHEMA, config, results)
 
 
 def write_report(payload: dict, path) -> None:
@@ -1437,30 +1331,4 @@ def summarize_obs(payload: dict) -> str:
             f"{row['users_per_s']:>9,.0f} users/s  "
             f"{row['ms_per_batch']:.3f} ms/batch  "
             f"overhead {row['overhead_pct']:+.2f}%")
-    return "\n".join(lines)
-
-
-def summarize(payload: dict) -> str:
-    """Human-readable fast-vs-reference table for one payload."""
-    lines = [f"perf suite on {payload['dataset']} "
-             f"(schema {payload['schema']})"]
-    rows = payload["results"]
-    train = [r for r in rows if r["kind"] == "train_step"]
-    for fast in [r for r in train if r["fused"]]:
-        ref = next((r for r in train
-                    if not r["fused"] and r["model"] == fast["model"]
-                    and r["loss"] == fast["loss"]), None)
-        gain = (f"  ({ref['ms_per_step'] / fast['ms_per_step']:.2f}x vs "
-                f"reference)") if ref else ""
-        lines.append(f"  train {fast['model']}+{fast['loss']}: "
-                     f"{fast['ms_per_step']:.2f} ms/step{gain}")
-    evals = [r for r in rows if r["kind"] == "eval"]
-    for fast in [r for r in evals if r["chunked"]]:
-        ref = next((r for r in evals
-                    if not r["chunked"] and r["model"] == fast["model"]),
-                   None)
-        gain = (f"  ({fast['users_per_s'] / ref['users_per_s']:.2f}x vs "
-                f"reference)") if ref else ""
-        lines.append(f"  eval  {fast['model']}: "
-                     f"{fast['users_per_s']:.0f} users/s{gain}")
     return "\n".join(lines)

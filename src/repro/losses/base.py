@@ -33,6 +33,9 @@ class Loss:
             raise ValueError(f"pos_scores must be 1-D, got shape {pos.shape}")
         if neg.ndim != 2:
             raise ValueError(f"neg_scores must be 2-D, got shape {neg.shape}")
+        if neg.shape[1] == 0:
+            raise ValueError("neg_scores must hold at least one negative per "
+                             f"row, got shape {neg.shape}")
         if pos.shape[0] != neg.shape[0]:
             raise ValueError("batch mismatch between positives "
                              f"({pos.shape[0]}) and negatives ({neg.shape[0]})")

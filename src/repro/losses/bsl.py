@@ -47,17 +47,15 @@ class BSLLoss(Loss):
         Negative-side temperature (same role as SL's ``τ``).
     pooling:
         Batch estimator, see module docstring.
-    fused:
-        Dispatch to the single-node fused kernel
-        (:func:`repro.tensor.functional.fused_bsl_loss`); the
-        compositional path (``fused=False``) remains the reference
-        oracle for both poolings.
+
+    The objective is one graph node,
+    :func:`repro.tensor.functional.fused_bsl_loss`, for both poolings.
     """
 
     name = "bsl"
 
     def __init__(self, tau1: float = 0.1, tau2: float = 0.1,
-                 pooling: str = "mean", fused: bool = True):
+                 pooling: str = "mean"):
         if tau1 <= 0 or tau2 <= 0:
             raise ValueError(f"temperatures must be positive, got {tau1}, {tau2}")
         if pooling not in _POOLINGS:
@@ -65,7 +63,6 @@ class BSLLoss(Loss):
         self.tau1 = tau1
         self.tau2 = tau2
         self.pooling = pooling
-        self.fused = fused
 
     @property
     def ratio(self) -> float:
@@ -73,19 +70,5 @@ class BSLLoss(Loss):
         return self.tau1 / self.tau2
 
     def compute(self, pos: Tensor, neg: Tensor) -> Tensor:
-        if self.fused:
-            return F.fused_bsl_loss(pos, neg, self.tau1, self.tau2,
-                                    pooling=self.pooling)
-        # Negative part: τ2 · log E_j exp(f(u,j)/τ2), the same DRO
-        # structure as SL (Lemma 1).
-        neg_part = self.tau2 * F.logmeanexp(neg / self.tau2, axis=1)
-        if self.pooling == "mean":
-            # Paper pseudocode: one extra line vs. SL — the pow(τ1/τ2)
-            # on the denominator, i.e. a (τ1/τ2)-weighted negative part.
-            row_loss = -pos / self.tau1 + (neg_part / self.tau2) * self.ratio
-            return row_loss.mean()
-        # Strict Eq. (18): log-E-exp over the positive side.  Rows with a
-        # low robust margin ℓ_b receive exponentially less weight, which
-        # is exactly the positive-denoising worst-case reweighting.
-        margin = (pos - neg_part) / self.tau1
-        return -self.tau1 * F.logmeanexp(margin)
+        return F.fused_bsl_loss(pos, neg, self.tau1, self.tau2,
+                                pooling=self.pooling)

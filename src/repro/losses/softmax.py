@@ -14,7 +14,7 @@ study.
 from __future__ import annotations
 
 from repro.losses.base import Loss
-from repro.tensor import Tensor, ops
+from repro.tensor import Tensor
 from repro.tensor import functional as F
 
 __all__ = ["SoftmaxLoss"]
@@ -36,36 +36,23 @@ class SoftmaxLoss(Loss):
         If True, multiply the loss by ``τ`` to match the exact Eq. (5)
         scaling instead of the conventional InfoNCE-style ``1/τ`` form.
         Both have identical optima; the default matches the pseudocode.
-    fused:
-        Dispatch to the single-node fused kernel
-        (:func:`repro.tensor.functional.fused_softmax_loss`).  The
-        compositional path (``fused=False``) is the reference oracle;
-        both agree to numerical precision (see the fused-kernel contract
-        in :mod:`repro.tensor`).
+
+    The objective is one graph node,
+    :func:`repro.tensor.functional.fused_softmax_loss` (see the
+    fused-kernel contract in :mod:`repro.tensor`).
     """
 
     name = "sl"
 
     def __init__(self, tau: float = 0.1, include_positive: bool = False,
-                 scale_by_temperature: bool = False, fused: bool = True):
+                 scale_by_temperature: bool = False):
         if tau <= 0:
             raise ValueError(f"temperature must be positive, got {tau}")
         self.tau = tau
         self.include_positive = include_positive
         self.scale_by_temperature = scale_by_temperature
-        self.fused = fused
 
     def compute(self, pos: Tensor, neg: Tensor) -> Tensor:
-        if self.fused:
-            return F.fused_softmax_loss(
-                pos, neg, self.tau, include_positive=self.include_positive,
-                scale_by_temperature=self.scale_by_temperature)
-        logits = neg / self.tau
-        if self.include_positive:
-            logits = ops.concatenate([pos.unsqueeze(1) / self.tau, logits],
-                                     axis=1)
-        row_loss = -pos / self.tau + F.logsumexp(logits, axis=1)
-        loss = row_loss.mean()
-        if self.scale_by_temperature:
-            loss = loss * self.tau
-        return loss
+        return F.fused_softmax_loss(
+            pos, neg, self.tau, include_positive=self.include_positive,
+            scale_by_temperature=self.scale_by_temperature)

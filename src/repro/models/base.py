@@ -88,16 +88,17 @@ class Recommender(Module):
         neg = all_scores[rows[:, None], batch.negatives]
         return pos, neg
 
-    def sampled_batch_scores(self, batch: TrainingBatch, fused: bool = True
+    def sampled_batch_scores(self, batch: TrainingBatch
                              ) -> tuple[Tensor, Tensor]:
         """Score one training batch touching only the sampled rows.
 
         Mathematically equivalent to :meth:`batch_scores` (same
         ``(pos_scores, neg_scores)`` up to floating-point ordering) but
         the work is ``O(batch * n_negatives * dim)`` instead of
-        ``O(batch * num_items * dim)``: user/positive/negative rows are
-        gathered with ``take_rows(..., sparse_grad=True)`` and scored
-        per pair, never against the full catalogue.  Cosine scoring
+        ``O(batch * num_items * dim)``: one
+        :func:`~repro.tensor.functional.fused_sampled_scores` node
+        gathers the user/positive/negative rows and scores them per
+        pair, never against the full catalogue.  Cosine scoring
         normalizes the gathered rows — normalize-then-gather and
         gather-then-normalize are the same row operation.
 
@@ -108,40 +109,12 @@ class Recommender(Module):
         are propagation outputs still work — their gradients densify at
         the propagation node (see ``Tensor.backward``) — they just keep
         paying the propagation cost that dominates them anyway.
-
-        ``fused=True`` (default) routes through one
-        :func:`~repro.tensor.functional.fused_sampled_scores` node
-        instead of the ~15-node compositional chain over the
-        ``(B, m, dim)`` negative block; ``fused=False`` keeps the
-        compositional path alive as the executable oracle, per the
-        fused-kernel contract in :mod:`repro.tensor`.
         """
         users_t, items_t = self.propagate()
-        if fused:
-            scores = F.fused_sampled_scores(
-                users_t, items_t, batch.users, batch.positives,
-                batch.negatives, scoring=self.train_scoring)
-            return scores[:, 0], scores[:, 1:]
-        batch_size = len(batch)
-        u = ops.take_rows(users_t, batch.users, sparse_grad=True)       # (B, d)
-        p = ops.take_rows(items_t, batch.positives, sparse_grad=True)   # (B, d)
-        n = ops.take_rows(items_t, batch.negatives, sparse_grad=True)   # (B, m, d)
-        if self.train_scoring == "cosine":
-            u = F.l2_normalize(u, axis=-1)
-            p = F.l2_normalize(p, axis=-1)
-            n = F.l2_normalize(n, axis=-1)
-        pos_inner = (u * p).sum(axis=1)                                 # (B,)
-        # (B, m, d) @ (B, d, 1) -> (B, m, 1): one batched BLAS call.
-        neg_inner = ops.matmul(n, u.reshape(batch_size, self.dim, 1)) \
-            .reshape(batch_size, -1)                                    # (B, m)
-        if self.train_scoring != "euclidean":
-            return pos_inner, neg_inner
-        u_sq = (u * u).sum(axis=1)                                      # (B,)
-        p_sq = (p * p).sum(axis=1)                                      # (B,)
-        n_sq = (n * n).sum(axis=2)                                      # (B, m)
-        pos = 2.0 * pos_inner - u_sq - p_sq
-        neg = 2.0 * neg_inner - u_sq.reshape(batch_size, 1) - n_sq
-        return pos, neg
+        scores = F.fused_sampled_scores(
+            users_t, items_t, batch.users, batch.positives,
+            batch.negatives, scoring=self.train_scoring)
+        return scores[:, 0], scores[:, 1:]
 
     def auxiliary_loss(self, batch: TrainingBatch) -> Tensor | None:
         """Optional model-specific loss (SSL branches); default none."""

@@ -22,8 +22,8 @@ __all__ = [
     "sigmoid", "softplus", "log_sigmoid", "relu", "leaky_relu",
     "logsumexp", "logmeanexp", "softmax", "l2_normalize", "variance",
     "inner_rows", "pairwise_scores", "euclidean_distance_rows",
-    "fused_logmeanexp", "fused_softmax_loss", "fused_bsl_loss",
-    "fused_infonce_loss", "fused_sampled_scores",
+    "fused_softmax_loss", "fused_bsl_loss", "fused_infonce_loss",
+    "fused_sampled_scores",
 ]
 
 
@@ -86,8 +86,8 @@ def logsumexp(x, axis=None, keepdims: bool = False) -> Tensor:
     This is the Log-Expectation-Exp structure of Eq. (5)/(18) in the paper
     (up to the ``log N`` shift handled by :func:`logmeanexp`).  Shares
     its stabilisation with every fused kernel via
-    :func:`_lse_softmax_raw`, so fused and compositional paths cannot
-    drift apart.
+    :func:`_lse_softmax_raw`, so the kernels and the compositional
+    oracles built from this function cannot drift apart.
     """
     x = as_tensor(x)
     data, soft = _lse_softmax_raw(x.data, axis)
@@ -156,12 +156,11 @@ def euclidean_distance_rows(a, b, eps: float = 1e-12) -> Tensor:
 # ----------------------------------------------------------------------
 # Fused loss kernels (single-node forward + hand-derived VJP)
 #
-# Each kernel below is the fast path for a compositional expression
-# defined elsewhere in this module / the loss classes.  They follow the
-# fused-kernel contract documented in :mod:`repro.tensor`: identical
-# stabilisation (max-shift), value agreement to a few ULPs, gradient
-# agreement to <= 1e-6 against finite differences, and the compositional
-# oracle is kept alive behind ``fused=False`` flags in the losses.
+# Each kernel below is the only definition of its objective in ``src/``.
+# They follow the fused-kernel contract documented in :mod:`repro.tensor`:
+# the stabilisation (max-shift) of :func:`logsumexp`, value agreement to
+# a few ULPs with the compositional oracle in ``tests/oracles.py``, and
+# gradient agreement to <= 1e-6 against finite differences.
 # ----------------------------------------------------------------------
 def _lse_softmax_raw(x: np.ndarray, axis):
     """Stable ``(logsumexp, softmax)`` pair matching :func:`logsumexp`.
@@ -179,46 +178,14 @@ def _lse_softmax_raw(x: np.ndarray, axis):
     return lse, soft
 
 
-def _reduction_count(shape: tuple, axis) -> int:
-    if axis is None:
-        return int(np.prod(shape)) if shape else 1
-    axes = axis if isinstance(axis, tuple) else (axis,)
-    return int(np.prod([shape[ax] for ax in axes]))
-
-
-def fused_logmeanexp(x, axis=None, keepdims: bool = False) -> Tensor:
-    """``log E[exp(x)]`` as one graph node (oracle: :func:`logmeanexp`).
-
-    The compositional path builds logsumexp + a subtraction node; this
-    kernel evaluates both at once and backpropagates the softmax VJP
-    directly (the ``-log N`` shift has zero gradient).
-    """
-    x = as_tensor(x)
-    count = _reduction_count(x.shape, axis)
-    lse, soft = _lse_softmax_raw(x.data, axis)
-    data = lse - float(np.log(count))
-    if not keepdims and axis is not None:
-        data = np.squeeze(data, axis=axis)
-    elif not keepdims and axis is None:
-        data = data.reshape(())
-
-    def backward(g):
-        g = np.asarray(g)
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis)
-        return (g * soft,)
-
-    return ops._node(data, (x,), backward)
-
-
 def fused_softmax_loss(pos, neg, tau: float, include_positive: bool = False,
                        scale_by_temperature: bool = False) -> Tensor:
     """Sampled softmax loss (SL, Eq. 5) as a single fused node.
 
-    Oracle: :meth:`repro.losses.softmax.SoftmaxLoss.compute` with
-    ``fused=False``.  Computes ``mean_b[-pos_b/τ + lse_j(logits_bj)]``
-    (optionally ``×τ``) in one pass; the VJP routes the softmax weights
-    straight to ``pos``/``neg`` without materialising the op chain.
+    Oracle: ``tests/oracles.py::softmax_loss``.  Computes
+    ``mean_b[-pos_b/τ + lse_j(logits_bj)]`` (optionally ``×τ``) in one
+    pass; the VJP routes the softmax weights straight to ``pos``/``neg``
+    without materialising the op chain.
     """
     pos, neg = as_tensor(pos), as_tensor(neg)
     logits = neg.data / tau
@@ -235,7 +202,7 @@ def fused_softmax_loss(pos, neg, tau: float, include_positive: bool = False,
 
     def backward(g):
         coeff = float(np.asarray(g)) * scale / (rows * tau)
-        grad_pos = np.full(pos.shape, -coeff)
+        grad_pos = np.full(pos.shape, -coeff, dtype=pos.dtype)
         if include_positive:
             grad_pos = grad_pos + coeff * soft[:, 0]
         grad_neg = coeff * soft[:, offset:]
@@ -248,8 +215,8 @@ def fused_bsl_loss(pos, neg, tau1: float, tau2: float,
                    pooling: str = "mean") -> Tensor:
     """Bilateral Softmax Loss (BSL, Eq. 18) as a single fused node.
 
-    Oracle: :meth:`repro.losses.bsl.BSLLoss.compute` with
-    ``fused=False``; both batch estimators are supported:
+    Oracle: ``tests/oracles.py::bsl_loss``; both batch estimators are
+    supported:
 
     * ``"mean"`` — ``mean_b[-pos_b/τ1 + (τ1/τ2)·lme_j(neg_bj/τ2)]``
     * ``"log_mean_exp"`` — ``-τ1·lme_b[(pos_b - τ2·lme_j(neg_bj/τ2))/τ1]``
@@ -266,7 +233,8 @@ def fused_bsl_loss(pos, neg, tau1: float, tau2: float,
 
         def backward(g):
             gs = float(np.asarray(g))
-            grad_pos = np.full(pos.shape, -gs / (rows * tau1))
+            grad_pos = np.full(pos.shape, -gs / (rows * tau1),
+                               dtype=pos.dtype)
             grad_neg = (gs * ratio / (rows * tau2)) * soft
             return grad_pos, grad_neg
 
@@ -275,7 +243,7 @@ def fused_bsl_loss(pos, neg, tau1: float, tau2: float,
         raise ValueError(f"unknown pooling {pooling!r}")
     margin = (pos.data - neg_part) / tau1
     m_lse, m_soft = _lse_softmax_raw(margin, axis=0)
-    data = np.asarray(-tau1 * (float(m_lse.reshape(())) - float(np.log(rows))))
+    data = np.asarray(-tau1 * (m_lse.reshape(()) - float(np.log(rows))))
 
     def backward(g):
         gs = float(np.asarray(g))
@@ -289,9 +257,9 @@ def fused_bsl_loss(pos, neg, tau1: float, tau2: float,
 def fused_infonce_loss(z1, z2, tau: float, eps: float = 1e-12) -> Tensor:
     """InfoNCE over two views as a single fused node.
 
-    Oracle: :class:`repro.losses.contrastive.InfoNCELoss` with
-    ``fused=False`` — L2-normalise both views, score all pairs, and
-    optimise each diagonal entry against its row.  The VJP chains the
+    Oracle: ``tests/oracles.py::infonce_loss`` — L2-normalise both
+    views, score all pairs, and optimise each diagonal entry against
+    its row.  The VJP chains the
     softmax-minus-identity gradient through the matmul and the
     normalisation projection ``(I - ẑẑᵀ)/‖z‖`` in four BLAS calls.
     """
@@ -324,26 +292,24 @@ def fused_infonce_loss(z1, z2, tau: float, eps: float = 1e-12) -> Tensor:
 
 
 def fused_sampled_scores(users_t, items_t, user_idx, pos_idx, neg_idx,
-                         scoring: str = "cosine", sparse_grad: bool = True,
-                         eps: float = 1e-12) -> Tensor:
+                         scoring: str = "cosine", eps: float = 1e-12
+                         ) -> Tensor:
     """Sampled-pair scoring as a single fused node: ``(B, 1 + m)`` scores.
 
     Column 0 is the positive score of each batch row, columns ``1:`` the
     ``m`` negative scores — computed from the **gathered rows only**
     (``O(B * m * dim)``), never against the full catalogue.  Oracle:
-    the compositional ``Recommender.sampled_batch_scores(fused=False)``
-    path (gather → ``l2_normalize`` → per-pair products), which builds
-    ~15 ``(B, m, dim)`` graph nodes; this kernel's forward materializes
+    the dense ``Recommender.batch_scores`` (normalise the tables, one
+    matmul against the catalogue, gather).  The forward materializes
     the negative block once and the VJP is three closed-form products,
     which is what makes the sparse training step flat in the catalogue
     size.  Normalisation uses the :func:`l2_normalize` convention
-    (``x / sqrt(sum(x^2) + eps)``), so fused and compositional scores
-    agree to a few ULPs.
+    (``x / sqrt(sum(x^2) + eps)``), so sampled and dense scores agree
+    to a few ULPs.
 
-    With ``sparse_grad=True`` (default) the VJP emits coalesced
-    :class:`~repro.tensor.sparse.RowSparseGrad` gradients for both
-    tables; they stay sparse into leaf parameters and densify
-    automatically at interior nodes (graph backbones).
+    The VJP emits coalesced :class:`~repro.tensor.sparse.RowSparseGrad`
+    gradients for both tables; they stay sparse into leaf parameters
+    and densify automatically at interior nodes (graph backbones).
     """
     import scipy.sparse as sp
     if scoring not in ("cosine", "inner", "euclidean"):
@@ -422,13 +388,7 @@ def fused_sampled_scores(users_t, items_t, user_idx, pos_idx, neg_idx,
             grad_u = h
         else:
             grad_u = h - (a.sum(axis=1))[:, None] * U
-        if sparse_grad:
-            return (RowSparseGrad.from_rows(u_idx, grad_u, users_t.shape),
-                    RowSparseGrad(uniq, vals, items_t.shape))
-        dense_u = np.zeros_like(users_t.data)
-        np.add.at(dense_u, u_idx, grad_u)
-        dense_i = np.zeros_like(items_t.data)
-        dense_i[uniq] = vals
-        return dense_u, dense_i
+        return (RowSparseGrad.from_rows(u_idx, grad_u, users_t.shape),
+                RowSparseGrad(uniq, vals, items_t.shape))
 
     return ops._node(data, (users_t, items_t), backward)

@@ -14,11 +14,12 @@ The public entry point is :class:`Tensor`.  Primitive operations live in
 Fused kernels — the fast-path contract
 --------------------------------------
 :mod:`repro.tensor.functional` additionally provides *fused* primitives
-(``fused_logmeanexp``, ``fused_softmax_loss``, ``fused_bsl_loss``,
-``fused_infonce_loss``).  A fused kernel collapses a composite
+(``fused_softmax_loss``, ``fused_bsl_loss``, ``fused_infonce_loss``,
+``fused_sampled_scores``).  A fused kernel collapses a composite
 expression that would otherwise build ~10 graph nodes into a **single**
 node: the forward pass is one numpy evaluation of the whole expression
-and the backward pass is one hand-derived vector-Jacobian product.
+and the backward pass is one hand-derived vector-Jacobian product.  The
+kernel is the only definition of its objective in ``src/``.
 
 The contract every fused kernel must satisfy:
 
@@ -30,16 +31,19 @@ The contract every fused kernel must satisfy:
 2. **Gradient equivalence** — the fused VJP agrees with both the
    compositional autograd gradient and central finite differences to
    ≤ 1e-6 absolute (``tests/test_tensor_fused.py`` gradchecks every
-   kernel, including broadcast and single-row edge cases).
-3. **Oracle retention** — the compositional implementation is never
-   deleted; callers (the loss classes) keep a ``fused=False`` escape
-   hatch so the slow path remains the executable reference oracle.
+   kernel, including broadcast and single-row edge cases, and checks
+   each against a deliberately doubled gradient as a control).
+3. **The oracle lives in ``tests/``** — the compositional expression is
+   written once, in ``tests/oracles.py``, from the public functions of
+   this package; no caller selects between it and the kernel.  (The
+   oracle of ``fused_sampled_scores`` is the dense
+   ``Recommender.batch_scores``.)
 
-To add a new fused VJP: write the compositional version first, derive
-the closed-form gradient, implement forward+backward as one
-``ops._node`` call caching only what backward needs, then register a
-gradcheck against the compositional oracle in
-``tests/test_tensor_fused.py`` before switching any caller's default.
+To add a new fused VJP: write the compositional version in
+``tests/oracles.py`` first, derive the closed-form gradient, implement
+forward+backward as one ``ops._node`` call caching only what backward
+needs, and register a gradcheck against the oracle in
+``tests/test_tensor_fused.py``.
 
 Row-sparse gradients
 --------------------

@@ -1,0 +1,87 @@
+"""Reference forms of the objectives and of the evaluator.
+
+``src/`` computes SL, BSL, InfoNCE and the ranking metrics one way each
+(a fused kernel, a chunked array pass).  The slow, obviously-right forms
+live here, written only from public :mod:`repro.tensor` /
+:mod:`repro.eval.metrics` functions, and the parity tests compare the
+production path against them.  (The oracle of ``fused_sampled_scores``
+is the dense ``Recommender.batch_scores``; it needs no entry here.)
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.eval import metrics as M
+from repro.eval.evaluator import EvalResult
+from repro.tensor import as_tensor, ops
+from repro.tensor import functional as F
+
+_METRIC_FNS = {
+    "recall": M.recall_at_k,
+    "ndcg": M.ndcg_at_k,
+    "precision": M.precision_at_k,
+    "hit": M.hit_rate_at_k,
+    "map": M.average_precision_at_k,
+}
+
+
+def softmax_loss(pos, neg, tau, include_positive=False,
+                 scale_by_temperature=False):
+    """SL, Eq. (5): ``mean_b[-pos_b/τ + logsumexp_j(neg_bj/τ)]``."""
+    pos, neg = as_tensor(pos), as_tensor(neg)
+    logits = neg / tau
+    if include_positive:
+        logits = ops.concatenate([pos.unsqueeze(1) / tau, logits], axis=1)
+    loss = (-pos / tau + F.logsumexp(logits, axis=1)).mean()
+    return loss * tau if scale_by_temperature else loss
+
+
+def bsl_loss(pos, neg, tau1, tau2, pooling="mean"):
+    """BSL, Eq. (18), for both batch estimators."""
+    pos, neg = as_tensor(pos), as_tensor(neg)
+    # Negative part: τ2 · log E_j exp(f(u,j)/τ2), the same DRO structure
+    # as SL (Lemma 1).
+    neg_part = tau2 * F.logmeanexp(neg / tau2, axis=1)
+    if pooling == "mean":
+        # Paper pseudocode: one extra line vs. SL — the pow(τ1/τ2) on the
+        # denominator, i.e. a (τ1/τ2)-weighted negative part.
+        return (-pos / tau1 + (neg_part / tau2) * (tau1 / tau2)).mean()
+    # Strict Eq. (18): log-E-exp over the positive side.  Rows with a low
+    # robust margin receive exponentially less weight — the
+    # positive-denoising worst-case reweighting.
+    return -tau1 * F.logmeanexp((pos - neg_part) / tau1)
+
+
+def infonce_loss(z1, z2, tau):
+    """InfoNCE: each diagonal similarity against its row."""
+    z1 = F.l2_normalize(as_tensor(z1), axis=1)
+    z2 = F.l2_normalize(as_tensor(z2), axis=1)
+    sims = F.pairwise_scores(z1, z2) / tau                   # (B, B)
+    diag = sims[np.arange(z1.shape[0]), np.arange(z1.shape[0])]
+    return (-diag + F.logsumexp(sims, axis=1)).mean()
+
+
+def evaluate_per_user(model, dataset, ks=(20,),
+                      metric_names=("recall", "ndcg")) -> EvalResult:
+    """Full-ranking evaluation as a per-user loop over the metric functions."""
+    ks = sorted(set(int(k) for k in ks))
+    users = np.array([u for u in range(dataset.num_users)
+                      if len(dataset.test_items_by_user[u])], dtype=np.int64)
+    scores = model.predict_scores(user_ids=users)
+    for row, u in enumerate(users):
+        seen = dataset.train_items_by_user[u]
+        if len(seen):
+            scores[row, seen] = -np.inf
+    top = M.rank_items(scores, max(ks))
+    per_user = {f"{m}@{k}": np.zeros(len(users))
+                for m in metric_names for k in ks}
+    for row, u in enumerate(users):
+        relevant = dataset.test_items_by_user[u]
+        for k in ks:
+            for m in metric_names:
+                per_user[f"{m}@{k}"][row] = _METRIC_FNS[m](top[row, :k],
+                                                           relevant)
+    return EvalResult({key: float(vals.mean())
+                       for key, vals in per_user.items()},
+                      per_user=per_user, evaluated_users=users)

@@ -147,6 +147,14 @@ class TestRegistryCoverage:
             assert path.name in outputs, (
                 f"{path.name} is committed but no registry suite owns it")
 
+    def test_registry_is_the_eight_suites(self, capsys):
+        assert bench.suite_names() == ["train", "serve", "ann", "latency",
+                                       "refresh", "obs", "faults", "scale"]
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(["bench", "fastpath"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+
     def test_required_kinds_have_row_fields(self, check_bench):
         for name in bench.suite_names():
             for kind in bench.get_suite(name).required_kinds:
@@ -400,17 +408,10 @@ class TestScaleValidation:
 
 
 # Every option string `repro bench <suite>` accepted when the flags were
-# still written out by hand (121, minus the dead `--no-quality`), each
-# given a non-default value, with the config that line must build.
+# still written out by hand (121, minus the dead `--no-quality` and the
+# 12 of the deleted `fastpath` suite), each given a non-default value,
+# with the config that line must build.
 _FLAG_SURFACE = {
-    "fastpath": (
-        "--dataset tiny --models mf --losses sl --dim 8 --steps 2 "
-        "--warmup 1 --batch-size 64 --negatives 8 --eval-repeats 1 "
-        "--no-reference --seed 3 --out x.json",
-        perf.PerfConfig(
-            dataset="tiny", models=("mf",), losses=("sl",), dim=8, steps=2,
-            warmup=1, batch_size=64, n_negatives=8, eval_repeats=1,
-            include_reference=False, seed=3)),
     "train": (
         "--dataset tiny --model lightgcn --losses sl,bsl --scales 1,2 "
         "--dim 8 --steps 2 --warmup 1 --batch-size 64 --negatives 8 "
@@ -500,7 +501,7 @@ class TestFlagSurface:
         assert set(_FLAG_SURFACE) == set(bench.suite_names())
         flags = [token for line, _ in _FLAG_SURFACE.values()
                  for token in line.split() if token.startswith("--")]
-        assert len(flags) == 120
+        assert len(flags) == 108
 
     @pytest.mark.parametrize("name", sorted(_FLAG_SURFACE))
     def test_every_frozen_flag_is_accepted(self, name):
@@ -557,10 +558,6 @@ _TINY_SCALE = ScaleConfig(num_users=400, num_items=300, num_clusters=8,
 
 # One tiny config per suite, at or under the shapes the suite tests use.
 _TINY_CONFIGS = {
-    "fastpath": perf.PerfConfig(
-        dataset="tiny", models=("mf",), losses=("sl",), dim=8, steps=2,
-        warmup=1, batch_size=64, n_negatives=8, eval_repeats=1,
-        include_reference=False),
     "train": perf.TrainPerfConfig(
         dataset="tiny", losses=("bsl",), catalogue_scales=(1,), dim=8,
         steps=2, warmup=1, batch_size=64, n_negatives=8, quality_epochs=1),

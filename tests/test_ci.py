@@ -206,6 +206,20 @@ class TestMakefileAndScripts:
             assert suite.make_target in targets, name
             assert (REPO_ROOT / suite.output).is_file(), name
 
+    def test_every_bench_target_belongs_to_a_suite(self):
+        """The other direction: a deleted suite leaves no `bench-<x>`
+        target and no `bench:` prerequisite behind."""
+        from repro.experiments import bench
+        suites = {bench.get_suite(name).make_target
+                  for name in bench.suite_names()}
+        assert len(suites) == 8
+        bench_targets = {t for t in _make_targets() if t.startswith("bench-")}
+        assert bench_targets == suites | {"bench-check", "bench-e2e",
+                                          "bench-e2e-trace"}
+        alias = re.search(r"^bench:(.*)$",
+                          (REPO_ROOT / "Makefile").read_text(), re.MULTILINE)
+        assert alias and set(alias[1].split()) <= suites
+
     def test_unified_bench_verb_and_aliases_exist(self):
         """`repro bench <suite>` is the one spelling; no aliases."""
         _assert_one_bench_spelling()

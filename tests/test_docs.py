@@ -6,7 +6,8 @@ Three families of checks keep the docs archetype honest:
   must parse against the *real* argparse tree (``repro.cli.build_parser``),
   so a renamed flag or verb breaks tier-1, not a user;
 * the docs-link checker (``scripts/check_docs.py``) must report zero
-  dangling file references and unknown CLI verbs;
+  dangling file references, unknown CLI verbs and unregistered bench
+  suites;
 * public CLI handlers and every public ``repro.serve`` entry point must
   carry docstrings.
 """
@@ -71,30 +72,53 @@ class TestReadmeCommandsParse:
                         f"(exit {exc.code})")
 
 
+@pytest.fixture(scope="module")
+def check_docs():
+    spec = importlib.util.spec_from_file_location(
+        "check_docs", REPO_ROOT / "scripts" / "check_docs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestDocsLinks:
-    def test_checker_finds_no_problems(self):
-        spec = importlib.util.spec_from_file_location(
-            "check_docs", REPO_ROOT / "scripts" / "check_docs.py")
-        check_docs = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(check_docs)
+    def test_checker_finds_no_problems(self, check_docs):
         verbs = check_docs.cli_verbs()
         assert verbs >= {"train", "export", "recommend", "bench"}
+        suites = check_docs.bench_suites()
+        assert len(suites) == 8 and "fastpath" not in suites
+        files = check_docs.doc_files()
+        assert REPO_ROOT / ".claude/skills/verify/SKILL.md" in files
         problems = []
-        for path in check_docs.doc_files():
-            problems.extend(check_docs.check_file(path, verbs))
+        for path in files:
+            problems.extend(check_docs.check_file(path, verbs, suites))
         assert problems == []
+
+    def test_unregistered_bench_suite_is_reported(self, check_docs,
+                                                  tmp_path):
+        """A page naming a suite the registry does not have fails, in
+        all three spellings; placeholders and non-suite targets pass."""
+        page = tmp_path / "page.md"
+        page.write_text(
+            "Run `repro bench fastpath` (= `make bench-fastpath`) to "
+            "refresh `BENCH_fastpath.json`.\n"
+            "`python -m repro.cli bench train` and `make bench-e2e` are "
+            "real; so are `repro bench <suite>`, `make bench-<suite>`, "
+            "`BENCH_<suite>.json`, `BENCH_*.json` and `BENCHMARK.json`.\n")
+        problems = check_docs.check_file(page, check_docs.cli_verbs(),
+                                         check_docs.bench_suites())
+        assert len(problems) == 3
+        for spelling in ("repro bench fastpath", "make bench-fastpath",
+                         "BENCH_fastpath.json"):
+            assert any(spelling in problem for problem in problems)
 
     def test_required_docs_exist(self):
         for path in ("README.md", "docs/architecture.md",
                      "docs/fastpath.md", "docs/sharding.md"):
             assert (REPO_ROOT / path).is_file(), f"{path} missing"
 
-    def test_no_orphan_docs_pages(self):
+    def test_no_orphan_docs_pages(self, check_docs):
         """Strict mode's warning class stays clean in-tree."""
-        spec = importlib.util.spec_from_file_location(
-            "check_docs", REPO_ROOT / "scripts" / "check_docs.py")
-        check_docs = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(check_docs)
         assert check_docs.find_warnings(check_docs.doc_files()) == []
 
 

@@ -325,6 +325,13 @@ class TestEvaluator:
         with pytest.raises(ValueError):
             Evaluator(toy_dataset, metric_names=("auc",))
 
+    @pytest.mark.parametrize("argument,value", [("ks", ()),
+                                                ("batch_users", 0)])
+    def test_degenerate_arguments_rejected_by_name(self, toy_dataset,
+                                                   argument, value):
+        with pytest.raises(ValueError, match=argument):
+            Evaluator(toy_dataset, **{argument: value})
+
     def test_users_without_test_items_excluded(self):
         train = np.array([[0, 0], [1, 1]])
         test = np.array([[0, 1]])  # user 1 has no test items

@@ -30,6 +30,11 @@ class TestInterface:
         with pytest.raises(ValueError):
             loss(Tensor(np.zeros(2)), Tensor(np.zeros((3, 4))))
 
+    @pytest.mark.parametrize("name", ["sl", "bsl", "bpr"])
+    def test_rejects_empty_negative_block(self, name):
+        with pytest.raises(ValueError, match="neg_scores"):
+            get_loss(name)(Tensor(np.zeros(2)), Tensor(np.zeros((2, 0))))
+
     def test_repr_shows_params(self):
         assert "tau" in repr(get_loss("sl", tau=0.2))
 

@@ -1,16 +1,36 @@
-"""Property tests: the fused fast path is indistinguishable from the oracle.
+"""Property tests: the fused kernels are indistinguishable from the oracle.
 
-* fused and unfused SL/BSL produce identical losses and gradients, for
+* the loss classes (one fused kernel each) and the compositional forms
+  in ``tests/oracles.py`` produce identical losses and gradients, for
   both BSL poolings and all SL flag combinations;
 * BSL with ``tau1 == tau2`` at batch size 1 reduces to SL (up to the
-  documented constant shift), on the fused path as well as the oracle.
+  documented constant shift), on the kernels as well as the oracles.
 """
+
+import functools
 
 import numpy as np
 import pytest
 
 from repro.losses import BSLLoss, InfoNCELoss, SoftmaxLoss
 from repro.tensor import Tensor
+
+from tests import oracles
+
+
+def _sl(fused, tau, **flags):
+    """SL as the production loss (``fused``) or as the oracle form."""
+    if fused:
+        return SoftmaxLoss(tau=tau, **flags)
+    return functools.partial(oracles.softmax_loss, tau=tau, **flags)
+
+
+def _bsl(fused, tau1, tau2, pooling):
+    """BSL as the production loss (``fused``) or as the oracle form."""
+    if fused:
+        return BSLLoss(tau1=tau1, tau2=tau2, pooling=pooling)
+    return functools.partial(oracles.bsl_loss, tau1=tau1, tau2=tau2,
+                             pooling=pooling)
 
 
 def _pair(p, n):
@@ -41,22 +61,18 @@ class TestFusedEqualsUnfused:
     @pytest.mark.parametrize("scale", [False, True])
     def test_sl(self, scores, include_positive, scale):
         p, n = scores
-        _backward_both(
-            SoftmaxLoss(tau=0.23, include_positive=include_positive,
-                        scale_by_temperature=scale, fused=True),
-            SoftmaxLoss(tau=0.23, include_positive=include_positive,
-                        scale_by_temperature=scale, fused=False),
-            p, n)
+        flags = dict(include_positive=include_positive,
+                     scale_by_temperature=scale)
+        _backward_both(_sl(True, 0.23, **flags), _sl(False, 0.23, **flags),
+                       p, n)
 
     @pytest.mark.parametrize("pooling", ["mean", "log_mean_exp"])
     @pytest.mark.parametrize("taus", [(0.2, 0.2), (0.3, 0.15), (0.08, 0.4)])
     def test_bsl_both_poolings(self, scores, pooling, taus):
         p, n = scores
         t1, t2 = taus
-        _backward_both(
-            BSLLoss(tau1=t1, tau2=t2, pooling=pooling, fused=True),
-            BSLLoss(tau1=t1, tau2=t2, pooling=pooling, fused=False),
-            p, n)
+        _backward_both(_bsl(True, t1, t2, pooling),
+                       _bsl(False, t1, t2, pooling), p, n)
 
     def test_infonce(self):
         rng = np.random.default_rng(7)
@@ -65,8 +81,8 @@ class TestFusedEqualsUnfused:
              Tensor(z2.copy(), requires_grad=True))
         b = (Tensor(z1.copy(), requires_grad=True),
              Tensor(z2.copy(), requires_grad=True))
-        lf = InfoNCELoss(tau=0.2, fused=True)(*a)
-        lo = InfoNCELoss(tau=0.2, fused=False)(*b)
+        lf = InfoNCELoss(tau=0.2)(*a)
+        lo = oracles.infonce_loss(*b, tau=0.2)
         np.testing.assert_allclose(lf.item(), lo.item(), rtol=1e-12)
         lf.backward()
         lo.backward()
@@ -79,10 +95,8 @@ class TestFusedEqualsUnfused:
         p = np.array([50.0, -50.0])
         n = np.array([[60.0, -60.0, 0.0], [30.0, -30.0, 0.0]])
         for pooling in ("mean", "log_mean_exp"):
-            _backward_both(BSLLoss(tau1=0.1, tau2=0.1, pooling=pooling,
-                                   fused=True),
-                           BSLLoss(tau1=0.1, tau2=0.1, pooling=pooling,
-                                   fused=False), p, n)
+            _backward_both(_bsl(True, 0.1, 0.1, pooling),
+                           _bsl(False, 0.1, 0.1, pooling), p, n)
 
 
 class TestBSLReducesToSL:
@@ -106,9 +120,8 @@ class TestBSLReducesToSL:
         p, n = single_row
         m = n.shape[1]
         a, b = _pair(p, n), _pair(p, n)
-        bsl = BSLLoss(tau1=self.TAU, tau2=self.TAU, pooling="mean",
-                      fused=fused)(*a)
-        sl = SoftmaxLoss(tau=self.TAU, fused=fused)(*b)
+        bsl = _bsl(fused, self.TAU, self.TAU, "mean")(*a)
+        sl = _sl(fused, self.TAU)(*b)
         np.testing.assert_allclose(bsl.item(), sl.item() - np.log(m),
                                    rtol=1e-10)
         bsl.backward()
@@ -121,9 +134,8 @@ class TestBSLReducesToSL:
         p, n = single_row
         m = n.shape[1]
         a, b = _pair(p, n), _pair(p, n)
-        bsl = BSLLoss(tau1=self.TAU, tau2=self.TAU, pooling="log_mean_exp",
-                      fused=fused)(*a)
-        sl = SoftmaxLoss(tau=self.TAU, fused=fused)(*b)
+        bsl = _bsl(fused, self.TAU, self.TAU, "log_mean_exp")(*a)
+        sl = _sl(fused, self.TAU)(*b)
         np.testing.assert_allclose(
             bsl.item(), self.TAU * (sl.item() - np.log(m)), rtol=1e-9)
         bsl.backward()
@@ -138,10 +150,8 @@ class TestBSLReducesToSL:
         """The reduction itself is path-independent."""
         p, n = single_row
         a, b = _pair(p, n), _pair(p, n)
-        fused_val = BSLLoss(tau1=self.TAU, tau2=self.TAU, pooling=pooling,
-                            fused=True)(*a).item()
-        oracle_val = BSLLoss(tau1=self.TAU, tau2=self.TAU, pooling=pooling,
-                             fused=False)(*b).item()
+        fused_val = _bsl(True, self.TAU, self.TAU, pooling)(*a).item()
+        oracle_val = _bsl(False, self.TAU, self.TAU, pooling)(*b).item()
         np.testing.assert_allclose(fused_val, oracle_val, rtol=1e-12)
 
 
@@ -154,9 +164,12 @@ class TestTrainingParityEndToEnd:
         from repro.models.registry import get_model
         from repro.train.trainer import train_model
 
+        production = get_loss(loss_name)
+        oracle = (_sl(False, production.tau) if loss_name == "sl"
+                  else _bsl(False, production.tau1, production.tau2,
+                            production.pooling))
         histories = {}
-        for fused in (True, False):
-            loss = get_loss(loss_name, fused=fused)
+        for fused, loss in ((True, production), (False, oracle)):
             model = get_model("mf", tiny_dataset, dim=8, rng=1)
             result = train_model(model, loss, tiny_dataset, epochs=3,
                                  batch_size=64, n_negatives=8,

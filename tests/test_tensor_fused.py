@@ -2,18 +2,19 @@
 
 Enforces the fused-kernel contract (see the :mod:`repro.tensor` module
 docstring): every fused primitive must agree with its compositional
-reference in value to numerical precision and in gradient to <= 1e-6
-against central finite differences, on random shapes including
-broadcast-adjacent and single-row edge cases.
+reference (``tests/oracles.py``) in value to numerical precision and in
+gradient to <= 1e-6 against central finite differences, on random shapes
+including broadcast-adjacent and single-row edge cases.
 """
 
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, ops
+from repro.tensor import Tensor
 from repro.tensor import functional as F
 
-from tests.helpers import numeric_gradient
+from tests import oracles
+from tests.helpers import check_gradient_against_control, numeric_gradient
 
 
 @pytest.fixture()
@@ -56,36 +57,6 @@ def _fdcheck(scalar_fused_fn, numpy_fn, arrays, atol=1e-6):
                                    err_msg=f"finite-diff mismatch on arg {i}")
 
 
-class TestFusedLogMeanExp:
-    @pytest.mark.parametrize("shape,axis", [
-        ((5, 7), 1), ((5, 7), 0), ((1, 9), 1), ((4,), 0), ((3, 1), 1),
-        ((2, 3, 4), 2), ((6, 6), None),
-    ])
-    def test_matches_oracle(self, rng, shape, axis):
-        x = rng.normal(size=shape)
-        _grad_pair(lambda t: F.fused_logmeanexp(t, axis=axis),
-                   lambda t: F.logmeanexp(t, axis=axis), [x])
-
-    @pytest.mark.parametrize("keepdims", [True, False])
-    def test_keepdims(self, rng, keepdims):
-        x = rng.normal(size=(4, 5))
-        _grad_pair(lambda t: F.fused_logmeanexp(t, axis=1, keepdims=keepdims),
-                   lambda t: F.logmeanexp(t, axis=1, keepdims=keepdims), [x])
-
-    def test_finite_difference(self, rng):
-        x = rng.normal(size=(3, 6))
-        _fdcheck(lambda t: F.fused_logmeanexp(t, axis=1).sum(),
-                 lambda a: (np.log(np.mean(np.exp(a), axis=1))).sum(), [x])
-
-    def test_large_logits_stable(self):
-        x = Tensor(np.array([[1000.0, 999.0], [-1000.0, -1001.0]]),
-                   requires_grad=True)
-        out = F.fused_logmeanexp(x, axis=1)
-        assert np.all(np.isfinite(out.data))
-        out.sum().backward()
-        assert np.all(np.isfinite(x.grad))
-
-
 class TestFusedSoftmaxLoss:
     @pytest.mark.parametrize("shape", [(8, 16), (1, 4), (5, 1), (64, 128)])
     @pytest.mark.parametrize("include_positive", [False, True])
@@ -95,10 +66,11 @@ class TestFusedSoftmaxLoss:
         p = rng.normal(size=shape[0]) * 0.5
         n = rng.normal(size=shape) * 0.5
         fused = SoftmaxLoss(tau=0.17, include_positive=include_positive,
-                            scale_by_temperature=scale, fused=True)
-        oracle = SoftmaxLoss(tau=0.17, include_positive=include_positive,
-                             scale_by_temperature=scale, fused=False)
-        _grad_pair(lambda a, b: fused(a, b), lambda a, b: oracle(a, b),
+                            scale_by_temperature=scale)
+        _grad_pair(lambda a, b: fused(a, b),
+                   lambda a, b: oracles.softmax_loss(
+                       a, b, 0.17, include_positive=include_positive,
+                       scale_by_temperature=scale),
                    [p, n])
 
     def test_finite_difference(self, rng):
@@ -119,10 +91,9 @@ class TestFusedSoftmaxLoss:
         from repro.losses import SoftmaxLoss
         p = rng.normal(size=1)
         n = rng.normal(size=(1, 1))
-        fused = SoftmaxLoss(tau=0.2, fused=True)
-        oracle = SoftmaxLoss(tau=0.2, fused=False)
-        _grad_pair(lambda a, b: fused(a, b), lambda a, b: oracle(a, b),
-                   [p, n])
+        fused = SoftmaxLoss(tau=0.2)
+        _grad_pair(lambda a, b: fused(a, b),
+                   lambda a, b: oracles.softmax_loss(a, b, 0.2), [p, n])
 
 
 class TestFusedBSLLoss:
@@ -132,9 +103,10 @@ class TestFusedBSLLoss:
         from repro.losses import BSLLoss
         p = rng.normal(size=shape[0]) * 0.5
         n = rng.normal(size=shape) * 0.5
-        fused = BSLLoss(tau1=0.3, tau2=0.2, pooling=pooling, fused=True)
-        oracle = BSLLoss(tau1=0.3, tau2=0.2, pooling=pooling, fused=False)
-        _grad_pair(lambda a, b: fused(a, b), lambda a, b: oracle(a, b),
+        fused = BSLLoss(tau1=0.3, tau2=0.2, pooling=pooling)
+        _grad_pair(lambda a, b: fused(a, b),
+                   lambda a, b: oracles.bsl_loss(a, b, 0.3, 0.2,
+                                                 pooling=pooling),
                    [p, n])
 
     @pytest.mark.parametrize("pooling", ["mean", "log_mean_exp"])
@@ -167,10 +139,9 @@ class TestFusedInfoNCE:
         from repro.losses import InfoNCELoss
         z1 = rng.normal(size=shape)
         z2 = rng.normal(size=shape)
-        fused = InfoNCELoss(tau=0.2, fused=True)
-        oracle = InfoNCELoss(tau=0.2, fused=False)
-        _grad_pair(lambda a, b: fused(a, b), lambda a, b: oracle(a, b),
-                   [z1, z2])
+        fused = InfoNCELoss(tau=0.2)
+        _grad_pair(lambda a, b: fused(a, b),
+                   lambda a, b: oracles.infonce_loss(a, b, 0.2), [z1, z2])
 
     def test_finite_difference(self, rng):
         z1 = rng.normal(size=(4, 3))
@@ -202,13 +173,13 @@ class TestFusedGraphShape:
         out = F.fused_bsl_loss(p, n, 0.2, 0.2)
         assert out._parents == (p, n)
 
-        from repro.losses import BSLLoss
-        comp = BSLLoss(fused=False)(
-            Tensor(p.data, requires_grad=True),
-            Tensor(n.data, requires_grad=True))
-        # The compositional path interposes intermediate nodes.
+        comp_p = Tensor(p.data, requires_grad=True)
+        comp_n = Tensor(n.data, requires_grad=True)
+        comp = oracles.bsl_loss(comp_p, comp_n, 0.2, 0.2)
+        # The compositional form interposes intermediate nodes.
         assert len(comp._parents) > 0
-        assert all(isinstance(par, Tensor) for par in comp._parents)
+        assert all(par is not comp_p and par is not comp_n
+                   for par in comp._parents)
 
     def test_no_graph_recorded_under_no_grad(self, rng):
         from repro.tensor import no_grad
@@ -217,3 +188,62 @@ class TestFusedGraphShape:
         with no_grad():
             out = F.fused_softmax_loss(p, n, 0.2)
         assert out._parents == ()
+
+
+class TestFloat32Inputs:
+    """The kernels keep the dtype of their inputs, forward and backward."""
+
+    @pytest.mark.parametrize("kernel", [
+        lambda p, n: F.fused_softmax_loss(p, n, 0.2),
+        lambda p, n: F.fused_softmax_loss(p, n, 0.2, include_positive=True,
+                                          scale_by_temperature=True),
+        lambda p, n: F.fused_bsl_loss(p, n, 0.3, 0.2),
+        lambda p, n: F.fused_bsl_loss(p, n, 0.3, 0.2, pooling="log_mean_exp"),
+    ], ids=["sl", "sl-with-positive", "bsl-mean", "bsl-log_mean_exp"])
+    def test_loss_and_gradients_stay_float32(self, rng, kernel):
+        p = Tensor(rng.normal(size=4).astype(np.float32), requires_grad=True)
+        n = Tensor(rng.normal(size=(4, 6)).astype(np.float32),
+                   requires_grad=True)
+        out = kernel(p, n)
+        out.backward()
+        assert (out.dtype, p.grad.dtype, n.grad.dtype) == (np.float32,) * 3
+
+
+def _sampled_scores(scoring):
+    u = np.array([0, 2, 5, 2])
+    p = np.array([1, 1, 8, 0])
+    n = np.array([[0, 3, 7], [4, 1, 1], [2, 2, 6], [5, 0, 3]])
+    w = np.random.default_rng(7).normal(size=(4, 4))
+
+    def fn(users, items):
+        return (F.fused_sampled_scores(users, items, u, p, n,
+                                       scoring=scoring) * w).sum()
+    return fn, [(6, 5), (9, 5)]
+
+
+_LOSS_SHAPES = [(5,), (5, 7)]
+
+_KERNELS = {
+    "sl": (lambda p, n: F.fused_softmax_loss(p, n, 0.3), _LOSS_SHAPES),
+    "bsl-mean": (lambda p, n: F.fused_bsl_loss(p, n, 0.25, 0.4),
+                 _LOSS_SHAPES),
+    "bsl-log_mean_exp": (
+        lambda p, n: F.fused_bsl_loss(p, n, 0.25, 0.4,
+                                      pooling="log_mean_exp"), _LOSS_SHAPES),
+    "infonce": (lambda a, b: F.fused_infonce_loss(a, b, 0.5),
+                [(4, 3), (4, 3)]),
+    "sampled-cosine": _sampled_scores("cosine"),
+    "sampled-inner": _sampled_scores("inner"),
+    "sampled-euclidean": _sampled_scores("euclidean"),
+}
+
+
+class TestGradientAgainstControl:
+    """Each kernel is the only definition of its objective, so its VJP is
+    trusted only where a doubled gradient demonstrably fails."""
+
+    @pytest.mark.parametrize("name", sorted(_KERNELS))
+    def test_true_gradient_beats_doubled_control(self, rng, name):
+        fn, shapes = _KERNELS[name]
+        arrays = [rng.normal(size=shape) * 0.5 for shape in shapes]
+        check_gradient_against_control(fn, arrays, rng)

@@ -127,7 +127,8 @@ class TestTakeRowsSparse:
 
 
 class TestFusedSampledScores:
-    """Fused-kernel contract: value + gradient parity with the oracle."""
+    """Kernel-level: finite-difference gradients and input validation
+    (value parity with the dense oracle is the model-level class below)."""
 
     @pytest.fixture()
     def tables(self):
@@ -147,8 +148,7 @@ class TestFusedSampledScores:
 
         def value(user_data, item_data):
             out = F.fused_sampled_scores(Tensor(user_data), Tensor(item_data),
-                                         u, p, n, scoring=scoring,
-                                         sparse_grad=False)
+                                         u, p, n, scoring=scoring)
             return float((out.data * w).sum())
 
         users.grad = items.grad = None
@@ -171,22 +171,6 @@ class TestFusedSampledScores:
                                       - value(users.data, minus)) / (2 * h)
             np.testing.assert_allclose(grad, numeric, atol=2e-6)
 
-    @pytest.mark.parametrize("scoring", ["cosine", "inner", "euclidean"])
-    def test_sparse_and_dense_grads_agree(self, tables, scoring):
-        users, items, u, p, n = tables
-        for sparse in (True, False):
-            users.grad = items.grad = None
-            scores = F.fused_sampled_scores(users, items, u, p, n,
-                                            scoring=scoring,
-                                            sparse_grad=sparse)
-            (scores * scores).sum().backward()
-            if sparse:
-                sparse_grads = (users.grad.densify(), items.grad.densify())
-            else:
-                dense_grads = (users.grad, items.grad)
-        np.testing.assert_allclose(sparse_grads[0], dense_grads[0], rtol=1e-12)
-        np.testing.assert_allclose(sparse_grads[1], dense_grads[1], rtol=1e-12)
-
     def test_rejects_bad_inputs(self, tables):
         users, items, u, p, n = tables
         with pytest.raises(ValueError):
@@ -196,7 +180,7 @@ class TestFusedSampledScores:
 
 
 class TestSampledBatchScoresParity:
-    """Model-level: sampled (fused + compositional) == dense batch_scores."""
+    """Model-level: sampled scoring == dense batch_scores."""
 
     @pytest.mark.parametrize("model_name", ["mf", "cml"])
     def test_scores_match_dense_path(self, tiny_dataset, model_name):
@@ -207,12 +191,11 @@ class TestSampledBatchScoresParity:
                                          batch_size=64, rng=0)
         batch = next(iter(sampler.epoch()))
         pos_ref, neg_ref = model.batch_scores(batch)
-        for fused in (True, False):
-            pos, neg = model.sampled_batch_scores(batch, fused=fused)
-            np.testing.assert_allclose(pos.data, pos_ref.data,
-                                       rtol=1e-10, atol=1e-12)
-            np.testing.assert_allclose(neg.data, neg_ref.data,
-                                       rtol=1e-10, atol=1e-12)
+        pos, neg = model.sampled_batch_scores(batch)
+        np.testing.assert_allclose(pos.data, pos_ref.data,
+                                   rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(neg.data, neg_ref.data,
+                                   rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("model_name", ["mf", "cml"])
     def test_gradients_match_dense_path(self, tiny_dataset, model_name):
@@ -222,13 +205,11 @@ class TestSampledBatchScoresParity:
                                          batch_size=64, rng=0)
         batch = next(iter(sampler.epoch()))
         grads = {}
-        for path in ("dense", "fused", "compositional"):
+        for path in ("dense", "sampled"):
             model = get_model(model_name, tiny_dataset, dim=8, rng=0)
-            if path == "dense":
-                pos, neg = model.batch_scores(batch)
-            else:
-                pos, neg = model.sampled_batch_scores(
-                    batch, fused=(path == "fused"))
+            score = (model.batch_scores if path == "dense"
+                     else model.sampled_batch_scores)
+            pos, neg = score(batch)
             (pos.sum() + (neg * 0.25).sum()).backward()
             grads[path] = {
                 name: (param.grad.densify()
@@ -236,10 +217,7 @@ class TestSampledBatchScoresParity:
                        else param.grad)
                 for name, param in model.named_parameters()}
         for name in grads["dense"]:
-            np.testing.assert_allclose(grads["fused"][name],
-                                       grads["dense"][name],
-                                       rtol=1e-9, atol=1e-12)
-            np.testing.assert_allclose(grads["compositional"][name],
+            np.testing.assert_allclose(grads["sampled"][name],
                                        grads["dense"][name],
                                        rtol=1e-9, atol=1e-12)
 
