@@ -71,6 +71,7 @@ from repro.eval.evaluator import Evaluator
 from repro.eval.metrics import overlap_at_k
 from repro.losses.registry import get_loss
 from repro.models.registry import get_model
+from repro.tensor.sparse import RowSparseGrad
 from repro.train.config import TrainConfig
 from repro.train.trainer import Trainer
 
@@ -213,7 +214,8 @@ def time_train_steps(model_name: str, loss_name: str, dataset,
 
     Returns one ``train_step`` result row.  ``grad_mode="sparse"`` times
     the row-sparse path (sampled scoring + ``SparseAdam``) instead of
-    the dense full-catalogue path.
+    the dense full-catalogue path; its row adds ``touched_rows`` (median
+    rows updated per step over all tables) and ``touched_frac``.
     """
     if steps <= 0:
         raise ValueError(f"steps must be positive, got {steps}")
@@ -226,6 +228,7 @@ def time_train_steps(model_name: str, loss_name: str, dataset,
                          seed=seed)
     trainer = Trainer(model, get_loss(loss_name), dataset, config,
                       evaluator=None)
+    touched: list[int] = []  # per step: rows with a row-sparse gradient
 
     def run_steps(n: int) -> None:
         done = 0
@@ -233,6 +236,8 @@ def time_train_steps(model_name: str, loss_name: str, dataset,
             model.on_epoch_start(trainer.epoch_rng)
             for batch in trainer.sampler.epoch():
                 trainer.train_step(batch)
+                touched.append(sum(p.grad.nnz for p in trainer.optimizer.params
+                                   if isinstance(p.grad, RowSparseGrad)))
                 done += 1
                 if done >= n:
                     return
@@ -241,7 +246,7 @@ def time_train_steps(model_name: str, loss_name: str, dataset,
     start = time.perf_counter()
     run_steps(steps)
     elapsed = clamp_elapsed(time.perf_counter() - start)
-    return {
+    row = {
         "kind": "train_step",
         "model": model_name,
         "loss": loss_name,
@@ -253,6 +258,12 @@ def time_train_steps(model_name: str, loss_name: str, dataset,
         "ms_per_step": 1e3 * elapsed / steps,
         "steps_per_s": steps / elapsed,
     }
+    tables = [p for p in trainer.optimizer.params  # grads outlive the step
+              if isinstance(p.grad, RowSparseGrad)]
+    if tables:
+        row["touched_rows"] = float(np.median(touched[warmup:]))
+        row["touched_frac"] = row["touched_rows"] / sum(map(len, tables))
+    return row
 
 
 def write_report(payload: dict, path) -> None:

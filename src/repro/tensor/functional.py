@@ -18,6 +18,9 @@ from repro.tensor import ops
 from repro.tensor.sparse import RowSparseGrad
 from repro.tensor.tensor import Tensor, as_tensor
 
+#: Bytes of one gather/scratch slice of :func:`fused_sampled_scores`.
+_CHUNK_BYTES = 256 * 1024
+
 __all__ = [
     "sigmoid", "softplus", "log_sigmoid", "relu", "leaky_relu",
     "logsumexp", "logmeanexp", "softmax", "l2_normalize", "variance",
@@ -300,8 +303,8 @@ def fused_sampled_scores(users_t, items_t, user_idx, pos_idx, neg_idx,
     ``m`` negative scores — computed from the **gathered rows only**
     (``O(B * m * dim)``), never against the full catalogue.  Oracle:
     the dense ``Recommender.batch_scores`` (normalise the tables, one
-    matmul against the catalogue, gather).  The forward materializes
-    the negative block once and the VJP is three closed-form products,
+    matmul against the catalogue, gather).  The forward gathers each
+    distinct item row once and the VJP is three closed-form products,
     which is what makes the sparse training step flat in the catalogue
     size.  Normalisation uses the :func:`l2_normalize` convention
     (``x / sqrt(sum(x^2) + eps)``), so sampled and dense scores agree
@@ -335,25 +338,28 @@ def fused_sampled_scores(users_t, items_t, user_idx, pos_idx, neg_idx,
     inverse = inverse.reshape(idx.shape)
     rows = items_t.data[uniq]                                 # (n_uniq, d)
     U = users_t.data[u_idx]                                   # (B, d)
-    block = items_t.data[idx]                                 # (B, 1+m, d)
-
+    if scoring != "inner":
+        row_sq = np.einsum("ij,ij->i", rows, rows)            # (n_uniq,)
     if scoring == "cosine":
         inv_u = 1.0 / np.sqrt((U * U).sum(axis=1) + eps)      # (B,)
-        inv_i = (1.0 / np.sqrt((rows * rows).sum(axis=1) + eps))[inverse]
+        inv_i = (1.0 / np.sqrt(row_sq + eps))[inverse]
         base_u = U * inv_u[:, None]                           # û
-        data = np.matmul(block, base_u[:, :, None])[:, :, 0] * inv_i
-    elif scoring == "inner":
-        inv_i = None
-        base_u = U
-        data = np.matmul(block, U[:, :, None])[:, :, 0]
-    else:  # euclidean: -||u - i||^2 = 2 u.i - ||u||^2 - ||i||^2
-        inv_i = None
-        base_u = U
-        i_sq = (rows * rows).sum(axis=1)[inverse]
-        u_sq = (U * U).sum(axis=1)
-        data = (2.0 * np.matmul(block, U[:, :, None])[:, :, 0]
-                - u_sq[:, None] - i_sq)
-    del block  # the backward never touches the (B, 1+m, d) gather
+    else:
+        inv_i, base_u = None, U
+    # Slot dot-products, a few batch rows at a time through ``inverse``:
+    # the (B, 1+m, d) block only ever exists one cache-sized slice deep.
+    data = np.empty(idx.shape, dtype=np.result_type(rows, base_u))
+    step = max(1, _CHUNK_BYTES // (rows[:1].nbytes * idx.shape[1] or 1))
+    block = np.empty((step,) + idx.shape[1:] + rows.shape[1:], rows.dtype)
+    for lo in range(0, batch, step):
+        at = slice(lo, lo + step)
+        np.matmul(np.take(rows, inverse[at], axis=0, mode="clip",
+                          out=block[:len(inverse[at])]),
+                  base_u[at, :, None], out=data[at, :, None])
+    if scoring == "cosine":
+        data *= inv_i
+    elif scoring == "euclidean":  # -||u - i||^2 = 2 u.i - ||u||^2 - ||i||^2
+        data = 2.0 * data - (U * U).sum(axis=1)[:, None] - row_sq[inverse]
 
     def backward(g):
         # Per-slot item gradient rows have the closed form
@@ -367,18 +373,19 @@ def fused_sampled_scores(users_t, items_t, user_idx, pos_idx, neg_idx,
         elif scoring == "inner":
             a, b = g, None
         else:
-            a = 2.0 * g
-            b = 2.0 * g
-        slot_user = np.broadcast_to(np.arange(batch)[:, None], idx.shape)
+            a = b = 2.0 * g
+        # Every batch row holds exactly 1+m slots, in order: already CSR.
         coeff = sp.csr_matrix(
-            (a.reshape(-1), (slot_user.reshape(-1), inverse.reshape(-1))),
-            shape=(batch, len(uniq)))
+            (a.reshape(-1), inverse.reshape(-1),
+             np.arange(batch + 1) * idx.shape[1]), shape=(batch, len(uniq)))
         # dL/d(item rows), already coalesced over unique ids.
         vals = coeff.T @ base_u                               # (n_uniq, d)
         if b is not None:
             s = np.bincount(inverse.reshape(-1), weights=b.reshape(-1),
                             minlength=len(uniq))
-            vals = vals - s[:, None] * rows
+            step = max(1, _CHUNK_BYTES // (rows[:1].nbytes or 1))
+            for lo in range(0, len(uniq), step):  # in place, chunk-sized temp
+                vals[lo:lo + step] -= s[lo:lo + step, None] * rows[lo:lo + step]
         # dL/dU through the shared ``h = sum_c a[b, c] * item_row`` form.
         h = coeff @ rows                                      # (B, d)
         if scoring == "cosine":

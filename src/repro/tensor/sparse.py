@@ -40,9 +40,9 @@ class RowSparseGrad:
     Parameters
     ----------
     indices, values:
-        Unique ascending row ids and their gradient rows.  Use
-        :meth:`from_rows` to build from a raw (possibly duplicated,
-        unsorted) gather pattern.
+        Unique ascending in-range row ids (else ``ValueError``) and their
+        gradient rows.  Use :meth:`from_rows` to build from a raw
+        (possibly duplicated, unsorted) gather pattern.
     shape:
         Shape of the dense gradient this object represents (the
         parameter's shape).
@@ -66,6 +66,11 @@ class RowSparseGrad:
         if self.values.shape[1:] != self.shape[1:]:
             raise ValueError(f"value rows {self.values.shape[1:]} do not match "
                              f"table trailing shape {self.shape[1:]}")
+        idx = self.indices
+        if len(idx) and (idx[0] < 0 or idx[-1] >= self.shape[0]
+                         or not (idx[1:] > idx[:-1]).all()):
+            raise ValueError(f"indices must be strictly ascending row ids in "
+                             f"[0, {self.shape[0]}); see from_rows")
 
     # ------------------------------------------------------------------
     # Construction

@@ -6,6 +6,9 @@ live here, written only from public :mod:`repro.tensor` /
 :mod:`repro.eval.metrics` functions, and the parity tests compare the
 production path against them.  (The oracle of ``fused_sampled_scores``
 is the dense ``Recommender.batch_scores``; it needs no entry here.)
+``adam_rows`` / ``sgd_rows`` are the row-sparse optimizers' update
+arithmetic in plain fancy indexing and temporaries; the chunked
+in-place kernels of :mod:`repro.nn.optim` must reproduce their bits.
 """
 
 from __future__ import annotations
@@ -85,3 +88,30 @@ def evaluate_per_user(model, dataset, ks=(20,),
     return EvalResult({key: float(vals.mean())
                        for key, vals in per_user.items()},
                       per_user=per_user, evaluated_users=users)
+
+
+def adam_rows(p, m, v, rows, g, step_nums, *, lr, betas=(0.9, 0.999),
+              eps=1e-8, weight_decay=0.0):
+    """One Adam update of ``rows`` (ids or ``slice(None)``) of arrays
+    ``p``/``m``/``v`` in place, at a scalar or per-row step number."""
+    b1, b2 = betas
+    if weight_decay:
+        g = g + weight_decay * p[rows]
+    m[rows] = b1 * m[rows] + (1.0 - b1) * g
+    v[rows] = b2 * v[rows] + (1.0 - b2) * g * g
+    steps = np.asarray(step_nums, dtype=np.float64)
+    if steps.ndim:
+        steps = steps.reshape((-1,) + (1,) * (p.ndim - 1))
+    m_hat = m[rows] / (1.0 - b1 ** steps)
+    v_hat = v[rows] / (1.0 - b2 ** steps)
+    p[rows] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def sgd_rows(p, vel, rows, g, *, lr, momentum=0.0, weight_decay=0.0):
+    """One SGD update of ``rows`` of ``p`` (and velocity ``vel``) in place."""
+    if weight_decay:
+        g = g + weight_decay * p[rows]
+    if momentum:
+        vel[rows] = momentum * vel[rows] + g
+        g = vel[rows]
+    p[rows] -= lr * g

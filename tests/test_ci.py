@@ -399,3 +399,13 @@ class TestRepoBenchmarkWiring:
     def test_ci_slow_runs_the_tiny_suite(self):
         commands = _run_commands(_load("ci-slow.yml"))
         assert any("bench/run.py --all --tiny" in c for c in commands)
+
+    def test_ci_slow_runs_sparse_training_at_full_shape(self):
+        """``--tiny`` shrinks the tables to 2000 rows; the falling-loss end
+        check must also run once on the 100k shape the benchmark gates."""
+        commands = [c for c in _run_commands(_load("ci-slow.yml"))
+                    if "bench/run.py --workload train-sparse-100k" in c]
+        assert commands and all("--tiny" not in c for c in commands)
+        names = {w["name"] for w in json.loads(
+            (REPO_ROOT / "BENCHMARK.json").read_text())["workloads"]}
+        assert "train-sparse-100k" in names

@@ -7,12 +7,16 @@ steps of realistic sparse gradient streams drawn from the tiny
 dataset's sampler.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from repro.data.sampling import UniformNegativeSampler
-from repro.nn import Adam, Parameter, SGD, SparseAdam, SparseSGD
+from repro.nn import Adam, Parameter, SGD, SparseAdam, SparseSGD, optim
 from repro.tensor import RowSparseGrad
+from repro.tensor.tensor import data_version
+from tests.oracles import adam_rows, sgd_rows
 
 
 def _tiny_gradient_stream(tiny_dataset, steps, dim, seed=0):
@@ -145,6 +149,101 @@ class TestExactParity:
         np.testing.assert_allclose(p_sparse.data, p_dense.data, atol=1e-12)
 
 
+class OracleAdam(SparseAdam):
+    """``SparseAdam`` with its row kernel swapped for ``oracles.adam_rows``."""
+
+    def _apply(self, i, rows, g, step_nums):
+        p = self.params[i].data
+        g = g if isinstance(g, np.ndarray) else np.zeros_like(p[rows])
+        adam_rows(p, self._m[i], self._v[i], rows, g, step_nums, lr=self.lr,
+                  betas=(self.beta1, self.beta2), eps=self.eps,
+                  weight_decay=self.weight_decay)
+
+
+class OracleSGD(SparseSGD):
+    """``SparseSGD`` with its row kernel swapped for ``oracles.sgd_rows``."""
+
+    def _apply(self, i, rows, g, step_nums):
+        p = self.params[i].data
+        g = g if isinstance(g, np.ndarray) else np.zeros_like(p[rows])
+        sgd_rows(p, self._velocity[i], rows, g, lr=self.lr,
+                 momentum=self.momentum, weight_decay=self.weight_decay)
+
+
+DIM = 8
+CHUNK = optim._CHUNK_BYTES // (8 * DIM)   # rows per kernel chunk at DIM
+
+
+def _run_stream(make, nnz, steps):
+    """Feed one seeded stream to ``make(params)``; return params + state.
+
+    The table gets ``nnz`` fresh random rows per step (so exact mode
+    replays gaps at per-row step numbers), the small parameter a dense
+    gradient on most steps, and a mid-stream ``flush()`` catches up rows
+    last touched at different steps.
+    """
+    rng = np.random.default_rng(3)
+    table = Parameter(rng.normal(size=(3 * CHUNK + 40, DIM)))
+    small = Parameter(rng.normal(size=(5, 3)))
+    opt = make([table, small])
+    for t in range(steps):
+        rows = np.sort(rng.choice(len(table.data), size=nnz, replace=False))
+        table.grad = RowSparseGrad(rows, rng.normal(size=(nnz, DIM)),
+                                   table.shape)
+        small.grad = rng.normal(size=small.shape) if t % 3 else None
+        opt.step()
+        if t == steps // 2:
+            opt.flush()
+    opt.flush()
+    state = [table.data, small.data]
+    for name in ("_m", "_v", "_velocity"):
+        state += getattr(opt, name, [])
+    return state
+
+
+class TestKernelsMatchOracleBits:
+    """The chunked in-place kernels reproduce the plain arithmetic's bits."""
+
+    @pytest.mark.parametrize("nnz", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1,
+                                     3 * CHUNK + 7])
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-6])
+    @pytest.mark.parametrize("mode", ["lazy", "exact"])
+    def test_sparse_adam(self, mode, weight_decay, nnz):
+        kw = dict(lr=0.05, weight_decay=weight_decay, mode=mode)
+        got = _run_stream(lambda p: SparseAdam(p, **kw), nnz, steps=12)
+        want = _run_stream(lambda p: OracleAdam(p, **kw), nnz, steps=12)
+        assert len(got) == len(want) == 6       # p, m, v of both parameters
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("mode", ["lazy", "exact"])
+    def test_sparse_sgd(self, mode, momentum, weight_decay):
+        kw = dict(lr=0.05, momentum=momentum, weight_decay=weight_decay,
+                  mode=mode)
+        got = _run_stream(lambda p: SparseSGD(p, **kw), CHUNK + 3, steps=20)
+        want = _run_stream(lambda p: OracleSGD(p, **kw), CHUNK + 3, steps=20)
+        assert len(got) == len(want) == 4
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
+
+    def test_step_workspace_is_chunk_sized_not_nnz_sized(self):
+        """Peak traced allocation of a step must not follow nnz."""
+        def step_peak(nnz):
+            p = Parameter(np.ones((nnz, 64)))
+            opt = SparseAdam([p], lr=0.01, weight_decay=1e-6)
+            p.grad = RowSparseGrad(np.arange(nnz), np.ones((nnz, 64)),
+                                   p.shape)
+            opt.step()
+            tracemalloc.start()
+            opt.step()
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            return peak
+        assert step_peak(20_000) <= 2 * step_peak(2_000)
+
+
 class TestLazySemantics:
     def test_untouched_rows_frozen(self):
         p = Parameter(np.arange(20.0).reshape(10, 2))
@@ -226,6 +325,18 @@ class TestEdgeCases:
         opt = SparseAdam([p], lr=0.1, mode="exact")
         opt.step()
         opt.flush()
+        np.testing.assert_array_equal(p.data, np.ones((3, 2)))
+
+    @pytest.mark.parametrize("mode", ["lazy", "exact"])
+    def test_empty_sparse_grad_is_not_a_change(self, mode):
+        """nnz 0 touches nothing: the data version must not move."""
+        p = Parameter(np.ones((3, 2)))
+        opt = SparseAdam([p], lr=0.1, mode=mode)
+        p.grad = RowSparseGrad(np.array([], dtype=np.int64),
+                               np.zeros((0, 2)), p.shape)
+        before = data_version()
+        opt.step()
+        assert data_version() == before
         np.testing.assert_array_equal(p.data, np.ones((3, 2)))
 
     def test_mixed_sparse_and_dense_params_in_one_optimizer(self):

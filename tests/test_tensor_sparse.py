@@ -52,6 +52,22 @@ class TestRowSparseGrad:
         with pytest.raises(ValueError):
             a + b
 
+    @pytest.mark.parametrize("indices", [
+        [1, 1],      # duplicate: densify would drop one row
+        [2, 1],      # descending
+        [-1, 2],     # negative: would wrap to the last row
+        [0, 4],      # past the table
+    ], ids=["duplicate", "descending", "negative", "too-large"])
+    def test_constructor_rejects_non_canonical_indices(self, indices):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            RowSparseGrad(np.array(indices), np.ones((2, 3)), (4, 3))
+
+    def test_from_rows_coalesces_duplicates_but_not_out_of_range_ids(self):
+        g = RowSparseGrad.from_rows(np.array([1, 1]), np.ones((2, 3)), (4, 3))
+        np.testing.assert_array_equal(g.densify()[1], [2.0, 2.0, 2.0])
+        with pytest.raises(ValueError, match="strictly ascending"):
+            RowSparseGrad.from_rows(np.array([-1, 7]), np.ones((2, 3)), (4, 3))
+
     def test_1d_table_supported(self):
         g = RowSparseGrad.from_rows(np.array([2, 2]), np.array([1.0, 3.0]),
                                     shape=(4,))
@@ -170,6 +186,25 @@ class TestFusedSampledScores:
                     numeric[index] = (value(users.data, plus)
                                       - value(users.data, minus)) / (2 * h)
             np.testing.assert_allclose(grad, numeric, atol=2e-6)
+
+    @pytest.mark.parametrize("scoring", ["cosine", "inner", "euclidean"])
+    def test_chunk_size_does_not_change_a_bit(self, tables, scoring,
+                                              monkeypatch):
+        """The kernel walks batch rows and item rows in byte-sized
+        chunks; one chunk or many must give the same scores and grads."""
+        users, items, u, p, n = tables
+
+        def run():
+            users.grad = items.grad = None
+            scores = F.fused_sampled_scores(users, items, u, p, n,
+                                            scoring=scoring)
+            (scores * scores).sum().backward()
+            return scores.data, users.grad.densify(), items.grad.densify()
+
+        whole = run()
+        monkeypatch.setattr(F, "_CHUNK_BYTES", 100)  # 1 batch row, 2 items
+        for a, b in zip(whole, run()):
+            np.testing.assert_array_equal(a, b)
 
     def test_rejects_bad_inputs(self, tables):
         users, items, u, p, n = tables

@@ -12,7 +12,10 @@ cannot be committed silently:
   dense path's growth (the sparse cost saturates at the batch's touched
   rows; the dense cost is linear in the catalogue);
 * the lazy fast path must not trade accuracy: converged NDCG@20 within
-  1% of dense.
+  1% of dense;
+* every sparse row says how many table rows a step rewrote
+  (``touched_rows`` / ``touched_frac``), so "sparse" is never quoted
+  without its touched fraction.
 
 The suite itself (fast config) is exercised on tiny.
 """
@@ -38,6 +41,19 @@ def committed():
 
 def _throughput_rows(payload):
     return [r for r in payload["results"] if r["kind"] == "train_throughput"]
+
+
+def _assert_touched_columns(rows):
+    """Sparse rows carry the touched-row columns; dense rows do not."""
+    for row in rows:
+        if row["grad_mode"] == "dense":
+            assert "touched_rows" not in row and "touched_frac" not in row
+            continue
+        tables = row["num_users"] + row["num_items"]       # mf: two tables
+        assert 0 < row["touched_rows"] <= min(
+            tables, row["batch_size"] * (2 + row["n_negatives"]))
+        assert row["touched_frac"] == pytest.approx(
+            row["touched_rows"] / tables)
 
 
 class TestCommittedFrontier:
@@ -92,6 +108,9 @@ class TestCommittedFrontier:
                 f"{loss}: sparse growth {sparse_growth:.1f}x is not an " \
                 f"order of magnitude below dense growth {dense_growth:.1f}x"
 
+    def test_sparse_rows_report_touched_fraction(self, committed):
+        _assert_touched_columns(_throughput_rows(committed))
+
     def test_lazy_quality_within_1pct_of_dense(self, committed):
         quality = {r["grad_mode"]: r for r in committed["results"]
                    if r["kind"] == "train_quality"}
@@ -145,6 +164,7 @@ class TestSuiteRuns:
         for row in rows:
             assert row["ms_per_step"] > 0
             assert row["num_items"] == row["catalogue_scale"] * 80
+        _assert_touched_columns(rows)
 
     def test_quality_rows_present(self, payload):
         quality = [r for r in payload["results"]
