@@ -13,10 +13,11 @@ scores it returns are directly comparable to
 
 * :mod:`repro.ann.ivf` — coarse quantizer + inverted lists +
   ``nprobe``-controlled search (:class:`IVFIndexData`,
-  :class:`IVFFlatIndex`).  Probed lists are grouped by *probe
-  signature* so users with the same candidate set share one scoring
-  GEMM, and the ``nprobe == nlist`` configuration degenerates to the
-  exact index's computation (bit-identical items and scores).
+  :class:`IVFFlatIndex`).  Search runs list-major — one scoring GEMM
+  per probed list over the chunk users probing it, then a per-user
+  merge of the partial top-k lists — and the ``nprobe == nlist``
+  configuration degenerates to the exact index's computation
+  (bit-identical items and scores).
 * :mod:`repro.ann.pq` — product-quantized residual codes and
   asymmetric-distance (ADC) tables for the IVF-PQ variant
   (:class:`IVFPQIndex`): ADC picks a shortlist, the shortlist is still

@@ -13,28 +13,21 @@ Three properties make this a drop-in backend for the serving stack:
   the same canonical ranking (:func:`repro.eval.metrics.rank_items`)
   as :class:`~repro.serve.index.ExactTopKIndex` — the approximation is
   only in *which* items get scored, never in the returned scores.
-  With ``nprobe == nlist`` every item is a candidate, the assembled
-  score block *is* the exact index's score block, and items and scores
-  come out bit-identical.
+  With ``nprobe == nlist`` every item is a candidate, every list's GEMM
+  has the exact index's row count, and items and scores come out
+  bit-identical.
 * **Over-fetch.**  When ``filter_seen`` is on, each user's probe count
   is expanded past ``nprobe`` until the probed lists hold at least
   ``k + |seen(u)|`` postings, so masking the user's training items can
   never starve the top-``k``.
-* **Signature grouping.**  Users in a request chunk whose probe sets
-  coincide (a *probe signature*) are scored together against one
-  cached, ascending-id, zero-padded panel block — assembling candidate
-  rows with row-wise copies instead of per-element gathers.  Because a
-  signature's candidate ids are sorted ascending, :func:`rank_items`'
-  tie order coincides with the global canonical ``(score desc, id
-  asc)`` order by construction.
-
-For serving a fixed user population the per-user probe selection is
-itself static, so :class:`IVFFlatIndex` memoizes a **routing table**
-per ``(k, nprobe, filter_seen)`` — each user's signature and the
-positions of their seen items inside the signature's candidate array —
-the offline-refreshed candidate routing of industrial two-stage
-recommenders.  The routed and dynamically-planned paths return
-identical results (pinned by ``tests/test_ann.py``).
+* **List-major execution.**  A request chunk is scored one inverted
+  list at a time: the chunk rows probing list ``c`` go through one GEMM
+  against that list's zero-padded panel block (built on the list's
+  first probe, kept for the index's lifetime), are masked and ranked
+  down to a partial top-``k``, and each user's at most ``pmax``
+  partials are merged at the end.  Lists and the merged candidates are
+  ascending in global item id, so :func:`rank_items`' tie order is the
+  global canonical ``(score desc, id asc)`` order at both levels.
 """
 
 from __future__ import annotations
@@ -50,10 +43,10 @@ from repro.obs.trace import get_tracer
 from repro.serve.index import (TopKResult, build_panels, panel_scores,
                                prepare_request, scoring_ready_items,
                                scoring_ready_users)
-from repro.serve.snapshot import EmbeddingSnapshot
+from repro.serve.snapshot import EmbeddingSnapshot, _csr_rows
 
 __all__ = ["ANN_PANEL_WIDTH", "train_coarse_quantizer", "assign_lists",
-           "IVFIndexData", "ProbePlan", "IVFFlatIndex"]
+           "IVFIndexData", "IVFFlatIndex"]
 
 #: Default item-panel width of the candidate re-scoring GEMMs.  Narrower
 #: than :data:`repro.serve.index.PANEL_WIDTH` because candidate sets are
@@ -98,8 +91,8 @@ def assign_lists(items_ready: np.ndarray, centroids: np.ndarray,
     ``spill == 1`` is plain IVF; larger values store each item
     redundantly in several lists (ScaNN-style spilling), trading index
     size for recall at small ``nprobe``.  Every returned list is sorted
-    ascending in global item id — the property that keeps signature
-    candidate arrays globally canonical.
+    ascending in global item id — the property that makes a list's
+    column order the canonical id order.
     """
     nlist = len(centroids)
     if not 1 <= spill <= nlist:
@@ -172,13 +165,8 @@ class IVFIndexData:
         #: spilled item once per list) still bound unique candidates
         self.max_spill = int(np.bincount(
             list_items, minlength=num_items).max()) if len(list_items) else 1
-        #: probe signature -> (candidate ids asc, posting rows into
-        #: ``list_items`` aligned with the ids)
-        self._signatures: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-        #: (items token, signature, panel width) -> panel block
-        self._panels: dict[tuple, np.ndarray] = {}
-        #: token of the snapshot generation the cached panels belong to
-        self._panels_token: str | None = None
+        #: item -> postings CSR, built on first use
+        self._item_csr: tuple | None = None
 
     @property
     def nlist(self) -> int:
@@ -200,58 +188,23 @@ class IVFIndexData:
         """Global item ids of inverted list ``c`` (ascending)."""
         return self.list_items[self.list_indptr[c]:self.list_indptr[c + 1]]
 
-    # ------------------------------------------------------------------
-    def signature(self, clusters: tuple[int, ...]
-                  ) -> tuple[np.ndarray, np.ndarray]:
-        """Candidate ids (ascending, deduplicated) of a probe set.
+    def _item_postings(self) -> tuple[np.ndarray, np.ndarray]:
+        """Where every item sits: item → postings, ``(indptr, postings)``.
 
-        Returns ``(ids, posting_rows)`` where ``posting_rows[j]`` is the
-        flat index into ``list_items`` that contributed ``ids[j]`` (the
-        first occurrence when spilling stores an item in several probed
-        lists) — the alignment the PQ codes need.  Memoized: request
-        streams revisit a handful of signatures.
+        Item ``i`` is stored at rows
+        ``postings[indptr[i]:indptr[i + 1]]`` of ``list_items``
+        (ascending, so by ascending list) — several under ``spill > 1``.
+        One stable argsort, built lazily: only seen-item masking needs
+        it, and a racing second build writes the same arrays.
         """
-        key = np.asarray(clusters, dtype=np.int64).tobytes()
-        hit = self._signatures.get(key)
-        if hit is None:
-            rows = np.concatenate(
-                [np.arange(self.list_indptr[c], self.list_indptr[c + 1])
-                 for c in clusters]) if clusters else np.empty(0, np.int64)
-            ids, first = np.unique(self.list_items[rows],
-                                   return_index=True)
-            hit = (ids, rows[first])
-            self._signatures[key] = hit
-        return hit
-
-    def panels_for(self, clusters: tuple[int, ...], items_ready: np.ndarray,
-                   width: int, token: str | None = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
-        """Candidate ids plus their fixed-width scoring panels.
-
-        The panel block packs the signature's item rows (ascending
-        global id) into zero-padded ``width``-row panels via the shared
-        :func:`~repro.serve.index.build_panels`, so every re-scoring
-        GEMM has the same shape — the partition-invariance property the
-        bit-parity contract rides on.
-
-        ``token`` must identify the *content* of ``items_ready``
-        (serving indexes pass their ``snapshot.version``): panels bake
-        item rows in, so an index data object shared across snapshot
-        generations — exactly what a live refresh produces — must never
-        serve a panel built from the previous generation's rows.
-        """
-        ids, _ = self.signature(clusters)
-        if token != self._panels_token:
-            # a new generation took over: its predecessor's panels can
-            # never be served again, so reclaim their memory eagerly
-            self._panels.clear()
-            self._panels_token = token
-        key = (token, np.asarray(clusters, dtype=np.int64).tobytes(), width)
-        panels = self._panels.get(key)
-        if panels is None:
-            panels = build_panels(items_ready[ids], width)
-            self._panels[key] = panels
-        return ids, panels
+        if self._item_csr is None:
+            indptr = np.concatenate([
+                np.zeros(1, np.int64),
+                np.cumsum(np.bincount(self.list_items,
+                                      minlength=self.num_items))])
+            self._item_csr = (indptr,
+                              np.argsort(self.list_items, kind="stable"))
+        return self._item_csr
 
     # ------------------------------------------------------------------
     # Incremental maintenance (live-index refresh)
@@ -408,7 +361,7 @@ class IVFIndexData:
     # ------------------------------------------------------------------
     def plan(self, vectors: np.ndarray, seen_counts: np.ndarray, k: int,
              nprobe: int | None = None, filter_seen: bool = True,
-             scoring: str = "inner") -> "ProbePlan":
+             scoring: str = "inner") -> np.ndarray:
         """Select probed lists for a block of prepared user vectors.
 
         Lists are ranked per user by centroid score under the
@@ -418,6 +371,9 @@ class IVFIndexData:
         The probe count starts at ``nprobe`` and expands per user until
         the probed lists hold at least ``k + seen_counts[u]`` postings
         (``k`` when ``filter_seen`` is off) — the over-fetch guarantee.
+
+        Returns the ``(len(vectors), pmax)`` array of probed list
+        indices, ascending per row and padded with ``nlist``.
         """
         nprobe = self.default_nprobe if nprobe is None else nprobe
         if not 1 <= nprobe <= self.nlist:
@@ -440,15 +396,7 @@ class IVFIndexData:
         probes = np.where(np.arange(pmax)[None, :] < p[:, None],
                           order[:, :pmax], self.nlist)
         probes.sort(axis=1)
-        uniq, first, inverse = np.unique(probes, axis=0, return_index=True,
-                                         return_inverse=True)
-        signatures = []
-        for g in range(len(uniq)):
-            clusters = uniq[g]
-            signatures.append(tuple(int(c) for c in clusters[
-                clusters < self.nlist]))
-        return ProbePlan(signatures=signatures,
-                         group_of_row=inverse.ravel().astype(np.int64))
+        return probes
 
     def candidates_csr(self, vectors: np.ndarray, seen_counts: np.ndarray,
                        k: int, nprobe: int | None = None,
@@ -458,41 +406,33 @@ class IVFIndexData:
 
         The candidate-generator API the sharded router consumes: row
         ``r`` of the request block may only be served items in
-        ``ids[indptr[r]:indptr[r + 1]]``.
+        ``ids[indptr[r]:indptr[r + 1]]`` (de-duplicated: a spilled item
+        probed through two lists appears once).
         """
-        plan = self.plan(vectors, seen_counts, k, nprobe, filter_seen,
-                         scoring)
-        group_ids = [self.signature(sig)[0] for sig in plan.signatures]
-        lengths = np.array([len(group_ids[g]) for g in plan.group_of_row],
-                           dtype=np.int64)
-        indptr = np.concatenate([np.zeros(1, np.int64), np.cumsum(lengths)])
-        ids = (np.concatenate([group_ids[g] for g in plan.group_of_row])
-               if len(lengths) else np.empty(0, np.int64))
-        return indptr, ids
+        probes = self.plan(vectors, seen_counts, k, nprobe, filter_seen,
+                           scoring)
+        member = np.zeros((len(vectors), self.num_items), dtype=bool)
+        for c, rows, _ in _rows_by_list(probes, self.nlist):
+            member[rows[:, None], self.list_ids(c)] = True
+        indptr = np.concatenate([np.zeros(1, np.int64),
+                                 np.cumsum(member.sum(axis=1))])
+        return indptr, np.nonzero(member)[1]
 
 
-class ProbePlan:
-    """Probe signatures chosen for one request block.
+def _rows_by_list(probes: np.ndarray, nlist: int):
+    """Yield ``(c, rows, slots)`` for every list a probe block touches.
 
-    ``signatures[group_of_row[r]]`` is the tuple of probed list indices
-    of request row ``r``; rows sharing a signature share one candidate
-    set and one scoring GEMM.
+    ``rows`` are the block rows probing list ``c`` (ascending) and
+    ``slots`` the column of ``probes`` each holds it in: one stable
+    argsort of the flattened block, the ``nlist`` padding dropped.
     """
-
-    __slots__ = ("signatures", "group_of_row")
-
-    def __init__(self, signatures: list[tuple[int, ...]],
-                 group_of_row: np.ndarray):
-        self.signatures = signatures
-        self.group_of_row = group_of_row
-
-    def rows_by_group(self) -> list[np.ndarray]:
-        """Request rows of each signature group, ascending."""
-        order = np.argsort(self.group_of_row, kind="stable")
-        bounds = np.searchsorted(self.group_of_row[order],
-                                 np.arange(len(self.signatures) + 1))
-        return [order[bounds[g]:bounds[g + 1]]
-                for g in range(len(self.signatures))]
+    pmax = probes.shape[1]
+    flat = probes.ravel()
+    order = np.argsort(flat, kind="stable")
+    bounds = np.searchsorted(flat[order], np.arange(nlist + 1))
+    for c in np.flatnonzero(np.diff(bounds)):
+        hit = order[bounds[c]:bounds[c + 1]]
+        yield int(c), hit // pmax, hit % pmax
 
 
 # ----------------------------------------------------------------------
@@ -524,17 +464,13 @@ class IVFFlatIndex:
         Width of the candidate re-scoring panels.  Bit-parity
         comparisons must pin the same width on the exact side
         (``ExactTopKIndex(panel_width=...)``).
-    routed:
-        Memoize per-user routing tables (signature + localized seen
-        positions) per ``(k, nprobe, filter_seen)``.  Identical results
-        to dynamic planning; disable to force the dynamic path.
     """
 
     kind = "ivf"
 
     def __init__(self, snapshot: EmbeddingSnapshot, data: IVFIndexData,
                  nprobe: int | None = None, chunk_users: int = 1024,
-                 panel_width: int = ANN_PANEL_WIDTH, routed: bool = True):
+                 panel_width: int = ANN_PANEL_WIDTH):
         if chunk_users <= 0:
             raise ValueError(f"chunk_users must be positive, got {chunk_users}")
         if panel_width <= 0:
@@ -551,16 +487,10 @@ class IVFFlatIndex:
                              f"got {self.nprobe}")
         self.chunk_users = chunk_users
         self.panel_width = panel_width
-        self.routed = routed
-        self._items_ready = scoring_ready_items(snapshot.items,
-                                                snapshot.scoring)
-        self._item_sq = ((self._items_ready ** 2).sum(axis=1)
-                         if snapshot.scoring == "euclidean" else None)
         self._seen_counts = np.diff(snapshot.seen_indptr).astype(np.int64)
-        #: (k, nprobe, filter_seen) -> routing table over all users;
-        #: bounded (insertion-order eviction) because ``k`` is
-        #: caller-controlled and each table spans the population
-        self._routing: dict[tuple, "_RoutingTable"] = {}
+        #: per list: (panel block, euclidean ``‖i‖²`` or None), built on
+        #: the list's first probe — never shared, so never stale
+        self._panels: list[tuple | None] = [None] * data.nlist
         registry = get_registry()
         # Process-wide aggregates (no per-index labels): every IVF
         # instance feeds the same probe/candidate counters.
@@ -568,17 +498,20 @@ class IVFFlatIndex:
             "ann.ivf.queries", "users answered through IVF retrieval")
         self._ctr_candidates = registry.counter(
             "ann.ivf.candidates",
-            "candidate score slots assembled (sum of per-user "
-            "candidate-set widths)")
-
-    #: distinct (k, nprobe, filter_seen) routing tables kept per index
-    MAX_ROUTING_TABLES = 8
+            "candidate score slots assembled (sum of per-user probed-list "
+            "sizes: postings, so a spilled item probed twice counts twice)")
 
     @property
     def table_bytes(self) -> int:
-        """Bytes held by quantizer, lists and cached signature panels."""
+        """Bytes held by quantizer, lists and all ``nlist`` list panels.
+
+        A function of the index alone: panels not built yet are counted
+        at the size they will have, so serving never moves it.
+        """
+        width = self.panel_width
+        panel_rows = int((-(-self.data.sizes // width) * width).sum())
         return (self.data.table_bytes
-                + sum(p.nbytes for p in self.data._panels.values()))
+                + panel_rows * self.data.centroids.shape[1] * 8)
 
     # ------------------------------------------------------------------
     def topk(self, user_ids, k: int = 10,
@@ -645,144 +578,143 @@ class IVFFlatIndex:
         return type(self)(snapshot, data,
                           nprobe=min(self.nprobe, data.nlist),
                           chunk_users=self.chunk_users,
-                          panel_width=self.panel_width, routed=self.routed)
+                          panel_width=self.panel_width)
 
-    def _routing_for(self, k: int, filter_seen: bool) -> "_RoutingTable":
-        # the snapshot version is part of the key so a refresh (which
-        # swaps the snapshot a service points at) can never resolve a
-        # user through the previous generation's probe routing
-        key = (self.snapshot.version, k, self.nprobe, filter_seen)
-        table = self._routing.get(key)
-        if table is None:
-            table = _RoutingTable.build(self, k, filter_seen)
-            while len(self._routing) >= self.MAX_ROUTING_TABLES:
-                self._routing.pop(next(iter(self._routing)))
-            self._routing[key] = table
-        return table
+    def _list_panels(self, c: int) -> tuple:
+        """List ``c``'s scoring-ready rows as fixed-width panels.
+
+        Packed through the shared
+        :func:`~repro.serve.index.build_panels`, so every re-scoring
+        GEMM has the same column count — the partition-invariance
+        property the bit-parity contract rides on.  The scoring
+        transform is row-local, so transforming the list's rows alone
+        gives the bits of transforming the catalogue.
+        """
+        built = self._panels[c]
+        if built is None:
+            rows = scoring_ready_items(
+                self.snapshot.items[self.data.list_ids(c)],
+                self.snapshot.scoring)
+            built = (build_panels(rows, self.panel_width),
+                     (rows ** 2).sum(axis=1)
+                     if self.snapshot.scoring == "euclidean" else None)
+            self._panels[c] = built
+        return built
 
     def _chunk_topk(self, users: np.ndarray, k: int, filter_seen: bool
                     ) -> tuple[np.ndarray, np.ndarray]:
-        """Score one user chunk: plan → assemble → mask → rank.
+        """Score one user chunk: plan → per-list partial top-k → merge.
 
-        Rows are processed in **group-contiguous order** (users of one
-        signature occupy a contiguous slice of the score block, groups
-        sorted by candidate count), so assembling the block is plain
-        slice copies and ranking can run per width bucket — the final
-        results are scattered back to request order at the end.  Every
-        IVF kind runs this; a subclass only adds :meth:`_refine_group`.
+        Every IVF kind runs this; a subclass only adds
+        :meth:`_refine_list`.
         """
         tracer = get_tracer()
+        data, scoring = self.data, self.snapshot.scoring
         with tracer.span("ann.ivf.plan", users=len(users)):
             vectors = scoring_ready_users(self.snapshot.users[users],
-                                          self.snapshot.scoring)
-            if self.routed:
-                table = self._routing_for(k, filter_seen)
-                groups, rows_by_group, seen = table.slice(users)
-            else:
-                plan = self.data.plan(vectors, self._seen_counts[users], k,
-                                      self.nprobe, filter_seen,
-                                      self.snapshot.scoring)
-                groups = plan.signatures
-                rows_by_group = plan.rows_by_group()
-                seen = (self._dynamic_seen(users, plan) if filter_seen
-                        else (np.empty(0, np.int64), np.empty(0, np.int64)))
+                                          scoring)
+            probes = data.plan(vectors, self._seen_counts[users], k,
+                               self.nprobe, filter_seen, scoring)
 
         score_start = time.perf_counter() if tracer.enabled else None
-        live = [(len(self.data.signature(groups[g])[0]), g)
-                for g, rows in enumerate(rows_by_group) if len(rows)]
-        live.sort()
         m = len(users)
-        c_max = live[-1][0] if live else 0
-        perm = (np.concatenate([rows_by_group[g] for _, g in live])
-                if live else np.empty(0, np.int64))
-        inverse = np.empty(m, dtype=np.int64)
-        inverse[perm] = np.arange(m, dtype=np.int64)
-        vectors = vectors[perm]
-        block = np.empty((m, c_max), dtype=np.float64)
-        ids_block = np.empty((m, c_max), dtype=np.int64)
-        widths = np.empty(m, dtype=np.int64)
-        start = 0
-        for c_g, g in live:
-            ids, panels = self.data.panels_for(groups[g], self._items_ready,
-                                               self.panel_width,
-                                               self.snapshot.version)
-            stop = start + len(rows_by_group[g])
-            scores = panel_scores(vectors[start:stop], panels, c_g)
-            if self._item_sq is not None:
-                # euclidean: same transform as ExactTopKIndex, applied
-                # to the candidate columns
-                u_sq = (vectors[start:stop] ** 2).sum(axis=1, keepdims=True)
-                scores = -(u_sq + self._item_sq[ids] - 2.0 * scores)
-            block[start:stop, :c_g] = self._refine_group(
-                scores, vectors[start:stop], users[rows_by_group[g]],
-                groups[g], k, filter_seen)
-            block[start:stop, c_g:] = -np.inf
-            ids_block[start:stop, :c_g] = ids
-            ids_block[start:stop, c_g:] = self.data.num_items
-            widths[start:stop] = c_g
-            start = stop
+        # Row r keeps min(k, size) candidates of each list it probes,
+        # side by side in probe order; unused slots hold the sentinel.
+        sizes = np.append(data.sizes, 0)[probes]
+        take = np.minimum(sizes, k)
+        offsets = np.cumsum(take, axis=1) - take
+        width = int((offsets[:, -1] + take[:, -1]).max())
+        cand_ids = np.full((m, width), data.num_items, dtype=np.int64)
+        cand_scores = np.full((m, width), -np.inf)
         if filter_seen:
-            seen_rows, seen_cols = seen
-            block[inverse[seen_rows], seen_cols] = -np.inf
-        out_items = np.empty((m, k), dtype=np.int64)
-        out_scores = np.empty((m, k), dtype=np.float64)
-        for lo, hi, width in _width_buckets(widths, c_max):
-            top = rank_items(block[lo:hi, :width], k)
-            out_items[lo:hi] = np.take_along_axis(ids_block[lo:hi, :width],
-                                                  top, axis=1)
-            out_scores[lo:hi] = np.take_along_axis(block[lo:hi, :width],
-                                                   top, axis=1)
+            seen_bounds, seen_rows, seen_cols = self._seen_by_list(users,
+                                                                   probes)
+        u_sq = ((vectors ** 2).sum(axis=1, keepdims=True)
+                if scoring == "euclidean" else None)
+        for c, rows, slots in _rows_by_list(probes, data.nlist):
+            size = int(data.sizes[c])
+            if not size:
+                continue
+            panels, item_sq = self._list_panels(c)
+            probing = vectors[rows]
+            scores = panel_scores(probing, panels, size)
+            if item_sq is not None:
+                # euclidean: same transform as ExactTopKIndex, applied
+                # to the list's columns
+                scores = -(u_sq[rows] + item_sq - 2.0 * scores)
+            scores = self._refine_list(scores, probing, users[rows], c, k,
+                                       filter_seen)
+            if filter_seen:
+                hit = slice(seen_bounds[c], seen_bounds[c + 1])
+                scores[seen_rows[hit], seen_cols[hit]] = -np.inf
+            # list ids ascend, so the column tie-break is the id tie-break
+            top = rank_items(scores, min(k, size))
+            cols = offsets[rows, slots][:, None] + np.arange(top.shape[1])
+            cand_ids[rows[:, None], cols] = data.list_ids(c)[top]
+            cand_scores[rows[:, None], cols] = np.take_along_axis(
+                scores, top, axis=1)
+        if data.max_spill > 1:
+            # an item can arrive from several probed lists: keep its
+            # best copy, turn the others into unused slots
+            cand_ids, cand_scores = _along_rows(
+                np.lexsort((-cand_scores, cand_ids)), cand_ids, cand_scores)
+            dup = ((cand_ids[:, 1:] == cand_ids[:, :-1])
+                   & (cand_ids[:, 1:] < data.num_items))
+            cand_ids[:, 1:][dup] = data.num_items
+            cand_scores[:, 1:][dup] = -np.inf
+        # ascending ids make rank_items' tie-break the canonical order
+        cand_ids, cand_scores = _along_rows(
+            np.argsort(cand_ids, axis=1, kind="stable"),
+            cand_ids, cand_scores)
+        out = _along_rows(rank_items(cand_scores, k), cand_ids, cand_scores)
         if score_start is not None:
             tracer.record("ann.ivf.score", score_start,
                           time.perf_counter(), users=m)
         self._ctr_queries.inc(m)
-        self._ctr_candidates.inc(int(widths.sum()))
-        return out_items[inverse], out_scores[inverse]
+        self._ctr_candidates.inc(int(sizes.sum()))
+        return out
 
-    def _refine_group(self, scores: np.ndarray, vectors: np.ndarray,
-                      users: np.ndarray, clusters: tuple[int, ...], k: int,
-                      filter_seen: bool) -> np.ndarray:
-        """Hook: narrow one signature group's candidates before ranking.
+    def _refine_list(self, scores: np.ndarray, vectors: np.ndarray,
+                     users: np.ndarray, c: int, k: int,
+                     filter_seen: bool) -> np.ndarray:
+        """Hook: narrow one list's candidates before ranking.
 
-        ``scores`` is the exact ``(len(users), candidates)`` block of
-        probe set ``clusters``, ``vectors`` the prepared rows of its
-        ``users``.  Returns it with dropped candidates at ``-inf``.
+        ``scores`` is the exact ``(len(users), sizes[c])`` block of
+        inverted list ``c``, ``vectors`` the prepared rows of the
+        ``users`` probing it.  Returns it with dropped candidates at
+        ``-inf``.
         """
         return scores
 
-    def _dynamic_seen(self, users: np.ndarray, plan: ProbePlan
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        """Locate each request user's seen items inside their candidates.
+    def _seen_by_list(self, users: np.ndarray, probes: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Locate the chunk's seen items inside the lists it probes.
 
-        Returns ``(rows, cols)`` such that ``block[rows, cols]`` are the
-        seen-item entries to mask.  One flat ``searchsorted`` over the
-        chunk: each group's candidate ids are offset into a disjoint
-        range, so the concatenation stays sorted and a user's seen ids
-        (offset by their group) resolve in a single vectorized pass.
+        Returns ``(bounds, rows, cols)``: the score block of list ``c``
+        (one row per chunk user probing it, ascending) is masked at
+        ``[rows[bounds[c]:bounds[c + 1]], cols[bounds[c]:bounds[c + 1]]]``.
+        A lookup through the item → postings CSR: no search of the
+        lists' id arrays.
         """
+        data = self.data
         m = len(users)
-        span = self.data.num_items + 1
-        group_ids = [self.data.signature(sig)[0] for sig in plan.signatures]
-        flat = np.concatenate([ids + g * span
-                               for g, ids in enumerate(group_ids)]) \
-            if group_ids else np.empty(0, np.int64)
-        starts = np.concatenate(
-            [np.zeros(1, np.int64),
-             np.cumsum([len(i) for i in group_ids])])[:-1]
-        indptr = self.snapshot.seen_indptr
-        counts = self._seen_counts[users]
-        total = int(counts.sum())
-        if not total or not len(flat):
-            return np.empty(0, np.int64), np.empty(0, np.int64)
-        base = np.concatenate(([0], np.cumsum(counts)[:-1]))
-        gather = np.repeat(indptr[users] - base, counts) + np.arange(total)
-        seen_vals = np.asarray(self.snapshot.seen_items)[gather]
-        rows = np.repeat(np.arange(m), counts)
-        group_of = plan.group_of_row[rows]
-        keys = seen_vals + group_of * span
-        pos = np.minimum(np.searchsorted(flat, keys), len(flat) - 1)
-        hit = flat[pos] == keys
-        return rows[hit], (pos - starts[group_of])[hit]
+        indptr, seen = _csr_rows(self.snapshot.seen_indptr,
+                                 self.snapshot.seen_items, users)
+        row = np.repeat(np.arange(m), np.diff(indptr))
+        indptr, posting = _csr_rows(*data._item_postings(), seen)
+        row = np.repeat(row, np.diff(indptr))
+        lists = np.searchsorted(data.list_indptr, posting, side="right") - 1
+        cols = posting - data.list_indptr[lists]
+        probed = np.zeros((m, data.nlist + 1), dtype=bool)
+        probed[np.arange(m)[:, None], probes] = True
+        keep = probed[row, lists]
+        row, lists, cols = row[keep], lists[keep], cols[keep]
+        # a chunk row's row in list c's block: how many rows up to and
+        # including it probe c
+        local = np.cumsum(probed, axis=0)[row, lists] - 1
+        order = np.argsort(lists)
+        bounds = np.searchsorted(lists[order], np.arange(data.nlist + 1))
+        return bounds, local[order], cols[order]
 
     def __repr__(self) -> str:
         return (f"IVFFlatIndex(nlist={self.data.nlist}, "
@@ -790,84 +722,8 @@ class IVFFlatIndex:
                 f"snapshot={self.snapshot.version!r})")
 
 
-def _width_buckets(widths: np.ndarray, c_max: int):
-    """Split group-sorted rows into at most two ranking buckets.
-
-    ``widths`` is non-decreasing (rows arrive group-contiguous, groups
-    sorted by candidate count).  Ranking cost is linear in block width,
-    and a few heavily over-fetched users can double ``c_max`` — so rows
-    whose width is well below ``c_max`` rank in their own narrower
-    bucket.  Yields ``(lo, hi, width)`` row ranges.
-    """
-    m = len(widths)
-    if not m or not c_max:
-        return
-    cut = int(np.searchsorted(widths, (3 * c_max) // 4, side="right"))
-    if 0 < cut < m:
-        yield 0, cut, int(widths[cut - 1])
-        yield cut, m, c_max
-    else:
-        yield 0, m, c_max
-
-
-class _RoutingTable:
-    """Per-user probe routing for one ``(k, nprobe, filter_seen)``.
-
-    Stores each user's signature group plus the ``(row offset within
-    user, column)`` positions of their seen items inside the
-    signature's candidate array, so steady-state serving skips probe
-    selection and seen localization entirely.  Derived data — always
-    rebuilt from the index, never persisted.
-    """
-
-    def __init__(self, signatures: list[tuple[int, ...]],
-                 group_of_user: np.ndarray, seen_indptr: np.ndarray,
-                 seen_cols: np.ndarray):
-        self.signatures = signatures
-        self.group_of_user = group_of_user
-        self.seen_indptr = seen_indptr
-        self.seen_cols = seen_cols
-
-    @classmethod
-    def build(cls, index: IVFFlatIndex, k: int,
-              filter_seen: bool) -> "_RoutingTable":
-        """Plan every user of the snapshot once with the dynamic path."""
-        snapshot = index.snapshot
-        all_users = np.arange(snapshot.manifest.num_users, dtype=np.int64)
-        vectors = scoring_ready_users(np.asarray(snapshot.users),
-                                      snapshot.scoring)
-        plan = index.data.plan(vectors, index._seen_counts, k,
-                               index.nprobe, filter_seen,
-                               snapshot.scoring)
-        if filter_seen:
-            rows, cols = index._dynamic_seen(all_users, plan)
-            order = np.argsort(rows, kind="stable")
-            rows, cols = rows[order], cols[order]
-            counts = np.bincount(rows, minlength=len(all_users))
-            indptr = np.concatenate([np.zeros(1, np.int64),
-                                     np.cumsum(counts)])
-        else:
-            indptr = np.zeros(len(all_users) + 1, dtype=np.int64)
-            cols = np.empty(0, dtype=np.int64)
-        return cls(plan.signatures, plan.group_of_row, indptr, cols)
-
-    def slice(self, users: np.ndarray
-              ) -> tuple[list, list[np.ndarray], tuple]:
-        """Chunk view: signatures, rows per group, seen mask positions."""
-        group_of_row = self.group_of_user[users]
-        order = np.argsort(group_of_row, kind="stable")
-        bounds = np.searchsorted(group_of_row[order],
-                                 np.arange(len(self.signatures) + 1))
-        rows_by_group = [order[bounds[g]:bounds[g + 1]]
-                         for g in range(len(self.signatures))]
-        counts = np.diff(self.seen_indptr)[users]
-        total = int(counts.sum())
-        if total:
-            base = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            gather = (np.repeat(self.seen_indptr[users] - base, counts)
-                      + np.arange(total))
-            seen = (np.repeat(np.arange(len(users)), counts),
-                    self.seen_cols[gather])
-        else:
-            seen = (np.empty(0, np.int64), np.empty(0, np.int64))
-        return self.signatures, rows_by_group, seen
+def _along_rows(order: np.ndarray, ids: np.ndarray, scores: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """``(ids, scores)`` with each row's columns taken in ``order``."""
+    return (np.take_along_axis(ids, order, axis=1),
+            np.take_along_axis(scores, order, axis=1))

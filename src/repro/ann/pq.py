@@ -10,13 +10,13 @@ turn scoring a posting into ``m`` table lookups plus the centroid term:
 
     score_adc(u, i in list c)  =  u·centroid_c  +  Σ_s  LUT[s, code[i, s]]
 
-ADC scores select a per-user **shortlist**; the shortlist is then
-re-scored *exactly* through the same fixed-shape panel GEMMs as
-:class:`~repro.ann.ivf.IVFFlatIndex` (Faiss's ``IndexRefineFlat``
-pattern), so the returned scores remain directly comparable to the
-exact index.  The PQ approximation therefore only affects *which*
-candidates survive to the final ranking — measurable as recall in the
-ANN benchmark — never the score values themselves.
+ADC scores select a per-user **shortlist** inside each probed list; the
+shortlist is then re-scored *exactly* through the same fixed-shape
+panel GEMMs as :class:`~repro.ann.ivf.IVFFlatIndex` (Faiss's
+``IndexRefineFlat`` pattern), so the returned scores remain directly
+comparable to the exact index.  The PQ approximation therefore only
+affects *which* candidates survive to the final ranking — measurable as
+recall in the ANN benchmark — never the score values themselves.
 
 At this repo's numpy-only scale the ADC pass is a fidelity model, not a
 speedup (BLAS GEMMs outrun table gathers in numpy); what PQ buys here
@@ -180,11 +180,11 @@ class IVFPQIndex(IVFFlatIndex):
 
     The chunk pipeline — and with it the ``ann.ivf.*`` counters and
     spans — is :class:`IVFFlatIndex`'s.  The one added step is
-    :meth:`_refine_group`: the ADC scores of each user's candidates
-    pick a shortlist of ``max(refine * k, k + |seen|)`` postings, and
-    everything outside it is masked before the exact-scored block is
-    ranked.  The shortlist floor mirrors the over-fetch contract:
-    ``filter_seen`` masking can never starve the top-``k``.
+    :meth:`_refine_list`: inside each probed list the ADC scores pick a
+    per-user shortlist of ``max(refine * k, k + |seen|)`` postings, and
+    everything outside it is masked before the list's exact-scored
+    block is ranked.  The shortlist floor mirrors the over-fetch
+    contract: ``filter_seen`` masking can never starve the top-``k``.
 
     Parameters
     ----------
@@ -200,10 +200,9 @@ class IVFPQIndex(IVFFlatIndex):
     def __init__(self, snapshot: EmbeddingSnapshot, data: IVFIndexData,
                  pq: ProductQuantizer, nprobe: int | None = None,
                  refine: int = 4, chunk_users: int = 1024,
-                 panel_width: int = ANN_PANEL_WIDTH, routed: bool = True):
+                 panel_width: int = ANN_PANEL_WIDTH):
         super().__init__(snapshot, data, nprobe=nprobe,
-                         chunk_users=chunk_users, panel_width=panel_width,
-                         routed=routed)
+                         chunk_users=chunk_users, panel_width=panel_width)
         if snapshot.scoring == "euclidean":
             raise ValueError(
                 "IVF-PQ asymmetric distance tables are inner-product "
@@ -217,9 +216,6 @@ class IVFPQIndex(IVFFlatIndex):
             raise ValueError(f"refine must be >= 1, got {refine}")
         self.pq = pq
         self.refine = refine
-        #: owning list of every posting (the centroid term of ADC)
-        self._owner = np.repeat(
-            np.arange(data.nlist, dtype=np.int64), data.sizes)
 
     @property
     def table_bytes(self) -> int:
@@ -248,25 +244,30 @@ class IVFPQIndex(IVFFlatIndex):
         return type(self)(snapshot, data, pq,
                           nprobe=min(self.nprobe, data.nlist),
                           refine=self.refine, chunk_users=self.chunk_users,
-                          panel_width=self.panel_width, routed=self.routed)
+                          panel_width=self.panel_width)
 
     # ------------------------------------------------------------------
-    def _refine_group(self, scores: np.ndarray, vectors: np.ndarray,
-                      users: np.ndarray, clusters: tuple[int, ...], k: int,
-                      filter_seen: bool) -> np.ndarray:
-        """Mask one group's exact block down to each row's ADC shortlist."""
-        ids, posting = self.data.signature(clusters)
+    def _refine_list(self, scores: np.ndarray, vectors: np.ndarray,
+                     users: np.ndarray, c: int, k: int,
+                     filter_seen: bool) -> np.ndarray:
+        """Mask list ``c``'s exact block down to each row's ADC shortlist.
+
+        The shortlist is taken inside every probed list rather than
+        once over a user's whole candidate set, so the survivors are a
+        superset of a single per-user shortlist of the same size:
+        recall can only rise.
+        """
         shortlist = int(max(self.refine * k,
                             k + (self._seen_counts[users].max()
                                  if filter_seen else 0)))
-        if shortlist >= len(ids):
+        if shortlist >= scores.shape[1]:
             return scores
-        # ADC: centroid term of the owning list + codeword lookups
-        adc = (vectors @ self.data.centroids.T)[:, self._owner[posting]]
+        # ADC: centroid term of the list + codeword lookups
+        lo, hi = self.data.list_indptr[c:c + 2]
+        codes = self.pq.codes[lo:hi]
         luts = adc_lookup_tables(vectors, self.pq.codebooks)
-        codes = self.pq.codes[posting]
-        for s in range(self.pq.m):
-            adc += luts[:, s, codes[:, s]]
+        adc = (vectors @ self.data.centroids[c])[:, None] + sum(
+            luts[:, s, codes[:, s]] for s in range(self.pq.m))
         keep = np.argpartition(-adc, shortlist - 1, axis=1)[:, :shortlist]
         pruned = np.full_like(scores, -np.inf)
         np.put_along_axis(pruned, keep,

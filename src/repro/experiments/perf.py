@@ -683,9 +683,9 @@ def time_index_topk(index, users: np.ndarray, *, batch_size: int,
                     k: int = 10, repeats: int = 5) -> dict:
     """Index-level ``topk`` throughput over ``users``.
 
-    One untimed warmup pass (which also builds lazy structures —
-    routing tables, signature panels — exactly like a service warming
-    up), then ``repeats`` timed passes; the reported throughput uses
+    One untimed warmup pass (which also builds lazy structures — an
+    IVF index's per-list panels — exactly like a service warming up),
+    then ``repeats`` timed passes; the reported throughput uses
     the **fastest pass** (the ``timeit`` convention — slower passes
     measure scheduler noise, not the index).  Unlike
     :func:`time_recommend` this bypasses the service layer, so two
@@ -775,15 +775,14 @@ def _ann_row(index, exact_truth: np.ndarray, all_users: np.ndarray,
     from repro.serve.index import scoring_ready_users
     recall = overlap_at_k(exact_truth,
                           index.topk(all_users, k=config.k).items)
-    # candidate sizes from the probe plan alone — no need to
-    # materialize every user's candidate array
+    # candidate sizes from the probe plan alone: the postings of each
+    # user's probed lists (the ``nlist`` padding has size 0)
     vectors = scoring_ready_users(
         np.asarray(index.snapshot.users), index.snapshot.scoring)
     seen_counts = np.diff(index.snapshot.seen_indptr)
-    plan = index.data.plan(vectors, seen_counts, config.k, nprobe, True,
-                           index.snapshot.scoring)
-    lengths = np.array([len(index.data.signature(sig)[0])
-                        for sig in plan.signatures], dtype=np.int64)
+    probes = index.data.plan(vectors, seen_counts, config.k, nprobe, True,
+                             index.snapshot.scoring)
+    candidates = np.append(index.data.sizes, 0)[probes].sum(axis=1)
     row = time_index_topk(index, users, batch_size=config.batch_size,
                           k=config.k, repeats=config.repeats)
     row.update({
@@ -793,7 +792,7 @@ def _ann_row(index, exact_truth: np.ndarray, all_users: np.ndarray,
         "nprobe": int(nprobe),
         "spill": int(config.spill),
         "recall": float(recall),
-        "candidates_mean": float(lengths[plan.group_of_row].mean()),
+        "candidates_mean": float(candidates.mean()),
         "speedup_vs_exact": row["users_per_s"] / baseline["users_per_s"],
         "index_bytes": int(index.table_bytes),
     })

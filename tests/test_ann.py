@@ -7,12 +7,14 @@ from repro.ann import (IVFFlatIndex, IVFIndexData, IVFPQIndex, assign_lists,
                        build_ann_index, is_ann_index, load_ann_generator,
                        load_ann_index, train_coarse_quantizer)
 from repro.data import load_dataset
-from repro.eval.metrics import overlap_at_k
+from repro.eval.metrics import overlap_at_k, rank_items
 from repro.losses import get_loss
 from repro.models import get_model
 from repro.serve import (ExactTopKIndex, RecommendationService,
                          ShardedTopKIndex, export_sharded_snapshot,
                          export_snapshot)
+from repro.serve.index import scoring_ready_users
+from repro.serve.snapshot import EmbeddingSnapshot
 from repro.train import TrainConfig, train_model
 
 
@@ -208,7 +210,6 @@ class TestOverFetch:
         _, index = yelp_ivf
         seen_counts = np.diff(snapshot.seen_indptr).astype(np.int64)
         heavy = int(np.argmax(seen_counts))
-        from repro.serve.index import scoring_ready_users
         vectors = scoring_ready_users(snapshot.users[[heavy]],
                                       snapshot.scoring)
         indptr, ids = index.data.candidates_csr(
@@ -260,16 +261,6 @@ class TestRecallFloor:
 
 
 class TestSearchSemantics:
-    def test_routed_equals_dynamic(self, yelp_retrieval, yelp_ivf):
-        dataset, _, snapshot = yelp_retrieval
-        _, built = yelp_ivf
-        users = np.arange(dataset.num_users, dtype=np.int64)
-        routed = IVFFlatIndex(snapshot, built.data, nprobe=2, routed=True)
-        dynamic = IVFFlatIndex(snapshot, built.data, nprobe=2, routed=False)
-        a, b = routed.topk(users, k=10), dynamic.topk(users, k=10)
-        np.testing.assert_array_equal(a.items, b.items)
-        np.testing.assert_array_equal(a.scores, b.scores)
-
     def test_results_independent_of_batch_composition(self, yelp_retrieval,
                                                       yelp_ivf):
         """A user's ranked list cannot depend on who shares the batch.
@@ -329,6 +320,113 @@ class TestSearchSemantics:
             IVFFlatIndex(snapshot, built.data, chunk_users=0)
 
 
+class TestListMajorLoop:
+    """Per-list partial top-k + per-user merge against a dense oracle.
+
+    The oracle is :class:`ExactTopKIndex` restricted to the ids
+    :meth:`IVFIndexData.candidates_csr` allows: every non-candidate is
+    masked to ``-inf`` and the row is ranked.  The snapshot is hostile:
+    three items from three different inverted lists share one embedding
+    row, so their scores tie exactly across lists.
+    """
+
+    NLIST = 4
+
+    @pytest.fixture(scope="class")
+    def tied(self, tiny_mf_snapshot, tmp_path_factory):
+        """(snapshot with the tied rows, {spill: index data})."""
+        _, snapshot = tiny_mf_snapshot
+        data = {spill: build_ann_index(
+            snapshot, tmp_path_factory.mktemp(f"tied-{spill}"),
+            nlist=self.NLIST, spill=spill, seed=0).data
+            for spill in (1, 2, 3)}
+        a, b, c = (int(data[1].list_ids(lst)[0]) for lst in range(3))
+        items = np.array(snapshot.items)
+        items[b] = items[c] = items[a]
+        return EmbeddingSnapshot(
+            snapshot.manifest, np.asarray(snapshot.users), items,
+            np.asarray(snapshot.seen_indptr),
+            np.asarray(snapshot.seen_items)), data
+
+    @staticmethod
+    def _oracle(snapshot, data, users, k, nprobe, filter_seen, width):
+        num_items = snapshot.manifest.num_items
+        k = min(k, num_items)
+        full = ExactTopKIndex(snapshot, panel_width=width).topk(
+            users, k=num_items, filter_seen=filter_seen)
+        dense = np.empty((len(users), num_items))
+        np.put_along_axis(dense, full.items, full.scores, axis=1)
+        indptr, ids = data.candidates_csr(
+            scoring_ready_users(snapshot.users[users], snapshot.scoring),
+            np.diff(snapshot.seen_indptr)[users], k, nprobe, filter_seen,
+            snapshot.scoring)
+        allowed = np.zeros(dense.shape, dtype=bool)
+        allowed[np.repeat(np.arange(len(users)), np.diff(indptr)), ids] = True
+        dense[~allowed] = -np.inf
+        top = rank_items(dense, k)
+        return top, np.take_along_axis(dense, top, axis=1)
+
+    @pytest.mark.parametrize("spill", [1, 2, 3])
+    @pytest.mark.parametrize("nprobe", [1, 2, NLIST])
+    def test_matches_restricted_exact(self, tied, spill, nprobe):
+        snapshot, by_spill = tied
+        data = by_spill[spill]
+        assert data.max_spill == spill
+        num_items = snapshot.manifest.num_items
+        users = np.arange(snapshot.manifest.num_users, dtype=np.int64)
+        # spill 2, k = num_items - 1, filter_seen once returned an id
+        # twice in the -inf tail: a masked duplicate is still a duplicate
+        for k in (1, 5, num_items - 1, num_items, 5 * num_items):
+            for filter_seen in (True, False):
+                want_items, want_scores = self._oracle(
+                    snapshot, data, users, k, nprobe, filter_seen,
+                    width=128)
+                for chunk_users in (1, 7, 1024):
+                    got = IVFFlatIndex(
+                        snapshot, data, nprobe=nprobe,
+                        chunk_users=chunk_users).topk(
+                            users, k=k, filter_seen=filter_seen)
+                    case = (k, filter_seen, chunk_users)
+                    np.testing.assert_array_equal(got.items, want_items,
+                                                  err_msg=str(case))
+                    np.testing.assert_allclose(got.scores, want_scores,
+                                               rtol=0, atol=1e-12,
+                                               err_msg=str(case))
+                    assert got.items.max() < num_items, case
+                    ranked = np.sort(got.items, axis=1)
+                    assert np.all(ranked[:, 1:] > ranked[:, :-1]), case
+
+    def test_candidates_csr_ascending_and_deduplicated(self, tied):
+        snapshot, by_spill = tied
+        users = np.arange(snapshot.manifest.num_users, dtype=np.int64)
+        indptr, ids = by_spill[2].candidates_csr(
+            scoring_ready_users(snapshot.users[users], snapshot.scoring),
+            np.diff(snapshot.seen_indptr)[users], 5, 2, True,
+            snapshot.scoring)
+        assert len(indptr) == len(users) + 1 and indptr[-1] == len(ids)
+        for r in range(len(users)):
+            assert np.all(np.diff(ids[indptr[r]:indptr[r + 1]]) > 0)
+
+    def test_table_bytes_is_a_function_of_the_index(self, yelp_retrieval,
+                                                    yelp_ivf):
+        """Serving builds panels lazily; ``table_bytes`` counts them all
+        up front, so it cannot depend on who served what before."""
+        dataset, _, snapshot = yelp_retrieval
+        _, built = yelp_ivf
+        a = IVFFlatIndex(snapshot, built.data, nprobe=1)
+        b = IVFFlatIndex(snapshot, built.data, nprobe=built.data.nlist)
+        before = a.table_bytes
+        assert b.table_bytes == before
+        users = np.arange(dataset.num_users, dtype=np.int64)
+        a.topk(users[:8], k=10)
+        assert (a.table_bytes, b.table_bytes) == (before, before)
+        b.topk(users, k=10)  # full probe: every list's panel gets built
+        assert (a.table_bytes, b.table_bytes) == (before, before)
+        assert all(panel is not None for panel in b._panels)
+        assert (sum(panels.nbytes for panels, _ in b._panels)
+                == before - built.data.table_bytes)
+
+
 class TestServiceIntegration:
     def test_drop_in_index_backend(self, yelp_retrieval, yelp_ivf):
         _, _, snapshot = yelp_retrieval
@@ -348,15 +446,6 @@ class TestServiceIntegration:
         assert index.kind == "ivf"
         service = RecommendationService(snapshot, index=index)
         assert service._key(3, 10, True)[1] == "ivf"
-
-    def test_routing_tables_bounded(self, yelp_retrieval, yelp_ivf):
-        """Caller-controlled k cannot grow the routing memo unboundedly."""
-        _, _, snapshot = yelp_retrieval
-        _, built = yelp_ivf
-        index = IVFFlatIndex(snapshot, built.data, nprobe=2)
-        for k in range(1, 2 * index.MAX_ROUTING_TABLES + 1):
-            index.topk([0], k=k)
-        assert len(index._routing) <= index.MAX_ROUTING_TABLES
 
 
 class TestShardedIntegration:

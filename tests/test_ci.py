@@ -409,3 +409,20 @@ class TestRepoBenchmarkWiring:
         names = {w["name"] for w in json.loads(
             (REPO_ROOT / "BENCHMARK.json").read_text())["workloads"]}
         assert "train-sparse-100k" in names
+
+    def test_ci_slow_checks_ivf_against_exact_at_full_shape(self):
+        """The toy ANN suite cannot show it: only a traced `pipeline-9k`
+        pass times IVF and the exact index over the same users at a shape
+        where the probed lists are real GEMMs."""
+        commands = _run_commands(_load("ci-slow.yml"))
+        runs = [c for c in commands
+                if "bench/run.py --workload pipeline-9k" in c]
+        assert runs and all("--tiny" not in c and "--trace 1" in c
+                            for c in runs)
+        checks = [c for c in commands[commands.index(runs[0]):]
+                  if "ann.topk_p50_ms" in c]
+        assert checks and all("serve.index.topk_p50_ms" in c
+                              and "0 < ann < exact" in c for c in checks)
+        per_layer = {m["name"] for m in json.loads(
+            (REPO_ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+        assert {"ann.topk_p50_ms", "serve.index.topk_p50_ms"} <= per_layer

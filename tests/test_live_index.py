@@ -380,31 +380,35 @@ class TestPoisonedCacheRegressions:
                                                     tmp_path):
         """One IVFIndexData serving two snapshot generations stays correct.
 
-        Before the ``token`` key on
-        :meth:`~repro.ann.ivf.IVFIndexData.panels_for`, the panel cache
-        was keyed only on (signature, width): generation B would reuse
-        generation A's item rows and serve stale scores.
+        Panels once lived on the shared ``IVFIndexData``, keyed only on
+        the probed lists: generation B would reuse generation A's item
+        rows and serve stale scores.  They now belong to the serving
+        index, so sharing the index data shares no item row.
         """
         snap_a, snap_b = self._generations(tiny_mf_snapshot, tmp_path)
         shared = _fresh_ivf_data(snap_a, nlist=8)
         users = np.arange(snap_a.manifest.num_users)
-        # warm the panel cache with generation A's rows
+        # serve generation A's rows first, through the same index data
         IVFFlatIndex(snap_a, shared, nprobe=8).topk(users, k=5)
         got = IVFFlatIndex(snap_b, shared, nprobe=8).topk(users, k=5)
         want = ExactTopKIndex(snap_b).topk(users, k=5)
         np.testing.assert_array_equal(got.items, want.items)
         np.testing.assert_array_equal(got.scores, want.scores)
-        assert shared._panels_token == snap_b.version
-        assert all(key[0] == snap_b.version for key in shared._panels)
 
     def test_routing_tables_keyed_by_snapshot_version(self, tiny_mf_snapshot,
                                                       tmp_path):
+        """A refreshed index never answers through generation A's probes."""
         snap_a, snap_b = self._generations(tiny_mf_snapshot, tmp_path)
         index = IVFFlatIndex(snap_a, _fresh_ivf_data(snap_a, nlist=8),
-                             nprobe=2, routed=True)
-        index.topk(np.arange(16), k=5)
-        assert index._routing
-        assert all(key[0] == snap_a.version for key in index._routing)
+                             nprobe=2)
+        users = np.arange(16)
+        index.topk(users, k=5)
+        got = index.refreshed(snap_b, staleness_threshold=None).topk(users,
+                                                                     k=5)
+        want = IVFFlatIndex(snap_b, _fresh_ivf_data(snap_a, nlist=8),
+                            nprobe=2).topk(users, k=5)
+        np.testing.assert_array_equal(got.items, want.items)
+        np.testing.assert_array_equal(got.scores, want.scores)
 
     def test_service_lru_never_serves_retired_version(self,
                                                       tiny_mf_snapshot,
