@@ -76,15 +76,15 @@ class Evaluator:
         self._test_users = np.array(
             [u for u in range(dataset.num_users)
              if len(dataset.test_items_by_user[u]) > 0], dtype=np.int64)
-        #: held-out positive count per test user (vectorized metrics)
-        self._num_relevant = np.array(
-            [len(dataset.test_items_by_user[u]) for u in self._test_users],
-            dtype=np.int64)
-        # Flattened train-interaction layout over the test users, so
-        # per-chunk masking is two array slices instead of per-user
-        # Python concatenation on every evaluate() pass.
+        # Flattened train- and test-interaction layouts over the test
+        # users, so per-chunk seen masking and relevance lookup are array
+        # slices instead of per-user Python loops on every evaluate() pass.
         self._train_indptr, self._train_cols = seen_items_csr(
             [dataset.train_items_by_user[u] for u in self._test_users])
+        self._test_indptr, self._test_cols = seen_items_csr(
+            [dataset.test_items_by_user[u] for u in self._test_users])
+        #: held-out positive count per test user (vectorized metrics)
+        self._num_relevant = np.diff(self._test_indptr)
         self._test_pos = np.full(dataset.num_users, -1, dtype=np.int64)
         self._test_pos[self._test_users] = np.arange(len(self._test_users))
         # Ranked-list width is fixed: hoist the shared discount/IDCG
@@ -105,26 +105,27 @@ class Evaluator:
             users = self._test_users[lo:lo + self.batch_users]
             scores = model.predict_scores(user_ids=users)
             self._mask_train_items(scores, users)
-            self._chunk_metrics(per_user, lo, users,
-                                M.rank_items(scores, max_k))
+            self._chunk_metrics(per_user, lo, M.rank_items(scores, max_k))
         aggregated = {key: float(vals.mean()) for key, vals in per_user.items()}
         return EvalResult(aggregated, per_user=per_user,
                           evaluated_users=self._test_users.copy())
 
-    def _chunk_metrics(self, per_user: dict, lo: int, users: np.ndarray,
+    def _chunk_metrics(self, per_user: dict, lo: int,
                        top: np.ndarray) -> None:
-        """Vectorized metrics for one chunk of ranked lists.
+        """Vectorized metrics for the chunk of test users from ``lo``.
 
         Computes the same per-user formulas as :mod:`repro.eval.metrics`
         but over ``(chunk, K)`` arrays: the hit matrix comes from one
-        fancy-indexed lookup into a per-chunk relevance mask instead of
-        ``top_k`` Python set probes per user.
+        fancy-indexed lookup into a per-chunk relevance mask, filled by
+        one scatter from the test-item CSR, instead of ``top_k`` Python
+        set probes per user.
         """
         n_rows, width = top.shape
         n_items = self.dataset.num_items
+        ptr = self._test_indptr[lo:lo + n_rows + 1]
         relevant_mask = np.zeros((n_rows, n_items), dtype=bool)
-        for row, u in enumerate(users):
-            relevant_mask[row, self.dataset.test_items_by_user[u]] = True
+        relevant_mask[np.repeat(np.arange(n_rows), np.diff(ptr)),
+                      self._test_cols[ptr[0]:ptr[-1]]] = True
         hits = np.take_along_axis(relevant_mask, top, axis=1).astype(np.float64)
         n_rel = self._num_relevant[lo:lo + n_rows].astype(np.float64)
         discounts = self._discounts

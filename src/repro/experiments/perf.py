@@ -5,8 +5,8 @@ JSON schemas so the perf trajectory of the codebase is tracked across
 PRs:
 
 * the **train suite** sweeps catalogue size × loss × grad mode and
-  times the training step for the dense full-catalogue path vs the
-  row-sparse path (sampled scoring + ``SparseAdam``), plus an
+  times the training step with dense ``Adam`` vs ``SparseAdam`` (both
+  score only the sampled pairs), plus an
   end-to-end NDCG@20 quality comparison per grad mode →
   ``BENCH_train.json``;
 * the **serve suite** trains one cell, exports a serving snapshot
@@ -213,9 +213,9 @@ def time_train_steps(model_name: str, loss_name: str, dataset,
     """Wall-clock one (model, loss) training cell for ``steps`` steps.
 
     Returns one ``train_step`` result row.  ``grad_mode="sparse"`` times
-    the row-sparse path (sampled scoring + ``SparseAdam``) instead of
-    the dense full-catalogue path; its row adds ``touched_rows`` (median
-    rows updated per step over all tables) and ``touched_frac``.
+    ``SparseAdam`` instead of dense ``Adam`` (scoring is shared); its row
+    adds ``touched_rows`` (median rows updated per step over all tables)
+    and ``touched_frac``.
     """
     if steps <= 0:
         raise ValueError(f"steps must be positive, got {steps}")
@@ -260,7 +260,7 @@ def time_train_steps(model_name: str, loss_name: str, dataset,
     }
     tables = [p for p in trainer.optimizer.params  # grads outlive the step
               if isinstance(p.grad, RowSparseGrad)]
-    if tables:
+    if grad_mode == "sparse" and tables:  # dense Adam updates every row
         row["touched_rows"] = float(np.median(touched[warmup:]))
         row["touched_frac"] = row["touched_rows"] / sum(map(len, tables))
     return row
@@ -320,10 +320,10 @@ def inflate_catalogue(dataset, scale: int):
     The added items are cold (no interactions) — interaction structure,
     users and test split are untouched — so sweeping ``scale`` isolates
     exactly the catalogue-size term of the per-step training cost: the
-    full-catalogue scoring matmul, the dense ``take_rows`` backward and
-    the dense optimizer update all grow with ``num_items`` while the
-    batch stays fixed.  Negatives are drawn from the inflated id range,
-    as they would be on a genuinely larger catalogue.
+    dense optimizer update (and a graph backbone's propagation) grows
+    with ``num_items`` while the batch stays fixed.  Negatives are drawn
+    from the inflated id range, as they would be on a genuinely larger
+    catalogue.
     """
     from repro.data.dataset import InteractionDataset
     if scale < 1:
@@ -350,9 +350,9 @@ def run_train_suite(config: TrainPerfConfig | None = None) -> dict:
     for scale in config.catalogue_scales:
         dataset = inflate_catalogue(base, scale)
         for loss_name in config.losses:
-            # Sparse is timed first: the dense cell churns O(batch x
-            # catalogue) score graphs, and following it in the same
-            # process measurably taxes the next cell's allocator.
+            # Sparse is timed first: the dense cell churns catalogue-sized
+            # optimizer temporaries, and following it in the same process
+            # measurably taxes the next cell's allocator.
             for grad_mode in ("sparse", "dense"):
                 row = time_train_steps(
                     config.model, loss_name, dataset, grad_mode=grad_mode,

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.data.sampling import TrainingBatch
 from repro.nn.module import Module
-from repro.tensor import Tensor, no_grad, ops
+from repro.tensor import Tensor, no_grad
 from repro.tensor import functional as F
 
 __all__ = ["Recommender"]
@@ -62,53 +62,35 @@ class Recommender(Module):
         """Score one training batch.
 
         Returns ``(pos_scores, neg_scores)`` of shapes ``(B,)`` and
-        ``(B, m)`` on the training scoring function.
-
-        Implementation note: for inner/cosine scoring we normalize the
-        *tables* once and score the batch users against the full
-        catalogue with one BLAS matmul, then gather the positive and
-        negative entries.  At recommendation-catalogue scales this is
-        far cheaper than materializing per-pair ``(B, m, d)`` tensors,
-        and the gradient (scatter-add through the gathers) is identical.
+        ``(B, m)`` on the training scoring function.  The trainer's entry
+        point in every ``grad_mode``; the work is
+        :meth:`sampled_batch_scores` (kept as its own call so both names
+        can be timed separately).
         """
-        users_t, items_t = self.propagate()
-        if self.train_scoring == "cosine":
-            users_t = F.l2_normalize(users_t, axis=-1)
-            items_t = F.l2_normalize(items_t, axis=-1)
-        u = ops.take_rows(users_t, batch.users)           # (B, d)
-        all_scores = ops.matmul(u, items_t.T)             # (B, n_items)
-        if self.train_scoring == "euclidean":
-            # -||u - i||^2 = 2 u.i - ||u||^2 - ||i||^2, vectorized over
-            # the catalogue so no (B, m, d) tensor is materialized.
-            u_sq = (u * u).sum(axis=1, keepdims=True)     # (B, 1)
-            i_sq = (items_t * items_t).sum(axis=1)        # (n_items,)
-            all_scores = 2.0 * all_scores - u_sq - i_sq
-        rows = np.arange(len(batch))
-        pos = all_scores[rows, batch.positives]
-        neg = all_scores[rows[:, None], batch.negatives]
-        return pos, neg
+        return self.sampled_batch_scores(batch)
 
     def sampled_batch_scores(self, batch: TrainingBatch
                              ) -> tuple[Tensor, Tensor]:
         """Score one training batch touching only the sampled rows.
 
-        Mathematically equivalent to :meth:`batch_scores` (same
-        ``(pos_scores, neg_scores)`` up to floating-point ordering) but
-        the work is ``O(batch * n_negatives * dim)`` instead of
+        The work is ``O(batch * n_negatives * dim)``, never
         ``O(batch * num_items * dim)``: one
         :func:`~repro.tensor.functional.fused_sampled_scores` node
         gathers the user/positive/negative rows and scores them per
         pair, never against the full catalogue.  Cosine scoring
         normalizes the gathered rows — normalize-then-gather and
-        gather-then-normalize are the same row operation.
+        gather-then-normalize are the same row operation.  The
+        full-catalogue form (normalise the tables, one ``(B, num_items)``
+        matmul, gather) is the test oracle
+        ``tests/oracles.py::catalogue_batch_scores``.
 
         When :meth:`propagate` returns the raw embedding tables (MF,
         CML, ...), the backward pass therefore yields
-        :class:`~repro.tensor.sparse.RowSparseGrad` parameter gradients
-        for the row-sparse optimizers.  Graph backbones whose tables
-        are propagation outputs still work — their gradients densify at
-        the propagation node (see ``Tensor.backward``) — they just keep
-        paying the propagation cost that dominates them anyway.
+        :class:`~repro.tensor.sparse.RowSparseGrad` parameter gradients;
+        the row-sparse optimizers update only those rows and the dense
+        ones densify them.  Graph backbones whose tables are propagation
+        outputs still work — their gradients densify at the propagation
+        node (see ``Tensor.backward``).
         """
         users_t, items_t = self.propagate()
         scores = F.fused_sampled_scores(

@@ -33,7 +33,7 @@ class Embedding(Module):
         When True, lookups produce row-sparse gradients
         (:class:`~repro.tensor.sparse.RowSparseGrad`) touching only the
         gathered rows — pair with ``SparseAdam``/``SparseSGD``; dense
-        optimizers reject sparse gradients.  Mirrors
+        optimizers densify them.  Mirrors
         ``torch.nn.Embedding(sparse=True)``.
     weight:
         Pre-built ``(num_embeddings, dim)`` float64 table to wrap

@@ -29,10 +29,11 @@ instead of the catalogue.  Both support two modes:
   evaluation/checkpointing so observed parameters always match the
   dense trajectory.
 
-The dense optimizers **reject** sparse gradients with a ``TypeError``
-rather than silently densifying — mixing the two is almost always a
-configuration bug (a model built with ``sparse_grad=True`` driven by a
-plain ``Adam``).
+The dense optimizers accept a ``RowSparseGrad`` too and densify it:
+scoring emits row-sparse gradients for leaf tables in every
+``grad_mode`` (``Recommender.batch_scores``), and a dense ``Adam`` /
+``SGD`` step then moves every row exactly as if it had been handed
+``grad.densify()``.
 
 Every ``step()`` bumps the global data version only when at least one
 parameter actually changed, so a no-op step (all grads ``None`` or empty)
@@ -83,14 +84,10 @@ class Optimizer:
         """
 
     @staticmethod
-    def _reject_sparse(p: Parameter) -> None:
-        """Dense optimizers do not silently densify row-sparse grads."""
-        if isinstance(p.grad, RowSparseGrad):
-            raise TypeError(
-                "received a row-sparse gradient for a dense optimizer; use "
-                "SparseAdam/SparseSGD (repro.nn.optim), or disable "
-                "sparse_grad on the lookup (or call p.grad.densify()) if "
-                "dense updates are intended")
+    def _dense_grad(p: Parameter) -> np.ndarray:
+        """``p.grad`` as a dense array (dense optimizers update every row)."""
+        g = p.grad
+        return g.densify() if isinstance(g, RowSparseGrad) else g
 
 
 class SGD(Optimizer):
@@ -108,8 +105,7 @@ class SGD(Optimizer):
         for p, v in zip(self.params, self._velocity):
             if p.grad is None:
                 continue
-            self._reject_sparse(p)
-            g = p.grad
+            g = self._dense_grad(p)
             if self.weight_decay:
                 g = g + self.weight_decay * p.data
             if self.momentum:
@@ -149,8 +145,7 @@ class Adam(Optimizer):
         for p, m, v in zip(self.params, self._m, self._v):
             if p.grad is None:
                 continue
-            self._reject_sparse(p)
-            g = p.grad
+            g = self._dense_grad(p)
             if self.weight_decay:
                 g = g + self.weight_decay * p.data
             m *= b1

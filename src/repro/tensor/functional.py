@@ -294,6 +294,25 @@ def fused_infonce_loss(z1, z2, tau: float, eps: float = 1e-12) -> Tensor:
     return ops._node(data, (z1, z2), backward)
 
 
+def _distinct_rows(idx: np.ndarray, n_rows: int):
+    """``np.unique(idx, return_inverse=True)`` of flat row ids in
+    ``[0, n_rows)``, identical arrays from either branch.
+
+    A block with at least ``n_rows`` slots (in-batch negatives, or a
+    catalogue smaller than the batch's draws) reads a boolean presence
+    table instead of sorting: ``flatnonzero`` gives the distinct ids and
+    ``cumsum - 1`` their positions.  That table is never larger than the
+    block, so memory still follows the batch; smaller blocks sort.
+    """
+    if idx.size < n_rows:
+        return np.unique(idx, return_inverse=True)
+    present = np.zeros(n_rows, dtype=bool)
+    present[idx] = True
+    position = np.cumsum(present, dtype=np.intp)
+    position -= 1
+    return np.flatnonzero(present), position[idx]
+
+
 def fused_sampled_scores(users_t, items_t, user_idx, pos_idx, neg_idx,
                          scoring: str = "cosine", eps: float = 1e-12
                          ) -> Tensor:
@@ -302,8 +321,8 @@ def fused_sampled_scores(users_t, items_t, user_idx, pos_idx, neg_idx,
     Column 0 is the positive score of each batch row, columns ``1:`` the
     ``m`` negative scores — computed from the **gathered rows only**
     (``O(B * m * dim)``), never against the full catalogue.  Oracle:
-    the dense ``Recommender.batch_scores`` (normalise the tables, one
-    matmul against the catalogue, gather).  The forward gathers each
+    ``tests/oracles.py::catalogue_batch_scores`` (normalise the tables,
+    one matmul against the catalogue, gather).  The forward gathers each
     distinct item row once and the VJP is three closed-form products,
     which is what makes the sparse training step flat in the catalogue
     size.  Normalisation uses the :func:`l2_normalize` convention
@@ -334,7 +353,7 @@ def fused_sampled_scores(users_t, items_t, user_idx, pos_idx, neg_idx,
     # coefficients) is computed once per *distinct* item and mapped back
     # through ``inverse`` — the kernel's footprint follows the batch, not
     # the catalogue.
-    uniq, inverse = np.unique(idx.reshape(-1), return_inverse=True)
+    uniq, inverse = _distinct_rows(idx.reshape(-1), items_t.shape[0])
     inverse = inverse.reshape(idx.shape)
     rows = items_t.data[uniq]                                 # (n_uniq, d)
     U = users_t.data[u_idx]                                   # (B, d)

@@ -22,9 +22,9 @@ The contract:
   gradient must flow *through* an interior graph node (graph backbones
   propagate through their tables, so their gradients densify anyway —
   see ``Tensor.backward``).
-* Only row-sparse optimizers (``SparseAdam`` / ``SparseSGD``) accept a
-  :class:`RowSparseGrad` in ``Parameter.grad``; the dense optimizers
-  raise a clear error instead of silently densifying.
+* The row-sparse optimizers (``SparseAdam`` / ``SparseSGD``) update
+  only the rows of a :class:`RowSparseGrad` in ``Parameter.grad``; the
+  dense optimizers densify it and update every row.
 """
 
 from __future__ import annotations

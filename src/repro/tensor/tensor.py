@@ -36,8 +36,8 @@ The contract every fused kernel must satisfy:
 3. **The oracle lives in ``tests/``** — the compositional expression is
    written once, in ``tests/oracles.py``, from the public functions of
    this package; no caller selects between it and the kernel.  (The
-   oracle of ``fused_sampled_scores`` is the dense
-   ``Recommender.batch_scores``.)
+   oracle of ``fused_sampled_scores`` is the full-catalogue
+   ``catalogue_batch_scores`` there.)
 
 To add a new fused VJP: write the compositional version in
 ``tests/oracles.py`` first, derive the closed-form gradient, implement

@@ -32,11 +32,11 @@ class TrainConfig:
     patience: int = 0
     #: metric watched for early stopping / best checkpoint
     watch_metric: str = "ndcg@20"
-    #: "dense" scores the batch against the full catalogue and trains
-    #: with dense Adam; "sparse" scores only the sampled rows
-    #: (``sampled_batch_scores``) and trains with ``SparseAdam``, making
-    #: per-step cost scale with the batch instead of the catalogue
-    #: (see ``docs/training.md``).
+    #: optimizer choice; scoring is shared (both modes score only the
+    #: sampled rows through ``batch_scores``).  "dense" trains with
+    #: ``Adam`` over whole tables; "sparse" with ``SparseAdam`` over the
+    #: touched rows, so per-step cost scales with the batch instead of
+    #: the catalogue (see ``docs/training.md``).
     grad_mode: str = "dense"
     #: sparse-optimizer mode: "lazy" (touched-rows-only, the fast
     #: default) or "exact" (dense-Adam-equivalent lazy catch-up).

@@ -100,7 +100,7 @@ class Trainer:
                 "train.epoch_loss", "mean training loss per epoch")
             self._hist_touched = registry.histogram(
                 "train.touched_rows",
-                "embedding rows touched per step (row-sparse grads only)")
+                "embedding rows touched per step (grad_mode='sparse' only)")
         if evaluator is None and (config.eval_every or config.patience):
             if not isinstance(dataset, InteractionDataset):
                 raise ValueError(
@@ -206,19 +206,15 @@ class Trainer:
         This is the canonical training step — the perf harness
         (:mod:`repro.experiments.perf`) times exactly this method, so
         benchmark numbers always measure what training actually runs.
-        In ``grad_mode="sparse"`` the batch is scored through
-        :meth:`~repro.models.base.Recommender.sampled_batch_scores`
-        (row gathers only), so the backward produces row-sparse
-        gradients for the sparse optimizer.
+        Both ``grad_mode``s score the batch through
+        :meth:`~repro.models.base.Recommender.batch_scores` (row gathers
+        only, never the catalogue); the mode picks the optimizer.
         """
         started = time.perf_counter() if self._metrics_on else 0.0
         self.optimizer.zero_grad()
         loss_t = self.model.custom_loss(batch)
         if loss_t is None:
-            if self.config.grad_mode == "sparse":
-                pos, neg = self.model.sampled_batch_scores(batch)
-            else:
-                pos, neg = self.model.batch_scores(batch)
+            pos, neg = self.model.batch_scores(batch)
             loss_t = self.loss(pos, neg)
         aux = self.model.auxiliary_loss(batch)
         if aux is not None:
@@ -230,15 +226,13 @@ class Trainer:
             self._hist_step.observe((time.perf_counter() - started) * 1e3)
             self._ctr_steps.inc()
             # Gradients survive step() (cleared by the next zero_grad),
-            # so row-sparse nnz can still be read here.
-            touched = 0
-            sparse = False
-            for p in self.optimizer.params:
-                if isinstance(p.grad, RowSparseGrad):
-                    sparse = True
-                    touched += p.grad.nnz
-            if sparse:
-                self._hist_touched.observe(touched)
+            # so row-sparse nnz can still be read here.  Only a sparse
+            # optimizer leaves the other rows alone.
+            if self.config.grad_mode == "sparse":
+                touched = [p.grad.nnz for p in self.optimizer.params
+                           if isinstance(p.grad, RowSparseGrad)]
+                if touched:
+                    self._hist_touched.observe(sum(touched))
         return loss_t.item()
 
 

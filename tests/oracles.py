@@ -4,8 +4,9 @@
 (a fused kernel, a chunked array pass).  The slow, obviously-right forms
 live here, written only from public :mod:`repro.tensor` /
 :mod:`repro.eval.metrics` functions, and the parity tests compare the
-production path against them.  (The oracle of ``fused_sampled_scores``
-is the dense ``Recommender.batch_scores``; it needs no entry here.)
+production path against them.  ``catalogue_batch_scores`` is the oracle
+of ``fused_sampled_scores``: the batch scored against the whole catalogue
+through one ``(B, num_items)`` block, then gathered.
 ``adam_rows`` / ``sgd_rows`` are the row-sparse optimizers' update
 arithmetic in plain fancy indexing and temporaries; the chunked
 in-place kernels of :mod:`repro.nn.optim` must reproduce their bits.
@@ -63,6 +64,29 @@ def infonce_loss(z1, z2, tau):
     sims = F.pairwise_scores(z1, z2) / tau                   # (B, B)
     diag = sims[np.arange(z1.shape[0]), np.arange(z1.shape[0])]
     return (-diag + F.logsumexp(sims, axis=1)).mean()
+
+
+def catalogue_batch_scores(model, batch):
+    """``(pos, neg)`` of a training batch through a ``(B, num_items)`` block.
+
+    Normalise the tables (cosine), one matmul of the batch users against
+    every item, gather the positive and negative columns; the gradient is
+    the scatter-add through the gathers.
+    """
+    users_t, items_t = model.propagate()
+    if model.train_scoring == "cosine":
+        users_t = F.l2_normalize(users_t, axis=-1)
+        items_t = F.l2_normalize(items_t, axis=-1)
+    u = ops.take_rows(users_t, batch.users)               # (B, d)
+    all_scores = ops.matmul(u, items_t.T)                 # (B, n_items)
+    if model.train_scoring == "euclidean":
+        # -||u - i||^2 = 2 u.i - ||u||^2 - ||i||^2 over the catalogue
+        u_sq = (u * u).sum(axis=1, keepdims=True)         # (B, 1)
+        i_sq = (items_t * items_t).sum(axis=1)            # (n_items,)
+        all_scores = 2.0 * all_scores - u_sq - i_sq
+    rows = np.arange(len(batch))
+    return (all_scores[rows, batch.positives],
+            all_scores[rows[:, None], batch.negatives])
 
 
 def evaluate_per_user(model, dataset, ks=(20,),

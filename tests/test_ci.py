@@ -376,6 +376,41 @@ class TestBenchmarkSurface:
         assert serve_patches
         assert [pair for pair in serve_patches if not calls[pair]] == []
 
+    @pytest.mark.parametrize("grad_mode", ["dense", "sparse"])
+    def test_train_step_scores_through_both_forward_names(
+            self, tiny_dataset, monkeypatch, grad_mode):
+        """The train workloads time ``models.forward`` by patching the
+        model method named by their ``forward_method``: a step in either
+        ``grad_mode`` must enter ``batch_scores``, and it must enter
+        ``sampled_batch_scores``, or one workload's row reads zero."""
+        import ast
+
+        from repro.losses import get_loss
+        from repro.models import MF
+        from repro.train import TrainConfig, Trainer
+        tree = ast.parse((REPO_ROOT / "bench" / "workloads.py").read_text())
+        patch_points = sorted({
+            node.value.value for node in ast.walk(tree)
+            if isinstance(node, ast.Assign)
+            and [ast.unparse(t) for t in node.targets] == ["forward_method"]})
+        assert patch_points == ["batch_scores", "sampled_batch_scores"]
+        model = MF(tiny_dataset.num_users, tiny_dataset.num_items, dim=8,
+                   rng=0)
+        trainer = Trainer(model, get_loss("bsl"), tiny_dataset, TrainConfig(
+            epochs=1, batch_size=64, n_negatives=8, grad_mode=grad_mode))
+        calls = []
+        for name in patch_points:
+            def spy(*args, _real=getattr(model, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(model, name, spy)
+        trainer.train_step(next(iter(trainer.sampler.epoch())))
+        assert calls == ["batch_scores", "sampled_batch_scores"], (
+            f"grad_mode={grad_mode!r}: Trainer.train_step must call "
+            f"model.batch_scores (patched on pipeline-9k), which must call "
+            f"model.sampled_batch_scores (patched on train-sparse-100k); "
+            f"saw {calls}")
+
 
 class TestRepoBenchmarkWiring:
     """The repo benchmark is reachable from make, the README and CI."""

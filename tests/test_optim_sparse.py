@@ -294,12 +294,30 @@ class TestLazySemantics:
 
 
 class TestEdgeCases:
-    def test_dense_optimizers_reject_sparse_grads(self):
-        for make in (lambda p: Adam(p, lr=0.1), lambda p: SGD(p, lr=0.1)):
-            p = Parameter(np.ones((4, 2)))
-            p.grad = RowSparseGrad(np.array([1]), np.ones((1, 2)), p.shape)
-            with pytest.raises(TypeError, match="row-sparse"):
-                make([p]).step()
+    def test_dense_optimizers_densify_sparse_grads(self):
+        """``Adam``/``SGD`` fed a ``RowSparseGrad`` leave ``p`` and the
+        moments equal to the same optimizer fed ``grad.densify()``."""
+        rng = np.random.default_rng(4)
+        start = rng.normal(size=(6, 3))
+        grads = [RowSparseGrad.from_rows(rng.integers(0, 6, size=4),
+                                         rng.normal(size=(4, 3)), start.shape)
+                 for _ in range(4)]
+        for make, state in (
+                (lambda p: Adam(p, lr=0.1, weight_decay=0.01),
+                 lambda opt: opt._m + opt._v),
+                (lambda p: SGD(p, lr=0.1, momentum=0.9, weight_decay=0.01),
+                 lambda opt: opt._velocity)):
+            runs = []
+            for densify in (False, True):
+                p = Parameter(start.copy())
+                opt = make([p])
+                for g in grads:
+                    p.grad = g.densify() if densify else g
+                    opt.step()
+                runs.append([p.data] + state(opt))
+            for sparse_fed, dense_fed in zip(*runs):
+                np.testing.assert_array_equal(sparse_fed, dense_fed)
+            assert not np.array_equal(runs[0][0], start)
 
     def test_duplicate_indices_accumulate_not_overwrite(self):
         """A batch repeating one row must apply the summed gradient."""

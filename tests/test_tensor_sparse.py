@@ -6,6 +6,7 @@ import pytest
 from repro.nn import Embedding, Parameter
 from repro.tensor import RowSparseGrad, Tensor, no_grad, ops
 from repro.tensor import functional as F
+from tests.oracles import catalogue_batch_scores
 
 
 class TestRowSparseGrad:
@@ -214,8 +215,72 @@ class TestFusedSampledScores:
             F.fused_sampled_scores(users, items, u, p[:2], n)
 
 
+class TestDistinctRows:
+    """``_distinct_rows`` switches from ``np.unique`` to a presence table
+    once a block has ``n_rows`` slots; both sides must give the same
+    arrays, so the kernel's scores and gradients cannot tell them apart."""
+
+    BATCH, NEG = 6, 5  # 6 x (1 + 5) = 36 slots; in-batch has B - 1 = 5
+
+    @classmethod
+    def _block(cls, kind, n_rows, rng):
+        if kind == "in-batch":  # every other row's positive is a negative
+            pos = rng.integers(0, n_rows, cls.BATCH)
+            neg = np.stack([np.delete(pos, b) for b in range(cls.BATCH)])
+        elif kind == "uniform":
+            pos = rng.integers(0, n_rows, cls.BATCH)
+            neg = rng.integers(0, n_rows, (cls.BATCH, cls.NEG))
+        else:  # one id in every slot
+            pos = np.full(cls.BATCH, n_rows - 1)
+            neg = np.full((cls.BATCH, cls.NEG), n_rows - 1)
+        return pos, neg
+
+    CASES = [(kind, offset) for kind in ("in-batch", "uniform", "duplicate")
+             for offset in (-1, 0, 1)]
+
+    @pytest.mark.parametrize("kind,offset", CASES)
+    def test_matches_np_unique(self, kind, offset):
+        slots = self.BATCH * (1 + self.NEG)
+        n_rows = slots + offset
+        pos, neg = self._block(kind, n_rows, np.random.default_rng(offset + 2))
+        flat = np.concatenate([pos[:, None], neg], axis=1).reshape(-1)
+        assert flat.size == slots
+        uniq, inverse = F._distinct_rows(flat, n_rows)
+        ref_uniq, ref_inverse = np.unique(flat, return_inverse=True)
+        np.testing.assert_array_equal(uniq, ref_uniq)
+        np.testing.assert_array_equal(inverse, ref_inverse)
+        assert inverse.dtype == ref_inverse.dtype
+
+    @pytest.mark.parametrize("kind,offset", CASES)
+    def test_kernel_bits_equal_across_branches(self, kind, offset,
+                                               monkeypatch):
+        n_rows = self.BATCH * (1 + self.NEG) + offset
+        rng = np.random.default_rng(offset + 5)
+        pos, neg = self._block(kind, n_rows, rng)
+        users = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        items = Tensor(rng.normal(size=(n_rows, 3)), requires_grad=True)
+        u = rng.integers(0, 4, self.BATCH)
+        w = rng.normal(size=(self.BATCH, 1 + neg.shape[1]))
+
+        def run(scoring):
+            users.grad = items.grad = None
+            scores = F.fused_sampled_scores(users, items, u, pos, neg,
+                                            scoring=scoring)
+            (scores * w).sum().backward()
+            return (scores.data, users.grad.indices, users.grad.values,
+                    items.grad.indices, items.grad.values)
+
+        scorings = ("cosine", "inner", "euclidean")
+        switched = [run(s) for s in scorings]
+        monkeypatch.setattr(F, "_distinct_rows", lambda idx, n: np.unique(
+            idx, return_inverse=True))
+        for got, ref in zip(switched, [run(s) for s in scorings]):
+            for a, b in zip(got, ref):
+                np.testing.assert_array_equal(a, b)
+
+
 class TestSampledBatchScoresParity:
-    """Model-level: sampled scoring == dense batch_scores."""
+    """Model-level: sampled scoring == the full-catalogue oracle."""
 
     @pytest.mark.parametrize("model_name", ["mf", "cml"])
     def test_scores_match_dense_path(self, tiny_dataset, model_name):
@@ -225,7 +290,7 @@ class TestSampledBatchScoresParity:
         sampler = UniformNegativeSampler(tiny_dataset, n_negatives=8,
                                          batch_size=64, rng=0)
         batch = next(iter(sampler.epoch()))
-        pos_ref, neg_ref = model.batch_scores(batch)
+        pos_ref, neg_ref = catalogue_batch_scores(model, batch)
         pos, neg = model.sampled_batch_scores(batch)
         np.testing.assert_allclose(pos.data, pos_ref.data,
                                    rtol=1e-10, atol=1e-12)
@@ -242,9 +307,9 @@ class TestSampledBatchScoresParity:
         grads = {}
         for path in ("dense", "sampled"):
             model = get_model(model_name, tiny_dataset, dim=8, rng=0)
-            score = (model.batch_scores if path == "dense"
-                     else model.sampled_batch_scores)
-            pos, neg = score(batch)
+            pos, neg = (catalogue_batch_scores(model, batch)
+                        if path == "dense"
+                        else model.sampled_batch_scores(batch))
             (pos.sum() + (neg * 0.25).sum()).backward()
             grads[path] = {
                 name: (param.grad.densify()

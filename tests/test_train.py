@@ -1,5 +1,7 @@
 """Trainer, config validation, grid search."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -133,6 +135,35 @@ class TestTrainer:
         train_model(model, get_loss("sl", tau=0.2), tiny_dataset,
                     fast_cfg.replace(epochs=1))
         assert not model.training
+
+
+class TestDenseStepMemory:
+    def test_dense_step_builds_no_batch_by_catalogue_block(self):
+        """One dense LightGCN step at B=256 over 20k items allocates well
+        under a quarter of one ``(B, num_items)`` float64 block.  dim 2
+        keeps the table-sized autograd buffers (about a dozen
+        ``(users + items) x dim`` copies) at half the bound, so the bound
+        sees any batch-by-catalogue temporary."""
+        from repro.data import InteractionDataset
+        from repro.models import LightGCN
+        num_users, num_items, batch = 1000, 20_000, 256
+        rng = np.random.default_rng(0)
+        train = np.stack([np.repeat(np.arange(num_users), 5),
+                          rng.permutation(num_items)[:5 * num_users]], axis=1)
+        dataset = InteractionDataset(num_users, num_items, train,
+                                     np.empty((0, 2), dtype=np.int64))
+        trainer = Trainer(LightGCN(dataset, dim=2, rng=0), get_loss("bsl"),
+                          dataset, TrainConfig(batch_size=batch, seed=0))
+        batches = trainer.sampler.epoch()
+        trainer.train_step(next(batches))  # first-step allocations
+        step = next(batches)
+        tracemalloc.start()
+        try:
+            trainer.train_step(step)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * batch * num_items * 8
 
 
 class TestGridSearch:
