@@ -271,10 +271,19 @@ def getitem(a, index) -> Tensor:
     if isinstance(index, Tensor):
         index = index.data.astype(np.int64)
     data = a.data[index]
+    # numpy answers basic-vs-advanced itself: basic indexing returns a
+    # view, advanced indexing always copies.
+    basic = isinstance(data, np.ndarray) and np.may_share_memory(data, a.data)
 
     def backward(g):
         out = np.zeros_like(a.data)
-        np.add.at(out, index, g)
+        if basic:
+            # A basic index is a view with no repeated element: an
+            # in-place add through it is the scatter-add, minus the
+            # per-element cost of ``np.add.at``.
+            out[index] += g
+        else:
+            np.add.at(out, index, g)
         return (out,)
 
     return _node(data, (a,), backward)

@@ -38,3 +38,27 @@ def tiny_mf_snapshot(tmp_path_factory, tiny_dataset):
     out_dir = tmp_path_factory.mktemp("snapshot")
     snapshot = export_snapshot(model, tiny_dataset, out_dir, model_name="mf")
     return model, snapshot
+
+
+@pytest.fixture(scope="session")
+def yelp_retrieval(tmp_path_factory):
+    """(dataset, model, snapshot) for a retrieval-trained cell on yelp.
+
+    Matches the ANN benchmark's default cell (``mf`` + ``bpr``): a
+    pairwise loss keeps the item embeddings clusterable, which is what
+    the recall-floor acceptance rides on (see ``docs/ann.md``).
+    Session-scoped: the ANN and k-means tests build indexes from it.
+    """
+    from repro.losses import get_loss
+    from repro.models import get_model
+    from repro.serve import export_snapshot
+    from repro.train import TrainConfig, train_model
+
+    dataset = load_dataset("yelp2018-small")
+    model = get_model("mf", dataset, dim=64, rng=0)
+    config = TrainConfig(epochs=25, n_negatives=16, eval_every=0,
+                         patience=0, seed=0)
+    train_model(model, get_loss("bpr"), dataset, config)
+    out = tmp_path_factory.mktemp("yelp-snap")
+    snapshot = export_snapshot(model, dataset, out, model_name="mf")
+    return dataset, model, snapshot

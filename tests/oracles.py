@@ -10,6 +10,11 @@ through one ``(B, num_items)`` block, then gathered.
 ``adam_rows`` / ``sgd_rows`` are the row-sparse optimizers' update
 arithmetic in plain fancy indexing and temporaries; the chunked
 in-place kernels of :mod:`repro.nn.optim` must reproduce their bits.
+``kmeans`` is Lloyd's algorithm as a per-cluster loop over boolean
+masks, with seeding that recomputes every distance per draw; the
+GEMM-only :func:`repro.analysis.kmeans.kmeans` must reproduce its
+labels and centroid bytes, and its ``sq_dists`` (the distance formula
+as one expression) the bytes of the buffered one.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from repro.eval import metrics as M
 from repro.eval.evaluator import EvalResult
 from repro.tensor import as_tensor, ops
 from repro.tensor import functional as F
+from repro.tensor.random import ensure_rng
 
 _METRIC_FNS = {
     "recall": M.recall_at_k,
@@ -139,3 +145,44 @@ def sgd_rows(p, vel, rows, g, *, lr, momentum=0.0, weight_decay=0.0):
         vel[rows] = momentum * vel[rows] + g
         g = vel[rows]
     p[rows] -= lr * g
+
+
+def sq_dists(x, centroids):
+    """``max((‖x‖² + ‖c‖²) − 2·x·cᵀ, 0)`` in one expression."""
+    x_sq = (x ** 2).sum(axis=1, keepdims=True)
+    c_sq = (centroids ** 2).sum(axis=1)
+    return np.maximum(x_sq + c_sq - 2.0 * x @ centroids.T, 0.0)
+
+
+def kmeans(x, n_clusters, n_iter=20, rng=None):
+    """``(centroids, labels)``: k-means++ seeding, then Lloyd steps
+    until the labels repeat; the e-th empty cluster takes the e-th
+    farthest point."""
+    x = np.asarray(x, dtype=np.float64)
+    rng = ensure_rng(rng)
+    centroids = [x[rng.integers(len(x))]]
+    for _ in range(n_clusters - 1):
+        dists = sq_dists(x, np.asarray(centroids)).min(axis=1)
+        total = dists.sum()
+        if total <= 0:
+            centroids.append(x[rng.integers(len(x))])
+        else:
+            centroids.append(x[rng.choice(len(x), p=dists / total)])
+    centroids = np.asarray(centroids)
+    labels = np.zeros(len(x), dtype=np.int64)
+    for _ in range(n_iter):
+        dists = sq_dists(x, centroids)
+        new_labels = dists.argmin(axis=1)
+        if np.array_equal(new_labels, labels):
+            break
+        labels = new_labels
+        farthest = np.argsort(-dists.min(axis=1), kind="stable")
+        empties = 0
+        for c in range(n_clusters):
+            members = x[labels == c]
+            if len(members):
+                centroids[c] = members.mean(axis=0)
+            else:
+                centroids[c] = x[farthest[empties]]
+                empties += 1
+    return centroids, labels

@@ -6,34 +6,13 @@ import pytest
 from repro.ann import (IVFFlatIndex, IVFIndexData, IVFPQIndex, assign_lists,
                        build_ann_index, is_ann_index, load_ann_generator,
                        load_ann_index, train_coarse_quantizer)
-from repro.data import load_dataset
 from repro.eval.metrics import overlap_at_k, rank_items
-from repro.losses import get_loss
 from repro.models import get_model
 from repro.serve import (ExactTopKIndex, RecommendationService,
                          ShardedTopKIndex, export_sharded_snapshot,
                          export_snapshot)
 from repro.serve.index import scoring_ready_users
 from repro.serve.snapshot import EmbeddingSnapshot
-from repro.train import TrainConfig, train_model
-
-
-@pytest.fixture(scope="module")
-def yelp_retrieval(tmp_path_factory):
-    """(dataset, model, snapshot) for a retrieval-trained cell on yelp.
-
-    Matches the ANN benchmark's default cell (``mf`` + ``bpr``): a
-    pairwise loss keeps the item embeddings clusterable, which is what
-    the recall-floor acceptance rides on (see ``docs/ann.md``).
-    """
-    dataset = load_dataset("yelp2018-small")
-    model = get_model("mf", dataset, dim=64, rng=0)
-    config = TrainConfig(epochs=25, n_negatives=16, eval_every=0,
-                         patience=0, seed=0)
-    train_model(model, get_loss("bpr"), dataset, config)
-    out = tmp_path_factory.mktemp("yelp-snap")
-    snapshot = export_snapshot(model, dataset, out, model_name="mf")
-    return dataset, model, snapshot
 
 
 @pytest.fixture(scope="module")

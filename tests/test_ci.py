@@ -458,6 +458,12 @@ class TestRepoBenchmarkWiring:
                   if "ann.topk_p50_ms" in c]
         assert checks and all("serve.index.topk_p50_ms" in c
                               and "0 < ann < exact" in c for c in checks)
+        # The index is rebuilt every op, so the build is gated too: an
+        # IVF that answers fast but costs > 3 exact passes to build does
+        # not pay for itself.
+        assert all("'ann.build_p50_ms'" in c and "0 < build < 3 * exact" in c
+                   for c in checks)
         per_layer = {m["name"] for m in json.loads(
             (REPO_ROOT / "BENCHMARK.json").read_text())["per_layer"]}
-        assert {"ann.topk_p50_ms", "serve.index.topk_p50_ms"} <= per_layer
+        assert {"ann.topk_p50_ms", "ann.build_p50_ms",
+                "serve.index.topk_p50_ms"} <= per_layer

@@ -152,3 +152,34 @@ class TestShapeHelpers:
         x = Tensor(np.arange(6.0))
         assert x.reshape(2, 3).shape == (2, 3)
         assert x.reshape((3, 2)).shape == (3, 2)
+
+
+class TestGetitemBackward:
+    """Basic indices scatter through a view, advanced ones through
+    ``np.add.at``; both must give the scatter-add's bits."""
+
+    @pytest.mark.parametrize("index", [
+        slice(None, 3), slice(2, None), slice(None, None, -2), 1, -1,
+        (slice(1, 4), 2), (Ellipsis, slice(1, 3)), (None, slice(0, 2)),
+        (np.int64(2),), (), np.array([0, 2, 2, 4, 0]), [1, 1, 3],
+        (np.array([0, 0, 3]), slice(None)), np.array([True, False] * 2
+                                                     + [True])])
+    def test_gradient_bits_equal_scatter_add(self, index):
+        rng = np.random.default_rng(0)
+        data = rng.normal(size=(5, 4))
+        x = Tensor(data, requires_grad=True)
+        seed = rng.normal(size=np.shape(data[index]))
+        seed[(0,) * seed.ndim] = -0.0  # a -0.0 must scatter as +0.0
+        x[index].backward(seed)
+        want = np.zeros_like(data)
+        np.add.at(want, index, seed)
+        assert x.grad.tobytes() == want.tobytes()
+
+    def test_lightgcn_split_halves(self):
+        """``final[:U]`` / ``final[U:]``: the two halves' gradients meet
+        in one table, as in graph backbones."""
+        rng = np.random.default_rng(1)
+        x = Tensor(rng.normal(size=(7, 3)), requires_grad=True)
+        g_top, g_bottom = rng.normal(size=(3, 3)), rng.normal(size=(4, 3))
+        ((x[:3] * g_top).sum() + (x[3:] * g_bottom).sum()).backward()
+        assert x.grad.tobytes() == np.concatenate([g_top, g_bottom]).tobytes()
