@@ -11,9 +11,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.data.dataset import InteractionDataset
+from repro.graph.propagation import mark_self_transpose
 
 __all__ = ["bipartite_adjacency", "normalize_adjacency",
-           "adjacency_from_pairs"]
+           "adjacency_from_pairs", "normalized_bipartite"]
 
 
 def adjacency_from_pairs(pairs: np.ndarray, num_users: int,
@@ -38,8 +39,22 @@ def normalize_adjacency(adj: sp.csr_matrix) -> sp.csr_matrix:
     return (d @ adj @ d).tocsr()
 
 
+def normalized_bipartite(pairs: np.ndarray, num_users: int,
+                         num_items: int) -> sp.csr_matrix:
+    """``Ã`` of an interaction list, memoized as its own CSR transpose.
+
+    ``A`` holds both directions of every edge with value 1, and each
+    stored value of ``D^-1/2 A D^-1/2`` is the product ``d_i·d_j`` in one
+    order or the other, so in canonical CSR form (sorted indices, no
+    duplicates) ``Ã`` and ``Ãᵀ`` have the same three arrays.  Backward
+    passes then multiply by ``Ã`` itself instead of a second copy.
+    """
+    adj = normalize_adjacency(adjacency_from_pairs(pairs, num_users,
+                                                   num_items))
+    return mark_self_transpose(adj) if adj.has_canonical_format else adj
+
+
 def bipartite_adjacency(dataset: InteractionDataset) -> sp.csr_matrix:
     """Normalized bipartite adjacency of a dataset's training graph."""
-    adj = adjacency_from_pairs(dataset.train_pairs, dataset.num_users,
-                               dataset.num_items)
-    return normalize_adjacency(adj)
+    return normalized_bipartite(dataset.train_pairs, dataset.num_users,
+                                dataset.num_items)

@@ -12,7 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.data.dataset import InteractionDataset
-from repro.graph.adjacency import adjacency_from_pairs, normalize_adjacency
+from repro.graph.adjacency import normalized_bipartite
 from repro.tensor.random import ensure_rng
 
 __all__ = ["edge_dropout_adjacency", "svd_view"]
@@ -32,9 +32,8 @@ def edge_dropout_adjacency(dataset: InteractionDataset, drop_ratio: float,
     keep = rng.random(len(pairs)) >= drop_ratio
     if not keep.any():  # degenerate tiny-graph edge case
         keep[rng.integers(0, len(pairs))] = True
-    adj = adjacency_from_pairs(pairs[keep], dataset.num_users,
-                               dataset.num_items)
-    return normalize_adjacency(adj)
+    return normalized_bipartite(pairs[keep], dataset.num_users,
+                                dataset.num_items)
 
 
 def svd_view(dataset: InteractionDataset, rank: int = 8

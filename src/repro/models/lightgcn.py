@@ -12,7 +12,7 @@ import scipy.sparse as sp
 
 from repro.data.dataset import InteractionDataset
 from repro.graph.adjacency import bipartite_adjacency
-from repro.graph.propagation import PropagationCache, spmm
+from repro.graph.propagation import PropagationCache, layer_mean, spmm
 from repro.models.base import Recommender
 from repro.nn.embedding import Embedding
 from repro.tensor import Tensor, ops
@@ -33,8 +33,9 @@ class LightGCN(Recommender):
     num_layers:
         Propagation depth ``L`` (the paper tunes {1, 2, 3}).
     cache_propagation:
-        Memoize spmv products and full forward results per graph
-        version (see :class:`repro.graph.propagation.PropagationCache`).
+        Memoize spmv products, layer-mean values and full forward
+        results per graph version (see
+        :class:`repro.graph.propagation.PropagationCache`).
         Safe because every in-place parameter edit bumps the global
         data version; disable when mutating ``.data`` buffers outside
         the optimizer/checkpoint paths without bumping.
@@ -100,27 +101,38 @@ class LightGCN(Recommender):
         """Run L propagation steps on a given adjacency.
 
         ``noise_fn(layer_tensor) -> Tensor`` optionally perturbs each
-        layer output (SimGCL's augmentation).  Noise-free forwards are
-        memoized whole per (adjacency, data version); noisy forwards
-        still reuse any cached hop whose input is unperturbed (the
-        first hop always starts from the shared ego tensor).
+        layer output (SimGCL's augmentation), which takes the per-hop
+        chain.  Noise-free forwards (:meth:`_noise_free_mean`, one
+        :func:`layer_mean` node) are memoized whole per (adjacency, data
+        version, grad mode); noisy
+        forwards still reuse any cached hop whose input is unperturbed
+        (the first hop always starts from the shared ego tensor).
         """
-        cacheable = noise_fn is None and self.cache_propagation
-        if cacheable:
-            memo = self._prop_cache.get("propagate", adjacency)
-            if memo is not None:
-                return memo
-        final = self._propagate_layers(adjacency, noise_fn)
-        result = final[: self.num_users], final[self.num_users:]
-        if cacheable:
+        if noise_fn is not None:
+            return self._split(self._chain_mean(adjacency, noise_fn))
+        if not self.cache_propagation:
+            return self._split(self._noise_free_mean(adjacency))
+        result = self._prop_cache.get("propagate", adjacency)
+        if result is None:
+            result = self._split(self._noise_free_mean(adjacency))
             self._prop_cache.put("propagate", adjacency, result)
         return result
 
-    def _propagate_layers(self, adjacency: sp.csr_matrix,
-                          noise_fn=None) -> Tensor:
+    def _split(self, final: Tensor) -> tuple[Tensor, Tensor]:
+        return final[: self.num_users], final[self.num_users:]
+
+    def _noise_free_mean(self, adjacency: sp.csr_matrix) -> Tensor:
+        """The layer mean; with the cache on its value is shared by both
+        grad modes (:meth:`PropagationCache.layer_mean`)."""
+        if self.cache_propagation:
+            return self._prop_cache.layer_mean(adjacency, self._ego(),
+                                               self.num_layers)
+        return layer_mean(adjacency, self._ego(), self.num_layers)
+
+    def _chain_mean(self, adjacency: sp.csr_matrix, noise_fn=None) -> Tensor:
+        """The layer mean through one graph node per hop."""
         layers = self._layer_tensors(adjacency, noise_fn)
-        stacked = ops.stack(layers, axis=0)
-        return stacked.mean(axis=0)
+        return ops.stack(layers, axis=0).mean(axis=0)
 
     def _layer_tensors(self, adjacency: sp.csr_matrix,
                        noise_fn=None) -> list[Tensor]:

@@ -70,6 +70,11 @@ class NCL(LightGCN):
         self._user_protos = user_centroids[user_labels]
         self._item_protos = item_centroids[item_labels]
 
+    def _noise_free_mean(self, adjacency) -> Tensor:
+        # The per-hop chain, not one layer-mean node: the auxiliary loss
+        # reads its hop tensors, which the propagation cache then shares.
+        return self._chain_mean(adjacency)
+
     def _layer_embeddings(self) -> list[Tensor]:
         # Shares the propagation cache with batch_scores' propagate():
         # within one training step both walk the identical spmv chain,

@@ -35,6 +35,11 @@ scoring emits row-sparse gradients for leaf tables in every
 ``SGD`` step then moves every row exactly as if it had been handed
 ``grad.densify()``.
 
+Each update rule has one in-place kernel that walks a table in
+cache-sized row chunks (``Adam._rows``, ``SGD._rows``): the dense
+optimizers run it over every row, the sparse ones over the touched rows
+and ``exact`` mode's replays.
+
 Every ``step()`` bumps the global data version only when at least one
 parameter actually changed, so a no-op step (all grads ``None`` or empty)
 cannot spuriously invalidate
@@ -58,7 +63,8 @@ _CHUNK_BYTES = 128 * 1024
 
 
 class Optimizer:
-    """Base class holding the parameter list and the zero-grad hook."""
+    """Base class: the parameter list, the zero-grad hook and the chunk
+    walk of the in-place row kernels every update rule runs through."""
 
     def __init__(self, params, lr: float):
         self.params: list[Parameter] = list(params)
@@ -67,6 +73,11 @@ class Optimizer:
         if lr <= 0:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = lr
+        self._t = 0
+        #: per-parameter kernel workspace: five chunk-sized row buffers.
+        self._work = [np.empty((5, max(1, min(
+            len(p.data), _CHUNK_BYTES // (p.data[:1].nbytes or 1))))
+            + p.data.shape[1:], p.data.dtype) for p in self.params]
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -83,11 +94,40 @@ class Optimizer:
         optimizers override it with real work.
         """
 
-    @staticmethod
-    def _dense_grad(p: Parameter) -> np.ndarray:
-        """``p.grad`` as a dense array (dense optimizers update every row)."""
-        g = p.grad
-        return g.densify() if isinstance(g, RowSparseGrad) else g
+    def _every_row(self, update) -> None:
+        """The dense step: ``update(i, g)`` on every parameter with a
+        gradient, ``g`` densified (dense optimizers move every row)."""
+        changed = False
+        for i, p in enumerate(self.params):
+            if p.grad is None:
+                continue
+            g = p.grad
+            update(i, g.densify() if isinstance(g, RowSparseGrad) else g)
+            changed = True
+        if changed:
+            bump_data_version()
+
+    def _chunks(self, i: int, rows, g, *tables):
+        """Yield ``(positions, g chunk, table chunks, scratch G, scratch T)``
+        per cache-sized chunk of ``rows``: index-array chunks are gathered
+        before and scattered back after the caller's in-place update,
+        ``slice(None)`` chunks are views.  ``g``: an array or scalar 0.0.
+        """
+        work, dense = self._work[i], isinstance(rows, slice)
+        n = len(tables[0]) if dense else len(rows)
+        for lo in range(0, n, work.shape[1]):
+            at = slice(lo, min(lo + work.shape[1], n))
+            size = at.stop - lo
+            if dense:
+                bufs = [t[at] for t in tables]
+            else:
+                bufs = [np.take(t, rows[at], axis=0, out=w[:size], mode="clip")
+                        for t, w in zip(tables, work)]
+            yield (at, g[at] if isinstance(g, np.ndarray) else g, bufs,
+                   work[3, :size], work[4, :size])
+            if not dense:
+                for t, buf in zip(tables, bufs):
+                    t[rows[at]] = buf
 
 
 class SGD(Optimizer):
@@ -101,21 +141,21 @@ class SGD(Optimizer):
         self._velocity = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
-        changed = False
-        for p, v in zip(self.params, self._velocity):
-            if p.grad is None:
-                continue
-            g = self._dense_grad(p)
+        self._every_row(lambda i, g: self._rows(i, slice(None), g))
+
+    def _rows(self, i: int, rows, g) -> None:
+        """The SGD update of ``rows`` (ids or ``slice(None)``), in place."""
+        tables = [self.params[i].data] + (
+            [self._velocity[i]] if self.momentum else [])
+        for _, gc, bufs, G, T in self._chunks(i, rows, g, *tables):
             if self.weight_decay:
-                g = g + self.weight_decay * p.data
+                np.multiply(bufs[0], self.weight_decay, out=T)
+                gc = np.add(gc, T, out=G)
             if self.momentum:
-                v *= self.momentum
-                v += g
-                g = v
-            p.data -= self.lr * g
-            changed = True
-        if changed:
-            bump_data_version()
+                bufs[1] *= self.momentum
+                bufs[1] += gc
+                gc = bufs[1]
+            bufs[0] -= np.multiply(gc, self.lr, out=T)
 
 
 class Adam(Optimizer):
@@ -134,59 +174,65 @@ class Adam(Optimizer):
         self.weight_decay = weight_decay
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
-        self._t = 0
 
     def step(self) -> None:
         self._t += 1
+        # Python floats: numpy's power ufunc rounds some steps' powers
+        # differently from libm's pow (e.g. 0.999 ** 7).
+        bias1 = 1.0 - self.beta1 ** self._t
+        bias2 = 1.0 - self.beta2 ** self._t
+        self._every_row(
+            lambda i, g: self._rows(i, slice(None), g, bias1, bias2))
+
+    def _rows(self, i: int, rows, g, bias1, bias2) -> None:
+        """The Adam update of ``rows`` (ids or ``slice(None)``), in place,
+        with scalar or per-row (``(len(rows), 1, ...)``) bias terms."""
+        p = self.params[i]
         b1, b2 = self.beta1, self.beta2
-        bias1 = 1.0 - b1 ** self._t
-        bias2 = 1.0 - b2 ** self._t
-        changed = False
-        for p, m, v in zip(self.params, self._m, self._v):
-            if p.grad is None:
-                continue
-            g = self._dense_grad(p)
+        per_row = np.ndim(bias1) > 0
+        for at, gc, (P, M, V), G, T in self._chunks(
+                i, rows, g, p.data, self._m[i], self._v[i]):
             if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            m_hat = m / bias1
-            v_hat = v / bias2
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-            changed = True
-        if changed:
-            bump_data_version()
+                np.multiply(P, self.weight_decay, out=T)
+                gc = np.add(gc, T, out=G)
+            M *= b1
+            M += np.multiply(gc, 1.0 - b1, out=T)
+            V *= b2
+            np.multiply(gc, 1.0 - b2, out=T)
+            T *= gc
+            V += T
+            np.divide(M, bias1[at] if per_row else bias1, out=T)
+            T *= self.lr
+            np.divide(V, bias2[at] if per_row else bias2, out=G)
+            np.sqrt(G, out=G)
+            G += self.eps
+            T /= G
+            P -= T
 
 
 class SparseOptimizer(Optimizer):
-    """Shared machinery of the row-sparse optimizers.
+    """Row selection and ``exact`` replay of the row-sparse optimizers.
 
-    Subclasses implement :meth:`_apply`, the one update kernel: of a
-    touched row subset, of the whole table (``rows = slice(None)``, for
-    parameters whose gradient arrived dense — auxiliary weights, graph
-    backbones whose gradients densified at propagation) and, with a
-    zero gradient, of ``exact`` mode's vectorized catch-up steps.
+    Mixed in ahead of the dense optimizer whose update rule it drives
+    (``SparseAdam(SparseOptimizer, Adam)``).  Subclasses implement
+    :meth:`_apply`, the one update: of a touched row subset, of the
+    whole table (``rows = slice(None)``, for parameters whose gradient
+    arrived dense — auxiliary weights, graph backbones whose gradients
+    densified at propagation) and, with a zero gradient, of ``exact``
+    mode's vectorized catch-up steps; and ``_idle_rows``, the rows whose
+    replay would be a no-op.
     """
 
     MODES = ("lazy", "exact")
 
-    def __init__(self, params, lr: float, weight_decay: float, mode: str):
-        super().__init__(params, lr)
+    def _init_mode(self, mode: str) -> None:
         if mode not in self.MODES:
             raise ValueError(f"mode must be one of {self.MODES}, got {mode!r}")
-        self.weight_decay = weight_decay
         self.mode = mode
-        self._t = 0
         #: per-parameter step clock of each row's last applied update
         #: (exact mode only).
         self._last = ([np.zeros(len(p.data), dtype=np.int64)
                        for p in self.params] if mode == "exact" else None)
-        #: per-parameter kernel workspace: five chunk-sized row buffers.
-        self._work = [np.empty((5, max(1, min(
-            len(p.data), _CHUNK_BYTES // (p.data[:1].nbytes or 1))))
-            + p.data.shape[1:], p.data.dtype) for p in self.params]
 
     # ------------------------------------------------------------------
     def step(self) -> None:
@@ -260,38 +306,8 @@ class SparseOptimizer(Optimizer):
             self._apply(i, rows[active], 0.0, last[active] + j)
         # callers update self._last afterwards
 
-    def _chunks(self, i: int, rows, g, *tables):
-        """Yield ``(positions, g chunk, table chunks, scratch G, scratch T)``
-        per cache-sized chunk of ``rows``: index-array chunks are gathered
-        before and scattered back after the caller's in-place update,
-        ``slice(None)`` chunks are views.  ``g``: an array or scalar 0.0.
-        """
-        work, dense = self._work[i], isinstance(rows, slice)
-        n = len(tables[0]) if dense else len(rows)
-        for lo in range(0, n, work.shape[1]):
-            at = slice(lo, min(lo + work.shape[1], n))
-            size = at.stop - lo
-            if dense:
-                bufs = [t[at] for t in tables]
-            else:
-                bufs = [np.take(t, rows[at], axis=0, out=w[:size], mode="clip")
-                        for t, w in zip(tables, work)]
-            yield (at, g[at] if isinstance(g, np.ndarray) else g, bufs,
-                   work[3, :size], work[4, :size])
-            if not dense:
-                for t, buf in zip(tables, bufs):
-                    t[rows[at]] = buf
 
-    def _idle_rows(self, i: int, rows: np.ndarray) -> np.ndarray:
-        """Boolean mask of rows whose replay would be a no-op."""
-        raise NotImplementedError
-
-    def _apply(self, i: int, rows, g, step_nums) -> None:
-        """Update ``rows`` (ids or ``slice(None)``) with gradient ``g``."""
-        raise NotImplementedError
-
-
-class SparseSGD(SparseOptimizer):
+class SparseSGD(SparseOptimizer, SGD):
     """SGD over row-sparse gradients.
 
     ``lazy``: touched rows get the classical momentum/decay update;
@@ -303,22 +319,11 @@ class SparseSGD(SparseOptimizer):
 
     def __init__(self, params, lr: float = 0.01, momentum: float = 0.0,
                  weight_decay: float = 0.0, mode: str = "lazy"):
-        super().__init__(params, lr, weight_decay, mode)
-        self.momentum = momentum
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
+        SGD.__init__(self, params, lr, momentum, weight_decay)
+        self._init_mode(mode)
 
     def _apply(self, i: int, rows, g, step_nums) -> None:
-        tables = [self.params[i].data] + (
-            [self._velocity[i]] if self.momentum else [])
-        for _, gc, bufs, G, T in self._chunks(i, rows, g, *tables):
-            if self.weight_decay:
-                np.multiply(bufs[0], self.weight_decay, out=T)
-                gc = np.add(gc, T, out=G)
-            if self.momentum:
-                bufs[1] *= self.momentum
-                bufs[1] += gc
-                gc = bufs[1]
-            bufs[0] -= np.multiply(gc, self.lr, out=T)
+        self._rows(i, rows, g)
 
     def _idle_rows(self, i, rows) -> np.ndarray:
         if self.momentum == 0.0:
@@ -327,7 +332,7 @@ class SparseSGD(SparseOptimizer):
         return ~v.reshape(len(rows), -1).any(axis=1)
 
 
-class SparseAdam(SparseOptimizer):
+class SparseAdam(SparseOptimizer, Adam):
     """Adam over row-sparse gradients (``torch.optim.SparseAdam`` family).
 
     ``lazy``: exactly PyTorch's ``SparseAdam`` update — only touched
@@ -343,39 +348,16 @@ class SparseAdam(SparseOptimizer):
     def __init__(self, params, lr: float = 1e-3, betas=(0.9, 0.999),
                  eps: float = 1e-8, weight_decay: float = 0.0,
                  mode: str = "lazy"):
-        super().__init__(params, lr, weight_decay, mode)
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        Adam.__init__(self, params, lr, betas, eps, weight_decay)
+        self._init_mode(mode)
 
     def _apply(self, i: int, rows, g, step_nums) -> None:
         """One Adam update of ``rows`` at (per-row) step numbers."""
-        p = self.params[i]
-        b1, b2 = self.beta1, self.beta2
         steps = np.asarray(step_nums, dtype=np.float64)
         if steps.ndim:  # per-row bias correction during exact replay
-            steps = steps.reshape((-1,) + (1,) * (p.data.ndim - 1))
-        bias1 = 1.0 - b1 ** steps
-        bias2 = 1.0 - b2 ** steps
-        for at, gc, (P, M, V), G, T in self._chunks(
-                i, rows, g, p.data, self._m[i], self._v[i]):
-            if self.weight_decay:
-                np.multiply(P, self.weight_decay, out=T)
-                gc = np.add(gc, T, out=G)
-            M *= b1
-            M += np.multiply(gc, 1.0 - b1, out=T)
-            V *= b2
-            np.multiply(gc, 1.0 - b2, out=T)
-            T *= gc
-            V += T
-            np.divide(M, bias1[at] if steps.ndim else bias1, out=T)
-            T *= self.lr
-            np.divide(V, bias2[at] if steps.ndim else bias2, out=G)
-            np.sqrt(G, out=G)
-            G += self.eps
-            T /= G
-            P -= T
+            steps = steps.reshape((-1,) + (1,) * (self.params[i].ndim - 1))
+        self._rows(i, rows, g, 1.0 - self.beta1 ** steps,
+                   1.0 - self.beta2 ** steps)
 
     def _idle_rows(self, i, rows) -> np.ndarray:
         flat_m = self._m[i][rows].reshape(len(rows), -1)

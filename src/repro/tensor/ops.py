@@ -231,7 +231,8 @@ def mean_(a, axis=None, keepdims: bool = False) -> Tensor:
         g = np.asarray(g)
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, a.shape).copy() / count,)
+        # Divide, then broadcast: one full-size array, the same bits.
+        return (np.broadcast_to(g / count, a.shape).copy(),)
 
     return _node(data, (a,), backward)
 
@@ -372,7 +373,9 @@ def stack(tensors, axis: int = 0) -> Tensor:
     data = np.stack([t.data for t in tensors], axis=axis)
 
     def backward(g):
-        return tuple(np.take(g, i, axis=axis) for i in range(len(tensors)))
+        # Views, like concatenate's backward: no per-input copy.
+        parts = np.moveaxis(g, axis, 0)
+        return tuple(parts[i] for i in range(len(tensors)))
 
     return _node(data, tensors, backward)
 

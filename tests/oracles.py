@@ -8,8 +8,12 @@ production path against them.  ``catalogue_batch_scores`` is the oracle
 of ``fused_sampled_scores``: the batch scored against the whole catalogue
 through one ``(B, num_items)`` block, then gathered.
 ``adam_rows`` / ``sgd_rows`` are the row-sparse optimizers' update
-arithmetic in plain fancy indexing and temporaries; the chunked
-in-place kernels of :mod:`repro.nn.optim` must reproduce their bits.
+arithmetic in plain fancy indexing and temporaries, and ``adam_table``
+dense Adam's whole-table step; the chunked in-place kernels of
+:mod:`repro.nn.optim` must reproduce their bits.
+``layer_mean_chain`` is LightGCN's layer mean as one graph node per hop
+plus ``stack`` and ``mean``; :func:`repro.graph.propagation.layer_mean`
+must reproduce its values and gradients bit for bit.
 ``kmeans`` is Lloyd's algorithm as a per-cluster loop over boolean
 masks, with seeding that recomputes every distance per draw; the
 GEMM-only :func:`repro.analysis.kmeans.kmeans` must reproduce its
@@ -23,6 +27,7 @@ import numpy as np
 
 from repro.eval import metrics as M
 from repro.eval.evaluator import EvalResult
+from repro.graph.propagation import spmm
 from repro.tensor import as_tensor, ops
 from repro.tensor import functional as F
 from repro.tensor.random import ensure_rng
@@ -137,6 +142,22 @@ def adam_rows(p, m, v, rows, g, step_nums, *, lr, betas=(0.9, 0.999),
     p[rows] -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
+def adam_table(p, m, v, g, step, *, lr, betas=(0.9, 0.999), eps=1e-8,
+               weight_decay=0.0):
+    """Dense Adam's whole-table step in place, bias terms as Python
+    floats (numpy's power ufunc rounds e.g. ``0.999 ** 7`` differently)."""
+    b1, b2 = betas
+    if weight_decay:
+        g = g + weight_decay * p
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    m_hat = m / (1.0 - b1 ** step)
+    v_hat = v / (1.0 - b2 ** step)
+    p -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
 def sgd_rows(p, vel, rows, g, *, lr, momentum=0.0, weight_decay=0.0):
     """One SGD update of ``rows`` of ``p`` (and velocity ``vel``) in place."""
     if weight_decay:
@@ -145,6 +166,14 @@ def sgd_rows(p, vel, rows, g, *, lr, momentum=0.0, weight_decay=0.0):
         vel[rows] = momentum * vel[rows] + g
         g = vel[rows]
     p[rows] -= lr * g
+
+
+def layer_mean_chain(adjacency, ego, num_layers):
+    """``mean(E⁰ … Eᴸ)``: ``Eˡ⁺¹ = spmm(adjacency, Eˡ)``, stacked, averaged."""
+    layers = [as_tensor(ego)]
+    for _ in range(num_layers):
+        layers.append(spmm(adjacency, layers[-1]))
+    return ops.stack(layers, axis=0).mean(axis=0)
 
 
 def sq_dists(x, centroids):

@@ -467,3 +467,28 @@ class TestRepoBenchmarkWiring:
             (REPO_ROOT / "BENCHMARK.json").read_text())["per_layer"]}
         assert {"ann.topk_p50_ms", "ann.build_p50_ms",
                 "serve.index.topk_p50_ms"} <= per_layer
+
+    def test_ci_slow_gates_pipeline_peak_rss_at_full_shape(self):
+        """The dense LightGCN step sets `pipeline-9k`'s peak RSS: a
+        full-shape memory pass must fail on any failed op or above
+        225 MB, reusing the inputs an earlier step built (so generating
+        them is never measured)."""
+        commands = _run_commands(_load("ci-slow.yml"))
+        passes = [c for c in commands
+                  if "bench/run.py --memory-pass --workload pipeline-9k" in c]
+        assert passes and all("--tiny" not in c for c in passes)
+
+        def work_dir(command):
+            tokens = shlex.split(command)
+            return tokens[tokens.index("--work-dir") + 1]
+        first = commands.index(passes[0])
+        builders = [c for c in commands[:first]
+                    if "bench/run.py --workload pipeline-9k" in c]
+        assert builders and work_dir(passes[0]) == work_dir(builders[0])
+        checks = [c for c in commands[first:] if "'peak_rss_mb'" in c]
+        assert checks and all("r['failed'] == 0" in c
+                              and "r['peak_rss_mb'] <= 225" in c
+                              for c in checks)
+        end_to_end = {m["name"] for m in json.loads(
+            (REPO_ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
+        assert "peak_rss_mb" in end_to_end

@@ -16,7 +16,7 @@ from repro.data.sampling import UniformNegativeSampler
 from repro.nn import Adam, Parameter, SGD, SparseAdam, SparseSGD, optim
 from repro.tensor import RowSparseGrad
 from repro.tensor.tensor import data_version
-from tests.oracles import adam_rows, sgd_rows
+from tests.oracles import adam_rows, adam_table, sgd_rows
 
 
 def _tiny_gradient_stream(tiny_dataset, steps, dim, seed=0):
@@ -227,6 +227,41 @@ class TestKernelsMatchOracleBits:
         assert len(got) == len(want) == 4
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+    def test_dense_adam_over_every_row(self, weight_decay):
+        """Dense ``Adam`` runs the chunked kernel over every row, with the
+        bits of the whole-table step (12 steps: ``0.999 ** 7`` is one
+        where numpy's power would round differently)."""
+        rng = np.random.default_rng(5)
+        start = rng.normal(size=(3 * CHUNK + 40, DIM))
+        p = Parameter(start.copy())
+        opt = Adam([p], lr=0.05, weight_decay=weight_decay)
+        want, m, v = start.copy(), np.zeros_like(start), np.zeros_like(start)
+        for t in range(1, 13):
+            g = rng.normal(size=start.shape)
+            p.grad = g.copy()
+            opt.step()
+            adam_table(want, m, v, g, t, lr=0.05, weight_decay=weight_decay)
+        for got, ref in zip((p.data, opt._m[0], opt._v[0]), (want, m, v)):
+            np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_dense_sgd_over_every_row(self, momentum, weight_decay):
+        rng = np.random.default_rng(6)
+        start = rng.normal(size=(2 * CHUNK + 5, DIM))
+        p = Parameter(start.copy())
+        opt = SGD([p], lr=0.05, momentum=momentum, weight_decay=weight_decay)
+        want, vel = start.copy(), np.zeros_like(start)
+        for _ in range(6):
+            g = rng.normal(size=start.shape)
+            p.grad = g.copy()
+            opt.step()
+            sgd_rows(want, vel, slice(None), g, lr=0.05, momentum=momentum,
+                     weight_decay=weight_decay)
+        np.testing.assert_array_equal(p.data, want)
+        np.testing.assert_array_equal(opt._velocity[0], vel)
 
     def test_step_workspace_is_chunk_sized_not_nnz_sized(self):
         """Peak traced allocation of a step must not follow nnz."""

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, as_tensor, no_grad, is_grad_enabled
+from repro.tensor import Tensor, as_tensor, no_grad, is_grad_enabled, ops
 
 
 class TestConstruction:
@@ -183,3 +183,36 @@ class TestGetitemBackward:
         g_top, g_bottom = rng.normal(size=(3, 3)), rng.normal(size=(4, 3))
         ((x[:3] * g_top).sum() + (x[3:] * g_bottom).sum()).backward()
         assert x.grad.tobytes() == np.concatenate([g_top, g_bottom]).tobytes()
+
+
+class TestMeanAndStackBackward:
+    """``mean`` divides before it broadcasts and ``stack`` hands out
+    views; both keep the bits of the copying forms they replace."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("axis", [None, 0, 1, (0, 2), -1])
+    def test_mean_gradient_bits(self, dtype, axis):
+        rng = np.random.default_rng(0)
+        data = rng.normal(size=(3, 5, 4)).astype(dtype)
+        x = Tensor(data, requires_grad=True)
+        out = x.mean(axis=axis)
+        seed = rng.normal(size=out.shape).astype(dtype)
+        out.backward(seed)
+        g = seed if axis is None else np.expand_dims(seed, axis)
+        want = np.broadcast_to(g, data.shape).copy() / (data.size // out.size)
+        assert x.grad.dtype == want.dtype
+        assert x.grad.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("axis", [0, 1, 2, -1])
+    def test_stack_gradient_bits(self, dtype, axis):
+        rng = np.random.default_rng(1)
+        parts = [Tensor(rng.normal(size=(4, 3)).astype(dtype),
+                        requires_grad=True) for _ in range(3)]
+        out = ops.stack(parts, axis=axis)
+        seed = rng.normal(size=out.shape).astype(dtype)
+        out.backward(seed)
+        for i, part in enumerate(parts):
+            want = np.take(seed, i, axis=axis)
+            assert part.grad.dtype == want.dtype
+            assert part.grad.tobytes() == want.tobytes()
