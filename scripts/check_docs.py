@@ -2,7 +2,7 @@
 """Docs-link checker: README/docs references must not rot.
 
 Scans ``README.md``, every ``docs/*.md`` and the verify skill
-(``.claude/skills/verify/SKILL.md``) for four kinds of references and
+(``.claude/skills/verify/SKILL.md``) for five kinds of references and
 fails if any is dangling:
 
 * **Relative markdown links** — ``[text](path)`` targets that are not
@@ -15,6 +15,10 @@ fails if any is dangling:
   must be a real subcommand of the argparse tree in
   :mod:`repro.cli` (so renaming a verb without updating the docs
   fails verification).
+* **CLI flags** — every ``--flag`` of a ``repro <verb> ...`` command in
+  an inline code span or a fenced block must be an option of that
+  verb's subparser (``repro bench <suite>`` lines: of that suite's), so
+  a deleted option cannot live on in an example.
 * **Bench suites** — every ``repro bench <suite>``, ``make
   bench-<suite>`` and ``BENCH_<suite>.json`` mention must name a suite
   of the registry (:func:`repro.experiments.bench.suite_names`), so a
@@ -33,6 +37,8 @@ turns them into failures.
 
 from __future__ import annotations
 
+import argparse
+import functools
 import importlib
 import pathlib
 import re
@@ -50,6 +56,12 @@ _CLI_VERB = re.compile(r"\brepro(?:\.cli)?\s+([a-z][a-z0-9-]*)\b")
 _BENCH_SUITE = re.compile(r"\brepro(?:\.cli)?\s+bench\s+([a-z][a-z0-9-]*)\b"
                           r"|\bmake\s+bench-([a-z][a-z0-9-]*)\b"
                           r"|\bBENCH_([a-z0-9]+)\.json\b")
+_FENCE = re.compile(r"```[a-zA-Z]*\n(.*?)```", re.DOTALL)
+_COMMAND = re.compile(r"\brepro(?:\.cli)?[ \t]+(.*)")
+_FLAG = re.compile(r"--[a-z0-9][a-z0-9-]*")
+
+#: shell tokens that end one command on a line (as does any ``#...``)
+_SHELL_BREAKS = {"|", "||", "&&", ";", ">", ">>"}
 
 #: words following "repro"/"repro.cli" in prose that are not verbs
 _VERB_STOPWORDS = {"command", "package", "verbs", "subcommand", "module"}
@@ -89,6 +101,58 @@ def bench_suites() -> set[str]:
     return set(_repro("experiments.bench").suite_names())
 
 
+@functools.cache
+def cli_options() -> dict[tuple[str, ...], frozenset[str]]:
+    """Option strings of every (sub)command, keyed by its verb path:
+    ``()`` is the top level, ``("bench", "ann")`` one bench suite."""
+    options = {}
+
+    def walk(parser: argparse.ArgumentParser, path: tuple) -> None:
+        actions = parser._actions  # noqa: SLF001 - argparse has no API
+        options[path] = frozenset(s for action in actions
+                                  for s in action.option_strings)
+        for action in actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    walk(sub, path + (name,))
+
+    walk(_repro("cli").build_parser(), ())
+    return options
+
+
+def _command_spans(text: str) -> list[str]:
+    """Inline code spans plus fenced lines (continuations joined)."""
+    spans = []
+    for fence in _FENCE.findall(text):
+        spans.extend(fence.replace("\\\n", " ").splitlines())
+    spans.extend(_INLINE_CODE.findall(_FENCE.sub("", text)))
+    return spans
+
+
+def unknown_flags(span: str, options: dict) -> list[tuple[str, str]]:
+    """``(command, flag)`` for each ``--flag`` of a ``repro ...``
+    command in ``span`` that its subparser does not define.
+
+    A command whose verb path ends at a placeholder (``repro bench
+    <suite> --help``) names no subparser and is skipped.
+    """
+    found = []
+    for match in _COMMAND.finditer(span):
+        path, flags = (), []
+        for token in match.group(1).split():
+            if token in _SHELL_BREAKS or token.startswith("#"):
+                break
+            flag = _FLAG.match(token)
+            if path + (token,) in options:
+                path += (token,)
+            elif flag:
+                flags.append(flag.group(0))
+        if path and not any(key[:-1] == path for key in options):
+            found.extend((" ".join(("repro",) + path), flag)
+                         for flag in flags if flag not in options[path])
+    return found
+
+
 def check_file(path: pathlib.Path, verbs: set[str],
                suites: set[str]) -> list[str]:
     """Return a list of human-readable problems found in one file."""
@@ -117,6 +181,10 @@ def check_file(path: pathlib.Path, verbs: set[str],
             continue
         if verb not in verbs:
             problems.append(f"{rel}: unknown CLI verb `repro {verb}`")
+
+    for span in _command_spans(text):
+        for command, flag in unknown_flags(span, cli_options()):
+            problems.append(f"{rel}: `{command}` has no option `{flag}`")
 
     for match in _BENCH_SUITE.finditer(text):
         verb_suite, make_suite, file_suite = match.groups()

@@ -1,8 +1,8 @@
 """Plain k-means (Lloyd's algorithm) on numpy.
 
 Used by the NCL backbone for its prototype-contrastive branch
-(semantic neighbours), by the ANN tier's coarse quantizer and PQ
-codebooks, and available as a general analysis utility.
+(semantic neighbours), by the ANN tier's coarse quantizer, and
+available as a general analysis utility.
 
 The cost of a call is its GEMMs: ``‖x‖²`` and ``2·x`` are computed once,
 k-means++ seeding keeps a running minimum (one single-column GEMM per
@@ -95,8 +95,8 @@ def sq_dists(x: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
     Uses the expanded form ``max((‖x‖² + ‖c‖²) − 2·x·cᵀ, 0)`` (the clamp
     because cancellation can push tiny distances negative).  Shared by
-    k-means and the ANN tier's list assignment / PQ encoding, so the
-    numerics live in one place.
+    k-means and the ANN tier's list assignment and probe planning, so
+    the numerics live in one place.
     """
     return _sq_dists(2.0 * x, _row_sq(x), centroids)
 

@@ -18,17 +18,13 @@ scores it returns are directly comparable to
   merge of the partial top-k lists — and the ``nprobe == nlist``
   configuration degenerates to the exact index's computation
   (bit-identical items and scores).
-* :mod:`repro.ann.pq` — product-quantized residual codes and
-  asymmetric-distance (ADC) tables for the IVF-PQ variant
-  (:class:`IVFPQIndex`): ADC picks a shortlist, the shortlist is still
-  re-scored exactly (Faiss's refine pattern).
 * :mod:`repro.ann.build` — snapshot → on-disk index directory with a
   content-hashed ``manifest.json`` mirroring the
   :mod:`repro.serve.snapshot` conventions
   (:func:`build_ann_index` / :func:`load_ann_index`).
 
-Both index classes implement the :class:`~repro.serve.index.TopKIndex`
-protocol, so they drop into
+:class:`IVFFlatIndex` implements the
+:class:`~repro.serve.index.TopKIndex` protocol, so it drops into
 :class:`~repro.serve.service.RecommendationService` unchanged, and
 :class:`IVFIndexData` plugs into the sharded router
 (:class:`~repro.serve.router.ShardedTopKIndex` ``ann=...``) as a
@@ -40,14 +36,10 @@ from repro.ann.build import (ANN_INDEX_SCHEMA, AnnManifest, build_ann_index,
                              load_ann_index, save_ann_index)
 from repro.ann.ivf import (ANN_PANEL_WIDTH, IVFFlatIndex, IVFIndexData,
                            assign_lists, train_coarse_quantizer)
-from repro.ann.pq import (IVFPQIndex, ProductQuantizer, adc_lookup_tables,
-                          carry_codes, train_product_quantizer)
 
 __all__ = [
     "ANN_INDEX_SCHEMA", "AnnManifest", "build_ann_index", "save_ann_index",
     "load_ann_index", "load_ann_generator", "is_ann_index",
     "ANN_PANEL_WIDTH", "IVFIndexData", "IVFFlatIndex",
     "train_coarse_quantizer", "assign_lists",
-    "ProductQuantizer", "train_product_quantizer", "adc_lookup_tables",
-    "carry_codes", "IVFPQIndex",
 ]

@@ -1,14 +1,12 @@
 """Build, persist and load ANN index directories.
 
-An *ANN index directory* is the on-disk form of a trained IVF(-PQ)
-index, mirroring the :mod:`repro.serve.snapshot` conventions: plain
-``.npy`` arrays plus a content-hashed, schema-versioned
-``manifest.json``:
+An *ANN index directory* is the on-disk form of a trained IVF index,
+mirroring the :mod:`repro.serve.snapshot` conventions: plain ``.npy``
+arrays plus a content-hashed, schema-versioned ``manifest.json``:
 
 * ``centroids.npy`` — ``(nlist, dim)`` coarse-quantizer centroids;
 * ``list_indptr.npy`` / ``list_items.npy`` — the inverted lists in CSR
   layout, each list ascending in global item id;
-* ``pq_codebooks.npy`` / ``pq_codes.npy`` — only for ``kind="ivfpq"``;
 * ``manifest.json`` — an :class:`AnnManifest` recording the build
   parameters, the **source snapshot's content version** (so a service
   can refuse an index built from a different export) and a content
@@ -30,31 +28,22 @@ import numpy as np
 
 from repro.ann.ivf import (ANN_PANEL_WIDTH, IVFFlatIndex, IVFIndexData,
                            assign_lists, train_coarse_quantizer)
-from repro.ann.pq import (IVFPQIndex, ProductQuantizer, encode_residuals,
-                          train_product_quantizer)
 from repro.serve.index import scoring_ready_items
 from repro.serve.snapshot import (EmbeddingSnapshot, _content_version,
                                   _publish_files)
 
-__all__ = ["ANN_INDEX_SCHEMA", "ANN_KINDS", "AnnManifest",
-           "build_ann_index", "save_ann_index", "load_ann_index",
-           "load_ann_generator", "is_ann_index"]
+__all__ = ["ANN_INDEX_SCHEMA", "AnnManifest", "build_ann_index",
+           "save_ann_index", "load_ann_index", "load_ann_generator",
+           "is_ann_index"]
 
 #: Bump when the on-disk layout changes incompatibly.
 ANN_INDEX_SCHEMA = "bsl-ann-index/v1"
-
-#: Index kinds the builder/loader understand.
-ANN_KINDS = ("ivf", "ivfpq")
 
 _MANIFEST = "manifest.json"
 _FILES = {
     "centroids": "centroids.npy",
     "list_indptr": "list_indptr.npy",
     "list_items": "list_items.npy",
-}
-_PQ_FILES = {
-    "pq_codebooks": "pq_codebooks.npy",
-    "pq_codes": "pq_codes.npy",
 }
 
 
@@ -65,7 +54,8 @@ class AnnManifest:
     ``version`` is a content hash over the arrays and the identity
     fields; ``snapshot_version`` ties the index to the exact snapshot
     export it was trained from.  Deliberately timestamp-free so builds
-    are byte-reproducible.
+    are byte-reproducible.  ``kind`` is always ``"ivf"``; it stays in
+    the hashed identity so existing directories keep their ``version``.
     """
 
     schema: str
@@ -84,7 +74,6 @@ class AnnManifest:
     panel_width: int
     train_iters: int
     seed: int
-    pq: dict | None = None
 
     def to_json(self) -> str:
         """Serialize to the ``manifest.json`` on-disk representation."""
@@ -92,8 +81,19 @@ class AnnManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "AnnManifest":
-        """Parse ``manifest.json`` text, rejecting unknown fields."""
+        """Parse ``manifest.json`` text, rejecting unknown fields.
+
+        Directories written while an ``ivfpq`` kind existed carry a
+        ``"pq": null`` field, dropped here; an ``ivfpq`` directory
+        itself is refused.
+        """
         payload = json.loads(text)
+        if payload.get("kind") != "ivf":
+            raise ValueError(
+                f"ANN index kind {payload.get('kind')!r} is not supported: "
+                f"the 'ivfpq' kind was removed; rebuild the directory as "
+                f"an IVF index with `repro build-ann`")
+        payload.pop("pq", None)
         unknown = set(payload) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"ANN manifest has unknown fields "
@@ -111,31 +111,59 @@ def _identity(manifest: AnnManifest) -> tuple:
 
 def _ann_version(arrays: dict[str, np.ndarray], identity: tuple) -> str:
     """Content hash over the index arrays plus the identity fields."""
-    ordered = [arrays[name] for name in sorted(arrays)]
-    pad = np.empty(0, dtype=np.int64)
-    # _content_version hashes exactly four arrays; fold extras pairwise.
-    while len(ordered) < 4:
-        ordered.append(pad)
-    version = _content_version(ordered[0], ordered[1], ordered[2],
-                               ordered[3], identity)
-    for extra in ordered[4:]:
-        version = _content_version(extra, pad, pad, pad,
-                                   (version,))
-    return version
+    return _content_version(arrays["centroids"], arrays["list_indptr"],
+                            arrays["list_items"], np.empty(0, np.int64),
+                            identity)
+
+
+def _publish(out_dir, data: IVFIndexData, snapshot: EmbeddingSnapshot, *,
+             panel_width: int, train_iters: int, seed: int) -> AnnManifest:
+    """Hash, stage and publish one index directory; returns its manifest.
+
+    Staged and published like a snapshot, so a killed rebuild leaves
+    the previous index loadable.
+    """
+    arrays = {"centroids": data.centroids,
+              "list_indptr": data.list_indptr,
+              "list_items": data.list_items}
+    m = snapshot.manifest
+    manifest = AnnManifest(
+        schema=ANN_INDEX_SCHEMA,
+        version="",
+        kind=IVFFlatIndex.kind,
+        snapshot_version=snapshot.version,
+        model=m.model,
+        dataset=m.dataset,
+        scoring=m.scoring,
+        dim=m.dim,
+        num_items=m.num_items,
+        num_users=m.num_users,
+        nlist=data.nlist,
+        spill=data.spill,
+        default_nprobe=data.default_nprobe,
+        panel_width=panel_width,
+        train_iters=train_iters,
+        seed=seed)
+    manifest = dataclasses.replace(
+        manifest, version=_ann_version(arrays, _identity(manifest)))
+    out_dir = pathlib.Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _publish_files(out_dir,
+                   {fname: arrays[name] for name, fname in _FILES.items()},
+                   manifest)
+    return manifest
 
 
 def build_ann_index(snapshot: EmbeddingSnapshot, out_dir, *,
-                    kind: str = "ivf", nlist: int = 16, spill: int = 1,
+                    nlist: int = 16, spill: int = 1,
                     default_nprobe: int = 2,
                     panel_width: int = ANN_PANEL_WIDTH,
-                    train_iters: int = 25, seed: int = 0,
-                    pq_m: int = 8, pq_ks: int = 32):
-    """Train an IVF(-PQ) index from a snapshot and persist it.
+                    train_iters: int = 25, seed: int = 0) -> IVFFlatIndex:
+    """Train an IVF index from a snapshot and persist it.
 
     Runs the coarse quantizer on the scoring-ready item table, builds
-    the inverted lists (``spill`` nearest lists per item), optionally
-    trains PQ codebooks on the posting residuals, writes the index
-    directory and returns the loaded serving index.
+    the inverted lists (``spill`` nearest lists per item), writes the
+    index directory and returns the loaded serving index.
 
     Parameters
     ----------
@@ -143,23 +171,12 @@ def build_ann_index(snapshot: EmbeddingSnapshot, out_dir, *,
         Loaded snapshot to train from (also the re-scoring source).
     out_dir:
         Target directory (created if missing; files are overwritten).
-    kind:
-        ``"ivf"`` (flat re-scoring only) or ``"ivfpq"`` (ADC shortlist
-        + exact refinement).
     nlist, spill, default_nprobe, panel_width, train_iters:
         Index geometry; see :mod:`repro.ann.ivf`.
     seed:
-        Seeds every k-means involved; same snapshot + same parameters +
-        same seed ⇒ byte-identical directory.
-    pq_m, pq_ks:
-        Subquantizer count / codewords per subspace (``kind="ivfpq"``).
+        Seeds the k-means; same snapshot + same parameters + same seed
+        ⇒ byte-identical directory.
     """
-    if kind not in ANN_KINDS:
-        raise ValueError(f"unknown ANN index kind {kind!r}; "
-                         f"available: {ANN_KINDS}")
-    if kind == "ivfpq" and snapshot.manifest.scoring == "euclidean":
-        raise ValueError("IVF-PQ does not support euclidean-scoring "
-                         "snapshots; use kind='ivf'")
     items_ready = scoring_ready_items(snapshot.items, snapshot.scoring)
     centroids, _ = train_coarse_quantizer(items_ready, nlist, seed=seed,
                                           n_iter=train_iters)
@@ -172,68 +189,14 @@ def build_ann_index(snapshot: EmbeddingSnapshot, out_dir, *,
     data = IVFIndexData(centroids, list_indptr, list_items,
                         num_items=snapshot.manifest.num_items,
                         default_nprobe=default_nprobe)
-
-    arrays = {"centroids": centroids, "list_indptr": list_indptr,
-              "list_items": list_items}
-    pq_payload = None
-    if kind == "ivfpq":
-        owner = np.repeat(np.arange(nlist, dtype=np.int64),
-                          np.diff(list_indptr))
-        residuals = items_ready[list_items] - centroids[owner]
-        codebooks = train_product_quantizer(residuals, m=pq_m, ks=pq_ks,
-                                            seed=seed,
-                                            n_iter=train_iters)
-        codes = encode_residuals(residuals, codebooks)
-        arrays["pq_codebooks"] = codebooks
-        arrays["pq_codes"] = codes
-        pq_payload = {"m": int(codebooks.shape[0]),
-                      "ks": int(codebooks.shape[1])}
-
-    m = snapshot.manifest
-    manifest = AnnManifest(
-        schema=ANN_INDEX_SCHEMA,
-        version="",
-        kind=kind,
-        snapshot_version=snapshot.version,
-        model=m.model,
-        dataset=m.dataset,
-        scoring=m.scoring,
-        dim=m.dim,
-        num_items=m.num_items,
-        num_users=m.num_users,
-        nlist=nlist,
-        spill=spill,
-        default_nprobe=default_nprobe,
-        panel_width=panel_width,
-        train_iters=train_iters,
-        seed=seed,
-        pq=pq_payload)
-    manifest = dataclasses.replace(
-        manifest, version=_ann_version(arrays, _identity(manifest)))
-    _write_index(out_dir, manifest, arrays)
-    return _make_index(manifest, data, arrays, snapshot)
+    _publish(out_dir, data, snapshot, panel_width=panel_width,
+             train_iters=train_iters, seed=seed)
+    return IVFFlatIndex(snapshot, data, nprobe=default_nprobe,
+                        panel_width=panel_width)
 
 
-def _write_index(out_dir, manifest: AnnManifest, arrays: dict) -> None:
-    """Persist one ANN index directory (arrays + manifest).
-
-    Staged and published like a snapshot: a killed rebuild leaves the
-    previous index loadable, and the PQ files of a previous ``ivfpq``
-    build go only once the new manifest has landed.
-    """
-    out_dir = pathlib.Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    files = dict(_FILES, **_PQ_FILES) if manifest.pq is not None else _FILES
-    _publish_files(out_dir,
-                   {fname: arrays[name] for name, fname in files.items()},
-                   manifest)
-    if manifest.pq is None:
-        for stale in _PQ_FILES.values():
-            (out_dir / stale).unlink(missing_ok=True)
-
-
-def save_ann_index(index, out_dir) -> AnnManifest:
-    """Persist a live IVF(-PQ) serving index as an index directory.
+def save_ann_index(index: IVFFlatIndex, out_dir) -> AnnManifest:
+    """Persist a live IVF serving index as an index directory.
 
     The complement of :func:`build_ann_index` for indexes that were not
     trained from scratch — typically the output of
@@ -246,54 +209,40 @@ def save_ann_index(index, out_dir) -> AnnManifest:
     if not isinstance(index, IVFFlatIndex):
         raise TypeError(f"expected an IVF serving index, "
                         f"got {type(index).__name__}")
-    data = index.data
-    arrays = {"centroids": data.centroids,
-              "list_indptr": data.list_indptr,
-              "list_items": data.list_items}
-    pq_payload = None
-    if isinstance(index, IVFPQIndex):
-        arrays["pq_codebooks"] = index.pq.codebooks
-        arrays["pq_codes"] = index.pq.codes
-        pq_payload = {"m": int(index.pq.m), "ks": int(index.pq.ks)}
-    m = index.snapshot.manifest
-    manifest = AnnManifest(
-        schema=ANN_INDEX_SCHEMA,
-        version="",
-        kind=index.kind,
-        snapshot_version=index.snapshot.version,
-        model=m.model,
-        dataset=m.dataset,
-        scoring=m.scoring,
-        dim=m.dim,
-        num_items=m.num_items,
-        num_users=m.num_users,
-        nlist=data.nlist,
-        spill=data.spill,
-        default_nprobe=data.default_nprobe,
-        panel_width=index.panel_width,
-        train_iters=0,
-        seed=0,
-        pq=pq_payload)
-    manifest = dataclasses.replace(
-        manifest, version=_ann_version(arrays, _identity(manifest)))
-    _write_index(out_dir, manifest, arrays)
+    return _publish(out_dir, index.data, index.snapshot,
+                    panel_width=index.panel_width, train_iters=0, seed=0)
+
+
+def _read_manifest(path: pathlib.Path) -> AnnManifest:
+    """Parse and schema-check the manifest of an index directory."""
+    manifest_path = path / _MANIFEST
+    if not manifest_path.is_file():
+        raise FileNotFoundError(f"no ANN index manifest at {manifest_path}")
+    manifest = AnnManifest.from_json(manifest_path.read_text())
+    if manifest.schema != ANN_INDEX_SCHEMA:
+        raise ValueError(f"ANN index schema {manifest.schema!r} is not "
+                         f"{ANN_INDEX_SCHEMA!r}")
     return manifest
 
 
-def _make_index(manifest: AnnManifest, data: IVFIndexData,
-                arrays: dict, snapshot: EmbeddingSnapshot):
-    """Instantiate the serving index matching a manifest's kind."""
-    if manifest.kind == "ivfpq":
-        pq = ProductQuantizer(arrays["pq_codebooks"], arrays["pq_codes"])
-        return IVFPQIndex(snapshot, data, pq,
-                          nprobe=manifest.default_nprobe,
-                          panel_width=manifest.panel_width)
-    return IVFFlatIndex(snapshot, data, nprobe=manifest.default_nprobe,
-                        panel_width=manifest.panel_width)
+def _read_data(path: pathlib.Path, manifest: AnnManifest,
+               verify: bool) -> IVFIndexData:
+    """Load the arrays of an index directory, re-hashing under ``verify``."""
+    arrays = {name: np.load(path / fname, allow_pickle=False)
+              for name, fname in _FILES.items()}
+    if verify and (_ann_version(arrays, _identity(manifest))
+                   != manifest.version):
+        raise ValueError(
+            f"ANN index content hash does not match manifest version "
+            f"{manifest.version!r}; files were modified after build")
+    return IVFIndexData(arrays["centroids"], arrays["list_indptr"],
+                        arrays["list_items"],
+                        num_items=manifest.num_items,
+                        default_nprobe=manifest.default_nprobe)
 
 
 def load_ann_index(path, snapshot: EmbeddingSnapshot, *,
-                   verify: bool = False):
+                   verify: bool = False) -> IVFFlatIndex:
     """Open an ANN index directory against its source snapshot.
 
     Parameters
@@ -309,35 +258,15 @@ def load_ann_index(path, snapshot: EmbeddingSnapshot, *,
         manifest's ``version`` (detects truncated or edited files).
     """
     path = pathlib.Path(path)
-    manifest_path = path / _MANIFEST
-    if not manifest_path.is_file():
-        raise FileNotFoundError(f"no ANN index manifest at {manifest_path}")
-    manifest = AnnManifest.from_json(manifest_path.read_text())
-    if manifest.schema != ANN_INDEX_SCHEMA:
-        raise ValueError(f"ANN index schema {manifest.schema!r} is not "
-                         f"{ANN_INDEX_SCHEMA!r}")
-    if manifest.kind not in ANN_KINDS:
-        raise ValueError(f"unknown ANN index kind {manifest.kind!r}")
+    manifest = _read_manifest(path)
     if manifest.snapshot_version != snapshot.version:
         raise ValueError(
             f"ANN index was built from snapshot "
             f"{manifest.snapshot_version!r} but the loaded snapshot is "
             f"{snapshot.version!r}; rebuild with `repro build-ann`")
-    arrays = {name: np.load(path / fname, allow_pickle=False)
-              for name, fname in _FILES.items()}
-    if manifest.kind == "ivfpq":
-        arrays.update({name: np.load(path / fname, allow_pickle=False)
-                       for name, fname in _PQ_FILES.items()})
-    if verify:
-        if _ann_version(arrays, _identity(manifest)) != manifest.version:
-            raise ValueError(
-                f"ANN index content hash does not match manifest version "
-                f"{manifest.version!r}; files were modified after build")
-    data = IVFIndexData(arrays["centroids"], arrays["list_indptr"],
-                        arrays["list_items"],
-                        num_items=manifest.num_items,
-                        default_nprobe=manifest.default_nprobe)
-    return _make_index(manifest, data, arrays, snapshot)
+    return IVFFlatIndex(snapshot, _read_data(path, manifest, verify),
+                        nprobe=manifest.default_nprobe,
+                        panel_width=manifest.panel_width)
 
 
 def load_ann_generator(path, *, snapshot=None,
@@ -360,18 +289,11 @@ def load_ann_generator(path, *, snapshot=None,
         strict ``snapshot_version`` match lives in
         :func:`load_ann_index`.
     verify:
-        Re-hash the directory's arrays (including PQ files for an
-        ``ivfpq`` index) and fail loudly on any mismatch with the
-        manifest's content ``version``.
+        Re-hash the directory's arrays and fail loudly on any mismatch
+        with the manifest's content ``version``.
     """
     path = pathlib.Path(path)
-    manifest_path = path / _MANIFEST
-    if not manifest_path.is_file():
-        raise FileNotFoundError(f"no ANN index manifest at {manifest_path}")
-    manifest = AnnManifest.from_json(manifest_path.read_text())
-    if manifest.schema != ANN_INDEX_SCHEMA:
-        raise ValueError(f"ANN index schema {manifest.schema!r} is not "
-                         f"{ANN_INDEX_SCHEMA!r}")
+    manifest = _read_manifest(path)
     if snapshot is not None:
         m = snapshot.manifest
         mismatches = [
@@ -387,21 +309,7 @@ def load_ann_generator(path, *, snapshot=None,
                                for f, g, w in mismatches)
             raise ValueError(f"ANN index at {path} does not fit this "
                              f"snapshot ({detail})")
-    arrays = {name: np.load(path / fname, allow_pickle=False)
-              for name, fname in _FILES.items()}
-    if verify:
-        hashed = dict(arrays)
-        if manifest.kind == "ivfpq":
-            hashed.update({name: np.load(path / fname, allow_pickle=False)
-                           for name, fname in _PQ_FILES.items()})
-        if _ann_version(hashed, _identity(manifest)) != manifest.version:
-            raise ValueError(
-                f"ANN index content hash does not match manifest version "
-                f"{manifest.version!r}; files were modified after build")
-    return IVFIndexData(arrays["centroids"], arrays["list_indptr"],
-                        arrays["list_items"],
-                        num_items=manifest.num_items,
-                        default_nprobe=manifest.default_nprobe)
+    return _read_data(path, manifest, verify)
 
 
 def is_ann_index(path) -> bool:

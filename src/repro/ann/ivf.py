@@ -40,9 +40,9 @@ from repro.analysis.kmeans import kmeans, sq_dists
 from repro.eval.metrics import rank_items
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
-from repro.serve.index import (TopKResult, build_panels, panel_scores,
-                               prepare_request, scoring_ready_items,
-                               scoring_ready_users)
+from repro.serve.index import (TopKResult, build_panels, euclidean_scores,
+                               panel_scores, prepare_request,
+                               scoring_ready_items, scoring_ready_users)
 from repro.serve.snapshot import EmbeddingSnapshot, _csr_rows
 
 __all__ = ["ANN_PANEL_WIDTH", "train_coarse_quantizer", "assign_lists",
@@ -211,9 +211,7 @@ class IVFIndexData:
     # ------------------------------------------------------------------
     def updated(self, old_to_new: np.ndarray, added: np.ndarray,
                 items_ready: np.ndarray, num_items: int,
-                *, changed: np.ndarray | None = None,
-                spill: int | None = None
-                ) -> tuple["IVFIndexData", np.ndarray]:
+                *, spill: int | None = None) -> "IVFIndexData":
         """Posting-list insert/delete for one snapshot transition.
 
         ``old_to_new`` maps every old dense item id to its new dense id
@@ -226,12 +224,6 @@ class IVFIndexData:
         deleted postings are dropped, and each added item is inserted
         into its ``spill`` nearest centroids (default: this index's
         spill factor).  Lists stay sorted ascending in new dense id.
-
-        Returns ``(data, code_map)`` where ``code_map[p]`` is the old
-        posting row that new posting ``p`` carries over, or ``-1`` if
-        the posting needs fresh PQ encoding (inserted items, plus any
-        ids in ``changed`` — surviving items whose embedding row moved,
-        which keeps their postings but invalidates their residuals).
         """
         old_to_new = np.asarray(old_to_new, dtype=np.int64)
         if len(old_to_new) != self.num_items:
@@ -247,7 +239,6 @@ class IVFIndexData:
         keep = mapped >= 0
         lists_all = owner[keep]
         ids_all = mapped[keep]
-        src_all = np.flatnonzero(keep).astype(np.int64)
         if len(added):
             spill = max(1, self.spill) if spill is None else int(spill)
             spill = min(spill, self.nlist)
@@ -256,15 +247,8 @@ class IVFIndexData:
             lists_all = np.concatenate([lists_all, owners.ravel()])
             ids_all = np.concatenate([ids_all,
                                       np.repeat(added, owners.shape[1])])
-            src_all = np.concatenate([src_all,
-                                      np.full(owners.size, -1, np.int64)])
         order = np.lexsort((ids_all, lists_all))
         lists_all, ids_all = lists_all[order], ids_all[order]
-        code_map = src_all[order]
-        if changed is not None and len(changed):
-            code_map = np.where(
-                np.isin(ids_all, np.asarray(changed, dtype=np.int64)),
-                -1, code_map)
         indptr = np.concatenate([
             np.zeros(1, np.int64),
             np.cumsum(np.bincount(lists_all, minlength=self.nlist))])
@@ -273,7 +257,7 @@ class IVFIndexData:
         get_registry().counter(
             "ann.ivf.incremental_updates",
             "posting-list maintenance passes (updated())").inc()
-        return data, code_map
+        return data
 
     def staleness(self, items_ready: np.ndarray) -> float:
         """Fraction of items whose nearest centroid no longer owns them.
@@ -300,7 +284,7 @@ class IVFIndexData:
         return value
 
     def reclustered(self, items_ready: np.ndarray, *, lists: int = 1
-                    ) -> tuple["IVFIndexData", np.ndarray]:
+                    ) -> "IVFIndexData":
         """Partially re-cluster the ``lists`` stalest inverted lists.
 
         Stale postings (owning list != nearest centroid) of the worst
@@ -310,10 +294,6 @@ class IVFIndexData:
         (drained or receiving) is re-centered on its new members.  A
         full k-means pass is never run: cost scales with the moved
         lists, not the catalogue.
-
-        Returns ``(data, code_map)``; re-centering changes the residual
-        base of *every* posting in an affected list, so those all come
-        back ``-1`` (fresh PQ encoding required).
         """
         items_ready = np.asarray(items_ready, dtype=np.float64)
         nearest = sq_dists(items_ready, self.centroids).argmin(axis=1)
@@ -323,7 +303,7 @@ class IVFIndexData:
         worst = np.argsort(-per_list, kind="stable")[:max(int(lists), 0)]
         worst = worst[per_list[worst] > 0]
         if not len(worst):
-            return self, np.arange(len(self.list_items), dtype=np.int64)
+            return self
         move = stale & np.isin(owner, worst)
         # moving a spilled item into a list that already holds it would
         # create a duplicate posting; keep those in place
@@ -340,12 +320,9 @@ class IVFIndexData:
                 centroids[c] = items_ready[members].mean(axis=0)
         order = np.lexsort((self.list_items, new_owner))
         items_new = self.list_items[order]
-        lists_new = new_owner[order]
         indptr = np.concatenate([
             np.zeros(1, np.int64),
-            np.cumsum(np.bincount(lists_new, minlength=self.nlist))])
-        code_map = np.where(np.isin(lists_new, affected), -1,
-                            order.astype(np.int64))
+            np.cumsum(np.bincount(new_owner, minlength=self.nlist))])
         data = IVFIndexData(centroids, indptr, items_new, self.num_items,
                             self.default_nprobe)
         registry = get_registry()
@@ -356,7 +333,7 @@ class IVFIndexData:
             "ann.ivf.reclustered_lists",
             "inverted lists drained by partial re-clustering").inc(
             len(worst))
-        return data, code_map
+        return data
 
     # ------------------------------------------------------------------
     def plan(self, vectors: np.ndarray, seen_counts: np.ndarray, k: int,
@@ -535,30 +512,6 @@ class IVFFlatIndex:
                           k=k, filtered_seen=filter_seen)
 
     # ------------------------------------------------------------------
-    def _refreshed_data(self, snapshot: EmbeddingSnapshot,
-                        staleness_threshold: float | None,
-                        recluster_lists: int):
-        """Incremental index data for a new snapshot generation.
-
-        Returns ``(data, code_map, items_ready)``; ``code_map`` composes
-        the posting remap with any partial re-clustering, so subclasses
-        carrying per-posting payloads (PQ codes) know exactly which
-        postings survived untouched.
-        """
-        from repro.serve.delta import item_transition
-        old_to_new, added, changed = item_transition(self.snapshot, snapshot)
-        items_ready = scoring_ready_items(np.asarray(snapshot.items),
-                                          snapshot.scoring)
-        data, code_map = self.data.updated(
-            old_to_new, added, items_ready, snapshot.manifest.num_items,
-            changed=changed)
-        if (staleness_threshold is not None
-                and data.staleness(items_ready) > staleness_threshold):
-            data, remap = data.reclustered(items_ready, lists=recluster_lists)
-            code_map = np.where(remap >= 0,
-                                code_map[np.maximum(remap, 0)], -1)
-        return data, code_map, items_ready
-
     def refreshed(self, snapshot: EmbeddingSnapshot, *,
                   staleness_threshold: float | None = 0.5,
                   recluster_lists: int = 1) -> "IVFFlatIndex":
@@ -573,8 +526,15 @@ class IVFFlatIndex:
         never re-cluster.  The original index is untouched — refresh is
         a swap, not a mutation.
         """
-        data, _, _ = self._refreshed_data(snapshot, staleness_threshold,
-                                          recluster_lists)
+        from repro.serve.delta import item_transition
+        old_to_new, added = item_transition(self.snapshot, snapshot)
+        items_ready = scoring_ready_items(np.asarray(snapshot.items),
+                                          snapshot.scoring)
+        data = self.data.updated(old_to_new, added, items_ready,
+                                 snapshot.manifest.num_items)
+        if (staleness_threshold is not None
+                and data.staleness(items_ready) > staleness_threshold):
+            data = data.reclustered(items_ready, lists=recluster_lists)
         return type(self)(snapshot, data,
                           nprobe=min(self.nprobe, data.nlist),
                           chunk_users=self.chunk_users,
@@ -603,11 +563,7 @@ class IVFFlatIndex:
 
     def _chunk_topk(self, users: np.ndarray, k: int, filter_seen: bool
                     ) -> tuple[np.ndarray, np.ndarray]:
-        """Score one user chunk: plan → per-list partial top-k → merge.
-
-        Every IVF kind runs this; a subclass only adds
-        :meth:`_refine_list`.
-        """
+        """Score one user chunk: plan → per-list partial top-k → merge."""
         tracer = get_tracer()
         data, scoring = self.data, self.snapshot.scoring
         with tracer.span("ann.ivf.plan", users=len(users)):
@@ -629,8 +585,6 @@ class IVFFlatIndex:
         if filter_seen:
             seen_bounds, seen_rows, seen_cols = self._seen_by_list(users,
                                                                    probes)
-        u_sq = ((vectors ** 2).sum(axis=1, keepdims=True)
-                if scoring == "euclidean" else None)
         for c, rows, slots in _rows_by_list(probes, data.nlist):
             size = int(data.sizes[c])
             if not size:
@@ -639,11 +593,7 @@ class IVFFlatIndex:
             probing = vectors[rows]
             scores = panel_scores(probing, panels, size)
             if item_sq is not None:
-                # euclidean: same transform as ExactTopKIndex, applied
-                # to the list's columns
-                scores = -(u_sq[rows] + item_sq - 2.0 * scores)
-            scores = self._refine_list(scores, probing, users[rows], c, k,
-                                       filter_seen)
+                scores = euclidean_scores(scores, probing, item_sq)
             if filter_seen:
                 hit = slice(seen_bounds[c], seen_bounds[c + 1])
                 scores[seen_rows[hit], seen_cols[hit]] = -np.inf
@@ -673,18 +623,6 @@ class IVFFlatIndex:
         self._ctr_queries.inc(m)
         self._ctr_candidates.inc(int(sizes.sum()))
         return out
-
-    def _refine_list(self, scores: np.ndarray, vectors: np.ndarray,
-                     users: np.ndarray, c: int, k: int,
-                     filter_seen: bool) -> np.ndarray:
-        """Hook: narrow one list's candidates before ranking.
-
-        ``scores`` is the exact ``(len(users), sizes[c])`` block of
-        inverted list ``c``, ``vectors`` the prepared rows of the
-        ``users`` probing it.  Returns it with dropped candidates at
-        ``-inf``.
-        """
-        return scores
 
     def _seen_by_list(self, users: np.ndarray, probes: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -278,24 +278,24 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_build_ann(args) -> int:
-    """Train an IVF(-PQ) candidate index from an exported snapshot.
+    """Train an IVF candidate index from an exported snapshot.
 
     Reads the snapshot, clusters the item table with the repo's
-    k-means, writes the inverted lists (and PQ codes for
-    ``--kind ivfpq``) plus a content-hashed ``manifest.json`` into
-    ``--out``.  Builds are deterministic: the same snapshot, parameters
-    and ``--seed`` produce a byte-identical directory.
+    k-means, writes the inverted lists plus a content-hashed
+    ``manifest.json`` into ``--out``.  Builds are deterministic: the
+    same snapshot, parameters and ``--seed`` produce a byte-identical
+    directory.
     """
     from repro.ann import build_ann_index
     from repro.serve import load_snapshot
 
     snapshot = load_snapshot(args.snapshot, verify=args.verify)
     index = build_ann_index(
-        snapshot, args.out, kind=args.kind, nlist=args.nlist,
-        spill=args.spill, default_nprobe=args.nprobe, seed=args.seed,
-        train_iters=args.train_iters, pq_m=args.pq_m, pq_ks=args.pq_ks)
+        snapshot, args.out, nlist=args.nlist, spill=args.spill,
+        default_nprobe=args.nprobe, seed=args.seed,
+        train_iters=args.train_iters)
     data = index.data
-    rows = [["kind", index.kind], ["nlist", data.nlist],
+    rows = [["nlist", data.nlist],
             ["spill", data.max_spill], ["nprobe", data.default_nprobe],
             ["postings", len(data.list_items)],
             ["items", data.num_items],
@@ -608,8 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="snapshot directory written by `repro export`")
     build_ann.add_argument("--out", required=True,
                            help="ANN index output directory")
-    build_ann.add_argument("--kind", default="ivf",
-                           choices=("ivf", "ivfpq"))
     build_ann.add_argument("--nlist", type=int, default=16,
                            help="number of inverted lists (k-means clusters)")
     build_ann.add_argument("--spill", type=int, default=1,
@@ -621,10 +619,6 @@ def build_parser() -> argparse.ArgumentParser:
     build_ann.add_argument("--seed", type=int, default=0,
                            help="training seed; same snapshot + params + "
                                 "seed gives a byte-identical index")
-    build_ann.add_argument("--pq-m", type=int, default=8,
-                           help="PQ subquantizers (with --kind ivfpq)")
-    build_ann.add_argument("--pq-ks", type=int, default=32,
-                           help="PQ codewords per subspace (with ivfpq)")
     build_ann.add_argument("--verify", action="store_true",
                            help="check the snapshot content hash first")
 

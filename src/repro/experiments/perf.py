@@ -672,10 +672,6 @@ class AnnPerfConfig:
                                   "time the same stream)")
     request_users: int = 4096
     repeats: int = 5
-    include_pq: bool = _flag(True, "skip the IVF-PQ point")
-    pq_m: int = 8
-    pq_ks: int = 32
-    pq_refine: int = 4
     seed: int = 0
 
 
@@ -713,8 +709,7 @@ def run_ann_suite(config: AnnPerfConfig | None = None) -> dict:
 
     Returns the ``BENCH_ann.json`` payload: one ``ann_baseline`` row
     (the exact index timed over the same stream) and one ``ann`` row
-    per (nlist, nprobe) — plus an IVF-PQ point when ``include_pq`` —
-    each carrying ``recall`` (overlap@k against the exact index over
+    per (nlist, nprobe), each carrying ``recall`` (overlap@k against the exact index over
     every user) and ``users_per_s``.
     """
     from repro.ann import IVFFlatIndex, build_ann_index
@@ -740,7 +735,7 @@ def run_ann_suite(config: AnnPerfConfig | None = None) -> dict:
         for nlist in config.nlists:
             built = build_ann_index(
                 snapshot, pathlib.Path(tmp) / f"ann-{nlist:03d}",
-                kind="ivf", nlist=nlist, spill=config.spill,
+                nlist=nlist, spill=config.spill,
                 default_nprobe=min(min(config.nprobes), nlist),
                 seed=config.seed, train_iters=config.train_iters)
             for nprobe in config.nprobes:
@@ -750,19 +745,6 @@ def run_ann_suite(config: AnnPerfConfig | None = None) -> dict:
                 results.append(_ann_row(index, exact_truth, all_users, users,
                                         baseline, config,
                                         nlist=nlist, nprobe=nprobe))
-        if config.include_pq:
-            nlist = config.nlists[len(config.nlists) // 2]
-            nprobe = min(nlist, sorted(config.nprobes)[len(
-                config.nprobes) // 2])
-            pq_index = build_ann_index(
-                snapshot, pathlib.Path(tmp) / "ann-pq", kind="ivfpq",
-                nlist=nlist, spill=config.spill, default_nprobe=nprobe,
-                seed=config.seed, train_iters=config.train_iters,
-                pq_m=config.pq_m, pq_ks=config.pq_ks)
-            pq_index.refine = config.pq_refine
-            results.append(_ann_row(pq_index, exact_truth, all_users, users,
-                                    baseline, config,
-                                    nlist=nlist, nprobe=nprobe))
         snapshot_version = snapshot.version
     return _payload(ANN_SCHEMA, config, results,
                     snapshot_version=snapshot_version)
@@ -1095,7 +1077,7 @@ def run_refresh_suite(config: RefreshPerfConfig | None = None) -> dict:
                         extra={"loss": config.loss, "epochs": config.epochs})
         snapshot = load_snapshot(tmp / "base")
         base_index = build_ann_index(
-            snapshot, tmp / "ann", kind="ivf", nlist=config.nlist,
+            snapshot, tmp / "ann", nlist=config.nlist,
             default_nprobe=config.nprobe, seed=config.seed,
             train_iters=config.train_iters)
         base_state = LiveState.from_snapshot(snapshot)

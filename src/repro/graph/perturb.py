@@ -44,6 +44,10 @@ def svd_view(dataset: InteractionDataset, rank: int = 8
     ``(num_items, rank)`` such that ``U_s @ V_s.T`` approximates the
     degree-normalized ``R``.  LightGCL propagates embeddings through this
     reconstruction to obtain its second (global) view.
+
+    ARPACK starts from a fixed seeded vector rather than its own random
+    one: the reconstruction is unique, but its factors are so only up
+    to a basis, and an unseeded start makes two calls disagree.
     """
     if rank <= 0:
         raise ValueError(f"rank must be positive, got {rank}")
@@ -58,7 +62,8 @@ def svd_view(dataset: InteractionDataset, rank: int = 8
     di_inv[~np.isfinite(di_inv)] = 0.0
     norm = sp.diags(du_inv) @ mat @ sp.diags(di_inv)
     rank = min(rank, min(norm.shape) - 1)
-    u, s, vt = sp.linalg.svds(norm.tocsc(), k=rank)
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, min(norm.shape))
+    u, s, vt = sp.linalg.svds(norm.tocsc(), k=rank, v0=v0)
     order = np.argsort(s)[::-1]
     u, s, vt = u[:, order], s[order], vt[order]
     sqrt_s = np.sqrt(s)

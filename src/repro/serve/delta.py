@@ -667,14 +667,15 @@ def live_item_ids(snapshot: EmbeddingSnapshot) -> np.ndarray:
 def item_transition(old: EmbeddingSnapshot, new: EmbeddingSnapshot):
     """Dense item-id transition between two snapshot generations.
 
-    Returns ``(old_to_new, added, changed)``:
+    Returns ``(old_to_new, added)``:
 
     * ``old_to_new[i]`` — new dense position of old dense item ``i``,
       or ``-1`` if the item was deleted (matched by stable id);
-    * ``added`` — new dense positions with no old counterpart;
-    * ``changed`` — new dense positions of *surviving* items whose
-      embedding row differs from the old generation (their IVF postings
-      stay in place but any PQ codes must be re-encoded).
+    * ``added`` — new dense positions with no old counterpart.
+
+    Surviving items keep their IVF postings whether or not their
+    embedding row moved; :meth:`~repro.ann.ivf.IVFIndexData.staleness`
+    measures the drift.
     """
     old_ids, new_ids = live_item_ids(old), live_item_ids(new)
     pos = np.searchsorted(new_ids, old_ids)
@@ -685,9 +686,4 @@ def item_transition(old: EmbeddingSnapshot, new: EmbeddingSnapshot):
     hit = np.zeros(len(new_ids), dtype=bool)
     hit[old_to_new[survives]] = True
     added = np.flatnonzero(~hit).astype(np.int64)
-    old_rows = np.asarray(old.items)[survives]
-    new_rows = np.asarray(new.items)[old_to_new[survives]]
-    differs = (old_rows != new_rows).any(axis=1) if len(old_rows) else \
-        np.zeros(0, dtype=bool)
-    changed = np.sort(old_to_new[survives][differs]).astype(np.int64)
-    return old_to_new, added, changed
+    return old_to_new, added

@@ -60,7 +60,7 @@ from repro.serve.snapshot import EmbeddingSnapshot
 __all__ = ["PANEL_WIDTH", "TopKResult", "TopKIndex", "ExactTopKIndex",
            "QuantizedTopKIndex", "build_index", "scoring_ready_users",
            "scoring_ready_items", "build_panels", "panel_scores",
-           "quantize_rows", "PanelScorer", "Int8Scorer", "SCORERS",
+           "euclidean_scores", "quantize_rows", "PanelScorer", "Int8Scorer", "SCORERS",
            "prepare_request"]
 
 #: Fixed item-panel width of every scoring GEMM.  Both sides of the
@@ -138,6 +138,18 @@ def panel_scores(vectors: np.ndarray, panels, n_items: int) -> np.ndarray:
         out[:, lo:hi] = (vectors @ panel.T)[:, :hi - lo]
         lo = hi
     return out
+
+
+def euclidean_scores(dots: np.ndarray, vectors: np.ndarray,
+                     item_sq: np.ndarray) -> np.ndarray:
+    """Negated squared distances from a dot-product score block.
+
+    ``-(‖u‖² + ‖i‖² - 2 u·i)`` with ``‖u‖²`` taken from ``vectors`` in
+    float64 and ``item_sq`` the scored columns' ``‖i‖²``: the one
+    euclidean expansion every scorer and the IVF list loop share.
+    """
+    u_sq = (vectors.astype(np.float64) ** 2).sum(axis=1, keepdims=True)
+    return -(u_sq + item_sq - 2.0 * dots)
 
 
 def quantize_rows(items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,8 +234,7 @@ class PanelScorer:
         """
         scores = kernel(vectors, self._panels, self.n_items)
         if self._item_sq is not None:
-            u_sq = (vectors ** 2).sum(axis=1, keepdims=True)
-            return -(u_sq + self._item_sq - 2.0 * scores)
+            return euclidean_scores(scores, vectors, self._item_sq)
         return scores
 
 
@@ -275,9 +286,7 @@ class Int8Scorer:
         vectors = vectors.astype(np.float32)
         scores = kernel(vectors, self._panels(), self.n_items)
         if self._item_sq is not None:
-            u_sq = (vectors.astype(np.float64) ** 2).sum(axis=1,
-                                                         keepdims=True)
-            scores = -(u_sq + self._item_sq - 2.0 * scores)
+            scores = euclidean_scores(scores, vectors, self._item_sq)
         return scores
 
 

@@ -230,10 +230,9 @@ class RecommendationService:
         Pre-built index replacing the default.  Must wrap the same
         snapshot (checked by content version).  Any object speaking the
         ``topk``/``kind``/``snapshot`` protocol plugs in — including
-        the approximate :class:`~repro.ann.ivf.IVFFlatIndex` /
-        :class:`~repro.ann.pq.IVFPQIndex` candidate indexes, whose
-        distinct ``kind`` keeps their cache entries separate from the
-        exact index's.
+        the approximate :class:`~repro.ann.ivf.IVFFlatIndex` candidate
+        index, whose distinct ``kind`` keeps its cache entries separate
+        from the exact index's.
     cache_size:
         LRU capacity in finished per-user lists; 0 disables caching.
     max_batch:

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.ann import (IVFFlatIndex, IVFIndexData, IVFPQIndex, assign_lists,
+from repro.ann import (IVFFlatIndex, IVFIndexData, assign_lists,
                        build_ann_index, is_ann_index, load_ann_generator,
-                       load_ann_index, train_coarse_quantizer)
+                       load_ann_index, save_ann_index,
+                       train_coarse_quantizer)
 from repro.eval.metrics import overlap_at_k, rank_items
 from repro.models import get_model
 from repro.serve import (ExactTopKIndex, RecommendationService,
@@ -143,13 +144,6 @@ class TestExactnessBoundary:
         recall = overlap_at_k(exact, built.topk(users, k=10).items)
         assert recall >= 0.7
 
-    def test_euclidean_rejected_by_ivfpq(self, tiny_dataset, tmp_path):
-        model = get_model("cml", tiny_dataset, dim=8, rng=0)
-        snapshot = export_snapshot(model, tiny_dataset, tmp_path / "snap")
-        with pytest.raises(ValueError, match="euclidean"):
-            build_ann_index(snapshot, tmp_path / "ann", kind="ivfpq",
-                            nlist=4, pq_m=4, pq_ks=8, seed=0)
-
     def test_tiny_boundary_with_default_width(self, tiny_dataset,
                                               tiny_mf_snapshot, tmp_path):
         """Same identity at the ANN default panel width, exact matched."""
@@ -228,15 +222,6 @@ class TestRecallFloor:
                                         index.topk(users, k=10).items))
         assert recalls == sorted(recalls)
         assert recalls[-1] == 1.0
-
-    def test_ivfpq_recall_floor(self, yelp_retrieval, tmp_path):
-        """ADC shortlisting keeps >= 0.9 of the exact top-10."""
-        dataset, _, snapshot = yelp_retrieval
-        index = build_ann_index(snapshot, tmp_path, kind="ivfpq", nlist=16,
-                                default_nprobe=2, seed=0)
-        users = np.arange(dataset.num_users, dtype=np.int64)
-        exact = ExactTopKIndex(snapshot).topk(users, k=10).items
-        assert overlap_at_k(exact, index.topk(users, k=10).items) >= 0.9
 
 
 class TestSearchSemantics:
@@ -503,23 +488,13 @@ class TestPersistence:
         np.testing.assert_array_equal(a.items, b.items)
         np.testing.assert_array_equal(a.scores, b.scores)
 
-    def test_pq_round_trip(self, yelp_retrieval, tmp_path):
-        _, _, snapshot = yelp_retrieval
-        built = build_ann_index(snapshot, tmp_path, kind="ivfpq", nlist=8,
-                                seed=0)
-        loaded = load_ann_index(tmp_path, snapshot, verify=True)
-        assert isinstance(loaded, IVFPQIndex)
-        users = np.arange(64, dtype=np.int64)
-        a, b = built.topk(users, k=10), loaded.topk(users, k=10)
-        np.testing.assert_array_equal(a.items, b.items)
-
     def test_deterministic_builds_byte_identical(self, yelp_retrieval,
                                                  tmp_path):
         """Satellite acceptance: same snapshot + seed => same bytes."""
         _, _, snapshot = yelp_retrieval
         a, b = tmp_path / "a", tmp_path / "b"
-        build_ann_index(snapshot, a, kind="ivfpq", nlist=8, spill=2, seed=3)
-        build_ann_index(snapshot, b, kind="ivfpq", nlist=8, spill=2, seed=3)
+        build_ann_index(snapshot, a, nlist=8, spill=2, seed=3)
+        build_ann_index(snapshot, b, nlist=8, spill=2, seed=3)
         files = sorted(p.name for p in a.iterdir())
         assert files == sorted(p.name for p in b.iterdir())
         for name in files:
@@ -559,6 +534,58 @@ class TestPersistence:
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="unknown fields"):
             load_ann_index(tmp_path, snapshot)
+
+    def test_saved_refresh_round_trips(self, tiny_mf_snapshot, tmp_path):
+        """``save_ann_index`` writes a refreshed index that loads,
+        verified, against its new snapshot and serves the same lists."""
+        from repro.serve.delta import LiveState, export_state
+        _, snapshot = tiny_mf_snapshot
+        state = LiveState.from_snapshot(snapshot)
+        state.delete_item(3)
+        state.upsert_item(max(state.items) + 1, np.ones(state.dim))
+        snap2 = export_state(state, tmp_path / "snap2", created_unix=1.0)
+        refreshed = build_ann_index(snapshot, tmp_path / "a", nlist=4,
+                                    seed=0).refreshed(snap2)
+        save_ann_index(refreshed, tmp_path / "b")
+        loaded = load_ann_index(tmp_path / "b", snap2, verify=True)
+        users = np.arange(snap2.manifest.num_users, dtype=np.int64)
+        a, b = refreshed.topk(users, k=10), loaded.topk(users, k=10)
+        np.testing.assert_array_equal(a.items, b.items)
+        np.testing.assert_array_equal(a.scores, b.scores)
+
+    @staticmethod
+    def _rewrite_manifest(path, **fields):
+        """Rewrite ``manifest.json`` in the on-disk format, fields added."""
+        import json
+        manifest = json.loads((path / "manifest.json").read_text())
+        manifest.update(fields)
+        (path / "manifest.json").write_text(
+            json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+    def test_manifest_with_pq_null_still_loads(self, tiny_mf_snapshot,
+                                               tmp_path):
+        """Directories written while IVF-PQ existed carry ``"pq": null``;
+        both loaders accept them, verified, and serve the same lists."""
+        _, snapshot = tiny_mf_snapshot
+        built = build_ann_index(snapshot, tmp_path, nlist=4, spill=2, seed=0)
+        self._rewrite_manifest(tmp_path, pq=None)
+        loaded = load_ann_index(tmp_path, snapshot, verify=True)
+        users = np.arange(snapshot.manifest.num_users, dtype=np.int64)
+        a, b = built.topk(users, k=10), loaded.topk(users, k=10)
+        np.testing.assert_array_equal(a.items, b.items)
+        np.testing.assert_array_equal(a.scores, b.scores)
+        data = load_ann_generator(tmp_path, snapshot=snapshot, verify=True)
+        np.testing.assert_array_equal(data.list_items, built.data.list_items)
+
+    def test_ivfpq_manifest_rejected_by_both_loaders(self, tiny_mf_snapshot,
+                                                     tmp_path):
+        _, snapshot = tiny_mf_snapshot
+        build_ann_index(snapshot, tmp_path, nlist=4, seed=0)
+        self._rewrite_manifest(tmp_path, kind="ivfpq", pq={"m": 4, "ks": 8})
+        for load in (lambda: load_ann_index(tmp_path, snapshot),
+                     lambda: load_ann_generator(tmp_path, verify=True)):
+            with pytest.raises(ValueError, match="'ivfpq'.*repro build-ann"):
+                load()
 
     def test_missing_directory_reported(self, yelp_retrieval, tmp_path):
         _, _, snapshot = yelp_retrieval

@@ -47,8 +47,7 @@ class TestSuitePayload:
         config = AnnPerfConfig(dataset="tiny", model="mf", loss="bpr",
                                epochs=2, dim=8, n_negatives=4, k=5,
                                nlists=(2, 4), nprobes=(1, 2),
-                               batch_size=32, request_users=64, repeats=1,
-                               pq_m=4, pq_ks=8)
+                               batch_size=32, request_users=64, repeats=1)
         return run_ann_suite(config)
 
     def test_schema_header(self, payload):
@@ -63,8 +62,6 @@ class TestSuitePayload:
         cells = {(r["nlist"], r["nprobe"]) for r in payload["results"]
                  if r["kind"] == "ann" and r["index"] == "ivf"}
         assert cells == {(2, 1), (2, 2), (4, 1), (4, 2)}
-        assert any(r["kind"] == "ann" and r["index"] == "ivfpq"
-                   for r in payload["results"])
 
     def test_baseline_row_present(self, payload):
         rows = [r for r in payload["results"] if r["kind"] == "ann_baseline"]

@@ -566,8 +566,7 @@ _TINY_CONFIGS = {
         repeats=1, request_users=16, shards=(2,)),
     "ann": perf.AnnPerfConfig(
         dataset="tiny", epochs=1, dim=8, n_negatives=4, k=5, nlists=(2,),
-        nprobes=(1,), batch_size=32, request_users=64, repeats=1, pq_m=4,
-        pq_ks=8),
+        nprobes=(1,), batch_size=32, request_users=64, repeats=1),
     "latency": perf.LatencyPerfConfig(
         dataset="tiny", epochs=1, dim=8, start_qps=1000.0, max_levels=1,
         requests_per_level=40, window=16),

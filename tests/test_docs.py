@@ -6,8 +6,8 @@ Three families of checks keep the docs archetype honest:
   must parse against the *real* argparse tree (``repro.cli.build_parser``),
   so a renamed flag or verb breaks tier-1, not a user;
 * the docs-link checker (``scripts/check_docs.py``) must report zero
-  dangling file references, unknown CLI verbs and unregistered bench
-  suites;
+  dangling file references, unknown CLI verbs or flags and
+  unregistered bench suites;
 * public CLI handlers and every public ``repro.serve`` entry point must
   carry docstrings.
 """
@@ -111,6 +111,27 @@ class TestDocsLinks:
         for spelling in ("repro bench fastpath", "make bench-fastpath",
                          "BENCH_fastpath.json"):
             assert any(spelling in problem for problem in problems)
+
+    def test_unknown_flag_is_reported(self, check_docs, tmp_path):
+        """A command naming an option its subparser lacks fails, inline
+        or fenced (continuations joined); real options, placeholder
+        verbs and shell tails pass."""
+        page = tmp_path / "page.md"
+        page.write_text(
+            "Build with `repro build-ann --snapshot s --out d --pq-m 4`.\n"
+            "```bash\n"
+            "python -m repro.cli bench ann --no-pq \\\n"
+            "    --nlists 2,4 | tee log  # --not-a-flag\n"
+            "```\n"
+            "`repro bench <suite> --help` and `repro recommend --ann DIR` "
+            "are real.\n")
+        problems = check_docs.check_file(page, check_docs.cli_verbs(),
+                                         check_docs.bench_suites())
+        assert len(problems) == 2
+        assert any("`repro build-ann` has no option `--pq-m`" in problem
+                   for problem in problems)
+        assert any("`repro bench ann` has no option `--no-pq`" in problem
+                   for problem in problems)
 
     def test_required_docs_exist(self):
         for path in ("README.md", "docs/architecture.md",

@@ -127,3 +127,11 @@ class TestSvdView:
     def test_rejects_bad_rank(self, tiny_dataset):
         with pytest.raises(ValueError):
             svd_view(tiny_dataset, rank=0)
+
+    def test_two_calls_byte_equal(self, tiny_dataset):
+        """LightGCL's global view is reproducible: ARPACK's start is
+        seeded, so the factors (not just their product) repeat."""
+        u1, v1 = svd_view(tiny_dataset, rank=8)
+        u2, v2 = svd_view(tiny_dataset, rank=8)
+        assert u1.tobytes() == u2.tobytes()
+        assert v1.tobytes() == v2.tobytes()

@@ -32,7 +32,6 @@ import pytest
 from repro.ann import build_ann_index
 from repro.ann.ivf import (IVFFlatIndex, IVFIndexData, assign_lists,
                            train_coarse_quantizer)
-from repro.ann.pq import encode_residuals
 from repro.data import load_dataset
 from repro.models import MF
 from repro.serve import (ExactTopKIndex, RecommendationService,
@@ -117,7 +116,7 @@ class TestChurnSoak:
         next_ids = {"item": base.manifest.num_items,
                     "user": base.manifest.num_users}
         chain = []
-        inc_index = build_ann_index(base, tmp_path / "ann", kind="ivf",
+        inc_index = build_ann_index(base, tmp_path / "ann",
                                     nlist=self.NLIST, default_nprobe=2,
                                     seed=0)
         service = RecommendationService(base, cache_size=128)
@@ -251,41 +250,6 @@ def snapshot_of(state: LiveState):
     """In-memory snapshot of a state (timestamp pinned for parity)."""
     from repro.serve.delta import snapshot_from_state
     return snapshot_from_state(state, created_unix=1.0)
-
-
-class TestIncrementalPQ:
-    def test_carry_codes_match_frozen_codebook_reencode(self,
-                                                        tiny_mf_snapshot,
-                                                        tmp_path):
-        """Incrementally carried PQ codes == full re-encode, byte-equal.
-
-        A from-scratch rebuild would retrain the codebooks (different
-        bytes by construction), so the oracle freezes them: every
-        posting of the refreshed index must carry exactly the code that
-        ``encode_residuals`` assigns against the *old* codebooks and
-        the refreshed owner centroids.
-        """
-        _, snapshot = tiny_mf_snapshot
-        index = build_ann_index(snapshot, tmp_path / "pq", kind="ivfpq",
-                                nlist=8, default_nprobe=8, pq_m=4, pq_ks=16,
-                                seed=0)
-        rng = np.random.default_rng(3)
-        state = LiveState.from_snapshot(snapshot)
-        state.delete_item(5)
-        state.upsert_item(max(state.items) + 1, rng.normal(size=state.dim))
-        for iid in (0, 7, 19):
-            state.upsert_item(iid, rng.normal(size=state.dim))
-        snap2 = export_state(state, tmp_path / "snap2", created_unix=1.0)
-
-        refreshed = index.refreshed(snap2, staleness_threshold=None)
-        data = refreshed.data
-        items_ready = scoring_ready_items(np.asarray(snap2.items),
-                                          snap2.scoring)
-        owner = np.repeat(np.arange(data.nlist), data.sizes)
-        full = encode_residuals(
-            items_ready[data.list_items] - data.centroids[owner],
-            index.pq.codebooks)
-        np.testing.assert_array_equal(refreshed.pq.codes, full)
 
 
 class TestRefreshUnderTraffic:

@@ -249,10 +249,9 @@ class TestRouterTrace:
 
 
 class TestIVFTelemetry:
-    """Both IVF kinds run the one chunk pipeline, so both feed the
-    ``ann.ivf.*`` counters and spans (IVF-PQ's fork once fed neither)."""
+    """IVF search feeds the ``ann.ivf.*`` counters and spans."""
 
-    @pytest.mark.parametrize("kind", ["ivf", "ivfpq"])
+    @pytest.mark.parametrize("kind", ["ivf"])
     def test_topk_moves_counters_and_records_spans(
             self, kind, tiny_mf_snapshot, tmp_path, fresh_registry, traced):
         import numpy as np
@@ -261,8 +260,9 @@ class TestIVFTelemetry:
         from repro.serve.index import scoring_ready_users
 
         _, snapshot = tiny_mf_snapshot
-        index = build_ann_index(snapshot, tmp_path, kind=kind, nlist=4,
-                                default_nprobe=2, seed=0, pq_m=4)
+        index = build_ann_index(snapshot, tmp_path, nlist=4,
+                                default_nprobe=2, seed=0)
+        assert index.kind == kind
         users = np.array([5, 0, 17, 5, 42, 3], dtype=np.int64)
         k = 5
         # Candidate widths from the generator API the router consumes.

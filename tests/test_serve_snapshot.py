@@ -289,7 +289,7 @@ class TestCrashSafePublish:
 
         monkeypatch.setattr(np, "save", dying_save)
 
-    @pytest.mark.parametrize("kind", ["ivf", "ivfpq"])
+    @pytest.mark.parametrize("kind", ["ivf"])
     def test_killed_ann_rebuild_keeps_previous_index(
             self, kind, tiny_mf_snapshot, monkeypatch, tmp_path):
         """A rebuild killed after its first ``np.save`` must leave the
@@ -298,17 +298,17 @@ class TestCrashSafePublish:
         from repro.ann import build_ann_index, load_ann_index
         _, snapshot = tiny_mf_snapshot
         users = np.arange(snapshot.manifest.num_users, dtype=np.int64)
-        want = build_ann_index(snapshot, tmp_path, kind=kind, nlist=4,
-                               seed=0, pq_m=4).topk(users, k=10)
+        want = build_ann_index(snapshot, tmp_path, nlist=4,
+                               seed=0).topk(users, k=10)
         self._save_dying_at(monkeypatch, 2)
         with pytest.raises(OSError, match="simulated crash"):
-            build_ann_index(snapshot, tmp_path, kind=kind, nlist=6,
-                            seed=1, pq_m=4)
+            build_ann_index(snapshot, tmp_path, nlist=6, seed=1)
         monkeypatch.undo()
         assert not list(tmp_path.glob(".staging-*"))
         for verify in (False, True):
-            got = load_ann_index(tmp_path, snapshot,
-                                 verify=verify).topk(users, k=10)
+            got = load_ann_index(tmp_path, snapshot, verify=verify)
+            assert got.kind == kind
+            got = got.topk(users, k=10)
             np.testing.assert_array_equal(got.items, want.items)
             np.testing.assert_array_equal(got.scores, want.scores)
 
@@ -323,14 +323,3 @@ class TestCrashSafePublish:
         assert not (tmp_path / "ann" / "manifest.json").exists()
         assert not list((tmp_path / "ann").glob(".staging-*"))
         assert not is_ann_index(tmp_path / "ann")
-
-    def test_ivf_rebuild_over_ivfpq_drops_stale_pq_files(
-            self, tiny_mf_snapshot, tmp_path):
-        from repro.ann import build_ann_index, load_ann_index
-        _, snapshot = tiny_mf_snapshot
-        build_ann_index(snapshot, tmp_path, kind="ivfpq", nlist=4, seed=0,
-                        pq_m=4)
-        assert (tmp_path / "pq_codes.npy").exists()
-        build_ann_index(snapshot, tmp_path, kind="ivf", nlist=4, seed=0)
-        assert not list(tmp_path.glob("pq_*"))
-        assert load_ann_index(tmp_path, snapshot, verify=True).kind == "ivf"
