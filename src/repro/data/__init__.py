@@ -1,8 +1,7 @@
 """Datasets, synthetic generation, sampling and noise injection."""
 
 from repro.data.dataset import InteractionDataset
-from repro.data.source import (InteractionSource, DatasetSource,
-                               ShardedInteractionSource,
+from repro.data.source import (InteractionSource, ShardedInteractionSource,
                                InteractionShardWriter, as_source,
                                batch_contains, write_interaction_shards,
                                is_interaction_shards,
@@ -20,9 +19,9 @@ from repro.data.splits import (ratio_split, leave_one_out_split,
                                validation_split)
 
 __all__ = [
-    "InteractionDataset", "InteractionSource", "DatasetSource",
-    "ShardedInteractionSource", "InteractionShardWriter", "as_source",
-    "batch_contains", "write_interaction_shards", "is_interaction_shards",
+    "InteractionDataset", "InteractionSource", "ShardedInteractionSource",
+    "InteractionShardWriter", "as_source", "batch_contains",
+    "write_interaction_shards", "is_interaction_shards",
     "INTERACTION_SHARDS_SCHEMA", "SyntheticConfig", "SyntheticGenerator",
     "generate_dataset", "load_dataset", "dataset_names", "DATASET_PRESETS",
     "ScaleConfig", "SCALE_PRESETS", "scale_preset_names",

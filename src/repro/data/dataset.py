@@ -1,19 +1,39 @@
 """Implicit-feedback interaction dataset.
 
 Wraps the user-item interaction matrix ``R`` of the paper (Sec. II-A):
-train/test positive sets per user, popularity statistics, and sparse
-views used by the GCN backbones.
+the train/test pairs, each grouped once into a read-only CSR by user,
+popularity statistics, and sparse views used by the GCN backbones.  The
+dataset is itself an :class:`~repro.data.source.InteractionSource`, so
+samplers, the trainer and the exporters read it directly.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
+
+from repro.data.source import InteractionSource
 
 __all__ = ["InteractionDataset"]
 
 
-class InteractionDataset:
+def _group_by_user(pairs: np.ndarray,
+                   num_users: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(indptr, items)`` CSR of ``pairs`` grouped by user.
+
+    A stable sort, so within a user items keep original pair order.
+    """
+    order = np.argsort(pairs[:, 0], kind="stable")
+    items = pairs[order, 1]
+    indptr = np.zeros(num_users + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pairs[:, 0], minlength=num_users), out=indptr[1:])
+    items.flags.writeable = indptr.flags.writeable = False
+    return indptr, items
+
+
+class InteractionDataset(InteractionSource):
     """Container for one train/test split of implicit feedback.
 
     Parameters
@@ -42,7 +62,12 @@ class InteractionDataset:
         self.name = name
         self.item_clusters = (None if item_clusters is None
                               else np.asarray(item_clusters, dtype=np.int64))
-        self._build_indexes()
+        self._indptr, self._csr_items = _group_by_user(self.train_pairs,
+                                                       self.num_users)
+        self._test_indptr, self._test_items = _group_by_user(self.test_pairs,
+                                                             self.num_users)
+        self._item_degrees = np.bincount(self.train_pairs[:, 1],
+                                         minlength=self.num_items)
 
     def _validate_pairs(self, pairs, label: str) -> np.ndarray:
         pairs = np.asarray(pairs, dtype=np.int64)
@@ -56,29 +81,22 @@ class InteractionDataset:
             raise ValueError(f"{label}_pairs contains out-of-range item ids")
         return pairs
 
-    def _build_indexes(self) -> None:
-        self.train_items_by_user = self._group(self.train_pairs)
-        self.test_items_by_user = self._group(self.test_pairs)
-        counts = np.zeros(self.num_items, dtype=np.int64)
-        np.add.at(counts, self.train_pairs[:, 1], 1)
-        self.item_popularity = counts
-        self._train_sets = [set(items.tolist()) for items in self.train_items_by_user]
-        self._positive_mask: np.ndarray | None = None
-        self._padded_positives: tuple[np.ndarray, np.ndarray] | None = None
-        self._sorted_padded: tuple[np.ndarray, np.ndarray] | None = None
+    def pairs(self, indices: np.ndarray) -> np.ndarray:
+        return self.train_pairs[indices]
 
-    def _group(self, pairs: np.ndarray) -> list[np.ndarray]:
-        grouped: list[np.ndarray] = [np.empty(0, dtype=np.int64)
-                                     for _ in range(self.num_users)]
-        if pairs.size == 0:
-            return grouped
-        order = np.argsort(pairs[:, 0], kind="stable")
-        sorted_pairs = pairs[order]
-        users, starts = np.unique(sorted_pairs[:, 0], return_index=True)
-        bounds = np.append(starts, len(sorted_pairs))
-        for u, lo, hi in zip(users, bounds[:-1], bounds[1:]):
-            grouped[u] = sorted_pairs[lo:hi, 1].copy()
-        return grouped
+    def test_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(indptr, items)`` of the held-out pairs by user."""
+        return self._test_indptr, self._test_items
+
+    @cached_property
+    def train_items_by_user(self) -> list[np.ndarray]:
+        """Per-user read-only views of the train CSR, pair order."""
+        return np.split(self._csr_items, self._indptr[1:-1])
+
+    @cached_property
+    def test_items_by_user(self) -> list[np.ndarray]:
+        """Per-user read-only views of the test CSR, pair order."""
+        return np.split(self._test_items, self._test_indptr[1:-1])
 
     # ------------------------------------------------------------------
     # Statistics
@@ -96,14 +114,6 @@ class InteractionDataset:
         """Fraction of the interaction matrix that is observed (Table I)."""
         return self.num_train / float(self.num_users * self.num_items)
 
-    def user_degree(self) -> np.ndarray:
-        deg = np.zeros(self.num_users, dtype=np.int64)
-        np.add.at(deg, self.train_pairs[:, 0], 1)
-        return deg
-
-    def is_train_positive(self, user: int, item: int) -> bool:
-        return item in self._train_sets[user]
-
     def popularity_groups(self, n_groups: int = 10) -> np.ndarray:
         """Assign each item to a popularity decile (Figs. 4a / 5).
 
@@ -117,57 +127,6 @@ class InteractionDataset:
         for gid, idx in enumerate(splits):
             groups[idx] = gid
         return groups
-
-    def positive_mask(self) -> np.ndarray:
-        """Dense boolean (num_users, num_items) training-positive mask.
-
-        Cached; used by vectorized samplers to reject collisions in bulk.
-        Fine at the scaled-down catalogue sizes this library targets.
-        """
-        if self._positive_mask is None:
-            mask = np.zeros((self.num_users, self.num_items), dtype=bool)
-            mask[self.train_pairs[:, 0], self.train_pairs[:, 1]] = True
-            self._positive_mask = mask
-        return self._positive_mask
-
-    def padded_positives(self) -> tuple[np.ndarray, np.ndarray]:
-        """(padded_items, degrees): ragged positives as a dense matrix.
-
-        ``padded_items[u, :degrees[u]]`` are user ``u``'s training items;
-        the tail is filled with 0 (callers must mask by degree).  Cached;
-        enables vectorized per-row positive draws in the noisy sampler.
-        """
-        if self._padded_positives is None:
-            degrees = np.array([len(v) for v in self.train_items_by_user],
-                               dtype=np.int64)
-            padded = np.zeros((self.num_users, max(1, degrees.max())),
-                              dtype=np.int64)
-            for u, items in enumerate(self.train_items_by_user):
-                padded[u, :len(items)] = items
-            self._padded_positives = (padded, degrees)
-        return self._padded_positives
-
-    def sorted_padded_positives(self) -> tuple[np.ndarray, np.ndarray]:
-        """Like :meth:`padded_positives` but rows ascending, big sentinel.
-
-        ``sorted_padded[u, :degrees[u]]`` are user ``u``'s **distinct**
-        training items in ascending order (degrees here count distinct
-        items, unlike :meth:`padded_positives`); the tail is filled
-        with a sentinel strictly greater than ``num_items + width`` so
-        shifted values (``item - column``) of pad cells can never
-        collide with a real rank.  Cached; enables the sampler's exact
-        one-shot uniform-over-complement redraw.
-        """
-        if self._sorted_padded is None:
-            uniques = [np.unique(items) for items in self.train_items_by_user]
-            degrees = np.array([len(v) for v in uniques], dtype=np.int64)
-            width = max(1, int(degrees.max()) if len(degrees) else 1)
-            sentinel = self.num_items + width + 1
-            out = np.full((self.num_users, width), sentinel, dtype=np.int64)
-            for u, items in enumerate(uniques):
-                out[u, :len(items)] = items
-            self._sorted_padded = (out, degrees)
-        return self._sorted_padded
 
     # ------------------------------------------------------------------
     # Sparse views

@@ -13,9 +13,8 @@ an out-of-core :class:`~repro.data.source.ShardedInteractionSource`.
 Every per-batch operation touches only the batch's users — collision
 detection runs against batch-gathered sorted positives
 (:func:`~repro.data.source.batch_contains`) instead of a dense
-``num_users × num_items`` mask — and the RNG call sequence is identical
-to the historical dataset-backed implementation, so draws are
-bit-reproducible across both backends (``tests/test_data_source.py``).
+``num_users × num_items`` mask — so draws are bit-reproducible across
+both backends (``tests/test_outofcore.py``).
 """
 
 from __future__ import annotations

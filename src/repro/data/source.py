@@ -1,24 +1,22 @@
 """Interaction sources: one access protocol for in-memory and on-disk data.
 
-The training and export stacks historically assumed a dense, fully
-materialized :class:`~repro.data.dataset.InteractionDataset`.  That is
-fine at Table-I scale (hundreds of users) but rules out million-scale
-catalogues, where even the boolean ``positive_mask`` would need
-terabytes.  This module extracts the *access protocol* those stacks
-actually need — :class:`InteractionSource` — and provides two
-implementations:
+Samplers, the sparse-grad trainer, the evaluator and the exporters read
+train interactions through :class:`InteractionSource`, and nothing in it
+needs ``O(num_users * num_items)`` memory.  A source *is* one CSR of the
+train pairs — row pointers over users, items grouped by user in original
+pair order, and an item degree table — and every access method except
+``pairs()`` is derived from those three arrays here, once.  The two
+backends differ only in how the arrays are opened:
 
-* :class:`DatasetSource` adapts an ``InteractionDataset`` (gathering
-  batch views of its cached global matrices), and
+* :class:`~repro.data.dataset.InteractionDataset` builds them in memory
+  from its pair arrays, and
 * :class:`ShardedInteractionSource` memory-maps the on-disk shard layout
   written by :func:`write_interaction_shards` or the scale generator in
   :mod:`repro.data.synthetic`, never materializing dense state.
 
-The contract that makes the refactor safe is *bit-parity*: a sampler or
-exporter driven by a ``DatasetSource`` must consume the same RNG stream
-and produce the same values as the historical dataset-backed code, and a
-``ShardedInteractionSource`` over the same pairs must agree with it
-exactly (see ``tests/test_data_source.py``).
+A dataset and a ``ShardedInteractionSource`` over the same pairs answer
+every method identically (``tests/test_data_source.py``), which is what
+makes streamed training bit-exact.
 
 On-disk layout (``bsl-interaction-shards/v1``), all arrays ``int64``::
 
@@ -37,11 +35,12 @@ from __future__ import annotations
 import json
 import pathlib
 import time
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
-from repro.data.dataset import InteractionDataset
+if TYPE_CHECKING:
+    from repro.data.dataset import InteractionDataset
 
 INTERACTION_SHARDS_SCHEMA = "bsl-interaction-shards/v1"
 _MANIFEST_NAME = "interactions.json"
@@ -55,8 +54,9 @@ def batch_contains(sorted_padded: np.ndarray,
     ``out[b, j]`` is True iff ``queries[b, j]`` appears in row ``b`` of
     ``sorted_padded`` (ascending item ids padded with a sentinel larger
     than any item id).  Equivalent to gathering a dense
-    ``positive_mask`` at ``[users[:, None], queries]`` but needs only
-    the batch rows, via one searchsorted over row-offset keys.
+    ``(num_users, num_items)`` positive mask at ``[users[:, None],
+    queries]`` but needs only the batch rows, via one searchsorted over
+    row-offset keys.
     """
     n_rows, width = sorted_padded.shape
     if width == 0 or queries.size == 0:
@@ -71,148 +71,13 @@ def batch_contains(sorted_padded: np.ndarray,
     return (keys[pos] == probes).reshape(queries.shape)
 
 
-class InteractionSource:
-    """Access protocol shared by in-memory and out-of-core train data.
-
-    Implementations expose the identity fields ``name`` /
-    ``num_users`` / ``num_items`` / ``num_train`` and the five access
-    methods below.  Everything the samplers, the sparse-grad trainer,
-    and the sharded exporter need is expressible through this interface;
-    nothing in it requires ``O(num_users * num_items)`` memory.
-    """
-
-    name: str
-    num_users: int
-    num_items: int
-    num_train: int
-
-    def pairs(self, indices: np.ndarray) -> np.ndarray:
-        """Gather ``(len(indices), 2)`` train pairs by row index."""
-        raise NotImplementedError
-
-    def user_degrees(self) -> np.ndarray:
-        """Raw interaction count per user (duplicates included)."""
-        raise NotImplementedError
-
-    def train_csr(self, lo: int = 0,
-                  hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Train items grouped by user for the user row-range [lo, hi).
-
-        Returns ``(indptr, items)`` with ``indptr`` rebased so that
-        ``indptr[0] == 0``; within a user, items keep original pair
-        order (the stable-argsort convention of ``InteractionDataset``).
-        """
-        raise NotImplementedError
-
-    def batch_sorted_positives(
-            self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct ascending positives per batch row, sentinel-padded.
-
-        Returns ``(padded, degrees)`` shaped ``(len(users), width)`` and
-        ``(len(users),)``: row ``b`` holds the distinct positive items
-        of ``users[b]`` ascending, padded with ascending sentinels
-        ``> num_items`` exactly as
-        ``InteractionDataset.sorted_padded_positives`` pads its rows;
-        ``degrees[b]`` counts distinct positives.
-        """
-        raise NotImplementedError
-
-    def batch_padded_positives(
-            self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Insertion-order positives per batch row, zero-padded.
-
-        Returns ``(padded, degrees)`` matching rows of
-        ``InteractionDataset.padded_positives``: duplicates kept,
-        original order, padded with ``0``; ``degrees[b]`` is the raw
-        interaction count of ``users[b]``.
-        """
-        raise NotImplementedError
-
-    @property
-    def item_popularity(self) -> np.ndarray:
-        """Interaction count per item over the train split."""
-        raise NotImplementedError
-
-    def iter_pair_indices(self, block_rows: int) -> Iterator[np.ndarray]:
-        """Sequential row-index blocks covering all train pairs."""
-        for lo in range(0, self.num_train, block_rows):
-            yield np.arange(lo, min(lo + block_rows, self.num_train),
-                            dtype=np.int64)
-
-
-class DatasetSource(InteractionSource):
-    """Adapter presenting an ``InteractionDataset`` as a source.
-
-    Batch views gather rows of the dataset's cached global matrices, so
-    a sampler reading through this adapter sees byte-identical values to
-    one reading the dataset directly.
-    """
-
-    def __init__(self, dataset: InteractionDataset):
-        self.dataset = dataset
-        self.name = dataset.name
-        self.num_users = dataset.num_users
-        self.num_items = dataset.num_items
-        self.num_train = len(dataset.train_pairs)
-        self._csr: tuple[np.ndarray, np.ndarray] | None = None
-
-    def pairs(self, indices: np.ndarray) -> np.ndarray:
-        return self.dataset.train_pairs[indices]
-
-    def user_degrees(self) -> np.ndarray:
-        return self.dataset.user_degree()
-
-    def _full_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._csr is None:
-            self._csr = dataset_train_csr(self.dataset)
-        return self._csr
-
-    def train_csr(self, lo: int = 0,
-                  hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        indptr, items = self._full_csr()
-        hi = self.num_users if hi is None else hi
-        window = indptr[lo:hi + 1]
-        return window - window[0], items[window[0]:window[-1]]
-
-    def batch_sorted_positives(
-            self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        padded, degrees = self.dataset.sorted_padded_positives()
-        return padded[users], degrees[users]
-
-    def batch_padded_positives(
-            self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        padded, degrees = self.dataset.padded_positives()
-        return padded[users], degrees[users]
-
-    @property
-    def item_popularity(self) -> np.ndarray:
-        return self.dataset.item_popularity
-
-
-def dataset_train_csr(
-        dataset: InteractionDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Global ``(indptr, items)`` CSR of an in-memory dataset.
-
-    Stable sort by user, so within a user items keep original pair
-    order — the same convention as ``dataset.train_items_by_user``.
-    """
-    pairs = dataset.train_pairs
-    order = np.argsort(pairs[:, 0], kind="stable")
-    items = np.ascontiguousarray(pairs[order, 1]).astype(np.int64)
-    counts = np.bincount(pairs[:, 0], minlength=dataset.num_users)
-    indptr = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)])
-    return indptr, items
-
-
 def _sorted_padded_from_lists(rows: np.ndarray, valid: np.ndarray,
                               num_items: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dedupe + sentinel-pad per-row item lists, matching the dataset.
+    """Dedupe + sentinel-pad per-row item lists.
 
     ``rows`` is ``(B, W)`` with garbage beyond ``valid``; output width is
-    ``max(1, distinct_degrees.max())`` with ascending sentinels starting
-    at ``num_items + width + 1``, exactly as
-    ``InteractionDataset.sorted_padded_positives`` lays rows out.
+    ``max(1, distinct_degrees.max())`` with pad cells set to the
+    sentinel ``num_items + width + 1``.
     """
     n_rows, width = rows.shape
     if width == 0:
@@ -234,13 +99,114 @@ def _sorted_padded_from_lists(rows: np.ndarray, valid: np.ndarray,
     return np.where(out >= big, sentinel, out), degrees_distinct
 
 
+class InteractionSource:
+    """Access protocol shared by in-memory and out-of-core train data.
+
+    A backend sets the identity fields ``name`` / ``num_users`` /
+    ``num_items`` / ``num_train``, implements :meth:`pairs`, and opens
+    the three arrays every other method reads: ``_indptr``
+    (``num_users + 1`` CSR row pointers), ``_csr_items`` (``num_train``
+    items grouped by user, within a user in original pair order) and
+    ``_item_degrees`` (``num_items`` train counts).  Batch views touch
+    only the batch's CSR rows.
+    """
+
+    name: str
+    num_users: int
+    num_items: int
+    num_train: int
+    _indptr: np.ndarray
+    _csr_items: np.ndarray
+    _item_degrees: np.ndarray
+
+    def pairs(self, indices: np.ndarray) -> np.ndarray:
+        """Gather ``(len(indices), 2)`` train pairs by row index."""
+        raise NotImplementedError
+
+    def user_degrees(self) -> np.ndarray:
+        """Raw interaction count per user (duplicates included)."""
+        return np.diff(self._indptr)
+
+    def train_csr(self, lo: int = 0,
+                  hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Train items grouped by user for the user row-range [lo, hi).
+
+        Returns ``(indptr, items)`` with ``indptr`` rebased so that
+        ``indptr[0] == 0``; within a user, items keep original pair
+        order.  ``items`` is a read-only view of the source's column.
+        """
+        hi = self.num_users if hi is None else hi
+        window = self._indptr[lo:hi + 1]
+        items = np.asarray(self._csr_items[window[0]:window[-1]],
+                           dtype=np.int64)
+        return window - window[0], items
+
+    def _batch_lists(self,
+                     users: np.ndarray) -> tuple[np.ndarray, np.ndarray,
+                                                 np.ndarray]:
+        """(rows, valid, degrees) of the users' CSR segments, 0-padded."""
+        users = np.asarray(users, dtype=np.int64)
+        starts = self._indptr[users]
+        degrees = self._indptr[users + 1] - starts
+        width = int(degrees.max(initial=0))
+        if width == 0:
+            return (np.zeros((len(users), 0), dtype=np.int64),
+                    np.zeros((len(users), 0), dtype=bool), degrees)
+        offsets = np.arange(width, dtype=np.int64)[None, :]
+        valid = offsets < degrees[:, None]
+        flat = np.where(valid, starts[:, None] + offsets, 0).ravel()
+        rows = np.asarray(self._csr_items[flat],
+                          dtype=np.int64).reshape(len(users), width)
+        return np.where(valid, rows, 0), valid, degrees
+
+    def batch_sorted_positives(
+            self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct ascending positives per batch row, sentinel-padded.
+
+        Returns ``(padded, degrees)`` shaped ``(len(users), width)`` and
+        ``(len(users),)``: row ``b`` holds the distinct positive items
+        of ``users[b]`` ascending, and ``degrees[b]`` counts them.
+        ``width`` is ``max(1, degrees.max())``; pad cells hold a
+        sentinel greater than ``num_items + width``, so shifted values
+        (``item - column``) of pad cells never collide with a real rank.
+        """
+        rows, valid, _ = self._batch_lists(users)
+        return _sorted_padded_from_lists(rows, valid, self.num_items)
+
+    def batch_padded_positives(
+            self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Insertion-order positives per batch row, zero-padded.
+
+        Returns ``(padded, degrees)``: row ``b`` holds the items of
+        ``users[b]`` in original pair order, duplicates kept, then ``0``
+        (callers mask by degree); ``degrees[b]`` is the raw interaction
+        count.  At least one column wide.
+        """
+        rows, valid, degrees = self._batch_lists(users)
+        if rows.shape[1] == 0:
+            rows = np.zeros((len(users), 1), dtype=np.int64)
+        return rows, degrees
+
+    @property
+    def item_popularity(self) -> np.ndarray:
+        """Interaction count per item over the train split."""
+        return self._item_degrees
+
+    def iter_pair_indices(self, block_rows: int) -> Iterator[np.ndarray]:
+        """Sequential row-index blocks covering all train pairs."""
+        for lo in range(0, self.num_train, block_rows):
+            yield np.arange(lo, min(lo + block_rows, self.num_train),
+                            dtype=np.int64)
+
+
 class ShardedInteractionSource(InteractionSource):
-    """Memory-mapped implementation over the on-disk shard layout.
+    """Memory-mapped backend over the on-disk shard layout.
 
     Pair blocks and the grouped item column stay on disk; only the
     ``(num_users + 1,)`` row pointers and the ``(num_items,)`` item
-    degrees are resident — a few bytes per entity.  Batch views are
-    built per request from the CSR slice of the touched users.
+    degrees are resident — a few bytes per entity.  Opening checks every
+    array's shape against the manifest and the resident row pointers'
+    values, but never reads the mapped item column.
     """
 
     def __init__(self, path: str | pathlib.Path):
@@ -271,6 +237,26 @@ class ShardedInteractionSource(InteractionSource):
         self._csr_items = np.load(self.path / "csr_items.npy", mmap_mode="r")
         self._item_degrees = np.load(self.path / "item_degrees.npy")
         self.test_pairs = np.load(self.path / "test_pairs.npy")
+        self._check_arrays()
+
+    def _check_arrays(self) -> None:
+        shapes = {"indptr": (self._indptr, (self.num_users + 1,)),
+                  "csr_items": (self._csr_items, (self.num_train,)),
+                  "item_degrees": (self._item_degrees, (self.num_items,))}
+        for stem, (array, shape) in shapes.items():
+            if array.shape != shape:
+                raise ValueError(f"{self.path}: {stem}.npy has shape "
+                                 f"{array.shape}, the manifest implies "
+                                 f"{shape}")
+        if self._indptr[0] != 0 or self._indptr[-1] != self.num_train:
+            raise ValueError(f"{self.path}: indptr.npy spans "
+                             f"[{self._indptr[0]}, {self._indptr[-1]}], the "
+                             f"manifest says {self.num_train} pairs")
+        if np.any(np.diff(self._indptr) < 0):
+            raise ValueError(f"{self.path}: indptr.npy is not monotone")
+        if self.test_pairs.ndim != 2 or self.test_pairs.shape[1] != 2:
+            raise ValueError(f"{self.path}: test_pairs.npy has shape "
+                             f"{self.test_pairs.shape}, expected (n, 2)")
 
     def pairs(self, indices: np.ndarray) -> np.ndarray:
         indices = np.asarray(indices, dtype=np.int64)
@@ -283,62 +269,11 @@ class ShardedInteractionSource(InteractionSource):
                                         - self._block_offsets[b]]
         return out
 
-    def user_degrees(self) -> np.ndarray:
-        return np.diff(self._indptr)
-
-    def train_csr(self, lo: int = 0,
-                  hi: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-        hi = self.num_users if hi is None else hi
-        window = self._indptr[lo:hi + 1]
-        items = np.asarray(self._csr_items[window[0]:window[-1]],
-                           dtype=np.int64)
-        return window - window[0], items
-
-    def _batch_lists(self,
-                     users: np.ndarray) -> tuple[np.ndarray, np.ndarray,
-                                                 np.ndarray]:
-        """(rows, valid, degrees) of the users' CSR segments, 0-padded."""
-        users = np.asarray(users, dtype=np.int64)
-        starts = self._indptr[users]
-        degrees = self._indptr[users + 1] - starts
-        width = int(degrees.max(initial=0))
-        if width == 0:
-            return (np.zeros((len(users), 0), dtype=np.int64),
-                    np.zeros((len(users), 0), dtype=bool), degrees)
-        offsets = np.arange(width, dtype=np.int64)[None, :]
-        valid = offsets < degrees[:, None]
-        flat = np.where(valid, starts[:, None] + offsets, 0).ravel()
-        rows = np.asarray(self._csr_items[flat],
-                          dtype=np.int64).reshape(len(users), width)
-        return np.where(valid, rows, 0), valid, degrees
-
-    def batch_sorted_positives(
-            self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rows, valid, _ = self._batch_lists(users)
-        return _sorted_padded_from_lists(rows, valid, self.num_items)
-
-    def batch_padded_positives(
-            self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rows, valid, degrees = self._batch_lists(users)
-        if rows.shape[1] == 0:
-            rows = np.zeros((len(users), 1), dtype=np.int64)
-        return rows, degrees
-
-    @property
-    def item_popularity(self) -> np.ndarray:
-        return self._item_degrees
-
 
 def as_source(data) -> InteractionSource:
     """Coerce a dataset / source / shard directory into a source."""
     if isinstance(data, InteractionSource):
         return data
-    if isinstance(data, InteractionDataset):
-        source = getattr(data, "_source_adapter", None)
-        if source is None:
-            source = DatasetSource(data)
-            data._source_adapter = source
-        return source
     if isinstance(data, (str, pathlib.Path)):
         return ShardedInteractionSource(data)
     raise TypeError(f"cannot build an InteractionSource from {type(data)!r}")
@@ -384,6 +319,46 @@ def _pair_block_plan(num_train: int, block_rows: int) -> list[int]:
     return [block_rows] * full + ([rem] if rem else [])
 
 
+def _block_name(index: int) -> str:
+    return f"pairs-{index:03d}.npy"
+
+
+def _finish_layout(out_dir: pathlib.Path, *, name: str, num_users: int,
+                   num_items: int, indptr: np.ndarray,
+                   item_degrees: np.ndarray, test_pairs, block_rows: int,
+                   config: dict, created_unix: float) -> None:
+    """Write the row pointers, item degrees, test split and manifest.
+
+    The pair blocks and ``csr_items.npy`` must already be on disk; the
+    manifest goes last, so a directory without one is incomplete.
+    """
+    if test_pairs is None:
+        test_pairs = np.empty((0, 2), dtype=np.int64)
+    test_pairs = np.asarray(test_pairs, dtype=np.int64)
+    num_train = int(indptr[-1])
+    np.save(out_dir / "indptr.npy", indptr)
+    np.save(out_dir / "item_degrees.npy",
+            np.asarray(item_degrees, dtype=np.int64))
+    np.save(out_dir / "test_pairs.npy", test_pairs)
+    manifest = {
+        "schema": INTERACTION_SHARDS_SCHEMA,
+        "name": name,
+        "num_users": num_users,
+        "num_items": num_items,
+        "num_train": num_train,
+        "num_test": int(len(test_pairs)),
+        "block_rows": block_rows,
+        "pair_blocks": [
+            {"path": _block_name(i), "rows": rows}
+            for i, rows in enumerate(_pair_block_plan(num_train, block_rows))
+        ],
+        "config": config,
+        "created_unix": created_unix,
+    }
+    (out_dir / _MANIFEST_NAME).write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
 class InteractionShardWriter:
     """Streaming writer for the shard layout, grouped-by-user input.
 
@@ -420,17 +395,18 @@ class InteractionShardWriter:
         self._last_user = -1
         self._total = 0
 
-    def _block_name(self, index: int) -> str:
-        return f"pairs-{index:03d}.npy"
-
     def _open_block(self) -> _NpyStream:
         rows = self._block_plan[self._block_index]
-        return _NpyStream(self.out_dir / self._block_name(self._block_index),
+        return _NpyStream(self.out_dir / _block_name(self._block_index),
                           (rows, 2))
 
     def append(self, users: np.ndarray, items: np.ndarray) -> None:
+        """Stream one chunk of pairs; a rejected chunk changes nothing."""
         users = np.asarray(users, dtype=np.int64)
         items = np.asarray(items, dtype=np.int64)
+        if users.ndim != 1 or users.shape != items.shape:
+            raise ValueError(f"append() needs 1-D users and items of equal "
+                             f"length, got {users.shape} and {items.shape}")
         if users.size == 0:
             return
         if users[0] < self._last_user or np.any(np.diff(users) < 0):
@@ -438,10 +414,10 @@ class InteractionShardWriter:
         if users[-1] >= self.num_users or items.min() < 0 \
                 or items.max() >= self.num_items:
             raise ValueError("pair ids out of range for the catalogue")
+        if self._total + len(users) > self.num_train:
+            raise ValueError(f"more than the promised {self.num_train} pairs")
         self._last_user = int(users[-1])
         self._total += len(users)
-        if self._total > self.num_train:
-            raise ValueError(f"more than the promised {self.num_train} pairs")
         np.add.at(self._user_counts, users, 1)
         np.add.at(self._item_counts, items, 1)
         self._csr_stream.append(items)
@@ -469,34 +445,17 @@ class InteractionShardWriter:
             self._pair_stream.close()
             self._pair_stream = None
         if self.num_train == 0:
-            np.save(self.out_dir / self._block_name(0),
+            np.save(self.out_dir / _block_name(0),
                     np.empty((0, 2), dtype=np.int64))
         self._csr_stream.close()
-        indptr = np.concatenate([np.zeros(1, dtype=np.int64),
-                                 np.cumsum(self._user_counts)])
-        np.save(self.out_dir / "indptr.npy", indptr)
-        np.save(self.out_dir / "item_degrees.npy", self._item_counts)
-        if test_pairs is None:
-            test_pairs = np.empty((0, 2), dtype=np.int64)
-        np.save(self.out_dir / "test_pairs.npy",
-                np.asarray(test_pairs, dtype=np.int64))
-        manifest = {
-            "schema": INTERACTION_SHARDS_SCHEMA,
-            "name": self.name,
-            "num_users": self.num_users,
-            "num_items": self.num_items,
-            "num_train": self.num_train,
-            "num_test": int(len(test_pairs)),
-            "block_rows": self.block_rows,
-            "pair_blocks": [
-                {"path": self._block_name(i), "rows": rows}
-                for i, rows in enumerate(self._block_plan)
-            ],
-            "config": self.config,
-            "created_unix": self.created_unix,
-        }
-        path = self.out_dir / _MANIFEST_NAME
-        path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        _finish_layout(
+            self.out_dir, name=self.name, num_users=self.num_users,
+            num_items=self.num_items,
+            indptr=np.concatenate([np.zeros(1, dtype=np.int64),
+                                   np.cumsum(self._user_counts)]),
+            item_degrees=self._item_counts, test_pairs=test_pairs,
+            block_rows=self.block_rows, config=self.config,
+            created_unix=self.created_unix)
         return self.out_dir
 
 
@@ -512,34 +471,18 @@ def write_interaction_shards(dataset: InteractionDataset,
     """
     out = pathlib.Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    pairs = np.asarray(dataset.train_pairs, dtype=np.int64)
-    plan = _pair_block_plan(len(pairs), block_rows)
+    pairs = dataset.train_pairs
     lo = 0
-    for index, rows in enumerate(plan):
-        np.save(out / f"pairs-{index:03d}.npy", pairs[lo:lo + rows])
+    for index, rows in enumerate(_pair_block_plan(len(pairs), block_rows)):
+        np.save(out / _block_name(index), pairs[lo:lo + rows])
         lo += rows
-    indptr, items = dataset_train_csr(dataset)
-    np.save(out / "indptr.npy", indptr)
+    indptr, items = dataset.train_csr()
     np.save(out / "csr_items.npy", items)
-    np.save(out / "item_degrees.npy",
-            np.asarray(dataset.item_popularity, dtype=np.int64))
-    np.save(out / "test_pairs.npy",
-            np.asarray(dataset.test_pairs, dtype=np.int64))
-    manifest = {
-        "schema": INTERACTION_SHARDS_SCHEMA,
-        "name": dataset.name,
-        "num_users": dataset.num_users,
-        "num_items": dataset.num_items,
-        "num_train": int(len(pairs)),
-        "num_test": int(len(dataset.test_pairs)),
-        "block_rows": block_rows,
-        "pair_blocks": [{"path": f"pairs-{i:03d}.npy", "rows": rows}
-                        for i, rows in enumerate(plan)],
-        "config": {},
-        "created_unix": time.time(),
-    }
-    (out / _MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    _finish_layout(out, name=dataset.name, num_users=dataset.num_users,
+                   num_items=dataset.num_items, indptr=indptr,
+                   item_degrees=dataset.item_popularity,
+                   test_pairs=dataset.test_pairs, block_rows=block_rows,
+                   config={}, created_unix=time.time())
     return ShardedInteractionSource(out)
 
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.data.dataset import InteractionDataset
 from repro.eval import metrics as M
-from repro.eval.masking import mask_seen_items, seen_items_csr
+from repro.eval.masking import mask_seen_items
 from repro.models.base import Recommender
 
 __all__ = ["EvalResult", "Evaluator", "evaluate_model", "evaluate_scores"]
@@ -73,20 +73,15 @@ class Evaluator:
                              f"got {batch_users}")
         self.metric_names = tuple(metric_names)
         self.batch_users = batch_users
-        self._test_users = np.array(
-            [u for u in range(dataset.num_users)
-             if len(dataset.test_items_by_user[u]) > 0], dtype=np.int64)
-        # Flattened train- and test-interaction layouts over the test
-        # users, so per-chunk seen masking and relevance lookup are array
-        # slices instead of per-user Python loops on every evaluate() pass.
-        self._train_indptr, self._train_cols = seen_items_csr(
-            [dataset.train_items_by_user[u] for u in self._test_users])
-        self._test_indptr, self._test_cols = seen_items_csr(
-            [dataset.test_items_by_user[u] for u in self._test_users])
+        # Users without held-out items have empty rows, so the global
+        # test CSR's item column is already the test users' items in
+        # order: only the row pointers need narrowing to those users.
+        test_indptr, self._test_cols = dataset.test_csr()
+        self._test_users = np.flatnonzero(np.diff(test_indptr))
+        self._test_indptr = test_indptr[np.append(self._test_users,
+                                                  dataset.num_users)]
         #: held-out positive count per test user (vectorized metrics)
         self._num_relevant = np.diff(self._test_indptr)
-        self._test_pos = np.full(dataset.num_users, -1, dtype=np.int64)
-        self._test_pos[self._test_users] = np.arange(len(self._test_users))
         # Ranked-list width is fixed: hoist the shared discount/IDCG
         # tables out of the per-chunk loop (IDCG summed exactly like
         # the per-user oracle — np.sum's pairwise order, not cumsum's).
@@ -157,21 +152,12 @@ class Evaluator:
     def _mask_train_items(self, scores: np.ndarray, users: np.ndarray) -> None:
         """Mask already-seen items with one vectorized scatter per chunk.
 
-        Any set of test users (contiguous or not) hits the precomputed
-        flattened layout via :func:`repro.eval.masking.mask_seen_items`
-        — the same scatter the serving indexes use; users outside the
-        test set fall back to the per-user scatter.
+        Rows index the dataset's train CSR by global user id, through
+        :func:`repro.eval.masking.mask_seen_items` — the same scatter the
+        serving indexes use.
         """
-        if not len(users):
-            return
-        pos = self._test_pos[np.asarray(users, dtype=np.int64)]
-        if np.all(pos >= 0):
-            mask_seen_items(scores, self._train_indptr, self._train_cols, pos)
-            return
-        for row, u in enumerate(users):
-            items = self.dataset.train_items_by_user[u]
-            if len(items):
-                scores[row, items] = -np.inf
+        indptr, items = self.dataset.train_csr()
+        mask_seen_items(scores, indptr, items, users)
 
 
 def evaluate_model(model: Recommender, dataset: InteractionDataset,

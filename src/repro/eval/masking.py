@@ -10,8 +10,8 @@ never drift apart.
 
 The interaction sets are passed in CSR layout — ``indices[indptr[p] :
 indptr[p + 1]]`` are the seen items of the entity at *position* ``p`` —
-which is exactly how both the evaluator's flattened test-user layout and
-the serving snapshot's persisted ``seen_*`` arrays are stored.
+which is exactly how both an interaction source's train CSR and the
+serving snapshot's persisted ``seen_*`` arrays are stored.
 """
 
 from __future__ import annotations

@@ -147,11 +147,11 @@ def collect_negative_scores(result: ExperimentResult, n_users: int = 64,
     users = rng.choice(dataset.num_users, size=min(n_users, dataset.num_users),
                        replace=False)
     scores = result.model.predict_scores(user_ids=users)
-    mask = dataset.positive_mask()[users]
+    all_items = np.arange(dataset.num_items)
     out = np.empty((len(users), n_negatives))
     for row, user in enumerate(users):
-        negatives = np.flatnonzero(~mask[row])
         positives = dataset.train_items_by_user[user]
+        negatives = np.setdiff1d(all_items, positives)
         if rnoise > 0 and len(positives):
             n_pos, n_neg = len(positives), len(negatives)
             p_pos = rnoise * n_pos / (rnoise * n_pos + n_neg)

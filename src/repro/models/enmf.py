@@ -43,7 +43,7 @@ class ENMF(Recommender):
         user_rng, item_rng = spawn_rngs(rng, 2)
         self.user_embedding = Embedding(dataset.num_users, dim, rng=user_rng)
         self.item_embedding = Embedding(dataset.num_items, dim, rng=item_rng)
-        self._positive_mask = dataset.train_matrix().toarray()
+        self._train_matrix = dataset.train_matrix()
 
     def propagate(self) -> tuple[Tensor, Tensor]:
         return self.user_embedding.all(), self.item_embedding.all()
@@ -61,7 +61,7 @@ class ENMF(Recommender):
         u = F.l2_normalize(ops.take_rows(users_t, users), axis=1)
         i = F.l2_normalize(items_t, axis=1)
         scores = F.pairwise_scores(u, i)               # (B, num_items)
-        mask = Tensor(self._positive_mask[users])      # (B, num_items)
+        mask = Tensor(self._train_matrix[users].toarray())  # (B, num_items)
         pos_term = (mask * ((scores - 1.0) ** 2 - self.negative_weight
                             * scores ** 2)).sum()
         all_term = self.negative_weight * (scores ** 2).sum()

@@ -59,7 +59,7 @@ class UltraGCN(Recommender):
     def _constraint_weights(dataset: InteractionDataset
                             ) -> tuple[np.ndarray, np.ndarray]:
         """Per-user / per-item factors of β_{u,i} (their product)."""
-        du = np.maximum(dataset.user_degree().astype(np.float64), 1.0)
+        du = np.maximum(dataset.user_degrees().astype(np.float64), 1.0)
         di = dataset.item_popularity.astype(np.float64)
         user_factor = np.sqrt(du + 1.0) / du
         item_factor = 1.0 / np.sqrt(di + 1.0)

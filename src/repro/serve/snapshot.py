@@ -46,7 +46,6 @@ import time
 import numpy as np
 
 from repro.data.dataset import InteractionDataset
-from repro.eval.masking import seen_items_csr
 from repro.models.base import Recommender
 
 __all__ = ["SNAPSHOT_SCHEMA", "SHARD_SCHEMA", "SHARDED_SCHEMA",
@@ -346,7 +345,7 @@ def export_snapshot(model: Recommender, dataset: InteractionDataset,
     _remove_stale_layout(out_dir, for_sharded=False)
 
     users, items = _frozen_tables(model)
-    seen_indptr, seen_items = seen_items_csr(dataset.train_items_by_user)
+    seen_indptr, seen_items = dataset.train_csr()
 
     name = model_name or type(model).__name__.lower()
     identity = (SNAPSHOT_SCHEMA, type(model).__name__, model.dim,
@@ -752,7 +751,7 @@ def export_sharded_snapshot(model: Recommender, dataset: InteractionDataset,
             f"model is sized ({model.num_users}, {model.num_items}) but "
             f"dataset is ({dataset.num_users}, {dataset.num_items})")
     users, items = _frozen_tables(model)
-    seen_csr = seen_items_csr(dataset.train_items_by_user)
+    seen_csr = dataset.train_csr()
     return _export_sharded_tables(
         out_dir, users, items, seen_csr,
         model_name=model_name or type(model).__name__.lower(),

@@ -55,7 +55,7 @@ class Trainer:
     model, loss, dataset:
         The three pluggable components.  ``dataset`` may be an
         in-memory :class:`~repro.data.dataset.InteractionDataset` or
-        any :class:`~repro.data.source.InteractionSource` (e.g. an
+        any other :class:`~repro.data.source.InteractionSource` (e.g. an
         out-of-core ``ShardedInteractionSource``); sources stream
         epochs without dense per-catalogue state but carry no held-out
         split, so periodic evaluation / early stopping require a real

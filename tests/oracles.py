@@ -14,6 +14,9 @@ dense Adam's whole-table step; the chunked in-place kernels of
 ``layer_mean_chain`` is LightGCN's layer mean as one graph node per hop
 plus ``stack`` and ``mean``; :func:`repro.graph.propagation.layer_mean`
 must reproduce its values and gradients bit for bit.
+``positive_mask`` is the dense ``(num_users, num_items)`` train mask
+that datasets no longer build; sampler and ``batch_contains`` tests
+check the CSR-derived batch views against it.
 ``kmeans`` is Lloyd's algorithm as a per-cluster loop over boolean
 masks, with seeding that recomputes every distance per draw; the
 GEMM-only :func:`repro.analysis.kmeans.kmeans` must reproduce its
@@ -98,6 +101,13 @@ def catalogue_batch_scores(model, batch):
     rows = np.arange(len(batch))
     return (all_scores[rows, batch.positives],
             all_scores[rows[:, None], batch.negatives])
+
+
+def positive_mask(dataset) -> np.ndarray:
+    """Dense boolean mask of the training pairs, scattered from the pairs."""
+    mask = np.zeros((dataset.num_users, dataset.num_items), dtype=bool)
+    mask[dataset.train_pairs[:, 0], dataset.train_pairs[:, 1]] = True
+    return mask
 
 
 def evaluate_per_user(model, dataset, ks=(20,),

@@ -1,9 +1,14 @@
 """InteractionDataset invariants."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.data import InteractionDataset
+from repro.data import InteractionDataset, UniformNegativeSampler
+from repro.data.synthetic import SyntheticConfig, generate_dataset
+from tests.oracles import positive_mask
 
 
 @pytest.fixture()
@@ -28,7 +33,7 @@ class TestConstruction:
         np.testing.assert_array_equal(small.item_popularity, [2, 1, 1, 1])
 
     def test_user_degree(self, small):
-        np.testing.assert_array_equal(small.user_degree(), [2, 1, 2])
+        np.testing.assert_array_equal(small.user_degrees(), [2, 1, 2])
 
     def test_out_of_range_user_rejected(self):
         with pytest.raises(ValueError):
@@ -46,10 +51,6 @@ class TestConstruction:
         ds = InteractionDataset(2, 2, np.array([[0, 0]]), np.empty((0, 2)))
         assert ds.num_test == 0
 
-    def test_is_train_positive(self, small):
-        assert small.is_train_positive(0, 1)
-        assert not small.is_train_positive(0, 3)
-
 
 class TestDenseViews:
     def test_train_matrix_binary(self, small):
@@ -60,16 +61,48 @@ class TestDenseViews:
 
     def test_positive_mask_matches_matrix(self, small):
         np.testing.assert_array_equal(
-            small.positive_mask(), small.train_matrix().toarray() > 0)
-
-    def test_positive_mask_cached(self, small):
-        assert small.positive_mask() is small.positive_mask()
+            positive_mask(small), small.train_matrix().toarray() > 0)
 
     def test_padded_positives(self, small):
-        padded, degrees = small.padded_positives()
+        padded, degrees = small.batch_padded_positives(np.arange(3))
         np.testing.assert_array_equal(degrees, [2, 1, 2])
         np.testing.assert_array_equal(padded[0, :2], [0, 1])
         np.testing.assert_array_equal(padded[2, :2], [0, 3])
+
+    def test_views_are_read_only(self, small):
+        """Per-user lists and the CSR are views of one stored array."""
+        with pytest.raises(ValueError):
+            small.train_items_by_user[0][0] = 3
+        with pytest.raises(ValueError):
+            small.test_items_by_user[2][0] = 3
+        with pytest.raises(ValueError):
+            small.train_csr()[1][0] = 3
+        np.testing.assert_array_equal(small.train_items_by_user[0], [0, 1])
+
+
+class TestMemory:
+    def test_build_and_first_batch_hold_under_3x_the_pairs(self):
+        """Dataset + one uniform batch on a 9000^2 set: no dense views.
+
+        The CSR adds one item column (~half the pair bytes) and a row
+        pointer per user; per-user Python sets or catalogue-wide padded
+        matrices would blow through the bound several times over.
+        """
+        ds = generate_dataset(SyntheticConfig(
+            num_users=9000, num_items=9000, num_clusters=24,
+            mean_interactions=20.0, train_noise=0.0, seed=0))
+        train, test = ds.train_pairs.copy(), ds.test_pairs.copy()
+        del ds
+        gc.collect()
+        tracemalloc.start()
+        try:
+            dataset = InteractionDataset(9000, 9000, train, test)
+            batch = next(UniformNegativeSampler(dataset, rng=0).epoch())
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(batch) == 1024
+        assert current < 3 * (train.nbytes + test.nbytes)
 
 
 class TestPopularityGroups:

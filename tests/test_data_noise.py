@@ -32,8 +32,8 @@ class TestInjection:
 
     def test_injection_proportional_to_degree(self, tiny_dataset):
         noisy = inject_positive_noise(tiny_dataset, 0.5, rng=0)
-        clean_deg = tiny_dataset.user_degree()
-        noisy_deg = noisy.user_degree()
+        clean_deg = tiny_dataset.user_degrees()
+        noisy_deg = noisy.user_degrees()
         extra = noisy_deg - clean_deg
         # heavier users receive more fakes
         heavy = clean_deg >= np.median(clean_deg)

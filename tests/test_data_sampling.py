@@ -5,6 +5,7 @@ import pytest
 
 from repro.data import (InBatchSampler, PopularityNegativeSampler,
                         UniformNegativeSampler)
+from tests.oracles import positive_mask
 
 
 class TestUniformSampler:
@@ -30,7 +31,7 @@ class TestUniformSampler:
         sampler = UniformNegativeSampler(tiny_dataset, n_negatives=16,
                                          batch_size=10_000, rng=0)
         batch = next(iter(sampler.epoch()))
-        mask = tiny_dataset.positive_mask()
+        mask = positive_mask(tiny_dataset)
         collisions = mask[batch.users[:, None], batch.negatives]
         assert collisions.mean() < 0.01
 
@@ -47,9 +48,9 @@ class TestUniformSampler:
                                          batch_size=10_000, rnoise=rnoise,
                                          rng=0)
         batch = next(iter(sampler.epoch()))
-        mask = tiny_dataset.positive_mask()
+        mask = positive_mask(tiny_dataset)
         actual = mask[batch.users[:, None], batch.negatives].mean()
-        deg = tiny_dataset.user_degree()[batch.users].astype(float)
+        deg = tiny_dataset.user_degrees()[batch.users].astype(float)
         expected = (rnoise * deg / (rnoise * deg
                                     + tiny_dataset.num_items - deg)).mean()
         assert actual == pytest.approx(expected, rel=0.15)
@@ -58,7 +59,7 @@ class TestUniformSampler:
         sampler = UniformNegativeSampler(tiny_dataset, n_negatives=8,
                                          batch_size=256, rnoise=0.0, rng=0)
         batch = next(iter(sampler.epoch()))
-        mask = tiny_dataset.positive_mask()
+        mask = positive_mask(tiny_dataset)
         assert mask[batch.users[:, None], batch.negatives].mean() < 0.01
 
     def test_monotone_in_rnoise(self, tiny_dataset):
@@ -68,7 +69,7 @@ class TestUniformSampler:
                 tiny_dataset, n_negatives=100, batch_size=10_000,
                 rnoise=rnoise, rng=1)
             batch = next(iter(sampler.epoch()))
-            mask = tiny_dataset.positive_mask()
+            mask = positive_mask(tiny_dataset)
             rates.append(mask[batch.users[:, None], batch.negatives].mean())
         assert rates[0] < rates[1] < rates[2]
 
@@ -98,7 +99,7 @@ class TestExactRedraw:
         can never leave a collision (no user in tiny is full-degree)."""
         sampler = UniformNegativeSampler(tiny_dataset, n_negatives=64,
                                          batch_size=10_000, rng=0)
-        mask = tiny_dataset.positive_mask()
+        mask = positive_mask(tiny_dataset)
         for _ in range(3):
             batch = next(iter(sampler.epoch()))
             assert mask[batch.users[:, None], batch.negatives].sum() == 0
@@ -107,7 +108,7 @@ class TestExactRedraw:
         """Fixed-seed statistical pin: per-item frequencies over the
         heaviest user's complement match the uniform law (chi-square
         statistic within 3 sigma of its dof, no item starved)."""
-        deg = tiny_dataset.user_degree()
+        deg = tiny_dataset.user_degrees()
         user = int(np.argmax(deg))
         complement = np.setdiff1d(np.arange(tiny_dataset.num_items),
                                   tiny_dataset.train_items_by_user[user])
@@ -142,7 +143,8 @@ class TestExactRedraw:
         assert not np.isin(clean, [0]).any()
 
     def test_sorted_padded_positives_contract(self, tiny_dataset):
-        padded, degrees = tiny_dataset.sorted_padded_positives()
+        padded, degrees = tiny_dataset.batch_sorted_positives(
+            np.arange(tiny_dataset.num_users))
         for u in range(0, tiny_dataset.num_users, 7):
             items = np.unique(tiny_dataset.train_items_by_user[u])
             np.testing.assert_array_equal(padded[u, :degrees[u]], items)

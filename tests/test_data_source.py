@@ -1,20 +1,24 @@
-"""InteractionSource protocol: dataset adapter == sharded mmap source.
+"""InteractionSource protocol: in-memory dataset == sharded mmap source.
 
-The sampler and trainer now talk to datasets only through the
+The sampler and trainer talk to datasets only through the
 :class:`~repro.data.source.InteractionSource` protocol, so these tests
 pin the contract that makes out-of-core training exact: the mmap-backed
 :class:`~repro.data.source.ShardedInteractionSource` must agree with
-the in-memory :class:`~repro.data.source.DatasetSource` on every
+the in-memory :class:`~repro.data.dataset.InteractionDataset` on every
 protocol method, byte for byte.
 """
+
+import json
 
 import numpy as np
 import pytest
 
-from repro.data import (InteractionShardWriter, ScaleConfig, as_source,
-                        batch_contains, generate_scale_shards, load_dataset,
+from repro.data import (InteractionDataset, InteractionShardWriter,
+                        ScaleConfig, as_source, batch_contains,
+                        generate_scale_shards, load_dataset,
                         write_interaction_shards)
-from repro.data.source import DatasetSource, ShardedInteractionSource
+from repro.data.source import ShardedInteractionSource
+from tests.oracles import positive_mask
 
 
 @pytest.fixture(scope="module")
@@ -26,66 +30,66 @@ def dataset():
 def sources(dataset, tmp_path_factory):
     shard_dir = tmp_path_factory.mktemp("shards") / "yelp"
     sharded = write_interaction_shards(dataset, shard_dir, block_rows=1024)
-    return DatasetSource(dataset), sharded
+    return dataset, sharded
 
 
 class TestProtocolParity:
     """Every protocol surface agrees across the two backends."""
 
     def test_sizes(self, sources):
-        dense, sharded = sources
-        assert (dense.num_users, dense.num_items, dense.num_train) == \
+        memory, sharded = sources
+        assert (memory.num_users, memory.num_items, memory.num_train) == \
             (sharded.num_users, sharded.num_items, sharded.num_train)
 
     def test_pairs_gather(self, sources):
-        dense, sharded = sources
+        memory, sharded = sources
         rng = np.random.default_rng(0)
-        idx = rng.permutation(dense.num_train)[:2048]
-        np.testing.assert_array_equal(dense.pairs(idx), sharded.pairs(idx))
+        idx = rng.permutation(memory.num_train)[:2048]
+        np.testing.assert_array_equal(memory.pairs(idx), sharded.pairs(idx))
 
     def test_user_degrees(self, sources):
-        dense, sharded = sources
-        np.testing.assert_array_equal(dense.user_degrees(),
+        memory, sharded = sources
+        np.testing.assert_array_equal(memory.user_degrees(),
                                       sharded.user_degrees())
 
     def test_item_popularity(self, sources):
-        dense, sharded = sources
-        np.testing.assert_allclose(dense.item_popularity,
+        memory, sharded = sources
+        np.testing.assert_allclose(memory.item_popularity,
                                    sharded.item_popularity)
 
     def test_full_csr(self, sources):
-        dense, sharded = sources
-        di, dv = dense.train_csr()
+        memory, sharded = sources
+        di, dv = memory.train_csr()
         si, sv = sharded.train_csr()
         np.testing.assert_array_equal(di, si)
         np.testing.assert_array_equal(np.sort(dv), np.sort(sv))
 
     def test_row_range_csr_rebased(self, sources):
-        dense, sharded = sources
+        memory, sharded = sources
         lo, hi = 17, 83
-        di, dv = dense.train_csr(lo, hi)
+        di, dv = memory.train_csr(lo, hi)
         si, sv = sharded.train_csr(lo, hi)
         assert di[0] == 0 and si[0] == 0
         np.testing.assert_array_equal(di, si)
         np.testing.assert_array_equal(np.sort(dv), np.sort(sv))
 
     def test_batch_sorted_positives(self, sources):
-        dense, sharded = sources
+        memory, sharded = sources
         users = np.array([0, 5, 5, 101, 449])
-        dp, dd = dense.batch_sorted_positives(users)
+        dp, dd = memory.batch_sorted_positives(users)
         sp, sd = sharded.batch_sorted_positives(users)
         np.testing.assert_array_equal(dd, sd)
         for d, s, deg in zip(dp, sp, dd):
             np.testing.assert_array_equal(d[:deg], s[:deg])
             # padding may differ in width across backends but must sit
             # strictly above the item-id range in both
-            assert np.all(d[deg:] > dense.num_items)
-            assert np.all(s[deg:] > dense.num_items)
+            assert np.all(d[deg:] > memory.num_items)
+            assert np.all(s[deg:] > memory.num_items)
 
     def test_batch_padded_positives(self, sources):
-        dense, sharded = sources
+        memory, sharded = sources
         users = np.arange(0, 400, 7)
-        dp, dd = dense.batch_padded_positives(users)
+        dp, dd = memory.batch_padded_positives(users)
         sp, sd = sharded.batch_padded_positives(users)
         np.testing.assert_array_equal(dd, sd)
         for row, (d, s, deg) in enumerate(zip(dp, sp, dd)):
@@ -103,28 +107,27 @@ class TestBatchContains:
     """Row-offset searchsorted membership == dense mask gather."""
 
     def test_matches_dense_mask(self, dataset, sources):
-        dense, _ = sources
+        memory, _ = sources
         rng = np.random.default_rng(3)
-        users = rng.integers(0, dense.num_users, size=256)
-        queries = rng.integers(0, dense.num_items, size=(256, 16))
-        padded, _ = dense.batch_sorted_positives(users)
+        users = rng.integers(0, memory.num_users, size=256)
+        queries = rng.integers(0, memory.num_items, size=(256, 16))
+        padded, _ = memory.batch_sorted_positives(users)
         got = batch_contains(padded, queries)
-        want = dataset.positive_mask()[users[:, None], queries]
+        want = positive_mask(dataset)[users[:, None], queries]
         np.testing.assert_array_equal(got, want)
 
     def test_empty_queries(self, sources):
-        dense, _ = sources
-        padded, _ = dense.batch_sorted_positives(np.array([0, 1]))
+        memory, _ = sources
+        padded, _ = memory.batch_sorted_positives(np.array([0, 1]))
         out = batch_contains(padded, np.empty((2, 0), dtype=np.int64))
         assert out.shape == (2, 0)
 
 
 class TestAsSource:
-    def test_passthrough_and_adapter_cache(self, dataset, sources):
-        dense, sharded = sources
+    def test_passthrough(self, dataset, sources):
+        _, sharded = sources
         assert as_source(sharded) is sharded
-        a, b = as_source(dataset), as_source(dataset)
-        assert a is b  # cached on the dataset
+        assert as_source(dataset) is dataset
 
     def test_path_opens_sharded(self, sources, tmp_path, dataset):
         shard_dir = tmp_path / "again"
@@ -174,6 +177,94 @@ class TestShardWriter:
         np.testing.assert_array_equal(source.pairs(np.arange(333)), pairs)
         np.testing.assert_array_equal(
             source.user_degrees(), np.bincount(users, minlength=50))
+
+    def test_length_mismatch_changes_nothing(self, tmp_path):
+        writer = InteractionShardWriter(
+            tmp_path / "w", name="t", num_users=4, num_items=4, num_train=3)
+        with pytest.raises(ValueError, match="equal length"):
+            writer.append(np.array([0, 1]), np.array([2]))
+        writer.append(np.array([0, 1, 1]), np.array([2, 0, 3]))
+        source = ShardedInteractionSource(writer.close())
+        np.testing.assert_array_equal(source.pairs(np.arange(3)),
+                                      [[0, 2], [1, 0], [1, 3]])
+        np.testing.assert_array_equal(source.user_degrees(), [1, 2, 0, 0])
+        np.testing.assert_array_equal(source.item_popularity, [1, 0, 1, 1])
+
+    def test_writer_matches_dataset_export(self, tmp_path):
+        """User-sorted pairs: streamed and converted directories agree
+        byte for byte, manifests up to their timestamps."""
+        rng = np.random.default_rng(5)
+        users = np.sort(rng.integers(0, 30, size=200))
+        items = rng.integers(0, 25, size=200)
+        test = np.array([[0, 1], [7, 3]])
+        dataset = InteractionDataset(30, 25, np.column_stack([users, items]),
+                                     test, name="t")
+        write_interaction_shards(dataset, tmp_path / "a", block_rows=64)
+        writer = InteractionShardWriter(
+            tmp_path / "b", name="t", num_users=30, num_items=25,
+            num_train=200, block_rows=64)
+        for lo in range(0, 200, 45):
+            writer.append(users[lo:lo + 45], items[lo:lo + 45])
+        writer.close(test)
+        files = sorted(p.name for p in (tmp_path / "a").iterdir())
+        assert files == sorted(p.name for p in (tmp_path / "b").iterdir())
+        manifests = []
+        for name in files:
+            a, b = ((tmp_path / d / name).read_bytes() for d in "ab")
+            if name.endswith(".json"):
+                manifests.append((json.loads(a), json.loads(b)))
+            else:
+                assert a == b, name
+        (ma, mb), = manifests
+        del ma["created_unix"], mb["created_unix"]
+        assert ma == mb
+
+
+class TestOpenChecks:
+    """A shard directory whose arrays disagree with its manifest fails
+    when it is opened, not at the first out-of-bounds gather."""
+
+    @staticmethod
+    def _write(path, num_users=20, num_items=15, seed=0):
+        rng = np.random.default_rng(seed)
+        pairs = np.column_stack([rng.integers(0, num_users, 60),
+                                 rng.integers(0, num_items, 60)])
+        dataset = InteractionDataset(num_users, num_items, pairs,
+                                     np.array([[0, 1]]))
+        return write_interaction_shards(dataset, path, block_rows=16).path
+
+    def test_foreign_indptr(self, tmp_path):
+        path = self._write(tmp_path / "a")
+        other = self._write(tmp_path / "b", num_users=25)
+        (path / "indptr.npy").write_bytes(
+            (other / "indptr.npy").read_bytes())
+        with pytest.raises(ValueError, match="indptr"):
+            ShardedInteractionSource(path)
+
+    @pytest.mark.parametrize("stem", ["indptr", "csr_items", "item_degrees"])
+    def test_too_few_rows(self, tmp_path, stem):
+        path = self._write(tmp_path / "a")
+        np.save(path / f"{stem}.npy", np.load(path / f"{stem}.npy")[:-1])
+        with pytest.raises(ValueError, match=stem):
+            ShardedInteractionSource(path)
+
+    def test_indptr_not_spanning_or_monotone(self, tmp_path):
+        path = self._write(tmp_path / "a")
+        indptr = np.load(path / "indptr.npy")
+        np.save(path / "indptr.npy", indptr + 1)
+        with pytest.raises(ValueError, match="spans"):
+            ShardedInteractionSource(path)
+        bumped = indptr.copy()
+        bumped[3] = indptr[4] + 1  # row 3 now ends before it starts
+        np.save(path / "indptr.npy", bumped)
+        with pytest.raises(ValueError, match="monotone"):
+            ShardedInteractionSource(path)
+
+    def test_test_pairs_shape(self, tmp_path):
+        path = self._write(tmp_path / "a")
+        np.save(path / "test_pairs.npy", np.arange(4))
+        with pytest.raises(ValueError, match="test_pairs"):
+            ShardedInteractionSource(path)
 
 
 class TestScaleGenerator:

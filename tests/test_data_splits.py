@@ -26,7 +26,7 @@ class TestRatioSplit:
 
     def test_every_user_keeps_training_items(self, pairs):
         ds = ratio_split(pairs, 20, 50, test_fraction=0.5, rng=0)
-        deg = ds.user_degree()
+        deg = ds.user_degrees()
         for user in np.unique(pairs[:, 0]):
             assert deg[user] >= 1
 
