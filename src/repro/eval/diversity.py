@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.dataset import InteractionDataset
+from repro.eval.masking import mask_seen_items
 from repro.eval.metrics import rank_items
 from repro.models.base import Recommender
 
@@ -27,12 +28,9 @@ def recommendation_counts(model: Recommender, dataset: InteractionDataset,
     for lo in range(0, len(users), batch_users):
         chunk = users[lo:lo + batch_users]
         scores = model.predict_scores(user_ids=chunk)
-        for row, u in enumerate(chunk):
-            train_items = dataset.train_items_by_user[u]
-            if len(train_items):
-                scores[row, train_items] = -np.inf
-        top = rank_items(scores, k)
-        np.add.at(counts, top.ravel(), 1)
+        mask_seen_items(scores, *dataset.train_csr(), chunk)
+        counts += np.bincount(rank_items(scores, k).ravel(),
+                              minlength=dataset.num_items)
     return counts
 
 

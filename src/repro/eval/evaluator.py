@@ -7,6 +7,8 @@ cutoffs of Fig. 7.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,13 +50,18 @@ class Evaluator:
     metric_names:
         Subset of {"recall", "ndcg", "precision", "hit", "map"}.
     batch_users:
-        Number of users scored per dense block (memory control).
+        Score rows in flight at once, summed over the workers (memory
+        control): each of ``w = min(os.cpu_count(), batch_users)``
+        workers scores chunks of ``batch_users // w`` users.
 
     Each chunk of users is one dense score block, one two-level top-K
     selection (:func:`~repro.eval.metrics.rank_items`) and array-level
     metric computation over the whole chunk; the per-user functions of
     :mod:`repro.eval.metrics` are the oracle it is pinned to, bit for
-    bit (``tests/test_eval_chunked.py``).
+    bit (``tests/test_eval_chunked.py``).  The model's tables are built
+    once per :meth:`evaluate`, on the calling thread; the chunks run on
+    a thread pool created per call, one worker per core.  A chunk's
+    rows depend only on its own users, so any split gives the same bits.
     """
 
     _METRICS = ("recall", "ndcg", "precision", "hit", "map")
@@ -78,6 +85,11 @@ class Evaluator:
         # order: only the row pointers need narrowing to those users.
         test_indptr, self._test_cols = dataset.test_csr()
         self._test_users = np.flatnonzero(np.diff(test_indptr))
+        if not len(self._test_users):
+            # Every metric would be the mean of an empty slice: NaN, on
+            # which early stopping would silently act.
+            raise ValueError(f"dataset {dataset.name!r} has no test users "
+                             f"to evaluate: its test split is empty")
         self._test_indptr = test_indptr[np.append(self._test_users,
                                                   dataset.num_users)]
         #: held-out positive count per test user (vectorized metrics)
@@ -92,15 +104,52 @@ class Evaluator:
 
     # ------------------------------------------------------------------
     def evaluate(self, model: Recommender) -> EvalResult:
-        """Evaluate a model over all users with held-out positives."""
-        per_user = {f"{m}@{k}": np.zeros(len(self._test_users))
+        """Evaluate a model over all users with held-out positives.
+
+        The model propagates once, here on the calling thread
+        (:meth:`~repro.models.base.Recommender.scoring_tables`); the
+        workers only read the tables it returns.
+        """
+        return self._evaluate(model.scoring_tables().scores)
+
+    def evaluate_scores(self, scores: np.ndarray) -> EvalResult:
+        """Evaluate a precomputed dense ``(num_users, num_items)`` matrix.
+
+        Indexing by the user array copies the rows, so masking never
+        writes to ``scores``.
+        """
+        return self._evaluate(lambda users: scores[users])
+
+    def _evaluate(self, score_rows) -> EvalResult:
+        """Score, mask, rank and measure the test users chunk by chunk.
+
+        ``score_rows(users)`` returns a fresh ``(len(users), num_items)``
+        block.  The chunks fan out over one worker per core, each
+        ``batch_users // workers`` users, so at most ``batch_users``
+        score rows are alive at once; every chunk writes only its own
+        rows of ``per_user``, so the result cannot depend on the split.
+        """
+        n_users = len(self._test_users)
+        per_user = {f"{m}@{k}": np.zeros(n_users)
                     for m in self.metric_names for k in self.ks}
         max_k = max(self.ks)
-        for lo in range(0, len(self._test_users), self.batch_users):
-            users = self._test_users[lo:lo + self.batch_users]
-            scores = model.predict_scores(user_ids=users)
+        workers = min(os.cpu_count() or 1, self.batch_users)
+        size = self.batch_users // workers
+        starts = range(0, n_users, size)
+        workers = min(workers, len(starts))
+
+        def chunk(lo: int) -> None:
+            users = self._test_users[lo:lo + size]
+            scores = score_rows(users)
             self._mask_train_items(scores, users)
             self._chunk_metrics(per_user, lo, M.rank_items(scores, max_k))
+
+        if workers == 1:
+            list(map(chunk, starts))
+        else:
+            with ThreadPoolExecutor(max_workers=workers,
+                                    thread_name_prefix="evaluator") as pool:
+                list(pool.map(chunk, starts))
         aggregated = {key: float(vals.mean()) for key, vals in per_user.items()}
         return EvalResult(aggregated, per_user=per_user,
                           evaluated_users=self._test_users.copy())
@@ -169,18 +218,5 @@ def evaluate_model(model: Recommender, dataset: InteractionDataset,
 def evaluate_scores(scores: np.ndarray, dataset: InteractionDataset,
                     ks=(20,), metric_names=("recall", "ndcg")) -> EvalResult:
     """Evaluate a precomputed dense score matrix (for tests/baselines)."""
-
-    class _FixedScores(Recommender):
-        def __init__(self):
-            super().__init__(dataset.num_users, dataset.num_items, dim=1)
-
-        def propagate(self):  # pragma: no cover - not used
-            raise NotImplementedError
-
-        def predict_scores(self, user_ids=None):
-            if user_ids is None:
-                return scores.copy()
-            return scores[np.asarray(user_ids, dtype=np.int64)].copy()
-
-    return Evaluator(dataset, ks=ks, metric_names=metric_names).evaluate(
-        _FixedScores())
+    return Evaluator(dataset, ks=ks,
+                     metric_names=metric_names).evaluate_scores(scores)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.dataset import InteractionDataset
+from repro.eval.masking import mask_seen_items
 from repro.eval.metrics import rank_items
 from repro.models.base import Recommender
 
@@ -34,16 +35,12 @@ def group_ndcg(model: Recommender, dataset: InteractionDataset,
     """
     groups = dataset.popularity_groups(n_groups)
     discounts = 1.0 / np.log2(np.arange(2, k + 2))
-    test_users = [u for u in range(dataset.num_users)
-                  if len(dataset.test_items_by_user[u]) > 0]
+    test_users = np.flatnonzero(np.diff(dataset.test_csr()[0]))
     totals = np.zeros(n_groups)
     for lo in range(0, len(test_users), batch_users):
-        users = np.asarray(test_users[lo:lo + batch_users])
+        users = test_users[lo:lo + batch_users]
         scores = model.predict_scores(user_ids=users)
-        for row, u in enumerate(users):
-            train_items = dataset.train_items_by_user[u]
-            if len(train_items):
-                scores[row, train_items] = -np.inf
+        mask_seen_items(scores, *dataset.train_csr(), users)
         top = rank_items(scores, k)
         for row, u in enumerate(users):
             relevant = set(dataset.test_items_by_user[u].tolist())

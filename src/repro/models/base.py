@@ -10,6 +10,8 @@ MF).  Losses are decoupled from backbones — any loss from
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from repro.data.sampling import TrainingBatch
@@ -17,7 +19,34 @@ from repro.nn.module import Module
 from repro.tensor import Tensor, no_grad
 from repro.tensor import functional as F
 
-__all__ = ["Recommender"]
+__all__ = ["Recommender", "ScoringTables"]
+
+
+class ScoringTables(NamedTuple):
+    """Final user/item tables in test-scoring form.
+
+    Built by :meth:`Recommender.scoring_tables`: rows already normalised
+    for cosine scoring, and ``item_sq`` (``‖i‖²``) set for euclidean
+    scoring only.  Scoring never writes to the tables, so any number of
+    threads may score rows from one instance at once.  Tables that were
+    not normalised may share memory with the model's parameters: they
+    are valid until the next optimizer step.
+    """
+
+    users: np.ndarray
+    items: np.ndarray
+    item_sq: np.ndarray | None
+
+    def scores(self, user_ids=None) -> np.ndarray:
+        """``(len(user_ids), num_items)`` test scores; all users if None."""
+        users = self.users
+        if user_ids is not None:
+            users = users[np.asarray(user_ids, dtype=np.int64)]
+        if self.item_sq is not None:
+            # negative squared distance ranks identically to -distance
+            u2 = (users ** 2).sum(axis=1, keepdims=True)
+            return -(u2 + self.item_sq - 2.0 * users @ self.items.T)
+        return users @ self.items.T
 
 
 class Recommender(Module):
@@ -115,6 +144,31 @@ class Recommender(Module):
     # ------------------------------------------------------------------
     # Full-ranking prediction (evaluation)
     # ------------------------------------------------------------------
+    def scoring_tables(self) -> ScoringTables:
+        """The final tables, ready for test scoring.
+
+        Propagates once in eval mode under ``no_grad`` and restores the
+        training flag.  Cosine scoring normalises the rows here, and
+        euclidean scoring computes ``‖i‖²`` here, so scoring any set of
+        user rows afterwards is one slice and one GEMM
+        (:meth:`ScoringTables.scores`) that touches no model state.
+        """
+        was_training = self.training
+        self.eval()
+        try:
+            with no_grad():
+                users_t, items_t = self.propagate()
+        finally:
+            if was_training:
+                self.train()
+        users, items = users_t.data, items_t.data
+        if self.test_scoring == "cosine":
+            users = users / (np.linalg.norm(users, axis=1, keepdims=True) + 1e-12)
+            items = items / (np.linalg.norm(items, axis=1, keepdims=True) + 1e-12)
+        item_sq = ((items ** 2).sum(axis=1)
+                   if self.test_scoring == "euclidean" else None)
+        return ScoringTables(users, items, item_sq)
+
     def predict_scores(self, user_ids=None) -> np.ndarray:
         """Dense score matrix for evaluation, using test scoring.
 
@@ -123,27 +177,7 @@ class Recommender(Module):
         user_ids:
             Optional subset of users; defaults to all users.
         """
-        was_training = self.training
-        self.eval()
-        try:
-            with no_grad():
-                users_t, items_t = self.propagate()
-            users = users_t.data
-            items = items_t.data
-        finally:
-            if was_training:
-                self.train()
-        if user_ids is not None:
-            users = users[np.asarray(user_ids, dtype=np.int64)]
-        if self.test_scoring == "cosine":
-            users = users / (np.linalg.norm(users, axis=1, keepdims=True) + 1e-12)
-            items = items / (np.linalg.norm(items, axis=1, keepdims=True) + 1e-12)
-        if self.test_scoring == "euclidean":
-            # negative squared distance ranks identically to -distance
-            u2 = (users ** 2).sum(axis=1, keepdims=True)
-            i2 = (items ** 2).sum(axis=1)
-            return -(u2 + i2 - 2.0 * users @ items.T)
-        return users @ items.T
+        return self.scoring_tables().scores(user_ids)
 
     def embeddings(self) -> tuple[np.ndarray, np.ndarray]:
         """Final numpy embedding tables (no grad), for analysis/t-SNE."""

@@ -14,6 +14,10 @@ dense Adam's whole-table step; the chunked in-place kernels of
 ``layer_mean_chain`` is LightGCN's layer mean as one graph node per hop
 plus ``stack`` and ``mean``; :func:`repro.graph.propagation.layer_mean`
 must reproduce its values and gradients bit for bit.
+``group_ndcg_per_user`` and ``recommendation_counts_per_user`` are the
+popularity-group NDCG and the exposure counts with per-user masking;
+:mod:`repro.eval.groups` and :mod:`repro.eval.diversity` mask through
+the shared CSR scatter and must reproduce their arrays exactly.
 ``positive_mask`` is the dense ``(num_users, num_items)`` train mask
 that datasets no longer build; sampler and ``batch_contains`` tests
 check the CSR-derived batch views against it.
@@ -133,6 +137,45 @@ def evaluate_per_user(model, dataset, ks=(20,),
     return EvalResult({key: float(vals.mean())
                        for key, vals in per_user.items()},
                       per_user=per_user, evaluated_users=users)
+
+
+def _masked_top(model, dataset, users, k):
+    """Top-``k`` of ``users`` with each seen item set to -inf row by row."""
+    scores = model.predict_scores(user_ids=users)
+    for row, u in enumerate(users):
+        seen = dataset.train_items_by_user[u]
+        if len(seen):
+            scores[row, seen] = -np.inf
+    return M.rank_items(scores, k)
+
+
+def group_ndcg_per_user(model, dataset, k=20, n_groups=10, batch_users=256):
+    """Per-popularity-group NDCG@k with per-user masking and ``set`` probes."""
+    groups = dataset.popularity_groups(n_groups)
+    discounts = 1.0 / np.log2(np.arange(2, k + 2))
+    test_users = [u for u in range(dataset.num_users)
+                  if len(dataset.test_items_by_user[u]) > 0]
+    totals = np.zeros(n_groups)
+    for lo in range(0, len(test_users), batch_users):
+        users = np.asarray(test_users[lo:lo + batch_users])
+        top = _masked_top(model, dataset, users, k)
+        for row, u in enumerate(users):
+            relevant = set(dataset.test_items_by_user[u].tolist())
+            idcg = discounts[: min(len(relevant), k)].sum()
+            for rank, item in enumerate(top[row]):
+                if int(item) in relevant:
+                    totals[groups[item]] += discounts[rank] / idcg
+    return totals / max(1, len(test_users))
+
+
+def recommendation_counts_per_user(model, dataset, k=20, batch_users=256):
+    """Top-``k`` appearances per item, masked per user, ``np.add.at``."""
+    counts = np.zeros(dataset.num_items, dtype=np.int64)
+    users = np.arange(dataset.num_users)
+    for lo in range(0, len(users), batch_users):
+        top = _masked_top(model, dataset, users[lo:lo + batch_users], k)
+        np.add.at(counts, top.ravel(), 1)
+    return counts
 
 
 def adam_rows(p, m, v, rows, g, step_nums, *, lr, betas=(0.9, 0.999),

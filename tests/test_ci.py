@@ -376,6 +376,37 @@ class TestBenchmarkSurface:
         assert serve_patches
         assert [pair for pair in serve_patches if not calls[pair]] == []
 
+    def test_patched_eval_names_are_called_through_by_workers(
+            self, tiny_dataset, monkeypatch):
+        """The same for evaluation, with the chunks on the evaluator's
+        pool: a worker must look each name up as a module global."""
+        import collections
+        import importlib
+        import os
+
+        from repro.eval.evaluator import Evaluator
+        from repro.models import MF
+        calls = collections.Counter()
+        eval_patches = [pair for pair in self._surface()[1]
+                        if pair[0].startswith("repro.eval")]
+        for module, attr in eval_patches:
+            owner = importlib.import_module(module)
+
+            def counting(*args, _real=getattr(owner, attr),
+                         _key=(module, attr), **kwargs):
+                calls[_key] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, counting)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        model = MF(tiny_dataset.num_users, tiny_dataset.num_items, dim=8,
+                   rng=0)
+        Evaluator(tiny_dataset, ks=(20,), batch_users=8).evaluate(model)
+        assert sorted(eval_patches) == [
+            ("repro.eval.evaluator", "mask_seen_items"),
+            ("repro.eval.metrics", "rank_items")]
+        assert [pair for pair in eval_patches if not calls[pair]] == []
+
     @pytest.mark.parametrize("grad_mode", ["dense", "sparse"])
     def test_train_step_scores_through_both_forward_names(
             self, tiny_dataset, monkeypatch, grad_mode):

@@ -12,6 +12,8 @@ from repro.eval import (recall_at_k, ndcg_at_k, precision_at_k,
                         overlap_at_k, Evaluator, evaluate_scores,
                         group_ndcg, fairness_gap)
 
+from tests.oracles import group_ndcg_per_user
+
 
 class TestRankItems:
     def test_orders_by_score(self):
@@ -344,17 +346,33 @@ class TestEvaluator:
                                   tiny_dataset.num_items))
         small = Evaluator(tiny_dataset, ks=(10,), batch_users=7)
         big = Evaluator(tiny_dataset, ks=(10,), batch_users=10_000)
-
-        class _Fixed:
-            training = False
-            def eval(self): return self
-            def train(self): return self
-            def predict_scores(self, user_ids=None):
-                return scores[np.asarray(user_ids)].copy()
-
-        a = small.evaluate(_Fixed())
-        b = big.evaluate(_Fixed())
+        a = small.evaluate_scores(scores)
+        b = big.evaluate_scores(scores)
         assert a.metrics == b.metrics
+
+    def test_fixed_scores_are_not_mutated(self, tiny_dataset, rng):
+        scores = rng.normal(size=(tiny_dataset.num_users,
+                                  tiny_dataset.num_items))
+        before = scores.copy()
+        evaluate_scores(scores, tiny_dataset, ks=(10,))
+        np.testing.assert_array_equal(scores, before)
+
+    def test_empty_test_split_rejected_by_name(self):
+        ds = InteractionDataset(2, 3, np.array([[0, 0], [1, 1]]),
+                                np.empty((0, 2)), name="no-test")
+        with pytest.raises(ValueError, match="'no-test'.*no test users"):
+            Evaluator(ds)
+
+    def test_trainer_with_periodic_eval_rejects_empty_test_split(self):
+        from repro.losses import get_loss
+        from repro.models import MF
+        from repro.train import TrainConfig, Trainer
+        ds = InteractionDataset(2, 3, np.array([[0, 0], [1, 1]]),
+                                np.empty((0, 2)), name="no-test")
+        model = MF(ds.num_users, ds.num_items, dim=4, rng=0)
+        with pytest.raises(ValueError, match="'no-test'.*no test users"):
+            Trainer(model, get_loss("sl"), ds,
+                    TrainConfig(epochs=2, eval_every=1, patience=1))
 
 
 class TestGroups:
@@ -372,6 +390,17 @@ class TestGroups:
         groups = group_ndcg(_Fixed(), tiny_dataset, k=20, n_groups=10)
         overall = evaluate_scores(scores, tiny_dataset, ks=(20,))["ndcg@20"]
         assert groups.sum() == pytest.approx(overall, rel=1e-9)
+
+    @pytest.mark.parametrize("batch_users", [7, 256])
+    def test_group_ndcg_matches_per_user_masking(self, tiny_dataset,
+                                                 batch_users):
+        from repro.models import MF
+        model = MF(tiny_dataset.num_users, tiny_dataset.num_items, dim=8,
+                   rng=3)
+        np.testing.assert_array_equal(
+            group_ndcg(model, tiny_dataset, k=20, batch_users=batch_users),
+            group_ndcg_per_user(model, tiny_dataset, k=20,
+                                batch_users=batch_users))
 
     def test_fairness_gap_sign(self):
         biased = np.array([0.0] * 7 + [0.1, 0.2, 0.3])

@@ -6,6 +6,10 @@ train-item masking preserved — across datasets, cutoffs, metric sets
 and chunk sizes (including chunks that don't divide the user count).
 """
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -13,6 +17,7 @@ from repro.data import load_dataset
 from repro.eval import metrics as M
 from repro.eval.evaluator import Evaluator, evaluate_scores
 from repro.models.registry import get_model
+from repro.tensor import is_grad_enabled
 
 from tests.oracles import evaluate_per_user
 
@@ -133,3 +138,81 @@ class TestEvaluateScores:
         ref = evaluate_per_user(_Fixed(), tiny_dataset, ks=(10,),
                                 metric_names=ALL_METRICS)
         _assert_identical(fast, ref)
+
+
+class TestWorkerPool:
+    """The chunks fan out over ``os.cpu_count()`` workers; the split
+    into sub-chunks and the thread interleaving must not show."""
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, 8])
+    @pytest.mark.parametrize("batch_users", [1, 7, 256])
+    def test_any_core_count_matches_oracle(self, tiny_dataset, monkeypatch,
+                                           cores, batch_users):
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        model = get_model("mf", tiny_dataset, dim=8, rng=7)
+        fast = Evaluator(tiny_dataset, ks=(5, 20), metric_names=ALL_METRICS,
+                         batch_users=batch_users).evaluate(model)
+        ref = evaluate_per_user(model, tiny_dataset, ks=(5, 20),
+                                metric_names=ALL_METRICS)
+        _assert_identical(fast, ref)
+
+    def test_more_workers_than_cores_under_fast_switching(
+            self, tiny_dataset, monkeypatch):
+        """Sixteen workers of one user each, switching every microsecond:
+        a lost or misplaced ``per_user`` write breaks the oracle match."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        model = get_model("mf", tiny_dataset, dim=8, rng=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            fast = Evaluator(tiny_dataset, ks=(5, 20),
+                             metric_names=ALL_METRICS,
+                             batch_users=16).evaluate(model)
+        finally:
+            sys.setswitchinterval(interval)
+        _assert_identical(fast, evaluate_per_user(
+            model, tiny_dataset, ks=(5, 20), metric_names=ALL_METRICS))
+
+    def test_propagates_once_on_the_calling_thread(self, tiny_dataset,
+                                                   monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        model = get_model("lightgcn", tiny_dataset, dim=8, rng=0)
+        threads = []
+        real = model.propagate
+
+        def counting():
+            threads.append(threading.current_thread())
+            return real()
+
+        monkeypatch.setattr(model, "propagate", counting)
+        Evaluator(tiny_dataset, ks=(20,), batch_users=8).evaluate(model)
+        assert threads == [threading.current_thread()]
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_training_flag_and_grad_mode_unchanged(self, tiny_dataset,
+                                                   monkeypatch, training):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        model = get_model("lightgcn", tiny_dataset, dim=8, rng=0)
+        model.train() if training else model.eval()
+        Evaluator(tiny_dataset, ks=(20,), batch_users=8).evaluate(model)
+        assert model.training is training
+        assert is_grad_enabled()
+
+    def test_chunk_error_propagates_and_no_worker_survives(
+            self, tiny_dataset, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        calls = []
+        real = M.rank_items
+
+        def failing(scores, k):
+            calls.append(None)
+            if len(calls) >= 3:
+                raise RuntimeError("chunk failed")
+            return real(scores, k)
+
+        monkeypatch.setattr(M, "rank_items", failing)
+        model = get_model("mf", tiny_dataset, dim=8, rng=0)
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            Evaluator(tiny_dataset, ks=(20,), batch_users=4).evaluate(model)
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith("evaluator")]

@@ -8,6 +8,8 @@ from repro.eval.diversity import (diversity_report, gini_index,
                                   item_coverage, mean_novelty,
                                   recommendation_counts)
 
+from tests.oracles import recommendation_counts_per_user
+
 
 class _FixedModel:
     """Recommends the same fixed scores to everyone."""
@@ -49,6 +51,17 @@ class TestRecommendationCounts:
         counts = recommendation_counts(_FixedModel(scores), toy_dataset,
                                        k=1)
         assert counts[0] == 1  # only user 2 can receive item 0
+
+    @pytest.mark.parametrize("batch_users", [7, 256])
+    def test_matches_per_user_masking(self, tiny_dataset, batch_users):
+        from repro.models import MF
+        model = MF(tiny_dataset.num_users, tiny_dataset.num_items, dim=8,
+                   rng=4)
+        np.testing.assert_array_equal(
+            recommendation_counts(model, tiny_dataset, k=10,
+                                  batch_users=batch_users),
+            recommendation_counts_per_user(model, tiny_dataset, k=10,
+                                           batch_users=batch_users))
 
 
 class TestGini:
