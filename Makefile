@@ -4,10 +4,9 @@
 #   make verify          tier-1 tests + docs/bench checkers (what CI gates on)
 #   make verify-slow     everything, incl. paper-figure benches
 #   make ci              strict verify, exactly what .github/workflows/ci.yml runs
-#   make bench           regenerate BENCH_train.json + BENCH_serve.json
-#   make bench-<suite>   regenerate one registry suite (train, serve, ann,
-#                        latency, refresh, obs, faults, scale)
-#                        via `repro bench <suite>`; see repro.experiments.bench
+#   make bench-<suite>   regenerate one registry suite (ann, latency,
+#                        refresh, faults, scale) via `repro bench <suite>`;
+#                        see repro.experiments.bench
 #   make bench-e2e       the repo benchmark declared in BENCHMARK.json: four
 #                        workloads, every end-to-end metric, answers checked
 #                        against the brute-force oracle; see bench/README.md
@@ -18,7 +17,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify verify-slow test ci docs-check bench-check bench bench-train bench-serve bench-ann bench-latency bench-refresh bench-obs bench-faults bench-scale bench-e2e bench-e2e-trace
+.PHONY: verify verify-slow test ci docs-check bench-check bench-ann bench-latency bench-refresh bench-faults bench-scale bench-e2e bench-e2e-trace
 
 verify: docs-check bench-check
 	$(PYTHON) -m pytest -x -q
@@ -37,14 +36,6 @@ docs-check:
 bench-check:
 	$(PYTHON) scripts/check_bench.py
 
-bench: bench-train bench-serve
-
-bench-train:
-	$(PYTHON) -m repro.cli bench train --out BENCH_train.json
-
-bench-serve:
-	$(PYTHON) -m repro.cli bench serve --out BENCH_serve.json
-
 bench-ann:
 	$(PYTHON) -m repro.cli bench ann --out BENCH_ann.json
 
@@ -53,9 +44,6 @@ bench-latency:
 
 bench-refresh:
 	$(PYTHON) -m repro.cli bench refresh --out BENCH_refresh.json
-
-bench-obs:
-	$(PYTHON) -m repro.cli bench obs --out BENCH_obs.json
 
 bench-scale:
 	$(PYTHON) -m repro.cli bench scale --out BENCH_scale.json

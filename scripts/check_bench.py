@@ -10,10 +10,7 @@ suite there automatically extends this validator.  The rules per file:
 
 * the top level must carry ``schema`` / ``created_unix`` / ``dataset`` /
   ``config`` / ``results`` and the schema string must match exactly;
-* every required result section (``train_throughput`` +
-  ``train_quality`` for the training frontier, where every throughput row must carry the
-  grad_mode/num_items/ms_per_step columns; ``serve`` +
-  ``serve_sharded`` for the serve file; ``ann`` + ``ann_baseline`` for
+* every required result section (``ann`` + ``ann_baseline`` for
   the ANN frontier, where every ``ann`` row must carry the
   nlist/nprobe/recall/users_per_s columns; ``latency`` for the
   tail-latency frontier, where every row must carry the
@@ -21,7 +18,8 @@ suite there automatically extends this validator.  The rules per file:
   ``refresh`` for the live-refresh churn sweep, where every row must
   carry the churn_fraction/rows_changed/delta_apply_ms/ivf_update_ms/
   ivf_rebuild_ms/swap_pause_ms/requests_during_swap/errors columns;
-  ``scale`` for the out-of-core frontier, where every row must carry
+  ``faults`` for the fault-tolerance sweep; ``scale`` for the
+  out-of-core frontier, where every row must carry
   the level/num_users/num_items/ms_per_step/users_per_s/peak_rss_mb
   columns) must be present and its rows must carry the per-kind
   required fields;

@@ -35,14 +35,13 @@ __all__ = ["BenchSuite", "SUITES", "suite_names", "get_suite",
 
 #: Config fields whose flag keeps a historical spelling that is not the
 #: field name (``n_negatives`` is ``--negatives``).
-FLAG_SPELLINGS = {"n_negatives": "negatives", "catalogue_scales": "scales",
-                  "churn_fractions": "churn", "fault_rates": "rates"}
+FLAG_SPELLINGS = {"n_negatives": "negatives", "churn_fractions": "churn",
+                  "fault_rates": "rates"}
 
 #: Config fields argparse validates against a closed set (exit 2 on an
 #: unknown name, before anything is trained).
 FLAG_CHOICES = {"dataset": dataset_names(), "model": model_names(),
-                "loss": loss_names(), "partition_by": ("user", "item", "both"),
-                "sparse_mode": ("lazy", "exact")}
+                "loss": loss_names()}
 
 
 def _tuple_of(kind: type):
@@ -56,9 +55,8 @@ def _tuple_of(kind: type):
 class BenchSuite:
     """One registered benchmark suite.
 
-    ``row_fields`` lists every result kind the suite may emit (required
-    kinds plus optional extras such as the serve suite's ``overlap``
-    rows) with the columns each row must carry.
+    ``row_fields`` lists every result kind the suite may emit with the
+    columns each row must carry.
     """
 
     name: str
@@ -87,19 +85,16 @@ class BenchSuite:
     def configure(self, parser: argparse.ArgumentParser) -> None:
         """One flag per config field (``dest`` is the field name) + ``--out``.
 
-        A ``bool`` field is a switch away from its default (``--keep-work``;
-        ``--no-quantized`` for ``include_quantized=True``), a ``tuple``
-        field takes comma-separated values of its default's element
-        type, anything else parses with the type of its default.
+        A ``bool`` field is a switch away from its ``False`` default
+        (``--keep-work``), a ``tuple`` field takes comma-separated values
+        of its default's element type, anything else parses with the
+        type of its default.
         """
         for f in fields(self.config):
             flag = FLAG_SPELLINGS.get(f.name, f.name).replace("_", "-")
             options = {"dest": f.name, "default": f.default,
                        "help": f.metadata.get("help")}
-            if f.default is True:
-                flag = "no-" + flag.removeprefix("include-")
-                options["action"] = "store_false"
-            elif f.default is False:
+            if f.default is False:
                 options["action"] = "store_true"
             elif isinstance(f.default, tuple):
                 options["type"] = _tuple_of(type(f.default[0]))
@@ -127,40 +122,6 @@ class BenchSuite:
 # The registry
 # ----------------------------------------------------------------------
 SUITES = {suite.name: suite for suite in (
-    BenchSuite(
-        name="train",
-        help="sweep the dense-vs-sparse training-throughput frontier",
-        schema=perf.TRAIN_SCHEMA,
-        config=perf.TrainPerfConfig,
-        run=perf.run_train_suite,
-        summarize=perf.summarize_train,
-        required_kinds=frozenset({"train_throughput", "train_quality"}),
-        row_fields={
-            "train_throughput": {"model", "loss", "grad_mode", "num_items",
-                                 "catalogue_scale", "batch_size",
-                                 "n_negatives", "ms_per_step",
-                                 "steps_per_s"},
-            "train_quality": {"model", "loss", "grad_mode", "sparse_mode",
-                              "epochs", "ndcg_at_20"},
-        }),
-    BenchSuite(
-        name="serve",
-        help="time snapshot serving throughput, unsharded and sharded",
-        schema=perf.SERVE_SCHEMA,
-        config=perf.ServePerfConfig,
-        run=perf.run_serve_suite,
-        summarize=perf.summarize_serve,
-        required_kinds=frozenset({"serve", "serve_sharded"}),
-        row_fields={
-            "serve": {"index", "cache", "batch_size", "k", "users_per_s",
-                      "ms_per_batch", "cache_hit_rate"},
-            "serve_sharded": {"index", "shards", "partition_by", "strategy",
-                              "batch_size", "k", "users_per_s",
-                              "merge_overhead_ms", "merge_fraction",
-                              "per_shard_bytes"},
-            "overlap": {"index", "k", "overlap_at_k", "table_bytes",
-                        "exact_table_bytes"},
-        }),
     BenchSuite(
         name="ann",
         help="sweep the IVF recall/throughput frontier",
@@ -200,19 +161,6 @@ SUITES = {suite.name: suite for suite in (
             "refresh": {"churn_fraction", "rows_changed", "delta_apply_ms",
                         "ivf_update_ms", "ivf_rebuild_ms", "swap_pause_ms",
                         "requests_during_swap", "errors"},
-        }),
-    BenchSuite(
-        name="obs",
-        help="measure serving overhead of the telemetry layer "
-             "(off / metrics / metrics+tracing lanes)",
-        schema=perf.OBS_SCHEMA,
-        config=perf.ObsPerfConfig,
-        run=perf.run_obs_suite,
-        summarize=perf.summarize_obs,
-        required_kinds=frozenset({"obs"}),
-        row_fields={
-            "obs": {"mode", "cache", "batch_size", "k", "users_per_s",
-                    "ms_per_batch", "overhead_pct"},
         }),
     BenchSuite(
         name="faults",

@@ -1,49 +1,31 @@
-"""Training and serving performance harnesses.
+"""Serving-side bench suites that ``bench/`` does not measure.
 
-Times the hot loops of the reproduction and emits results in stable
-JSON schemas so the perf trajectory of the codebase is tracked across
-PRs:
+Each suite trains one small cell, exports it and emits results in a
+stable JSON schema:
 
-* the **train suite** sweeps catalogue size × loss × grad mode and
-  times the training step with dense ``Adam`` vs ``SparseAdam`` (both
-  score only the sampled pairs), plus an
-  end-to-end NDCG@20 quality comparison per grad mode →
-  ``BENCH_train.json``;
-* the **serve suite** trains one cell, exports a serving snapshot
-  (:mod:`repro.serve`) and times batched top-K recommendation
-  throughput — exact vs int8-quantized index, cold vs warm result
-  cache, across request batch sizes — plus the quantized index's
-  top-K overlap with the exact path, plus a **sharded section**
-  sweeping shard counts × batch sizes through the scatter-gather
-  router with merge-overhead and per-shard-memory columns →
-  ``BENCH_serve.json``;
-* the **ANN suite** trains a retrieval-oriented cell, builds IVF
-  indexes (:mod:`repro.ann`) across ``nlist`` values and sweeps
-  ``nprobe``, recording the recall/throughput frontier against the
-  exact index — recall@k via :func:`repro.eval.metrics.overlap_at_k`,
-  throughput as **index-level** ``topk`` users/s over the same request
-  stream for both sides (no service cache in either lane) →
-  ``BENCH_ann.json``;
-* the **latency suite** trains one cell, exports it and drives the
-  async :class:`~repro.serve.runtime.ServingRuntime` with a paced
-  open-loop load generator, sweeping offered QPS multiplicatively
-  until saturation (throughput collapse or admission shedding) →
-  the p50/p99-vs-offered-load frontier of ``BENCH_latency.json``;
-* the **refresh suite** trains one cell, exports it, then sweeps
-  catalogue churn fractions: each level builds a delta
-  (:mod:`repro.serve.delta`), times in-memory delta replay,
-  incremental IVF maintenance vs a from-scratch rebuild, and the
-  atomic snapshot swap under live runtime traffic →
+* the **ANN suite** builds IVF indexes (:mod:`repro.ann`) across
+  ``nlist`` values and sweeps ``nprobe``, recording the
+  recall/throughput frontier against the exact index — recall@k via
+  :func:`repro.eval.metrics.overlap_at_k`, throughput as
+  **index-level** ``topk`` users/s over the same request stream for
+  both sides (no service cache in either lane) → ``BENCH_ann.json``;
+* the **latency suite** drives the async
+  :class:`~repro.serve.runtime.ServingRuntime` with a paced open-loop
+  load generator, sweeping offered QPS multiplicatively until
+  saturation (throughput collapse or admission shedding) → the
+  p50/p99-vs-offered-load frontier of ``BENCH_latency.json``;
+* the **refresh suite** sweeps catalogue churn fractions: each level
+  builds a delta (:mod:`repro.serve.delta`), times in-memory delta
+  replay, incremental IVF maintenance vs a from-scratch rebuild, and
+  the atomic snapshot swap under live runtime traffic →
   ``BENCH_refresh.json``.
+
+Training step time, closed-loop serving throughput (sharded and
+unsharded, cold and cached) and telemetry overhead are measured by the
+repo benchmark instead (``bench/README.md``).
 
 Programmatic entry points:
 
-* :func:`time_train_steps` — ms/step for one (model, loss) cell.
-* :func:`run_train_suite` — the dense-vs-sparse training frontier.
-* :func:`time_recommend` — users/s through a recommendation service.
-* :func:`time_recommend_sharded` — same, through the sharded router,
-  with scatter/score/merge decomposition.
-* :func:`run_serve_suite` — the serving grid; returns the JSON payload.
 * :func:`time_index_topk` — index-level users/s for any top-K index.
 * :func:`run_ann_suite` — the ANN frontier; returns the JSON payload.
 * :func:`run_latency_level` — one offered-QPS level through a runtime.
@@ -67,30 +49,18 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from repro.data.synthetic import load_dataset
-from repro.eval.evaluator import Evaluator
 from repro.eval.metrics import overlap_at_k
 from repro.losses.registry import get_loss
 from repro.models.registry import get_model
-from repro.tensor.sparse import RowSparseGrad
 from repro.train.config import TrainConfig
 from repro.train.trainer import Trainer
 
-__all__ = ["SERVE_SCHEMA", "ANN_SCHEMA", "TRAIN_SCHEMA",
-           "LATENCY_SCHEMA", "REFRESH_SCHEMA", "OBS_SCHEMA",
+__all__ = ["ANN_SCHEMA", "LATENCY_SCHEMA", "REFRESH_SCHEMA",
            "CLOCK_RESOLUTION_S", "clamp_elapsed",
-           "ServePerfConfig", "AnnPerfConfig", "TrainPerfConfig",
-           "LatencyPerfConfig", "RefreshPerfConfig", "ObsPerfConfig",
-           "inflate_catalogue", "time_train_steps", "run_train_suite",
-           "time_recommend", "time_recommend_sharded",
-           "topk_overlap", "run_serve_suite", "time_index_topk",
-           "run_latency_level", "run_latency_suite", "run_refresh_suite",
-           "run_ann_suite", "run_obs_suite", "write_report",
-           "summarize_serve", "summarize_ann", "summarize_train",
-           "summarize_latency", "summarize_refresh", "summarize_obs"]
-
-#: Schema of the serving-throughput payload (``BENCH_serve.json``).
-#: v2 added the sharded scatter-gather section (``serve_sharded`` rows).
-SERVE_SCHEMA = "bsl-serve-bench/v2"
+           "AnnPerfConfig", "LatencyPerfConfig", "RefreshPerfConfig",
+           "time_index_topk", "run_latency_level", "run_latency_suite",
+           "run_refresh_suite", "run_ann_suite", "write_report",
+           "summarize_ann", "summarize_latency", "summarize_refresh"]
 
 #: Schema of the ANN recall/throughput frontier (``BENCH_ann.json``).
 ANN_SCHEMA = "bsl-ann-bench/v1"
@@ -129,11 +99,7 @@ def _timed(fn) -> float:
 
 
 def _flag(default, help: str):
-    """A config field whose ``repro bench <suite>`` flag shows ``help``.
-
-    A ``True`` field's flag is its ``--no-...`` switch, so its help says
-    what switching it off does.
-    """
+    """A config field whose ``repro bench <suite>`` flag shows ``help``."""
     return field(default=default, metadata={"help": help})
 
 
@@ -183,455 +149,11 @@ def _request_stream(num_users: int, length: int, seed: int) -> np.ndarray:
                            for _ in range(cycles)])[:length].astype(np.int64)
 
 
-def _warmed_up(call, users: np.ndarray, *, batch_size: int, k: int,
-               repeats: int):
-    """Run one untimed pass of ``call`` over ``users``; return the pass.
-
-    ``call`` is ``service.recommend`` or ``index.topk``, fed
-    ``batch_size`` slices.  The warm-up builds lazy structures and fills
-    a cache-enabled service's cache; callers time the returned
-    ``one_pass`` ``repeats`` times.
-    """
-    if repeats <= 0:
-        raise ValueError(f"repeats must be positive, got {repeats}")
-    if batch_size <= 0:
-        raise ValueError(f"batch_size must be positive, got {batch_size}")
-
-    def one_pass() -> None:
-        for lo in range(0, len(users), batch_size):
-            call(users[lo:lo + batch_size], k=k)
-
-    one_pass()
-    return one_pass
-
-
-def time_train_steps(model_name: str, loss_name: str, dataset,
-                     *, steps: int = 15, warmup: int = 3, dim: int = 64,
-                     batch_size: int = 1024, n_negatives: int = 128,
-                     grad_mode: str = "dense", sparse_mode: str = "lazy",
-                     seed: int = 0) -> dict:
-    """Wall-clock one (model, loss) training cell for ``steps`` steps.
-
-    Returns one ``train_step`` result row.  ``grad_mode="sparse"`` times
-    ``SparseAdam`` instead of dense ``Adam`` (scoring is shared); its row
-    adds ``touched_rows`` (median rows updated per step over all tables)
-    and ``touched_frac``.
-    """
-    if steps <= 0:
-        raise ValueError(f"steps must be positive, got {steps}")
-    if warmup < 0:
-        raise ValueError(f"warmup must be non-negative, got {warmup}")
-    model = get_model(model_name, dataset, dim=dim, rng=seed)
-    config = TrainConfig(epochs=1, batch_size=batch_size,
-                         n_negatives=n_negatives, eval_every=0, patience=0,
-                         grad_mode=grad_mode, sparse_mode=sparse_mode,
-                         seed=seed)
-    trainer = Trainer(model, get_loss(loss_name), dataset, config,
-                      evaluator=None)
-    touched: list[int] = []  # per step: rows with a row-sparse gradient
-
-    def run_steps(n: int) -> None:
-        done = 0
-        while done < n:
-            model.on_epoch_start(trainer.epoch_rng)
-            for batch in trainer.sampler.epoch():
-                trainer.train_step(batch)
-                touched.append(sum(p.grad.nnz for p in trainer.optimizer.params
-                                   if isinstance(p.grad, RowSparseGrad)))
-                done += 1
-                if done >= n:
-                    return
-
-    run_steps(warmup)
-    start = time.perf_counter()
-    run_steps(steps)
-    elapsed = clamp_elapsed(time.perf_counter() - start)
-    row = {
-        "kind": "train_step",
-        "model": model_name,
-        "loss": loss_name,
-        "grad_mode": grad_mode,
-        "steps": steps,
-        "batch_size": batch_size,
-        "n_negatives": n_negatives,
-        "total_s": elapsed,
-        "ms_per_step": 1e3 * elapsed / steps,
-        "steps_per_s": steps / elapsed,
-    }
-    tables = [p for p in trainer.optimizer.params  # grads outlive the step
-              if isinstance(p.grad, RowSparseGrad)]
-    if grad_mode == "sparse" and tables:  # dense Adam updates every row
-        row["touched_rows"] = float(np.median(touched[warmup:]))
-        row["touched_frac"] = row["touched_rows"] / sum(map(len, tables))
-    return row
-
-
 def write_report(payload: dict, path) -> None:
-    """Persist a payload produced by either ``run_*_suite`` function."""
+    """Persist a payload produced by any ``run_*_suite`` function."""
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=False)
         fh.write("\n")
-
-
-# ----------------------------------------------------------------------
-# Training throughput frontier (BENCH_train.json)
-# ----------------------------------------------------------------------
-@dataclass
-class TrainPerfConfig:
-    """Knobs for one training-throughput frontier run.
-
-    For every catalogue scale the base dataset's item axis is inflated
-    (:func:`inflate_catalogue`) and each (loss, grad_mode) cell is
-    timed, so the payload shows how dense step time grows with the
-    catalogue while the row-sparse path stays flat.  A quality section
-    trains the base dataset end to end per grad mode and records final
-    NDCG@20, pinning that the lazy fast path does not trade accuracy.
-    """
-
-    dataset: str = "yelp2018-small"
-    model: str = "mf"
-    losses: tuple = _flag(("bpr", "bsl"),
-                          "comma-separated loss registry names")
-    catalogue_scales: tuple = _flag(
-        (1, 8, 64), "comma-separated catalogue inflation factors "
-                    "(1 = the base preset)")
-    dim: int = 64
-    steps: int = _flag(15, "timed optimizer steps per cell")
-    warmup: int = 3
-    batch_size: int = 1024
-    n_negatives: int = 128
-    sparse_mode: str = _flag("lazy",
-                             "sparse-optimizer mode for the sparse rows")
-    # Long enough to converge: converged dense and lazy runs agree on
-    # NDCG@20 to well under 1%, mid-training snapshots differ more.
-    quality_epochs: int = _flag(
-        16, "epochs of the end-to-end NDCG comparison (0 skips it)")
-    quality_loss: str = "bsl"
-    seed: int = 0
-
-
-#: Schema of the training-throughput payload (``BENCH_train.json``).
-TRAIN_SCHEMA = "bsl-train-bench/v1"
-
-
-def inflate_catalogue(dataset, scale: int):
-    """Return a copy of ``dataset`` with ``scale``× the item axis.
-
-    The added items are cold (no interactions) — interaction structure,
-    users and test split are untouched — so sweeping ``scale`` isolates
-    exactly the catalogue-size term of the per-step training cost: the
-    dense optimizer update (and a graph backbone's propagation) grows
-    with ``num_items`` while the batch stays fixed.  Negatives are drawn
-    from the inflated id range, as they would be on a genuinely larger
-    catalogue.
-    """
-    from repro.data.dataset import InteractionDataset
-    if scale < 1:
-        raise ValueError(f"scale must be >= 1, got {scale}")
-    if scale == 1:
-        return dataset
-    return InteractionDataset(
-        dataset.num_users, dataset.num_items * scale,
-        dataset.train_pairs, dataset.test_pairs,
-        name=f"{dataset.name}-x{scale}", item_clusters=None)
-
-
-def run_train_suite(config: TrainPerfConfig | None = None) -> dict:
-    """Sweep catalogue size × loss × grad mode; return the payload.
-
-    Emits one ``train_throughput`` row per (catalogue scale, loss,
-    grad_mode) cell plus — unless ``quality_epochs == 0`` — one
-    ``train_quality`` row per grad mode with the final NDCG@20 of an
-    end-to-end run on the base dataset.
-    """
-    config = config or TrainPerfConfig()
-    base = load_dataset(config.dataset)
-    results = []
-    for scale in config.catalogue_scales:
-        dataset = inflate_catalogue(base, scale)
-        for loss_name in config.losses:
-            # Sparse is timed first: the dense cell churns catalogue-sized
-            # optimizer temporaries, and following it in the same process
-            # measurably taxes the next cell's allocator.
-            for grad_mode in ("sparse", "dense"):
-                row = time_train_steps(
-                    config.model, loss_name, dataset, grad_mode=grad_mode,
-                    sparse_mode=config.sparse_mode, steps=config.steps,
-                    warmup=config.warmup, dim=config.dim,
-                    batch_size=config.batch_size,
-                    n_negatives=config.n_negatives, seed=config.seed)
-                row.update({
-                    "kind": "train_throughput",
-                    "catalogue_scale": int(scale),
-                    "num_items": int(dataset.num_items),
-                    "num_users": int(dataset.num_users),
-                })
-                results.append(row)
-    if config.quality_epochs:
-        results.extend(_train_quality_rows(config, base))
-    return _payload(TRAIN_SCHEMA, config, results)
-
-
-def _train_quality_rows(config: TrainPerfConfig, dataset) -> list[dict]:
-    """End-to-end NDCG@20 per grad mode on the base dataset."""
-    rows = []
-    for grad_mode in ("dense", "sparse"):
-        model = get_model(config.model, dataset, dim=config.dim,
-                          rng=config.seed)
-        loss = get_loss(config.quality_loss)
-        train_config = TrainConfig(
-            epochs=config.quality_epochs, batch_size=config.batch_size,
-            n_negatives=config.n_negatives, eval_every=0, patience=0,
-            grad_mode=grad_mode, sparse_mode=config.sparse_mode,
-            seed=config.seed)
-        trainer = Trainer(model, loss, dataset, train_config,
-                          evaluator=Evaluator(dataset, ks=(20,)))
-        result = trainer.fit()
-        rows.append({
-            "kind": "train_quality",
-            "model": config.model,
-            "loss": config.quality_loss,
-            "grad_mode": grad_mode,
-            "sparse_mode": config.sparse_mode,
-            "epochs": config.quality_epochs,
-            "final_loss": float(result.final_loss),
-            "ndcg_at_20": float(result.final_metrics.get("ndcg@20",
-                                                         float("nan"))),
-            "recall_at_20": float(result.final_metrics.get("recall@20",
-                                                           float("nan"))),
-        })
-    return rows
-
-
-def summarize_train(payload: dict) -> str:
-    """Human-readable dense-vs-sparse frontier for one train payload."""
-    lines = [f"train suite on {payload['dataset']} "
-             f"(schema {payload['schema']})"]
-    rows = [r for r in payload["results"] if r["kind"] == "train_throughput"]
-    for sparse in [r for r in rows if r["grad_mode"] == "sparse"]:
-        dense = next((r for r in rows
-                      if r["grad_mode"] == "dense"
-                      and r["loss"] == sparse["loss"]
-                      and r["num_items"] == sparse["num_items"]), None)
-        gain = (f"  ({dense['ms_per_step'] / sparse['ms_per_step']:.2f}x "
-                f"vs dense)") if dense else ""
-        lines.append(f"  train {sparse['model']}+{sparse['loss']} "
-                     f"items={sparse['num_items']:<6}: "
-                     f"{sparse['ms_per_step']:.2f} ms/step{gain}")
-    for row in payload["results"]:
-        if row["kind"] == "train_quality":
-            lines.append(f"  quality {row['model']}+{row['loss']} "
-                         f"{row['grad_mode']:<6}: "
-                         f"ndcg@20={row['ndcg_at_20']:.4f} "
-                         f"({row['epochs']} epochs)")
-    return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Serving throughput (BENCH_serve.json)
-# ----------------------------------------------------------------------
-@dataclass
-class ServePerfConfig:
-    """Knobs for one serving-throughput run.
-
-    One (dataset, model, loss) cell is trained for ``epochs``, exported
-    to a temporary snapshot, then swept: for each index kind and each
-    request batch size, recommendation throughput is timed cold
-    (cache disabled) and once warm (every request a cache hit).
-    """
-
-    dataset: str = "yelp2018-small"
-    model: str = "mf"
-    loss: str = "bsl"
-    epochs: int = 8
-    dim: int = 64
-    k: int = 10
-    batch_sizes: tuple = _flag((1, 16, 256),
-                               "comma-separated request batch sizes")
-    repeats: int = 3
-    request_users: int = _flag(
-        1024, "request stream length per timing pass (cycled over the "
-              "user set)")
-    max_batch: int = 256
-    shards: tuple = _flag((2, 4), "comma-separated shard counts for the "
-                                  "sharded sweep ('' to skip)")
-    partition_by: str = _flag("both", "sharded-sweep partition axes")
-    strategy: str = "contiguous"
-    include_quantized: bool = _flag(True, "skip the int8 index rows")
-    seed: int = 0
-
-
-def time_recommend(service, users: np.ndarray, *, batch_size: int,
-                   k: int = 10, repeats: int = 3,
-                   label: str = "cold") -> dict:
-    """Time ``service.recommend`` over ``users`` in ``batch_size`` slices.
-
-    Runs one untimed warmup pass (which also populates the service's
-    cache, so with a cache-enabled service the timed passes measure the
-    warm path) and then ``repeats`` timed passes.  Returns a result row
-    of the ``serve`` kind.
-    """
-    one_pass = _warmed_up(service.recommend, users, batch_size=batch_size,
-                          k=k, repeats=repeats)
-    # The row describes the timed window: every user's first request in
-    # the warm-up is a miss, and counting those would understate the
-    # warm lane's hit rate.
-    stats = service.stats
-    hits, misses = stats.cache_hits, stats.cache_misses
-    elapsed = sum(_timed(one_pass) for _ in range(repeats))
-    hits, misses = stats.cache_hits - hits, stats.cache_misses - misses
-    return {
-        "kind": "serve",
-        "index": service.index.kind,
-        "cache": label,
-        "batch_size": batch_size,
-        "k": k,
-        "users": int(len(users)),
-        "repeats": repeats,
-        "total_s": elapsed,
-        "users_per_s": len(users) * repeats / elapsed,
-        "ms_per_batch": (1e3 * elapsed
-                         / (repeats * -(-len(users) // batch_size))),
-        "cache_hit_rate": hits / max(hits + misses, 1),
-    }
-
-
-def time_recommend_sharded(service, users: np.ndarray, *, batch_size: int,
-                           k: int = 10, repeats: int = 3,
-                           shards: int = 1,
-                           partition_by: str = "both",
-                           strategy: str = "contiguous") -> dict:
-    """Time a :class:`~repro.serve.service.RecommendationService` whose
-    index is the scatter-gather router.
-
-    Same protocol as :func:`time_recommend` (one untimed warmup pass,
-    then ``repeats`` timed passes) but the router's scatter/score/merge
-    counters are reset after the warmup, so the returned
-    ``merge_overhead_ms`` / ``merge_fraction`` columns describe exactly
-    the timed window.  Returns a result row of the ``serve_sharded``
-    kind, including the largest item shard's scoring-table bytes
-    (``per_shard_bytes``).
-    """
-    one_pass = _warmed_up(service.recommend, users, batch_size=batch_size,
-                          k=k, repeats=repeats)
-    stats = service.router_stats
-    stats.reset()
-    elapsed = sum(_timed(one_pass) for _ in range(repeats))
-    n_batches = repeats * -(-len(users) // batch_size)
-    return {
-        "kind": "serve_sharded",
-        "index": service.index.kind,
-        "shards": int(shards),
-        "partition_by": partition_by,
-        "strategy": strategy,
-        "cache": "cold",
-        "batch_size": batch_size,
-        "k": k,
-        "users": int(len(users)),
-        "repeats": repeats,
-        "total_s": elapsed,
-        "users_per_s": len(users) * repeats / elapsed,
-        "ms_per_batch": 1e3 * elapsed / n_batches,
-        "merge_overhead_ms": 1e3 * stats.merge_s / max(stats.sweeps, 1),
-        "merge_fraction": stats.merge_fraction,
-        "per_shard_bytes": int(max(service.index.per_shard_table_bytes)),
-    }
-
-
-def topk_overlap(exact_index, other_index, users: np.ndarray,
-                 k: int = 10) -> float:
-    """Mean fraction of the exact top-``k`` recovered by another index.
-
-    This is the serving analogue of recall@k with the exact index as
-    ground truth — the acceptance metric for the quantized and ANN
-    paths.  Thin wrapper over the shared
-    :func:`repro.eval.metrics.overlap_at_k`.
-    """
-    return overlap_at_k(exact_index.topk(users, k=k).items,
-                        other_index.topk(users, k=k).items)
-
-
-def run_serve_suite(config: ServePerfConfig | None = None) -> dict:
-    """Train, export and sweep the serving stack; return the payload.
-
-    Covers the unsharded grid (index kind × batch size × cache state,
-    plus quantized-vs-exact overlap) and, for every shard count in
-    ``config.shards``, a scatter-gather sweep over the same batch sizes
-    with merge-overhead and per-shard-memory columns.
-    """
-    from repro.serve import (ExactTopKIndex, QuantizedTopKIndex,
-                             RecommendationService, ShardedTopKIndex,
-                             export_sharded_snapshot, export_snapshot,
-                             load_snapshot)
-    config = config or ServePerfConfig()
-    dataset, model = _train_cell(config)
-    users = _request_stream(dataset.num_users, config.request_users,
-                            config.seed)
-    results = []
-    with tempfile.TemporaryDirectory() as tmp:
-        export_snapshot(model, dataset, tmp, model_name=config.model,
-                        extra={"loss": config.loss, "epochs": config.epochs})
-        snapshot = load_snapshot(tmp)
-        indexes = [ExactTopKIndex(snapshot)]
-        if config.include_quantized:
-            quantized = QuantizedTopKIndex(snapshot)
-            indexes.append(quantized)
-            results.append({
-                "kind": "overlap",
-                "index": "quantized",
-                "k": config.k,
-                "users": int(dataset.num_users),
-                "overlap_at_k": topk_overlap(
-                    indexes[0], quantized,
-                    np.arange(dataset.num_users, dtype=np.int64),
-                    k=config.k),
-                "table_bytes": int(quantized.table_bytes),
-                "exact_table_bytes": int(
-                    np.asarray(snapshot.items).nbytes),
-            })
-        for index in indexes:
-            for batch_size in config.batch_sizes:
-                # max_batch must not cap the swept batch size, or rows
-                # for different large batch sizes would all silently
-                # measure max_batch-sized index sweeps.
-                cold = RecommendationService(
-                    snapshot, index=index, cache_size=0,
-                    max_batch=max(config.max_batch, batch_size))
-                results.append(time_recommend(
-                    cold, users, batch_size=batch_size, k=config.k,
-                    repeats=config.repeats, label="cold"))
-            warm = RecommendationService(
-                snapshot, index=index,
-                max_batch=max(config.max_batch, *config.batch_sizes),
-                cache_size=2 * config.request_users)
-            results.append(time_recommend(
-                warm, users, batch_size=max(config.batch_sizes), k=config.k,
-                repeats=config.repeats, label="warm"))
-        kinds = ["exact"] + (["quantized"] if config.include_quantized
-                             else [])
-        for n_shards in config.shards:
-            sharded = export_sharded_snapshot(
-                model, dataset, pathlib.Path(tmp) / f"shards-{n_shards}",
-                shards=n_shards, partition_by=config.partition_by,
-                strategy=config.strategy, model_name=config.model)
-            for kind in kinds:
-                # One router per (shards, kind): the shard tables are
-                # panelized/quantized once, and its default chunk_users
-                # matches the unsharded indexes so the sharded rows are
-                # apples-to-apples with the `serve` rows above.
-                router = ShardedTopKIndex(sharded, kind=kind)
-                for batch_size in config.batch_sizes:
-                    service = RecommendationService(
-                        sharded, index=router, cache_size=0,
-                        max_batch=max(config.max_batch, batch_size))
-                    results.append(time_recommend_sharded(
-                        service, users, batch_size=batch_size, k=config.k,
-                        repeats=config.repeats, shards=n_shards,
-                        partition_by=config.partition_by,
-                        strategy=config.strategy))
-        snapshot_version = snapshot.version
-    return _payload(SERVE_SCHEMA, config, results,
-                    snapshot_version=snapshot_version)
 
 
 # ----------------------------------------------------------------------
@@ -683,13 +205,20 @@ def time_index_topk(index, users: np.ndarray, *, batch_size: int,
     IVF index's per-list panels — exactly like a service warming up),
     then ``repeats`` timed passes; the reported throughput uses
     the **fastest pass** (the ``timeit`` convention — slower passes
-    measure scheduler noise, not the index).  Unlike
-    :func:`time_recommend` this bypasses the service layer, so two
-    index kinds can be compared without the shared per-user python
-    overhead of result assembly and caching.
+    measure scheduler noise, not the index).  It bypasses the service
+    layer, so two index kinds can be compared without the shared
+    per-user python overhead of result assembly and caching.
     """
-    one_pass = _warmed_up(index.topk, users, batch_size=batch_size, k=k,
-                          repeats=repeats)
+    if repeats <= 0:
+        raise ValueError(f"repeats must be positive, got {repeats}")
+    if batch_size <= 0:
+        raise ValueError(f"batch_size must be positive, got {batch_size}")
+
+    def one_pass() -> None:
+        for lo in range(0, len(users), batch_size):
+            index.topk(users[lo:lo + batch_size], k=k)
+
+    one_pass()
     passes = [_timed(one_pass) for _ in range(repeats)]
     best = min(passes)
     return {
@@ -1180,147 +709,4 @@ def summarize_ann(payload: dict) -> str:
                 f"{row['recall']:.4f}  {row['users_per_s']:,.0f} users/s "
                 f"({row['speedup_vs_exact']:.2f}x exact, "
                 f"{row['candidates_mean']:.0f} cands/user)")
-    return "\n".join(lines)
-
-
-def summarize_serve(payload: dict) -> str:
-    """Human-readable throughput/overlap table for one serve payload."""
-    lines = [f"serve suite on {payload['dataset']} "
-             f"(schema {payload['schema']}, "
-             f"snapshot {payload['snapshot_version']})"]
-    for row in payload["results"]:
-        if row["kind"] == "overlap":
-            ratio = row["exact_table_bytes"] / row["table_bytes"]
-            lines.append(f"  overlap@{row['k']} quantized-vs-exact: "
-                         f"{row['overlap_at_k']:.4f}  "
-                         f"(catalogue {ratio:.1f}x smaller)")
-        elif row["kind"] == "serve":
-            lines.append(f"  serve {row['index']:<9} batch={row['batch_size']:<4}"
-                         f" cache={row['cache']:<4}: "
-                         f"{row['users_per_s']:,.0f} users/s")
-        elif row["kind"] == "serve_sharded":
-            lines.append(
-                f"  shard {row['index']:<17} shards={row['shards']} "
-                f"batch={row['batch_size']:<4}: "
-                f"{row['users_per_s']:,.0f} users/s  "
-                f"(merge {100 * row['merge_fraction']:.1f}%, "
-                f"{row['per_shard_bytes'] / 1024:.0f} KiB/shard)")
-    return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Telemetry overhead frontier (BENCH_obs.json)
-# ----------------------------------------------------------------------
-@dataclass
-class ObsPerfConfig:
-    """Knobs for one telemetry-overhead run.
-
-    One (dataset, model, loss) cell is trained and exported; the same
-    request stream is then served three times per cache state — with
-    telemetry fully off (null registry, tracing forced off), with the
-    metrics registry enabled, and with metrics **and** span tracing
-    enabled — and each lane's throughput is compared against the off
-    baseline.  The metrics-on overhead is the number the repo pins
-    (``tests/test_obs_perf.py``: ≤ 5% on the cold lane).
-    """
-
-    dataset: str = "yelp2018-small"
-    model: str = "mf"
-    loss: str = "bsl"
-    epochs: int = 8
-    dim: int = 64
-    k: int = 10
-    batch_size: int = 256
-    # Best pass, so scheduler noise inflates neither the baseline nor
-    # the instrumented lanes.
-    repeats: int = _flag(5, "timed passes per lane (best pass kept)")
-    request_users: int = 1024
-    max_batch: int = 256
-    seed: int = 0
-
-
-#: Telemetry-off / metrics-on / metrics+tracing serving lanes, one row
-#: per (cache state, mode), with overhead relative to the off lane.
-OBS_SCHEMA = "bsl-obs-bench/v1"
-
-#: Sweep order per cache state; ``off`` must come first (it is the
-#: baseline the other lanes' ``overhead_pct`` is computed against).
-OBS_MODES = ("off", "metrics", "trace")
-
-
-def run_obs_suite(config: ObsPerfConfig | None = None) -> dict:
-    """Measure serving throughput under the three telemetry modes.
-
-    Every lane serves the identical request stream against a service
-    constructed *inside* its telemetry mode (so stats views bind their
-    instruments to that lane's registry).  Off-lane telemetry is the
-    real disabled path — the null registry's shared no-op instruments
-    and a forced-off tracer — not an unpatched build, so the measured
-    overhead is exactly what a deployment toggles.
-    """
-    from repro.obs.metrics import (MetricsRegistry, NULL_REGISTRY,
-                                   use_registry)
-    from repro.obs.trace import tracing
-    from repro.serve import (RecommendationService, export_snapshot,
-                             load_snapshot)
-    config = config or ObsPerfConfig()
-    dataset, model = _train_cell(config)
-    users = _request_stream(dataset.num_users, config.request_users,
-                            config.seed)
-    max_batch = max(config.max_batch, config.batch_size)
-    results = []
-    with tempfile.TemporaryDirectory() as tmp:
-        export_snapshot(model, dataset, tmp, model_name=config.model,
-                        extra={"loss": config.loss, "epochs": config.epochs})
-        snapshot = load_snapshot(tmp)
-        for cache_label, cache_size in (("cold", 0),
-                                        ("warm", 2 * config.request_users)):
-            baseline = None
-            for mode in OBS_MODES:
-                registry = (NULL_REGISTRY if mode == "off"
-                            else MetricsRegistry())
-                with use_registry(registry), \
-                        tracing(enabled=(mode == "trace")):
-                    service = RecommendationService(
-                        snapshot, cache_size=cache_size, max_batch=max_batch)
-                    one_pass = _warmed_up(
-                        service.recommend, users,
-                        batch_size=config.batch_size, k=config.k,
-                        repeats=config.repeats)
-                    elapsed = min(_timed(one_pass)
-                                  for _ in range(config.repeats))
-                if mode == "off":
-                    baseline = elapsed
-                results.append({
-                    "kind": "obs",
-                    "mode": mode,
-                    "cache": cache_label,
-                    "batch_size": config.batch_size,
-                    "k": config.k,
-                    "users": int(len(users)),
-                    "repeats": config.repeats,
-                    "total_s": elapsed,
-                    "users_per_s": len(users) / elapsed,
-                    "ms_per_batch": (1e3 * elapsed
-                                     / -(-len(users) // config.batch_size)),
-                    "overhead_pct": 100.0 * (elapsed / baseline - 1.0),
-                })
-        snapshot_version = snapshot.version
-    return _payload(OBS_SCHEMA, config, results,
-                    snapshot_version=snapshot_version)
-
-
-def summarize_obs(payload: dict) -> str:
-    """Human-readable overhead table for one obs payload."""
-    lines = [f"obs suite on {payload['dataset']} "
-             f"(schema {payload['schema']}, "
-             f"snapshot {payload['snapshot_version']})"]
-    for row in payload["results"]:
-        if row["kind"] != "obs":
-            continue
-        lines.append(
-            f"  {row['cache']:<4} {row['mode']:<7}: "
-            f"{row['users_per_s']:>9,.0f} users/s  "
-            f"{row['ms_per_batch']:.3f} ms/batch  "
-            f"overhead {row['overhead_pct']:+.2f}%")
     return "\n".join(lines)

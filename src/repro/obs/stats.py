@@ -71,10 +71,6 @@ class RegistryBackedStats:
             if value:
                 self._instruments[field]._set(value)
 
-    def _reset_counters(self) -> None:
-        for instrument in self._instruments.values():
-            instrument._set(0)
-
     def __repr__(self) -> str:
         body = ", ".join(f"{field}={getattr(self, field)!r}"
                          for field in self._COUNTERS)

@@ -15,9 +15,8 @@ Two interchangeable paths answer ``topk(user_ids, k)``:
 * :class:`QuantizedTopKIndex` — the item table stored symmetric-int8
   per row (8x smaller than float64) and dequantized panel-by-panel into
   a float32 matmul.  Approximate (last-ulp rank flips are possible) but
-  at paper scales it keeps >0.95 top-10 overlap with the exact path;
-  the serve benchmark (``repro bench serve``) reports the measured
-  overlap alongside throughput.
+  at paper scales it keeps >0.95 top-10 overlap with the exact path
+  (pinned by ``tests/test_serve_index.py``).
 
 Both are the one :class:`TopKIndex` — chunk, score, mask, rank — over a
 different **scorer** (:class:`PanelScorer` / :class:`Int8Scorer`), which

@@ -52,8 +52,7 @@ __all__ = ["RouterStats", "ShardedTopKIndex"]
 
 
 class RouterStats(RegistryBackedStats):
-    """Cumulative scatter-gather timings (drives the serve benchmark's
-    merge-overhead column).
+    """Cumulative scatter-gather timings and resilience counters.
 
     A registry-backed view (see
     :class:`~repro.obs.stats.RegistryBackedStats`): each field is a
@@ -75,16 +74,6 @@ class RouterStats(RegistryBackedStats):
         "breaker_open_skips": "shard calls skipped on an open breaker",
         "degraded_chunks": "routed chunks merged with partial shard coverage",
     }
-
-    @property
-    def merge_fraction(self) -> float:
-        """Share of routed wall-clock spent merging partial lists."""
-        total = self.gather_s + self.score_s + self.merge_s
-        return self.merge_s / total if total else 0.0
-
-    def reset(self) -> None:
-        """Zero every counter (used between benchmark passes)."""
-        self._reset_counters()
 
 
 class ShardedTopKIndex:
@@ -192,11 +181,6 @@ class ShardedTopKIndex:
         if self.ann is not None:
             return f"sharded-{self._kind}-ann"
         return f"sharded-{self._kind}"
-
-    @property
-    def per_shard_table_bytes(self) -> list[int]:
-        """Scoring-table bytes held by each item shard's index."""
-        return [index.scorer.table_bytes for index in self.shard_indexes]
 
     # ------------------------------------------------------------------
     def refreshed(self, snapshot: ShardedSnapshot,

@@ -203,9 +203,10 @@ class Trainer:
     def train_step(self, batch) -> float:
         """One optimizer step on a prepared batch; returns the batch loss.
 
-        This is the canonical training step — the perf harness
-        (:mod:`repro.experiments.perf`) times exactly this method, so
-        benchmark numbers always measure what training actually runs.
+        This is the canonical training step — the repo benchmark's
+        training workloads (``bench/workloads.py``) time exactly this
+        method, so benchmark numbers always measure what training
+        actually runs.
         Both ``grad_mode``s score the batch through
         :meth:`~repro.models.base.Recommender.batch_scores` (row gathers
         only, never the catalogue); the mode picks the optimizer.

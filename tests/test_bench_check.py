@@ -36,43 +36,6 @@ def check_bench():
     return module
 
 
-def _minimal_serve_payload():
-    return {
-        "schema": "bsl-serve-bench/v2",
-        "created_unix": 1.0,
-        "dataset": "tiny",
-        "config": {"k": 5},
-        "results": [
-            {"kind": "serve", "index": "exact", "cache": "cold",
-             "batch_size": 8, "k": 5, "users_per_s": 100.0,
-             "ms_per_batch": 1.0, "cache_hit_rate": 0.0},
-            {"kind": "serve_sharded", "index": "sharded-exact",
-             "shards": 2, "partition_by": "both", "strategy": "contiguous",
-             "batch_size": 8, "k": 5, "users_per_s": 90.0,
-             "merge_overhead_ms": 0.1, "merge_fraction": 0.05,
-             "per_shard_bytes": 1024},
-        ],
-    }
-
-
-def _minimal_train_payload():
-    return {
-        "schema": "bsl-train-bench/v1",
-        "created_unix": 1.0,
-        "dataset": "tiny",
-        "config": {"model": "mf"},
-        "results": [
-            {"kind": "train_throughput", "model": "mf", "loss": "bsl",
-             "grad_mode": "sparse", "num_items": 80, "catalogue_scale": 1,
-             "batch_size": 64, "n_negatives": 8, "ms_per_step": 5.0,
-             "steps_per_s": 200.0},
-            {"kind": "train_quality", "model": "mf", "loss": "bsl",
-             "grad_mode": "sparse", "sparse_mode": "lazy", "epochs": 2,
-             "ndcg_at_20": 0.2},
-        ],
-    }
-
-
 def _minimal_ann_payload():
     return {
         "schema": "bsl-ann-bench/v1",
@@ -147,9 +110,9 @@ class TestRegistryCoverage:
             assert path.name in outputs, (
                 f"{path.name} is committed but no registry suite owns it")
 
-    def test_registry_is_the_eight_suites(self, capsys):
-        assert bench.suite_names() == ["train", "serve", "ann", "latency",
-                                       "refresh", "obs", "faults", "scale"]
+    def test_registry_is_the_five_suites(self, capsys):
+        assert bench.suite_names() == ["ann", "latency", "refresh", "faults",
+                                       "scale"]
         with pytest.raises(SystemExit) as exc:
             cli.build_parser().parse_args(["bench", "fastpath"])
         assert exc.value.code == 2
@@ -165,25 +128,12 @@ class TestRepoFilesPass:
     def test_committed_bench_files_validate(self, check_bench):
         assert check_bench.main([]) == 0
 
-    def test_serve_schema_is_v2(self):
-        payload = json.loads((REPO_ROOT / "BENCH_serve.json").read_text())
-        assert payload["schema"] == "bsl-serve-bench/v2"
-        kinds = {row["kind"] for row in payload["results"]}
-        assert {"serve", "serve_sharded", "overlap"} <= kinds
-
     def test_ann_file_expected(self, check_bench):
         assert "BENCH_ann.json" in check_bench.EXPECTED
         payload = json.loads((REPO_ROOT / "BENCH_ann.json").read_text())
         assert payload["schema"] == "bsl-ann-bench/v1"
         kinds = {row["kind"] for row in payload["results"]}
         assert {"ann", "ann_baseline"} <= kinds
-
-    def test_train_file_expected(self, check_bench):
-        assert "BENCH_train.json" in check_bench.EXPECTED
-        payload = json.loads((REPO_ROOT / "BENCH_train.json").read_text())
-        assert payload["schema"] == "bsl-train-bench/v1"
-        kinds = {row["kind"] for row in payload["results"]}
-        assert {"train_throughput", "train_quality"} <= kinds
 
     def test_latency_file_expected(self, check_bench):
         assert "BENCH_latency.json" in check_bench.EXPECTED
@@ -200,56 +150,56 @@ class TestRepoFilesPass:
 
 class TestValidatorCatchesRot:
     def test_good_payload_passes(self, check_bench):
-        problems = check_bench.check_payload("BENCH_serve.json",
-                                             _minimal_serve_payload())
+        problems = check_bench.check_payload("BENCH_ann.json",
+                                             _minimal_ann_payload())
         assert problems == []
 
     def test_wrong_schema_rejected(self, check_bench):
-        payload = _minimal_serve_payload()
-        payload["schema"] = "bsl-serve-bench/v1"
-        problems = check_bench.check_payload("BENCH_serve.json", payload)
+        payload = _minimal_ann_payload()
+        payload["schema"] = "bsl-ann-bench/v2"
+        problems = check_bench.check_payload("BENCH_ann.json", payload)
         assert any("does not match expected" in p for p in problems)
 
     def test_missing_section_rejected(self, check_bench):
-        payload = _minimal_serve_payload()
+        payload = _minimal_ann_payload()
         payload["results"] = [r for r in payload["results"]
-                              if r["kind"] != "serve_sharded"]
-        problems = check_bench.check_payload("BENCH_serve.json", payload)
-        assert any("serve_sharded" in p and "required section" in p
+                              if r["kind"] != "ann"]
+        problems = check_bench.check_payload("BENCH_ann.json", payload)
+        assert any("'ann'" in p and "required section" in p
                    for p in problems)
 
     @pytest.mark.parametrize("bad", [float("inf"), float("nan")])
     def test_non_finite_numbers_rejected(self, check_bench, bad):
-        payload = _minimal_serve_payload()
+        payload = _minimal_ann_payload()
         payload["results"][0]["users_per_s"] = bad
-        problems = check_bench.check_payload("BENCH_serve.json", payload)
+        problems = check_bench.check_payload("BENCH_ann.json", payload)
         assert any("non-finite" in p for p in problems)
 
     def test_missing_row_fields_rejected(self, check_bench):
-        payload = _minimal_serve_payload()
-        del payload["results"][1]["merge_overhead_ms"]
-        problems = check_bench.check_payload("BENCH_serve.json", payload)
-        assert any("missing fields" in p and "merge_overhead_ms" in p
+        payload = _minimal_ann_payload()
+        del payload["results"][1]["speedup_vs_exact"]
+        problems = check_bench.check_payload("BENCH_ann.json", payload)
+        assert any("missing fields" in p and "speedup_vs_exact" in p
                    for p in problems)
 
     def test_missing_top_level_key_rejected(self, check_bench):
-        payload = _minimal_serve_payload()
+        payload = _minimal_ann_payload()
         del payload["results"]
-        problems = check_bench.check_payload("BENCH_serve.json", payload)
+        problems = check_bench.check_payload("BENCH_ann.json", payload)
         assert any("missing top-level key" in p for p in problems)
 
     def test_empty_results_rejected(self, check_bench):
-        payload = _minimal_serve_payload()
+        payload = _minimal_ann_payload()
         payload["results"] = []
-        problems = check_bench.check_payload("BENCH_serve.json", payload)
+        problems = check_bench.check_payload("BENCH_ann.json", payload)
         assert any("empty" in p for p in problems)
 
     def test_missing_file_reported(self, check_bench, tmp_path):
-        problems = check_bench.check_file(tmp_path / "BENCH_serve.json")
+        problems = check_bench.check_file(tmp_path / "BENCH_ann.json")
         assert any("file missing" in p for p in problems)
 
     def test_invalid_json_reported(self, check_bench, tmp_path):
-        path = tmp_path / "BENCH_serve.json"
+        path = tmp_path / "BENCH_ann.json"
         path.write_text("{not json")
         problems = check_bench.check_file(path)
         assert any("invalid JSON" in p for p in problems)
@@ -259,42 +209,6 @@ class TestValidatorCatchesRot:
         path.write_text("{}")
         problems = check_bench.check_file(path)
         assert any("unknown bench file" in p for p in problems)
-
-
-class TestTrainValidation:
-    def test_good_train_payload_passes(self, check_bench):
-        problems = check_bench.check_payload("BENCH_train.json",
-                                             _minimal_train_payload())
-        assert problems == []
-
-    def test_missing_frontier_columns_rejected(self, check_bench):
-        for column in ("grad_mode", "num_items", "ms_per_step",
-                       "steps_per_s"):
-            payload = _minimal_train_payload()
-            del payload["results"][0][column]
-            problems = check_bench.check_payload("BENCH_train.json", payload)
-            assert any("missing fields" in p and column in p
-                       for p in problems), column
-
-    def test_missing_quality_section_rejected(self, check_bench):
-        payload = _minimal_train_payload()
-        payload["results"] = [r for r in payload["results"]
-                              if r["kind"] != "train_quality"]
-        problems = check_bench.check_payload("BENCH_train.json", payload)
-        assert any("train_quality" in p and "required section" in p
-                   for p in problems)
-
-    def test_non_finite_step_time_rejected(self, check_bench):
-        payload = _minimal_train_payload()
-        payload["results"][0]["ms_per_step"] = float("nan")
-        problems = check_bench.check_payload("BENCH_train.json", payload)
-        assert any("non-finite" in p for p in problems)
-
-    def test_wrong_schema_rejected(self, check_bench):
-        payload = _minimal_train_payload()
-        payload["schema"] = "bsl-train-bench/v0"
-        problems = check_bench.check_payload("BENCH_train.json", payload)
-        assert any("does not match expected" in p for p in problems)
 
 
 class TestAnnValidation:
@@ -408,28 +322,11 @@ class TestScaleValidation:
 
 
 # Every option string `repro bench <suite>` accepted when the flags were
-# still written out by hand (121, minus the dead `--no-quality` and the
-# 12 of the deleted `fastpath` suite), each given a non-default value,
-# with the config that line must build.
+# still written out by hand (121, minus the dead `--no-quality`, the 12
+# of the deleted `fastpath` suite and the 38 of the deleted `train`,
+# `serve` and `obs` suites), each given a non-default value, with the
+# config that line must build.
 _FLAG_SURFACE = {
-    "train": (
-        "--dataset tiny --model lightgcn --losses sl,bsl --scales 1,2 "
-        "--dim 8 --steps 2 --warmup 1 --batch-size 64 --negatives 8 "
-        "--sparse-mode exact --quality-epochs 1 --seed 3 --out x.json",
-        perf.TrainPerfConfig(
-            dataset="tiny", model="lightgcn", losses=("sl", "bsl"),
-            catalogue_scales=(1, 2), dim=8, steps=2, warmup=1, batch_size=64,
-            n_negatives=8, sparse_mode="exact", quality_epochs=1, seed=3)),
-    "serve": (
-        "--dataset tiny --model lightgcn --loss sl --epochs 1 --dim 8 "
-        "--k 5 --batch-sizes 4,8 --repeats 1 --request-users 16 "
-        "--shards 3 --partition-by item --no-quantized --seed 3 "
-        "--out x.json",
-        perf.ServePerfConfig(
-            dataset="tiny", model="lightgcn", loss="sl", epochs=1, dim=8,
-            k=5, batch_sizes=(4, 8), repeats=1, request_users=16,
-            shards=(3,), partition_by="item", include_quantized=False,
-            seed=3)),
     "ann": (
         "--dataset tiny --k 5 --nlists 2,4 --nprobes 1,2 --loss bsl "
         "--epochs 1 --seed 3 --out x.json",
@@ -455,13 +352,6 @@ _FLAG_SURFACE = {
             dataset="tiny", model="lightgcn", loss="sl", epochs=1, dim=8,
             k=5, nlist=4, nprobe=1, churn_fractions=(0.05, 0.2), repeats=1,
             requests=32, qps=500.0, seed=3)),
-    "obs": (
-        "--dataset tiny --model lightgcn --loss sl --epochs 1 --dim 8 "
-        "--k 5 --batch-size 16 --repeats 2 --request-users 64 --seed 3 "
-        "--out x.json",
-        perf.ObsPerfConfig(
-            dataset="tiny", model="lightgcn", loss="sl", epochs=1, dim=8,
-            k=5, batch_size=16, repeats=2, request_users=64, seed=3)),
     "faults": (
         "--dataset tiny --model lightgcn --loss sl --epochs 1 --dim 8 "
         "--k 5 --shards 2 --requests 30 --slo-ms 20 --deadline-ms 10 "
@@ -501,7 +391,7 @@ class TestFlagSurface:
         assert set(_FLAG_SURFACE) == set(bench.suite_names())
         flags = [token for line, _ in _FLAG_SURFACE.values()
                  for token in line.split() if token.startswith("--")]
-        assert len(flags) == 108
+        assert len(flags) == 70
 
     @pytest.mark.parametrize("name", sorted(_FLAG_SURFACE))
     def test_every_frozen_flag_is_accepted(self, name):
@@ -558,12 +448,6 @@ _TINY_SCALE = ScaleConfig(num_users=400, num_items=300, num_clusters=8,
 
 # One tiny config per suite, at or under the shapes the suite tests use.
 _TINY_CONFIGS = {
-    "train": perf.TrainPerfConfig(
-        dataset="tiny", losses=("bsl",), catalogue_scales=(1,), dim=8,
-        steps=2, warmup=1, batch_size=64, n_negatives=8, quality_epochs=1),
-    "serve": perf.ServePerfConfig(
-        dataset="tiny", loss="sl", epochs=1, dim=8, k=5, batch_sizes=(4,),
-        repeats=1, request_users=16, shards=(2,)),
     "ann": perf.AnnPerfConfig(
         dataset="tiny", epochs=1, dim=8, n_negatives=4, k=5, nlists=(2,),
         nprobes=(1,), batch_size=32, request_users=64, repeats=1),
@@ -573,9 +457,6 @@ _TINY_CONFIGS = {
     "refresh": perf.RefreshPerfConfig(
         dataset="tiny", epochs=1, dim=8, k=5, nlist=4, train_iters=5,
         churn_fractions=(0.1,), repeats=1, requests=16),
-    "obs": perf.ObsPerfConfig(
-        dataset="tiny", epochs=1, dim=8, batch_size=16, repeats=1,
-        request_users=32, max_batch=32),
     "faults": faults_perf.FaultsPerfConfig(
         dataset="tiny", epochs=1, dim=8, k=5, shards=2, requests=8,
         fault_rates=(0.0,)),

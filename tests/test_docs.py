@@ -86,7 +86,7 @@ class TestDocsLinks:
         verbs = check_docs.cli_verbs()
         assert verbs >= {"train", "export", "recommend", "bench"}
         suites = check_docs.bench_suites()
-        assert len(suites) == 8 and "fastpath" not in suites
+        assert len(suites) == 5 and "fastpath" not in suites
         files = check_docs.doc_files()
         assert REPO_ROOT / ".claude/skills/verify/SKILL.md" in files
         problems = []
@@ -102,7 +102,7 @@ class TestDocsLinks:
         page.write_text(
             "Run `repro bench fastpath` (= `make bench-fastpath`) to "
             "refresh `BENCH_fastpath.json`.\n"
-            "`python -m repro.cli bench train` and `make bench-e2e` are "
+            "`python -m repro.cli bench ann` and `make bench-e2e` are "
             "real; so are `repro bench <suite>`, `make bench-<suite>`, "
             "`BENCH_<suite>.json`, `BENCH_*.json` and `BENCHMARK.json`.\n")
         problems = check_docs.check_file(page, check_docs.cli_verbs(),

@@ -12,7 +12,6 @@ from repro.experiments.perf import (CLOCK_RESOLUTION_S, LATENCY_SCHEMA,
                                     LatencyPerfConfig, clamp_elapsed,
                                     run_latency_level, run_latency_suite,
                                     summarize_latency, time_index_topk,
-                                    time_recommend, time_recommend_sharded,
                                     write_report)
 from repro.serve import RecommendationService
 from repro.serve.runtime import RuntimeConfig
@@ -65,48 +64,6 @@ class TestMonotonicFloor:
                               k=5, repeats=2)
         assert np.isfinite(row["users_per_s"])
         assert row["users_per_s"] == pytest.approx(8 / CLOCK_RESOLUTION_S)
-
-    def test_time_recommend_finite_on_frozen_clock(self, frozen_clock):
-        class InstantService:
-            class index:
-                kind = "exact"
-
-            class stats:
-                cache_hits = 0
-                cache_misses = 0
-
-            def recommend(self, users, k=10):
-                return []
-
-        row = time_recommend(InstantService(), np.arange(8), batch_size=4,
-                             k=5, repeats=2)
-        assert np.isfinite(row["users_per_s"])
-
-    def test_time_recommend_sharded_finite_on_frozen_clock(self,
-                                                           frozen_clock):
-        class InstantStats:
-            sweeps = 0
-            merge_s = 0.0
-            merge_fraction = 0.0
-
-            def reset(self):
-                pass
-
-        class InstantIndex:
-            kind = "sharded-exact"
-            per_shard_table_bytes = [128]
-
-        class InstantService:
-            index = InstantIndex()
-            router_stats = InstantStats()
-
-            def recommend(self, users, k=10):
-                return []
-
-        row = time_recommend_sharded(InstantService(), np.arange(8),
-                                     batch_size=4, k=5, repeats=2, shards=2)
-        assert np.isfinite(row["users_per_s"])
-        assert np.isfinite(row["merge_overhead_ms"])
 
 
 class TestLatencyLevel:

@@ -349,9 +349,6 @@ class TestShardedService:
         stats = service.router_stats
         assert stats.sweeps >= 1 and stats.users_routed >= 20
         assert stats.score_s > 0 and stats.merge_s > 0
-        assert 0.0 <= stats.merge_fraction < 1.0
-        stats.reset()
-        assert stats.sweeps == 0 and stats.merge_s == 0.0
 
     def test_input_validation(self, tiny_cell, tmp_path):
         model, dataset, _ = tiny_cell
@@ -372,8 +369,6 @@ class TestShardedService:
         assert ShardedTopKIndex(sharded).kind == "sharded-exact"
         assert ShardedTopKIndex(sharded,
                                 kind="quantized").kind == "sharded-quantized"
-        assert all(b > 0 for b in
-                   ShardedTopKIndex(sharded).per_shard_table_bytes)
 
 
 class TestShardedCLI:
