@@ -7,8 +7,6 @@ cutoffs of Fig. 7.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +15,7 @@ from repro.data.dataset import InteractionDataset
 from repro.eval import metrics as M
 from repro.eval.masking import mask_seen_items
 from repro.models.base import Recommender
+from repro.tensor import parallel
 
 __all__ = ["EvalResult", "Evaluator", "evaluate_model", "evaluate_scores"]
 
@@ -59,9 +58,11 @@ class Evaluator:
     metric computation over the whole chunk; the per-user functions of
     :mod:`repro.eval.metrics` are the oracle it is pinned to, bit for
     bit (``tests/test_eval_chunked.py``).  The model's tables are built
-    once per :meth:`evaluate`, on the calling thread; the chunks run on
-    a thread pool created per call, one worker per core.  A chunk's
-    rows depend only on its own users, so any split gives the same bits.
+    once per :meth:`evaluate`, on the calling thread; the chunks fan out
+    in contiguous runs, one per core, through
+    :func:`repro.tensor.parallel.fan_out`, in a scope whose threads are
+    joined before the call returns.  A chunk's rows depend only on its
+    own users, so any split gives the same bits.
     """
 
     _METRICS = ("recall", "ndcg", "precision", "hit", "map")
@@ -110,7 +111,8 @@ class Evaluator:
         (:meth:`~repro.models.base.Recommender.scoring_tables`); the
         workers only read the tables it returns.
         """
-        return self._evaluate(model.scoring_tables().scores)
+        with parallel.scope("evaluator"):
+            return self._evaluate(model.scoring_tables().scores)
 
     def evaluate_scores(self, scores: np.ndarray) -> EvalResult:
         """Evaluate a precomputed dense ``(num_users, num_items)`` matrix.
@@ -118,14 +120,16 @@ class Evaluator:
         Indexing by the user array copies the rows, so masking never
         writes to ``scores``.
         """
-        return self._evaluate(lambda users: scores[users])
+        with parallel.scope("evaluator"):
+            return self._evaluate(lambda users: scores[users])
 
     def _evaluate(self, score_rows) -> EvalResult:
         """Score, mask, rank and measure the test users chunk by chunk.
 
         ``score_rows(users)`` returns a fresh ``(len(users), num_items)``
-        block.  The chunks fan out over one worker per core, each
-        ``batch_users // workers`` users, so at most ``batch_users``
+        block.  The chunks, each ``batch_users // workers`` users, fan
+        out in one contiguous run per core of the caller's
+        :func:`~repro.tensor.parallel.scope`, so at most ``batch_users``
         score rows are alive at once; every chunk writes only its own
         rows of ``per_user``, so the result cannot depend on the split.
         """
@@ -133,23 +137,18 @@ class Evaluator:
         per_user = {f"{m}@{k}": np.zeros(n_users)
                     for m in self.metric_names for k in self.ks}
         max_k = max(self.ks)
-        workers = min(os.cpu_count() or 1, self.batch_users)
-        size = self.batch_users // workers
+        size = self.batch_users // min(parallel.workers(), self.batch_users)
         starts = range(0, n_users, size)
-        workers = min(workers, len(starts))
 
-        def chunk(lo: int) -> None:
-            users = self._test_users[lo:lo + size]
-            scores = score_rows(users)
-            self._mask_train_items(scores, users)
-            self._chunk_metrics(per_user, lo, M.rank_items(scores, max_k))
+        def chunks(first: int, stop: int) -> None:
+            for lo in starts[first:stop]:
+                users = self._test_users[lo:lo + size]
+                scores = score_rows(users)
+                self._mask_train_items(scores, users)
+                self._chunk_metrics(per_user, lo,
+                                    M.rank_items(scores, max_k))
 
-        if workers == 1:
-            list(map(chunk, starts))
-        else:
-            with ThreadPoolExecutor(max_workers=workers,
-                                    thread_name_prefix="evaluator") as pool:
-                list(pool.map(chunk, starts))
+        parallel.fan_out(len(starts), chunks)
         aggregated = {key: float(vals.mean()) for key, vals in per_user.items()}
         return EvalResult(aggregated, per_user=per_user,
                           evaluated_users=self._test_users.copy())

@@ -36,6 +36,7 @@ import scipy.sparse as sp
 
 from repro.obs.metrics import get_registry
 from repro.tensor import Tensor, as_tensor, ops
+from repro.tensor.parallel import csr_matmul
 from repro.tensor.tensor import data_version, is_grad_enabled
 
 __all__ = ["spmm", "layer_mean", "mark_self_transpose", "PropagationCache"]
@@ -95,10 +96,10 @@ def spmm(matrix: sp.spmatrix, x) -> Tensor:
     if matrix.shape[1] != x.shape[0]:
         raise ValueError(f"shape mismatch: {matrix.shape} @ {x.shape}")
     csr = matrix.tocsr()
-    data = csr @ x.data
+    data = csr_matmul(csr, x.data)
 
     def backward(g):
-        return (_transposed_csr(csr) @ g,)
+        return (csr_matmul(_transposed_csr(csr), g),)
 
     return ops._node(data, (x,), backward)
 
@@ -127,10 +128,10 @@ def _layer_mean_node(csr: sp.csr_matrix, ego: Tensor, num_layers: int,
     if csr.shape[1] != ego.shape[0]:
         raise ValueError(f"shape mismatch: {csr.shape} @ {ego.shape}")
     if value is None:
-        layer = csr @ ego.data
+        layer = csr_matmul(csr, ego.data)
         value = ego.data + layer
         for _ in range(num_layers - 1):
-            layer = csr @ layer
+            layer = csr_matmul(csr, layer)
             value += layer
         value /= num_layers + 1
 
@@ -138,7 +139,7 @@ def _layer_mean_node(csr: sp.csr_matrix, ego: Tensor, num_layers: int,
         h = g / (num_layers + 1)
         acc = h
         for hop in range(num_layers):
-            acc = _transposed_csr(csr) @ acc
+            acc = csr_matmul(_transposed_csr(csr), acc)
             if hop < num_layers - 1:
                 acc += h
         # E⁰'s gradient as the chain delivered it: its own share ``h``

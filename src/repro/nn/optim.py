@@ -51,6 +51,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.module import Parameter
+from repro.tensor import parallel
 from repro.tensor.sparse import RowSparseGrad
 from repro.tensor.tensor import bump_data_version
 
@@ -60,6 +61,10 @@ __all__ = ["Optimizer", "SGD", "Adam", "SparseOptimizer", "SparseSGD",
 #: Bytes per workspace buffer of the row kernels (256 rows at dim 64), sized
 #: to a 4 MiB L2: 2x measured ~10 ms slower on a 48k-row step, 4x+ ~25 ms.
 _CHUNK_BYTES = 128 * 1024
+#: Fewest rows per block a core gets: below it the hand-off to a worker
+#: costs what the split saves (Adam, dim 64, 2 cores: 1024 rows 250 us in
+#: one block vs 267 in two, 2048 rows 512 vs 409, 4096 rows 1124 vs 786).
+_MIN_ROWS = 1024
 
 
 class Optimizer:
@@ -74,10 +79,9 @@ class Optimizer:
             raise ValueError(f"learning rate must be positive, got {lr}")
         self.lr = lr
         self._t = 0
-        #: per-parameter kernel workspace: five chunk-sized row buffers.
-        self._work = [np.empty((5, max(1, min(
-            len(p.data), _CHUNK_BYTES // (p.data[:1].nbytes or 1))))
-            + p.data.shape[1:], p.data.dtype) for p in self.params]
+        #: per-parameter free list of kernel workspaces, five chunk-sized
+        #: row buffers each: one per row block running at once.
+        self._work: list[list[np.ndarray]] = [[] for _ in self.params]
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -107,27 +111,43 @@ class Optimizer:
         if changed:
             bump_data_version()
 
-    def _chunks(self, i: int, rows, g, *tables):
-        """Yield ``(positions, g chunk, table chunks, scratch G, scratch T)``
-        per cache-sized chunk of ``rows``: index-array chunks are gathered
-        before and scattered back after the caller's in-place update,
+    def _chunks(self, i: int, rows, g, tables, update) -> None:
+        """``update(positions, g chunk, table chunks, scratch G, scratch T)``
+        per cache-sized chunk of ``rows`` (ids or ``slice(None)``), in row
+        blocks over one worker per core (:func:`~repro.tensor.parallel.
+        fan_out`), each block with a workspace of its own.  Index-array
+        chunks are gathered before and scattered back after the in-place
+        update (ids are unique, so blocks write disjoint rows);
         ``slice(None)`` chunks are views.  ``g``: an array or scalar 0.0.
         """
-        work, dense = self._work[i], isinstance(rows, slice)
-        n = len(tables[0]) if dense else len(rows)
-        for lo in range(0, n, work.shape[1]):
-            at = slice(lo, min(lo + work.shape[1], n))
-            size = at.stop - lo
-            if dense:
-                bufs = [t[at] for t in tables]
-            else:
-                bufs = [np.take(t, rows[at], axis=0, out=w[:size], mode="clip")
-                        for t, w in zip(tables, work)]
-            yield (at, g[at] if isinstance(g, np.ndarray) else g, bufs,
-                   work[3, :size], work[4, :size])
-            if not dense:
-                for t, buf in zip(tables, bufs):
-                    t[rows[at]] = buf
+        dense, table, spare = isinstance(rows, slice), tables[0], self._work[i]
+        n = len(table) if dense else len(rows)
+        size = max(1, min(len(table), _CHUNK_BYTES // (table[:1].nbytes or 1)))
+
+        def block(lo: int, hi: int) -> None:
+            try:  # one atomic pop: another block may take the last one
+                work = spare.pop()
+            except IndexError:
+                work = np.empty((5, size) + table.shape[1:], table.dtype)
+            try:
+                for start in range(lo, hi, size):
+                    at = slice(start, min(start + size, hi))
+                    width = at.stop - start
+                    if dense:
+                        bufs = [t[at] for t in tables]
+                    else:
+                        bufs = [np.take(t, rows[at], axis=0, out=w[:width],
+                                        mode="clip")
+                                for t, w in zip(tables, work)]
+                    update(at, g[at] if isinstance(g, np.ndarray) else g,
+                           bufs, work[3, :width], work[4, :width])
+                    if not dense:
+                        for t, buf in zip(tables, bufs):
+                            t[rows[at]] = buf
+            finally:
+                spare.append(work)
+
+        parallel.fan_out(n, block, _MIN_ROWS)
 
 
 class SGD(Optimizer):
@@ -147,7 +167,8 @@ class SGD(Optimizer):
         """The SGD update of ``rows`` (ids or ``slice(None)``), in place."""
         tables = [self.params[i].data] + (
             [self._velocity[i]] if self.momentum else [])
-        for _, gc, bufs, G, T in self._chunks(i, rows, g, *tables):
+
+        def update(at, gc, bufs, G, T):
             if self.weight_decay:
                 np.multiply(bufs[0], self.weight_decay, out=T)
                 gc = np.add(gc, T, out=G)
@@ -156,6 +177,8 @@ class SGD(Optimizer):
                 bufs[1] += gc
                 gc = bufs[1]
             bufs[0] -= np.multiply(gc, self.lr, out=T)
+
+        self._chunks(i, rows, g, tables, update)
 
 
 class Adam(Optimizer):
@@ -190,8 +213,9 @@ class Adam(Optimizer):
         p = self.params[i]
         b1, b2 = self.beta1, self.beta2
         per_row = np.ndim(bias1) > 0
-        for at, gc, (P, M, V), G, T in self._chunks(
-                i, rows, g, p.data, self._m[i], self._v[i]):
+
+        def update(at, gc, bufs, G, T):
+            P, M, V = bufs
             if self.weight_decay:
                 np.multiply(P, self.weight_decay, out=T)
                 gc = np.add(gc, T, out=G)
@@ -208,6 +232,8 @@ class Adam(Optimizer):
             G += self.eps
             T /= G
             P -= T
+
+        self._chunks(i, rows, g, [p.data, self._m[i], self._v[i]], update)
 
 
 class SparseOptimizer(Optimizer):

@@ -108,8 +108,7 @@ class RowSparseGrad:
 
     def densify(self) -> np.ndarray:
         """Materialize the equivalent dense gradient array."""
-        out = np.zeros(self.shape, dtype=self.values.dtype
-                       if self.values.size else np.float64)
+        out = np.zeros(self.shape, dtype=self.values.dtype)
         out[self.indices] = self.values
         return out
 

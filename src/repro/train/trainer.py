@@ -22,6 +22,7 @@ from repro.losses.base import Loss
 from repro.models.base import Recommender
 from repro.nn.optim import Adam, SparseAdam
 from repro.obs.metrics import get_registry
+from repro.tensor import parallel
 from repro.tensor.random import ensure_rng, spawn_rngs
 from repro.tensor.sparse import RowSparseGrad
 from repro.train.config import TrainConfig
@@ -212,17 +213,18 @@ class Trainer:
         only, never the catalogue); the mode picks the optimizer.
         """
         started = time.perf_counter() if self._metrics_on else 0.0
-        self.optimizer.zero_grad()
-        loss_t = self.model.custom_loss(batch)
-        if loss_t is None:
-            pos, neg = self.model.batch_scores(batch)
-            loss_t = self.loss(pos, neg)
-        aux = self.model.auxiliary_loss(batch)
-        if aux is not None:
-            loss_t = loss_t + aux
-        loss_t.backward()
-        self.optimizer.step()
-        self.model.post_step()
+        with parallel.scope("trainer"):
+            self.optimizer.zero_grad()
+            loss_t = self.model.custom_loss(batch)
+            if loss_t is None:
+                pos, neg = self.model.batch_scores(batch)
+                loss_t = self.loss(pos, neg)
+            aux = self.model.auxiliary_loss(batch)
+            if aux is not None:
+                loss_t = loss_t + aux
+            loss_t.backward()
+            self.optimizer.step()
+            self.model.post_step()
         if self._metrics_on:
             self._hist_step.observe((time.perf_counter() - started) * 1e3)
             self._ctr_steps.inc()

@@ -509,3 +509,24 @@ class TestRepoBenchmarkWiring:
         end_to_end = {m["name"] for m in json.loads(
             (REPO_ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
         assert "peak_rss_mb" in end_to_end
+
+    def test_ci_slow_gates_sparse_training_peak_rss_at_full_shape(self):
+        """A training step split over the cores must write each block into
+        its slice of the output: a per-block temporary is how the split
+        breaks the memory bound.  A full-shape memory pass fails on any
+        failed op or above 445 MB, on the inputs an earlier step built."""
+        commands = _run_commands(_load("ci-slow.yml"))
+        passes = [c for c in commands if "bench/run.py --memory-pass "
+                  "--workload train-sparse-100k --seed 7" in c]
+        assert passes and all("--tiny" not in c for c in passes)
+
+        def work_dir(command):
+            tokens = shlex.split(command)
+            return tokens[tokens.index("--work-dir") + 1]
+        first = commands.index(passes[0])
+        builders = [c for c in commands[:first]
+                    if "bench/run.py --workload train-sparse-100k" in c]
+        assert builders and work_dir(passes[0]) == work_dir(builders[0])
+        checks = [c for c in commands[first:] if "'peak_rss_mb'" in c]
+        assert checks and ("r['failed'] == 0" in checks[0]
+                           and "r['peak_rss_mb'] <= 445" in checks[0])

@@ -26,6 +26,15 @@ class TestRowSparseGrad:
                                     dense[[4, 0]], shape=(5, 3))
         np.testing.assert_array_equal(g.densify(), dense)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("nnz", [0, 2])
+    def test_densify_keeps_the_dtype(self, dtype, nnz):
+        """An empty gradient densifies to its values' dtype too, as
+        adding it to a dense array does."""
+        g = RowSparseGrad(np.arange(nnz), np.ones((nnz, 3), dtype), (5, 3))
+        assert g.densify().dtype == dtype
+        assert (g + np.zeros((5, 3), dtype)).dtype == dtype
+
     def test_sparse_plus_sparse_stays_sparse(self):
         a = RowSparseGrad.from_rows(np.array([0, 2]), np.ones((2, 2)), (5, 2))
         b = RowSparseGrad.from_rows(np.array([2, 4]), np.ones((2, 2)), (5, 2))
