@@ -33,7 +33,10 @@ documented in ``docs/sharding.md``.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
+import errno
+import functools
 import hashlib
 import json
 import os
@@ -99,22 +102,78 @@ class SnapshotIntegrityError(RuntimeError):
 
 def _staging_dir(out_dir: pathlib.Path) -> pathlib.Path:
     """Fresh staging directory *inside* ``out_dir`` (same filesystem, so
-    every ``os.replace`` out of it is an atomic rename)."""
+    every :func:`_swap_in` out of it is atomic)."""
     return pathlib.Path(tempfile.mkdtemp(prefix=_STAGING_PREFIX,
                                          dir=out_dir))
 
 
-def _atomic_write_text(path: pathlib.Path, text: str) -> None:
-    """Write ``text`` to ``path`` via a same-directory tmp file + rename,
-    so readers never observe a partially written file."""
-    fd, tmp = tempfile.mkstemp(prefix=f".{path.name}.", dir=path.parent)
+def _sweep_staging(out_dir: pathlib.Path) -> None:
+    """Remove orphaned staging directories left by a killed publish.
+
+    They carry the exporter's own prefix, so they cannot be user files;
+    after an exchange-based publish an orphan may hold the *previous*
+    files, so it is garbage either way.
+    """
+    for child in out_dir.glob(_STAGING_PREFIX + "*"):
+        if child.is_dir():
+            shutil.rmtree(child, ignore_errors=True)
+
+
+#: ``renameat2`` arguments: relative paths, and swap the two names
+_AT_FDCWD = -100
+_RENAME_EXCHANGE = 2
+#: errnos after which :func:`_swap_in` falls back to ``os.replace``: no
+#: live file to swap with, or no exchange on this platform/filesystem
+_NO_EXCHANGE = (errno.ENOENT, errno.EINVAL, errno.ENOSYS)
+
+
+@functools.cache
+def _renameat2():
+    """libc's ``renameat2``, or ``None`` where the platform lacks it."""
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        pathlib.Path(tmp).unlink(missing_ok=True)
-        raise
+        fn = ctypes.CDLL(None, use_errno=True).renameat2
+    except (AttributeError, OSError, TypeError):
+        return None
+    fn.argtypes = [ctypes.c_int, ctypes.c_char_p, ctypes.c_int,
+                   ctypes.c_char_p, ctypes.c_uint]
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def _swap_in(src: pathlib.Path, dst: pathlib.Path) -> None:
+    """Publish ``src`` under the name ``dst`` atomically.
+
+    The staged entry is *exchanged* with the live one, so ``dst`` never
+    stops existing and the previous file (whose inode any mmap reader
+    keeps) lands at ``src``, to be deleted with the staging directory.
+    A plain rename over an existing file would do the same job, but on
+    ext4 (``auto_da_alloc``, the default) it forces writeback of the new
+    file's data before returning — most of a re-export's wall time.
+    Falls back to ``os.replace`` when there is nothing at ``dst`` yet or
+    the platform or filesystem cannot exchange.
+    """
+    fn = _renameat2()
+    if fn is None:
+        err = errno.ENOSYS
+    elif fn(_AT_FDCWD, os.fsencode(src), _AT_FDCWD, os.fsencode(dst),
+            _RENAME_EXCHANGE) == 0:
+        return
+    else:
+        err = ctypes.get_errno()
+    if err not in _NO_EXCHANGE:
+        raise OSError(err, os.strerror(err), str(src), None, str(dst))
+    os.replace(src, dst)
+
+
+def _atomic_write_text(path: pathlib.Path, text: str) -> None:
+    """Write ``text`` to ``path`` via a staged file and :func:`_swap_in`,
+    so readers never observe a partially written file."""
+    staging = _staging_dir(path.parent)
+    try:
+        (staging / path.name).write_text(text)
+        _swap_in(staging / path.name, path)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def _publish_files(out_dir: pathlib.Path, arrays: dict[str, np.ndarray],
@@ -122,24 +181,28 @@ def _publish_files(out_dir: pathlib.Path, arrays: dict[str, np.ndarray],
     """Crash-safe publish of ``{file name: array}`` plus ``manifest.json``.
 
     The one write sequence of every flat artifact directory (snapshot,
-    delta, ANN index): each file is fully written into a staging
-    directory on the same filesystem, then published with
-    ``os.replace`` — the manifest **last**, as the commit point — and
-    the staging directory is swept either way.  A crash while staging
-    leaves the previous files untouched; a crash mid-publish can
-    interleave old and new *complete* files, a torn state a
+    delta, ANN index): orphaned staging directories are swept, each
+    file is fully written into a fresh staging directory on the same
+    filesystem, then published with :func:`_swap_in` — the manifest
+    **last**, as the commit point — and the staging directory (now
+    holding the replaced files) is removed either way.  A crash while
+    staging leaves the previous files untouched; a crash mid-publish
+    can interleave old and new *complete* files, a torn state a
     ``verify=True`` load rejects by content hash.  A truncated array
     can never be published, and writing into a fresh directory is fully
-    atomic: the artifact exists only once its manifest does.
+    atomic: the artifact exists only once its manifest does.  Nothing
+    is ``fsync``-ed: the guarantee is against a process crash, not
+    power loss.
     """
+    _sweep_staging(out_dir)
     staging = _staging_dir(out_dir)
     try:
         for fname, array in arrays.items():
             np.save(staging / fname, array)
         (staging / _MANIFEST).write_text(manifest.to_json() + "\n")
         for fname in arrays:
-            os.replace(staging / fname, out_dir / fname)
-        os.replace(staging / _MANIFEST, out_dir / _MANIFEST)
+            _swap_in(staging / fname, out_dir / fname)
+        _swap_in(staging / _MANIFEST, out_dir / _MANIFEST)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
 
@@ -529,15 +592,11 @@ def _remove_stale_layout(out_dir: pathlib.Path, *,
     subdirectories always go (a re-export with a smaller shard count
     must not leave orphans); they are only removed when they match the
     exporter's naming pattern *and* carry a shard manifest, so
-    unrelated user files are never touched.  Orphaned staging
-    directories from a crashed export are swept here too (they carry
-    the exporter's own prefix, so they cannot be user files).
+    unrelated user files are never touched.
     """
     (out_dir / _SHARDS_MANIFEST).unlink(missing_ok=True)
     for child in out_dir.iterdir():
-        if child.is_dir() and child.name.startswith(_STAGING_PREFIX):
-            shutil.rmtree(child, ignore_errors=True)
-        elif (child.is_dir() and _SHARD_DIR.match(child.name)
+        if (child.is_dir() and _SHARD_DIR.match(child.name)
                 and (child / _MANIFEST).is_file()):
             shutil.rmtree(child)
     if for_sharded:
@@ -582,9 +641,10 @@ def _write_user_shard(out_dir: pathlib.Path, index: int, ids: np.ndarray,
                       base: dict) -> dict:
     """Persist one user shard directory; returns its shards.json entry.
 
-    Staged and published with one directory rename: the shard either
-    exists complete or not at all (the stale previous shard was removed
-    by ``_remove_stale_layout`` before any writing began).
+    Staged and published with one :func:`_swap_in` of the whole
+    directory: the shard either exists complete or not at all (the
+    stale previous shard was removed by ``_remove_stale_layout`` before
+    any writing began).
     """
     shard_dir = out_dir / f"user-shard-{index:02d}"
     rows = np.ascontiguousarray(users[ids])
@@ -604,7 +664,7 @@ def _write_user_shard(out_dir: pathlib.Path, index: int, ids: np.ndarray,
         (staging / _MANIFEST).write_text(manifest.to_json() + "\n")
         if shard_dir.exists():
             shutil.rmtree(shard_dir)
-        os.replace(staging, shard_dir)
+        _swap_in(staging, shard_dir)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
     return {"path": shard_dir.name, "version": version, "count": len(ids)}
@@ -614,7 +674,7 @@ def _write_item_shard(out_dir: pathlib.Path, index: int, ids: np.ndarray,
                       items: np.ndarray, base: dict) -> dict:
     """Persist one item shard directory; returns its shards.json entry.
 
-    Staged and published with one directory rename, exactly like
+    Staged and published with one directory swap, exactly like
     :func:`_write_user_shard`.
     """
     shard_dir = out_dir / f"item-shard-{index:02d}"
@@ -632,7 +692,7 @@ def _write_item_shard(out_dir: pathlib.Path, index: int, ids: np.ndarray,
         (staging / _MANIFEST).write_text(manifest.to_json() + "\n")
         if shard_dir.exists():
             shutil.rmtree(shard_dir)
-        os.replace(staging, shard_dir)
+        _swap_in(staging, shard_dir)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
     return {"path": shard_dir.name, "version": version, "count": len(ids)}
@@ -662,6 +722,7 @@ def _export_sharded_tables(out_dir, users, items, seen_csr, *,
     out_dir = pathlib.Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     _remove_stale_layout(out_dir, for_sharded=True)
+    _sweep_staging(out_dir)
 
     base = {"dim": dim, "scoring": scoring,
             "num_users": num_users, "num_items": num_items,

@@ -1,14 +1,99 @@
 """Snapshot export/load round-trips, manifest versioning, integrity."""
 
+import ast
+import ctypes
+import errno
 import json
+import os
+import pathlib
+import sys
+import threading
+import types
 
 import numpy as np
 import pytest
 
+import repro
 from repro.models import MF, LightGCN
 from repro.serve import (SNAPSHOT_SCHEMA, DeltaManifest, LiveState,
                          SnapshotManifest, export_delta, export_snapshot,
                          load_delta, load_snapshot)
+from repro.serve import snapshot as snapshot_mod
+
+
+def _can_exchange(directory: pathlib.Path) -> bool:
+    """Probe ``directory``'s filesystem for ``renameat2(RENAME_EXCHANGE)``
+    directly, so a broken ``_swap_in`` fails the tests, not skips them."""
+    try:
+        renameat2 = ctypes.CDLL(None, use_errno=True).renameat2
+    except (AttributeError, OSError, TypeError):
+        return False
+    renameat2.argtypes = [ctypes.c_int, ctypes.c_char_p, ctypes.c_int,
+                          ctypes.c_char_p, ctypes.c_uint]
+    renameat2.restype = ctypes.c_int
+    a, b = directory / "probe-a", directory / "probe-b"
+    a.write_text("a")
+    b.write_text("b")
+    at_fdcwd, rename_exchange = -100, 2
+    swapped = renameat2(at_fdcwd, os.fsencode(a), at_fdcwd, os.fsencode(b),
+                        rename_exchange) == 0
+    a.unlink()
+    b.unlink()
+    return swapped
+
+
+@pytest.fixture(scope="session")
+def can_exchange(tmp_path_factory) -> bool:
+    return _can_exchange(tmp_path_factory.mktemp("probe"))
+
+
+@pytest.fixture()
+def no_exchange():
+    """Force the ``os.replace`` fallback: ``renameat2`` fails with EINVAL.
+
+    Patched through its own context, so a test's ``monkeypatch.undo()``
+    does not switch paths halfway.
+    """
+    def einval(*args):
+        ctypes.set_errno(errno.EINVAL)
+        return -1
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(snapshot_mod, "_renameat2", lambda: einval)
+        yield
+
+
+@pytest.fixture(params=["exchange", "replace"])
+def publish_path(request, can_exchange):
+    """Run a test over both publish paths."""
+    if request.param == "exchange" and not can_exchange:
+        pytest.skip("filesystem cannot exchange two names")
+    if request.param == "replace":
+        request.getfixturevalue("no_exchange")
+    return request.param
+
+
+class _Killed(BaseException):
+    """Stands in for SIGKILL: nothing catches it."""
+
+
+def _kill_at_swap(monkeypatch, dies):
+    """Make the publish die at the first ``_swap_in`` with ``dies(dst)``
+    true, and run no cleanup on the way out, as a killed process runs
+    none; returns the names swapped in before the kill."""
+    real_swap = snapshot_mod._swap_in
+    done = []
+
+    def dying_swap(src, dst):
+        if dies(pathlib.Path(dst)):
+            raise _Killed
+        real_swap(src, dst)
+        done.append(pathlib.Path(dst).name)
+
+    monkeypatch.setattr(snapshot_mod, "_swap_in", dying_swap)
+    monkeypatch.setattr(snapshot_mod, "shutil", types.SimpleNamespace(
+        rmtree=lambda *args, **kwargs: None))
+    return done
 
 
 class TestExport:
@@ -203,6 +288,40 @@ class TestDeltaIntegrity:
 class TestCrashSafePublish:
     """Exports stage then rename: a killed exporter can't tear state."""
 
+    @pytest.fixture(autouse=True)
+    def publish_path(self, can_exchange):
+        """The exchange path, where the filesystem supports it."""
+        return "exchange" if can_exchange else "replace"
+
+    def test_kill_between_swaps_rejected_then_swept(
+            self, publish_path, tiny_dataset, monkeypatch, tmp_path):
+        """Killed after two of five swaps: new arrays sit beside the old
+        manifest and the staging directory survives.  A verify load
+        rejects the mix; the next export sweeps the orphan (holding the
+        replaced files on the exchange path) and verify-loads."""
+        out = tmp_path / "snap"
+        old = export_snapshot(MF(tiny_dataset.num_users,
+                                 tiny_dataset.num_items, dim=8, rng=0),
+                              tiny_dataset, out, model_name="mf")
+        old_users = np.array(old.users)
+        model = MF(tiny_dataset.num_users, tiny_dataset.num_items,
+                   dim=8, rng=1)
+        done = _kill_at_swap(monkeypatch, lambda dst: dst.name
+                             == "seen_indptr.npy")
+        with pytest.raises(_Killed):
+            export_snapshot(model, tiny_dataset, out, model_name="mf")
+        monkeypatch.undo()
+        assert done == ["user_embeddings.npy", "item_embeddings.npy"]
+        (orphan,) = out.glob(".staging-*")
+        if publish_path == "exchange":
+            np.testing.assert_array_equal(
+                np.load(orphan / "user_embeddings.npy"), old_users)
+        with pytest.raises(ValueError, match="content hash"):
+            load_snapshot(out, verify=True)
+        export_snapshot(model, tiny_dataset, out, model_name="mf")
+        assert not orphan.exists()
+        load_snapshot(out, verify=True)
+
     def test_crash_mid_export_leaves_no_half_snapshot(
             self, tiny_dataset, monkeypatch, tmp_path):
         """Fresh-dir export killed partway: target stays unloadable-empty.
@@ -323,3 +442,158 @@ class TestCrashSafePublish:
         assert not (tmp_path / "ann" / "manifest.json").exists()
         assert not list((tmp_path / "ann").glob(".staging-*"))
         assert not is_ann_index(tmp_path / "ann")
+
+
+class TestCrashSafePublishWithoutExchange(TestCrashSafePublish):
+    """The same kills on the ``os.replace`` fallback path."""
+
+    @pytest.fixture(autouse=True)
+    def publish_path(self, no_exchange):
+        return "replace"
+
+
+@pytest.mark.usefixtures("publish_path")
+class TestLivePublish:
+    """A re-export under a running reader: every published name always
+    exists and holds a complete file, and mapped old files stay intact."""
+
+    def test_reader_never_sees_a_missing_or_short_file(self, tiny_dataset,
+                                                       tmp_path):
+        models = [MF(tiny_dataset.num_users, tiny_dataset.num_items,
+                     dim=8, rng=seed) for seed in (0, 1)]
+        out = tmp_path / "snap"
+        export_snapshot(models[0], tiny_dataset, out, model_name="mf")
+        shape = (tiny_dataset.num_users, 8)
+        stop = threading.Event()
+        errors, reads = [], []
+
+        def reader():
+            while True:
+                try:
+                    manifest = json.loads((out / "manifest.json").read_text())
+                    users = np.load(out / "user_embeddings.npy")
+                except (OSError, ValueError) as exc:
+                    errors.append(exc)
+                    return
+                if manifest["num_users"] != shape[0] or users.shape != shape:
+                    errors.append(users.shape)
+                    return
+                reads.append(1)
+                if stop.is_set():
+                    return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        thread = threading.Thread(target=reader)
+        thread.start()
+        try:
+            for i in range(20):
+                export_snapshot(models[(i + 1) % 2], tiny_dataset, out,
+                                model_name="mf")
+        finally:
+            stop.set()
+            thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert not errors
+        assert reads
+
+    def test_mmap_of_the_old_file_keeps_its_bytes(self, tiny_dataset,
+                                                   tmp_path):
+        out = tmp_path / "snap"
+        export_snapshot(MF(tiny_dataset.num_users, tiny_dataset.num_items,
+                           dim=8, rng=0), tiny_dataset, out, model_name="mf")
+        mapped = load_snapshot(out, mmap=True)
+        assert isinstance(mapped.users, np.memmap)
+        before = np.array(mapped.users)
+        new = export_snapshot(MF(tiny_dataset.num_users,
+                                 tiny_dataset.num_items, dim=8, rng=1),
+                              tiny_dataset, out, model_name="mf")
+        assert not np.array_equal(np.asarray(new.users), before)
+        np.testing.assert_array_equal(mapped.users, before)
+
+    @pytest.mark.parametrize("artifact", ["ann", "delta"])
+    def test_orphaned_staging_swept_by_every_publish(
+            self, artifact, tiny_mf_snapshot, tmp_path):
+        from repro.ann import build_ann_index
+        _, snapshot = tiny_mf_snapshot
+        out = tmp_path / artifact
+        orphan = out / ".staging-dead"
+        orphan.mkdir(parents=True)
+        (orphan / "manifest.json").write_text("torn")
+        if artifact == "ann":
+            build_ann_index(snapshot, out, nlist=4, seed=0)
+        else:
+            base = LiveState.from_snapshot(snapshot)
+            export_delta(base, base.copy(), out)
+        assert not orphan.exists()
+
+    def test_killed_shards_manifest_write_is_swept(self, tiny_dataset,
+                                                    monkeypatch, tmp_path):
+        """``shards.json`` is staged like every other file: a kill at its
+        swap leaves a ``.staging-*`` directory, never a loose temp file,
+        and the next sharded export sweeps it."""
+        from repro.serve import (export_sharded_snapshot,
+                                 is_sharded_snapshot, load_sharded_snapshot)
+        model = MF(tiny_dataset.num_users, tiny_dataset.num_items,
+                   dim=8, rng=0)
+        out = tmp_path / "sharded"
+        _kill_at_swap(monkeypatch, lambda dst: dst.name == "shards.json")
+        with pytest.raises(_Killed):
+            export_sharded_snapshot(model, tiny_dataset, out, shards=2)
+        monkeypatch.undo()
+        assert not is_sharded_snapshot(out)
+        assert not list(out.glob(".shards.json*"))
+        (orphan,) = out.glob(".staging-*")
+        export_sharded_snapshot(model, tiny_dataset, out, shards=2)
+        assert not orphan.exists()
+        load_sharded_snapshot(out, verify=True)
+
+
+def test_reexport_never_renames_over_a_live_file(tiny_mf_snapshot,
+                                                  can_exchange, monkeypatch,
+                                                  tmp_path):
+    """Re-publishing a snapshot, a delta and an ANN index exchanges
+    every file: no ``os.replace`` lands on an existing path, which on
+    ext4 would force writeback of the new file before returning."""
+    if not can_exchange:
+        pytest.skip("filesystem cannot exchange two names")
+    from repro.ann import build_ann_index
+    from repro.serve.delta import export_state
+    _, snapshot = tiny_mf_snapshot
+    base = LiveState.from_snapshot(snapshot)
+    churned = base.copy()
+    churned.upsert_item(0, np.full(base.dim, 0.25))
+    real_replace = os.replace
+    over_live = []
+
+    def recording_replace(src, dst, **kwargs):
+        if os.path.lexists(dst):
+            over_live.append(dst)
+        return real_replace(src, dst, **kwargs)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    for state, seed in ((base, 0), (churned, 1)):
+        export_state(state, tmp_path / "snap", created_unix=0.0)
+        export_delta(base, state, tmp_path / "delta")
+        build_ann_index(snapshot, tmp_path / "ann", nlist=4, seed=seed)
+    assert over_live == []
+    load_snapshot(tmp_path / "snap", verify=True)
+
+
+def test_only_swap_in_calls_os_replace():
+    """Every publish goes through ``serve.snapshot._swap_in``."""
+    root = pathlib.Path(repro.__file__).parent
+    callers = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Attribute) and node.attr == "replace"
+                        and isinstance(node.value, ast.Name)
+                        and node.value.id == "os"):
+                    callers.append((path.relative_to(root).as_posix(),
+                                    func.name))
+    assert callers == [("serve/snapshot.py", "_swap_in")]
