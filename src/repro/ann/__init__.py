@@ -23,8 +23,8 @@ scores it returns are directly comparable to
   :mod:`repro.serve.snapshot` conventions
   (:func:`build_ann_index` / :func:`load_ann_index`).
 
-:class:`IVFFlatIndex` implements the
-:class:`~repro.serve.index.TopKIndex` protocol, so it drops into
+:class:`IVFFlatIndex` speaks the same ``topk`` protocol as
+:class:`~repro.serve.index.ExactTopKIndex`, so it drops into
 :class:`~repro.serve.service.RecommendationService` unchanged, and
 :class:`IVFIndexData` plugs into the sharded router
 (:class:`~repro.serve.router.ShardedTopKIndex` ``ann=...``) as a

@@ -418,7 +418,7 @@ def _rows_by_list(probes: np.ndarray, nlist: int):
 class IVFFlatIndex:
     """Approximate top-K retrieval: IVF candidates, exact re-scoring.
 
-    Implements the :class:`~repro.serve.index.TopKIndex` protocol
+    Speaks the :class:`~repro.serve.index.ExactTopKIndex` protocol
     (``topk`` / ``kind`` / ``snapshot`` / ``table_bytes``), so it plugs
     into :class:`~repro.serve.service.RecommendationService` as a
     drop-in index backend.
@@ -496,7 +496,7 @@ class IVFFlatIndex:
         """Rank each user's candidate set and keep the top ``k``.
 
         Same request semantics as
-        :meth:`repro.serve.index.TopKIndex.topk`; the returned scores
+        :meth:`repro.serve.index.ExactTopKIndex.topk`; the returned scores
         are exact panel-GEMM scores of the candidate items, so they are
         directly comparable to (and with ``nprobe == nlist``,
         bit-identical to) the exact index's scores.

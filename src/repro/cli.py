@@ -327,23 +327,12 @@ def _cmd_recommend(args) -> int:
     if args.ann and sharded:
         from repro.ann import load_ann_generator
         index = ShardedTopKIndex(
-            snapshot, kind=args.index,
-            ann=load_ann_generator(args.ann, snapshot=snapshot,
-                                   verify=args.verify))
+            snapshot, ann=load_ann_generator(args.ann, snapshot=snapshot,
+                                             verify=args.verify))
     elif args.ann:
-        if args.index != "exact":
-            # On a sharded snapshot --index picks the per-shard scorer
-            # under the ANN prefilter; unsharded ANN serving replaces
-            # the index outright, so an explicit non-exact choice would
-            # be silently ignored — refuse instead.
-            raise SystemExit(
-                "recommend: --ann replaces the index on an unsharded "
-                "snapshot; drop --index or use a sharded snapshot to "
-                "combine an ANN prefilter with per-shard "
-                f"{args.index!r} scoring")
         from repro.ann import load_ann_index
         index = load_ann_index(args.ann, snapshot, verify=args.verify)
-    service = RecommendationService(snapshot, kind=args.index, index=index)
+    service = RecommendationService(snapshot, index=index)
     index = service.index
     users = [int(u) for u in args.users.split(",")]
     if args.trace:
@@ -615,7 +604,7 @@ def build_parser() -> argparse.ArgumentParser:
     build_ann.add_argument("--nprobe", type=int, default=2,
                            help="default lists probed per request")
     build_ann.add_argument("--train-iters", type=int, default=25,
-                           help="k-means iterations for quantizer training")
+                           help="k-means iterations for the list centroids")
     build_ann.add_argument("--seed", type=int, default=0,
                            help="training seed; same snapshot + params + "
                                 "seed gives a byte-identical index")
@@ -629,8 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
     recommend.add_argument("--users", default="0,1,2",
                            help="comma-separated user ids")
     recommend.add_argument("--k", type=int, default=DEFAULT_TOP_K)
-    recommend.add_argument("--index", default="exact",
-                           choices=("exact", "quantized"))
     recommend.add_argument("--ann", default=None,
                            help="serve through an IVF candidate index "
                                 "directory built by `repro build-ann`")

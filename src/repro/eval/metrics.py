@@ -142,8 +142,8 @@ def overlap_at_k(a: np.ndarray, b: np.ndarray) -> float:
 
     ``overlap_at_k(exact, approx)`` with the exact index's lists as
     ``a`` is recall@k of an approximate retrieval path against the
-    exact ranking — the acceptance metric shared by the quantized
-    index, the sharded router and the ANN tier (see ``docs/ann.md``).
+    exact ranking — the acceptance metric of the ANN tier (see
+    ``docs/ann.md``).
     Row order within the lists does not matter; the denominator is
     ``a``'s row length.
     """

@@ -151,7 +151,7 @@ def _measure_cell(sharded, users, *, config: FaultsPerfConfig,
     from repro.serve.router import ShardedTopKIndex
     from repro.serve.service import RecommendationService
     plan = FaultPlan(config.seed, {"shard:1": spec})
-    router = ShardedTopKIndex(sharded, kind="exact", chunk_users=1,
+    router = ShardedTopKIndex(sharded, chunk_users=1,
                               resilience=_resilience(config, policy))
     router.shard_indexes[1] = FaultyShardIndex(
         router.shard_indexes[1], plan, "shard:1")

@@ -3,8 +3,8 @@
 The offline stack (train → evaluate) hands a trained backbone to this
 package, which freezes it into a memory-mappable
 :class:`~repro.serve.snapshot.EmbeddingSnapshot`, retrieves over it with
-a :class:`~repro.serve.index.TopKIndex` holding an exact (float64) or
-int8 **scorer**, and answers batched user requests through
+the exact float64 :class:`~repro.serve.index.ExactTopKIndex`, and
+answers batched user requests through
 :class:`~repro.serve.service.RecommendationService`.
 
 For horizontal scale the same state can be exported **sharded**
@@ -13,8 +13,8 @@ partitions with per-shard manifests under a content-hashed
 ``shards.json``, read back by :mod:`repro.serve.shard`.  The same
 service serves it: handed a sharded snapshot it builds the
 scatter-gather :class:`~repro.serve.router.ShardedTopKIndex`, whose
-item shards hold the same scorers over their own rows, so the exact
-path is bit-identical to the single-process index (see
+item shards hold the same scorer over their own rows, so the routed
+answer is bit-identical to the single-process index (see
 ``docs/sharding.md``).
 
 Live state evolves without full re-exports through
@@ -54,9 +54,7 @@ from repro.serve.delta import (DELTA_SCHEMA, Delta, DeltaManifest, DeltaOps,
 from repro.serve.faults import (FAULT_KINDS, FaultEvent, FaultPlan, FaultSpec,
                                 FaultyIndex, FaultyService, FaultyShardIndex,
                                 InjectedFault, ManualClock, corrupt_array_file)
-from repro.serve.index import (PANEL_WIDTH, ExactTopKIndex,
-                               QuantizedTopKIndex, TopKIndex, TopKResult,
-                               build_index)
+from repro.serve.index import PANEL_WIDTH, ExactTopKIndex, TopKResult
 from repro.serve.resilience import (BreakerConfig, BreakerOpenError,
                                     CircuitBreaker, PartialResultError,
                                     ResilienceConfig, ShardCallError)
@@ -64,7 +62,7 @@ from repro.serve.router import RouterStats, ShardedTopKIndex
 from repro.serve.runtime import (AsyncRequest, DeadlineExceeded, OverloadError,
                                  RuntimeConfig, RuntimeStats, ServingRuntime,
                                  WorkerCrashed)
-from repro.serve.service import (LRUCache, PendingRequest, Recommendation,
+from repro.serve.service import (LRUCache, Recommendation,
                                  RecommendationService, ServiceStats,
                                  ShardedRecommendationService)
 from repro.serve.shard import (ItemShard, ItemShardIndex, ShardedSnapshot,
@@ -85,13 +83,11 @@ __all__ = [
     "EmbeddingSnapshot", "export_snapshot", "load_snapshot",
     "partition_ids", "export_sharded_snapshot",
     "export_sharded_source_snapshot", "is_sharded_snapshot",
-    "PANEL_WIDTH", "TopKResult", "TopKIndex", "ExactTopKIndex",
-    "QuantizedTopKIndex", "build_index",
+    "PANEL_WIDTH", "TopKResult", "ExactTopKIndex",
     "UserShard", "ItemShard", "ItemShardIndex", "ShardedSnapshot",
     "load_sharded_snapshot",
     "RouterStats", "ShardedTopKIndex", "ShardedRecommendationService",
-    "Recommendation", "ServiceStats", "LRUCache", "PendingRequest",
-    "RecommendationService",
+    "Recommendation", "ServiceStats", "LRUCache", "RecommendationService",
     "OverloadError", "RuntimeConfig", "RuntimeStats", "AsyncRequest",
     "ServingRuntime",
     "DELTA_SCHEMA", "DeltaManifest", "DeltaOps", "Delta", "LiveState",

@@ -274,7 +274,7 @@ class FaultyShardIndex(_CountingWrapper):
 
 
 class FaultyIndex(_CountingWrapper):
-    """Wrap a whole :class:`~repro.serve.index.TopKIndex`; faults fire
+    """Wrap a whole :class:`~repro.serve.index.ExactTopKIndex`; faults fire
     on every ``topk`` sweep (the unsharded service's unit of work)."""
 
     def topk(self, *args, **kwargs):

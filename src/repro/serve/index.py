@@ -1,29 +1,20 @@
-"""Top-K retrieval indexes over a frozen embedding snapshot.
+"""Top-K retrieval over a frozen embedding snapshot.
 
-Two interchangeable paths answer ``topk(user_ids, k)``:
+:class:`ExactTopKIndex` answers ``topk(user_ids, k)`` by chunked dense
+matmul over the float64 tables.  It reproduces the offline
+:class:`~repro.eval.evaluator.Evaluator` protocol exactly: the same
+scoring formulas as
+:meth:`~repro.models.base.Recommender.predict_scores`, the same ``-inf``
+seen-item scatter (:func:`repro.eval.masking.mask_seen_items`), and the
+same canonical ranking (:func:`repro.eval.metrics.rank_items`), so
+online recommendations are exactly the lists the paper's metrics were
+computed on.
 
-* :class:`ExactTopKIndex` — chunked dense matmul over the float64
-  tables.  It reproduces the offline
-  :class:`~repro.eval.evaluator.Evaluator` protocol exactly: the same
-  scoring formulas as
-  :meth:`~repro.models.base.Recommender.predict_scores`, the same
-  ``-inf`` seen-item scatter
-  (:func:`repro.eval.masking.mask_seen_items`), and the same canonical
-  ranking (:func:`repro.eval.metrics.rank_items`), so online
-  recommendations are exactly the lists the paper's metrics were
-  computed on.
-* :class:`QuantizedTopKIndex` — the item table stored symmetric-int8
-  per row (8x smaller than float64) and dequantized panel-by-panel into
-  a float32 matmul.  Approximate (last-ulp rank flips are possible) but
-  at paper scales it keeps >0.95 top-10 overlap with the exact path
-  (pinned by ``tests/test_serve_index.py``).
-
-Both are the one :class:`TopKIndex` — chunk, score, mask, rank — over a
-different **scorer** (:class:`PanelScorer` / :class:`Int8Scorer`), which
-owns what one number format knows about "some rows of an item table".
-:class:`~repro.serve.shard.ItemShardIndex` holds the same scorers over
-one shard's rows, so neither scoring nor ``filter_seen`` semantics can
-drift between kinds or between sharded and unsharded serving.
+The index is chunk, score, mask, rank over a :class:`PanelScorer`,
+which owns what the float64 format knows about "some rows of an item
+table".  :class:`~repro.serve.shard.ItemShardIndex` holds the same
+scorer over one shard's rows, so neither scoring nor ``filter_seen``
+semantics can drift between sharded and unsharded serving.
 
 **Partition-invariant scoring.**  Dense BLAS matmuls are *not* bitwise
 stable across matrix shapes: computing a score block as one large GEMM
@@ -56,10 +47,9 @@ from repro.eval.masking import mask_seen_items
 from repro.eval.metrics import rank_items
 from repro.serve.snapshot import EmbeddingSnapshot
 
-__all__ = ["PANEL_WIDTH", "TopKResult", "TopKIndex", "ExactTopKIndex",
-           "QuantizedTopKIndex", "build_index", "scoring_ready_users",
-           "scoring_ready_items", "build_panels", "panel_scores",
-           "euclidean_scores", "quantize_rows", "PanelScorer", "Int8Scorer", "SCORERS",
+__all__ = ["PANEL_WIDTH", "TopKResult", "ExactTopKIndex",
+           "scoring_ready_users", "scoring_ready_items", "build_panels",
+           "panel_scores", "euclidean_scores", "PanelScorer",
            "prepare_request"]
 
 #: Fixed item-panel width of every scoring GEMM.  Both sides of the
@@ -89,8 +79,8 @@ def scoring_ready_items(items: np.ndarray, scoring: str) -> np.ndarray:
     """Catalogue-side prep with the scoring transform baked in.
 
     The float64 cast and the cosine ``+ 1e-12`` row-normalization are
-    load-bearing for ranking parity — every index kind and every item
-    shard must start from exactly this per-row transform.
+    load-bearing for ranking parity — every index and every item shard
+    must start from exactly this per-row transform.
     """
     items = np.asarray(items, dtype=np.float64)
     if scoring == "cosine":
@@ -121,9 +111,8 @@ def build_panels(items: np.ndarray, width: int = PANEL_WIDTH) -> np.ndarray:
 def panel_scores(vectors: np.ndarray, panels, n_items: int) -> np.ndarray:
     """Dense ``(len(vectors), n_items)`` score block from padded panels.
 
-    ``panels`` is any iterable of equal-width ``(width, dim)`` panels:
-    the packed float64 block of :func:`build_panels`, or the float32
-    panels :class:`Int8Scorer` dequantizes one at a time.  Every matmul
+    ``panels`` is a packed ``(n_panels, width, dim)`` block from
+    :func:`build_panels`.  Every matmul
     is ``(m, dim) @ (dim, width)`` with ``width`` fixed by the panel
     layout, so a given (user, item) pair produces bitwise the same
     score no matter which panel — or which shard's panel — the item
@@ -145,24 +134,10 @@ def euclidean_scores(dots: np.ndarray, vectors: np.ndarray,
 
     ``-(‖u‖² + ‖i‖² - 2 u·i)`` with ``‖u‖²`` taken from ``vectors`` in
     float64 and ``item_sq`` the scored columns' ``‖i‖²``: the one
-    euclidean expansion every scorer and the IVF list loop share.
+    euclidean expansion the scorer and the IVF list loop share.
     """
     u_sq = (vectors.astype(np.float64) ** 2).sum(axis=1, keepdims=True)
     return -(u_sq + item_sq - 2.0 * dots)
-
-
-def quantize_rows(items: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric per-row int8 quantization of a scoring-ready table.
-
-    Returns ``(q, scales)`` with ``q[i] ≈ items[i] / scales[i]`` and
-    ``scales[i] = max|items[i]| / 127``.  Row-local by construction, so
-    a shard's rows quantize to exactly the same bytes as the same rows
-    in the full catalogue.
-    """
-    peak = np.abs(items).max(axis=1)
-    scales = np.where(peak > 0, peak / 127.0, 1.0)
-    q = np.clip(np.rint(items / scales[:, None]), -127, 127).astype(np.int8)
-    return q, scales.astype(np.float32)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -195,18 +170,16 @@ class TopKResult:
 
 
 class PanelScorer:
-    """Exact scorer: item rows packed as fixed-width float64 panels.
+    """Item rows packed as fixed-width float64 panels.
 
     ``rows`` are raw ``(n, dim)`` embedding rows — the whole catalogue
-    (:class:`TopKIndex`) or one shard's slice of it
+    (:class:`ExactTopKIndex`) or one shard's slice of it
     (:class:`~repro.serve.shard.ItemShardIndex`) — scored under
     ``scoring`` (``inner`` / ``cosine`` / ``euclidean``) in GEMMs of
     ``panel_width`` item rows.  The scoring-ready float64 table is a
     construction temporary: only the panels (and, for euclidean, the
     squared row norms) are kept.
     """
-
-    kind = "exact"
 
     def __init__(self, rows: np.ndarray, scoring: str,
                  panel_width: int = PANEL_WIDTH):
@@ -237,63 +210,6 @@ class PanelScorer:
         return scores
 
 
-class Int8Scorer:
-    """Approximate scorer: item rows stored symmetric-int8 per row
-    (:func:`quantize_rows`), an 8x compression of the catalogue side.
-
-    Same parameters as :class:`PanelScorer`.  Scoring dequantizes
-    ``panel_width`` rows at a time into a zero-padded float32 panel, so
-    peak extra memory stays at one small panel regardless of table size
-    and every GEMM keeps the fixed partition-invariant shape.
-    Quantization is per row, so a shard's bytes, scales and scores are
-    identical to the same rows inside the unsharded table.
-    """
-
-    kind = "quantized"
-
-    def __init__(self, rows: np.ndarray, scoring: str,
-                 panel_width: int = PANEL_WIDTH):
-        if panel_width <= 0:
-            raise ValueError(f"panel width must be positive, "
-                             f"got {panel_width}")
-        self.panel_width = panel_width
-        self._quantized, self._scales = quantize_rows(
-            scoring_ready_items(rows, scoring))
-        self.n_items = len(self._quantized)
-        self._item_sq = None
-        if scoring == "euclidean":
-            deq = self._quantized.astype(np.float32) * self._scales[:, None]
-            self._item_sq = (deq.astype(np.float64) ** 2).sum(axis=1)
-
-    @property
-    def table_bytes(self) -> int:
-        """Bytes held by the quantized table (int8 rows + scales)."""
-        return self._quantized.nbytes + self._scales.nbytes
-
-    def _panels(self):
-        """Float32 panels, dequantized one at a time, tail zero-padded."""
-        width = self.panel_width
-        for lo in range(0, self.n_items, width):
-            panel = (self._quantized[lo:lo + width].astype(np.float32)
-                     * self._scales[lo:lo + width, None])
-            if len(panel) < width:
-                panel = np.pad(panel, ((0, width - len(panel)), (0, 0)))
-            yield panel
-
-    def scores(self, vectors: np.ndarray, kernel) -> np.ndarray:
-        """Float32-GEMM counterpart of :meth:`PanelScorer.scores`."""
-        vectors = vectors.astype(np.float32)
-        scores = kernel(vectors, self._panels(), self.n_items)
-        if self._item_sq is not None:
-            scores = euclidean_scores(scores, vectors, self._item_sq)
-        return scores
-
-
-#: Scorer class per kind name — one table for :class:`TopKIndex` and the
-#: sharded router, so both topologies offer the same number formats.
-SCORERS = {"exact": PanelScorer, "quantized": Int8Scorer}
-
-
 def prepare_request(user_ids, k: int, manifest
                     ) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
     """The ``topk`` prologue every index shares.
@@ -315,11 +231,9 @@ def prepare_request(user_ids, k: int, manifest
             np.empty((len(users), k), dtype=np.float64))
 
 
-class TopKIndex:
-    """Chunk → score → mask → rank over one snapshot, through one scorer.
-
-    The concrete index behind both kinds: :attr:`kind` names the scorer
-    class, and nothing else differs between them.
+class ExactTopKIndex:
+    """Chunk → score → mask → rank over one snapshot, through a
+    :class:`PanelScorer`: evaluator-identical exact retrieval.
 
     Parameters
     ----------
@@ -333,8 +247,7 @@ class TopKIndex:
         sides of a sharded parity comparison must use the same width.
     """
 
-    #: names the scorer in :data:`SCORERS`; also the tag recorded in
-    #: benchmarks and service cache keys
+    #: tag recorded in benchmarks and service cache keys
     kind = "exact"
 
     def __init__(self, snapshot: EmbeddingSnapshot, chunk_users: int = 256,
@@ -343,8 +256,8 @@ class TopKIndex:
             raise ValueError(f"chunk_users must be positive, got {chunk_users}")
         self.snapshot = snapshot
         self.chunk_users = chunk_users
-        self.scorer = SCORERS[self.kind](snapshot.items, snapshot.scoring,
-                                         panel_width)
+        self.scorer = PanelScorer(snapshot.items, snapshot.scoring,
+                                  panel_width)
 
     @property
     def table_bytes(self) -> int:
@@ -386,11 +299,11 @@ class TopKIndex:
                           k=k, filtered_seen=filter_seen)
 
     # ------------------------------------------------------------------
-    def refreshed(self, snapshot: EmbeddingSnapshot) -> "TopKIndex":
+    def refreshed(self, snapshot: EmbeddingSnapshot) -> "ExactTopKIndex":
         """Rebuild this index over ``snapshot``, keeping tuning knobs.
 
-        The exact and quantized indexes derive everything from the item
-        table, so a refresh is a plain reconstruction; the ANN indexes
+        The exact index derives everything from the item table, so a
+        refresh is a plain reconstruction; the ANN indexes
         override this with incremental posting-list maintenance.  The
         returned index serves ``snapshot`` — the receiver is untouched,
         so an in-flight request on the old index is never torn.
@@ -398,32 +311,3 @@ class TopKIndex:
         return type(self)(snapshot, chunk_users=self.chunk_users,
                           panel_width=self.scorer.panel_width)
 
-
-class ExactTopKIndex(TopKIndex):
-    """Exact retrieval: fixed-panel float64 matmul, evaluator-identical."""
-
-
-class QuantizedTopKIndex(TopKIndex):
-    """Approximate retrieval over a symmetric-int8 item table
-    (:class:`Int8Scorer`); ``chunk_items`` is the former name of
-    ``panel_width`` on this class, still accepted."""
-
-    kind = "quantized"
-
-    def __init__(self, snapshot: EmbeddingSnapshot, chunk_users: int = 256,
-                 panel_width: int = PANEL_WIDTH,
-                 chunk_items: int | None = None):
-        super().__init__(snapshot, chunk_users,
-                         panel_width if chunk_items is None else chunk_items)
-
-
-_INDEX_KINDS = {"exact": ExactTopKIndex, "quantized": QuantizedTopKIndex}
-
-
-def build_index(snapshot: EmbeddingSnapshot, kind: str = "exact",
-                **kwargs) -> TopKIndex:
-    """Construct an index by kind name (``"exact"`` or ``"quantized"``)."""
-    if kind not in _INDEX_KINDS:
-        raise KeyError(f"unknown index kind {kind!r}; "
-                       f"available: {sorted(_INDEX_KINDS)}")
-    return _INDEX_KINDS[kind](snapshot, **kwargs)

@@ -14,18 +14,18 @@ chunk:
 3. **gather (merge)** — k-way heap merge of the per-shard partial
    lists, keyed on ``(-score, global item id)``.
 
-Because every shard scores through the same scorer classes and
+Because every shard scores through the same scorer class and
 fixed-shape panel kernel as the unsharded
-:class:`~repro.serve.index.TopKIndex` and ranking/merge both follow the
-canonical ``(score desc, id asc)`` order of
+:class:`~repro.serve.index.ExactTopKIndex` and ranking/merge both follow
+the canonical ``(score desc, id asc)`` order of
 :func:`repro.eval.metrics.rank_items`, the merged ranking — items *and*
-scores — is bit-identical to the unsharded index for the exact path
+scores — is bit-identical to the unsharded index
 (``tests/test_serve_sharded.py`` pins this for every shard count ×
 partition axis; the full contract is in ``docs/sharding.md``).
 
 :class:`~repro.serve.service.RecommendationService` builds this router
 as its index when handed a sharded snapshot, so result caching (keyed on
-the sharded snapshot's content hash) and request micro-batching are the
+the sharded snapshot's content hash) and batching are the
 single-process code.
 """
 
@@ -41,7 +41,7 @@ import numpy as np
 from repro.obs.stats import RegistryBackedStats
 from repro.obs.trace import get_tracer
 from repro.serve.faults import _draw
-from repro.serve.index import (SCORERS, TopKResult, prepare_request,
+from repro.serve.index import (PanelScorer, TopKResult, prepare_request,
                                scoring_ready_users)
 from repro.serve.resilience import (BreakerOpenError, CircuitBreaker,
                                     PartialResultError, ResilienceConfig,
@@ -80,15 +80,13 @@ class ShardedTopKIndex:
     """Scatter-gather top-K index over a sharded snapshot.
 
     Implements the same ``topk`` protocol as
-    :class:`~repro.serve.index.TopKIndex`, so it plugs into
+    :class:`~repro.serve.index.ExactTopKIndex`, so it plugs into
     :class:`~repro.serve.service.RecommendationService` unchanged.
 
     Parameters
     ----------
     snapshot:
         Loaded :class:`~repro.serve.shard.ShardedSnapshot`.
-    kind:
-        Per-shard scorer kind: ``"exact"`` or ``"quantized"``.
     chunk_users:
         Users scored per dense block.  Part of the parity contract: the
         unsharded index being compared against must use the same value
@@ -133,7 +131,7 @@ class ShardedTopKIndex:
         Extra arguments for the per-shard scorers (``panel_width``).
     """
 
-    def __init__(self, snapshot: ShardedSnapshot, kind: str = "exact",
+    def __init__(self, snapshot: ShardedSnapshot,
                  chunk_users: int = 256, ann=None,
                  ann_nprobe: int | None = None,
                  workers: int | None = None,
@@ -141,14 +139,11 @@ class ShardedTopKIndex:
                  **scorer_kwargs):
         if chunk_users <= 0:
             raise ValueError(f"chunk_users must be positive, got {chunk_users}")
-        if kind not in SCORERS:
-            raise KeyError(f"unknown shard index kind {kind!r}; "
-                           f"available: {sorted(SCORERS)}")
         self.snapshot = snapshot
         self.chunk_users = chunk_users
         self._scorer_kwargs = dict(scorer_kwargs)
         self.shard_indexes = [
-            ItemShardIndex(shard, SCORERS[kind](
+            ItemShardIndex(shard, PanelScorer(
                 shard.embeddings, snapshot.scoring, **scorer_kwargs))
             for shard in snapshot.item_shards]
         if workers is None:
@@ -159,7 +154,6 @@ class ShardedTopKIndex:
         self._pool: ThreadPoolExecutor | None = None
         self._attempt_pool: ThreadPoolExecutor | None = None
         self.stats = RouterStats()
-        self._kind = kind
         self.resilience = resilience
         self.breakers: list[CircuitBreaker] | None = None
         if resilience is not None and resilience.breaker is not None:
@@ -179,8 +173,8 @@ class ShardedTopKIndex:
     def kind(self) -> str:
         """Tag recorded in benchmarks and service cache keys."""
         if self.ann is not None:
-            return f"sharded-{self._kind}-ann"
-        return f"sharded-{self._kind}"
+            return "sharded-exact-ann"
+        return "sharded-exact"
 
     # ------------------------------------------------------------------
     def refreshed(self, snapshot: ShardedSnapshot,
@@ -202,8 +196,7 @@ class ShardedTopKIndex:
                     "when refreshing — the old posting lists index the "
                     "retired catalogue")
             ann = None
-        return type(self)(snapshot, kind=self._kind,
-                          chunk_users=self.chunk_users, ann=ann,
+        return type(self)(snapshot, chunk_users=self.chunk_users, ann=ann,
                           ann_nprobe=self.ann_nprobe, workers=self.workers,
                           resilience=self.resilience,
                           **self._scorer_kwargs)
@@ -214,9 +207,9 @@ class ShardedTopKIndex:
         """Scatter-gather ranked recommendations for a batch of users.
 
         Same semantics as
-        :meth:`repro.serve.index.TopKIndex.topk`; for the exact path the
-        result is bit-identical to the unsharded index's answer for the
-        same request.
+        :meth:`repro.serve.index.ExactTopKIndex.topk`; without ANN
+        routing the result is bit-identical to the unsharded index's
+        answer for the same request.
         """
         users, k, out_items, out_scores = prepare_request(
             user_ids, k, self.snapshot.manifest)
@@ -269,25 +262,27 @@ class ShardedTopKIndex:
         else:
             cand_indptr, cand_global = None, None
         t1 = time.perf_counter()
-        failed: tuple[int, ...] = ()
-        if self.resilience is not None:
-            partials, failed = self._resilient_fanout(
-                vectors, k, seen_indptr, seen_global,
-                cand_indptr, cand_global)
-        elif self.workers > 1 and len(self.shard_indexes) > 1:
+
+        def call(index):
+            return index.partial_topk(vectors, k, seen_indptr, seen_global,
+                                      cand_indptr, cand_global)
+
+        def shard_call(s):
+            # The shard is looked up when its call runs: fault harnesses
+            # swap entries of ``shard_indexes`` after construction.
+            if self.resilience is None:
+                return call(self.shard_indexes[s])
+            return self._guard_shard(s, call)
+
+        shard_ids = range(len(self.shard_indexes))
+        if self.workers > 1 and len(self.shard_indexes) > 1:
             # Concurrent fan-out: the pool maps over shards in order, so
             # the merge below consumes partials exactly as the
             # sequential path would — parity stays bit-identical.
-            partials = list(self._fanout_pool().map(
-                lambda index: index.partial_topk(
-                    vectors, k, seen_indptr, seen_global,
-                    cand_indptr, cand_global),
-                self.shard_indexes))
+            partials = list(self._fanout_pool().map(shard_call, shard_ids))
         else:
-            partials = [index.partial_topk(vectors, k, seen_indptr,
-                                           seen_global, cand_indptr,
-                                           cand_global)
-                        for index in self.shard_indexes]
+            partials = [shard_call(s) for s in shard_ids]
+        failed = tuple(s for s, p in enumerate(partials) if p is None)
         t2 = time.perf_counter()
         if failed:
             if self.resilience.strict:
@@ -323,30 +318,12 @@ class ShardedTopKIndex:
         return items, scores, failed
 
     # ------------------------------------------------------------------
-    # Resilient fan-out (deadlines, retries, hedging, breakers)
+    # Resilient shard calls (deadlines, retries, hedging, breakers)
     # ------------------------------------------------------------------
-    def _resilient_fanout(self, vectors, k, seen_indptr, seen_global,
-                          cand_indptr, cand_global
-                          ) -> tuple[list, tuple[int, ...]]:
-        """Fan out with per-shard deadline budgets; never raises for a
-        failing shard — its slot comes back ``None`` and its index lands
-        in the failed tuple (strict-mode handling is the caller's)."""
-
-        def call(index):
-            return index.partial_topk(vectors, k, seen_indptr, seen_global,
-                                      cand_indptr, cand_global)
-
-        shard_ids = range(len(self.shard_indexes))
-        if self.workers > 1 and len(self.shard_indexes) > 1:
-            results = list(self._fanout_pool().map(
-                lambda s: self._guard_shard(s, call), shard_ids))
-        else:
-            results = [self._guard_shard(s, call) for s in shard_ids]
-        failed = tuple(s for s, r in enumerate(results) if r is None)
-        return results, failed
-
     def _guard_shard(self, s: int, call):
-        """One shard's resilient call; failures become ``None``."""
+        """One shard's resilient call.  Never raises for a failing
+        shard: its partial comes back ``None`` (strict-mode handling is
+        the caller's)."""
         try:
             return self._call_shard(s, call)
         except ShardCallError:

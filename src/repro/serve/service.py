@@ -8,12 +8,11 @@ serving stack.  It adds two things on top of an index:
   Keying on the snapshot's content hash means a cache can never serve
   results from a previous model export: load a new snapshot and every
   old entry misses by construction.
-* **Request micro-batching** — single-user lookups submitted via
-  :meth:`submit` are coalesced and executed as one batched index sweep
-  per :attr:`max_batch` requests (or on :meth:`flush`), amortizing the
-  per-call matmul setup the way an online gateway batches concurrent
-  traffic.  The vectorized :meth:`recommend` path chops arbitrarily
-  large user batches into the same ``max_batch`` sweeps.
+* **Batched sweeps** — :meth:`recommend` deduplicates a user batch and
+  chops its cache misses into index sweeps of at most
+  :attr:`max_batch` users.  Coalescing concurrent single-user traffic
+  into such batches is :class:`~repro.serve.runtime.ServingRuntime`'s
+  job.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import numpy as np
 
 from repro.obs.stats import RegistryBackedStats
 from repro.obs.trace import get_tracer
-from repro.serve.index import TopKIndex, build_index
+from repro.serve.index import ExactTopKIndex
 from repro.serve.resilience import ResilienceConfig
 from repro.serve.router import RouterStats, ShardedTopKIndex
 from repro.serve.shard import ShardedSnapshot, load_sharded_snapshot
@@ -36,7 +35,7 @@ from repro.serve.snapshot import (EmbeddingSnapshot, SnapshotIntegrityError,
                                   is_sharded_snapshot, load_snapshot,
                                   quarantine_snapshot)
 
-__all__ = ["Recommendation", "ServiceStats", "LRUCache", "PendingRequest",
+__all__ = ["Recommendation", "ServiceStats", "LRUCache",
            "RecommendationService", "ShardedRecommendationService"]
 
 
@@ -65,7 +64,7 @@ class Recommendation:
 
 
 class ServiceStats(RegistryBackedStats):
-    """Lifetime counters (exported into the serve benchmark payload).
+    """Lifetime counters of one service.
 
     A registry-backed view: each field is a ``serve.service.<field>``
     counter in the global :class:`~repro.obs.metrics.MetricsRegistry`
@@ -74,10 +73,9 @@ class ServiceStats(RegistryBackedStats):
     pinned accounting invariants below survive unchanged while the same
     counts flow to the Prometheus/JSON exporters.
 
-    ``requests`` counts **client-facing** calls only: one per
-    :meth:`RecommendationService.recommend` call and one per
-    :meth:`RecommendationService.submit`.  The internal batched sweeps a
-    ``flush()`` issues do not bump it.  Every user slot of every request
+    ``requests`` counts **client-facing** calls: one per
+    :meth:`RecommendationService.recommend` call, however many index
+    sweeps it issues.  Every user slot of every request
     lands in exactly one of ``cache_hits`` / ``cache_misses`` —
     including in-batch duplicates, which tally as hits — so
     ``cache_hits + cache_misses == users_served`` always holds and
@@ -92,7 +90,7 @@ class ServiceStats(RegistryBackedStats):
 
     _PREFIX = "serve.service"
     _COUNTERS = {
-        "requests": "client-facing recommend()/submit() calls",
+        "requests": "client-facing recommend() calls",
         "users_served": "user slots answered (hits + misses)",
         "cache_hits": "user slots answered from the LRU or in-batch dedup",
         "cache_misses": "user slots that required index work",
@@ -180,52 +178,21 @@ class LRUCache:
             return len(stale)
 
 
-class PendingRequest:
-    """Handle for a micro-batched single-user lookup.
-
-    ``result()`` returns the :class:`Recommendation`, flushing the
-    service's pending queue first if this request has not been executed
-    yet.
-    """
-
-    __slots__ = ("user_id", "k", "filter_seen", "_service", "_result")
-
-    def __init__(self, service: "RecommendationService", user_id: int,
-                 k: int, filter_seen: bool):
-        self.user_id = user_id
-        self.k = k
-        self.filter_seen = filter_seen
-        self._service = service
-        self._result: Recommendation | None = None
-
-    @property
-    def done(self) -> bool:
-        return self._result is not None
-
-    def result(self) -> Recommendation:
-        """The finished recommendation, flushing the queue if needed."""
-        if self._result is None:
-            self._service.flush()
-        assert self._result is not None, "flush did not resolve this request"
-        return self._result
-
-
 class RecommendationService:
     """Serve ``recommend(user_ids, k)`` on top of a snapshot + index.
 
     The one front end of both layouts: only the default index depends
-    on the snapshot's type; caching, micro-batching and refresh do not.
+    on the snapshot's type; caching, batching and refresh do not.
 
     Parameters
     ----------
     snapshot:
         Loaded :class:`~repro.serve.snapshot.EmbeddingSnapshot` or
-        :class:`~repro.serve.shard.ShardedSnapshot`.
-    kind:
-        Scorer kind (``"exact"`` / ``"quantized"``) of the default
-        index: :func:`~repro.serve.index.build_index` over an unsharded
-        snapshot, the scatter-gather :class:`ShardedTopKIndex` (scoring
-        ``max_batch`` users per block) over a sharded one.
+        :class:`~repro.serve.shard.ShardedSnapshot`.  The default index
+        is an :class:`~repro.serve.index.ExactTopKIndex` over an
+        unsharded snapshot and the scatter-gather
+        :class:`ShardedTopKIndex` (scoring ``max_batch`` users per
+        block) over a sharded one.
     index:
         Pre-built index replacing the default.  Must wrap the same
         snapshot (checked by content version).  Any object speaking the
@@ -236,38 +203,46 @@ class RecommendationService:
     cache_size:
         LRU capacity in finished per-user lists; 0 disables caching.
     max_batch:
-        Upper bound on users per index sweep — both the micro-batch
-        flush threshold and the slice size of large ``recommend`` calls.
+        Upper bound on users per index sweep: the slice size of large
+        ``recommend`` calls.
     workers, resilience:
         Fan-out width and failure policy of the default router (see
         :class:`ShardedTopKIndex`); unused when none is built.  Degraded
         answers surface as ``Recommendation.degraded``, never cached.
     """
 
-    def __init__(self, snapshot, *, kind: str = "exact",
-                 index: TopKIndex | None = None, cache_size: int = 4096,
+    def __init__(self, snapshot, *, index=None, cache_size: int = 4096,
                  max_batch: int = 256, workers: int | None = None,
                  resilience: ResilienceConfig | None = None):
         if max_batch <= 0:
             raise ValueError(f"max_batch must be positive, got {max_batch}")
         if index is None:
             if isinstance(snapshot, ShardedSnapshot):
-                index = ShardedTopKIndex(snapshot, kind=kind,
-                                         chunk_users=max_batch,
+                index = ShardedTopKIndex(snapshot, chunk_users=max_batch,
                                          workers=workers,
                                          resilience=resilience)
             else:
-                index = build_index(snapshot, kind)
+                index = ExactTopKIndex(snapshot)
         elif index.snapshot.version != snapshot.version:
             raise ValueError(
                 f"index wraps snapshot {index.snapshot.version!r} but the "
                 f"service was given {snapshot.version!r}")
-        self.snapshot = snapshot
-        self.index = index
+        # The served (snapshot, index) pair, swapped as one attribute so
+        # a sweep never pairs one version's index with another's label.
+        self._live = (snapshot, index)
         self.cache = LRUCache(cache_size)
         self.max_batch = max_batch
         self.stats = ServiceStats()
-        self._pending: list[PendingRequest] = []
+
+    @property
+    def snapshot(self):
+        """The snapshot being served."""
+        return self._live[0]
+
+    @property
+    def index(self):
+        """The index answering :attr:`snapshot`'s requests."""
+        return self._live[1]
 
     # ------------------------------------------------------------------
     # Batched path
@@ -289,23 +264,23 @@ class RecommendationService:
 
     def _serve(self, users: np.ndarray, k: int,
                filter_seen: bool) -> list[Recommendation]:
-        """Answer one prepared user batch (no ``requests`` bump).
+        """Answer one prepared user batch.
 
-        Shared by :meth:`recommend` (which counts the client call) and
-        :meth:`flush` (whose client calls were already counted at
-        ``submit`` time), so internal flush groups cannot inflate the
-        request counter.
+        Reads the live ``(snapshot, index)`` pair once: a
+        :meth:`refresh` landing mid-sweep cannot label or cache the old
+        index's lists under the new version.
         """
+        live = self._live
+        snapshot, index = live
         order = users.tolist()
         self.stats.users_served += len(order)
         results: dict[int, Recommendation] = {}
         misses: list[int] = []
         queued: set[int] = set()
         # Hit/miss tallies accumulate in locals and publish once below:
-        # the stats fields are lock-protected registry counters now, so
+        # the stats fields are lock-protected registry counters, so
         # per-user updates would put O(users) lock traffic on the hot
-        # path (the obs benchmark pins this path within 5% of
-        # telemetry-off).
+        # path.
         hits = 0
         for user in order:
             if user in results or user in queued:
@@ -314,13 +289,13 @@ class RecommendationService:
                 # so hits + misses always reconciles with users_served.
                 hits += 1
                 continue
-            cached = self.cache.get(self._key(user, k, filter_seen))
+            cached = self.cache.get(self._key(user, k, filter_seen, live))
             if cached is not None:
                 hits += 1
                 items, scores = cached
                 results[user] = Recommendation(
                     user_id=user, items=items, scores=scores,
-                    snapshot_version=self.snapshot.version, from_cache=True)
+                    snapshot_version=snapshot.version, from_cache=True)
             else:
                 queued.add(user)
                 misses.append(user)
@@ -329,7 +304,7 @@ class RecommendationService:
         for lo in range(0, len(misses), self.max_batch):
             batch = np.asarray(misses[lo:lo + self.max_batch], dtype=np.int64)
             sweep_start = time.perf_counter()
-            top = self.index.topk(batch, k=k, filter_seen=filter_seen)
+            top = index.topk(batch, k=k, filter_seen=filter_seen)
             sweep_end = time.perf_counter()
             # The span reuses the exact readings that feed ``sweep_s``,
             # so the trace and the counters can never disagree.
@@ -354,11 +329,11 @@ class RecommendationService:
                     # Degraded lists never enter the LRU: a cached
                     # partial answer would keep serving after the shard
                     # recovered, and there is no TTL to age it out.
-                    self.cache.put(self._key(user, k, filter_seen),
+                    self.cache.put(self._key(user, k, filter_seen, live),
                                    (items, scores))
                 results[user] = Recommendation(
                     user_id=user, items=items, scores=scores,
-                    snapshot_version=self.snapshot.version,
+                    snapshot_version=snapshot.version,
                     degraded=degraded, coverage=coverage)
         out: list[Recommendation] = []
         emitted: set[int] = set()
@@ -379,55 +354,9 @@ class RecommendationService:
         return self.recommend([user_id], k=k, filter_seen=filter_seen)[0]
 
     # ------------------------------------------------------------------
-    # Micro-batched path
-    # ------------------------------------------------------------------
-    def submit(self, user_id: int, k: int = 10,
-               filter_seen: bool = True) -> PendingRequest:
-        """Enqueue one lookup; executes when ``max_batch`` accumulate.
-
-        Returns a :class:`PendingRequest` whose ``result()`` forces a
-        flush if needed — so callers can fire off a burst of submits and
-        then read results, paying one index sweep instead of a sweep per
-        user.  Each submit counts as one client request in
-        :attr:`stats`; the flush that later executes it does not count
-        again.
-        """
-        self.stats.requests += 1
-        request = PendingRequest(self, user_id, k, filter_seen)
-        self._pending.append(request)
-        if len(self._pending) >= self.max_batch:
-            self.flush()
-        return request
-
-    def flush(self) -> None:
-        """Execute every pending micro-batched request."""
-        pending, self._pending = self._pending, []
-        # Group by (k, filter_seen) so one flush still issues batched
-        # sweeps even when interleaved request shapes differ.
-        groups: dict[tuple[int, bool], list[PendingRequest]] = {}
-        for request in pending:
-            groups.setdefault((request.k, request.filter_seen),
-                              []).append(request)
-        with get_tracer().span("serve.service.flush",
-                               requests=len(pending)):
-            for (k, filter_seen), members in groups.items():
-                answers = self._serve(
-                    np.asarray([m.user_id for m in members],
-                               dtype=np.int64),
-                    k, filter_seen)
-                for member, answer in zip(members, answers):
-                    member._result = answer
-
-    @property
-    def pending(self) -> int:
-        """Number of queued micro-batched requests."""
-        return len(self._pending)
-
-    # ------------------------------------------------------------------
     # Live refresh
     # ------------------------------------------------------------------
-    def refresh(self, snapshot_or_deltas, *,
-                index: TopKIndex | None = None) -> int:
+    def refresh(self, snapshot_or_deltas, *, index=None) -> int:
         """Swap in a new snapshot version; returns evicted cache entries.
 
         ``snapshot_or_deltas`` is either a loaded snapshot of the
@@ -444,11 +373,11 @@ class RecommendationService:
         ``index`` overrides the refreshed index; by default the current
         index's ``refreshed(snapshot)`` rebuilds or updates it.
 
-        The swap is atomic from a caller's point of view: pending
-        micro-batched requests are flushed against the *old* snapshot
-        first (they were accepted under that version), then snapshot,
-        index, and cache move together.  Only cache entries keyed to
-        retired ``(version, kind)`` pairs are evicted — entries already
+        The swap is atomic from a caller's point of view: snapshot and
+        index move together in one assignment, so a sweep already
+        running finishes, labels and caches its lists under the version
+        it started on.  Only cache entries keyed to retired
+        ``(version, kind)`` pairs are then evicted — entries already
         keyed to the incoming version survive.
         """
         if isinstance(snapshot_or_deltas, (str, pathlib.Path)):
@@ -468,9 +397,7 @@ class RecommendationService:
             raise ValueError(
                 f"refresh index wraps snapshot {index.snapshot.version!r} "
                 f"but the service was given {snapshot.version!r}")
-        self.flush()
-        self.snapshot = snapshot
-        self.index = index
+        self._live = (snapshot, index)
         live = (snapshot.version, index.kind)
         invalidated = self.cache.invalidate(lambda key: key[:2] != live)
         self.stats.refreshes += 1
@@ -518,8 +445,10 @@ class RecommendationService:
         router; ``None`` for an index that routes nothing."""
         return getattr(self.index, "stats", None)
 
-    def _key(self, user: int, k: int, filter_seen: bool) -> tuple:
-        return (self.snapshot.version, self.index.kind, user, k, filter_seen)
+    def _key(self, user: int, k: int, filter_seen: bool,
+             live: tuple | None = None) -> tuple:
+        snapshot, index = self._live if live is None else live
+        return (snapshot.version, index.kind, user, k, filter_seen)
 
     def __repr__(self) -> str:
         return (f"RecommendationService(index={self.index.kind!r}, "

@@ -9,15 +9,15 @@ state along two independent axes:
   it just bounds per-process user-table and seen-set memory.
 * :class:`ItemShard` — the embedding rows of a subset of the catalogue;
   :class:`ItemShardIndex` answers *partial* top-K queries over the
-  shard's items, in **global** item ids, through the same scorers
-  (:data:`repro.serve.index.SCORERS`) as the unsharded index.
+  shard's items, in **global** item ids, through the same scorer
+  (:class:`repro.serve.index.PanelScorer`) as the unsharded index.
 
 :class:`ShardedSnapshot` loads the whole directory and owns the
 global→(shard, local) routing tables.  The scatter-gather that merges
 partial answers back into the unsharded ranking lives in
 :mod:`repro.serve.router`.
 
-A shard scores through the unsharded index's own scorer classes and
+A shard scores through the unsharded index's own scorer class and
 fixed-shape panel kernel (:func:`~repro.serve.index.panel_scores`),
 ranks with :func:`~repro.eval.metrics.rank_items` and masks with the
 shared ``-inf`` scatter from :mod:`repro.eval.masking`, so it cannot
@@ -176,8 +176,8 @@ class ItemShard:
 class ItemShardIndex:
     """Partial top-K over one item shard, in global item ids.
 
-    ``scorer`` is a :data:`repro.serve.index.SCORERS` instance built
-    over ``shard.embeddings`` — the object the unsharded index holds
+    ``scorer`` is a :class:`~repro.serve.index.PanelScorer` built over
+    ``shard.embeddings`` — the object the unsharded index holds
     over the whole catalogue.  With the shared
     :func:`~repro.eval.masking.mask_seen_items` and canonical
     :func:`~repro.eval.metrics.rank_items`, the partial list is exactly
@@ -200,8 +200,7 @@ class ItemShardIndex:
         Parameters
         ----------
         vectors:
-            ``(m, dim)`` scoring-ready user block (float64; the int8
-            scorer casts internally), produced by
+            ``(m, dim)`` float64 scoring-ready user block, produced by
             :func:`repro.serve.index.scoring_ready_users`.
         k:
             Global list length; clipped to the shard's item count.

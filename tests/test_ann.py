@@ -426,8 +426,8 @@ class TestShardedIntegration:
         dataset, _, _ = yelp_retrieval
         _, built = yelp_ivf
         users = np.arange(dataset.num_users, dtype=np.int64)
-        plain = ShardedTopKIndex(sharded, kind="exact").topk(users, k=10)
-        routed = ShardedTopKIndex(sharded, kind="exact", ann=built,
+        plain = ShardedTopKIndex(sharded).topk(users, k=10)
+        routed = ShardedTopKIndex(sharded, ann=built,
                                   ann_nprobe=built.data.nlist
                                   ).topk(users, k=10)
         np.testing.assert_array_equal(plain.items, routed.items)
@@ -439,7 +439,7 @@ class TestShardedIntegration:
         _, built = yelp_ivf
         users = np.arange(dataset.num_users, dtype=np.int64)
         exact = ExactTopKIndex(snapshot).topk(users, k=10).items
-        router = ShardedTopKIndex(sharded, kind="exact", ann=built)
+        router = ShardedTopKIndex(sharded, ann=built)
         assert router.kind == "sharded-exact-ann"
         recall = overlap_at_k(exact, router.topk(users, k=10).items)
         assert recall >= 0.95
@@ -451,7 +451,7 @@ class TestShardedIntegration:
         seen_counts = np.array([len(dataset.train_items_by_user[u])
                                 for u in range(dataset.num_users)])
         heavy = np.argsort(-seen_counts)[:10].astype(np.int64)
-        router = ShardedTopKIndex(sharded, kind="exact", ann=built)
+        router = ShardedTopKIndex(sharded, ann=built)
         result = router.topk(heavy, k=10)
         assert np.all(np.isfinite(result.scores))
         for row, user in enumerate(heavy.tolist()):

@@ -452,6 +452,18 @@ class TestRepoBenchmarkWiring:
         commands = _run_commands(_load("ci-slow.yml"))
         assert any("bench/run.py --all --tiny" in c for c in commands)
 
+    def test_ci_runs_the_tiny_suite_on_every_pr(self):
+        """The seconds-long smoke runs every workload's calls, so a serve
+        signature change that breaks one fails the PR gate, not the
+        nightly run; its results stay out of the tracked
+        ``bench/results/``."""
+        workflow = _load("ci.yml")
+        triggers = workflow.get("on", workflow.get(True))
+        assert "pull_request" in triggers
+        runs = [c for c in _run_commands(workflow)
+                if "bench/run.py --all --tiny" in c]
+        assert runs and all("--results-dir" in c for c in runs)
+
     def test_ci_slow_runs_sparse_training_at_full_shape(self):
         """``--tiny`` shrinks the tables to 2000 rows; the falling-loss end
         check must also run once on the 100k shape the benchmark gates."""

@@ -63,7 +63,7 @@ def sharded_cell(tiny_dataset, tmp_path_factory):
 def make_router(sharded, resilience, *, faulty_shard=None, plan=None,
                 workers=None):
     """Resilient router with shard ``faulty_shard`` wrapped in ``plan``."""
-    router = ShardedTopKIndex(sharded, kind="exact", chunk_users=64,
+    router = ShardedTopKIndex(sharded, chunk_users=64,
                               workers=workers, resilience=resilience)
     if faulty_shard is not None:
         router.shard_indexes[faulty_shard] = FaultyShardIndex(
@@ -288,7 +288,7 @@ class TestResilientParity:
     def test_no_faults_bit_identical_to_fail_stop(self, sharded_cell):
         dataset, snapshot, sharded = sharded_cell
         users = np.arange(dataset.num_users, dtype=np.int64)
-        plain = ShardedTopKIndex(sharded, kind="exact", chunk_users=64)
+        plain = ShardedTopKIndex(sharded, chunk_users=64)
         resilient = make_router(sharded, ResilienceConfig(
             deadline_ms=5000.0, retries=1,
             breaker=BreakerConfig()))
@@ -305,7 +305,7 @@ class TestResilientParity:
     def test_hedged_path_still_exact(self, sharded_cell):
         dataset, _, sharded = sharded_cell
         users = np.arange(dataset.num_users, dtype=np.int64)
-        plain = ShardedTopKIndex(sharded, kind="exact", chunk_users=64)
+        plain = ShardedTopKIndex(sharded, chunk_users=64)
         plan = FaultPlan(5, {"shard:1": FaultSpec("latency", 0.5,
                                                   latency_ms=30.0)})
         hedged = make_router(
@@ -380,7 +380,7 @@ class TestDegradedResults:
         dataset, _, sharded = sharded_cell
         plan = FaultPlan(0, {"shard": FaultSpec("error", 1.0)})
         router = ShardedTopKIndex(
-            sharded, kind="exact", chunk_users=64,
+            sharded, chunk_users=64,
             resilience=ResilienceConfig(deadline_ms=200.0, retries=0))
         for s in range(SHARDS):
             router.shard_indexes[s] = FaultyShardIndex(
@@ -413,6 +413,57 @@ class TestDegradedResults:
             assert len(service.cache) == 3
         finally:
             router.close()
+
+
+class TestResilientFanoutBranches:
+    """The resilient shard call on both branches of the router's one
+    fan-out loop: sequential (``workers=1``) and pooled (``workers=3``).
+    ``workers=None`` would run whichever the core count picks."""
+
+    @pytest.mark.parametrize("workers", (1, 3))
+    def test_no_faults_bit_identical_to_fail_stop(self, sharded_cell,
+                                                  workers):
+        dataset, _, sharded = sharded_cell
+        users = np.arange(dataset.num_users, dtype=np.int64)
+        plain = ShardedTopKIndex(sharded, chunk_users=64, workers=1)
+        resilient = make_router(sharded, ResilienceConfig(
+            deadline_ms=5000.0, retries=1, breaker=BreakerConfig()),
+            workers=workers)
+        try:
+            want = plain.topk(users, k=10)
+            got = resilient.topk(users, k=10)
+            pooled = resilient._pool is not None
+        finally:
+            plain.close()
+            resilient.close()
+        assert pooled == (workers > 1)
+        np.testing.assert_array_equal(got.items, want.items)
+        np.testing.assert_array_equal(got.scores, want.scores)
+        assert got.coverage == 1.0 and got.failed_shards == ()
+
+    @pytest.mark.parametrize("workers", (1, 3))
+    def test_dead_shard_yields_explicit_partial(self, sharded_cell,
+                                                workers):
+        dataset, _, sharded = sharded_cell
+        users = np.arange(dataset.num_users, dtype=np.int64)
+        plan = FaultPlan(0, {"shard:1": FaultSpec("error", 1.0)})
+        router = make_router(
+            sharded, ResilienceConfig(deadline_ms=200.0, retries=1,
+                                      backoff_ms=0.1),
+            faulty_shard=1, plan=plan, workers=workers)
+        try:
+            result = router.topk(users, k=10)
+        finally:
+            router.close()
+        # The wrapper installed after construction is the one called.
+        assert router.shard_indexes[1].calls >= 1
+        assert result.failed_shards == (1,)
+        lost = len(router.shard_indexes[1]._wrapped.shard)
+        assert result.coverage == pytest.approx(
+            1.0 - lost / sharded.manifest.num_items)
+        dead_items = set(np.asarray(sharded.item_shards[1].ids).tolist())
+        assert not set(result.items[result.items >= 0].tolist()) & dead_items
+        assert router.stats.shard_failures >= 1
 
 
 class TestHedging:

@@ -67,12 +67,6 @@ class TestRecommend:
                       if l and l.split()[0] in {"0", "1", "2"}]
         assert len(data_lines) == 3
 
-    def test_quantized_index_flag(self, exported, capsys):
-        rc = cli.main(["recommend", "--snapshot", str(exported),
-                       "--users", "0", "--index", "quantized"])
-        assert rc == 0
-        assert "quantized" in capsys.readouterr().out
-
     def test_matches_service_results(self, exported, capsys):
         from repro.serve import RecommendationService
 

@@ -1,4 +1,4 @@
-"""Top-K indexes: evaluator bit-exactness and quantized fidelity."""
+"""Top-K index: evaluator bit-exactness."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ import pytest
 from repro.eval.evaluator import Evaluator
 from repro.eval.metrics import rank_items
 from repro.models import get_model
-from repro.serve import (ExactTopKIndex, QuantizedTopKIndex, build_index,
-                         export_snapshot)
+from repro.serve import ExactTopKIndex, export_snapshot
 
 
 def evaluator_rankings(model, dataset, k):
@@ -99,73 +98,3 @@ class TestExactIndex:
         with pytest.raises(ValueError, match="chunk_users"):
             ExactTopKIndex(snapshot, chunk_users=0)
 
-
-class TestQuantizedIndex:
-    def test_high_overlap_on_tiny(self, tiny_mf_snapshot):
-        from repro.eval.metrics import overlap_at_k
-        _, snapshot = tiny_mf_snapshot
-        users = np.arange(snapshot.manifest.num_users, dtype=np.int64)
-        overlap = overlap_at_k(
-            ExactTopKIndex(snapshot).topk(users, k=10).items,
-            QuantizedTopKIndex(snapshot).topk(users, k=10).items)
-        assert overlap >= 0.95
-
-    def test_acceptance_overlap_on_yelp(self, tmp_path):
-        """Acceptance: >= 0.95 recall@10 overlap vs exact on yelp2018-small
-        for a trained checkpoint (shared ``overlap_at_k`` metric)."""
-        from repro.data import load_dataset
-        from repro.eval.metrics import overlap_at_k
-        from repro.losses import get_loss
-        from repro.train import TrainConfig, train_model
-
-        dataset = load_dataset("yelp2018-small")
-        model = get_model("mf", dataset, dim=64, rng=0)
-        config = TrainConfig(epochs=3, batch_size=1024, n_negatives=64,
-                             eval_every=0, patience=0, seed=0)
-        train_model(model, get_loss("bsl"), dataset, config)
-        snapshot = export_snapshot(model, dataset, tmp_path)
-        users = np.arange(dataset.num_users, dtype=np.int64)
-        overlap = overlap_at_k(
-            ExactTopKIndex(snapshot).topk(users, k=10).items,
-            QuantizedTopKIndex(snapshot).topk(users, k=10).items)
-        assert overlap >= 0.95
-
-    def test_table_is_int8_and_smaller(self, tiny_mf_snapshot):
-        _, snapshot = tiny_mf_snapshot
-        index = QuantizedTopKIndex(snapshot)
-        assert index.scorer._quantized.dtype == np.int8
-        assert index.table_bytes < np.asarray(snapshot.items).nbytes / 4
-
-    def test_respects_filter_seen(self, tiny_dataset, tiny_mf_snapshot):
-        _, snapshot = tiny_mf_snapshot
-        index = QuantizedTopKIndex(snapshot)
-        result = index.topk(np.arange(tiny_dataset.num_users), k=10)
-        for row in range(tiny_dataset.num_users):
-            seen = set(tiny_dataset.train_items_by_user[row].tolist())
-            assert not seen & set(result.items[row].tolist())
-
-    def test_item_chunking_invariance(self, tiny_mf_snapshot):
-        _, snapshot = tiny_mf_snapshot
-        users = np.arange(snapshot.manifest.num_users, dtype=np.int64)
-        big = QuantizedTopKIndex(snapshot, chunk_items=4096).topk(users, k=10)
-        small = QuantizedTopKIndex(snapshot, chunk_items=13).topk(users, k=10)
-        np.testing.assert_array_equal(big.items, small.items)
-
-    def test_euclidean_scoring_supported(self, tiny_dataset, tmp_path):
-        model = get_model("cml", tiny_dataset, dim=8, rng=0)
-        snapshot = export_snapshot(model, tiny_dataset, tmp_path)
-        exact = ExactTopKIndex(snapshot).topk(np.arange(8), k=5)
-        quant = QuantizedTopKIndex(snapshot).topk(np.arange(8), k=5)
-        # approximate, but the top item should almost always agree at dim 8
-        agree = np.mean(exact.items[:, 0] == quant.items[:, 0])
-        assert agree >= 0.5
-
-
-class TestBuildIndex:
-    def test_by_kind(self, tiny_mf_snapshot):
-        _, snapshot = tiny_mf_snapshot
-        assert isinstance(build_index(snapshot, "exact"), ExactTopKIndex)
-        assert isinstance(build_index(snapshot, "quantized"),
-                          QuantizedTopKIndex)
-        with pytest.raises(KeyError):
-            build_index(snapshot, "faiss")

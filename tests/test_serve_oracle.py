@@ -1,8 +1,8 @@
-"""Scorer × topology matrix against an independent brute-force oracle.
+"""Topology matrix against an independent brute-force oracle.
 
 The serve parity pins are pairwise (sharded == unsharded, ANN at full
-probe == exact, chunked == per-user).  This anchors them: every exact
-cell of scorer × topology × scoring × ``filter_seen`` must equal a
+probe == exact, chunked == per-user).  This anchors them: every cell
+of topology × scoring × ``filter_seen`` must equal a
 reference that shares no code with ``repro.serve`` — dense float64
 scores and a Python sort by ``(score desc, id asc)``.
 """
@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.models import MF
-from repro.serve import (ShardedTopKIndex, build_index,
+from repro.serve import (ExactTopKIndex, ShardedTopKIndex,
                          export_sharded_snapshot, export_snapshot)
 
 K = 30  # larger than one of three item shards (80 items -> 26/27 rows)
@@ -54,26 +54,14 @@ def test_every_cell_matches_the_oracle(scoring, tiny_dataset, tmp_path):
     want = {filter_seen: reference_topk(
         user_table, item_table, scoring, tiny_dataset.train_items_by_user,
         user_ids, K, filter_seen) for filter_seen in (True, False)}
-    for kind in ("exact", "quantized"):
-        indexes = {"unsharded": build_index(snapshot, kind)}
-        for n, snap in sharded.items():
-            indexes[f"{n} item shards"] = ShardedTopKIndex(snap, kind=kind,
-                                                           workers=1)
-        for filter_seen in (True, False):
-            got = {name: index.topk(user_ids, k=K, filter_seen=filter_seen)
-                   for name, index in indexes.items()}
-            for name, result in got.items():
-                cell = f"{kind} / {name} / {scoring} / seen={filter_seen}"
-                if kind == "quantized":
-                    # int8 is approximate against the oracle, but every
-                    # topology must reproduce the unsharded bits
-                    np.testing.assert_array_equal(
-                        result.items, got["unsharded"].items, err_msg=cell)
-                    np.testing.assert_array_equal(
-                        result.scores, got["unsharded"].scores, err_msg=cell)
-                    continue
-                for row, (items, scores) in enumerate(want[filter_seen]):
-                    assert result.items[row].tolist() == items, cell
-                    np.testing.assert_allclose(result.scores[row], scores,
-                                               rtol=0, atol=1e-9,
-                                               err_msg=cell)
+    indexes = {"unsharded": ExactTopKIndex(snapshot)}
+    for n, snap in sharded.items():
+        indexes[f"{n} item shards"] = ShardedTopKIndex(snap, workers=1)
+    for filter_seen in (True, False):
+        for name, index in indexes.items():
+            result = index.topk(user_ids, k=K, filter_seen=filter_seen)
+            cell = f"{name} / {scoring} / seen={filter_seen}"
+            for row, (items, scores) in enumerate(want[filter_seen]):
+                assert result.items[row].tolist() == items, cell
+                np.testing.assert_allclose(result.scores[row], scores,
+                                           rtol=0, atol=1e-9, err_msg=cell)

@@ -1,10 +1,10 @@
-"""RecommendationService: caching, micro-batching, version keying."""
+"""RecommendationService: caching, batching, version keying."""
 
 import numpy as np
 import pytest
 
-from repro.serve import (ExactTopKIndex, LRUCache, QuantizedTopKIndex,
-                         RecommendationService, load_snapshot)
+from repro.serve import (ExactTopKIndex, LRUCache, RecommendationService,
+                         load_snapshot)
 
 
 @pytest.fixture()
@@ -79,76 +79,19 @@ class TestRecommend:
         assert again.from_cache and again.items[0] != -1
 
 
-class TestMicroBatching:
-    def test_submit_defers_until_flush(self, service):
-        handles = [service.submit(u, k=5) for u in range(5)]
-        assert service.pending == 5
-        assert not any(h.done for h in handles)
-        service.flush()
-        assert service.pending == 0
-        assert all(h.done for h in handles)
-
-    def test_result_forces_flush(self, service):
-        handle = service.submit(3, k=5)
-        rec = handle.result()
-        assert rec.user_id == 3 and service.pending == 0
-
-    def test_auto_flush_at_max_batch(self, tiny_mf_snapshot):
-        _, snapshot = tiny_mf_snapshot
-        service = RecommendationService(snapshot, max_batch=4, cache_size=0)
-        handles = [service.submit(u, k=5) for u in range(4)]
-        assert all(h.done for h in handles)  # hit the threshold
-        assert service.stats.index_sweeps == 1  # one sweep for all four
-
-    def test_burst_is_batched_not_per_user(self, tiny_mf_snapshot):
-        _, snapshot = tiny_mf_snapshot
-        service = RecommendationService(snapshot, max_batch=64, cache_size=0)
-        handles = [service.submit(u, k=5) for u in range(10)]
-        results = [h.result() for h in handles]
-        assert service.stats.index_sweeps == 1
-        assert [r.user_id for r in results] == list(range(10))
-
-    def test_mixed_shapes_grouped(self, service):
-        a = service.submit(0, k=3)
-        b = service.submit(1, k=8)
-        service.flush()
-        assert len(a.result().items) == 3 and len(b.result().items) == 8
-
-    def test_micro_batch_matches_direct(self, tiny_mf_snapshot, service):
-        _, snapshot = tiny_mf_snapshot
-        direct = ExactTopKIndex(snapshot).topk([6], k=5)
-        via_queue = service.submit(6, k=5).result()
-        np.testing.assert_array_equal(via_queue.items, direct.items[0])
-
-
 class TestStatsAccounting:
     """The reconciled ServiceStats contract: ``requests`` counts client
     calls only, and every user slot lands in exactly one of
     hits/misses — so ``cache_hits + cache_misses == users_served``."""
 
-    def test_requests_counts_client_calls_only(self, service):
-        service.recommend([0, 1, 2], k=5)
-        assert service.stats.requests == 1
-        for u in range(3):
-            service.submit(u + 10, k=5)
-        assert service.stats.requests == 4
-        service.flush()
-        assert service.stats.requests == 4  # flush is not a client call
-
-    def test_auto_flush_does_not_inflate_requests(self, tiny_mf_snapshot):
+    def test_requests_counts_client_calls_only(self, tiny_mf_snapshot):
         _, snapshot = tiny_mf_snapshot
         service = RecommendationService(snapshot, max_batch=4)
-        for u in range(8):  # triggers two internal auto-flushes
-            service.submit(u, k=5)
-        assert service.stats.requests == 8
-
-    def test_mixed_shape_flush_counts_once_per_submit(self, service):
-        # One flush over two (k, filter_seen) groups used to bump
-        # `requests` once per group instead of zero times.
-        service.submit(0, k=3)
-        service.submit(1, k=8)
-        service.flush()
-        assert service.stats.requests == 2
+        service.recommend([0, 1, 2], k=5)
+        assert service.stats.requests == 1
+        service.recommend(np.arange(10, 20), k=5)  # three internal sweeps
+        assert service.stats.index_sweeps == 4
+        assert service.stats.requests == 2  # a sweep is not a client call
 
     def test_in_batch_duplicates_tally_as_hits(self, service):
         service.recommend([2, 2, 2], k=5)
@@ -230,16 +173,51 @@ class TestVersionKeying:
         with pytest.raises(ValueError, match="wraps snapshot"):
             RecommendationService(snapshot, index=ExactTopKIndex(other))
 
-    def test_quantized_index_cached_separately(self, tiny_mf_snapshot):
+    def test_ivf_index_cached_separately(self, tiny_mf_snapshot, tmp_path):
+        from repro.ann import build_ann_index
+
         _, snapshot = tiny_mf_snapshot
         cache = LRUCache(64)
         exact = RecommendationService(snapshot)
-        quant = RecommendationService(snapshot,
-                                      index=QuantizedTopKIndex(snapshot))
-        exact.cache = quant.cache = cache
+        ivf = RecommendationService(snapshot, index=build_ann_index(
+            snapshot, tmp_path, nlist=4, seed=0))
+        exact.cache = ivf.cache = cache
         exact.recommend([0], k=5)
-        quant.recommend([0], k=5)
-        assert quant.stats.cache_hits == 0  # kind is part of the key
+        ivf.recommend([0], k=5)
+        assert ivf.stats.cache_hits == 0  # kind is part of the key
+
+    def test_refresh_during_sweep_keeps_old_lists_under_old_version(
+            self, tiny_dataset, tiny_mf_snapshot, tmp_path):
+        """A refresh landing while a sweep runs must not label or cache
+        the old index's lists under the incoming version."""
+        from repro.models import MF
+        from repro.serve import export_snapshot
+
+        _, old = tiny_mf_snapshot
+        new = export_snapshot(
+            MF(tiny_dataset.num_users, tiny_dataset.num_items, dim=8,
+               rng=42), tiny_dataset, tmp_path)
+        new_index = ExactTopKIndex(new)
+
+        class RefreshingIndex:
+            """Stand-in whose sweep is overtaken by a refresh."""
+            kind = "exact"
+            snapshot = old
+
+            def topk(self, user_ids, k, filter_seen=True):
+                result = ExactTopKIndex(old).topk(user_ids, k=k,
+                                                  filter_seen=filter_seen)
+                service.refresh(new, index=new_index)
+                return result
+
+        service = RecommendationService(old, index=RefreshingIndex())
+        first = service.recommend([3], k=5)[0]
+        assert first.snapshot_version == old.version
+        again = service.recommend([3], k=5)[0]
+        assert again.snapshot_version == new.version
+        assert not again.from_cache
+        np.testing.assert_array_equal(again.items,
+                                      new_index.topk([3], k=5).items[0])
 
     def test_serving_from_disk_snapshot(self, tiny_mf_snapshot):
         """End-to-end: mmap-load the exported directory and serve."""
@@ -294,45 +272,6 @@ class TestLRUCache:
         cache.put("a", 1)
         cache.clear()
         assert len(cache) == 0 and cache.get("a") is None
-
-    def test_zero_capacity_service_submit_flush(self, tiny_mf_snapshot):
-        """cache_size=0 must not break the micro-batched path."""
-        _, snapshot = tiny_mf_snapshot
-        service = RecommendationService(snapshot, cache_size=0, max_batch=8)
-        handles = [service.submit(u, k=5) for u in range(3)]
-        service.flush()
-        assert all(h.done for h in handles)
-        assert len(service.cache) == 0
-        # A repeat of the same users sweeps again: nothing was cached.
-        service.submit(0, k=5).result()
-        assert service.stats.index_sweeps == 2
-        assert service.stats.cache_hits == 0
-
-
-class TestPendingRequestLifecycle:
-    def test_result_after_unrelated_submit_flushed(self, tiny_mf_snapshot):
-        """A handle executed by *someone else's* auto-flush must resolve
-        from its stored result, not force another flush."""
-        _, snapshot = tiny_mf_snapshot
-        service = RecommendationService(snapshot, max_batch=2, cache_size=0)
-        first = service.submit(0, k=5)
-        assert not first.done
-        service.submit(1, k=5)  # hits max_batch -> flushes both
-        assert first.done and service.pending == 0
-        rec = first.result()
-        assert rec.user_id == 0
-        assert service.stats.index_sweeps == 1  # result() swept nothing
-
-    def test_result_unaffected_by_later_pending_traffic(self,
-                                                        tiny_mf_snapshot):
-        _, snapshot = tiny_mf_snapshot
-        service = RecommendationService(snapshot, max_batch=4, cache_size=0)
-        handle = service.submit(2, k=5)
-        service.flush()
-        service.submit(3, k=5)  # unrelated, still pending
-        rec = handle.result()
-        assert rec.user_id == 2
-        assert service.pending == 1  # resolving did not flush the newcomer
 
 
 class TestLRUCacheThreadSafety:

@@ -4,10 +4,7 @@ The acceptance contract of the scatter-gather router: for every shard
 count × partition axis × placement scheme, the sharded exact path
 returns **bit-identical** items *and* scores to the unsharded
 :class:`~repro.serve.index.ExactTopKIndex` — on the paper-shaped
-``yelp2018-small`` preset, not just a toy.  The quantized per-shard
-path is pinned the same way against the unsharded quantized index
-(per-row quantization and the fixed-shape panel kernels make it exact
-too).
+``yelp2018-small`` preset, not just a toy.
 """
 
 import json
@@ -18,9 +15,9 @@ import pytest
 from repro.data import load_dataset
 from repro.losses import get_loss
 from repro.models import get_model
-from repro.serve import (ExactTopKIndex, QuantizedTopKIndex,
-                         RecommendationService, ShardedRecommendationService,
-                         ShardedTopKIndex, ShardManifest, ShardedManifest,
+from repro.serve import (ExactTopKIndex, RecommendationService,
+                         ShardedRecommendationService, ShardedTopKIndex,
+                         ShardManifest, ShardedManifest,
                          export_sharded_snapshot, export_snapshot,
                          is_sharded_snapshot, load_sharded_snapshot,
                          partition_ids)
@@ -242,17 +239,6 @@ class TestShardedParityTiny:
             np.testing.assert_array_equal(got.items, want.items)
             np.testing.assert_array_equal(got.scores, want.scores)
 
-    @pytest.mark.parametrize("strategy", STRATEGIES)
-    def test_quantized_bitwise(self, tiny_cell, tmp_path, strategy):
-        model, dataset, snapshot = tiny_cell
-        sharded = export_sharded_snapshot(model, dataset, tmp_path,
-                                          shards=3, strategy=strategy)
-        users = np.arange(dataset.num_users, dtype=np.int64)
-        want = QuantizedTopKIndex(snapshot).topk(users, k=10)
-        got = ShardedTopKIndex(sharded, kind="quantized").topk(users, k=10)
-        np.testing.assert_array_equal(got.items, want.items)
-        np.testing.assert_array_equal(got.scores, want.scores)
-
     @pytest.mark.parametrize("model_name", ["lightgcn", "simplex", "cml"])
     def test_exact_bitwise_across_scorings(self, tiny_dataset, tmp_path,
                                            model_name):
@@ -331,16 +317,6 @@ class TestShardedService:
         assert again.snapshot_version == sharded.version
         np.testing.assert_array_equal(first.items, again.items)
 
-    def test_micro_batching_inherited(self, tiny_cell, tmp_path):
-        model, dataset, _ = tiny_cell
-        sharded = export_sharded_snapshot(model, dataset, tmp_path, shards=2)
-        service = ShardedRecommendationService(sharded, max_batch=64)
-        handles = [service.submit(u, k=5) for u in range(6)]
-        assert service.pending == 6
-        results = [h.result() for h in handles]
-        assert service.pending == 0
-        assert [r.user_id for r in results] == list(range(6))
-
     def test_router_stats_accumulate(self, tiny_cell, tmp_path):
         model, dataset, _ = tiny_cell
         sharded = export_sharded_snapshot(model, dataset, tmp_path, shards=3)
@@ -360,15 +336,11 @@ class TestShardedService:
             router.topk([dataset.num_users], k=5)
         with pytest.raises(ValueError, match="chunk_users"):
             ShardedTopKIndex(sharded, chunk_users=0)
-        with pytest.raises(KeyError, match="unknown shard index kind"):
-            ShardedTopKIndex(sharded, kind="faiss")
 
     def test_kind_tags(self, tiny_cell, tmp_path):
         model, dataset, _ = tiny_cell
         sharded = export_sharded_snapshot(model, dataset, tmp_path, shards=2)
         assert ShardedTopKIndex(sharded).kind == "sharded-exact"
-        assert ShardedTopKIndex(sharded,
-                                kind="quantized").kind == "sharded-quantized"
 
 
 class TestShardedCLI:
@@ -387,18 +359,6 @@ class TestShardedCLI:
         assert rc == 0
         shown = capsys.readouterr().out
         assert "sharded-exact" in shown
-
-    def test_recommend_quantized_on_sharded(self, tmp_path, capsys):
-        from repro.cli import main
-        out = tmp_path / "sharded-snap"
-        main(["export", "--dataset", "tiny", "--model", "mf", "--loss",
-              "sl", "--epochs", "1", "--dim", "8", "--shards", "2",
-              "--out", str(out)])
-        capsys.readouterr()
-        rc = main(["recommend", "--snapshot", str(out), "--users", "0",
-                   "--index", "quantized"])
-        assert rc == 0
-        assert "sharded-quantized" in capsys.readouterr().out
 
 
 class TestConcurrentFanout:
@@ -435,18 +395,6 @@ class TestConcurrentFanout:
         finally:
             concurrent.close()
 
-    def test_quantized_bitwise_concurrent(self, tiny_cell, tiny_sharded):
-        _, dataset, snapshot = tiny_cell
-        users = np.arange(dataset.num_users, dtype=np.int64)
-        want = QuantizedTopKIndex(snapshot).topk(users, k=10)
-        router = ShardedTopKIndex(tiny_sharded, kind="quantized", workers=3)
-        try:
-            got = router.topk(users, k=10)
-        finally:
-            router.close()
-        np.testing.assert_array_equal(got.items, want.items)
-        np.testing.assert_array_equal(got.scores, want.scores)
-
     def test_ann_routed_bitwise_concurrent(self, tiny_cell, tiny_sharded,
                                            tmp_path):
         """Full-probe ANN candidates through the concurrent fan-out stay
@@ -455,7 +403,7 @@ class TestConcurrentFanout:
         _, dataset, snapshot = tiny_cell
         built = build_ann_index(snapshot, tmp_path / "ann", nlist=4, seed=0)
         users = np.arange(dataset.num_users, dtype=np.int64)
-        kwargs = dict(kind="exact", ann=built, ann_nprobe=4)
+        kwargs = dict(ann=built, ann_nprobe=4)
         want = ShardedTopKIndex(tiny_sharded, workers=1, **kwargs
                                 ).topk(users, k=10)
         router = ShardedTopKIndex(tiny_sharded, workers=2, **kwargs)
