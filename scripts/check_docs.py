@@ -2,7 +2,7 @@
 """Docs-link checker: README/docs references must not rot.
 
 Scans ``README.md``, every ``docs/*.md`` and the verify skill
-(``.claude/skills/verify/SKILL.md``) for five kinds of references and
+(``.claude/skills/verify/SKILL.md``) for six kinds of references and
 fails if any is dangling:
 
 * **Relative markdown links** — ``[text](path)`` targets that are not
@@ -23,6 +23,10 @@ fails if any is dangling:
   bench-<suite>`` and ``BENCH_<suite>.json`` mention must name a suite
   of the registry (:func:`repro.experiments.bench.suite_names`), so a
   deleted suite cannot live on in prose.
+* **API keywords** — every ``Name(..., kw=...)`` call in an inline code
+  span or a fenced block, where ``Name`` is in ``repro.serve.__all__``
+  or ``repro.ann.__all__``, must pass only keywords that ``Name``'s
+  signature has, so a deleted parameter cannot live on in an example.
 
 Run directly (``python scripts/check_docs.py``) or via
 ``scripts/verify.sh`` / ``make verify``; ``tests/test_docs.py`` runs the
@@ -40,6 +44,7 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib
+import inspect
 import pathlib
 import re
 import sys
@@ -59,6 +64,11 @@ _BENCH_SUITE = re.compile(r"\brepro(?:\.cli)?\s+bench\s+([a-z][a-z0-9-]*)\b"
 _FENCE = re.compile(r"```[a-zA-Z]*\n(.*?)```", re.DOTALL)
 _COMMAND = re.compile(r"\brepro(?:\.cli)?[ \t]+(.*)")
 _FLAG = re.compile(r"--[a-z0-9][a-z0-9-]*")
+_CALL = re.compile(r"\b([A-Za-z_]\w*)\(")
+_KEYWORD = re.compile(r"([A-Za-z_]\w*)\s*=(?!=)")
+
+#: packages whose exported callables have their documented keywords checked
+_API_MODULES = ("serve", "ann")
 
 #: shell tokens that end one command on a line (as does any ``#...``)
 _SHELL_BREAKS = {"|", "||", "&&", ";", ">", ">>"}
@@ -118,6 +128,52 @@ def cli_options() -> dict[tuple[str, ...], frozenset[str]]:
 
     walk(_repro("cli").build_parser(), ())
     return options
+
+
+@functools.cache
+def api_parameters() -> dict[str, frozenset[str]]:
+    """Parameter names of every callable ``repro.serve`` / ``repro.ann``
+    export; callables taking ``**kwargs`` accept any keyword and, like
+    those without a Python signature (builtin exceptions), are left
+    out."""
+    params = {}
+    for module in _API_MODULES:
+        mod = _repro(module)
+        for name in mod.__all__:
+            try:
+                sig = inspect.signature(getattr(mod, name))
+            except (TypeError, ValueError):
+                continue
+            if any(p.kind is p.VAR_KEYWORD for p in sig.parameters.values()):
+                continue
+            params[name] = frozenset(sig.parameters)
+    return params
+
+
+def unknown_keywords(span: str, params: dict) -> list[tuple[str, str]]:
+    """``(name, keyword)`` for each keyword of a ``Name(...)`` call in
+    ``span`` that ``Name``'s signature lacks.
+
+    Only keywords at the call's own nesting depth count: in
+    ``F(a, b=G(c=1))`` the ``c`` belongs to ``G``'s own match.
+    """
+    found = []
+    for match in _CALL.finditer(span):
+        name = match.group(1)
+        if name not in params:
+            continue
+        depth, args = 0, []
+        for char in span[match.end():]:
+            if char in "([{":
+                depth += 1
+            elif char in ")]}":
+                if depth == 0:
+                    break
+                depth -= 1
+            args.append(char if depth == 0 else " ")
+        found.extend((name, kw) for kw in _KEYWORD.findall("".join(args))
+                     if kw not in params[name])
+    return found
 
 
 def _command_spans(text: str) -> list[str]:
@@ -185,6 +241,11 @@ def check_file(path: pathlib.Path, verbs: set[str],
     for span in _command_spans(text):
         for command, flag in unknown_flags(span, cli_options()):
             problems.append(f"{rel}: `{command}` has no option `{flag}`")
+
+    code = _FENCE.findall(text) + _INLINE_CODE.findall(_FENCE.sub("", text))
+    for span in code:
+        for name, keyword in unknown_keywords(span, api_parameters()):
+            problems.append(f"{rel}: `{name}` has no parameter `{keyword}`")
 
     for match in _BENCH_SUITE.finditer(text):
         verb_suite, make_suite, file_suite = match.groups()

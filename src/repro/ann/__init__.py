@@ -25,21 +25,19 @@ scores it returns are directly comparable to
 
 :class:`IVFFlatIndex` speaks the same ``topk`` protocol as
 :class:`~repro.serve.index.ExactTopKIndex`, so it drops into
-:class:`~repro.serve.service.RecommendationService` unchanged, and
-:class:`IVFIndexData` plugs into the sharded router
-(:class:`~repro.serve.router.ShardedTopKIndex` ``ann=...``) as a
-candidate prefilter.  See ``docs/ann.md`` for the full contract.
+:class:`~repro.serve.service.RecommendationService` unchanged
+(``index=...``) on an unsharded snapshot; the sharded router always
+scores exactly.  See ``docs/ann.md`` for the full contract.
 """
 
 from repro.ann.build import (ANN_INDEX_SCHEMA, AnnManifest, build_ann_index,
-                             is_ann_index, load_ann_generator,
-                             load_ann_index, save_ann_index)
+                             is_ann_index, load_ann_index, save_ann_index)
 from repro.ann.ivf import (ANN_PANEL_WIDTH, IVFFlatIndex, IVFIndexData,
                            assign_lists, train_coarse_quantizer)
 
 __all__ = [
     "ANN_INDEX_SCHEMA", "AnnManifest", "build_ann_index", "save_ann_index",
-    "load_ann_index", "load_ann_generator", "is_ann_index",
+    "load_ann_index", "is_ann_index",
     "ANN_PANEL_WIDTH", "IVFIndexData", "IVFFlatIndex",
     "train_coarse_quantizer", "assign_lists",
 ]

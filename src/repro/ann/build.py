@@ -33,8 +33,7 @@ from repro.serve.snapshot import (EmbeddingSnapshot, _content_version,
                                   _publish_files)
 
 __all__ = ["ANN_INDEX_SCHEMA", "AnnManifest", "build_ann_index",
-           "save_ann_index", "load_ann_index", "load_ann_generator",
-           "is_ann_index"]
+           "save_ann_index", "load_ann_index", "is_ann_index"]
 
 #: Bump when the on-disk layout changes incompatibly.
 ANN_INDEX_SCHEMA = "bsl-ann-index/v1"
@@ -267,49 +266,6 @@ def load_ann_index(path, snapshot: EmbeddingSnapshot, *,
     return IVFFlatIndex(snapshot, _read_data(path, manifest, verify),
                         nprobe=manifest.default_nprobe,
                         panel_width=manifest.panel_width)
-
-
-def load_ann_generator(path, *, snapshot=None,
-                       verify: bool = False) -> IVFIndexData:
-    """Open only the candidate-generation part of an ANN index directory.
-
-    Returns the :class:`~repro.ann.ivf.IVFIndexData` (centroids +
-    inverted lists) without binding it to an unsharded snapshot — the
-    form the sharded router consumes (``ShardedTopKIndex(ann=...)``),
-    where item rows live in the shards and only candidates are needed.
-
-    Parameters
-    ----------
-    snapshot:
-        Optional snapshot-like object (unsharded or sharded) to check
-        structural compatibility against: catalogue size, embedding
-        dim and scoring must match.  A sharded snapshot's content
-        version intentionally differs from the unsharded export the
-        index was built from, so only structure is checked here — the
-        strict ``snapshot_version`` match lives in
-        :func:`load_ann_index`.
-    verify:
-        Re-hash the directory's arrays and fail loudly on any mismatch
-        with the manifest's content ``version``.
-    """
-    path = pathlib.Path(path)
-    manifest = _read_manifest(path)
-    if snapshot is not None:
-        m = snapshot.manifest
-        mismatches = [
-            (field, got, want)
-            for field, got, want in (("num_items", m.num_items,
-                                      manifest.num_items),
-                                     ("dim", m.dim, manifest.dim),
-                                     ("scoring", m.scoring,
-                                      manifest.scoring))
-            if got != want]
-        if mismatches:
-            detail = ", ".join(f"{f}: snapshot has {g!r}, index expects {w!r}"
-                               for f, g, w in mismatches)
-            raise ValueError(f"ANN index at {path} does not fit this "
-                             f"snapshot ({detail})")
-    return _read_data(path, manifest, verify)
 
 
 def is_ann_index(path) -> bool:

@@ -109,10 +109,8 @@ class IVFIndexData:
     """Centroids plus inverted lists, with the probe-planning machinery.
 
     This is the persistent part of an IVF index (what
-    :mod:`repro.ann.build` writes to disk) and the candidate generator
-    the sharded router consumes.  It holds no user or item embeddings —
-    scoring objects (:class:`IVFFlatIndex`,
-    :class:`~repro.serve.router.ShardedTopKIndex`) bring their own.
+    :mod:`repro.ann.build` writes to disk).  It holds no user or item
+    embeddings — :class:`IVFFlatIndex` brings its own.
 
     Parameters
     ----------
@@ -374,26 +372,6 @@ class IVFIndexData:
                           order[:, :pmax], self.nlist)
         probes.sort(axis=1)
         return probes
-
-    def candidates_csr(self, vectors: np.ndarray, seen_counts: np.ndarray,
-                       k: int, nprobe: int | None = None,
-                       filter_seen: bool = True, scoring: str = "inner"
-                       ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-user candidate ids, CSR layout, ascending global ids.
-
-        The candidate-generator API the sharded router consumes: row
-        ``r`` of the request block may only be served items in
-        ``ids[indptr[r]:indptr[r + 1]]`` (de-duplicated: a spilled item
-        probed through two lists appears once).
-        """
-        probes = self.plan(vectors, seen_counts, k, nprobe, filter_seen,
-                           scoring)
-        member = np.zeros((len(vectors), self.num_items), dtype=bool)
-        for c, rows, _ in _rows_by_list(probes, self.nlist):
-            member[rows[:, None], self.list_ids(c)] = True
-        indptr = np.concatenate([np.zeros(1, np.int64),
-                                 np.cumsum(member.sum(axis=1))])
-        return indptr, np.nonzero(member)[1]
 
 
 def _rows_by_list(probes: np.ndarray, nlist: int):

@@ -22,8 +22,8 @@ Subcommands:
   directory with a content-hashed manifest.
 * ``recommend`` — answer top-K requests from an exported snapshot
   (sharded directories are detected and scatter-gather-routed
-  automatically; ``--ann DIR`` serves through an IVF candidate
-  index built by ``build-ann``).
+  automatically; on an unsharded snapshot ``--ann DIR`` serves
+  through an IVF candidate index built by ``build-ann``).
 * ``delta-export`` — diff two exported snapshots into a
   content-hash-chained delta directory (:mod:`repro.serve.delta`).
 * ``apply-deltas`` — replay a delta chain onto a base snapshot and
@@ -312,24 +312,19 @@ def _cmd_recommend(args) -> int:
     Sharded snapshot directories (written by ``repro export --shards``)
     are detected automatically; the one
     :class:`~repro.serve.service.RecommendationService` serves either
-    layout.  With ``--ann DIR`` candidates come from an IVF index built
-    by ``repro build-ann`` — over-fetched per user and re-scored
-    exactly, so scores remain comparable to the exact index.
+    layout.  On an unsharded snapshot, ``--ann DIR`` takes candidates
+    from an IVF index built by ``repro build-ann`` — over-fetched per
+    user and re-scored exactly, so scores remain comparable to the
+    exact index.  ``main`` refuses ``--ann`` on a sharded snapshot.
     """
-    from repro.serve import (RecommendationService, ShardedTopKIndex,
-                             is_sharded_snapshot, load_sharded_snapshot,
-                             load_snapshot)
+    from repro.serve import (RecommendationService, is_sharded_snapshot,
+                             load_sharded_snapshot, load_snapshot)
 
     sharded = is_sharded_snapshot(args.snapshot)
     load = load_sharded_snapshot if sharded else load_snapshot
     snapshot = load(args.snapshot, verify=args.verify)
     index = None
-    if args.ann and sharded:
-        from repro.ann import load_ann_generator
-        index = ShardedTopKIndex(
-            snapshot, ann=load_ann_generator(args.ann, snapshot=snapshot,
-                                             verify=args.verify))
-    elif args.ann:
+    if args.ann:
         from repro.ann import load_ann_index
         index = load_ann_index(args.ann, snapshot, verify=args.verify)
     service = RecommendationService(snapshot, index=index)
@@ -619,8 +614,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma-separated user ids")
     recommend.add_argument("--k", type=int, default=DEFAULT_TOP_K)
     recommend.add_argument("--ann", default=None,
-                           help="serve through an IVF candidate index "
-                                "directory built by `repro build-ann`")
+                           help="serve an unsharded snapshot through an "
+                                "IVF candidate index directory built by "
+                                "`repro build-ann`")
     recommend.add_argument("--no-filter-seen", action="store_true",
                            help="keep already-interacted items in the lists")
     recommend.add_argument("--verify", action="store_true",
@@ -693,7 +689,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Parse ``argv`` (default: ``sys.argv``) and dispatch a subcommand."""
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "recommend" and args.ann:
+        from repro.serve import is_sharded_snapshot
+        if is_sharded_snapshot(args.snapshot):
+            parser.error("recommend: --ann serves unsharded snapshots; the "
+                         "sharded router scores every item shard exactly")
     handlers = {"datasets": _cmd_datasets, "train": _cmd_train,
                 "sweep-tau": _cmd_sweep_tau, "bench": _cmd_bench,
                 "export": _cmd_export,

@@ -64,7 +64,7 @@ class RouterStats(RegistryBackedStats):
     _COUNTERS = {
         "sweeps": "routed topk() sweeps",
         "users_routed": "users answered through the scatter-gather path",
-        "gather_s": "seconds gathering user rows / seen lists / candidates",
+        "gather_s": "seconds gathering user rows and seen lists",
         "score_s": "seconds in per-shard partial top-K scoring",
         "merge_s": "seconds in the k-way merge of shard partials",
         "retries": "resilient shard attempts retried after a failure",
@@ -92,18 +92,6 @@ class ShardedTopKIndex:
         unsharded index being compared against must use the same value
         (both default to 256), because the BLAS panel kernel's bit
         pattern is pinned per (chunk, panel) shape.
-    ann:
-        Optional ANN candidate generator — an
-        :class:`~repro.ann.ivf.IVFIndexData` (or an
-        :class:`~repro.ann.ivf.IVFFlatIndex`, whose ``data`` is used).
-        When set, every chunk first generates per-user candidates
-        (over-fetched so ``filter_seen`` cannot starve the top-``k``)
-        and each item shard re-scores only the candidates it owns,
-        still through its exact fixed-panel kernels.  With
-        ``nprobe == nlist`` the candidate set covers the catalogue and
-        the routed results are bit-identical to the plain sharded path.
-    ann_nprobe:
-        Probe count for the generator (default: its own default).
     workers:
         Concurrent item-shard fan-out width.  ``None`` (default) picks
         ``min(num_item_shards, cpu count)``; values ``<= 1`` score the
@@ -127,24 +115,22 @@ class ShardedTopKIndex:
         (default) keeps the fail-stop fast path: no helper threads, no
         per-call overhead, bit-parity with the unsharded index exactly
         as before.
-    **scorer_kwargs:
-        Extra arguments for the per-shard scorers (``panel_width``).
     """
 
+    #: Tag recorded in benchmarks and service cache keys.
+    kind = "sharded-exact"
+
     def __init__(self, snapshot: ShardedSnapshot,
-                 chunk_users: int = 256, ann=None,
-                 ann_nprobe: int | None = None,
+                 chunk_users: int = 256,
                  workers: int | None = None,
-                 resilience: ResilienceConfig | None = None,
-                 **scorer_kwargs):
+                 resilience: ResilienceConfig | None = None):
         if chunk_users <= 0:
             raise ValueError(f"chunk_users must be positive, got {chunk_users}")
         self.snapshot = snapshot
         self.chunk_users = chunk_users
-        self._scorer_kwargs = dict(scorer_kwargs)
         self.shard_indexes = [
-            ItemShardIndex(shard, PanelScorer(
-                shard.embeddings, snapshot.scoring, **scorer_kwargs))
+            ItemShardIndex(shard, PanelScorer(shard.embeddings,
+                                              snapshot.scoring))
             for shard in snapshot.item_shards]
         if workers is None:
             workers = min(len(self.shard_indexes), os.cpu_count() or 1)
@@ -160,46 +146,12 @@ class ShardedTopKIndex:
             self.breakers = [
                 CircuitBreaker(resilience.breaker, name=f"shard:{s}")
                 for s in range(len(self.shard_indexes))]
-        self.ann = getattr(ann, "data", ann)
-        self.ann_nprobe = ann_nprobe
-        if self.ann is not None:
-            num_items = snapshot.manifest.num_items
-            if self.ann.num_items != num_items:
-                raise ValueError(
-                    f"ANN index covers {self.ann.num_items} items but the "
-                    f"sharded snapshot has {num_items}")
-
-    @property
-    def kind(self) -> str:
-        """Tag recorded in benchmarks and service cache keys."""
-        if self.ann is not None:
-            return "sharded-exact-ann"
-        return "sharded-exact"
 
     # ------------------------------------------------------------------
-    def refreshed(self, snapshot: ShardedSnapshot,
-                  *, ann=...) -> "ShardedTopKIndex":
-        """Rebuild the router over a new sharded snapshot, same knobs.
-
-        A router configured with an ANN candidate generator must be
-        handed an updated generator explicitly (``ann=...``): the old
-        generator's posting lists reference the retired catalogue, so
-        silently reusing it would route requests through stale — and
-        for deleted items, dangling — candidate lists.  Pass
-        ``ann=None`` to drop candidate generation on refresh.
-        """
-        if ann is Ellipsis:
-            if self.ann is not None:
-                raise ValueError(
-                    "this router routes through an ANN candidate "
-                    "generator; pass an updated generator (or ann=None) "
-                    "when refreshing — the old posting lists index the "
-                    "retired catalogue")
-            ann = None
-        return type(self)(snapshot, chunk_users=self.chunk_users, ann=ann,
-                          ann_nprobe=self.ann_nprobe, workers=self.workers,
-                          resilience=self.resilience,
-                          **self._scorer_kwargs)
+    def refreshed(self, snapshot: ShardedSnapshot) -> "ShardedTopKIndex":
+        """Rebuild the router over a new sharded snapshot, same knobs."""
+        return type(self)(snapshot, chunk_users=self.chunk_users,
+                          workers=self.workers, resilience=self.resilience)
 
     # ------------------------------------------------------------------
     def topk(self, user_ids, k: int = 10,
@@ -207,9 +159,9 @@ class ShardedTopKIndex:
         """Scatter-gather ranked recommendations for a batch of users.
 
         Same semantics as
-        :meth:`repro.serve.index.ExactTopKIndex.topk`; without ANN
-        routing the result is bit-identical to the unsharded index's
-        answer for the same request.
+        :meth:`repro.serve.index.ExactTopKIndex.topk`; the result is
+        bit-identical to the unsharded index's answer for the same
+        request.
         """
         users, k, out_items, out_scores = prepare_request(
             user_ids, k, self.snapshot.manifest)
@@ -253,19 +205,10 @@ class ShardedTopKIndex:
             seen_indptr, seen_global = self.snapshot.gather_seen(chunk)
         else:
             seen_indptr, seen_global = None, None
-        if self.ann is not None:
-            seen_counts = (np.diff(seen_indptr) if filter_seen
-                           else np.zeros(len(chunk), dtype=np.int64))
-            cand_indptr, cand_global = self.ann.candidates_csr(
-                vectors, seen_counts, k, self.ann_nprobe, filter_seen,
-                self.snapshot.scoring)
-        else:
-            cand_indptr, cand_global = None, None
         t1 = time.perf_counter()
 
         def call(index):
-            return index.partial_topk(vectors, k, seen_indptr, seen_global,
-                                      cand_indptr, cand_global)
+            return index.partial_topk(vectors, k, seen_indptr, seen_global)
 
         def shard_call(s):
             # The shard is looked up when its call runs: fault harnesses
@@ -477,15 +420,10 @@ def _merge_partials(partials: list[tuple[np.ndarray, np.ndarray]],
     ``k_s = min(k, len(shard_s))`` columns, and ``k`` is clipped to the
     catalogue size upstream, so the total candidate count satisfies
     ``sum_s min(k, n_s) >= min(k, sum_s n_s) = k`` — the heap cannot
-    drain before rank ``k``.  This holds for ANN candidate routing too:
-    a shard owning fewer than ``k`` *candidates* for a user masks the
-    non-candidates to ``-inf`` but still pads its partial to ``k_s``
-    columns through the canonical ``(score desc, id asc)`` sentinel
-    order of :func:`repro.eval.metrics.rank_items`
-    (``tests/test_serve_sharded.py`` proves both cases).  A partial
-    narrower than its contract width is therefore a caller bug, and the
-    guard below fails loudly instead of raising a bare ``IndexError``
-    from an empty heap.
+    drain before rank ``k`` (``tests/test_serve_sharded.py`` proves
+    it).  A partial narrower than its contract width is therefore a
+    caller bug, and the guard below fails loudly instead of raising a
+    bare ``IndexError`` from an empty heap.
 
     **Degraded merges** are the one sanctioned exception: when the
     resilient router drops failed shards, the survivors may genuinely

@@ -368,8 +368,7 @@ class RecommendationService:
         (:func:`~repro.serve.delta.apply_deltas`).  Deltas edit the
         unsharded row tables, so a service over a sharded snapshot must
         be handed the already-resharded
-        :class:`~repro.serve.shard.ShardedSnapshot` (and, for
-        ANN-routed setups, a refreshed router via ``index=``).
+        :class:`~repro.serve.shard.ShardedSnapshot`.
         ``index`` overrides the refreshed index; by default the current
         index's ``refreshed(snapshot)`` rebuilds or updates it.
 

@@ -191,9 +191,7 @@ class ItemShardIndex:
     # ------------------------------------------------------------------
     def partial_topk(self, vectors: np.ndarray, k: int,
                      seen_indptr: np.ndarray | None = None,
-                     seen_global: np.ndarray | None = None,
-                     cand_indptr: np.ndarray | None = None,
-                     cand_global: np.ndarray | None = None
+                     seen_global: np.ndarray | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:
         """Top ``min(k, len(shard))`` local candidates per user row.
 
@@ -208,20 +206,12 @@ class ItemShardIndex:
             Optional request-batch CSR of **global** seen-item ids, one
             row per user in ``vectors``; the shard masks the subset of
             ids it owns.
-        cand_indptr, cand_global:
-            Optional request-batch CSR of **global** candidate ids (an
-            ANN prefilter): when given, each user row may only surface
-            items in its candidate set — everything else in the shard
-            is masked out before ranking.  A candidate set covering the
-            whole catalogue reduces to the unrestricted path.
 
         Returns ``(global_item_ids, scores)`` of shape ``(m, k_local)``,
         each row sorted by the canonical ``(score desc, global id asc)``
         order.
         """
         scores = self.scorer.scores(vectors, panel_scores)
-        if cand_indptr is not None:
-            self._restrict_candidates(scores, cand_indptr, cand_global)
         if seen_indptr is not None and len(seen_global):
             local_indptr, local_idx = self._localize_seen(seen_indptr,
                                                           seen_global)
@@ -231,23 +221,6 @@ class ItemShardIndex:
         top = rank_items(scores, k_local)
         top_scores = np.take_along_axis(scores, top, axis=-1)
         return self.shard.ids[top], top_scores
-
-    def _restrict_candidates(self, scores: np.ndarray,
-                             cand_indptr: np.ndarray,
-                             cand_global: np.ndarray) -> None:
-        """Mask every non-candidate shard item to ``-inf``, in place.
-
-        The shard owns an arbitrary slice of the catalogue, so each
-        user's global candidate ids are first localized
-        (:meth:`ItemShard.localize`); positions the shard does not own
-        are dropped — another shard surfaces them.
-        """
-        member, local = self.shard.localize(cand_global)
-        counts = np.diff(cand_indptr)
-        rows = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-        blocked = np.ones_like(scores, dtype=bool)
-        blocked[rows[member], local] = False
-        scores[blocked] = -np.inf
 
     def _localize_seen(self, seen_indptr: np.ndarray,
                        seen_global: np.ndarray

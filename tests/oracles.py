@@ -26,12 +26,17 @@ masks, with seeding that recomputes every distance per draw; the
 GEMM-only :func:`repro.analysis.kmeans.kmeans` must reproduce its
 labels and centroid bytes, and its ``sq_dists`` (the distance formula
 as one expression) the bytes of the buffered one.
+``ivf_candidates_csr`` is the set of items an IVF search may return: the
+postings of every list :meth:`repro.ann.ivf.IVFIndexData.plan` probes,
+through a dense ``(users, catalogue)`` membership matrix; the list-major
+:class:`repro.ann.ivf.IVFFlatIndex` must rank exactly within it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.ann.ivf import _rows_by_list
 from repro.eval import metrics as M
 from repro.eval.evaluator import EvalResult
 from repro.graph.propagation import spmm
@@ -268,3 +273,21 @@ def kmeans(x, n_clusters, n_iter=20, rng=None):
                 centroids[c] = x[farthest[empties]]
                 empties += 1
     return centroids, labels
+
+
+def ivf_candidates_csr(data, vectors, seen_counts, k, nprobe=None,
+                       filter_seen=True, scoring="inner"):
+    """Per-user candidate ids, CSR layout, ascending global ids.
+
+    Row ``r`` of the request block may only be served items in
+    ``ids[indptr[r]:indptr[r + 1]]`` (de-duplicated: a spilled item
+    probed through two lists appears once).
+    """
+    probes = data.plan(vectors, seen_counts, k, nprobe, filter_seen,
+                       scoring)
+    member = np.zeros((len(vectors), data.num_items), dtype=bool)
+    for c, rows, _ in _rows_by_list(probes, data.nlist):
+        member[rows[:, None], data.list_ids(c)] = True
+    indptr = np.concatenate([np.zeros(1, np.int64),
+                             np.cumsum(member.sum(axis=1))])
+    return indptr, np.nonzero(member)[1]

@@ -4,16 +4,15 @@ import numpy as np
 import pytest
 
 from repro.ann import (IVFFlatIndex, IVFIndexData, assign_lists,
-                       build_ann_index, is_ann_index, load_ann_generator,
-                       load_ann_index, save_ann_index,
-                       train_coarse_quantizer)
+                       build_ann_index, is_ann_index, load_ann_index,
+                       save_ann_index, train_coarse_quantizer)
 from repro.eval.metrics import overlap_at_k, rank_items
 from repro.models import get_model
 from repro.serve import (ExactTopKIndex, RecommendationService,
-                         ShardedTopKIndex, export_sharded_snapshot,
                          export_snapshot)
 from repro.serve.index import scoring_ready_users
 from repro.serve.snapshot import EmbeddingSnapshot
+from tests.oracles import ivf_candidates_csr
 
 
 @pytest.fixture(scope="module")
@@ -185,8 +184,8 @@ class TestOverFetch:
         heavy = int(np.argmax(seen_counts))
         vectors = scoring_ready_users(snapshot.users[[heavy]],
                                       snapshot.scoring)
-        indptr, ids = index.data.candidates_csr(
-            vectors, seen_counts[[heavy]], 10, 2, True)
+        indptr, ids = ivf_candidates_csr(
+            index.data, vectors, seen_counts[[heavy]], 10, 2, True)
         assert indptr[1] - indptr[0] >= 10 + seen_counts[heavy]
 
     def test_k_larger_than_candidates_expands_to_catalogue(
@@ -288,7 +287,7 @@ class TestListMajorLoop:
     """Per-list partial top-k + per-user merge against a dense oracle.
 
     The oracle is :class:`ExactTopKIndex` restricted to the ids
-    :meth:`IVFIndexData.candidates_csr` allows: every non-candidate is
+    ``tests/oracles.py::ivf_candidates_csr`` allows: every non-candidate is
     masked to ``-inf`` and the row is ranked.  The snapshot is hostile:
     three items from three different inverted lists share one embedding
     row, so their scores tie exactly across lists.
@@ -320,7 +319,8 @@ class TestListMajorLoop:
             users, k=num_items, filter_seen=filter_seen)
         dense = np.empty((len(users), num_items))
         np.put_along_axis(dense, full.items, full.scores, axis=1)
-        indptr, ids = data.candidates_csr(
+        indptr, ids = ivf_candidates_csr(
+            data,
             scoring_ready_users(snapshot.users[users], snapshot.scoring),
             np.diff(snapshot.seen_indptr)[users], k, nprobe, filter_seen,
             snapshot.scoring)
@@ -363,7 +363,8 @@ class TestListMajorLoop:
     def test_candidates_csr_ascending_and_deduplicated(self, tied):
         snapshot, by_spill = tied
         users = np.arange(snapshot.manifest.num_users, dtype=np.int64)
-        indptr, ids = by_spill[2].candidates_csr(
+        indptr, ids = ivf_candidates_csr(
+            by_spill[2],
             scoring_ready_users(snapshot.users[users], snapshot.scoring),
             np.diff(snapshot.seen_indptr)[users], 5, 2, True,
             snapshot.scoring)
@@ -410,71 +411,6 @@ class TestServiceIntegration:
         assert index.kind == "ivf"
         service = RecommendationService(snapshot, index=index)
         assert service._key(3, 10, True)[1] == "ivf"
-
-
-class TestShardedIntegration:
-    @pytest.fixture(scope="class")
-    def sharded(self, yelp_retrieval, tmp_path_factory):
-        dataset, model, _ = yelp_retrieval
-        out = tmp_path_factory.mktemp("yelp-shards")
-        return export_sharded_snapshot(model, dataset, out, shards=3)
-
-    def test_full_probe_candidates_are_invisible(self, yelp_retrieval,
-                                                 yelp_ivf, sharded):
-        """nprobe == nlist candidates cover the catalogue, so the ANN
-        prefilter is a no-op: bit-identical to the plain sharded path."""
-        dataset, _, _ = yelp_retrieval
-        _, built = yelp_ivf
-        users = np.arange(dataset.num_users, dtype=np.int64)
-        plain = ShardedTopKIndex(sharded).topk(users, k=10)
-        routed = ShardedTopKIndex(sharded, ann=built,
-                                  ann_nprobe=built.data.nlist
-                                  ).topk(users, k=10)
-        np.testing.assert_array_equal(plain.items, routed.items)
-        np.testing.assert_array_equal(plain.scores, routed.scores)
-
-    def test_sharded_ann_recall_floor(self, yelp_retrieval, yelp_ivf,
-                                      sharded):
-        dataset, _, snapshot = yelp_retrieval
-        _, built = yelp_ivf
-        users = np.arange(dataset.num_users, dtype=np.int64)
-        exact = ExactTopKIndex(snapshot).topk(users, k=10).items
-        router = ShardedTopKIndex(sharded, ann=built)
-        assert router.kind == "sharded-exact-ann"
-        recall = overlap_at_k(exact, router.topk(users, k=10).items)
-        assert recall >= 0.95
-
-    def test_sharded_ann_filters_seen(self, yelp_retrieval, yelp_ivf,
-                                      sharded):
-        dataset, _, _ = yelp_retrieval
-        _, built = yelp_ivf
-        seen_counts = np.array([len(dataset.train_items_by_user[u])
-                                for u in range(dataset.num_users)])
-        heavy = np.argsort(-seen_counts)[:10].astype(np.int64)
-        router = ShardedTopKIndex(sharded, ann=built)
-        result = router.topk(heavy, k=10)
-        assert np.all(np.isfinite(result.scores))
-        for row, user in enumerate(heavy.tolist()):
-            seen = set(dataset.train_items_by_user[user].tolist())
-            assert not seen & set(result.items[row].tolist())
-
-    def test_generator_structural_mismatch_rejected(self, yelp_ivf,
-                                                    tiny_mf_snapshot):
-        path, _ = yelp_ivf
-        _, tiny_snapshot = tiny_mf_snapshot
-        with pytest.raises(ValueError, match="does not fit"):
-            load_ann_generator(path, snapshot=tiny_snapshot)
-
-    def test_generator_verify_detects_tamper(self, yelp_retrieval,
-                                             tmp_path):
-        _, _, snapshot = yelp_retrieval
-        build_ann_index(snapshot, tmp_path, nlist=8, seed=0)
-        items = np.load(tmp_path / "list_items.npy")
-        items[:2] = items[:2][::-1]
-        np.save(tmp_path / "list_items.npy", items)
-        load_ann_generator(tmp_path)  # unverified load still works
-        with pytest.raises(ValueError, match="content hash"):
-            load_ann_generator(tmp_path, verify=True)
 
 
 class TestPersistence:
@@ -565,7 +501,7 @@ class TestPersistence:
     def test_manifest_with_pq_null_still_loads(self, tiny_mf_snapshot,
                                                tmp_path):
         """Directories written while IVF-PQ existed carry ``"pq": null``;
-        both loaders accept them, verified, and serve the same lists."""
+        the loader accepts them, verified, and serves the same lists."""
         _, snapshot = tiny_mf_snapshot
         built = build_ann_index(snapshot, tmp_path, nlist=4, spill=2, seed=0)
         self._rewrite_manifest(tmp_path, pq=None)
@@ -574,18 +510,14 @@ class TestPersistence:
         a, b = built.topk(users, k=10), loaded.topk(users, k=10)
         np.testing.assert_array_equal(a.items, b.items)
         np.testing.assert_array_equal(a.scores, b.scores)
-        data = load_ann_generator(tmp_path, snapshot=snapshot, verify=True)
-        np.testing.assert_array_equal(data.list_items, built.data.list_items)
 
     def test_ivfpq_manifest_rejected_by_both_loaders(self, tiny_mf_snapshot,
                                                      tmp_path):
         _, snapshot = tiny_mf_snapshot
         build_ann_index(snapshot, tmp_path, nlist=4, seed=0)
         self._rewrite_manifest(tmp_path, kind="ivfpq", pq={"m": 4, "ks": 8})
-        for load in (lambda: load_ann_index(tmp_path, snapshot),
-                     lambda: load_ann_generator(tmp_path, verify=True)):
-            with pytest.raises(ValueError, match="'ivfpq'.*repro build-ann"):
-                load()
+        with pytest.raises(ValueError, match="'ivfpq'.*repro build-ann"):
+            load_ann_index(tmp_path, snapshot)
 
     def test_missing_directory_reported(self, yelp_retrieval, tmp_path):
         _, _, snapshot = yelp_retrieval

@@ -6,8 +6,8 @@ Three families of checks keep the docs archetype honest:
   must parse against the *real* argparse tree (``repro.cli.build_parser``),
   so a renamed flag or verb breaks tier-1, not a user;
 * the docs-link checker (``scripts/check_docs.py``) must report zero
-  dangling file references, unknown CLI verbs or flags and
-  unregistered bench suites;
+  dangling file references, unknown CLI verbs or flags, unregistered
+  bench suites and unknown ``repro.serve`` / ``repro.ann`` keywords;
 * public CLI handlers and every public ``repro.serve`` entry point must
   carry docstrings.
 """
@@ -132,6 +132,28 @@ class TestDocsLinks:
                    for problem in problems)
         assert any("`repro bench ann` has no option `--no-pq`" in problem
                    for problem in problems)
+
+    def test_unknown_api_keyword_is_reported(self, check_docs, tmp_path):
+        """A ``repro.serve`` / ``repro.ann`` call passing a keyword its
+        signature lacks fails, inline or fenced across lines; real
+        keywords, nested calls' own keywords and unexported names pass."""
+        page = tmp_path / "page.md"
+        page.write_text(
+            "Route with `ShardedTopKIndex(sharded, ann=built)`.\n"
+            "```python\n"
+            "service = RecommendationService(\n"
+            "    snapshot, index=load_ann_index(path, snapshot, verify=True),\n"
+            "    kind=\"int8\")\n"
+            "```\n"
+            "`ShardedTopKIndex(sharded, workers=2)`, `f(x, ann=1)` and "
+            "`build_ann_index(snapshot, out, nlist=16)` are real.\n")
+        problems = check_docs.check_file(page, check_docs.cli_verbs(),
+                                         check_docs.bench_suites())
+        assert len(problems) == 2
+        assert any("`ShardedTopKIndex` has no parameter `ann`" in problem
+                   for problem in problems)
+        assert any("`RecommendationService` has no parameter `kind`"
+                   in problem for problem in problems)
 
     def test_required_docs_exist(self):
         for path in ("README.md", "docs/architecture.md",

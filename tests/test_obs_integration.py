@@ -258,6 +258,7 @@ class TestIVFTelemetry:
 
         from repro.ann import build_ann_index
         from repro.serve.index import scoring_ready_users
+        from tests.oracles import ivf_candidates_csr
 
         _, snapshot = tiny_mf_snapshot
         index = build_ann_index(snapshot, tmp_path, nlist=4,
@@ -265,8 +266,9 @@ class TestIVFTelemetry:
         assert index.kind == kind
         users = np.array([5, 0, 17, 5, 42, 3], dtype=np.int64)
         k = 5
-        # Candidate widths from the generator API the router consumes.
-        indptr, _ = index.data.candidates_csr(
+        # Candidate widths from the reference candidate generator.
+        indptr, _ = ivf_candidates_csr(
+            index.data,
             scoring_ready_users(np.asarray(snapshot.users)[users],
                                 snapshot.scoring),
             np.diff(snapshot.seen_indptr)[users], k, index.nprobe, True,

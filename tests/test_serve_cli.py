@@ -82,3 +82,23 @@ class TestRecommend:
     def test_missing_snapshot_errors(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             cli.main(["recommend", "--snapshot", str(tmp_path / "nope")])
+
+    def test_ann_on_sharded_snapshot_is_a_usage_error(self, exported,
+                                                      tmp_path, capsys):
+        """``--ann`` serves unsharded snapshots only: the sharded router
+        scores every item shard exactly, so the flag is refused."""
+        sharded = tmp_path / "sharded"
+        ann = tmp_path / "ann"
+        assert cli.main(["export", "--dataset", "tiny", "--model", "mf",
+                         "--epochs", "1", "--dim", "8", "--shards", "2",
+                         "--out", str(sharded)]) == 0
+        assert cli.main(["build-ann", "--snapshot", str(exported),
+                         "--nlist", "4", "--out", str(ann)]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["recommend", "--snapshot", str(sharded),
+                      "--ann", str(ann)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--ann serves unsharded snapshots" in err
+        assert "scores every item shard exactly" in err

@@ -395,25 +395,6 @@ class TestConcurrentFanout:
         finally:
             concurrent.close()
 
-    def test_ann_routed_bitwise_concurrent(self, tiny_cell, tiny_sharded,
-                                           tmp_path):
-        """Full-probe ANN candidates through the concurrent fan-out stay
-        bit-identical to the sequential ANN-routed path."""
-        from repro.ann import build_ann_index
-        _, dataset, snapshot = tiny_cell
-        built = build_ann_index(snapshot, tmp_path / "ann", nlist=4, seed=0)
-        users = np.arange(dataset.num_users, dtype=np.int64)
-        kwargs = dict(ann=built, ann_nprobe=4)
-        want = ShardedTopKIndex(tiny_sharded, workers=1, **kwargs
-                                ).topk(users, k=10)
-        router = ShardedTopKIndex(tiny_sharded, workers=2, **kwargs)
-        try:
-            got = router.topk(users, k=10)
-        finally:
-            router.close()
-        np.testing.assert_array_equal(got.items, want.items)
-        np.testing.assert_array_equal(got.scores, want.scores)
-
     def test_default_workers_bounded_by_cpus(self, tiny_sharded):
         import os
         router = ShardedTopKIndex(tiny_sharded)
@@ -489,47 +470,3 @@ class TestMergeUnderflow:
             result = router.topk(np.arange(4, dtype=np.int64), k=k,
                                  filter_seen=False)
             assert result.items.shape[1] == min(k, dataset.num_items)
-
-    def test_ann_starved_shard_keeps_contract_width(self, tiny_cell,
-                                                    tmp_path):
-        """A shard owning fewer than k *candidates* must still pad its
-        partial to min(k, shard_size) columns — the candidate restriction
-        masks scores to -inf, it never narrows the partial."""
-        from repro.serve.index import scoring_ready_users
-        model, dataset, _ = tiny_cell
-        sharded = export_sharded_snapshot(model, dataset, tmp_path,
-                                          shards=3)
-        router = ShardedTopKIndex(sharded)
-        shard_index = router.shard_indexes[0]
-        owned = shard_index.shard.ids
-        assert len(owned) > 2
-        vectors = scoring_ready_users(
-            sharded.gather_user_rows(np.array([0], dtype=np.int64)),
-            sharded.scoring)
-        # Candidate CSR granting this user a single item of this shard.
-        cand_indptr = np.array([0, 1], dtype=np.int64)
-        cand_global = owned[:1].astype(np.int64)
-        k = 5
-        ids, scores = shard_index.partial_topk(vectors, k,
-                                               cand_indptr=cand_indptr,
-                                               cand_global=cand_global)
-        assert ids.shape == (1, min(k, len(owned)))
-        assert ids[0, 0] == cand_global[0]       # the one real candidate
-        assert np.isfinite(scores[0, 0])
-        assert np.all(np.isinf(scores[0, 1:]))   # padding, masked to -inf
-
-    def test_ann_low_probe_routing_never_underflows(self, tiny_cell,
-                                                    tmp_path):
-        """End to end: minimal-probe candidate routing over many shards
-        still merges full-width rankings for every user."""
-        from repro.ann import build_ann_index
-        model, dataset, snapshot = tiny_cell
-        sharded = export_sharded_snapshot(model, dataset,
-                                          tmp_path / "sharded", shards=7)
-        built = build_ann_index(snapshot, tmp_path / "ann", nlist=8,
-                                default_nprobe=1, seed=0)
-        router = ShardedTopKIndex(sharded, ann=built, ann_nprobe=1)
-        users = np.arange(dataset.num_users, dtype=np.int64)
-        for filter_seen in (True, False):
-            result = router.topk(users, k=10, filter_seen=filter_seen)
-            assert result.items.shape == (dataset.num_users, 10)
