@@ -5,7 +5,7 @@
 #   make verify-slow     everything, incl. paper-figure benches
 #   make ci              strict verify, exactly what .github/workflows/ci.yml runs
 #   make bench-<suite>   regenerate one registry suite (ann, latency,
-#                        refresh, faults, scale) via `repro bench <suite>`;
+#                        faults, scale) via `repro bench <suite>`;
 #                        see repro.experiments.bench
 #   make bench-e2e       the repo benchmark declared in BENCHMARK.json: four
 #                        workloads, every end-to-end metric, answers checked
@@ -17,7 +17,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: verify verify-slow test ci docs-check bench-check bench-ann bench-latency bench-refresh bench-faults bench-scale bench-e2e bench-e2e-trace
+.PHONY: verify verify-slow test ci docs-check bench-check bench-ann bench-latency bench-faults bench-scale bench-e2e bench-e2e-trace
 
 verify: docs-check bench-check
 	$(PYTHON) -m pytest -x -q
@@ -41,9 +41,6 @@ bench-ann:
 
 bench-latency:
 	$(PYTHON) -m repro.cli bench latency --out BENCH_latency.json
-
-bench-refresh:
-	$(PYTHON) -m repro.cli bench refresh --out BENCH_refresh.json
 
 bench-scale:
 	$(PYTHON) -m repro.cli bench scale --out BENCH_scale.json

@@ -31,13 +31,13 @@ scores exactly.  See ``docs/ann.md`` for the full contract.
 """
 
 from repro.ann.build import (ANN_INDEX_SCHEMA, AnnManifest, build_ann_index,
-                             is_ann_index, load_ann_index, save_ann_index)
+                             is_ann_index, load_ann_index)
 from repro.ann.ivf import (ANN_PANEL_WIDTH, IVFFlatIndex, IVFIndexData,
                            assign_lists, train_coarse_quantizer)
 
 __all__ = [
-    "ANN_INDEX_SCHEMA", "AnnManifest", "build_ann_index", "save_ann_index",
-    "load_ann_index", "is_ann_index",
+    "ANN_INDEX_SCHEMA", "AnnManifest", "build_ann_index", "load_ann_index",
+    "is_ann_index",
     "ANN_PANEL_WIDTH", "IVFIndexData", "IVFFlatIndex",
     "train_coarse_quantizer", "assign_lists",
 ]

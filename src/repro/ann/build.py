@@ -33,7 +33,7 @@ from repro.serve.snapshot import (EmbeddingSnapshot, _content_version,
                                   _publish_files)
 
 __all__ = ["ANN_INDEX_SCHEMA", "AnnManifest", "build_ann_index",
-           "save_ann_index", "load_ann_index", "is_ann_index"]
+           "load_ann_index", "is_ann_index"]
 
 #: Bump when the on-disk layout changes incompatibly.
 ANN_INDEX_SCHEMA = "bsl-ann-index/v1"
@@ -115,44 +115,6 @@ def _ann_version(arrays: dict[str, np.ndarray], identity: tuple) -> str:
                             identity)
 
 
-def _publish(out_dir, data: IVFIndexData, snapshot: EmbeddingSnapshot, *,
-             panel_width: int, train_iters: int, seed: int) -> AnnManifest:
-    """Hash, stage and publish one index directory; returns its manifest.
-
-    Staged and published like a snapshot, so a killed rebuild leaves
-    the previous index loadable.
-    """
-    arrays = {"centroids": data.centroids,
-              "list_indptr": data.list_indptr,
-              "list_items": data.list_items}
-    m = snapshot.manifest
-    manifest = AnnManifest(
-        schema=ANN_INDEX_SCHEMA,
-        version="",
-        kind=IVFFlatIndex.kind,
-        snapshot_version=snapshot.version,
-        model=m.model,
-        dataset=m.dataset,
-        scoring=m.scoring,
-        dim=m.dim,
-        num_items=m.num_items,
-        num_users=m.num_users,
-        nlist=data.nlist,
-        spill=data.spill,
-        default_nprobe=data.default_nprobe,
-        panel_width=panel_width,
-        train_iters=train_iters,
-        seed=seed)
-    manifest = dataclasses.replace(
-        manifest, version=_ann_version(arrays, _identity(manifest)))
-    out_dir = pathlib.Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _publish_files(out_dir,
-                   {fname: arrays[name] for name, fname in _FILES.items()},
-                   manifest)
-    return manifest
-
-
 def build_ann_index(snapshot: EmbeddingSnapshot, out_dir, *,
                     nlist: int = 16, spill: int = 1,
                     default_nprobe: int = 2,
@@ -179,37 +141,42 @@ def build_ann_index(snapshot: EmbeddingSnapshot, out_dir, *,
     items_ready = scoring_ready_items(snapshot.items, snapshot.scoring)
     centroids, _ = train_coarse_quantizer(items_ready, nlist, seed=seed,
                                           n_iter=train_iters)
-    lists = assign_lists(items_ready, centroids, spill=spill)
-    list_indptr = np.concatenate(
-        [np.zeros(1, np.int64),
-         np.cumsum([len(l) for l in lists])]).astype(np.int64)
-    list_items = (np.concatenate(lists) if len(lists)
-                  else np.empty(0, np.int64)).astype(np.int64)
-    data = IVFIndexData(centroids, list_indptr, list_items,
-                        num_items=snapshot.manifest.num_items,
-                        default_nprobe=default_nprobe)
-    _publish(out_dir, data, snapshot, panel_width=panel_width,
-             train_iters=train_iters, seed=seed)
+    data = IVFIndexData.from_lists(
+        centroids, assign_lists(items_ready, centroids, spill=spill),
+        num_items=snapshot.manifest.num_items,
+        default_nprobe=default_nprobe)
+    arrays = {"centroids": data.centroids,
+              "list_indptr": data.list_indptr,
+              "list_items": data.list_items}
+    m = snapshot.manifest
+    manifest = AnnManifest(
+        schema=ANN_INDEX_SCHEMA,
+        version="",
+        kind=IVFFlatIndex.kind,
+        snapshot_version=snapshot.version,
+        model=m.model,
+        dataset=m.dataset,
+        scoring=m.scoring,
+        dim=m.dim,
+        num_items=m.num_items,
+        num_users=m.num_users,
+        nlist=data.nlist,
+        spill=data.spill,
+        default_nprobe=data.default_nprobe,
+        panel_width=panel_width,
+        train_iters=train_iters,
+        seed=seed)
+    manifest = dataclasses.replace(
+        manifest, version=_ann_version(arrays, _identity(manifest)))
+    out_dir = pathlib.Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    # Staged and published like a snapshot, so a killed rebuild leaves
+    # the previous index loadable.
+    _publish_files(out_dir,
+                   {fname: arrays[name] for name, fname in _FILES.items()},
+                   manifest)
     return IVFFlatIndex(snapshot, data, nprobe=default_nprobe,
                         panel_width=panel_width)
-
-
-def save_ann_index(index: IVFFlatIndex, out_dir) -> AnnManifest:
-    """Persist a live IVF serving index as an index directory.
-
-    The complement of :func:`build_ann_index` for indexes that were not
-    trained from scratch — typically the output of
-    :meth:`~repro.ann.ivf.IVFFlatIndex.refreshed` after a delta chain.
-    The directory round-trips through :func:`load_ann_index` against
-    the index's current snapshot.  ``train_iters`` and ``seed`` are
-    recorded as ``0``: an incrementally maintained index is a function
-    of its maintenance history, not of one k-means run.
-    """
-    if not isinstance(index, IVFFlatIndex):
-        raise TypeError(f"expected an IVF serving index, "
-                        f"got {type(index).__name__}")
-    return _publish(out_dir, index.data, index.snapshot,
-                    panel_width=index.panel_width, train_iters=0, seed=0)
 
 
 def _read_manifest(path: pathlib.Path) -> AnnManifest:

@@ -74,16 +74,6 @@ def train_coarse_quantizer(items_ready: np.ndarray, nlist: int,
                   rng=np.random.default_rng(seed))
 
 
-def _spill_owners(d: np.ndarray, spill: int) -> np.ndarray:
-    """``(n, spill)`` nearest-centroid indices per row of distances ``d``."""
-    if spill == 1:
-        return d.argmin(axis=1)[:, None]
-    part = np.argpartition(d, spill - 1, axis=1)[:, :spill]
-    order = np.take_along_axis(d, part, axis=1).argsort(
-        axis=1, kind="stable")
-    return np.take_along_axis(part, order, axis=1)
-
-
 def assign_lists(items_ready: np.ndarray, centroids: np.ndarray,
                  spill: int = 1) -> list[np.ndarray]:
     """Assign every item to its ``spill`` nearest centroids.
@@ -97,7 +87,10 @@ def assign_lists(items_ready: np.ndarray, centroids: np.ndarray,
     nlist = len(centroids)
     if not 1 <= spill <= nlist:
         raise ValueError(f"need 1 <= spill <= nlist={nlist}, got {spill}")
-    owners = _spill_owners(sq_dists(items_ready, centroids), spill)
+    d = sq_dists(items_ready, centroids)
+    # list membership needs only the set of nearest centroids, not its order
+    owners = (d.argmin(axis=1)[:, None] if spill == 1
+              else np.argpartition(d, spill - 1, axis=1)[:, :spill])
     return [np.sort(np.flatnonzero((owners == c).any(axis=1))).astype(
         np.int64) for c in range(nlist)]
 
@@ -166,6 +159,17 @@ class IVFIndexData:
         #: item -> postings CSR, built on first use
         self._item_csr: tuple | None = None
 
+    @classmethod
+    def from_lists(cls, centroids: np.ndarray, lists: list[np.ndarray],
+                   num_items: int, default_nprobe: int = 2
+                   ) -> "IVFIndexData":
+        """Pack per-list id arrays (as :func:`assign_lists` returns)."""
+        indptr = np.concatenate(
+            [np.zeros(1, np.int64), np.cumsum([len(l) for l in lists])])
+        items = (np.concatenate(lists) if len(lists)
+                 else np.empty(0, np.int64))
+        return cls(centroids, indptr, items, num_items, default_nprobe)
+
     @property
     def nlist(self) -> int:
         """Number of inverted lists (coarse-quantizer clusters)."""
@@ -203,135 +207,6 @@ class IVFIndexData:
             self._item_csr = (indptr,
                               np.argsort(self.list_items, kind="stable"))
         return self._item_csr
-
-    # ------------------------------------------------------------------
-    # Incremental maintenance (live-index refresh)
-    # ------------------------------------------------------------------
-    def updated(self, old_to_new: np.ndarray, added: np.ndarray,
-                items_ready: np.ndarray, num_items: int,
-                *, spill: int | None = None) -> "IVFIndexData":
-        """Posting-list insert/delete for one snapshot transition.
-
-        ``old_to_new`` maps every old dense item id to its new dense id
-        (``-1`` = deleted); ``added`` lists new dense ids with no old
-        counterpart; ``items_ready`` is the **new** generation's
-        scoring-ready item table (see
-        :func:`repro.serve.delta.item_transition`).  Surviving postings
-        are remapped in place — an upserted row *stays* in its old
-        lists, which is what the :meth:`staleness` meter measures —
-        deleted postings are dropped, and each added item is inserted
-        into its ``spill`` nearest centroids (default: this index's
-        spill factor).  Lists stay sorted ascending in new dense id.
-        """
-        old_to_new = np.asarray(old_to_new, dtype=np.int64)
-        if len(old_to_new) != self.num_items:
-            raise ValueError(f"old_to_new has {len(old_to_new)} entries for "
-                             f"{self.num_items} items")
-        added = np.asarray(added, dtype=np.int64)
-        items_ready = np.asarray(items_ready, dtype=np.float64)
-        if len(items_ready) != num_items:
-            raise ValueError(f"items_ready holds {len(items_ready)} rows "
-                             f"but num_items is {num_items}")
-        owner = np.repeat(np.arange(self.nlist, dtype=np.int64), self.sizes)
-        mapped = old_to_new[self.list_items]
-        keep = mapped >= 0
-        lists_all = owner[keep]
-        ids_all = mapped[keep]
-        if len(added):
-            spill = max(1, self.spill) if spill is None else int(spill)
-            spill = min(spill, self.nlist)
-            owners = _spill_owners(
-                sq_dists(items_ready[added], self.centroids), spill)
-            lists_all = np.concatenate([lists_all, owners.ravel()])
-            ids_all = np.concatenate([ids_all,
-                                      np.repeat(added, owners.shape[1])])
-        order = np.lexsort((ids_all, lists_all))
-        lists_all, ids_all = lists_all[order], ids_all[order]
-        indptr = np.concatenate([
-            np.zeros(1, np.int64),
-            np.cumsum(np.bincount(lists_all, minlength=self.nlist))])
-        data = IVFIndexData(self.centroids, indptr, ids_all, num_items,
-                            self.default_nprobe)
-        get_registry().counter(
-            "ann.ivf.incremental_updates",
-            "posting-list maintenance passes (updated())").inc()
-        return data
-
-    def staleness(self, items_ready: np.ndarray) -> float:
-        """Fraction of items whose nearest centroid no longer owns them.
-
-        An item is *fresh* if any of the lists holding it is its
-        nearest centroid (the same squared-distance geometry
-        :func:`assign_lists` uses).  A freshly built index has
-        staleness 0; churn raises it as upserted rows drift away from
-        the lists they were filed under and inserted rows pull
-        centroids nowhere — the trigger for :meth:`reclustered`.
-        """
-        if not len(self.list_items):
-            return 0.0
-        nearest = sq_dists(np.asarray(items_ready, dtype=np.float64),
-                           self.centroids).argmin(axis=1)
-        owner = np.repeat(np.arange(self.nlist, dtype=np.int64), self.sizes)
-        fresh = np.zeros(self.num_items, dtype=bool)
-        fresh[self.list_items[owner == nearest[self.list_items]]] = True
-        value = float(1.0 - fresh.sum() / self.num_items)
-        get_registry().gauge(
-            "ann.ivf.staleness",
-            "fraction of items filed away from their nearest "
-            "centroid, last measured").set(value)
-        return value
-
-    def reclustered(self, items_ready: np.ndarray, *, lists: int = 1
-                    ) -> "IVFIndexData":
-        """Partially re-cluster the ``lists`` stalest inverted lists.
-
-        Stale postings (owning list != nearest centroid) of the worst
-        offenders move to their nearest list — unless the item already
-        has a posting there, in which case it stays put so no duplicate
-        posting appears in one list — and every affected centroid
-        (drained or receiving) is re-centered on its new members.  A
-        full k-means pass is never run: cost scales with the moved
-        lists, not the catalogue.
-        """
-        items_ready = np.asarray(items_ready, dtype=np.float64)
-        nearest = sq_dists(items_ready, self.centroids).argmin(axis=1)
-        owner = np.repeat(np.arange(self.nlist, dtype=np.int64), self.sizes)
-        stale = owner != nearest[self.list_items]
-        per_list = np.bincount(owner[stale], minlength=self.nlist)
-        worst = np.argsort(-per_list, kind="stable")[:max(int(lists), 0)]
-        worst = worst[per_list[worst] > 0]
-        if not len(worst):
-            return self
-        move = stale & np.isin(owner, worst)
-        # moving a spilled item into a list that already holds it would
-        # create a duplicate posting; keep those in place
-        keys = owner * np.int64(self.num_items) + self.list_items
-        target = (nearest[self.list_items] * np.int64(self.num_items)
-                  + self.list_items)
-        move &= ~np.isin(target, keys)
-        new_owner = np.where(move, nearest[self.list_items], owner)
-        affected = np.unique(np.concatenate([worst, new_owner[move]]))
-        centroids = self.centroids.copy()
-        for c in affected:
-            members = np.unique(self.list_items[new_owner == c])
-            if len(members):
-                centroids[c] = items_ready[members].mean(axis=0)
-        order = np.lexsort((self.list_items, new_owner))
-        items_new = self.list_items[order]
-        indptr = np.concatenate([
-            np.zeros(1, np.int64),
-            np.cumsum(np.bincount(new_owner, minlength=self.nlist))])
-        data = IVFIndexData(centroids, indptr, items_new, self.num_items,
-                            self.default_nprobe)
-        registry = get_registry()
-        registry.counter(
-            "ann.ivf.reclusters",
-            "partial re-clustering passes that moved postings").inc()
-        registry.counter(
-            "ann.ivf.reclustered_lists",
-            "inverted lists drained by partial re-clustering").inc(
-            len(worst))
-        return data
 
     # ------------------------------------------------------------------
     def plan(self, vectors: np.ndarray, seen_counts: np.ndarray, k: int,
@@ -490,31 +365,24 @@ class IVFFlatIndex:
                           k=k, filtered_seen=filter_seen)
 
     # ------------------------------------------------------------------
-    def refreshed(self, snapshot: EmbeddingSnapshot, *,
-                  staleness_threshold: float | None = 0.5,
-                  recluster_lists: int = 1) -> "IVFFlatIndex":
-        """Incrementally rebuilt index serving a new snapshot generation.
+    def refreshed(self, snapshot: EmbeddingSnapshot) -> "IVFFlatIndex":
+        """This index's geometry over a new snapshot generation.
 
-        Posting lists are maintained in place from the dense-id
-        transition between the generations (deletes dropped, inserts
-        filed under their nearest centroids, upserts left in their old
-        lists); when the :meth:`IVFIndexData.staleness` meter crosses
-        ``staleness_threshold`` the ``recluster_lists`` worst lists are
-        partially re-clustered.  Pass ``staleness_threshold=None`` to
-        never re-cluster.  The original index is untouched — refresh is
-        a swap, not a mutation.
+        One :func:`assign_lists` pass files the new catalogue under the
+        existing centroids at the same spill — no k-means, and every
+        list follows its rows wherever a re-export moved them.  New
+        centroids are a :func:`~repro.ann.build.build_ann_index` away.
+        The receiver is untouched: refresh is a swap, not a mutation.
         """
-        from repro.serve.delta import item_transition
-        old_to_new, added = item_transition(self.snapshot, snapshot)
         items_ready = scoring_ready_items(np.asarray(snapshot.items),
                                           snapshot.scoring)
-        data = self.data.updated(old_to_new, added, items_ready,
-                                 snapshot.manifest.num_items)
-        if (staleness_threshold is not None
-                and data.staleness(items_ready) > staleness_threshold):
-            data = data.reclustered(items_ready, lists=recluster_lists)
-        return type(self)(snapshot, data,
-                          nprobe=min(self.nprobe, data.nlist),
+        centroids = self.data.centroids
+        data = IVFIndexData.from_lists(
+            centroids, assign_lists(items_ready, centroids,
+                                    spill=self.data.spill),
+            num_items=snapshot.manifest.num_items,
+            default_nprobe=self.data.default_nprobe)
+        return type(self)(snapshot, data, nprobe=self.nprobe,
                           chunk_users=self.chunk_users,
                           panel_width=self.panel_width)
 

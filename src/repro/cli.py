@@ -24,14 +24,11 @@ Subcommands:
   (sharded directories are detected and scatter-gather-routed
   automatically; on an unsharded snapshot ``--ann DIR`` serves
   through an IVF candidate index built by ``build-ann``).
-* ``delta-export`` — diff two exported snapshots into a
-  content-hash-chained delta directory (:mod:`repro.serve.delta`).
-* ``apply-deltas`` — replay a delta chain onto a base snapshot and
-  write the resulting snapshot (bit-identical to a fresh export of
-  the final state; see ``docs/live_index.md``).
 * ``refresh`` — demo the live swap: serve a paced request stream from
-  a base snapshot and atomically refresh to the delta-applied version
-  mid-stream, printing the swap pause and version accounting.
+  a base snapshot and atomically refresh to a re-exported snapshot
+  directory mid-stream (loaded verified; a damaged one is quarantined
+  and rejected while the base keeps serving), printing the swap pause
+  and version accounting.
 * ``metrics`` — export the process metrics registry
   (:mod:`repro.obs`) as Prometheus text or JSON; ``--demo`` drives a
   tiny train + serve workload first so every family has samples.
@@ -358,78 +355,31 @@ def _cmd_recommend(args) -> int:
     return 0
 
 
-def _cmd_delta_export(args) -> int:
-    """Diff two exported snapshots into a delta directory.
-
-    The delta's manifest chains ``base -> new`` by content version, so
-    ``apply-deltas`` can refuse out-of-order or re-based replays.
-    """
-    from repro.serve import load_snapshot
-    from repro.serve.delta import LiveState, export_delta
-
-    base = load_snapshot(args.base, verify=args.verify)
-    new = load_snapshot(args.new, verify=args.verify)
-    delta = export_delta(LiveState.from_snapshot(base),
-                         LiveState.from_snapshot(new), args.out)
-    manifest = delta.manifest
-    print_table(
-        f"delta {args.out}", ["field", "value"],
-        [["version", manifest.version],
-         ["base", manifest.base_version], ["new", manifest.new_version],
-         ["user upserts", manifest.user_upserts],
-         ["user deletes", manifest.user_deletes],
-         ["item upserts", manifest.item_upserts],
-         ["item deletes", manifest.item_deletes]], precision=0)
-    return 0
-
-
-def _cmd_apply_deltas(args) -> int:
-    """Replay a delta chain onto a base snapshot, write the result.
-
-    The written snapshot is byte-identical to a fresh export of the
-    final state (modulo the export timestamp), and each link's content
-    hash and base version are checked before any array is touched.
-    """
-    from repro.serve import load_snapshot
-    from repro.serve.delta import apply_deltas, load_delta
-
-    base = load_snapshot(args.base, verify=args.verify)
-    deltas = [load_delta(path) for path in args.deltas.split(",")]
-    snapshot = apply_deltas(base, deltas, args.out)
-    manifest = snapshot.manifest
-    print_table(
-        f"snapshot {args.out}", ["field", "value"],
-        [["version", manifest.version], ["base", base.version],
-         ["deltas applied", len(deltas)],
-         ["users", manifest.num_users], ["items", manifest.num_items],
-         ["scoring", manifest.scoring]], precision=0)
-    return 0
-
-
 def _cmd_refresh(args) -> int:
     """Demo the atomic live swap under a paced request stream.
 
     Serves ``--requests`` paced lookups from ``--snapshot`` through the
-    async runtime, applies ``--deltas`` mid-stream via
+    async runtime, swaps in the ``--new`` snapshot directory mid-stream
+    via the verified
     :meth:`~repro.serve.runtime.ServingRuntime.refresh`, and prints the
     swap accounting: every response is attributable to exactly one
-    snapshot version and none are dropped.
+    snapshot version and none are dropped.  A ``--new`` that fails its
+    verify is rejected (exit 1) while the base version keeps serving.
     """
     import time as _time
 
     import numpy as np
 
     from repro.serve import (RecommendationService, ServingRuntime,
-                             load_snapshot)
-    from repro.serve.delta import apply_deltas, load_delta
+                             SnapshotIntegrityError, load_snapshot)
 
     base = load_snapshot(args.snapshot, verify=args.verify)
-    deltas = [load_delta(path) for path in args.deltas.split(",")]
-    new = apply_deltas(base, deltas)
     service = RecommendationService(base)
     rng = np.random.default_rng(args.seed)
     users = rng.integers(0, base.manifest.num_users, size=args.requests)
     handles = []
+    rejected = None
+    invalidated = 0
     with ServingRuntime(service) as runtime:
         start = _time.perf_counter()
         for i, user in enumerate(users.tolist()):
@@ -437,14 +387,19 @@ def _cmd_refresh(args) -> int:
             if delay > 0:
                 _time.sleep(delay)
             if i == args.requests // 2:
-                invalidated = runtime.refresh(new)
+                try:
+                    invalidated = runtime.refresh(args.new)
+                except SnapshotIntegrityError as exc:
+                    rejected = exc
             handles.append(runtime.submit(int(user), k=args.k))
         results = [h.result(timeout=30.0) for h in handles]
     served = {}
     for rec in results:
         served[rec.snapshot_version] = served.get(rec.snapshot_version,
                                                   0) + 1
-    rows = [["base version", base.version], ["new version", new.version],
+    rows = [["base version", base.version],
+            ["new version", "rejected" if rejected is not None
+             else service.snapshot.version],
             ["requests", len(results)],
             ["cache entries invalidated", invalidated],
             ["swap pause ms",
@@ -453,6 +408,9 @@ def _cmd_refresh(args) -> int:
              for version, count in sorted(served.items())]
     print_table(f"live refresh of {args.snapshot}", ["field", "value"],
                 rows, precision=0)
+    if rejected is not None:
+        print(f"refresh rejected: {rejected}")
+        return 1
     return 0
 
 
@@ -625,40 +583,14 @@ def build_parser() -> argparse.ArgumentParser:
                            help="print the request's span tree "
                                 "(docs/observability.md)")
 
-    delta_export = sub.add_parser(
-        "delta-export",
-        help="diff two snapshots into a content-hash-chained delta")
-    delta_export.add_argument("--base", required=True,
-                              help="base snapshot directory")
-    delta_export.add_argument("--new", required=True,
-                              help="snapshot directory to diff against base")
-    delta_export.add_argument("--out", required=True,
-                              help="delta output directory")
-    delta_export.add_argument("--verify", action="store_true",
-                              help="check both snapshot content hashes first")
-
-    apply_deltas = sub.add_parser(
-        "apply-deltas",
-        help="replay a delta chain onto a base snapshot")
-    apply_deltas.add_argument("--base", required=True,
-                              help="base snapshot directory")
-    apply_deltas.add_argument("--deltas", required=True,
-                              help="comma-separated delta directories, "
-                                   "in chain order")
-    apply_deltas.add_argument("--out", required=True,
-                              help="snapshot output directory")
-    apply_deltas.add_argument("--verify", action="store_true",
-                              help="check the base snapshot content hash "
-                                   "first (delta hashes are always checked)")
-
     refresh = sub.add_parser(
         "refresh",
         help="demo the atomic live swap under a paced request stream")
     refresh.add_argument("--snapshot", required=True,
                          help="base snapshot directory to serve from")
-    refresh.add_argument("--deltas", required=True,
-                         help="comma-separated delta directories to apply "
-                              "mid-stream, in chain order")
+    refresh.add_argument("--new", required=True,
+                         help="re-exported snapshot directory swapped in "
+                              "mid-stream (loaded verified)")
     refresh.add_argument("--requests", type=int, default=64,
                          help="paced lookups driven through the runtime")
     refresh.add_argument("--qps", type=float, default=500.0,
@@ -700,8 +632,6 @@ def main(argv=None) -> int:
                 "sweep-tau": _cmd_sweep_tau, "bench": _cmd_bench,
                 "export": _cmd_export,
                 "build-ann": _cmd_build_ann, "recommend": _cmd_recommend,
-                "delta-export": _cmd_delta_export,
-                "apply-deltas": _cmd_apply_deltas,
                 "refresh": _cmd_refresh, "metrics": _cmd_metrics}
     return handlers[args.command](args)
 

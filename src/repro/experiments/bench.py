@@ -35,8 +35,7 @@ __all__ = ["BenchSuite", "SUITES", "suite_names", "get_suite",
 
 #: Config fields whose flag keeps a historical spelling that is not the
 #: field name (``n_negatives`` is ``--negatives``).
-FLAG_SPELLINGS = {"n_negatives": "negatives", "churn_fractions": "churn",
-                  "fault_rates": "rates"}
+FLAG_SPELLINGS = {"n_negatives": "negatives", "fault_rates": "rates"}
 
 #: Config fields argparse validates against a closed set (exit 2 on an
 #: unknown name, before anything is trained).
@@ -148,19 +147,6 @@ SUITES = {suite.name: suite for suite in (
             "latency": {"index", "offered_qps", "achieved_qps", "p50_ms",
                         "p99_ms", "shed_rate", "k", "slo_ms",
                         "mean_queue_ms", "mean_service_ms"},
-        }),
-    BenchSuite(
-        name="refresh",
-        help="sweep catalogue churn through the live-refresh path",
-        schema=perf.REFRESH_SCHEMA,
-        config=perf.RefreshPerfConfig,
-        run=perf.run_refresh_suite,
-        summarize=perf.summarize_refresh,
-        required_kinds=frozenset({"refresh"}),
-        row_fields={
-            "refresh": {"churn_fraction", "rows_changed", "delta_apply_ms",
-                        "ivf_update_ms", "ivf_rebuild_ms", "swap_pause_ms",
-                        "requests_during_swap", "errors"},
         }),
     BenchSuite(
         name="faults",

@@ -13,12 +13,7 @@ stable JSON schema:
   :class:`~repro.serve.runtime.ServingRuntime` with a paced open-loop
   load generator, sweeping offered QPS multiplicatively until
   saturation (throughput collapse or admission shedding) → the
-  p50/p99-vs-offered-load frontier of ``BENCH_latency.json``;
-* the **refresh suite** sweeps catalogue churn fractions: each level
-  builds a delta (:mod:`repro.serve.delta`), times in-memory delta
-  replay, incremental IVF maintenance vs a from-scratch rebuild, and
-  the atomic snapshot swap under live runtime traffic →
-  ``BENCH_refresh.json``.
+  p50/p99-vs-offered-load frontier of ``BENCH_latency.json``.
 
 Training step time, closed-loop serving throughput (sharded and
 unsharded, cold and cached) and telemetry overhead are measured by the
@@ -30,8 +25,6 @@ Programmatic entry points:
 * :func:`run_ann_suite` — the ANN frontier; returns the JSON payload.
 * :func:`run_latency_level` — one offered-QPS level through a runtime.
 * :func:`run_latency_suite` — the latency frontier; returns the payload.
-* :func:`run_refresh_suite` — the live-refresh churn sweep; returns the
-  payload.
 
 CLI: ``python -m repro.cli bench <suite>`` (``make bench-<suite>``), one
 flag per field of the suite's config dataclass; see
@@ -55,21 +48,17 @@ from repro.models.registry import get_model
 from repro.train.config import TrainConfig
 from repro.train.trainer import Trainer
 
-__all__ = ["ANN_SCHEMA", "LATENCY_SCHEMA", "REFRESH_SCHEMA",
-           "CLOCK_RESOLUTION_S", "clamp_elapsed",
-           "AnnPerfConfig", "LatencyPerfConfig", "RefreshPerfConfig",
+__all__ = ["ANN_SCHEMA", "LATENCY_SCHEMA", "CLOCK_RESOLUTION_S",
+           "clamp_elapsed", "AnnPerfConfig", "LatencyPerfConfig",
            "time_index_topk", "run_latency_level", "run_latency_suite",
-           "run_refresh_suite", "run_ann_suite", "write_report",
-           "summarize_ann", "summarize_latency", "summarize_refresh"]
+           "run_ann_suite", "write_report", "summarize_ann",
+           "summarize_latency"]
 
 #: Schema of the ANN recall/throughput frontier (``BENCH_ann.json``).
 ANN_SCHEMA = "bsl-ann-bench/v1"
 
 #: Schema of the latency-vs-offered-load frontier (``BENCH_latency.json``).
 LATENCY_SCHEMA = "bsl-latency-bench/v1"
-
-#: Schema of the live-refresh churn sweep (``BENCH_refresh.json``).
-REFRESH_SCHEMA = "bsl-refresh-bench/v1"
 
 #: One tick of the monotonic clock — the shortest wall-clock interval
 #: ``time.perf_counter()`` can resolve (floored at 1 ns for platforms
@@ -468,226 +457,6 @@ def summarize_latency(payload: dict) -> str:
             f"{row['achieved_qps']:>9,.0f}  p50={row['p50_ms']:.2f} ms  "
             f"p99={row['p99_ms']:.2f} ms  shed={100 * row['shed_rate']:.1f}%"
             f"  batch->{row['final_batch_size']}{flag}")
-    return "\n".join(lines)
-
-
-@dataclass
-class RefreshPerfConfig:
-    """Knobs for one live-refresh churn sweep.
-
-    One (dataset, model, loss) cell is trained and exported, an IVF
-    index is built over it, and each ``churn_fractions`` level then
-    mutates that fraction of the catalogue through the delta layer and
-    measures the three live-index costs: in-memory delta replay,
-    incremental IVF maintenance (vs a from-scratch re-cluster of the
-    same catalogue), and the atomic snapshot swap applied between
-    micro-batches while a paced request stream is in flight.
-    """
-
-    dataset: str = "yelp2018-small"
-    model: str = "mf"
-    loss: str = "bsl"
-    epochs: int = 8
-    dim: int = 64
-    k: int = 10
-    nlist: int = _flag(16, "inverted lists of the maintained index")
-    nprobe: int = 2
-    train_iters: int = 25
-    churn_fractions: tuple = _flag(
-        (0.01, 0.05, 0.2), "comma-separated fractions of the catalogue "
-                           "upserted per level (an eighth of that count is "
-                           "also deleted and re-added as new ids)")
-    repeats: int = _flag(3, "best-of timing repeats per clock")
-    requests: int = _flag(256, "paced lookups around each swap")
-    qps: float = 2000.0
-    seed: int = 0
-
-
-def _churned_state(base_state, churn_fraction: float, dim: int, rng):
-    """One churn level's worth of edits applied to a copy of ``base``.
-
-    Upserts ``churn_fraction`` of the item catalogue in place and, at an
-    eighth of that rate, deletes existing ids and inserts fresh ones —
-    so every delta kind (row change, delete, insert) appears in every
-    measured level.  Returns ``(state, rows_changed)``.
-    """
-    state = base_state.copy()
-    item_ids = np.asarray(sorted(state.items))
-    n_upserts = max(1, int(round(churn_fraction * len(item_ids))))
-    n_swaps = max(1, n_upserts // 8)
-    touched = rng.choice(item_ids, size=min(n_upserts + n_swaps,
-                                            len(item_ids)), replace=False)
-    for item in touched[:n_upserts].tolist():
-        state.upsert_item(item, rng.normal(size=dim))
-    next_id = int(item_ids[-1]) + 1
-    for item in touched[n_upserts:].tolist():
-        state.delete_item(item)
-        state.upsert_item(next_id, rng.normal(size=dim))
-        next_id += 1
-    rows_changed = n_upserts + 2 * len(touched[n_upserts:])
-    return state, rows_changed
-
-
-def _swap_under_traffic(snapshot, index, new_snapshot, new_index, *,
-                        requests: int, qps: float, k: int, seed: int) -> dict:
-    """Pace a request stream through a runtime and refresh mid-stream.
-
-    Returns the swap columns: worker-side pause, requests in flight at
-    the moment the swap was requested, completions and errors across
-    the whole stream.  Every response must carry exactly one snapshot
-    version — a torn read here is a bug, not a data point.
-    """
-    from repro.serve import RecommendationService, ServingRuntime
-
-    service = RecommendationService(snapshot, index=index, cache_size=0)
-    rng = np.random.default_rng(seed)
-    users = rng.integers(0, snapshot.manifest.num_users, size=requests)
-    errors = 0
-    handles = []
-    in_flight = 0
-    with ServingRuntime(service) as runtime:
-        start = time.perf_counter()
-        for i, user in enumerate(users.tolist()):
-            delay = start + i / qps - time.perf_counter()
-            if delay > 0:
-                time.sleep(delay)
-            if i == requests // 2:
-                in_flight = runtime.pending
-                runtime.refresh(new_snapshot, index=new_index)
-            handles.append(runtime.submit(int(user), k=k))
-        results = []
-        for handle in handles:
-            try:
-                results.append(handle.result(timeout=30.0))
-            except Exception:
-                errors += 1
-        stats = runtime.stats
-    versions = {r.snapshot_version for r in results}
-    if not versions <= {snapshot.version, new_snapshot.version}:
-        raise AssertionError(f"torn read: unknown versions {versions}")
-    return {
-        "swap_pause_ms": 1e3 * stats.refresh_s,
-        "requests_during_swap": int(in_flight),
-        "completed": int(stats.completed),
-        "errors": int(errors),
-    }
-
-
-def run_refresh_suite(config: RefreshPerfConfig | None = None) -> dict:
-    """Train, export, churn and measure the live-refresh costs.
-
-    Per churn level the row records, best of ``repeats`` where a clock
-    is involved:
-
-    * ``delta_apply_ms`` — in-memory replay of the level's delta chain
-      onto the base snapshot (:func:`repro.serve.delta.apply_deltas`);
-    * ``ivf_update_ms`` — incremental posting-list maintenance
-      (:meth:`repro.ann.ivf.IVFFlatIndex.refreshed`);
-    * ``ivf_rebuild_ms`` — from-scratch coarse-quantizer training +
-      assignment over the churned catalogue (what the update replaces);
-    * ``swap_pause_ms`` / ``requests_during_swap`` / ``errors`` — the
-      atomic swap applied between micro-batches under a paced request
-      stream.
-    """
-    from repro.ann import build_ann_index
-    from repro.ann.ivf import (IVFFlatIndex, IVFIndexData, assign_lists,
-                               train_coarse_quantizer)
-    from repro.serve import export_snapshot, load_snapshot
-    from repro.serve.delta import LiveState, apply_deltas, export_delta
-    from repro.serve.index import scoring_ready_items
-
-    config = config or RefreshPerfConfig()
-    dataset, model = _train_cell(config)
-    results = []
-    with tempfile.TemporaryDirectory() as tmp:
-        tmp = pathlib.Path(tmp)
-        export_snapshot(model, dataset, tmp / "base",
-                        model_name=config.model,
-                        extra={"loss": config.loss, "epochs": config.epochs})
-        snapshot = load_snapshot(tmp / "base")
-        base_index = build_ann_index(
-            snapshot, tmp / "ann", nlist=config.nlist,
-            default_nprobe=config.nprobe, seed=config.seed,
-            train_iters=config.train_iters)
-        base_state = LiveState.from_snapshot(snapshot)
-        rng = np.random.default_rng(config.seed)
-        for level, fraction in enumerate(config.churn_fractions):
-            state, rows_changed = _churned_state(base_state, fraction,
-                                                 config.dim, rng)
-            delta = export_delta(base_state, state,
-                                 tmp / f"delta-{level}")
-
-            apply_s = min(
-                _timed(lambda: apply_deltas(snapshot, [delta]))
-                for _ in range(config.repeats))
-            new_snapshot = apply_deltas(snapshot, [delta])
-
-            update_s = min(
-                _timed(lambda: base_index.refreshed(new_snapshot))
-                for _ in range(config.repeats))
-            new_index = base_index.refreshed(new_snapshot)
-
-            items_ready = scoring_ready_items(
-                np.asarray(new_snapshot.items), new_snapshot.scoring)
-
-            def rebuild():
-                centroids, _ = train_coarse_quantizer(
-                    items_ready, config.nlist, seed=config.seed,
-                    n_iter=config.train_iters)
-                lists = assign_lists(items_ready, centroids)
-                indptr = np.concatenate(
-                    [np.zeros(1, dtype=np.int64),
-                     np.cumsum([len(l) for l in lists])])
-                return IVFIndexData(centroids, indptr,
-                                    np.concatenate(lists),
-                                    new_snapshot.manifest.num_items,
-                                    config.nprobe)
-            rebuild_s = min(_timed(rebuild) for _ in range(config.repeats))
-
-            swap = _swap_under_traffic(
-                snapshot, IVFFlatIndex(snapshot, base_index.data,
-                                       nprobe=config.nprobe),
-                new_snapshot, new_index,
-                requests=config.requests, qps=config.qps, k=config.k,
-                seed=config.seed + level)
-            results.append({
-                "kind": "refresh",
-                "level": level,
-                "churn_fraction": float(fraction),
-                "rows_changed": int(rows_changed),
-                "delta_apply_ms": 1e3 * apply_s,
-                "ivf_update_ms": 1e3 * update_s,
-                "ivf_rebuild_ms": 1e3 * rebuild_s,
-                "update_speedup": rebuild_s / max(update_s,
-                                                  CLOCK_RESOLUTION_S),
-                "staleness": float(
-                    new_index.data.staleness(items_ready)),
-                "postings": int(len(new_index.data.list_items)),
-                **swap,
-            })
-        snapshot_version = snapshot.version
-    return _payload(REFRESH_SCHEMA, config, results,
-                    snapshot_version=snapshot_version)
-
-
-def summarize_refresh(payload: dict) -> str:
-    """Human-readable churn table for one refresh payload."""
-    lines = [f"refresh suite on {payload['dataset']} "
-             f"(schema {payload['schema']}, "
-             f"snapshot {payload['snapshot_version']})"]
-    for row in payload["results"]:
-        if row["kind"] != "refresh":
-            continue
-        lines.append(
-            f"  churn {100 * row['churn_fraction']:>5.1f}% "
-            f"({row['rows_changed']:>5} rows): "
-            f"delta {row['delta_apply_ms']:.2f} ms  "
-            f"ivf update {row['ivf_update_ms']:.2f} ms "
-            f"vs rebuild {row['ivf_rebuild_ms']:.2f} ms "
-            f"({row['update_speedup']:.1f}x)  "
-            f"swap pause {row['swap_pause_ms']:.2f} ms  "
-            f"in-flight {row['requests_during_swap']}  "
-            f"errors {row['errors']}")
     return "\n".join(lines)
 
 

@@ -17,14 +17,12 @@ item shards hold the same scorer over their own rows, so the routed
 answer is bit-identical to the single-process index (see
 ``docs/sharding.md``).
 
-Live state evolves without full re-exports through
-:mod:`repro.serve.delta`: content-hash-chained **delta snapshots**
-(:func:`~repro.serve.delta.export_delta` /
-:func:`~repro.serve.delta.apply_deltas`) capture row upserts and
-deletes against a base version, and
+A refresh is a re-export plus a swap:
 :meth:`RecommendationService.refresh` /
-:meth:`~repro.serve.runtime.ServingRuntime.refresh` swap the served
-version atomically between micro-batches (see ``docs/live_index.md``).
+:meth:`~repro.serve.runtime.ServingRuntime.refresh` take a newly
+exported snapshot (or its directory, loaded verified and quarantined
+on damage) and swap the served version atomically between
+micro-batches (see ``docs/live_index.md``).
 
 The serving path is hardened for partial failure: the sharded router
 takes a :class:`~repro.serve.resilience.ResilienceConfig` (per-shard
@@ -47,10 +45,6 @@ Typical flow (also available as ``repro export`` / ``repro recommend``)::
         print(rec.user_id, rec.items)
 """
 
-from repro.serve.delta import (DELTA_SCHEMA, Delta, DeltaManifest, DeltaOps,
-                               LiveState, apply_deltas, diff_states,
-                               export_delta, export_state, is_delta,
-                               load_delta, replay_deltas, write_delta)
 from repro.serve.faults import (FAULT_KINDS, FaultEvent, FaultPlan, FaultSpec,
                                 FaultyIndex, FaultyService, FaultyShardIndex,
                                 InjectedFault, ManualClock, corrupt_array_file)
@@ -90,9 +84,6 @@ __all__ = [
     "Recommendation", "ServiceStats", "LRUCache", "RecommendationService",
     "OverloadError", "RuntimeConfig", "RuntimeStats", "AsyncRequest",
     "ServingRuntime",
-    "DELTA_SCHEMA", "DeltaManifest", "DeltaOps", "Delta", "LiveState",
-    "diff_states", "export_delta", "write_delta", "export_state",
-    "is_delta", "load_delta", "replay_deltas", "apply_deltas",
     "SnapshotIntegrityError", "quarantine_snapshot",
     "FAULT_KINDS", "FaultSpec", "FaultEvent", "FaultPlan", "InjectedFault",
     "FaultyShardIndex", "FaultyIndex", "FaultyService", "corrupt_array_file",

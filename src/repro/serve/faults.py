@@ -26,10 +26,9 @@ and benchmark those failure domains *reproducibly*:
   :class:`FaultyService` (request-level ``recommend``).  Each numbers
   its invocations under a lock so a synchronous request stream keys the
   plan identically run over run.
-* :func:`corrupt_array_file` — deterministic bit damage for snapshot /
-  delta IO tests: flips bytes in an ``.npy`` payload (header left
-  intact) so ``load_snapshot(verify=True)`` /
-  ``load_delta(verify=True)`` must fail loudly.
+* :func:`corrupt_array_file` — deterministic bit damage for snapshot
+  IO tests: flips bytes in an ``.npy`` payload (header left intact) so
+  ``load_snapshot(verify=True)`` must fail loudly.
 * :class:`ManualClock` — a hand-advanced monotonic clock accepted by
   :class:`~repro.serve.resilience.CircuitBreaker`, so state-transition
   tests never sleep.

@@ -303,9 +303,8 @@ class ExactTopKIndex:
         """Rebuild this index over ``snapshot``, keeping tuning knobs.
 
         The exact index derives everything from the item table, so a
-        refresh is a plain reconstruction; the ANN indexes
-        override this with incremental posting-list maintenance.  The
-        returned index serves ``snapshot`` — the receiver is untouched,
+        refresh is a plain reconstruction.  The returned index serves
+        ``snapshot`` — the receiver is untouched,
         so an in-flight request on the old index is never torn.
         """
         return type(self)(snapshot, chunk_users=self.chunk_users,

@@ -464,7 +464,7 @@ class ServingRuntime:
     # ------------------------------------------------------------------
     # Live refresh
     # ------------------------------------------------------------------
-    def refresh(self, snapshot_or_deltas, *, index=None,
+    def refresh(self, snapshot, *, index=None,
                 timeout: float = 30.0) -> int:
         """Atomically swap the served snapshot between micro-batches.
 
@@ -477,8 +477,12 @@ class ServingRuntime:
         until the swap lands (or ``timeout`` seconds pass) and returns
         the number of cache entries invalidated.  With the worker
         stopped the swap runs synchronously on the caller's thread.
+        ``snapshot`` may be a directory: it is then loaded verified, and
+        a damaged one is quarantined and rejected with
+        :class:`~repro.serve.snapshot.SnapshotIntegrityError` while the
+        last-good version keeps serving.
         """
-        slot = {"args": (snapshot_or_deltas, index),
+        slot = {"args": (snapshot, index),
                 "done": threading.Event(), "error": None, "invalidated": 0}
         with self._refresh_lock:
             if self._refresh_slot is not None:
@@ -504,9 +508,9 @@ class ServingRuntime:
             started = span.start_s if span is not None \
                 else time.perf_counter()
             try:
-                snapshot_or_deltas, index = slot["args"]
+                snapshot, index = slot["args"]
                 slot["invalidated"] = self.service.refresh(
-                    snapshot_or_deltas, index=index)
+                    snapshot, index=index)
             except BaseException as exc:
                 slot["error"] = exc
         ended = span.end_s if span is not None else time.perf_counter()

@@ -356,21 +356,18 @@ class RecommendationService:
     # ------------------------------------------------------------------
     # Live refresh
     # ------------------------------------------------------------------
-    def refresh(self, snapshot_or_deltas, *, index=None) -> int:
+    def refresh(self, snapshot, *, index=None) -> int:
         """Swap in a new snapshot version; returns evicted cache entries.
 
-        ``snapshot_or_deltas`` is either a loaded snapshot of the
-        layout being served, a path to a snapshot directory (delegated
-        to :meth:`refresh_from_path`, which verifies, quarantines on
-        damage, and falls back to the current version), or — unsharded
-        only — a list of :class:`~repro.serve.delta.Delta` objects,
-        replayed in-memory against the current snapshot
-        (:func:`~repro.serve.delta.apply_deltas`).  Deltas edit the
-        unsharded row tables, so a service over a sharded snapshot must
-        be handed the already-resharded
-        :class:`~repro.serve.shard.ShardedSnapshot`.
-        ``index`` overrides the refreshed index; by default the current
-        index's ``refreshed(snapshot)`` rebuilds or updates it.
+        ``snapshot`` is a loaded snapshot of the layout being served, or
+        a path to a snapshot directory (delegated to
+        :meth:`refresh_from_path`, which verifies, quarantines on
+        damage, and falls back to the current version).  A service keeps
+        its layout for life: an unsharded service refreshes from an
+        :class:`~repro.serve.snapshot.EmbeddingSnapshot`, a sharded one
+        from a :class:`~repro.serve.shard.ShardedSnapshot`.  ``index``
+        overrides the refreshed index; by default the current index's
+        ``refreshed(snapshot)`` rebuilds it with the same knobs.
 
         The swap is atomic from a caller's point of view: snapshot and
         index move together in one assignment, so a sweep already
@@ -379,17 +376,15 @@ class RecommendationService:
         ``(version, kind)`` pairs are then evicted — entries already
         keyed to the incoming version survive.
         """
-        if isinstance(snapshot_or_deltas, (str, pathlib.Path)):
-            return self.refresh_from_path(snapshot_or_deltas, index=index)
-        snapshot = snapshot_or_deltas
-        if isinstance(self.snapshot, ShardedSnapshot):
-            if not isinstance(snapshot, ShardedSnapshot):
-                raise TypeError(
-                    "sharded services refresh from a ShardedSnapshot; apply "
-                    "deltas to the unsharded snapshot and re-shard it first")
-        elif not isinstance(snapshot, EmbeddingSnapshot):
-            from repro.serve.delta import apply_deltas
-            snapshot = apply_deltas(self.snapshot, list(snapshot))
+        if isinstance(snapshot, (str, pathlib.Path)):
+            return self.refresh_from_path(snapshot, index=index)
+        layout = (ShardedSnapshot if isinstance(self.snapshot, ShardedSnapshot)
+                  else EmbeddingSnapshot)
+        if not isinstance(snapshot, layout):
+            raise TypeError(
+                f"this service serves {layout.__name__} and refreshes only "
+                f"from that layout (or its directory); got "
+                f"{type(snapshot).__name__}")
         if index is None:
             index = self.index.refreshed(snapshot)
         if index.snapshot.version != snapshot.version:

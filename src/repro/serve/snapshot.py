@@ -181,7 +181,7 @@ def _publish_files(out_dir: pathlib.Path, arrays: dict[str, np.ndarray],
     """Crash-safe publish of ``{file name: array}`` plus ``manifest.json``.
 
     The one write sequence of every flat artifact directory (snapshot,
-    delta, ANN index): orphaned staging directories are swept, each
+    ANN index): orphaned staging directories are swept, each
     file is fully written into a fresh staging directory on the same
     filesystem, then published with :func:`_swap_in` — the manifest
     **last**, as the commit point — and the staging directory (now
@@ -352,23 +352,6 @@ def _frozen_tables(model: Recommender) -> tuple[np.ndarray, np.ndarray]:
             np.ascontiguousarray(items, dtype=np.float64))
 
 
-def _write_arrays(out_dir: pathlib.Path, manifest: SnapshotManifest,
-                  users: np.ndarray, items: np.ndarray,
-                  seen_indptr: np.ndarray, seen_items: np.ndarray) -> None:
-    """Persist the four snapshot arrays plus the manifest, crash-safely.
-
-    The single write path shared by :func:`export_snapshot` and the
-    delta-replay exporter (:func:`repro.serve.delta.export_state`), so
-    "replayed chain == fresh export" can be checked byte for byte.
-    Published through :func:`_publish_files`; an orphaned staging
-    directory left by a killed export is swept by the next one.
-    """
-    _publish_files(out_dir,
-                   {_FILES["users"]: users, _FILES["items"]: items,
-                    _FILES["seen_indptr"]: seen_indptr,
-                    _FILES["seen_items"]: seen_items}, manifest)
-
-
 def export_snapshot(model: Recommender, dataset: InteractionDataset,
                     out_dir, *, model_name: str | None = None,
                     extra: dict | None = None,
@@ -427,7 +410,12 @@ def export_snapshot(model: Recommender, dataset: InteractionDataset,
         created_unix=time.time() if created_unix is None else created_unix,
         extra=dict(extra or {}))
 
-    _write_arrays(out_dir, manifest, users, items, seen_indptr, seen_items)
+    # Published crash-safely; a killed export's staging directory is
+    # swept by the next one.
+    _publish_files(out_dir,
+                   {_FILES["users"]: users, _FILES["items"]: items,
+                    _FILES["seen_indptr"]: seen_indptr,
+                    _FILES["seen_items"]: seen_items}, manifest)
     return EmbeddingSnapshot(manifest, users, items, seen_indptr, seen_items,
                              path=out_dir)
 

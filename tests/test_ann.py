@@ -5,7 +5,7 @@ import pytest
 
 from repro.ann import (IVFFlatIndex, IVFIndexData, assign_lists,
                        build_ann_index, is_ann_index, load_ann_index,
-                       save_ann_index, train_coarse_quantizer)
+                       train_coarse_quantizer)
 from repro.eval.metrics import overlap_at_k, rank_items
 from repro.models import get_model
 from repro.serve import (ExactTopKIndex, RecommendationService,
@@ -470,24 +470,6 @@ class TestPersistence:
         (tmp_path / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="unknown fields"):
             load_ann_index(tmp_path, snapshot)
-
-    def test_saved_refresh_round_trips(self, tiny_mf_snapshot, tmp_path):
-        """``save_ann_index`` writes a refreshed index that loads,
-        verified, against its new snapshot and serves the same lists."""
-        from repro.serve.delta import LiveState, export_state
-        _, snapshot = tiny_mf_snapshot
-        state = LiveState.from_snapshot(snapshot)
-        state.delete_item(3)
-        state.upsert_item(max(state.items) + 1, np.ones(state.dim))
-        snap2 = export_state(state, tmp_path / "snap2", created_unix=1.0)
-        refreshed = build_ann_index(snapshot, tmp_path / "a", nlist=4,
-                                    seed=0).refreshed(snap2)
-        save_ann_index(refreshed, tmp_path / "b")
-        loaded = load_ann_index(tmp_path / "b", snap2, verify=True)
-        users = np.arange(snap2.manifest.num_users, dtype=np.int64)
-        a, b = refreshed.topk(users, k=10), loaded.topk(users, k=10)
-        np.testing.assert_array_equal(a.items, b.items)
-        np.testing.assert_array_equal(a.scores, b.scores)
 
     @staticmethod
     def _rewrite_manifest(path, **fields):

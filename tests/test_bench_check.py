@@ -110,9 +110,8 @@ class TestRegistryCoverage:
             assert path.name in outputs, (
                 f"{path.name} is committed but no registry suite owns it")
 
-    def test_registry_is_the_five_suites(self, capsys):
-        assert bench.suite_names() == ["ann", "latency", "refresh", "faults",
-                                       "scale"]
+    def test_registry_is_the_four_suites(self, capsys):
+        assert bench.suite_names() == ["ann", "latency", "faults", "scale"]
         with pytest.raises(SystemExit) as exc:
             cli.build_parser().parse_args(["bench", "fastpath"])
         assert exc.value.code == 2
@@ -344,14 +343,6 @@ _FLAG_SURFACE = {
             k=5, start_qps=1000.0, qps_step=4.0, max_levels=2,
             requests_per_level=40, saturation_ratio=0.5, slo_ms=20.0,
             max_queue=32, initial_batch=2, max_batch=16, window=8, seed=3)),
-    "refresh": (
-        "--dataset tiny --model lightgcn --loss sl --epochs 1 --dim 8 "
-        "--k 5 --nlist 4 --nprobe 1 --churn 0.05,0.2 --repeats 1 "
-        "--requests 32 --qps 500 --seed 3 --out x.json",
-        perf.RefreshPerfConfig(
-            dataset="tiny", model="lightgcn", loss="sl", epochs=1, dim=8,
-            k=5, nlist=4, nprobe=1, churn_fractions=(0.05, 0.2), repeats=1,
-            requests=32, qps=500.0, seed=3)),
     "faults": (
         "--dataset tiny --model lightgcn --loss sl --epochs 1 --dim 8 "
         "--k 5 --shards 2 --requests 30 --slo-ms 20 --deadline-ms 10 "
@@ -391,7 +382,7 @@ class TestFlagSurface:
         assert set(_FLAG_SURFACE) == set(bench.suite_names())
         flags = [token for line, _ in _FLAG_SURFACE.values()
                  for token in line.split() if token.startswith("--")]
-        assert len(flags) == 70
+        assert len(flags) == 56
 
     @pytest.mark.parametrize("name", sorted(_FLAG_SURFACE))
     def test_every_frozen_flag_is_accepted(self, name):
@@ -454,9 +445,6 @@ _TINY_CONFIGS = {
     "latency": perf.LatencyPerfConfig(
         dataset="tiny", epochs=1, dim=8, start_qps=1000.0, max_levels=1,
         requests_per_level=40, window=16),
-    "refresh": perf.RefreshPerfConfig(
-        dataset="tiny", epochs=1, dim=8, k=5, nlist=4, train_iters=5,
-        churn_fractions=(0.1,), repeats=1, requests=16),
     "faults": faults_perf.FaultsPerfConfig(
         dataset="tiny", epochs=1, dim=8, k=5, shards=2, requests=8,
         fault_rates=(0.0,)),

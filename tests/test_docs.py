@@ -86,7 +86,7 @@ class TestDocsLinks:
         verbs = check_docs.cli_verbs()
         assert verbs >= {"train", "export", "recommend", "bench"}
         suites = check_docs.bench_suites()
-        assert len(suites) == 5 and "fastpath" not in suites
+        assert len(suites) == 4 and "fastpath" not in suites
         files = check_docs.doc_files()
         assert REPO_ROOT / ".claude/skills/verify/SKILL.md" in files
         problems = []

@@ -1,26 +1,19 @@
-"""Live-index serving: delta chains, incremental IVF, swap-under-traffic.
+"""Live refresh: a re-exported snapshot swapped in under traffic.
 
-The churn soak drives ~200 randomized upsert/delete ops against a
-yelp2018-small snapshot and, at every commit point, pins the three
-live-index contracts end to end:
+A refresh is a re-export followed by
+:meth:`~repro.serve.service.RecommendationService.refresh` /
+:meth:`~repro.serve.runtime.ServingRuntime.refresh`.  The tests swap
+between two generations of the tiny MF cell (``tiny_mf_snapshot`` and
+its re-seeded ``tiny_mf_snapshot_next``) and pin:
 
-* **replay parity** — the delta-chain replay of the current state is
-  byte-identical (all four arrays + manifest) to a from-scratch export
-  of the same state;
-* **incremental IVF parity** — the incrementally maintained index, at
-  full probe, returns bit-identical top-K items *and scores* to an IVF
-  index freshly re-clustered over the churned catalogue (recall@10
-  within 1e-12 — in fact exactly 1);
-* **service swap invariants** — across refreshes the
-  :class:`~repro.serve.service.ServiceStats` ledger stays reconciled
-  (``hits + misses == users_served``) and the LRU never holds an entry
-  keyed to a retired snapshot version.
-
-Alongside the soak: delta-algebra property tests (composition,
-delete-then-upsert, out-of-order/wrong-base rejection), the
-runtime-concurrency test (refresh mid-stream under sustained submit
-load — no errors, no torn reads), and the poisoned-cache regressions
-for the shared panel cache and the per-index routing tables.
+* **refreshed IVF parity** — an IVF index refreshed onto the next
+  generation (its lists re-filed under the old centroids) returns, at
+  full probe, bit-identical top-K items *and scores* to a fresh build
+  over that generation, for moved rows and for a changed item count;
+* **swap under traffic** — refresh mid-stream under sustained submit
+  load: no errors, no dropped requests, no torn reads;
+* **poisoned-cache regressions** for the per-index panel cache, the
+  routing tables and the service LRU.
 """
 
 import threading
@@ -29,6 +22,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.analysis.kmeans import sq_dists
 from repro.ann import build_ann_index
 from repro.ann.ivf import (IVFFlatIndex, IVFIndexData, assign_lists,
                            train_coarse_quantizer)
@@ -36,26 +30,7 @@ from repro.data import load_dataset
 from repro.models import MF
 from repro.serve import (ExactTopKIndex, RecommendationService,
                          ServingRuntime, export_snapshot)
-from repro.serve.delta import (LiveState, apply_deltas, export_delta,
-                               export_state, replay_deltas)
 from repro.serve.index import scoring_ready_items
-
-#: every on-disk artifact of an unsharded snapshot, compared byte-wise
-SNAPSHOT_FILES = ("manifest.json", "user_embeddings.npy",
-                  "item_embeddings.npy", "seen_indptr.npy", "seen_items.npy")
-
-
-@pytest.fixture(scope="module")
-def small_dataset():
-    return load_dataset("yelp2018-small")
-
-
-@pytest.fixture(scope="module")
-def small_snapshot(small_dataset, tmp_path_factory):
-    model = MF(small_dataset.num_users, small_dataset.num_items, dim=16,
-               rng=0)
-    out = tmp_path_factory.mktemp("live-index") / "base"
-    return export_snapshot(model, small_dataset, out)
 
 
 def _fresh_ivf_data(snapshot, nlist: int, seed: int = 0) -> IVFIndexData:
@@ -63,198 +38,59 @@ def _fresh_ivf_data(snapshot, nlist: int, seed: int = 0) -> IVFIndexData:
     items_ready = scoring_ready_items(np.asarray(snapshot.items),
                                       snapshot.scoring)
     centroids, _ = train_coarse_quantizer(items_ready, nlist, seed=seed)
-    lists = assign_lists(items_ready, centroids)
-    indptr = np.concatenate([np.zeros(1, dtype=np.int64),
-                             np.cumsum([len(l) for l in lists])])
-    return IVFIndexData(centroids, indptr, np.concatenate(lists),
-                        snapshot.manifest.num_items, nlist)
+    return IVFIndexData.from_lists(centroids,
+                                   assign_lists(items_ready, centroids),
+                                   snapshot.manifest.num_items, nlist)
 
 
-def _random_op(state: LiveState, rng, next_ids: dict) -> None:
-    """One randomized churn op; keeps the state large enough to delete."""
-    item_ids = np.array(sorted(state.items))
-    user_ids = np.array(sorted(state.users))
-    roll = rng.random()
-    if roll < 0.35:
-        state.upsert_item(int(rng.choice(item_ids)),
-                          rng.normal(size=state.dim))
-    elif roll < 0.50:
-        state.upsert_item(next_ids["item"], rng.normal(size=state.dim))
-        next_ids["item"] += 1
-    elif roll < 0.65:
-        seen = rng.choice(item_ids, size=min(6, len(item_ids)),
-                          replace=False)
-        state.upsert_user(int(rng.choice(user_ids)),
-                          rng.normal(size=state.dim), np.sort(seen))
-    elif roll < 0.75:
-        seen = rng.choice(item_ids, size=min(3, len(item_ids)),
-                          replace=False)
-        state.upsert_user(next_ids["user"], rng.normal(size=state.dim),
-                          np.sort(seen))
-        next_ids["user"] += 1
-    elif roll < 0.90 and len(item_ids) > 32:
-        state.delete_item(int(rng.choice(item_ids)))
-    elif len(user_ids) > 32:
-        state.delete_user(int(rng.choice(user_ids)))
-    else:
-        state.upsert_item(int(rng.choice(item_ids)),
-                          rng.normal(size=state.dim))
-
-
-class TestChurnSoak:
-    SOAK_OPS = 200
-    COMMIT_EVERY = 25
-    NLIST = 10
+class TestRefreshedIVF:
+    NLIST = 8
     K = 10
 
-    def test_soak_replay_ivf_and_service_invariants(self, small_snapshot,
-                                                    tmp_path):
-        base = small_snapshot
-        rng = np.random.default_rng(42)
-        prev = LiveState.from_snapshot(base)
-        state = prev.copy()
-        next_ids = {"item": base.manifest.num_items,
-                    "user": base.manifest.num_users}
-        chain = []
-        inc_index = build_ann_index(base, tmp_path / "ann",
-                                    nlist=self.NLIST, default_nprobe=2,
-                                    seed=0)
-        service = RecommendationService(base, cache_size=128)
-        for op in range(self.SOAK_OPS):
-            _random_op(state, rng, next_ids)
-            if (op + 1) % self.COMMIT_EVERY:
-                continue
-            commit = len(chain)
-            chain.append(export_delta(prev, state,
-                                      tmp_path / f"delta-{commit}"))
-            prev = state.copy()
+    @pytest.mark.parametrize("generation", ["moved-rows", "new-catalogue"])
+    def test_full_probe_matches_fresh_build(self, generation,
+                                            tiny_mf_snapshot,
+                                            tiny_mf_snapshot_next, tmp_path):
+        """Refreshing files the new rows under the old centroids, at the
+        old spill; at full probe that answers exactly like a fresh build,
+        and no item is left outside its nearest list."""
+        _, snap_a = tiny_mf_snapshot
+        if generation == "moved-rows":
+            _, snap_b = tiny_mf_snapshot_next
+        else:
+            dataset = load_dataset("ml1m-small")
+            snap_b = export_snapshot(
+                MF(dataset.num_users, dataset.num_items, dim=8, rng=2),
+                dataset, tmp_path / "b")
+            assert snap_b.manifest.num_items != snap_a.manifest.num_items
+        old = build_ann_index(snap_a, tmp_path / "a", nlist=self.NLIST,
+                              spill=2, default_nprobe=self.NLIST, seed=0)
+        refreshed = old.refreshed(snap_b)
+        fresh = build_ann_index(snap_b, tmp_path / "fresh", nlist=self.NLIST,
+                                spill=2, default_nprobe=self.NLIST, seed=0)
+        assert refreshed.snapshot is snap_b
+        assert refreshed.nprobe == self.NLIST
+        assert refreshed.data.spill == old.data.spill == 2
+        np.testing.assert_array_equal(refreshed.data.centroids,
+                                      old.data.centroids)
+        users = np.arange(snap_b.manifest.num_users)
+        got = refreshed.topk(users, k=self.K)
+        want = fresh.topk(users, k=self.K)
+        np.testing.assert_array_equal(got.items, want.items)
+        np.testing.assert_array_equal(got.scores, want.scores)
 
-            # -- replay parity: chain replay == from-scratch export, bytes
-            replay_dir = tmp_path / f"replay-{commit}"
-            scratch_dir = tmp_path / f"scratch-{commit}"
-            snap = apply_deltas(base, chain, replay_dir, created_unix=123.0)
-            export_state(state, scratch_dir, created_unix=123.0)
-            for fname in SNAPSHOT_FILES:
-                assert (replay_dir / fname).read_bytes() \
-                    == (scratch_dir / fname).read_bytes(), \
-                    f"{fname} diverged at commit {commit}"
-
-            # -- incremental IVF == fresh re-cluster at full probe
-            inc_index = inc_index.refreshed(snap, staleness_threshold=0.4,
-                                            recluster_lists=2)
-            assert inc_index.snapshot.version == snap.version
-            users = np.arange(min(48, snap.manifest.num_users))
-            inc_full = IVFFlatIndex(snap, inc_index.data,
-                                    nprobe=inc_index.data.nlist)
-            fresh_full = IVFFlatIndex(snap,
-                                      _fresh_ivf_data(snap, self.NLIST),
-                                      nprobe=self.NLIST)
-            got = inc_full.topk(users, k=self.K)
-            want = fresh_full.topk(users, k=self.K)
-            recall = np.mean([len(np.intersect1d(g, w)) / self.K
-                              for g, w in zip(got.items, want.items)])
-            assert recall >= 1.0 - 1e-12
-            np.testing.assert_array_equal(got.items, want.items)
-            np.testing.assert_array_equal(got.scores, want.scores)
-
-            # -- service swap: stats ledger + LRU version hygiene
-            service.recommend(users[:24], k=5)
-            service.refresh(snap)
-            stats = service.stats
-            assert stats.cache_hits + stats.cache_misses \
-                == stats.users_served
-            assert len(service.cache) <= service.cache.capacity
-            assert all(key[0] == snap.version
-                       for key in service.cache._data)
-            rec = service.recommend_one(0, k=5)
-            assert rec.snapshot_version == snap.version
-        assert service.stats.refreshes == len(chain)
-        assert len(chain) == self.SOAK_OPS // self.COMMIT_EVERY
-
-
-class TestDeltaAlgebra:
-    @pytest.fixture()
-    def base_state(self, tiny_mf_snapshot):
-        _, snapshot = tiny_mf_snapshot
-        return LiveState.from_snapshot(snapshot)
-
-    def _churn(self, state, seed):
-        rng = np.random.default_rng(seed)
-        out = state.copy()
-        out.upsert_item(0, rng.normal(size=out.dim))
-        out.upsert_item(max(out.items) + 1, rng.normal(size=out.dim))
-        out.delete_item(sorted(out.items)[3 + seed])
-        out.upsert_user(1, rng.normal(size=out.dim), [0, 5])
-        return out
-
-    def test_chain_composes(self, base_state, tmp_path):
-        """apply(base, [d1, d2]) == apply(apply(base, [d1]), [d2])."""
-        s1 = self._churn(base_state, 1)
-        s2 = self._churn(s1, 2)
-        d1 = export_delta(base_state, s1, tmp_path / "d1")
-        d2 = export_delta(s1, s2, tmp_path / "d2")
-        chained = apply_deltas(
-            snapshot_of(base_state), [d1, d2], created_unix=1.0)
-        mid = apply_deltas(snapshot_of(base_state), [d1], created_unix=1.0)
-        stepped = apply_deltas(mid, [d2], created_unix=1.0)
-        assert chained.version == stepped.version == s2.version()
-        np.testing.assert_array_equal(np.asarray(chained.items),
-                                      np.asarray(stepped.items))
-        np.testing.assert_array_equal(np.asarray(chained.users),
-                                      np.asarray(stepped.users))
-
-    def test_delete_then_upsert_equals_upsert(self, base_state):
-        row = np.full(base_state.dim, 0.5)
-        fresh_item = max(base_state.items) + 1
-
-        a = base_state.copy()
-        a.upsert_item(fresh_item, np.ones(base_state.dim))
-        a.delete_item(fresh_item)
-        a.upsert_item(fresh_item, row)
-        b = base_state.copy()
-        b.upsert_item(fresh_item, row)
-        assert a.version() == b.version()
-
-        a = base_state.copy()
-        a.delete_user(2)
-        a.upsert_user(2, row, [0, 1])
-        b = base_state.copy()
-        b.upsert_user(2, row, [0, 1])
-        assert a.version() == b.version()
-
-    def test_out_of_order_chain_rejected(self, base_state, tmp_path):
-        s1 = self._churn(base_state, 1)
-        s2 = self._churn(s1, 2)
-        d1 = export_delta(base_state, s1, tmp_path / "d1")
-        d2 = export_delta(s1, s2, tmp_path / "d2")
-        with pytest.raises(ValueError, match="chain broken at position 0"):
-            replay_deltas(base_state, [d2, d1])
-
-    def test_wrong_base_rejected(self, base_state, tmp_path):
-        s1 = self._churn(base_state, 1)
-        s2 = self._churn(s1, 2)
-        d2 = export_delta(s1, s2, tmp_path / "d2")
-        with pytest.raises(ValueError, match="chain broken"):
-            replay_deltas(base_state, [d2])
-
-    def test_unchanged_user_not_reexported(self, base_state, tmp_path):
-        """Item deletion alone must not re-upsert seen-list-only users."""
-        changed = base_state.copy()
-        changed.delete_item(0)
-        delta = export_delta(base_state, changed, tmp_path / "d")
-        assert delta.manifest.item_deletes == 1
-        assert delta.manifest.user_upserts == 0  # scrub is implied
-
-
-def snapshot_of(state: LiveState):
-    """In-memory snapshot of a state (timestamp pinned for parity)."""
-    from repro.serve.delta import snapshot_from_state
-    return snapshot_from_state(state, created_unix=1.0)
+        items_ready = scoring_ready_items(np.asarray(snap_b.items),
+                                          snap_b.scoring)
+        nearest = sq_dists(items_ready,
+                           refreshed.data.centroids).argmin(axis=1)
+        for c in range(self.NLIST):
+            members = refreshed.data.list_ids(c)
+            assert set(np.flatnonzero(nearest == c)) <= set(members)
 
 
 class TestRefreshUnderTraffic:
     def test_no_errors_no_torn_reads(self, tiny_dataset, tiny_mf_snapshot,
-                                     tmp_path):
+                                     tiny_mf_snapshot_next):
         """Sustained submit load across swaps: every response is whole.
 
         A pumper thread submits continuously while the main thread
@@ -265,11 +101,7 @@ class TestRefreshUnderTraffic:
         drop a request.
         """
         _, snap_a = tiny_mf_snapshot
-        rng = np.random.default_rng(0)
-        state = LiveState.from_snapshot(snap_a)
-        for iid in list(state.items)[:16]:
-            state.upsert_item(iid, rng.normal(size=state.dim))
-        snap_b = export_state(state, tmp_path / "b", created_unix=1.0)
+        _, snap_b = tiny_mf_snapshot_next
 
         k = 5
         n_users = tiny_dataset.num_users
@@ -318,11 +150,9 @@ class TestRefreshUnderTraffic:
         assert runtime.breakdown()["refresh_ms"] == 0.0
 
     def test_stopped_runtime_refreshes_synchronously(self, tiny_mf_snapshot,
-                                                     tmp_path):
+                                                     tiny_mf_snapshot_next):
         _, snap_a = tiny_mf_snapshot
-        state = LiveState.from_snapshot(snap_a)
-        state.upsert_item(0, np.ones(state.dim))
-        snap_b = export_state(state, tmp_path / "b", created_unix=1.0)
+        _, snap_b = tiny_mf_snapshot_next
         runtime = ServingRuntime(RecommendationService(snap_a))
         runtime.refresh(snap_b)
         assert runtime.service.snapshot.version == snap_b.version
@@ -331,17 +161,11 @@ class TestRefreshUnderTraffic:
 class TestPoisonedCacheRegressions:
     """A snapshot swap must never serve content keyed to the old version."""
 
-    def _generations(self, tiny_mf_snapshot, tmp_path):
-        _, snap_a = tiny_mf_snapshot
-        state = LiveState.from_snapshot(snap_a)
-        for iid in list(state.items)[:24]:
-            # scaling flips cosine rankings without changing shapes
-            state.upsert_item(iid, np.asarray(state.items[iid]) * -2.0)
-        snap_b = export_state(state, tmp_path / "gen-b", created_unix=1.0)
-        return snap_a, snap_b
+    @pytest.fixture()
+    def generations(self, tiny_mf_snapshot, tiny_mf_snapshot_next):
+        return tiny_mf_snapshot[1], tiny_mf_snapshot_next[1]
 
-    def test_shared_panel_cache_keyed_by_generation(self, tiny_mf_snapshot,
-                                                    tmp_path):
+    def test_shared_panel_cache_keyed_by_generation(self, generations):
         """One IVFIndexData serving two snapshot generations stays correct.
 
         Panels once lived on the shared ``IVFIndexData``, keyed only on
@@ -349,7 +173,7 @@ class TestPoisonedCacheRegressions:
         rows and serve stale scores.  They now belong to the serving
         index, so sharing the index data shares no item row.
         """
-        snap_a, snap_b = self._generations(tiny_mf_snapshot, tmp_path)
+        snap_a, snap_b = generations
         shared = _fresh_ivf_data(snap_a, nlist=8)
         users = np.arange(snap_a.manifest.num_users)
         # serve generation A's rows first, through the same index data
@@ -359,25 +183,21 @@ class TestPoisonedCacheRegressions:
         np.testing.assert_array_equal(got.items, want.items)
         np.testing.assert_array_equal(got.scores, want.scores)
 
-    def test_routing_tables_keyed_by_snapshot_version(self, tiny_mf_snapshot,
-                                                      tmp_path):
+    def test_routing_tables_keyed_by_snapshot_version(self, generations):
         """A refreshed index never answers through generation A's probes."""
-        snap_a, snap_b = self._generations(tiny_mf_snapshot, tmp_path)
+        snap_a, snap_b = generations
         index = IVFFlatIndex(snap_a, _fresh_ivf_data(snap_a, nlist=8),
                              nprobe=2)
         users = np.arange(16)
         index.topk(users, k=5)
-        got = index.refreshed(snap_b, staleness_threshold=None).topk(users,
-                                                                     k=5)
-        want = IVFFlatIndex(snap_b, _fresh_ivf_data(snap_a, nlist=8),
-                            nprobe=2).topk(users, k=5)
+        got = index.refreshed(snap_b).topk(users, k=5)
+        want = IVFFlatIndex(snap_a, _fresh_ivf_data(snap_a, nlist=8),
+                            nprobe=2).refreshed(snap_b).topk(users, k=5)
         np.testing.assert_array_equal(got.items, want.items)
         np.testing.assert_array_equal(got.scores, want.scores)
 
-    def test_service_lru_never_serves_retired_version(self,
-                                                      tiny_mf_snapshot,
-                                                      tmp_path):
-        snap_a, snap_b = self._generations(tiny_mf_snapshot, tmp_path)
+    def test_service_lru_never_serves_retired_version(self, generations):
+        snap_a, snap_b = generations
         users = list(range(12))
         service = RecommendationService(snap_a, cache_size=64)
         service.recommend(users, k=5)
@@ -394,9 +214,8 @@ class TestPoisonedCacheRegressions:
             np.testing.assert_array_equal(got_rec.items, want_rec.items)
             np.testing.assert_array_equal(got_rec.scores, want_rec.scores)
 
-    def test_refresh_rejects_mismatched_index(self, tiny_mf_snapshot,
-                                              tmp_path):
-        snap_a, snap_b = self._generations(tiny_mf_snapshot, tmp_path)
+    def test_refresh_rejects_mismatched_index(self, generations):
+        snap_a, snap_b = generations
         service = RecommendationService(snap_a)
         with pytest.raises(ValueError, match="wraps snapshot"):
             service.refresh(snap_b, index=ExactTopKIndex(snap_a))

@@ -1,4 +1,4 @@
-"""The ``repro export`` / ``repro recommend`` CLI round-trip."""
+"""The ``repro export`` / ``repro recommend`` / ``repro refresh`` CLI."""
 
 import json
 
@@ -102,3 +102,50 @@ class TestRecommend:
         err = capsys.readouterr().err
         assert "--ann serves unsharded snapshots" in err
         assert "scores every item shard exactly" in err
+
+
+class TestRefresh:
+    """``repro refresh`` swaps a re-exported snapshot in mid-stream."""
+
+    @staticmethod
+    def _served(out: str) -> dict[str, int]:
+        """``{version: responses}`` from the ``served by`` table rows."""
+        served = {}
+        for line in out.splitlines():
+            if line.startswith("served by "):
+                version, count = line[len("served by "):].split("|")
+                served[version.strip()] = int(count)
+        return served
+
+    def test_swaps_to_new_snapshot_mid_stream(self, tiny_mf_snapshot,
+                                              tiny_mf_snapshot_next, capsys):
+        _, base = tiny_mf_snapshot
+        _, new = tiny_mf_snapshot_next
+        rc = cli.main(["refresh", "--snapshot", str(base.path),
+                       "--new", str(new.path), "--requests", "32",
+                       "--qps", "2000", "--verify"])
+        assert rc == 0
+        served = self._served(capsys.readouterr().out)
+        assert set(served) <= {base.version, new.version}
+        assert new.version in served
+        assert sum(served.values()) == 32
+
+    def test_corrupted_new_is_rejected_and_base_keeps_serving(
+            self, tiny_mf_snapshot, tiny_mf_snapshot_next, tmp_path,
+            capsys):
+        import shutil
+
+        from repro.serve import corrupt_array_file
+        _, base = tiny_mf_snapshot
+        _, new = tiny_mf_snapshot_next
+        damaged = tmp_path / "new"
+        shutil.copytree(new.path, damaged)
+        corrupt_array_file(damaged / "item_embeddings.npy")
+        rc = cli.main(["refresh", "--snapshot", str(base.path),
+                       "--new", str(damaged), "--requests", "32",
+                       "--qps", "2000"])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "refresh rejected" in out
+        assert self._served(out) == {base.version: 32}
+        assert not damaged.exists()  # quarantined aside

@@ -466,13 +466,10 @@ class TestWorkerSupervision:
 
 class TestRefreshRacesStop:
     def test_refresh_concurrent_with_stop_never_hangs(
-            self, tiny_mf_snapshot, tmp_path):
-        from repro.serve import LiveState, RecommendationService
-        from repro.serve.delta import export_state
+            self, tiny_mf_snapshot, tiny_mf_snapshot_next):
+        from repro.serve import RecommendationService
         _, snap_a = tiny_mf_snapshot
-        state = LiveState.from_snapshot(snap_a)
-        state.upsert_item(0, np.ones(state.dim))
-        snap_b = export_state(state, tmp_path / "b", created_unix=1.0)
+        _, snap_b = tiny_mf_snapshot_next
         service = RecommendationService(snap_a)
         runtime = ServingRuntime(service, fast_config())
         runtime.start()

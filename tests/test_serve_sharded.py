@@ -16,8 +16,8 @@ from repro.data import load_dataset
 from repro.losses import get_loss
 from repro.models import get_model
 from repro.serve import (ExactTopKIndex, RecommendationService,
-                         ShardedRecommendationService, ShardedTopKIndex,
-                         ShardManifest, ShardedManifest,
+                         ResilienceConfig, ShardedRecommendationService,
+                         ShardedTopKIndex, ShardManifest, ShardedManifest,
                          export_sharded_snapshot, export_snapshot,
                          is_sharded_snapshot, load_sharded_snapshot,
                          partition_ids)
@@ -341,6 +341,82 @@ class TestShardedService:
         model, dataset, _ = tiny_cell
         sharded = export_sharded_snapshot(model, dataset, tmp_path, shards=2)
         assert ShardedTopKIndex(sharded).kind == "sharded-exact"
+
+
+class TestShardedRefresh:
+    """A sharded service refreshes from a re-exported ``ShardedSnapshot``
+    through ``ShardedTopKIndex.refreshed``, keeping the router's knobs."""
+
+    @pytest.mark.parametrize("via", ["snapshot", "refresh_from_path"])
+    def test_refresh_keeps_router_and_matches_fresh_service(
+            self, via, tiny_dataset, tiny_mf_snapshot, tiny_mf_snapshot_next,
+            tmp_path):
+        model_a, _ = tiny_mf_snapshot
+        model_b, _ = tiny_mf_snapshot_next
+        snap_a = export_sharded_snapshot(model_a, tiny_dataset,
+                                         tmp_path / "a", shards=3)
+        snap_b = export_sharded_snapshot(model_b, tiny_dataset,
+                                         tmp_path / "b", shards=3)
+        resilience = ResilienceConfig(deadline_ms=5000.0, strict=True)
+        service = RecommendationService(snap_a, cache_size=256, max_batch=16,
+                                        workers=2, resilience=resilience)
+        users = np.arange(tiny_dataset.num_users, dtype=np.int64)
+        service.recommend(users, k=5)
+        old_router = service.index
+        if via == "snapshot":
+            invalidated = service.refresh(snap_b)
+        else:
+            invalidated = service.refresh_from_path(tmp_path / "b")
+        router = service.index
+        try:
+            assert invalidated == len(users)
+            assert router is not old_router
+            assert isinstance(router, ShardedTopKIndex)
+            assert router.snapshot.version == snap_b.version
+            assert (router.workers, router.chunk_users,
+                    router.resilience) == (2, 16, resilience)
+            assert all(key[0] == snap_b.version for key in service.cache._data)
+            fresh = RecommendationService(snap_b, cache_size=0, max_batch=16)
+            for got, want in zip(service.recommend(users, k=5),
+                                 fresh.recommend(users, k=5)):
+                assert got.snapshot_version == snap_b.version
+                assert not got.from_cache and not got.degraded
+                np.testing.assert_array_equal(got.items, want.items)
+                np.testing.assert_array_equal(got.scores, want.scores)
+            assert all(key[0] == snap_b.version for key in service.cache._data)
+            stats = service.stats
+            assert stats.cache_hits + stats.cache_misses == stats.users_served
+        finally:
+            old_router.close()
+            router.close()
+
+    def test_layout_mismatch_rejected_both_ways(self, tiny_dataset,
+                                                tiny_mf_snapshot,
+                                                tiny_mf_snapshot_next,
+                                                tmp_path):
+        """A service keeps its layout: an unsharded one refuses a sharded
+        snapshot (or directory) and a sharded one an unsharded snapshot,
+        with one message, and keeps serving what it served."""
+        model_a, flat_a = tiny_mf_snapshot
+        model_b, flat_b = tiny_mf_snapshot_next
+        sharded_a = export_sharded_snapshot(model_a, tiny_dataset,
+                                            tmp_path / "a", shards=2)
+        sharded_b = export_sharded_snapshot(model_b, tiny_dataset,
+                                            tmp_path / "b", shards=2)
+        flat_service = RecommendationService(flat_a)
+        for candidate in (sharded_b, tmp_path / "b"):
+            with pytest.raises(TypeError, match="serves EmbeddingSnapshot "
+                                                "and refreshes only from"):
+                flat_service.refresh(candidate)
+        assert is_sharded_snapshot(tmp_path / "b")  # refused, not quarantined
+        sharded_service = RecommendationService(sharded_a)
+        with pytest.raises(TypeError, match="serves ShardedSnapshot "
+                                            "and refreshes only from"):
+            sharded_service.refresh(flat_b)
+        assert flat_service.snapshot.version == flat_a.version
+        assert sharded_service.snapshot.version == sharded_a.version
+        assert flat_service.stats.refreshes == 0
+        assert sharded_service.stats.refreshes == 0
 
 
 class TestShardedCLI:

@@ -15,9 +15,8 @@ import pytest
 
 import repro
 from repro.models import MF, LightGCN
-from repro.serve import (SNAPSHOT_SCHEMA, DeltaManifest, LiveState,
-                         SnapshotManifest, export_delta, export_snapshot,
-                         load_delta, load_snapshot)
+from repro.serve import (SNAPSHOT_SCHEMA, SnapshotManifest, export_snapshot,
+                         load_snapshot)
 from repro.serve import snapshot as snapshot_mod
 
 
@@ -232,57 +231,6 @@ class TestLoad:
         payload["from_the_future"] = 1
         with pytest.raises(ValueError, match="unknown fields"):
             SnapshotManifest.from_json(json.dumps(payload))
-
-
-class TestDeltaIntegrity:
-    """Delta files carry the same tamper-evidence as snapshots."""
-
-    @pytest.fixture()
-    def delta_dir(self, tiny_mf_snapshot, tmp_path):
-        _, snapshot = tiny_mf_snapshot
-        base = LiveState.from_snapshot(snapshot)
-        churned = base.copy()
-        churned.upsert_item(0, np.full(base.dim, 0.25))
-        churned.upsert_user(1, np.full(base.dim, -0.5), [0, 2])
-        churned.delete_item(sorted(churned.items)[-1])
-        export_delta(base, churned, tmp_path / "delta")
-        return tmp_path / "delta"
-
-    def test_roundtrip_verifies(self, delta_dir):
-        delta = load_delta(delta_dir, verify=True)
-        assert delta.manifest.item_upserts == 1
-        assert delta.manifest.user_upserts == 1
-        assert delta.manifest.item_deletes == 1
-
-    def test_tampered_rows_rejected(self, delta_dir):
-        rows = np.load(delta_dir / "item_upsert_rows.npy")
-        rows[0, 0] += 1.0
-        np.save(delta_dir / "item_upsert_rows.npy", rows)
-        load_delta(delta_dir, verify=False)  # lazy load is fine
-        with pytest.raises(ValueError, match="content hash"):
-            load_delta(delta_dir, verify=True)
-
-    def test_rebased_manifest_rejected(self, delta_dir):
-        """Pointing a delta at a different base breaks its content hash.
-
-        The version digest binds ``base_version -> new_version``, so an
-        edited manifest can't graft a delta onto a foreign snapshot."""
-        payload = json.loads((delta_dir / "manifest.json").read_text())
-        payload["base_version"] = "0" * 16
-        (delta_dir / "manifest.json").write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="content hash"):
-            load_delta(delta_dir, verify=True)
-
-    def test_unknown_manifest_fields_rejected(self, delta_dir):
-        payload = json.loads((delta_dir / "manifest.json").read_text())
-        payload["from_the_future"] = 1
-        with pytest.raises(ValueError, match="unknown fields"):
-            DeltaManifest.from_json(json.dumps(payload))
-
-    def test_missing_op_array_rejected(self, delta_dir):
-        (delta_dir / "user_delete_ids.npy").unlink()
-        with pytest.raises(FileNotFoundError):
-            load_delta(delta_dir, verify=True)
 
 
 class TestCrashSafePublish:
@@ -512,11 +460,11 @@ class TestLivePublish:
         assert not np.array_equal(np.asarray(new.users), before)
         np.testing.assert_array_equal(mapped.users, before)
 
-    @pytest.mark.parametrize("artifact", ["ann", "delta"])
+    @pytest.mark.parametrize("artifact", ["ann", "snapshot"])
     def test_orphaned_staging_swept_by_every_publish(
-            self, artifact, tiny_mf_snapshot, tmp_path):
+            self, artifact, tiny_dataset, tiny_mf_snapshot, tmp_path):
         from repro.ann import build_ann_index
-        _, snapshot = tiny_mf_snapshot
+        model, snapshot = tiny_mf_snapshot
         out = tmp_path / artifact
         orphan = out / ".staging-dead"
         orphan.mkdir(parents=True)
@@ -524,8 +472,7 @@ class TestLivePublish:
         if artifact == "ann":
             build_ann_index(snapshot, out, nlist=4, seed=0)
         else:
-            base = LiveState.from_snapshot(snapshot)
-            export_delta(base, base.copy(), out)
+            export_snapshot(model, tiny_dataset, out, model_name="mf")
         assert not orphan.exists()
 
     def test_killed_shards_manifest_write_is_swept(self, tiny_dataset,
@@ -550,20 +497,19 @@ class TestLivePublish:
         load_sharded_snapshot(out, verify=True)
 
 
-def test_reexport_never_renames_over_a_live_file(tiny_mf_snapshot,
+def test_reexport_never_renames_over_a_live_file(tiny_dataset,
+                                                  tiny_mf_snapshot,
+                                                  tiny_mf_snapshot_next,
                                                   can_exchange, monkeypatch,
                                                   tmp_path):
-    """Re-publishing a snapshot, a delta and an ANN index exchanges
-    every file: no ``os.replace`` lands on an existing path, which on
-    ext4 would force writeback of the new file before returning."""
+    """Re-publishing a snapshot and an ANN index exchanges every file:
+    no ``os.replace`` lands on an existing path, which on ext4 would
+    force writeback of the new file before returning."""
     if not can_exchange:
         pytest.skip("filesystem cannot exchange two names")
     from repro.ann import build_ann_index
-    from repro.serve.delta import export_state
-    _, snapshot = tiny_mf_snapshot
-    base = LiveState.from_snapshot(snapshot)
-    churned = base.copy()
-    churned.upsert_item(0, np.full(base.dim, 0.25))
+    model, snapshot = tiny_mf_snapshot
+    model_next, _ = tiny_mf_snapshot_next
     real_replace = os.replace
     over_live = []
 
@@ -573,9 +519,9 @@ def test_reexport_never_renames_over_a_live_file(tiny_mf_snapshot,
         return real_replace(src, dst, **kwargs)
 
     monkeypatch.setattr(os, "replace", recording_replace)
-    for state, seed in ((base, 0), (churned, 1)):
-        export_state(state, tmp_path / "snap", created_unix=0.0)
-        export_delta(base, state, tmp_path / "delta")
+    for generation, seed in ((model, 0), (model_next, 1)):
+        export_snapshot(generation, tiny_dataset, tmp_path / "snap",
+                        model_name="mf", created_unix=0.0)
         build_ann_index(snapshot, tmp_path / "ann", nlist=4, seed=seed)
     assert over_live == []
     load_snapshot(tmp_path / "snap", verify=True)
