@@ -2,7 +2,7 @@
 """Docs-link checker: README/docs references must not rot.
 
 Scans ``README.md``, every ``docs/*.md`` and the verify skill
-(``.claude/skills/verify/SKILL.md``) for six kinds of references and
+(``.claude/skills/verify/SKILL.md``) for seven kinds of references and
 fails if any is dangling:
 
 * **Relative markdown links** — ``[text](path)`` targets that are not
@@ -27,6 +27,10 @@ fails if any is dangling:
   span or a fenced block, where ``Name`` is in ``repro.serve.__all__``
   or ``repro.ann.__all__``, must pass only keywords that ``Name``'s
   signature has, so a deleted parameter cannot live on in an example.
+* **Class names** — every CamelCase ``Name``, ``Name.attr`` or
+  ``Name(`` in an inline code span must be a public ``repro`` name, a
+  builtin or a class of ``tests/``, so a deleted class cannot live on
+  in prose.
 
 Run directly (``python scripts/check_docs.py``) or via
 ``scripts/verify.sh`` / ``make verify``; ``tests/test_docs.py`` runs the
@@ -42,10 +46,13 @@ turns them into failures.
 from __future__ import annotations
 
 import argparse
+import ast
+import builtins
 import functools
 import importlib
 import inspect
 import pathlib
+import pkgutil
 import re
 import sys
 
@@ -66,6 +73,10 @@ _COMMAND = re.compile(r"\brepro(?:\.cli)?[ \t]+(.*)")
 _FLAG = re.compile(r"--[a-z0-9][a-z0-9-]*")
 _CALL = re.compile(r"\b([A-Za-z_]\w*)\(")
 _KEYWORD = re.compile(r"([A-Za-z_]\w*)\s*=(?!=)")
+#: a CamelCase identifier opening a span or an argument, then its end,
+#: an attribute or a call (``BENCH_ann.json`` and ``+Inf`` are no names)
+_CLASS_NAME = re.compile(r"(?:^|(?<=[\s(\[{,=]))([A-Z][A-Za-z0-9]*[a-z]"
+                         r"[A-Za-z0-9]*)(?=$|\(|\.[A-Za-z_])")
 
 #: packages whose exported callables have their documented keywords checked
 _API_MODULES = ("serve", "ann")
@@ -148,6 +159,25 @@ def api_parameters() -> dict[str, frozenset[str]]:
                 continue
             params[name] = frozenset(sig.parameters)
     return params
+
+
+@functools.cache
+def known_names() -> frozenset[str]:
+    """Names a code span may use: builtins, the classes and functions
+    ``repro`` defines (plus every module's ``__all__``) and the classes
+    of ``tests/``."""
+    names = set(dir(builtins))
+    package = _repro("cli").__package__
+    for info in pkgutil.walk_packages(sys.modules[package].__path__,
+                                      package + "."):
+        module = importlib.import_module(info.name)
+        names.update(getattr(module, "__all__", ()))
+        names.update(name for name, value in vars(module).items()
+                     if getattr(value, "__module__", "").startswith(package))
+    for path in (REPO_ROOT / "tests").rglob("*.py"):
+        names.update(node.name for node in ast.walk(ast.parse(
+            path.read_text())) if isinstance(node, ast.ClassDef))
+    return frozenset(names)
 
 
 def unknown_keywords(span: str, params: dict) -> list[tuple[str, str]]:
@@ -242,10 +272,16 @@ def check_file(path: pathlib.Path, verbs: set[str],
         for command, flag in unknown_flags(span, cli_options()):
             problems.append(f"{rel}: `{command}` has no option `{flag}`")
 
-    code = _FENCE.findall(text) + _INLINE_CODE.findall(_FENCE.sub("", text))
-    for span in code:
+    inline = _INLINE_CODE.findall(_FENCE.sub("", text))
+    for span in _FENCE.findall(text) + inline:
         for name, keyword in unknown_keywords(span, api_parameters()):
             problems.append(f"{rel}: `{name}` has no parameter `{keyword}`")
+
+    for span in inline:
+        for name in _CLASS_NAME.findall(span.strip()):
+            if name not in known_names():
+                problems.append(f"{rel}: `{name}` is not a public repro "
+                                f"name, a builtin or a tests/ class")
 
     for match in _BENCH_SUITE.finditer(text):
         verb_suite, make_suite, file_suite = match.groups()

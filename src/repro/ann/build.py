@@ -1,8 +1,9 @@
 """Build, persist and load ANN index directories.
 
 An *ANN index directory* is the on-disk form of a trained IVF index,
-mirroring the :mod:`repro.serve.snapshot` conventions: plain ``.npy``
-arrays plus a content-hashed, schema-versioned ``manifest.json``:
+laid out like a snapshot's shard directory and published by the same
+routine (:mod:`repro.serve.snapshot`): plain ``.npy`` arrays plus a
+content-hashed, schema-versioned ``manifest.json``:
 
 * ``centroids.npy`` — ``(nlist, dim)`` coarse-quantizer centroids;
 * ``list_indptr.npy`` / ``list_items.npy`` — the inverted lists in CSR
@@ -21,7 +22,6 @@ builds with the same inputs are byte-identical on disk — pinned by
 from __future__ import annotations
 
 import dataclasses
-import json
 import pathlib
 
 import numpy as np
@@ -30,7 +30,7 @@ from repro.ann.ivf import (ANN_PANEL_WIDTH, IVFFlatIndex, IVFIndexData,
                            assign_lists, train_coarse_quantizer)
 from repro.serve.index import scoring_ready_items
 from repro.serve.snapshot import (EmbeddingSnapshot, _content_version,
-                                  _publish_files)
+                                  _ManifestCodec, _publish)
 
 __all__ = ["ANN_INDEX_SCHEMA", "AnnManifest", "build_ann_index",
            "load_ann_index", "is_ann_index"]
@@ -47,7 +47,7 @@ _FILES = {
 
 
 @dataclasses.dataclass(frozen=True)
-class AnnManifest:
+class AnnManifest(_ManifestCodec):
     """Identity card of one ANN index directory.
 
     ``version`` is a content hash over the arrays and the identity
@@ -56,6 +56,8 @@ class AnnManifest:
     are byte-reproducible.  ``kind`` is always ``"ivf"``; it stays in
     the hashed identity so existing directories keep their ``version``.
     """
+
+    _FILE = "ANN manifest"
 
     schema: str
     version: str
@@ -74,30 +76,21 @@ class AnnManifest:
     train_iters: int
     seed: int
 
-    def to_json(self) -> str:
-        """Serialize to the ``manifest.json`` on-disk representation."""
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
-
     @classmethod
-    def from_json(cls, text: str) -> "AnnManifest":
-        """Parse ``manifest.json`` text, rejecting unknown fields.
+    def from_payload(cls, payload: dict) -> "AnnManifest":
+        """Build from parsed ``manifest.json``, rejecting unknown fields.
 
         Directories written while an ``ivfpq`` kind existed carry a
         ``"pq": null`` field, dropped here; an ``ivfpq`` directory
         itself is refused.
         """
-        payload = json.loads(text)
         if payload.get("kind") != "ivf":
             raise ValueError(
                 f"ANN index kind {payload.get('kind')!r} is not supported: "
                 f"the 'ivfpq' kind was removed; rebuild the directory as "
                 f"an IVF index with `repro build-ann`")
         payload.pop("pq", None)
-        unknown = set(payload) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ValueError(f"ANN manifest has unknown fields "
-                             f"{sorted(unknown)}; written by a newer schema?")
-        return cls(**payload)
+        return super().from_payload(payload)
 
 
 def _identity(manifest: AnnManifest) -> tuple:
@@ -168,13 +161,12 @@ def build_ann_index(snapshot: EmbeddingSnapshot, out_dir, *,
         seed=seed)
     manifest = dataclasses.replace(
         manifest, version=_ann_version(arrays, _identity(manifest)))
-    out_dir = pathlib.Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     # Staged and published like a snapshot, so a killed rebuild leaves
     # the previous index loadable.
-    _publish_files(out_dir,
-                   {fname: arrays[name] for name, fname in _FILES.items()},
-                   manifest)
+    with _publish(pathlib.Path(out_dir), _MANIFEST) as staging:
+        for name, fname in _FILES.items():
+            np.save(staging / fname, arrays[name])
+        (staging / _MANIFEST).write_text(manifest.to_json() + "\n")
     return IVFFlatIndex(snapshot, data, nprobe=default_nprobe,
                         panel_width=panel_width)
 

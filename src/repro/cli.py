@@ -13,8 +13,8 @@ Subcommands:
   each writing its ``BENCH_<suite>.json`` file, with one flag per field
   of the suite's config dataclass.
 * ``export`` — train (or load a checkpoint) and freeze the model into a
-  serving snapshot directory (:mod:`repro.serve`); ``--shards N``
-  writes a horizontally partitioned snapshot instead.  Scale presets
+  serving snapshot directory (:mod:`repro.serve`), unsharded unless
+  ``--shards N`` partitions it.  Scale presets
   export straight from the mmap'd tables and interaction shards — no
   dense intermediates.
 * ``build-ann`` — train an approximate-retrieval IVF index
@@ -206,16 +206,22 @@ def _export_scale(args) -> int:
         model_name=args.model,
         extra={"loss": args.loss, "epochs": args.epochs,
                "scale_preset": args.dataset})
-    manifest = snapshot.manifest
+    _print_snapshot(args.out, snapshot.manifest)
+    return 0
+
+
+def _print_snapshot(out, manifest) -> None:
+    """The ``export`` verb's summary table of a written snapshot."""
+    sharded = (manifest.num_user_shards, manifest.num_item_shards) != (1, 1)
     print_table(
-        f"sharded snapshot {args.out}", ["field", "value"],
+        f"{'sharded ' if sharded else ''}snapshot {out}", ["field", "value"],
         [["version", manifest.version], ["model", manifest.model],
          ["user shards", manifest.num_user_shards],
          ["item shards", manifest.num_item_shards],
          ["partition", f"{manifest.strategy} by {manifest.partition_by}"],
-         ["users", manifest.num_users], ["items", manifest.num_items],
-         ["scoring", manifest.scoring]], precision=0)
-    return 0
+         ["dim", manifest.dim], ["users", manifest.num_users],
+         ["items", manifest.num_items], ["scoring", manifest.scoring]],
+        precision=0)
 
 
 def _cmd_export(args) -> int:
@@ -223,13 +229,13 @@ def _cmd_export(args) -> int:
 
     Either trains the requested cell from scratch (the default) or, with
     ``--checkpoint``, rebuilds the model and loads previously saved
-    parameters before exporting.  With ``--shards N`` the snapshot is
-    written horizontally partitioned (``--partition-by`` picks the
-    sharded axes, ``--partition`` the placement scheme).  Scale presets
-    take the out-of-core path: mmap tables + interaction shards, always
-    sharded.
+    parameters before exporting.  The snapshot is the unsharded 1×1
+    shard set unless ``--shards N`` partitions it (``--partition-by``
+    picks the sharded axes, ``--partition`` the placement scheme).
+    Scale presets take the out-of-core path: mmap tables + interaction
+    shards, 4 shards per axis by default.
     """
-    from repro.serve import export_sharded_snapshot, export_snapshot
+    from repro.serve import export_sharded_snapshot
 
     if args.dataset in SCALE_PRESETS:
         return _export_scale(args)
@@ -245,32 +251,13 @@ def _cmd_export(args) -> int:
         print_table(f"trained {args.model}+{args.loss} on {args.dataset}",
                     ["metric", "value"],
                     [[k, v] for k, v in sorted(result.metrics.items())])
-    extra = {"loss": args.loss, "epochs": args.epochs,
-             "checkpoint": args.checkpoint or ""}
-    if args.shards:
-        snapshot = export_sharded_snapshot(
-            model, dataset, args.out, shards=args.shards,
-            partition_by=args.partition_by, strategy=args.partition,
-            model_name=args.model, extra=extra)
-        manifest = snapshot.manifest
-        print_table(
-            f"sharded snapshot {args.out}", ["field", "value"],
-            [["version", manifest.version], ["model", manifest.model],
-             ["user shards", manifest.num_user_shards],
-             ["item shards", manifest.num_item_shards],
-             ["partition", f"{manifest.strategy} by "
-                           f"{manifest.partition_by}"],
-             ["users", manifest.num_users], ["items", manifest.num_items],
-             ["scoring", manifest.scoring]], precision=0)
-        return 0
-    snapshot = export_snapshot(model, dataset, args.out,
-                               model_name=args.model, extra=extra)
-    manifest = snapshot.manifest
-    print_table(f"snapshot {args.out}", ["field", "value"],
-                [["version", manifest.version], ["model", manifest.model],
-                 ["dim", manifest.dim], ["users", manifest.num_users],
-                 ["items", manifest.num_items],
-                 ["scoring", manifest.scoring]], precision=0)
+    snapshot = export_sharded_snapshot(
+        model, dataset, args.out, shards=args.shards or 1,
+        partition_by=args.partition_by, strategy=args.partition,
+        model_name=args.model,
+        extra={"loss": args.loss, "epochs": args.epochs,
+               "checkpoint": args.checkpoint or ""})
+    _print_snapshot(args.out, snapshot.manifest)
     return 0
 
 

@@ -1,17 +1,20 @@
 """Online serving: embedding snapshots, top-K indexes, request front end.
 
 The offline stack (train → evaluate) hands a trained backbone to this
-package, which freezes it into a memory-mappable
-:class:`~repro.serve.snapshot.EmbeddingSnapshot`, retrieves over it with
-the exact float64 :class:`~repro.serve.index.ExactTopKIndex`, and
-answers batched user requests through
-:class:`~repro.serve.service.RecommendationService`.
+package, which freezes it into a snapshot directory.  Every snapshot
+on disk is a shard set — user and item partitions with per-shard
+manifests under a content-hashed ``shards.json`` — and the unsharded
+snapshot is the 1×1 set: :func:`~repro.serve.snapshot.export_snapshot`
+writes it, :func:`~repro.serve.snapshot.load_snapshot` opens it as the
+memory-mappable :class:`~repro.serve.snapshot.EmbeddingSnapshot` the
+exact float64 :class:`~repro.serve.index.ExactTopKIndex` retrieves
+over, and :class:`~repro.serve.service.RecommendationService` answers
+batched user requests.
 
-For horizontal scale the same state can be exported **sharded**
-(:func:`~repro.serve.snapshot.export_sharded_snapshot`): user and item
-partitions with per-shard manifests under a content-hashed
-``shards.json``, read back by :mod:`repro.serve.shard`.  The same
-service serves it: handed a sharded snapshot it builds the
+For horizontal scale the same state is exported with more shards
+(:func:`~repro.serve.snapshot.export_sharded_snapshot`) and read back
+by :mod:`repro.serve.shard`.  The same service serves it: handed a
+:class:`~repro.serve.shard.ShardedSnapshot` it builds the
 scatter-gather :class:`~repro.serve.router.ShardedTopKIndex`, whose
 item shards hold the same scorer over their own rows, so the routed
 answer is bit-identical to the single-process index (see
@@ -22,7 +25,8 @@ A refresh is a re-export plus a swap:
 :meth:`~repro.serve.runtime.ServingRuntime.refresh` take a newly
 exported snapshot (or its directory, loaded verified and quarantined
 on damage) and swap the served version atomically between
-micro-batches (see ``docs/live_index.md``).
+micro-batches (see ``docs/live_index.md``).  A re-export publishes
+over the live directory without ever leaving it unloadable.
 
 The serving path is hardened for partial failure: the sharded router
 takes a :class:`~repro.serve.resilience.ResilienceConfig` (per-shard
@@ -46,8 +50,8 @@ Typical flow (also available as ``repro export`` / ``repro recommend``)::
 """
 
 from repro.serve.faults import (FAULT_KINDS, FaultEvent, FaultPlan, FaultSpec,
-                                FaultyIndex, FaultyService, FaultyShardIndex,
-                                InjectedFault, ManualClock, corrupt_array_file)
+                                FaultyService, FaultyShardIndex, InjectedFault,
+                                ManualClock, corrupt_array_file)
 from repro.serve.index import PANEL_WIDTH, ExactTopKIndex, TopKResult
 from repro.serve.resilience import (BreakerConfig, BreakerOpenError,
                                     CircuitBreaker, PartialResultError,
@@ -62,9 +66,8 @@ from repro.serve.service import (LRUCache, Recommendation,
 from repro.serve.shard import (ItemShard, ItemShardIndex, ShardedSnapshot,
                                UserShard, load_sharded_snapshot)
 from repro.serve.snapshot import (SHARD_SCHEMA, SHARDED_SCHEMA,
-                                  SNAPSHOT_SCHEMA, EmbeddingSnapshot,
-                                  ShardManifest, ShardedManifest,
-                                  SnapshotIntegrityError, SnapshotManifest,
+                                  EmbeddingSnapshot, ShardedManifest,
+                                  ShardManifest, SnapshotIntegrityError,
                                   export_sharded_snapshot,
                                   export_sharded_source_snapshot,
                                   export_snapshot, is_sharded_snapshot,
@@ -72,8 +75,7 @@ from repro.serve.snapshot import (SHARD_SCHEMA, SHARDED_SCHEMA,
                                   quarantine_snapshot)
 
 __all__ = [
-    "SNAPSHOT_SCHEMA", "SHARD_SCHEMA", "SHARDED_SCHEMA",
-    "SnapshotManifest", "ShardManifest", "ShardedManifest",
+    "SHARD_SCHEMA", "SHARDED_SCHEMA", "ShardManifest", "ShardedManifest",
     "EmbeddingSnapshot", "export_snapshot", "load_snapshot",
     "partition_ids", "export_sharded_snapshot",
     "export_sharded_source_snapshot", "is_sharded_snapshot",
@@ -86,7 +88,7 @@ __all__ = [
     "ServingRuntime",
     "SnapshotIntegrityError", "quarantine_snapshot",
     "FAULT_KINDS", "FaultSpec", "FaultEvent", "FaultPlan", "InjectedFault",
-    "FaultyShardIndex", "FaultyIndex", "FaultyService", "corrupt_array_file",
+    "FaultyShardIndex", "FaultyService", "corrupt_array_file",
     "ManualClock",
     "ResilienceConfig", "BreakerConfig", "CircuitBreaker",
     "PartialResultError", "ShardCallError", "BreakerOpenError",

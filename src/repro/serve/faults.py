@@ -15,17 +15,13 @@ and benchmark those failure domains *reproducibly*:
   :meth:`FaultPlan.events` returns a canonically sorted tuple, so
   "same seed ⇒ identical schedule" is a one-line assertion.
 * :class:`FaultSpec` — one fault at one injection point: a latency
-  spike (``kind="latency"``, sleeps ``latency_ms``), an exception
-  (``kind="error"``, raises :class:`InjectedFault`), or a corrupted
-  read (``kind="corrupt"``, surfaced to the caller via
-  :meth:`FaultPlan.should_corrupt` because only the caller knows what
-  "corrupt" means for its data).
+  spike (``kind="latency"``, sleeps ``latency_ms``) or an exception
+  (``kind="error"``, raises :class:`InjectedFault`).
 * Wrappers — :class:`FaultyShardIndex` (per-shard ``partial_topk``,
-  the router's unit of fan-out), :class:`FaultyIndex` (whole-index
-  ``topk``, the unsharded service's sweep) and
-  :class:`FaultyService` (request-level ``recommend``).  Each numbers
-  its invocations under a lock so a synchronous request stream keys the
-  plan identically run over run.
+  the router's unit of fan-out) and :class:`FaultyService`
+  (request-level ``recommend``).  Each numbers its invocations under
+  a lock so a synchronous request stream keys the plan identically run
+  over run.
 * :func:`corrupt_array_file` — deterministic bit damage for snapshot
   IO tests: flips bytes in an ``.npy`` payload (header left intact) so
   ``load_snapshot(verify=True)`` must fail loudly.
@@ -51,11 +47,11 @@ import time
 import numpy as np
 
 __all__ = ["InjectedFault", "FaultSpec", "FaultEvent", "FaultPlan",
-           "FaultyShardIndex", "FaultyIndex", "FaultyService",
+           "FaultyShardIndex", "FaultyService",
            "corrupt_array_file", "ManualClock"]
 
 #: fault kinds a :class:`FaultSpec` may declare
-FAULT_KINDS = ("latency", "error", "corrupt")
+FAULT_KINDS = ("latency", "error")
 
 
 class InjectedFault(RuntimeError):
@@ -72,10 +68,9 @@ class FaultSpec:
     Parameters
     ----------
     kind:
-        ``"latency"`` (sleep ``latency_ms`` before the call proceeds),
-        ``"error"`` (raise :class:`InjectedFault` instead of calling
-        through), or ``"corrupt"`` (flag the read as corrupted — the
-        caller decides what that means for its data).
+        ``"latency"`` (sleep ``latency_ms`` before the call proceeds)
+        or ``"error"`` (raise :class:`InjectedFault` instead of calling
+        through).
     rate:
         Probability in ``[0, 1]`` that the fault fires for a given
         ``(point, key)``.
@@ -176,9 +171,7 @@ class FaultPlan:
 
         Latency faults sleep first (a slow *and* failing dependency is
         slow before it fails), then the first ``error`` fault raises
-        :class:`InjectedFault`.  ``corrupt`` decisions are recorded but
-        not applied — use :meth:`should_corrupt` where the caller can
-        act on them.  Returns the fired events.
+        :class:`InjectedFault`.  Returns the fired events.
         """
         fired = self.decide(point, key)
         if fired:
@@ -193,15 +186,6 @@ class FaultPlan:
                     f"injected fault at {point!r} (key={key}, "
                     f"seed={self.seed})")
         return fired
-
-    def should_corrupt(self, point: str, key: int) -> bool:
-        """True when a ``corrupt`` fault fires at ``(point, key)``
-        (recorded in the event log like any other decision)."""
-        fired = [e for e in self.decide(point, key) if e.kind == "corrupt"]
-        if fired:
-            with self._lock:
-                self._events.extend(fired)
-        return bool(fired)
 
     # ------------------------------------------------------------------
     def events(self) -> tuple[FaultEvent, ...]:
@@ -272,16 +256,6 @@ class FaultyShardIndex(_CountingWrapper):
         return self._wrapped.partial_topk(*args, **kwargs)
 
 
-class FaultyIndex(_CountingWrapper):
-    """Wrap a whole :class:`~repro.serve.index.ExactTopKIndex`; faults fire
-    on every ``topk`` sweep (the unsharded service's unit of work)."""
-
-    def topk(self, *args, **kwargs):
-        """Roll the plan for this invocation, then delegate."""
-        self._plan.fire(self._point, self._next_key())
-        return self._wrapped.topk(*args, **kwargs)
-
-
 class FaultyService(_CountingWrapper):
     """Wrap a :class:`~repro.serve.service.RecommendationService`;
     faults fire on every ``recommend`` call (one key per call)."""
@@ -298,7 +272,7 @@ def corrupt_array_file(path, *, seed: int = 0, flips: int = 8) -> None:
     Flips ``flips`` seeded-random payload bytes (the 128-byte header is
     left intact so the file still *parses* — the damage is exactly the
     silent kind only a content-hash ``verify`` can catch).  Used by the
-    corrupt-read chaos scenarios and the quarantine tests.
+    quarantine tests.
     """
     path_bytes = bytearray(path.read_bytes() if hasattr(path, "read_bytes")
                            else open(path, "rb").read())

@@ -29,9 +29,10 @@ from a background worker thread in **adaptive micro-batches**:
 The runtime never changes *what* is served: results are exactly the
 service's ``recommend`` answers, so every parity/caching contract of
 the layers below carries through unchanged.  The full contract is
-documented in ``docs/serving.md``; the closed-loop load generator in
-:mod:`repro.experiments.perf` (``repro bench latency``) sweeps offered
-load through this runtime until saturation and commits the
+documented in ``docs/serving.md``; the latency suite in
+:mod:`repro.experiments.perf` (``repro bench latency``) drives paced
+open-loop arrivals through this runtime, stepping the offered load
+with a closed-loop sweep controller until saturation, and commits the
 ``BENCH_latency.json`` frontier.
 """
 

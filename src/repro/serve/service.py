@@ -181,8 +181,9 @@ class LRUCache:
 class RecommendationService:
     """Serve ``recommend(user_ids, k)`` on top of a snapshot + index.
 
-    The one front end of both layouts: only the default index depends
-    on the snapshot's type; caching, batching and refresh do not.
+    The one front end of both snapshot views (the dense unsharded one
+    and the shard set): only the default index depends on the
+    snapshot's type; caching, batching and refresh do not.
 
     Parameters
     ----------
@@ -402,9 +403,13 @@ class RecommendationService:
                           quarantine: bool = True, index=None) -> int:
         """Verified refresh from a snapshot directory, with fallback.
 
-        Loads ``path`` (sharded or not — detected by layout) with
-        ``verify=True`` and swaps it in.  A snapshot that fails to load
-        or fails its content-hash verify is **rejected**: the service
+        Loads ``path`` with ``verify=True`` and swaps it in: as a
+        :class:`~repro.serve.shard.ShardedSnapshot` when this service
+        serves one or the directory holds more than one user or item
+        shard, else as the unsharded
+        :class:`~repro.serve.snapshot.EmbeddingSnapshot` view.  A
+        snapshot that fails to load or fails its content-hash verify
+        is **rejected**: the service
         keeps serving its current (last-good) version untouched, the
         damaged directory is moved aside
         (:func:`~repro.serve.snapshot.quarantine_snapshot`, unless
@@ -416,8 +421,9 @@ class RecommendationService:
         """
         path = pathlib.Path(path)
         try:
-            load = (load_sharded_snapshot if is_sharded_snapshot(path)
-                    else load_snapshot)
+            sharded = (isinstance(self.snapshot, ShardedSnapshot)
+                       or is_sharded_snapshot(path))
+            load = load_sharded_snapshot if sharded else load_snapshot
             snapshot = load(path, mmap=mmap, verify=True)
         except Exception as exc:
             self.stats.refresh_rejected += 1

@@ -1,8 +1,9 @@
-"""Per-shard wrappers of a horizontally partitioned snapshot.
+"""Per-shard wrappers of a snapshot directory.
 
-A sharded snapshot directory (written by
-:func:`repro.serve.snapshot.export_sharded_snapshot`) splits the serving
-state along two independent axes:
+Every snapshot directory is a shard set (written by
+:func:`repro.serve.snapshot.export_sharded_snapshot`, or by
+:func:`~repro.serve.snapshot.export_snapshot` as the 1×1 set) that
+splits the serving state along two independent axes:
 
 * :class:`UserShard` — the embedding rows and seen-item CSR of a subset
   of users.  Lookup-only: user sharding never changes any score bits,
@@ -33,14 +34,13 @@ import numpy as np
 from repro.eval.masking import mask_seen_items, seen_items_csr
 from repro.eval.metrics import rank_items
 from repro.serve.index import panel_scores
-from repro.serve.snapshot import (SHARD_SCHEMA, SHARDED_SCHEMA,
-                                  ShardManifest, ShardedManifest,
-                                  _SHARDS_MANIFEST)
+from repro.serve.snapshot import (_MANIFEST, _SHARDS_MANIFEST, SHARD_SCHEMA,
+                                  SHARDED_SCHEMA, ShardedManifest,
+                                  ShardManifest, _content_version,
+                                  _sharded_version)
 
 __all__ = ["UserShard", "ItemShard", "ItemShardIndex", "ShardedSnapshot",
            "load_sharded_snapshot"]
-
-_MANIFEST = "manifest.json"
 
 
 def _load_shard_manifest(shard_dir: pathlib.Path, kind: str) -> ShardManifest:
@@ -85,7 +85,10 @@ class UserShard:
             raise ValueError("user shard seen_indptr is not monotone")
         if len(seen_items) and (seen_items.min() < 0
                                 or seen_items.max() >= manifest.num_items):
-            raise ValueError("user shard seen_items out of range")
+            raise ValueError("user shard seen_items contains out-of-range "
+                             "item ids")
+        if len(ids) and np.any(np.diff(ids) <= 0):
+            raise ValueError("user shard ids must be strictly ascending")
         self.manifest = manifest
         self.ids = np.asarray(ids, dtype=np.int64)
         self.embeddings = embeddings
@@ -327,8 +330,8 @@ class ShardedSnapshot:
 
 def load_sharded_snapshot(path, *, mmap: bool = True,
                           verify: bool = False) -> ShardedSnapshot:
-    """Open a sharded snapshot directory written by
-    :func:`repro.serve.snapshot.export_sharded_snapshot`.
+    """Open a snapshot directory (any shard count, 1×1 included) written
+    by :func:`repro.serve.snapshot.export_sharded_snapshot`.
 
     Parameters
     ----------
@@ -341,14 +344,25 @@ def load_sharded_snapshot(path, *, mmap: bool = True,
         loudly on any mismatch (detects truncated or edited shards).
     """
     path = pathlib.Path(path)
+    return _open_shard_set(path, _read_manifest(path), mmap=mmap,
+                           verify=verify)
+
+
+def _read_manifest(path: pathlib.Path) -> ShardedManifest:
+    """Read and schema-check a snapshot directory's ``shards.json``."""
     manifest_path = path / _SHARDS_MANIFEST
     if not manifest_path.is_file():
-        raise FileNotFoundError(f"no sharded snapshot manifest at "
-                                f"{manifest_path}")
+        raise FileNotFoundError(f"no snapshot manifest at {manifest_path}")
     manifest = ShardedManifest.from_json(manifest_path.read_text())
     if manifest.schema != SHARDED_SCHEMA:
-        raise ValueError(f"sharded snapshot schema {manifest.schema!r} is "
+        raise ValueError(f"snapshot schema {manifest.schema!r} is "
                          f"not {SHARDED_SCHEMA!r}")
+    return manifest
+
+
+def _open_shard_set(path: pathlib.Path, manifest: ShardedManifest, *,
+                    mmap: bool, verify: bool) -> ShardedSnapshot:
+    """Load the shards ``manifest`` names, verified on request."""
     user_shards = [UserShard.load(path / entry["path"], mmap=mmap)
                    for entry in manifest.user_shards]
     item_shards = [ItemShard.load(path / entry["path"], mmap=mmap)
@@ -361,7 +375,6 @@ def load_sharded_snapshot(path, *, mmap: bool = True,
 
 def _verify_sharded(snapshot: ShardedSnapshot) -> None:
     """Re-hash every shard and the top level; raise on any drift."""
-    from repro.serve.snapshot import _content_version, _sharded_version
     m = snapshot.manifest
     child_versions = []
     for shard in snapshot.user_shards:
@@ -391,4 +404,5 @@ def _verify_sharded(snapshot: ShardedSnapshot) -> None:
                 m.num_user_shards, m.num_item_shards)
     if _sharded_version(identity, child_versions) != m.version:
         raise ValueError(f"shards.json version {m.version!r} does not match "
-                         f"the shard contents; manifest was edited")
+                         f"the content hash of its shards; the manifest was "
+                         f"edited or its publish interrupted")

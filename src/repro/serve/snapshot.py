@@ -2,30 +2,34 @@
 
 A *snapshot* is a directory holding everything the online stack needs to
 answer "what do we recommend to user ``u``?" without ever touching the
-training graph again:
+training graph again.  There is one format, a **shard set**: the
+serving state partitioned horizontally into
 
-* ``user_embeddings.npy`` / ``item_embeddings.npy`` — the backbone's
-  **final** embedding tables with graph propagation already applied
-  (``model.propagate()`` in eval mode), stored as plain ``.npy`` so they
-  can be memory-mapped read-only by any number of serving processes;
-* ``seen_indptr.npy`` / ``seen_items.npy`` — the training interactions
-  in CSR layout, consumed by :func:`repro.eval.masking.mask_seen_items`
-  to filter already-seen items at request time;
-* ``manifest.json`` — a versioned :class:`SnapshotManifest` recording
-  the model, sizes, scoring function and a content hash, so a service
-  can detect stale caches and refuse mismatched artifacts.
+* *user shards* ``user-shard-NN/`` — the embedding rows and training
+  interactions (seen-item CSR, consumed by
+  :func:`repro.eval.masking.mask_seen_items` to filter already-seen
+  items) of a subset of users;
+* *item shards* ``item-shard-NN/`` — the embedding rows of a subset of
+  the catalogue;
+* ``shards.json`` — a versioned :class:`ShardedManifest` recording the
+  model, sizes, scoring function, partitioning and a content hash over
+  the shards' own content-hashed manifests, so a service can detect
+  stale caches and refuse mismatched artifacts.
 
-Because propagation is baked in at export time, serving cost is one
-dense gather + matmul per request batch regardless of backbone depth —
-a LightGCN-3 snapshot serves exactly as fast as an MF snapshot.
+Embedding tables are plain ``.npy`` files, memory-mapped read-only by
+any number of serving processes, and hold the backbone's **final**
+tables with graph propagation already applied, so serving cost is one
+dense gather + matmul per request batch regardless of backbone depth.
 
-**Sharded snapshots.**  :func:`export_sharded_snapshot` writes the same
-content horizontally partitioned for multi-process serving: a directory
-of *user shards* (embedding rows + seen-item CSR for a subset of users)
-and *item shards* (embedding rows for a subset of the catalogue), under
-a content-hashed top-level ``shards.json``.  Users and items partition
-independently (``partition_by`` ∈ ``user``/``item``/``both``) with
-either ``contiguous`` range or ``hash`` (``id % n``) placement.  The
+The *unsharded* snapshot is the 1×1 set (one user shard, one item
+shard): :func:`export_snapshot` writes it and :func:`load_snapshot`
+opens it as the dense :class:`EmbeddingSnapshot` the single-process
+indexes serve from.  :func:`export_sharded_snapshot` writes any other
+shard count; users and items partition independently
+(``partition_by`` ∈ ``user``/``item``/``both``) with either
+``contiguous`` range or ``hash`` (``id % n``) placement.  Every export
+goes through one write core and one publish routine (:func:`_publish`),
+which keeps a loadable snapshot in place while it runs.  The
 scatter-gather reader lives in :mod:`repro.serve.shard` /
 :mod:`repro.serve.router`; the partitioning and merge contract is
 documented in ``docs/sharding.md``.
@@ -33,6 +37,7 @@ documented in ``docs/sharding.md``.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import dataclasses
 import errno
@@ -51,34 +56,26 @@ import numpy as np
 from repro.data.dataset import InteractionDataset
 from repro.models.base import Recommender
 
-__all__ = ["SNAPSHOT_SCHEMA", "SHARD_SCHEMA", "SHARDED_SCHEMA",
-           "SnapshotManifest", "ShardManifest", "ShardedManifest",
-           "EmbeddingSnapshot", "SnapshotIntegrityError",
+__all__ = ["SHARD_SCHEMA", "SHARDED_SCHEMA", "ShardManifest",
+           "ShardedManifest", "EmbeddingSnapshot", "SnapshotIntegrityError",
            "export_snapshot", "load_snapshot", "quarantine_snapshot",
            "partition_ids", "export_sharded_snapshot",
            "export_sharded_source_snapshot", "is_sharded_snapshot"]
 
-#: Bump when the on-disk layout changes incompatibly.
-SNAPSHOT_SCHEMA = "bsl-serve-snapshot/v1"
-
 #: Schema of one shard directory's ``manifest.json``.
 SHARD_SCHEMA = "bsl-serve-shard/v1"
 
-#: Schema of a sharded snapshot's top-level ``shards.json``.
+#: Schema of a snapshot's top-level ``shards.json``.
 SHARDED_SCHEMA = "bsl-serve-sharded/v1"
 
 #: Partitioning strategies accepted by :func:`partition_ids`.
 PARTITION_STRATEGIES = ("contiguous", "hash")
 
 _SHARDS_MANIFEST = "shards.json"
-
-_FILES = {
-    "users": "user_embeddings.npy",
-    "items": "item_embeddings.npy",
-    "seen_indptr": "seen_indptr.npy",
-    "seen_items": "seen_items.npy",
-}
 _MANIFEST = "manifest.json"
+
+#: shard subdirectory naming used by the exporter and the stale sweep
+_SHARD_DIR = re.compile(r"^(user|item)-shard-\d{2}$")
 
 #: staging-directory prefix of the crash-safe exporters
 _STAGING_PREFIX = ".staging-"
@@ -98,13 +95,6 @@ class SnapshotIntegrityError(RuntimeError):
     def __init__(self, message: str, *, quarantined_to=None):
         super().__init__(message)
         self.quarantined_to = quarantined_to
-
-
-def _staging_dir(out_dir: pathlib.Path) -> pathlib.Path:
-    """Fresh staging directory *inside* ``out_dir`` (same filesystem, so
-    every :func:`_swap_in` out of it is atomic)."""
-    return pathlib.Path(tempfile.mkdtemp(prefix=_STAGING_PREFIX,
-                                         dir=out_dir))
 
 
 def _sweep_staging(out_dir: pathlib.Path) -> None:
@@ -141,16 +131,20 @@ def _renameat2():
 
 
 def _swap_in(src: pathlib.Path, dst: pathlib.Path) -> None:
-    """Publish ``src`` under the name ``dst`` atomically.
+    """Publish ``src`` (a file or a directory) under the name ``dst``.
 
     The staged entry is *exchanged* with the live one, so ``dst`` never
-    stops existing and the previous file (whose inode any mmap reader
+    stops existing and the previous entry (whose inodes any mmap reader
     keeps) lands at ``src``, to be deleted with the staging directory.
     A plain rename over an existing file would do the same job, but on
     ext4 (``auto_da_alloc``, the default) it forces writeback of the new
     file's data before returning — most of a re-export's wall time.
     Falls back to ``os.replace`` when there is nothing at ``dst`` yet or
-    the platform or filesystem cannot exchange.
+    the platform or filesystem cannot exchange.  ``os.replace`` cannot
+    move a directory onto a non-empty one, so a live directory is
+    instead updated file by file, its ``manifest.json`` last: every
+    name stays published throughout, and a reader can at worst pair
+    old and new complete files, which a ``verify=True`` load rejects.
     """
     fn = _renameat2()
     if fn is None:
@@ -162,85 +156,77 @@ def _swap_in(src: pathlib.Path, dst: pathlib.Path) -> None:
         err = ctypes.get_errno()
     if err not in _NO_EXCHANGE:
         raise OSError(err, os.strerror(err), str(src), None, str(dst))
-    os.replace(src, dst)
+    moves = [(src, dst)]
+    if src.is_dir() and dst.is_dir():
+        moves = [(child, dst / child.name) for child in sorted(
+            src.iterdir(), key=lambda p: (p.name == _MANIFEST, p.name))]
+    for old, new in moves:
+        os.replace(old, new)
 
 
-def _atomic_write_text(path: pathlib.Path, text: str) -> None:
-    """Write ``text`` to ``path`` via a staged file and :func:`_swap_in`,
-    so readers never observe a partially written file."""
-    staging = _staging_dir(path.parent)
-    try:
-        (staging / path.name).write_text(text)
-        _swap_in(staging / path.name, path)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+@contextlib.contextmanager
+def _publish(out_dir: pathlib.Path, commit: str):
+    """The one crash-safe, live-safe write sequence of every artifact
+    directory (snapshot shard sets, ANN indexes).
 
+    Yields a fresh staging directory inside ``out_dir`` (same
+    filesystem, so every :func:`_swap_in` out of it is atomic) for the
+    caller to fill with the whole new tree: files, and directories such
+    as shards.  When the block exits normally each top-level staged
+    entry is swapped in, ``commit`` — the manifest — **last**, as the
+    commit point.  Nothing published is deleted, so a reader always
+    finds a complete artifact; entries the new manifest no longer names
+    are the caller's to drop once the block has exited (the snapshot
+    exporter's stale shards).  The staging directory, now holding the
+    replaced entries, is removed either way, and orphaned staging
+    directories of a killed publish are swept first.
 
-def _publish_files(out_dir: pathlib.Path, arrays: dict[str, np.ndarray],
-                   manifest) -> None:
-    """Crash-safe publish of ``{file name: array}`` plus ``manifest.json``.
-
-    The one write sequence of every flat artifact directory (snapshot,
-    ANN index): orphaned staging directories are swept, each
-    file is fully written into a fresh staging directory on the same
-    filesystem, then published with :func:`_swap_in` — the manifest
-    **last**, as the commit point — and the staging directory (now
-    holding the replaced files) is removed either way.  A crash while
-    staging leaves the previous files untouched; a crash mid-publish
-    can interleave old and new *complete* files, a torn state a
-    ``verify=True`` load rejects by content hash.  A truncated array
-    can never be published, and writing into a fresh directory is fully
-    atomic: the artifact exists only once its manifest does.  Nothing
-    is ``fsync``-ed: the guarantee is against a process crash, not
-    power loss.
+    A crash while staging leaves the previous artifact untouched; a
+    crash mid-publish can interleave old and new *complete* entries, a
+    torn state a ``verify=True`` load rejects by content hash.  A
+    truncated array can never be published, and writing into a fresh
+    directory is fully atomic: the artifact exists only once its
+    manifest does.  Nothing is ``fsync``-ed: the guarantee is against a
+    process crash, not power loss.
     """
+    out_dir.mkdir(parents=True, exist_ok=True)
     _sweep_staging(out_dir)
-    staging = _staging_dir(out_dir)
+    staging = pathlib.Path(tempfile.mkdtemp(prefix=_STAGING_PREFIX,
+                                            dir=out_dir))
     try:
-        for fname, array in arrays.items():
-            np.save(staging / fname, array)
-        (staging / _MANIFEST).write_text(manifest.to_json() + "\n")
-        for fname in arrays:
-            _swap_in(staging / fname, out_dir / fname)
-        _swap_in(staging / _MANIFEST, out_dir / _MANIFEST)
+        yield staging
+        for name in sorted(os.listdir(staging),
+                           key=lambda name: (name == commit, name)):
+            _swap_in(staging / name, out_dir / name)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
 
 
-@dataclasses.dataclass(frozen=True)
-class SnapshotManifest:
-    """Identity card of one exported snapshot.
+class _ManifestCodec:
+    """The ``to_json`` / ``from_json`` pair of every manifest dataclass.
 
-    ``version`` is a content hash over the embedding tables, the seen-set
-    arrays and the identifying fields, so two snapshots with the same
-    version are byte-identical for serving purposes — result caches key
-    on it (see :class:`repro.serve.service.RecommendationService`).
+    ``from_json`` rejects unknown fields; ``_FILE`` names the file in
+    that error.
     """
 
-    schema: str
-    version: str
-    model: str
-    model_class: str
-    dim: int
-    num_users: int
-    num_items: int
-    dataset: str
-    scoring: str
-    created_unix: float
-    extra: dict = dataclasses.field(default_factory=dict)
+    _FILE = "manifest.json"
 
     def to_json(self) -> str:
-        """Serialize to the ``manifest.json`` on-disk representation."""
+        """Serialize to the on-disk representation."""
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "SnapshotManifest":
-        """Parse ``manifest.json`` text, rejecting unknown fields."""
-        payload = json.loads(text)
+    def from_json(cls, text: str):
+        """Parse the on-disk text, rejecting unknown fields."""
+        return cls.from_payload(json.loads(text))
+
+    @classmethod
+    def from_payload(cls, payload: dict):
+        """Build from parsed JSON, rejecting unknown fields."""
         unknown = set(payload) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
-            raise ValueError(f"manifest has unknown fields {sorted(unknown)}; "
-                             f"written by a newer schema?")
+            raise ValueError(f"{cls._FILE} has unknown fields "
+                             f"{sorted(unknown)}; written by a newer schema?")
         return cls(**payload)
 
 
@@ -253,17 +239,22 @@ def _content_version(users: np.ndarray, items: np.ndarray,
     for arr in (users, items, seen_indptr, seen_items):
         digest.update(str(arr.dtype).encode())
         digest.update(str(arr.shape).encode())
-        digest.update(np.ascontiguousarray(arr).tobytes())
+        digest.update(memoryview(np.ascontiguousarray(arr)))
     return digest.hexdigest()[:16]
 
 
 class EmbeddingSnapshot:
-    """A loaded snapshot: manifest + (optionally memory-mapped) arrays.
+    """The dense view of a 1×1 shard set: whole tables in global order.
+
+    What :class:`~repro.serve.index.ExactTopKIndex` and the IVF index
+    serve from.  :func:`load_snapshot` builds it over a loaded set's one
+    user shard and one item shard (validated by their loaders);
+    :func:`export_snapshot` over the tables it just wrote.
 
     Parameters
     ----------
     manifest:
-        Parsed :class:`SnapshotManifest`.
+        The set's :class:`ShardedManifest`.
     users, items:
         ``(num_users, dim)`` / ``(num_items, dim)`` float64 tables with
         propagation already applied.
@@ -271,31 +262,12 @@ class EmbeddingSnapshot:
         CSR layout of each user's training interactions
         (``seen_items[seen_indptr[u]:seen_indptr[u + 1]]``).
     path:
-        Directory the snapshot was loaded from, if any.
+        Directory the snapshot was loaded from or exported to, if any.
     """
 
-    def __init__(self, manifest: SnapshotManifest, users: np.ndarray,
+    def __init__(self, manifest: "ShardedManifest", users: np.ndarray,
                  items: np.ndarray, seen_indptr: np.ndarray,
                  seen_items: np.ndarray, path: pathlib.Path | None = None):
-        if users.shape != (manifest.num_users, manifest.dim):
-            raise ValueError(f"user table shape {users.shape} does not match "
-                             f"manifest ({manifest.num_users}, {manifest.dim})")
-        if items.shape != (manifest.num_items, manifest.dim):
-            raise ValueError(f"item table shape {items.shape} does not match "
-                             f"manifest ({manifest.num_items}, {manifest.dim})")
-        if len(seen_indptr) != manifest.num_users + 1:
-            raise ValueError("seen_indptr length does not match num_users")
-        # CSR consistency now, not an opaque IndexError at request time
-        # (or a silent wrong-row mask for negative ids).
-        if seen_indptr[0] != 0 or seen_indptr[-1] != len(seen_items):
-            raise ValueError("seen_indptr does not span seen_items "
-                             "(truncated snapshot?)")
-        if not np.all(np.diff(seen_indptr) >= 0):
-            raise ValueError("seen_indptr is not monotone (corrupted "
-                             "snapshot?)")
-        if len(seen_items) and (seen_items.min() < 0
-                                or seen_items.max() >= manifest.num_items):
-            raise ValueError("seen_items contains out-of-range item ids")
         self.manifest = manifest
         self.users = users
         self.items = items
@@ -318,15 +290,6 @@ class EmbeddingSnapshot:
         return np.asarray(
             self.seen_items[self.seen_indptr[user_id]:
                             self.seen_indptr[user_id + 1]])
-
-    def recompute_version(self) -> str:
-        """Re-hash the loaded arrays (integrity check against the manifest)."""
-        m = self.manifest
-        return _content_version(
-            np.asarray(self.users), np.asarray(self.items),
-            np.asarray(self.seen_indptr), np.asarray(self.seen_items),
-            (m.schema, m.model_class, m.dim, m.num_users, m.num_items,
-             m.scoring))
 
     def __repr__(self) -> str:
         m = self.manifest
@@ -352,17 +315,28 @@ def _frozen_tables(model: Recommender) -> tuple[np.ndarray, np.ndarray]:
             np.ascontiguousarray(items, dtype=np.float64))
 
 
+def _check_sizes(model: Recommender, dataset: InteractionDataset) -> None:
+    """Refuse to export a model sized for another dataset."""
+    if (model.num_users, model.num_items) != (dataset.num_users,
+                                              dataset.num_items):
+        raise ValueError(
+            f"model is sized ({model.num_users}, {model.num_items}) but "
+            f"dataset is ({dataset.num_users}, {dataset.num_items})")
+
+
 def export_snapshot(model: Recommender, dataset: InteractionDataset,
                     out_dir, *, model_name: str | None = None,
                     extra: dict | None = None,
                     created_unix: float | None = None) -> EmbeddingSnapshot:
-    """Freeze a trained model into a serving snapshot directory.
+    """Freeze a trained model into an unsharded (1×1) snapshot directory.
 
     Runs ``model.propagate()`` once in eval mode (so dropout and
     SSL perturbations are off, exactly like
-    :meth:`~repro.models.base.Recommender.predict_scores`), persists the
-    final tables plus the dataset's train-interaction CSR, and writes a
-    versioned manifest.  Returns the loaded in-memory snapshot.
+    :meth:`~repro.models.base.Recommender.predict_scores`) and writes
+    the final tables plus the dataset's train-interaction CSR as a
+    shard set of one user shard and one item shard — the
+    ``export_sharded_snapshot(..., shards=1)`` bytes.  Returns the dense
+    view over the tables already in memory; nothing is read back.
 
     Parameters
     ----------
@@ -372,95 +346,63 @@ def export_snapshot(model: Recommender, dataset: InteractionDataset,
         The training dataset — provides the seen-item sets used for
         ``filter_seen`` at request time.
     out_dir:
-        Target directory (created if missing; files are overwritten).
+        Target directory (created if missing; a previous snapshot of
+        any shard count is replaced).
     model_name:
         Registry name to record (defaults to the class name lowercased).
     extra:
         Free-form JSON-serializable metadata merged into the manifest.
+    created_unix:
+        Export timestamp recorded in ``shards.json`` (defaults to now);
+        pin it when byte-comparing two exports.
     """
-    if (model.num_users, model.num_items) != (dataset.num_users,
-                                              dataset.num_items):
-        raise ValueError(
-            f"model is sized ({model.num_users}, {model.num_items}) but "
-            f"dataset is ({dataset.num_users}, {dataset.num_items})")
-    out_dir = pathlib.Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    # A prior sharded export into this directory must not survive: its
-    # shards.json would make `recommend` route to the stale sharded
-    # model instead of this fresh export.
-    _remove_stale_layout(out_dir, for_sharded=False)
-
+    _check_sizes(model, dataset)
     users, items = _frozen_tables(model)
     seen_indptr, seen_items = dataset.train_csr()
-
-    name = model_name or type(model).__name__.lower()
-    identity = (SNAPSHOT_SCHEMA, type(model).__name__, model.dim,
-                model.num_users, model.num_items, model.test_scoring)
-    manifest = SnapshotManifest(
-        schema=SNAPSHOT_SCHEMA,
-        version=_content_version(users, items, seen_indptr, seen_items,
-                                 identity),
-        model=name,
-        model_class=type(model).__name__,
-        dim=model.dim,
-        num_users=model.num_users,
-        num_items=model.num_items,
-        dataset=dataset.name,
-        scoring=model.test_scoring,
-        created_unix=time.time() if created_unix is None else created_unix,
-        extra=dict(extra or {}))
-
-    # Published crash-safely; a killed export's staging directory is
-    # swept by the next one.
-    _publish_files(out_dir,
-                   {_FILES["users"]: users, _FILES["items"]: items,
-                    _FILES["seen_indptr"]: seen_indptr,
-                    _FILES["seen_items"]: seen_items}, manifest)
+    out_dir = pathlib.Path(out_dir)
+    manifest = _export_sharded_tables(
+        out_dir, users, items, (seen_indptr, seen_items),
+        **_model_identity(model, dataset, model_name), shards=1,
+        partition_by="both", strategy="contiguous", extra=extra,
+        created_unix=created_unix)
     return EmbeddingSnapshot(manifest, users, items, seen_indptr, seen_items,
                              path=out_dir)
 
 
 def load_snapshot(path, *, mmap: bool = True,
                   verify: bool = False) -> EmbeddingSnapshot:
-    """Open a snapshot directory written by :func:`export_snapshot`.
+    """Open an unsharded (1×1) snapshot directory as its dense view.
 
     Parameters
     ----------
     path:
-        Snapshot directory.
+        Snapshot directory written by :func:`export_snapshot` (or any
+        1×1 shard set).  A directory with more shards is refused:
+        serve it with :func:`~repro.serve.shard.load_sharded_snapshot`.
     mmap:
         Memory-map the embedding tables read-only (the default) so many
         serving processes share one page cache; pass ``False`` to load
         plain in-memory copies.
     verify:
         Re-hash the arrays and fail loudly if the content does not match
-        the manifest's ``version`` (detects truncated or edited files).
+        the manifests (detects truncated or edited files).
     """
+    from repro.serve.shard import _open_shard_set, _read_manifest
     path = pathlib.Path(path)
-    manifest_path = path / _MANIFEST
-    if not manifest_path.is_file():
-        raise FileNotFoundError(f"no snapshot manifest at {manifest_path}")
-    manifest = SnapshotManifest.from_json(manifest_path.read_text())
-    if manifest.schema != SNAPSHOT_SCHEMA:
-        raise ValueError(f"snapshot schema {manifest.schema!r} is not "
-                         f"{SNAPSHOT_SCHEMA!r}")
-    mmap_mode = "r" if mmap else None
-    arrays = {key: np.load(path / fname, mmap_mode=mmap_mode,
-                           allow_pickle=False)
-              for key, fname in _FILES.items()}
-    snapshot = EmbeddingSnapshot(manifest, arrays["users"], arrays["items"],
-                                 arrays["seen_indptr"], arrays["seen_items"],
-                                 path=path)
-    if verify and snapshot.recompute_version() != manifest.version:
+    manifest = _read_manifest(path)
+    counts = (manifest.num_user_shards, manifest.num_item_shards)
+    if counts != (1, 1):
         raise ValueError(
-            f"snapshot content hash does not match manifest version "
-            f"{manifest.version!r}; files were modified after export")
-    return snapshot
+            f"{path} holds {counts[0]} user shards x {counts[1]} item "
+            f"shards; load_snapshot opens only the unsharded 1x1 set, so "
+            f"open it with load_sharded_snapshot")
+    sharded = _open_shard_set(path, manifest, mmap=mmap, verify=verify)
+    (user,), (item,) = sharded.user_shards, sharded.item_shards
+    return EmbeddingSnapshot(sharded.manifest, user.embeddings,
+                             item.embeddings, user.seen_indptr,
+                             user.seen_items, path=sharded.path)
 
 
-# ----------------------------------------------------------------------
-# Sharded snapshots
-# ----------------------------------------------------------------------
 def partition_ids(n: int, num_shards: int,
                   strategy: str = "contiguous") -> list[np.ndarray]:
     """Split ``arange(n)`` into ``num_shards`` ascending id arrays.
@@ -486,14 +428,16 @@ def partition_ids(n: int, num_shards: int,
 
 
 @dataclasses.dataclass(frozen=True)
-class ShardManifest:
-    """Identity card of one shard directory inside a sharded snapshot.
+class ShardManifest(_ManifestCodec):
+    """Identity card of one shard directory inside a snapshot.
 
     ``version`` is a content hash over the shard's arrays plus its
     identifying fields; the top-level :class:`ShardedManifest` hashes
     these child versions, so tampering with any shard invalidates the
     whole snapshot under ``verify=True``.
     """
+
+    _FILE = "shard manifest"
 
     schema: str
     version: str
@@ -507,30 +451,18 @@ class ShardManifest:
     num_users: int
     num_items: int
 
-    def to_json(self) -> str:
-        """Serialize to the shard's ``manifest.json`` representation."""
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ShardManifest":
-        """Parse a shard ``manifest.json``, rejecting unknown fields."""
-        payload = json.loads(text)
-        unknown = set(payload) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ValueError(f"shard manifest has unknown fields "
-                             f"{sorted(unknown)}; written by a newer schema?")
-        return cls(**payload)
-
 
 @dataclasses.dataclass(frozen=True)
-class ShardedManifest:
-    """Top-level ``shards.json`` of a sharded snapshot directory.
+class ShardedManifest(_ManifestCodec):
+    """Top-level ``shards.json`` of a snapshot directory.
 
     ``user_shards`` / ``item_shards`` list ``{"path", "version",
     "count"}`` entries in shard order; ``version`` is a content hash
-    over the child shard versions and the identity fields, so it plays
-    the same cache-key role as an unsharded snapshot's version.
+    over the child shard versions and the identity fields — the
+    snapshot's cache key.
     """
+
+    _FILE = _SHARDS_MANIFEST
 
     schema: str
     version: str
@@ -549,48 +481,6 @@ class ShardedManifest:
     item_shards: list
     created_unix: float
     extra: dict = dataclasses.field(default_factory=dict)
-
-    def to_json(self) -> str:
-        """Serialize to the on-disk ``shards.json`` representation."""
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ShardedManifest":
-        """Parse ``shards.json`` text, rejecting unknown fields."""
-        payload = json.loads(text)
-        unknown = set(payload) - {f.name for f in dataclasses.fields(cls)}
-        if unknown:
-            raise ValueError(f"shards.json has unknown fields "
-                             f"{sorted(unknown)}; written by a newer schema?")
-        return cls(**payload)
-
-
-#: shard subdirectory naming used by the sharded exporter/loader
-_SHARD_DIR = re.compile(r"^(user|item)-shard-\d{2}$")
-
-
-def _remove_stale_layout(out_dir: pathlib.Path, *,
-                         for_sharded: bool) -> None:
-    """Drop stale artifacts before re-exporting into a directory.
-
-    Exports overwrite in place, but the directory must never end up
-    satisfying both loaders at once — an unsharded export leaving a
-    previous ``shards.json`` behind (or vice versa) would make
-    ``recommend`` silently serve the stale model.  Old shard
-    subdirectories always go (a re-export with a smaller shard count
-    must not leave orphans); they are only removed when they match the
-    exporter's naming pattern *and* carry a shard manifest, so
-    unrelated user files are never touched.
-    """
-    (out_dir / _SHARDS_MANIFEST).unlink(missing_ok=True)
-    for child in out_dir.iterdir():
-        if (child.is_dir() and _SHARD_DIR.match(child.name)
-                and (child / _MANIFEST).is_file()):
-            shutil.rmtree(child)
-    if for_sharded:
-        (out_dir / _MANIFEST).unlink(missing_ok=True)
-        for fname in _FILES.values():
-            (out_dir / fname).unlink(missing_ok=True)
 
 
 def _sharded_version(identity: tuple, shard_versions: list[str]) -> str:
@@ -624,66 +514,41 @@ def _csr_rows(indptr: np.ndarray, items: np.ndarray,
     return out_indptr, np.asarray(items[flat], dtype=np.int64)
 
 
-def _write_user_shard(out_dir: pathlib.Path, index: int, ids: np.ndarray,
-                      users: np.ndarray, seen_csr: tuple,
-                      base: dict) -> dict:
-    """Persist one user shard directory; returns its shards.json entry.
-
-    Staged and published with one :func:`_swap_in` of the whole
-    directory: the shard either exists complete or not at all (the
-    stale previous shard was removed by ``_remove_stale_layout`` before
-    any writing began).
-    """
-    shard_dir = out_dir / f"user-shard-{index:02d}"
-    rows = np.ascontiguousarray(users[ids])
-    indptr, seen = _csr_rows(seen_csr[0], seen_csr[1], ids)
+def _stage_shard(staging: pathlib.Path, kind: str, index: int,
+                 ids: np.ndarray, table: np.ndarray, seen_csr: tuple | None,
+                 base: dict) -> dict:
+    """Stage one ``{kind}-shard-NN`` directory; returns its shards.json
+    entry.  User shards carry their seen-item CSR, item shards none."""
+    # ``ids`` ascend, so a contiguous run is a slice: a view, not a copy
+    run = len(ids) == ids[-1] - ids[0] + 1
+    rows = np.ascontiguousarray(table[ids[0]:ids[-1] + 1] if run
+                                else table[ids])
+    files = {f"{kind}_embeddings.npy": rows, f"{kind}_ids.npy": ids}
+    if seen_csr is None:
+        indptr = seen = np.empty(0, np.int64)
+    else:
+        indptr, seen = _csr_rows(seen_csr[0], seen_csr[1], ids)
+        files.update({"seen_indptr.npy": indptr, "seen_items.npy": seen})
     version = _content_version(
         rows, ids, indptr, seen,
-        (SHARD_SCHEMA, "user", index, base["num_shards"], base["strategy"]))
-    manifest = ShardManifest(schema=SHARD_SCHEMA, version=version,
-                             kind="user", index=index, count=len(ids),
-                             **base)
-    staging = _staging_dir(out_dir)
-    try:
-        np.save(staging / "user_embeddings.npy", rows)
-        np.save(staging / "user_ids.npy", ids)
-        np.save(staging / "seen_indptr.npy", indptr)
-        np.save(staging / "seen_items.npy", seen)
-        (staging / _MANIFEST).write_text(manifest.to_json() + "\n")
-        if shard_dir.exists():
-            shutil.rmtree(shard_dir)
-        _swap_in(staging, shard_dir)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
+        (SHARD_SCHEMA, kind, index, base["num_shards"], base["strategy"]))
+    manifest = ShardManifest(schema=SHARD_SCHEMA, version=version, kind=kind,
+                             index=index, count=len(ids), **base)
+    shard_dir = staging / f"{kind}-shard-{index:02d}"
+    shard_dir.mkdir()
+    for fname, array in files.items():
+        np.save(shard_dir / fname, array)
+    (shard_dir / _MANIFEST).write_text(manifest.to_json() + "\n")
     return {"path": shard_dir.name, "version": version, "count": len(ids)}
 
 
-def _write_item_shard(out_dir: pathlib.Path, index: int, ids: np.ndarray,
-                      items: np.ndarray, base: dict) -> dict:
-    """Persist one item shard directory; returns its shards.json entry.
-
-    Staged and published with one directory swap, exactly like
-    :func:`_write_user_shard`.
-    """
-    shard_dir = out_dir / f"item-shard-{index:02d}"
-    rows = np.ascontiguousarray(items[ids])
-    version = _content_version(
-        rows, ids, np.empty(0, np.int64), np.empty(0, np.int64),
-        (SHARD_SCHEMA, "item", index, base["num_shards"], base["strategy"]))
-    manifest = ShardManifest(schema=SHARD_SCHEMA, version=version,
-                             kind="item", index=index, count=len(ids),
-                             **base)
-    staging = _staging_dir(out_dir)
-    try:
-        np.save(staging / "item_embeddings.npy", rows)
-        np.save(staging / "item_ids.npy", ids)
-        (staging / _MANIFEST).write_text(manifest.to_json() + "\n")
-        if shard_dir.exists():
-            shutil.rmtree(shard_dir)
-        _swap_in(staging, shard_dir)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
-    return {"path": shard_dir.name, "version": version, "count": len(ids)}
+def _model_identity(model: Recommender, dataset: InteractionDataset,
+                    model_name: str | None) -> dict:
+    """The manifest identity fields of a model-level export."""
+    return {"model_name": model_name or type(model).__name__.lower(),
+            "model_class": type(model).__name__, "dim": model.dim,
+            "num_users": model.num_users, "num_items": model.num_items,
+            "dataset_name": dataset.name, "scoring": model.test_scoring}
 
 
 def _export_sharded_tables(out_dir, users, items, seen_csr, *,
@@ -692,68 +557,68 @@ def _export_sharded_tables(out_dir, users, items, seen_csr, *,
                            dataset_name: str, scoring: str, shards: int,
                            partition_by: str, strategy: str,
                            extra: dict | None,
-                           created_unix: float | None):
-    """Shared sharded-export core: tables + seen CSR → shard directories.
+                           created_unix: float | None) -> ShardedManifest:
+    """The one export core: tables + seen CSR → a published shard set.
 
-    Both the model-level :func:`export_sharded_snapshot` and the
-    out-of-core :func:`export_sharded_source_snapshot` funnel through
-    here, so identical inputs produce byte-identical shard files and
-    manifests regardless of which front door was used (pin
-    ``created_unix`` to make the manifests comparable too).
+    Every front door (:func:`export_snapshot`,
+    :func:`export_sharded_snapshot`, the out-of-core
+    :func:`export_sharded_source_snapshot`) funnels through here, so
+    identical inputs produce byte-identical shard files and manifests
+    regardless of which one was used (pin ``created_unix`` to make the
+    manifests comparable too).  Returns the written manifest.
     """
     if partition_by not in ("user", "item", "both"):
         raise ValueError(f"partition_by must be user/item/both, "
                          f"got {partition_by!r}")
     num_user_shards = shards if partition_by in ("user", "both") else 1
     num_item_shards = shards if partition_by in ("item", "both") else 1
-
-    out_dir = pathlib.Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _remove_stale_layout(out_dir, for_sharded=True)
-    _sweep_staging(out_dir)
-
     base = {"dim": dim, "scoring": scoring,
             "num_users": num_users, "num_items": num_items,
             "strategy": strategy}
-    user_entries = [
-        _write_user_shard(out_dir, i, ids, users, seen_csr,
-                          {**base, "num_shards": num_user_shards})
-        for i, ids in enumerate(partition_ids(num_users,
-                                              num_user_shards, strategy))]
-    item_entries = [
-        _write_item_shard(out_dir, i, ids, items,
-                          {**base, "num_shards": num_item_shards})
-        for i, ids in enumerate(partition_ids(num_items,
-                                              num_item_shards, strategy))]
-
-    identity = (SHARDED_SCHEMA, model_class, dim,
-                num_users, num_items, scoring,
-                partition_by, strategy, num_user_shards, num_item_shards)
-    manifest = ShardedManifest(
-        schema=SHARDED_SCHEMA,
-        version=_sharded_version(
-            identity, [e["version"] for e in user_entries + item_entries]),
-        model=model_name,
-        model_class=model_class,
-        dim=dim,
-        num_users=num_users,
-        num_items=num_items,
-        dataset=dataset_name,
-        scoring=scoring,
-        partition_by=partition_by,
-        strategy=strategy,
-        num_user_shards=num_user_shards,
-        num_item_shards=num_item_shards,
-        user_shards=user_entries,
-        item_shards=item_entries,
-        created_unix=time.time() if created_unix is None else created_unix,
-        extra=dict(extra or {}))
-    # shards.json is the commit point: until this rename lands, the
-    # directory does not parse as a sharded snapshot at all.
-    _atomic_write_text(out_dir / _SHARDS_MANIFEST, manifest.to_json() + "\n")
-
-    from repro.serve.shard import load_sharded_snapshot
-    return load_sharded_snapshot(out_dir)
+    out_dir = pathlib.Path(out_dir)
+    with _publish(out_dir, _SHARDS_MANIFEST) as staging:
+        user_entries = [
+            _stage_shard(staging, "user", i, ids, users, seen_csr,
+                         {**base, "num_shards": num_user_shards})
+            for i, ids in enumerate(partition_ids(num_users,
+                                                  num_user_shards, strategy))]
+        item_entries = [
+            _stage_shard(staging, "item", i, ids, items, None,
+                         {**base, "num_shards": num_item_shards})
+            for i, ids in enumerate(partition_ids(num_items,
+                                                  num_item_shards, strategy))]
+        identity = (SHARDED_SCHEMA, model_class, dim,
+                    num_users, num_items, scoring,
+                    partition_by, strategy, num_user_shards, num_item_shards)
+        manifest = ShardedManifest(
+            schema=SHARDED_SCHEMA,
+            version=_sharded_version(
+                identity, [e["version"] for e in user_entries + item_entries]),
+            model=model_name,
+            model_class=model_class,
+            dim=dim,
+            num_users=num_users,
+            num_items=num_items,
+            dataset=dataset_name,
+            scoring=scoring,
+            partition_by=partition_by,
+            strategy=strategy,
+            num_user_shards=num_user_shards,
+            num_item_shards=num_item_shards,
+            user_shards=user_entries,
+            item_shards=item_entries,
+            created_unix=time.time() if created_unix is None else created_unix,
+            extra=dict(extra or {}))
+        (staging / _SHARDS_MANIFEST).write_text(manifest.to_json() + "\n")
+    # Only after the commit: drop the shard directories the new manifest
+    # does not name (a re-export with fewer shards leaves no orphans).
+    # Exporter naming plus a shard manifest, so user files are safe.
+    named = {entry["path"] for entry in user_entries + item_entries}
+    for child in out_dir.iterdir():
+        if (child.name not in named and _SHARD_DIR.match(child.name)
+                and (child / _MANIFEST).is_file()):
+            shutil.rmtree(child)
+    return manifest
 
 
 def export_sharded_snapshot(model: Recommender, dataset: InteractionDataset,
@@ -768,17 +633,18 @@ def export_sharded_snapshot(model: Recommender, dataset: InteractionDataset,
     Writes ``shards`` user-shard directories and/or ``shards``
     item-shard directories (per ``partition_by``) under ``out_dir``,
     plus a content-hashed top-level ``shards.json``.  The embedding
-    values, seen-item sets and manifest identity are exactly those an
-    unsharded :func:`export_snapshot` of the same model would produce —
+    values and seen-item sets are exactly those of the unsharded
+    :func:`export_snapshot` of the same model (which is ``shards=1``) —
     only the placement differs — which is what lets the scatter-gather
     router reproduce the unsharded rankings bit for bit.
 
     Parameters
     ----------
-    model, dataset, model_name, extra:
+    model, dataset, model_name, extra, created_unix:
         As in :func:`export_snapshot`.
     out_dir:
-        Target directory (created if missing; files are overwritten).
+        Target directory (created if missing; a previous snapshot of
+        any shard count is replaced).
     shards:
         Number of partitions along each sharded axis.
     partition_by:
@@ -787,28 +653,19 @@ def export_sharded_snapshot(model: Recommender, dataset: InteractionDataset,
         stored as a single shard.
     strategy:
         ``"contiguous"`` or ``"hash"`` (see :func:`partition_ids`).
-    created_unix:
-        Export timestamp recorded in ``shards.json`` (defaults to now);
-        pin it when byte-comparing two exports.
 
     Returns the loaded
     :class:`~repro.serve.shard.ShardedSnapshot`.
     """
-    if (model.num_users, model.num_items) != (dataset.num_users,
-                                              dataset.num_items):
-        raise ValueError(
-            f"model is sized ({model.num_users}, {model.num_items}) but "
-            f"dataset is ({dataset.num_users}, {dataset.num_items})")
+    from repro.serve.shard import load_sharded_snapshot
+    _check_sizes(model, dataset)
     users, items = _frozen_tables(model)
-    seen_csr = dataset.train_csr()
-    return _export_sharded_tables(
-        out_dir, users, items, seen_csr,
-        model_name=model_name or type(model).__name__.lower(),
-        model_class=type(model).__name__, dim=model.dim,
-        num_users=model.num_users, num_items=model.num_items,
-        dataset_name=dataset.name, scoring=model.test_scoring,
-        shards=shards, partition_by=partition_by, strategy=strategy,
-        extra=extra, created_unix=created_unix)
+    _export_sharded_tables(
+        out_dir, users, items, dataset.train_csr(),
+        **_model_identity(model, dataset, model_name), shards=shards,
+        partition_by=partition_by, strategy=strategy, extra=extra,
+        created_unix=created_unix)
+    return load_sharded_snapshot(out_dir)
 
 
 def export_sharded_source_snapshot(users, items, source, out_dir, *,
@@ -834,6 +691,7 @@ def export_sharded_source_snapshot(users, items, source, out_dir, *,
     in-memory model/dataset (``created_unix`` pinned), because both
     funnel through the same write core.
     """
+    from repro.serve.shard import load_sharded_snapshot
     users = np.asarray(users)
     items = np.asarray(items)
     if users.ndim != 2 or items.ndim != 2 or users.shape[1] != items.shape[1]:
@@ -843,18 +701,25 @@ def export_sharded_source_snapshot(users, items, source, out_dir, *,
         raise ValueError(
             f"tables are sized ({users.shape[0]}, {items.shape[0]}) but "
             f"source is ({source.num_users}, {source.num_items})")
-    return _export_sharded_tables(
+    _export_sharded_tables(
         out_dir, users, items, source.train_csr(),
         model_name=model_name, model_class=model_class,
         dim=int(users.shape[1]), num_users=source.num_users,
         num_items=source.num_items, dataset_name=source.name,
         scoring=scoring, shards=shards, partition_by=partition_by,
         strategy=strategy, extra=extra, created_unix=created_unix)
+    return load_sharded_snapshot(out_dir)
 
 
 def is_sharded_snapshot(path) -> bool:
-    """True if ``path`` holds a sharded snapshot (has a ``shards.json``)."""
-    return (pathlib.Path(path) / _SHARDS_MANIFEST).is_file()
+    """True if ``path`` holds a multi-shard snapshot: its ``shards.json``
+    names more than one user or item shard.  The 1×1 set is the
+    unsharded snapshot (:func:`load_snapshot`)."""
+    manifest = pathlib.Path(path) / _SHARDS_MANIFEST
+    if not manifest.is_file():
+        return False
+    counts = json.loads(manifest.read_text())
+    return (counts["num_user_shards"], counts["num_item_shards"]) != (1, 1)
 
 
 def quarantine_snapshot(path) -> pathlib.Path:

@@ -7,7 +7,8 @@ Three families of checks keep the docs archetype honest:
   so a renamed flag or verb breaks tier-1, not a user;
 * the docs-link checker (``scripts/check_docs.py``) must report zero
   dangling file references, unknown CLI verbs or flags, unregistered
-  bench suites and unknown ``repro.serve`` / ``repro.ann`` keywords;
+  bench suites, unknown ``repro.serve`` / ``repro.ann`` keywords and
+  class names that are no public ``repro`` name;
 * public CLI handlers and every public ``repro.serve`` entry point must
   carry docstrings.
 """
@@ -154,6 +155,24 @@ class TestDocsLinks:
                    for problem in problems)
         assert any("`RecommendationService` has no parameter `kind`"
                    in problem for problem in problems)
+
+    def test_unknown_class_name_is_reported(self, check_docs, tmp_path):
+        """A CamelCase name in a code span that is no public ``repro``
+        name, builtin or ``tests/`` class fails, alone, as an attribute
+        base or called; real names and file-like spans pass."""
+        page = tmp_path / "page.md"
+        page.write_text(
+            "The flat `SnapshotManifest` and `FaultyIndex.topk` are gone, "
+            "as is `f(IndexIVF(d))`.\n"
+            "`ExactTopKIndex(snapshot)`, `ShardedManifest.from_json`, "
+            "`ValueError`, `TestLivePublish`, `BENCH_ann.json`, `+Inf`, "
+            "`np.float64` and `SHARDED_SCHEMA` are real.\n")
+        problems = check_docs.check_file(page, check_docs.cli_verbs(),
+                                         check_docs.bench_suites())
+        assert len(problems) == 3
+        for name in ("SnapshotManifest", "FaultyIndex", "IndexIVF"):
+            assert any(f"`{name}` is not a public repro name" in problem
+                       for problem in problems)
 
     def test_required_docs_exist(self):
         for path in ("README.md", "docs/architecture.md",

@@ -618,8 +618,8 @@ class TestCorruptRefreshFallback:
         train_model(model, get_loss("bsl"), tiny_dataset, config)
         export_snapshot(model, tiny_dataset, tmp_path / "v2",
                         model_name="mf")
-        corrupt_array_file(tmp_path / "v2" / "item_embeddings.npy",
-                           seed=0)
+        corrupt_array_file(tmp_path / "v2" / "item-shard-00"
+                           / "item_embeddings.npy", seed=0)
 
         with pytest.raises(SnapshotIntegrityError) as excinfo:
             service.refresh(tmp_path / "v2")

@@ -22,18 +22,20 @@ def exported(tmp_path_factory):
 
 class TestExport:
     def test_writes_manifest_and_arrays(self, exported):
-        manifest = json.loads((exported / "manifest.json").read_text())
-        assert manifest["schema"] == "bsl-serve-snapshot/v1"
+        manifest = json.loads((exported / "shards.json").read_text())
+        assert manifest["schema"] == "bsl-serve-sharded/v1"
         assert manifest["model"] == "mf"
         assert manifest["extra"]["loss"] == "sl"
-        for fname in ("user_embeddings.npy", "item_embeddings.npy",
-                      "seen_indptr.npy", "seen_items.npy"):
+        for fname in ("user-shard-00/user_embeddings.npy",
+                      "item-shard-00/item_embeddings.npy",
+                      "user-shard-00/seen_indptr.npy",
+                      "user-shard-00/seen_items.npy"):
             assert (exported / fname).is_file()
 
     def test_prints_version(self, exported, capsys):
         cli.main(["recommend", "--snapshot", str(exported), "--users", "0"])
         out = capsys.readouterr().out
-        manifest = json.loads((exported / "manifest.json").read_text())
+        manifest = json.loads((exported / "shards.json").read_text())
         assert manifest["version"] in out
 
     def test_export_from_checkpoint(self, tiny_dataset, tmp_path):
@@ -140,7 +142,7 @@ class TestRefresh:
         _, new = tiny_mf_snapshot_next
         damaged = tmp_path / "new"
         shutil.copytree(new.path, damaged)
-        corrupt_array_file(damaged / "item_embeddings.npy")
+        corrupt_array_file(damaged / "item-shard-00" / "item_embeddings.npy")
         rc = cli.main(["refresh", "--snapshot", str(base.path),
                        "--new", str(damaged), "--requests", "32",
                        "--qps", "2000"])

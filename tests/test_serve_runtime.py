@@ -189,6 +189,26 @@ class TestAdaptiveBatching:
                 handle.result(timeout=10.0)
         assert config.min_batch <= runtime.batch_size <= config.max_batch
 
+    @pytest.mark.parametrize("p99_over_slo, batch, grows, shrinks", [
+        (1.5, 4, 0, 1),   # slo_ms < p99 < 2 x slo_ms: shrink
+        (0.5, 16, 1, 0),  # p99 < headroom x slo_ms: grow
+        (0.8, 8, 0, 0),   # in between: hold
+    ])
+    def test_controller_step_from_window_p99(self, service, p99_over_slo,
+                                             batch, grows, shrinks):
+        """One controller step over a planted latency window: any p99
+        above ``slo_ms`` shrinks the batch, one under ``headroom *
+        slo_ms`` grows it, and the band between holds it."""
+        config = fast_config(slo_ms=20.0, initial_batch=8, window=4,
+                             headroom=0.7)
+        runtime = ServingRuntime(service, config)
+        runtime._latencies.extend([p99_over_slo * config.slo_ms]
+                                  * config.window)
+        runtime._adapt()
+        assert runtime.batch_size == batch
+        assert (runtime.stats.grows, runtime.stats.shrinks) == (grows,
+                                                                 shrinks)
+
     def test_adaptation_counters_exposed(self, service):
         with ServingRuntime(service, fast_config(window=4)) as runtime:
             for u in range(12):

@@ -146,10 +146,49 @@ class TestExportLoadRoundTrip:
         with pytest.raises(ValueError, match="unknown fields"):
             load_sharded_snapshot(tmp_path)
 
-    def test_load_rejects_unsharded_dir(self, tiny_cell):
+    def test_unsharded_export_loads_as_1x1_set(self, tiny_cell):
+        """`export_snapshot` writes the 1×1 shard set: the sharded loader
+        opens it, and its version is the dense view's."""
         _, _, snapshot = tiny_cell
+        sharded = load_sharded_snapshot(snapshot.path, verify=True)
+        assert (sharded.manifest.num_user_shards,
+                sharded.manifest.num_item_shards) == (1, 1)
+        assert sharded.version == snapshot.version
+        assert not is_sharded_snapshot(snapshot.path)
+
+    def test_unsharded_export_is_the_one_shard_export(self, tiny_cell,
+                                                      tmp_path):
+        """One writer: `export_snapshot` and `shards=1` write the same
+        bytes, file for file."""
+        model, dataset, _ = tiny_cell
+        export_snapshot(model, dataset, tmp_path / "a", model_name="mf",
+                        created_unix=0.0)
+        export_sharded_snapshot(model, dataset, tmp_path / "b", shards=1,
+                                model_name="mf", created_unix=0.0)
+        files = sorted(p.relative_to(tmp_path / "a")
+                       for p in (tmp_path / "a").rglob("*") if p.is_file())
+        assert [str(f) for f in files] == [
+            "item-shard-00/item_embeddings.npy", "item-shard-00/item_ids.npy",
+            "item-shard-00/manifest.json", "shards.json",
+            "user-shard-00/manifest.json", "user-shard-00/seen_indptr.npy",
+            "user-shard-00/seen_items.npy", "user-shard-00/user_embeddings.npy",
+            "user-shard-00/user_ids.npy"]
+        for f in files:
+            assert ((tmp_path / "a" / f).read_bytes()
+                    == (tmp_path / "b" / f).read_bytes())
+
+    def test_load_rejects_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="shards.json"):
-            load_sharded_snapshot(snapshot.path)
+            load_sharded_snapshot(tmp_path)
+
+    def test_dense_load_refuses_a_multi_shard_set(self, tiny_cell, tmp_path):
+        from repro.serve import load_snapshot
+        model, dataset, _ = tiny_cell
+        export_sharded_snapshot(model, dataset, tmp_path, shards=3,
+                                partition_by="item")
+        with pytest.raises(ValueError, match="1 user shards x 3 item "
+                                             "shards"):
+            load_snapshot(tmp_path)
 
     def test_export_rejects_bad_partition_by(self, tiny_cell, tmp_path):
         model, dataset, _ = tiny_cell
@@ -166,7 +205,8 @@ class TestExportLoadRoundTrip:
         assert is_sharded_snapshot(tmp_path)
         export_snapshot(model, dataset, tmp_path)
         assert not is_sharded_snapshot(tmp_path)
-        assert not list(tmp_path.glob("*-shard-*"))
+        assert sorted(p.name for p in tmp_path.glob("*-shard-*")) == [
+            "item-shard-00", "user-shard-00"]
         from repro.serve import load_snapshot
         load_snapshot(tmp_path, verify=True)
 
@@ -202,7 +242,8 @@ class TestExportLoadRoundTrip:
             assert shard.ids[local[u]] == u
         # gathered rows match the unsharded table bit for bit
         rows = sharded.gather_user_rows(users)
-        flat_users = np.load(tiny_cell[2].path / "user_embeddings.npy")
+        flat_users = np.load(tiny_cell[2].path / "user-shard-00"
+                             / "user_embeddings.npy")
         np.testing.assert_array_equal(rows, flat_users)
 
     def test_gather_seen_matches_dataset(self, tiny_cell, tmp_path):

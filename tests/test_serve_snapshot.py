@@ -6,8 +6,10 @@ import errno
 import json
 import os
 import pathlib
+import subprocess
 import sys
 import threading
+import time
 import types
 
 import numpy as np
@@ -15,8 +17,9 @@ import pytest
 
 import repro
 from repro.models import MF, LightGCN
-from repro.serve import (SNAPSHOT_SCHEMA, SnapshotManifest, export_snapshot,
-                         load_snapshot)
+from repro.serve import (SHARDED_SCHEMA, ShardedManifest,
+                         export_sharded_snapshot, export_snapshot,
+                         load_sharded_snapshot, load_snapshot)
 from repro.serve import snapshot as snapshot_mod
 
 
@@ -72,6 +75,26 @@ def publish_path(request, can_exchange):
     return request.param
 
 
+#: A serving process for :class:`TestLivePublish`: loads the snapshot in
+#: ``argv[1]`` (``argv[2]`` shards) until a ``stop`` file appears beside
+#: it, and prints the failed loads.
+_POLLING_READER = """
+import json, pathlib, sys
+from repro.serve import load_sharded_snapshot, load_snapshot
+out, shards = pathlib.Path(sys.argv[1]), int(sys.argv[2])
+load = load_snapshot if shards == 1 else load_sharded_snapshot
+failures, reads = [], 0
+while not (out.parent / "stop").exists():
+    try:
+        load(out)
+    except Exception as exc:
+        failures.append(repr(exc))
+    reads += 1
+    (out.parent / "ready").touch()
+print(json.dumps({"reads": reads, "failures": failures[:5]}))
+"""
+
+
 class _Killed(BaseException):
     """Stands in for SIGKILL: nothing catches it."""
 
@@ -107,7 +130,7 @@ class TestExport:
     def test_manifest_fields(self, tiny_dataset, tiny_mf_snapshot):
         _, snapshot = tiny_mf_snapshot
         m = snapshot.manifest
-        assert m.schema == SNAPSHOT_SCHEMA
+        assert m.schema == SHARDED_SCHEMA
         assert m.model == "mf" and m.model_class == "MF"
         assert (m.num_users, m.num_items) == (tiny_dataset.num_users,
                                               tiny_dataset.num_items)
@@ -167,9 +190,9 @@ class TestVersioning:
         model = MF(tiny_dataset.num_users, tiny_dataset.num_items, dim=8,
                    rng=0)
         export_snapshot(model, tiny_dataset, tmp_path)
-        table = np.load(tmp_path / "item_embeddings.npy")
+        table = np.load(tmp_path / "item-shard-00" / "item_embeddings.npy")
         table[0, 0] += 1.0
-        np.save(tmp_path / "item_embeddings.npy", table)
+        np.save(tmp_path / "item-shard-00" / "item_embeddings.npy", table)
         load_snapshot(tmp_path)  # lazy load is fine
         with pytest.raises(ValueError, match="content hash"):
             load_snapshot(tmp_path, verify=True)
@@ -199,8 +222,8 @@ class TestLoad:
         model = MF(tiny_dataset.num_users, tiny_dataset.num_items, dim=8,
                    rng=0)
         export_snapshot(model, tiny_dataset, tmp_path)
-        seen = np.load(tmp_path / "seen_items.npy")
-        np.save(tmp_path / "seen_items.npy", seen[:-5])
+        seen = np.load(tmp_path / "user-shard-00" / "seen_items.npy")
+        np.save(tmp_path / "user-shard-00" / "seen_items.npy", seen[:-5])
         with pytest.raises(ValueError, match="truncated"):
             load_snapshot(tmp_path)
 
@@ -208,9 +231,9 @@ class TestLoad:
         model = MF(tiny_dataset.num_users, tiny_dataset.num_items, dim=8,
                    rng=0)
         export_snapshot(model, tiny_dataset, tmp_path)
-        indptr = np.load(tmp_path / "seen_indptr.npy")
+        indptr = np.load(tmp_path / "user-shard-00" / "seen_indptr.npy")
         indptr[1], indptr[2] = indptr[2], indptr[1]
-        np.save(tmp_path / "seen_indptr.npy", indptr)
+        np.save(tmp_path / "user-shard-00" / "seen_indptr.npy", indptr)
         with pytest.raises(ValueError, match="monotone"):
             load_snapshot(tmp_path)
 
@@ -218,9 +241,9 @@ class TestLoad:
         model = MF(tiny_dataset.num_users, tiny_dataset.num_items, dim=8,
                    rng=0)
         export_snapshot(model, tiny_dataset, tmp_path)
-        seen = np.load(tmp_path / "seen_items.npy")
+        seen = np.load(tmp_path / "user-shard-00" / "seen_items.npy")
         seen[0] = tiny_dataset.num_items
-        np.save(tmp_path / "seen_items.npy", seen)
+        np.save(tmp_path / "user-shard-00" / "seen_items.npy", seen)
         with pytest.raises(ValueError, match="out-of-range"):
             load_snapshot(tmp_path)
 
@@ -230,7 +253,7 @@ class TestLoad:
         payload = json.loads(snapshot.manifest.to_json())
         payload["from_the_future"] = 1
         with pytest.raises(ValueError, match="unknown fields"):
-            SnapshotManifest.from_json(json.dumps(payload))
+            ShardedManifest.from_json(json.dumps(payload))
 
 
 class TestCrashSafePublish:
@@ -243,27 +266,29 @@ class TestCrashSafePublish:
 
     def test_kill_between_swaps_rejected_then_swept(
             self, publish_path, tiny_dataset, monkeypatch, tmp_path):
-        """Killed after two of five swaps: new arrays sit beside the old
-        manifest and the staging directory survives.  A verify load
-        rejects the mix; the next export sweeps the orphan (holding the
-        replaced files on the exchange path) and verify-loads."""
+        """Killed after one of three swaps: the new item shard sits
+        beside the old user shard and manifest, and the staging directory
+        survives.  A verify load rejects the mix; the next export sweeps
+        the orphan (holding the replaced shard on the exchange path) and
+        verify-loads."""
         out = tmp_path / "snap"
         old = export_snapshot(MF(tiny_dataset.num_users,
                                  tiny_dataset.num_items, dim=8, rng=0),
                               tiny_dataset, out, model_name="mf")
-        old_users = np.array(old.users)
+        old_items = np.array(old.items)
         model = MF(tiny_dataset.num_users, tiny_dataset.num_items,
                    dim=8, rng=1)
         done = _kill_at_swap(monkeypatch, lambda dst: dst.name
-                             == "seen_indptr.npy")
+                             == "user-shard-00")
         with pytest.raises(_Killed):
             export_snapshot(model, tiny_dataset, out, model_name="mf")
         monkeypatch.undo()
-        assert done == ["user_embeddings.npy", "item_embeddings.npy"]
+        assert done == ["item-shard-00"]
         (orphan,) = out.glob(".staging-*")
         if publish_path == "exchange":
             np.testing.assert_array_equal(
-                np.load(orphan / "user_embeddings.npy"), old_users)
+                np.load(orphan / "item-shard-00" / "item_embeddings.npy"),
+                old_items)
         with pytest.raises(ValueError, match="content hash"):
             load_snapshot(out, verify=True)
         export_snapshot(model, tiny_dataset, out, model_name="mf")
@@ -294,7 +319,7 @@ class TestCrashSafePublish:
             export_snapshot(model, tiny_dataset, tmp_path / "snap",
                             model_name="mf")
         monkeypatch.setattr(np, "save", real_save)
-        assert not (tmp_path / "snap" / "manifest.json").exists()
+        assert not (tmp_path / "snap" / "shards.json").exists()
         assert not list((tmp_path / "snap").glob(".staging-*"))
         with pytest.raises(Exception):
             load_snapshot(tmp_path / "snap")
@@ -339,6 +364,31 @@ class TestCrashSafePublish:
         (orphan / "user_embeddings.npy").write_bytes(b"torn")
         export_snapshot(model, tiny_dataset, out, model_name="mf")
         assert not orphan.exists()
+        load_snapshot(out, verify=True)
+
+    def test_shrinking_reexport_sweeps_old_shards_only_after_commit(
+            self, tiny_dataset, monkeypatch, tmp_path):
+        """A 1×1 re-export over a 4-shard set killed at its commit keeps
+        every old shard directory: nothing the live ``shards.json`` names
+        is deleted before the new one is in place.  The completed
+        re-export then leaves no orphan shard directory."""
+        model = MF(tiny_dataset.num_users, tiny_dataset.num_items,
+                   dim=8, rng=0)
+        out = tmp_path / "snap"
+        export_sharded_snapshot(model, tiny_dataset, out, shards=4)
+        _kill_at_swap(monkeypatch, lambda dst: dst.name == "shards.json")
+        with pytest.raises(_Killed):
+            export_snapshot(model, tiny_dataset, out, model_name="mf")
+        monkeypatch.undo()
+        names = [f"{kind}-shard-{i:02d}" for kind in ("item", "user")
+                 for i in range(4)]
+        assert sorted(p.name for p in out.glob("*-shard-*")) == names
+        old = json.loads((out / "shards.json").read_text())
+        assert old["num_user_shards"] == old["num_item_shards"] == 4
+        export_snapshot(model, tiny_dataset, out, model_name="mf")
+        assert sorted(p.name for p in out.glob("*-shard-*")) == [
+            "item-shard-00", "user-shard-00"]
+        assert not list(out.glob(".staging-*"))
         load_snapshot(out, verify=True)
 
     # The ANN index directory is one more artifact behind the same
@@ -418,8 +468,9 @@ class TestLivePublish:
         def reader():
             while True:
                 try:
-                    manifest = json.loads((out / "manifest.json").read_text())
-                    users = np.load(out / "user_embeddings.npy")
+                    manifest = json.loads((out / "shards.json").read_text())
+                    users = np.load(out / "user-shard-00"
+                                    / "user_embeddings.npy")
                 except (OSError, ValueError) as exc:
                     errors.append(exc)
                     return
@@ -445,6 +496,45 @@ class TestLivePublish:
         assert not thread.is_alive()
         assert not errors
         assert reads
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_reader_loads_every_snapshot_during_reexports(
+            self, shards, tiny_dataset, tmp_path):
+        """A serving process polling the loader while the directory is
+        re-exported over and over never fails to load a snapshot."""
+        models = [MF(tiny_dataset.num_users, tiny_dataset.num_items,
+                     dim=8, rng=seed) for seed in (0, 1)]
+        out = tmp_path / "snap"
+
+        def export(model):
+            if shards == 1:
+                export_snapshot(model, tiny_dataset, out, model_name="mf")
+            else:
+                export_sharded_snapshot(model, tiny_dataset, out,
+                                        shards=shards, model_name="mf")
+
+        export(models[0])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(pathlib.Path(repro.__file__).parents[1]),
+             os.environ.get("PYTHONPATH", "")]))
+        reader = subprocess.Popen(
+            [sys.executable, "-c", _POLLING_READER, str(out), str(shards)],
+            env=env, stdout=subprocess.PIPE, text=True)
+        try:
+            ready = tmp_path / "ready"
+            deadline = time.monotonic() + 60
+            while not ready.exists() and reader.poll() is None:
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            for i in range(30):
+                export(models[(i + 1) % 2])
+        finally:
+            (tmp_path / "stop").touch()
+            stdout, _ = reader.communicate(timeout=60)
+        result = json.loads(stdout)
+        assert result["failures"] == []
+        assert result["reads"] > 0
+
 
     def test_mmap_of_the_old_file_keeps_its_bytes(self, tiny_dataset,
                                                    tmp_path):
