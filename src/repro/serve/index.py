@@ -10,10 +10,14 @@ same canonical ranking (:func:`repro.eval.metrics.rank_items`), so
 online recommendations are exactly the lists the paper's metrics were
 computed on.
 
-The index is chunk, score, mask, rank over a :class:`PanelScorer`,
-which owns what the float64 format knows about "some rows of an item
-table".  :class:`~repro.serve.shard.ItemShardIndex` holds the same
-scorer over one shard's rows, so neither scoring nor ``filter_seen``
+The index cuts a request into user chunks and hands each to a
+:class:`PanelScorer`, which owns what the float64 format knows about
+"some rows of an item table" and the one score → mask → rank loop
+(:meth:`PanelScorer.topk`).  The loop scores a chunk
+:data:`ROW_BLOCK` rows at a time into one ``(block, n_items)`` buffer,
+so a chunk's score block is never held whole.
+:class:`~repro.serve.shard.ItemShardIndex` runs the same scorer and
+loop over one shard's rows, so neither scoring nor ``filter_seen``
 semantics can drift between sharded and unsharded serving.
 
 **Partition-invariant scoring.**  Dense BLAS matmuls are *not* bitwise
@@ -23,7 +27,7 @@ sharded serving drift from the single-process answer.  Every score in
 this module is therefore produced by a **fixed-shape panel kernel**
 (:func:`build_panels` / :func:`panel_scores`): the item side is cut into
 zero-padded panels of exactly :data:`PANEL_WIDTH` rows, so every GEMM
-call has an identical ``(chunk_users, dim) @ (dim, PANEL_WIDTH)`` shape
+call has an identical ``(block rows, dim) @ (dim, PANEL_WIDTH)`` shape
 regardless of catalogue size or shard boundaries.  A given (user, item)
 pair then always runs through the same BLAS micro-kernel with the same
 accumulation order, making scores a pure function of the two embedding
@@ -32,9 +36,11 @@ needs for bit-identical scatter-gather (see ``docs/sharding.md``).
 One caveat: the GEMM's *row* count is the number of users scored
 together, and BLAS may pick another kernel for very few rows (measured
 on OpenBLAS 0.3.31: the last ulp moves only for ``m <= 9`` at width 128
-and ``m <= 2`` at width 512), so bit-parity is between paths that
-score a user in equally sized chunks — which the sharded and unsharded
-paths do.
+and ``m <= 2`` at width 512).  :func:`row_blocks` keeps every block of a
+chunk at 64–127 rows, or the whole chunk when it has fewer than 128, so
+no GEMM runs at those row counts unless the chunk itself is that small;
+bit-parity is between paths that score a user in equally sized chunks —
+which the sharded and unsharded paths do.
 """
 
 from __future__ import annotations
@@ -47,14 +53,18 @@ from repro.eval.masking import mask_seen_items
 from repro.eval.metrics import rank_items
 from repro.serve.snapshot import EmbeddingSnapshot
 
-__all__ = ["PANEL_WIDTH", "TopKResult", "ExactTopKIndex",
+__all__ = ["PANEL_WIDTH", "ROW_BLOCK", "TopKResult", "ExactTopKIndex",
            "scoring_ready_users", "scoring_ready_items", "build_panels",
-           "panel_scores", "euclidean_scores", "PanelScorer",
+           "panel_scores", "euclidean_scores", "row_blocks", "PanelScorer",
            "prepare_request"]
 
 #: Fixed item-panel width of every scoring GEMM.  Both sides of the
 #: sharded-vs-unsharded parity contract must use the same width.
 PANEL_WIDTH = 512
+
+#: User rows scored together by :meth:`PanelScorer.topk`: the height of
+#: its one score buffer, and so of every scoring GEMM.
+ROW_BLOCK = 64
 
 
 # ----------------------------------------------------------------------
@@ -108,7 +118,8 @@ def build_panels(items: np.ndarray, width: int = PANEL_WIDTH) -> np.ndarray:
     return panels
 
 
-def panel_scores(vectors: np.ndarray, panels, n_items: int) -> np.ndarray:
+def panel_scores(vectors: np.ndarray, panels, n_items: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Dense ``(len(vectors), n_items)`` score block from padded panels.
 
     ``panels`` is a packed ``(n_panels, width, dim)`` block from
@@ -118,26 +129,54 @@ def panel_scores(vectors: np.ndarray, panels, n_items: int) -> np.ndarray:
     score no matter which panel — or which shard's panel — the item
     row sits in.  This is the only scoring loop in the serving stack;
     a second copy could drift and break the sharded bit-parity.
+
+    ``out`` is an optional ``(len(vectors), n_items)`` float64 block to
+    fill and return.  Each full panel's GEMM writes straight into its
+    columns of the block; only the zero-padded last panel goes through
+    a temporary.
     """
-    out = np.empty((len(vectors), n_items), dtype=np.float64)
+    if out is None:
+        out = np.empty((len(vectors), n_items), dtype=np.float64)
     lo = 0
     for panel in panels:
         hi = min(lo + len(panel), n_items)
-        out[:, lo:hi] = (vectors @ panel.T)[:, :hi - lo]
+        if hi - lo == len(panel):
+            np.matmul(vectors, panel.T, out=out[:, lo:hi])
+        else:
+            out[:, lo:hi] = (vectors @ panel.T)[:, :hi - lo]
         lo = hi
     return out
 
 
 def euclidean_scores(dots: np.ndarray, vectors: np.ndarray,
-                     item_sq: np.ndarray) -> np.ndarray:
+                     item_sq: np.ndarray,
+                     out: np.ndarray | None = None) -> np.ndarray:
     """Negated squared distances from a dot-product score block.
 
     ``-(‖u‖² + ‖i‖² - 2 u·i)`` with ``‖u‖²`` taken from ``vectors`` in
     float64 and ``item_sq`` the scored columns' ``‖i‖²``: the one
     euclidean expansion the scorer and the IVF list loop share.
+    ``out`` (which may be ``dots`` itself) receives the result; the
+    doubling is exact, so doing it in place keeps every bit.
     """
     u_sq = (vectors.astype(np.float64) ** 2).sum(axis=1, keepdims=True)
-    return -(u_sq + item_sq - 2.0 * dots)
+    twice = np.multiply(dots, 2.0, out=out)
+    np.subtract(u_sq + item_sq, twice, out=twice)
+    return np.negative(twice, out=twice)
+
+
+def row_blocks(n_rows: int) -> list[tuple[int, int]]:
+    """``(lo, hi)`` bounds of the row blocks :meth:`PanelScorer.topk`
+    scores a chunk of ``n_rows`` users in.
+
+    Blocks are :data:`ROW_BLOCK` rows and the remainder joins the last
+    one, so every block has 64–127 rows, or is the whole chunk when the
+    chunk has fewer than 128: a short final block never drops the GEMM
+    row count into the range where BLAS switches kernels.
+    """
+    starts = list(range(0, n_rows - ROW_BLOCK + 1, ROW_BLOCK)) or [0]
+    return [(lo, hi) for lo, hi in zip(starts, starts[1:] + [n_rows])
+            if hi > lo]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -195,19 +234,61 @@ class PanelScorer:
         """Bytes held by the panelized float64 table."""
         return self._panels.nbytes
 
-    def scores(self, vectors: np.ndarray, kernel) -> np.ndarray:
+    def scores(self, vectors: np.ndarray, kernel,
+               out: np.ndarray | None = None) -> np.ndarray:
         """Dense ``(len(vectors), n_items)`` float64 score block for
-        :func:`scoring_ready_users` vectors.
+        :func:`scoring_ready_users` vectors, written into ``out`` when
+        given.
 
         ``kernel`` is the **caller's** :func:`panel_scores`, passed in
         rather than called from here: ``bench/workloads.py`` attributes
         scoring time per layer by patching that name in the calling
-        module, so it must resolve there at call time.
+        module, so it must resolve there at call time.  :meth:`topk`
+        calls this once per row block, never on a whole chunk.
         """
-        scores = kernel(vectors, self._panels, self.n_items)
+        scores = kernel(vectors, self._panels, self.n_items, out=out)
         if self._item_sq is not None:
-            return euclidean_scores(scores, vectors, self._item_sq)
+            return euclidean_scores(scores, vectors, self._item_sq,
+                                    out=scores)
         return scores
+
+    def topk(self, vectors: np.ndarray, k: int, seen, *, score, mask,
+             rank) -> tuple[np.ndarray, np.ndarray]:
+        """Score → mask → rank one chunk of users, a row block at a time.
+
+        The one loop behind :meth:`ExactTopKIndex.topk` and
+        :meth:`~repro.serve.shard.ItemShardIndex.partial_topk`.  It
+        allocates a single ``(block, n_items)`` buffer; each
+        :func:`row_blocks` block of ``vectors`` is scored into it, has
+        its seen items masked and is ranked, so peak memory is one block
+        of at most ``2 * ROW_BLOCK - 1`` rows, not the whole chunk.
+
+        ``seen`` is ``None`` or ``(indptr, indices, positions)``: row
+        ``r`` of ``vectors`` masks ``indices[indptr[p]:indptr[p + 1]]``
+        with ``p = positions[r]``.  ``score`` / ``mask`` / ``rank`` are
+        the caller's :func:`panel_scores`,
+        :func:`~repro.eval.masking.mask_seen_items` and
+        :func:`~repro.eval.metrics.rank_items`, for the same reason
+        :meth:`scores` takes its kernel.
+
+        Returns ``(columns, scores)``, both ``(len(vectors), k)``: the
+        top-``k`` column indices of this scorer's rows in canonical
+        order, and their scores.
+        """
+        top = np.empty((len(vectors), k), dtype=np.int64)
+        top_scores = np.empty((len(vectors), k), dtype=np.float64)
+        blocks = row_blocks(len(vectors))
+        buffer = np.empty((max((hi - lo for lo, hi in blocks), default=0),
+                           self.n_items), dtype=np.float64)
+        for lo, hi in blocks:
+            scores = self.scores(vectors[lo:hi], score, out=buffer[:hi - lo])
+            if seen is not None:
+                indptr, indices, positions = seen
+                mask(scores, indptr, indices, positions[lo:hi])
+            top[lo:hi] = rank(scores, k)
+            top_scores[lo:hi] = np.take_along_axis(scores, top[lo:hi],
+                                                   axis=-1)
+        return top, top_scores
 
 
 def prepare_request(user_ids, k: int, manifest
@@ -240,8 +321,10 @@ class ExactTopKIndex:
     snapshot:
         Loaded :class:`~repro.serve.snapshot.EmbeddingSnapshot`.
     chunk_users:
-        Users scored per dense block; bounds the ``(chunk, n_items)``
-        score buffer exactly like the evaluator's ``batch_users``.
+        Users handed to the scorer at a time, the unit the sharded
+        router also fans out per chunk.  The score buffer is bounded by
+        :data:`ROW_BLOCK`, not by this: :meth:`PanelScorer.topk` scores
+        a chunk in blocks of 64–127 rows (the whole chunk below 128).
     panel_width:
         Item rows per scoring GEMM (default :data:`PANEL_WIDTH`).  Both
         sides of a sharded parity comparison must use the same width.
@@ -287,14 +370,12 @@ class ExactTopKIndex:
             chunk = users[lo:lo + self.chunk_users]
             vectors = scoring_ready_users(snapshot.users[chunk],
                                           snapshot.scoring)
-            scores = self.scorer.scores(vectors, panel_scores)
-            if filter_seen:
-                mask_seen_items(scores, snapshot.seen_indptr,
-                                snapshot.seen_items, chunk)
-            top = rank_items(scores, k)
-            out_items[lo:lo + len(chunk)] = top
-            out_scores[lo:lo + len(chunk)] = np.take_along_axis(
-                scores, top, axis=-1)
+            seen = ((snapshot.seen_indptr, snapshot.seen_items, chunk)
+                    if filter_seen else None)
+            (out_items[lo:lo + len(chunk)],
+             out_scores[lo:lo + len(chunk)]) = self.scorer.topk(
+                vectors, k, seen, score=panel_scores,
+                mask=mask_seen_items, rank=rank_items)
         return TopKResult(user_ids=users, items=out_items, scores=out_scores,
                           k=k, filtered_seen=filter_seen)
 

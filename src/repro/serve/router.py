@@ -11,8 +11,9 @@ chunk:
    item shard's partial index, each returning its local top-K in global
    item ids, already masked through the shared
    :mod:`repro.eval.masking` scatter;
-3. **gather (merge)** — k-way heap merge of the per-shard partial
-   lists, keyed on ``(-score, global item id)``.
+3. **gather (merge)** — one vectorized sort of the per-shard partial
+   lists laid side by side, keyed on ``(score desc, global item id
+   asc)``.
 
 Because every shard scores through the same scorer class and
 fixed-shape panel kernel as the unsharded
@@ -31,7 +32,6 @@ single-process code.
 
 from __future__ import annotations
 
-import heapq
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
@@ -88,10 +88,12 @@ class ShardedTopKIndex:
     snapshot:
         Loaded :class:`~repro.serve.shard.ShardedSnapshot`.
     chunk_users:
-        Users scored per dense block.  Part of the parity contract: the
-        unsharded index being compared against must use the same value
-        (both default to 256), because the BLAS panel kernel's bit
-        pattern is pinned per (chunk, panel) shape.
+        Users per scatter-gather pass; each shard scores the chunk in
+        :data:`~repro.serve.index.ROW_BLOCK` row blocks.  Part of the
+        parity contract: the unsharded index being compared against
+        must use the same value (both default to 256), because the
+        chunk fixes the row blocks and the BLAS panel kernel's bit
+        pattern is pinned per (block, panel) shape.
     workers:
         Concurrent item-shard fan-out width.  ``None`` (default) picks
         ``min(num_item_shards, cpu count)``; values ``<= 1`` score the
@@ -408,22 +410,22 @@ class ShardedTopKIndex:
 def _merge_partials(partials: list[tuple[np.ndarray, np.ndarray]],
                     k: int, allow_underflow: bool = False
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """K-way heap merge of per-shard partial top-K lists, per user.
+    """Merge per-shard partial top-K lists into the first ``k`` ranks.
 
-    Each partial is ``(global_ids, scores)`` of shape ``(m, k_s)`` with
-    rows sorted by the canonical ``(score desc, id asc)`` order; the
-    heap key ``(-score, id)`` preserves exactly that order across
-    shards, so the first ``k`` popped entries equal the unsharded
-    canonical ranking truncated at ``k``.
+    Each partial is ``(global_ids, scores)`` of shape ``(m, k_s)``.  The
+    partials are laid side by side and each row is sorted once by the
+    canonical ``(score desc, id asc)`` order (one ``lexsort`` over the
+    whole ``(m, sum_s k_s)`` block), so the first ``k`` columns equal
+    the unsharded canonical ranking truncated at ``k``.
 
     **Underflow invariant.**  Every contract-abiding partial carries
     ``k_s = min(k, len(shard_s))`` columns, and ``k`` is clipped to the
     catalogue size upstream, so the total candidate count satisfies
-    ``sum_s min(k, n_s) >= min(k, sum_s n_s) = k`` — the heap cannot
-    drain before rank ``k`` (``tests/test_serve_sharded.py`` proves
-    it).  A partial narrower than its contract width is therefore a
-    caller bug, and the guard below fails loudly instead of raising a
-    bare ``IndexError`` from an empty heap.
+    ``sum_s min(k, n_s) >= min(k, sum_s n_s) = k`` — the merge cannot
+    run out of candidates before rank ``k``
+    (``tests/test_serve_sharded.py`` proves it).  A partial narrower
+    than its contract width is therefore a caller bug, and the guard
+    below fails loudly instead of returning a short list.
 
     **Degraded merges** are the one sanctioned exception: when the
     resilient router drops failed shards, the survivors may genuinely
@@ -431,44 +433,22 @@ def _merge_partials(partials: list[tuple[np.ndarray, np.ndarray]],
     the unfillable ranks with item ``-1`` / score ``-inf`` — an
     explicit hole, never a silently re-ranked shorter list.
     """
-    if len(partials) == 1:
-        ids, scores = partials[0]
-        if allow_underflow and ids.shape[1] < k:
-            pad = k - ids.shape[1]
-            ids = np.concatenate(
-                [ids, np.full((ids.shape[0], pad), -1, dtype=np.int64)],
-                axis=1)
-            scores = np.concatenate(
-                [scores,
-                 np.full((scores.shape[0], pad), -np.inf,
-                         dtype=np.float64)], axis=1)
-        return ids[:, :k], scores[:, :k]
-    m = partials[0][0].shape[0]
-    out_items = np.empty((m, k), dtype=np.int64)
-    out_scores = np.empty((m, k), dtype=np.float64)
-    for row in range(m):
-        heap = []
-        for s, (ids, scores) in enumerate(partials):
-            if ids.shape[1]:
-                heap.append((-scores[row, 0], int(ids[row, 0]), s, 0))
-        heapq.heapify(heap)
-        for rank in range(k):
-            if not heap:
-                if allow_underflow:
-                    out_items[row, rank:] = -1
-                    out_scores[row, rank:] = -np.inf
-                    break
-                total = sum(ids.shape[1] for ids, _ in partials)
-                raise ValueError(
-                    f"partial top-K underflow: {total} candidates across "
-                    f"{len(partials)} shards cannot fill k={k}; every "
-                    f"partial must carry min(k, shard_size) columns")
-            neg_score, gid, s, pos = heapq.heappop(heap)
-            out_items[row, rank] = gid
-            out_scores[row, rank] = -neg_score
-            pos += 1
-            ids, scores = partials[s]
-            if pos < ids.shape[1]:
-                heapq.heappush(
-                    heap, (-scores[row, pos], int(ids[row, pos]), s, pos))
+    total = sum(ids.shape[1] for ids, _ in partials)
+    if total < k and not allow_underflow:
+        raise ValueError(
+            f"partial top-K underflow: {total} candidates across "
+            f"{len(partials)} shards cannot fill k={k}; every "
+            f"partial must carry min(k, shard_size) columns")
+    ids = np.concatenate([ids for ids, _ in partials], axis=1)
+    scores = np.concatenate([scores for _, scores in partials], axis=1)
+    order = np.lexsort((ids, -scores), axis=-1)[:, :k]
+    out_items = np.take_along_axis(ids, order, axis=-1)
+    out_scores = np.take_along_axis(scores, order, axis=-1)
+    if total < k:
+        m, pad = len(ids), k - total
+        out_items = np.concatenate(
+            [out_items, np.full((m, pad), -1, dtype=np.int64)], axis=1)
+        out_scores = np.concatenate(
+            [out_scores, np.full((m, pad), -np.inf, dtype=np.float64)],
+            axis=1)
     return out_items, out_scores

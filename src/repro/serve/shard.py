@@ -11,7 +11,8 @@ splits the serving state along two independent axes:
 * :class:`ItemShard` — the embedding rows of a subset of the catalogue;
   :class:`ItemShardIndex` answers *partial* top-K queries over the
   shard's items, in **global** item ids, through the same scorer
-  (:class:`repro.serve.index.PanelScorer`) as the unsharded index.
+  (:class:`repro.serve.index.PanelScorer`) and the same row-blocked
+  score → mask → rank loop as the unsharded index.
 
 :class:`ShardedSnapshot` loads the whole directory and owns the
 global→(shard, local) routing tables.  The scatter-gather that merges
@@ -214,15 +215,13 @@ class ItemShardIndex:
         each row sorted by the canonical ``(score desc, global id asc)``
         order.
         """
-        scores = self.scorer.scores(vectors, panel_scores)
+        seen = None
         if seen_indptr is not None and len(seen_global):
-            local_indptr, local_idx = self._localize_seen(seen_indptr,
-                                                          seen_global)
-            mask_seen_items(scores, local_indptr, local_idx,
-                            np.arange(len(vectors), dtype=np.int64))
-        k_local = min(k, len(self.shard))
-        top = rank_items(scores, k_local)
-        top_scores = np.take_along_axis(scores, top, axis=-1)
+            seen = (*self._localize_seen(seen_indptr, seen_global),
+                    np.arange(len(vectors), dtype=np.int64))
+        top, top_scores = self.scorer.topk(
+            vectors, min(k, len(self.shard)), seen, score=panel_scores,
+            mask=mask_seen_items, rank=rank_items)
         return self.shard.ids[top], top_scores
 
     def _localize_seen(self, seen_indptr: np.ndarray,

@@ -30,9 +30,15 @@ as one expression) the bytes of the buffered one.
 postings of every list :meth:`repro.ann.ivf.IVFIndexData.plan` probes,
 through a dense ``(users, catalogue)`` membership matrix; the list-major
 :class:`repro.ann.ivf.IVFFlatIndex` must rank exactly within it.
+``merge_partials_heap`` is the sharded router's merge as a per-row k-way
+heap over the shards' canonically sorted partial lists; the one-sort
+:func:`repro.serve.router._merge_partials` must reproduce its items and
+score bits, its underflow error and its degraded padding.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
@@ -291,3 +297,39 @@ def ivf_candidates_csr(data, vectors, seen_counts, k, nprobe=None,
     indptr = np.concatenate([np.zeros(1, np.int64),
                              np.cumsum(member.sum(axis=1))])
     return indptr, np.nonzero(member)[1]
+
+
+def merge_partials_heap(partials, k, allow_underflow=False):
+    """K-way heap merge of per-shard ``(ids, scores)`` partials, per row.
+
+    Each partial row is sorted by ``(score desc, id asc)``; the heap key
+    ``(-score, id)`` keeps that order across shards.  Fewer than ``k``
+    candidates raise, or with ``allow_underflow`` pad with ``-1`` /
+    ``-inf``.
+    """
+    m = partials[0][0].shape[0]
+    out_items = np.empty((m, k), dtype=np.int64)
+    out_scores = np.empty((m, k), dtype=np.float64)
+    for row in range(m):
+        heap = [(-scores[row, 0], int(ids[row, 0]), s, 0)
+                for s, (ids, scores) in enumerate(partials) if ids.shape[1]]
+        heapq.heapify(heap)
+        for rank in range(k):
+            if not heap:
+                if allow_underflow:
+                    out_items[row, rank:] = -1
+                    out_scores[row, rank:] = -np.inf
+                    break
+                total = sum(ids.shape[1] for ids, _ in partials)
+                raise ValueError(
+                    f"partial top-K underflow: {total} candidates across "
+                    f"{len(partials)} shards cannot fill k={k}; every "
+                    f"partial must carry min(k, shard_size) columns")
+            neg_score, gid, s, pos = heapq.heappop(heap)
+            out_items[row, rank] = gid
+            out_scores[row, rank] = -neg_score
+            ids, scores = partials[s]
+            if pos + 1 < ids.shape[1]:
+                heapq.heappush(heap, (-scores[row, pos + 1],
+                                      int(ids[row, pos + 1]), s, pos + 1))
+    return out_items, out_scores

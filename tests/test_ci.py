@@ -520,6 +520,27 @@ class TestRepoBenchmarkWiring:
             (REPO_ROOT / "BENCHMARK.json").read_text())["end_to_end"]}
         assert "peak_rss_mb" in end_to_end
 
+    def test_ci_slow_gates_batch_serving_peak_rss_at_full_shape(self):
+        """Exact retrieval scores a chunk in row blocks: a shard that
+        holds a whole ``(chunk, shard items)`` score block again breaks
+        the memory bound.  A full-shape memory pass fails on any failed
+        op or above 320 MB, on the inputs an earlier step built."""
+        commands = _run_commands(_load("ci-slow.yml"))
+        passes = [c for c in commands if "bench/run.py --memory-pass "
+                  "--workload serve-batch-100k --seed 7" in c]
+        assert passes and all("--tiny" not in c for c in passes)
+
+        def work_dir(command):
+            tokens = shlex.split(command)
+            return tokens[tokens.index("--work-dir") + 1]
+        first = commands.index(passes[0])
+        builders = [c for c in commands[:first]
+                    if "bench/run.py --workload serve-batch-100k" in c]
+        assert builders and work_dir(passes[0]) == work_dir(builders[0])
+        checks = [c for c in commands[first:] if "'peak_rss_mb'" in c]
+        assert checks and ("r['failed'] == 0" in checks[0]
+                           and "r['peak_rss_mb'] <= 320" in checks[0])
+
     def test_ci_slow_gates_sparse_training_peak_rss_at_full_shape(self):
         """A training step split over the cores must write each block into
         its slice of the output: a per-block temporary is how the split

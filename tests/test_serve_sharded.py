@@ -8,10 +8,13 @@ returns **bit-identical** items *and* scores to the unsharded
 """
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from oracles import merge_partials_heap
 from repro.data import load_dataset
 from repro.losses import get_loss
 from repro.models import get_model
@@ -21,6 +24,10 @@ from repro.serve import (ExactTopKIndex, RecommendationService,
                          export_sharded_snapshot, export_snapshot,
                          is_sharded_snapshot, load_sharded_snapshot,
                          partition_ids)
+from repro.serve.index import ROW_BLOCK, PanelScorer, scoring_ready_users
+from repro.serve.router import _merge_partials
+from repro.serve.shard import ItemShard, ItemShardIndex
+from repro.serve.snapshot import SHARD_SCHEMA
 from repro.train import TrainConfig, train_model
 
 SHARD_COUNTS = (1, 2, 3, 7)
@@ -555,7 +562,6 @@ class TestMergeUnderflow:
     it unreachable through contract-abiding routers."""
 
     def test_narrow_partial_raises_instead_of_heap_crash(self):
-        from repro.serve.router import _merge_partials
         # Two shards, each (wrongly) carrying a single column for k=3:
         # 2 total candidates cannot fill 3 ranks.
         partials = [
@@ -566,7 +572,6 @@ class TestMergeUnderflow:
             _merge_partials(partials, k=3)
 
     def test_empty_partial_raises(self):
-        from repro.serve.router import _merge_partials
         partials = [
             (np.empty((1, 0), dtype=np.int64), np.empty((1, 0))),
             (np.empty((1, 0), dtype=np.int64), np.empty((1, 0))),
@@ -587,3 +592,100 @@ class TestMergeUnderflow:
             result = router.topk(np.arange(4, dtype=np.int64), k=k,
                                  filter_seen=False)
             assert result.items.shape[1] == min(k, dataset.num_items)
+
+
+def _canonical_partial(rng, m, width, pool, all_inf_rows):
+    """``(ids, scores)`` rows of one shard's partial, canonically sorted.
+
+    Each row takes ``width`` distinct ids from the shard's ``pool``;
+    scores come from five values, so ties within and across shards are
+    common, and the rows in ``all_inf_rows`` are entirely ``-inf``.
+    """
+    ids = np.stack([rng.choice(pool, size=width, replace=False)
+                    for _ in range(m)]).reshape(m, width).astype(np.int64)
+    scores = rng.choice([-np.inf, -1.0, 0.0, 0.5, 1.0], size=(m, width))
+    scores[all_inf_rows] = -np.inf
+    order = np.lexsort((ids, -scores), axis=-1)
+    return (np.take_along_axis(ids, order, axis=-1),
+            np.take_along_axis(scores, order, axis=-1))
+
+
+class TestMergeParity:
+    """The one-sort merge against the per-row heap merge it replaced
+    (``tests/oracles.py``): same items, same score bits, same underflow
+    error and the same degraded padding."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 5),
+           widths=st.lists(st.integers(0, 6), min_size=1, max_size=4),
+           k=st.integers(1, 12), allow_underflow=st.booleans())
+    def test_matches_the_heap_merge(self, seed, m, widths, k,
+                                    allow_underflow):
+        rng = np.random.default_rng(seed)
+        all_inf_rows = rng.random(m) < 0.3
+        partials = [_canonical_partial(rng, m, width,
+                                       np.arange(8 * s, 8 * s + 8),
+                                       all_inf_rows)
+                    for s, width in enumerate(widths)]
+        if sum(widths) < k and not allow_underflow:
+            with pytest.raises(ValueError) as want:
+                merge_partials_heap(partials, k)
+            with pytest.raises(ValueError) as got:
+                _merge_partials(partials, k)
+            assert str(got.value) == str(want.value)
+            return
+        want_items, want_scores = merge_partials_heap(partials, k,
+                                                      allow_underflow)
+        items, scores = _merge_partials(partials, k, allow_underflow)
+        np.testing.assert_array_equal(items, want_items)
+        assert scores.dtype == want_scores.dtype
+        assert scores.tobytes() == want_scores.tobytes()
+
+    def test_cross_shard_ties_break_on_the_smaller_global_id(self):
+        partials = [
+            (np.array([[9, 4]], dtype=np.int64), np.array([[1.0, 0.5]])),
+            (np.array([[2, 7]], dtype=np.int64), np.array([[1.0, 0.5]])),
+        ]
+        items, scores = _merge_partials(partials, k=3)
+        assert items.tolist() == [[2, 9, 4]]
+        assert scores.tolist() == [[1.0, 1.0, 0.5]]
+
+    def test_degraded_rows_are_padded_with_explicit_holes(self):
+        partials = [(np.array([[3], [5]], dtype=np.int64),
+                     np.array([[-np.inf], [0.25]]))]
+        items, scores = _merge_partials(partials, k=3, allow_underflow=True)
+        assert items.tolist() == [[3, -1, -1], [5, -1, -1]]
+        assert scores.tolist() == [[-np.inf] * 3, [0.25, -np.inf, -np.inf]]
+
+
+class TestShardMemory:
+    """A shard scores a chunk ``ROW_BLOCK`` rows at a time: its peak
+    allocation stays below two of the largest row blocks (127 rows), far
+    under the ``(256, n_items)`` block of scoring the chunk whole."""
+
+    @pytest.mark.parametrize("scoring", ["inner", "cosine", "euclidean"])
+    def test_partial_topk_peak_is_bounded_by_row_blocks(self, scoring):
+        n_items, dim, n_users = 20_000, 16, 256
+        rng = np.random.default_rng(0)
+        manifest = ShardManifest(
+            schema=SHARD_SCHEMA, version="test", kind="item", index=0,
+            num_shards=1, strategy="contiguous", count=n_items, dim=dim,
+            scoring=scoring, num_users=n_users, num_items=n_items)
+        shard = ItemShard(manifest, np.arange(n_items, dtype=np.int64),
+                          rng.standard_normal((n_items, dim)))
+        index = ItemShardIndex(shard, PanelScorer(shard.embeddings, scoring))
+        vectors = scoring_ready_users(rng.standard_normal((n_users, dim)),
+                                      scoring)
+        seen_indptr = np.arange(0, 5 * n_users + 1, 5, dtype=np.int64)
+        seen_global = rng.integers(0, n_items, size=5 * n_users)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            items, _ = index.partial_topk(vectors, 20, seen_indptr,
+                                          seen_global)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert items.shape == (n_users, 20)
+        bound = 2 * (2 * ROW_BLOCK - 1) * n_items * 8
+        assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
