@@ -1,7 +1,7 @@
 """Top-K retrieval over a frozen embedding snapshot.
 
 :class:`ExactTopKIndex` answers ``topk(user_ids, k)`` by chunked dense
-matmul over the float64 tables.  It reproduces the offline
+matmul over the snapshot's float64 tables.  It reproduces the offline
 :class:`~repro.eval.evaluator.Evaluator` protocol exactly: the same
 scoring formulas as
 :meth:`~repro.models.base.Recommender.predict_scores`, the same ``-inf``
@@ -11,14 +11,18 @@ online recommendations are exactly the lists the paper's metrics were
 computed on.
 
 The index cuts a request into user chunks and hands each to a
-:class:`PanelScorer`, which owns what the float64 format knows about
-"some rows of an item table" and the one score → mask → rank loop
-(:meth:`PanelScorer.topk`).  The loop scores a chunk
-:data:`ROW_BLOCK` rows at a time into one ``(block, n_items)`` buffer,
-so a chunk's score block is never held whole.
-:class:`~repro.serve.shard.ItemShardIndex` runs the same scorer and
-loop over one shard's rows, so neither scoring nor ``filter_seen``
-semantics can drift between sharded and unsharded serving.
+:class:`PanelScorer`, which owns what serving knows about "some rows of
+an item table" and the one score → mask → rank loop
+(:meth:`PanelScorer.topk`).  The loop scores a chunk :data:`ROW_BLOCK`
+rows at a time into one ``(block, n_items)`` float32 buffer, so a
+chunk's score block is never held whole, and ranks a shortlist from
+that float32 first pass; the shortlist, certified by
+:func:`score_margin` to hold every item the exact ranking can return,
+is then re-scored in float64, so every returned item and score is the
+float64 answer.  :class:`~repro.serve.shard.ItemShardIndex` runs the
+same scorer and loop over one shard's rows, so neither scoring nor
+``filter_seen`` semantics can drift between sharded and unsharded
+serving.
 
 **Partition-invariant scoring.**  Dense BLAS matmuls are *not* bitwise
 stable across matrix shapes: computing a score block as one large GEMM
@@ -32,7 +36,9 @@ regardless of catalogue size or shard boundaries.  A given (user, item)
 pair then always runs through the same BLAS micro-kernel with the same
 accumulation order, making scores a pure function of the two embedding
 rows — the property the sharded router in :mod:`repro.serve.router`
-needs for bit-identical scatter-gather (see ``docs/sharding.md``).
+needs for bit-identical scatter-gather (see ``docs/sharding.md``).  The
+float32 first pass's bits belong to no contract; the float64 re-score
+keeps the ``(block rows, dim) @ (dim, PANEL_WIDTH)`` shape.
 One caveat: the GEMM's *row* count is the number of users scored
 together, and BLAS may pick another kernel for very few rows (measured
 on OpenBLAS 0.3.31: the last ulp moves only for ``m <= 9`` at width 128
@@ -51,12 +57,13 @@ import numpy as np
 
 from repro.eval.masking import mask_seen_items
 from repro.eval.metrics import rank_items
+from repro.obs.metrics import get_registry
 from repro.serve.snapshot import EmbeddingSnapshot
 
-__all__ = ["PANEL_WIDTH", "ROW_BLOCK", "TopKResult", "ExactTopKIndex",
-           "scoring_ready_users", "scoring_ready_items", "build_panels",
-           "panel_scores", "euclidean_scores", "row_blocks", "PanelScorer",
-           "prepare_request"]
+__all__ = ["PANEL_WIDTH", "ROW_BLOCK", "SHORTLIST_EXTRA", "TopKResult",
+           "ExactTopKIndex", "scoring_ready_users", "scoring_ready_items",
+           "build_panels", "panel_scores", "euclidean_scores",
+           "score_margin", "row_blocks", "PanelScorer", "prepare_request"]
 
 #: Fixed item-panel width of every scoring GEMM.  Both sides of the
 #: sharded-vs-unsharded parity contract must use the same width.
@@ -65,6 +72,18 @@ PANEL_WIDTH = 512
 #: User rows scored together by :meth:`PanelScorer.topk`: the height of
 #: its one score buffer, and so of every scoring GEMM.
 ROW_BLOCK = 64
+
+#: Columns :meth:`PanelScorer.topk`'s float32 first pass ranks beyond
+#: ``k``.  A row whose ``(k + SHORTLIST_EXTRA)``-th first-pass score is
+#: still within its margin of the ``k``-th is re-scored over every item.
+SHORTLIST_EXTRA = 8
+
+#: Largest ``‖u‖``, ``M`` and ``‖u‖·M`` (euclidean: ``(‖u‖ + M)²``) the
+#: float32 first pass is trusted with; float32 overflows at ~3.4e38.
+FLOAT32_SAFE = 1e30
+
+#: Column slab :func:`euclidean_scores` forms ``‖u‖² + ‖i‖²`` in.
+_EXPANSION_COLUMNS = 2048
 
 
 # ----------------------------------------------------------------------
@@ -99,18 +118,21 @@ def scoring_ready_items(items: np.ndarray, scoring: str) -> np.ndarray:
     return items
 
 
-def build_panels(items: np.ndarray, width: int = PANEL_WIDTH) -> np.ndarray:
+def build_panels(items: np.ndarray, width: int = PANEL_WIDTH,
+                 dtype=None) -> np.ndarray:
     """Pack item rows into zero-padded ``(n_panels, width, dim)`` panels.
 
     The fixed panel width is what pins the GEMM shape (and therefore the
     BLAS kernel and its accumulation order) independently of how many
-    items a table or shard holds.
+    items a table or shard holds.  ``dtype`` (default: the rows') is
+    cast to while packing, so float32 panels need no float32 copy of
+    the rows first.
     """
     if width <= 0:
         raise ValueError(f"panel width must be positive, got {width}")
     n, dim = items.shape
     n_panels = max(1, -(-n // width))
-    panels = np.zeros((n_panels, width, dim), dtype=items.dtype)
+    panels = np.zeros((n_panels, width, dim), dtype=dtype or items.dtype)
     for p in range(n_panels):
         lo = p * width
         hi = min(lo + width, n)
@@ -130,13 +152,15 @@ def panel_scores(vectors: np.ndarray, panels, n_items: int,
     row sits in.  This is the only scoring loop in the serving stack;
     a second copy could drift and break the sharded bit-parity.
 
-    ``out`` is an optional ``(len(vectors), n_items)`` float64 block to
-    fill and return.  Each full panel's GEMM writes straight into its
-    columns of the block; only the zero-padded last panel goes through
-    a temporary.
+    ``out`` is an optional ``(len(vectors), n_items)`` block to fill and
+    return, in the dtype of ``vectors`` and ``panels`` (float64 for the
+    exact scores, float32 for :class:`PanelScorer`'s first pass).  Each
+    full panel's GEMM writes straight into its columns of the block;
+    only the zero-padded last panel goes through a temporary.
     """
     if out is None:
-        out = np.empty((len(vectors), n_items), dtype=np.float64)
+        out = np.empty((len(vectors), n_items),
+                       dtype=np.result_type(vectors, panels))
     lo = 0
     for panel in panels:
         hi = min(lo + len(panel), n_items)
@@ -153,16 +177,62 @@ def euclidean_scores(dots: np.ndarray, vectors: np.ndarray,
                      out: np.ndarray | None = None) -> np.ndarray:
     """Negated squared distances from a dot-product score block.
 
-    ``-(‖u‖² + ‖i‖² - 2 u·i)`` with ``‖u‖²`` taken from ``vectors`` in
-    float64 and ``item_sq`` the scored columns' ``‖i‖²``: the one
-    euclidean expansion the scorer and the IVF list loop share.
-    ``out`` (which may be ``dots`` itself) receives the result; the
-    doubling is exact, so doing it in place keeps every bit.
+    ``-(‖u‖² + ‖i‖² - 2 u·i)`` with ``‖u‖²`` taken from ``vectors`` and
+    ``item_sq`` the scored columns' ``‖i‖²``, both in the dtype of
+    ``dots``: the one euclidean expansion the scorer's two passes and
+    the IVF list loop share.  ``out`` (which may be ``dots`` itself)
+    receives the result; the doubling is exact, so doing it in place
+    keeps every bit, and ``‖u‖² + ‖i‖²`` is formed
+    :data:`_EXPANSION_COLUMNS` columns at a time, so no temporary is as
+    wide as the block.
     """
-    u_sq = (vectors.astype(np.float64) ** 2).sum(axis=1, keepdims=True)
+    dtype = dots.dtype
+    u_sq = (vectors.astype(dtype) ** 2).sum(axis=1, keepdims=True)
+    item_sq = item_sq.astype(dtype, copy=False)
     twice = np.multiply(dots, 2.0, out=out)
-    np.subtract(u_sq + item_sq, twice, out=twice)
+    for lo in range(0, twice.shape[1], _EXPANSION_COLUMNS):
+        cols = twice[:, lo:lo + _EXPANSION_COLUMNS]
+        np.subtract(u_sq + item_sq[lo:lo + _EXPANSION_COLUMNS], cols,
+                    out=cols)
     return np.negative(twice, out=twice)
+
+
+def score_margin(user_norms: np.ndarray, item_norm: float, dim: int,
+                 scoring: str) -> np.ndarray:
+    """Per-row bound ``δ`` on ``|s32 - s64|`` over every item of a scorer.
+
+    ``s32`` is a first-pass score of :meth:`PanelScorer.topk` (float32
+    casts of the scoring-ready rows, a float32 GEMM and euclidean
+    expansion), ``s64`` the float64 score of the same pair.  Each lies
+    within ``γ(d + 4)·S`` of the exact value of the expression on the
+    float64 rows (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 3: ``d`` roundings in a dot product, two casts, two
+    in the euclidean expansion), with ``γ(n) = n·u / (1 - n·u)`` in each
+    format's unit roundoff ``u``, and ``S`` bounding the summed
+    magnitudes: ``Σ|u_j i_j| <= ‖u‖·M`` for inner and cosine,
+    ``‖u‖² + ‖i‖² + 2‖u‖·‖i‖ <= (‖u‖ + M)²`` for euclidean, where
+    ``‖u‖`` is ``user_norms`` and ``M = item_norm`` the scorer's largest
+    row norm.  Underflow, flush-to-zero included, adds less than
+    ``8(d + 4)·λ·(1 + ‖u‖ + M)``, ``λ`` the smallest normal float32.
+    The sum is doubled, which covers the rounding of the norms and of
+    this formula.
+
+    A row is ``inf`` (never certified) when its float32 pass could
+    overflow — ``‖u‖``, ``M`` or ``S`` above :data:`FLOAT32_SAFE` — or
+    a norm is not finite.
+    """
+    n = dim + 4
+    gamma = sum(n * u / (1 - n * u) if n * u < 1 else np.inf
+                for u in (2.0 ** -24, 2.0 ** -53))
+    user_norms = np.asarray(user_norms, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = ((user_norms + item_norm) ** 2 if scoring == "euclidean"
+                 else user_norms * item_norm)
+        delta = 2 * (gamma * scale + 8 * n * float(np.finfo(np.float32).tiny)
+                     * (1 + user_norms + item_norm))
+    safe = ((scale <= FLOAT32_SAFE) & (user_norms <= FLOAT32_SAFE)
+            & (item_norm <= FLOAT32_SAFE))
+    return np.where(safe, delta, np.inf)
 
 
 def row_blocks(n_rows: int) -> list[tuple[int, int]]:
@@ -209,47 +279,71 @@ class TopKResult:
 
 
 class PanelScorer:
-    """Item rows packed as fixed-width float64 panels.
+    """Item rows scored in two passes: float32 panels, then an exact
+    float64 re-score of a certified shortlist.
 
-    ``rows`` are raw ``(n, dim)`` embedding rows — the whole catalogue
-    (:class:`ExactTopKIndex`) or one shard's slice of it
+    ``rows`` are raw ``(n, dim)`` float64 embedding rows — the whole
+    catalogue (:class:`ExactTopKIndex`) or one shard's slice of it
     (:class:`~repro.serve.shard.ItemShardIndex`) — scored under
     ``scoring`` (``inner`` / ``cosine`` / ``euclidean``) in GEMMs of
-    ``panel_width`` item rows.  The scoring-ready float64 table is a
-    construction temporary: only the panels (and, for euclidean, the
-    squared row norms) are kept.
+    ``panel_width`` item rows.  The scorer keeps the scoring-ready rows
+    as float32 panels for the first pass, a reference to ``rows`` (a
+    snapshot's memory map) for the re-score, the largest scoring-ready
+    row norm for :func:`score_margin` and, for euclidean, the exact
+    float64 squared row norms.
     """
 
     def __init__(self, rows: np.ndarray, scoring: str,
                  panel_width: int = PANEL_WIDTH):
         items = scoring_ready_items(rows, scoring)
+        self.rows = rows
+        self.scoring = scoring
         self.panel_width = panel_width
-        self.n_items = len(items)
-        self._panels = build_panels(items, panel_width)
-        self._item_sq = ((items ** 2).sum(axis=1)
-                         if scoring == "euclidean" else None)
+        self.n_items, self.dim = items.shape
+        self._panels = build_panels(items, panel_width, dtype=np.float32)
+        if scoring == "euclidean":
+            # exact: the re-score's ‖i‖² must be the full table's bits
+            self._item_sq = sq = (items ** 2).sum(axis=1)
+        else:
+            self._item_sq = None
+            sq = np.einsum("ij,ij->i", items, items)
+        self._item_norm = float(np.sqrt(np.max(sq, initial=0.0)))
+        self._uncertified = get_registry().counter(
+            "serve.index.uncertified_rows",
+            "rows whose float32 first pass was not certified and were "
+            "re-scored over every item")
 
     @property
     def table_bytes(self) -> int:
-        """Bytes held by the panelized float64 table."""
+        """Bytes held by the float32 panel table: half a float64 copy
+        of the scoring-ready rows (the re-score reads ``rows``)."""
         return self._panels.nbytes
 
-    def scores(self, vectors: np.ndarray, kernel,
-               out: np.ndarray | None = None) -> np.ndarray:
-        """Dense ``(len(vectors), n_items)`` float64 score block for
-        :func:`scoring_ready_users` vectors, written into ``out`` when
-        given.
-
-        ``kernel`` is the **caller's** :func:`panel_scores`, passed in
-        rather than called from here: ``bench/workloads.py`` attributes
-        scoring time per layer by patching that name in the calling
-        module, so it must resolve there at call time.  :meth:`topk`
-        calls this once per row block, never on a whole chunk.
-        """
-        scores = kernel(vectors, self._panels, self.n_items, out=out)
+    def _first_pass(self, block: np.ndarray, score,
+                    out: np.ndarray | None = None) -> np.ndarray:
+        """Float32 ``(len(block), n_items)`` scores of a float64 user
+        block, through the caller's ``score`` kernel."""
+        vectors = block.astype(np.float32)
+        scores = score(vectors, self._panels, self.n_items, out=out)
         if self._item_sq is not None:
             return euclidean_scores(scores, vectors, self._item_sq,
                                     out=scores)
+        return scores
+
+    def _exact(self, block: np.ndarray, columns: np.ndarray | None,
+               score) -> np.ndarray:
+        """Float64 ``(len(block), len(columns))`` scores of ``columns``
+        (every column when ``None``), packed from ``rows`` as
+        :func:`build_panels` panels of ``panel_width``: each score has
+        the bits a full-table float64 panel block gives it."""
+        rows = self.rows if columns is None else self.rows[columns]
+        items = scoring_ready_items(rows, self.scoring)
+        scores = score(block, build_panels(items, self.panel_width),
+                       len(items))
+        if self._item_sq is not None:
+            item_sq = (self._item_sq if columns is None
+                       else self._item_sq[columns])
+            return euclidean_scores(scores, block, item_sq, out=scores)
         return scores
 
     def topk(self, vectors: np.ndarray, k: int, seen, *, score, mask,
@@ -257,37 +351,106 @@ class PanelScorer:
         """Score → mask → rank one chunk of users, a row block at a time.
 
         The one loop behind :meth:`ExactTopKIndex.topk` and
-        :meth:`~repro.serve.shard.ItemShardIndex.partial_topk`.  It
-        allocates a single ``(block, n_items)`` buffer; each
-        :func:`row_blocks` block of ``vectors`` is scored into it, has
-        its seen items masked and is ranked, so peak memory is one block
-        of at most ``2 * ROW_BLOCK - 1`` rows, not the whole chunk.
+        :meth:`~repro.serve.shard.ItemShardIndex.partial_topk`.  Each
+        :func:`row_blocks` block of ``vectors`` goes through:
+
+        1. **First pass.**  The block is scored in float32 against the
+           float32 panels into one ``(block, n_items)`` buffer, allocated
+           once per call, its seen items are masked, and each row's best
+           ``k + SHORTLIST_EXTRA`` columns are ranked.
+        2. **Certificate.**  With ``t32`` a row's ``k``-th first-pass
+           score and ``δ`` its :func:`score_margin`, let
+           ``thr = t32 - 2δ``.  The row is *certified* when ``thr`` is
+           finite and its ``(k + SHORTLIST_EXTRA)``-th first-pass score
+           lies strictly below ``thr`` (or every column was ranked); its
+           candidates are its ranked columns scoring ``>= thr``.  Any
+           other row — a tie flood across rank ``k``, fewer than ``k``
+           unseen items, a non-finite value, norms where float32 could
+           overflow — takes every column.
+        3. **Re-score.**  The union of the block's candidates is scored
+           in float64 through ``score`` with the same row block and
+           panel width (:meth:`_exact`), so every score has the bits a
+           full float64 block would give it.  A certified row is ranked
+           over its own candidates; a row that took every column has
+           its seen items masked again and is ranked over all of them.
+
+        **Why a certified row is exact.**  ``δ`` bounds ``|s32 - s64|``
+        for every item of the row.  Let ``T64`` be the row's ``k``-th
+        float64 score over unseen items.  The ``k`` best first-pass
+        columns (unseen, as ``t32`` is finite) score ``>= t32`` in
+        float32, so ``>= t32 - δ`` in float64, so ``T64 >= t32 - δ``.
+        Every column ``j`` the canonical order can return has
+        ``s64_j >= T64``, hence
+        ``s32_j >= s64_j - δ >= T64 - δ >= t32 - 2δ = thr``.  A column
+        the first pass did not rank scores at most the
+        ``(k + SHORTLIST_EXTRA)``-th first-pass score, which is
+        ``< thr``, so every such ``j`` is a candidate, boundary ties
+        included; seen columns are ``-inf`` and never are.  Ranking the
+        candidates by ``(score desc, column asc)`` therefore returns the
+        columns and float64 scores that ranking the whole row would.
 
         ``seen`` is ``None`` or ``(indptr, indices, positions)``: row
         ``r`` of ``vectors`` masks ``indices[indptr[p]:indptr[p + 1]]``
         with ``p = positions[r]``.  ``score`` / ``mask`` / ``rank`` are
-        the caller's :func:`panel_scores`,
+        the **caller's** :func:`panel_scores`,
         :func:`~repro.eval.masking.mask_seen_items` and
-        :func:`~repro.eval.metrics.rank_items`, for the same reason
-        :meth:`scores` takes its kernel.
+        :func:`~repro.eval.metrics.rank_items`, passed in rather than
+        called from here: ``bench/workloads.py`` attributes time per
+        layer by patching those names in the calling module, so they
+        must resolve there at call time.
 
         Returns ``(columns, scores)``, both ``(len(vectors), k)``: the
         top-``k`` column indices of this scorer's rows in canonical
-        order, and their scores.
+        order, and their float64 scores.
         """
         top = np.empty((len(vectors), k), dtype=np.int64)
         top_scores = np.empty((len(vectors), k), dtype=np.float64)
         blocks = row_blocks(len(vectors))
         buffer = np.empty((max((hi - lo for lo, hi in blocks), default=0),
-                           self.n_items), dtype=np.float64)
+                           self.n_items), dtype=np.float32)
+        wide = min(k + SHORTLIST_EXTRA, self.n_items)
         for lo, hi in blocks:
-            scores = self.scores(vectors[lo:hi], score, out=buffer[:hi - lo])
-            if seen is not None:
-                indptr, indices, positions = seen
-                mask(scores, indptr, indices, positions[lo:hi])
-            top[lo:hi] = rank(scores, k)
-            top_scores[lo:hi] = np.take_along_axis(scores, top[lo:hi],
-                                                   axis=-1)
+            block = vectors[lo:hi]
+            block_seen = None if seen is None else (*seen[:2], seen[2][lo:hi])
+            # float32 overflow (inf, or NaN from inf - inf) only reaches
+            # rows whose margin is inf, which are never certified
+            with np.errstate(over="ignore", invalid="ignore"):
+                first = self._first_pass(block, score, out=buffer[:hi - lo])
+                if block_seen is not None:
+                    mask(first, *block_seen)
+                ranked = rank(first, wide)
+                ranked_scores = np.take_along_axis(first, ranked, axis=1
+                                                   ).astype(np.float64)
+                thr = ranked_scores[:, k - 1] - 2 * score_margin(
+                    np.sqrt(np.einsum("ij,ij->i", block, block)),
+                    self._item_norm, self.dim, self.scoring)
+            certified = np.isfinite(thr)
+            if wide < self.n_items:
+                certified &= ranked_scores[:, -1] < thr
+            keep = certified[:, None] & (ranked_scores >= thr[:, None])
+            full = np.flatnonzero(~certified)
+            columns = None if full.size else np.unique(ranked[keep])
+            exact = self._exact(block, columns, score)
+
+            candidates = np.where(keep, ranked, self.n_items)
+            candidates.sort(axis=1)
+            slots = (candidates if columns is None
+                     else np.searchsorted(columns, candidates))
+            cand_scores = np.take_along_axis(
+                exact, np.minimum(slots, exact.shape[1] - 1), axis=1)
+            cand_scores[candidates == self.n_items] = -np.inf
+            order = rank(cand_scores, k)
+            top[lo:hi] = np.take_along_axis(candidates, order, axis=1)
+            top_scores[lo:hi] = np.take_along_axis(cand_scores, order, axis=1)
+            if full.size:
+                self._uncertified.inc(int(full.size))
+                if block_seen is not None:
+                    mask(exact, *block_seen)
+                exact = exact[full]
+                order = rank(exact, k)
+                top[lo + full] = order
+                top_scores[lo + full] = np.take_along_axis(exact, order,
+                                                           axis=1)
         return top, top_scores
 
 

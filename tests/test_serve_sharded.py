@@ -659,8 +659,8 @@ class TestMergeParity:
 
 
 class TestShardMemory:
-    """A shard scores a chunk ``ROW_BLOCK`` rows at a time: its peak
-    allocation stays below two of the largest row blocks (127 rows), far
+    """A shard scores a chunk ``ROW_BLOCK`` rows at a time, in float32
+    first: its peak allocation stays below one float64 64-row block, far
     under the ``(256, n_items)`` block of scoring the chunk whole."""
 
     @pytest.mark.parametrize("scoring", ["inner", "cosine", "euclidean"])
@@ -687,5 +687,5 @@ class TestShardMemory:
         finally:
             tracemalloc.stop()
         assert items.shape == (n_users, 20)
-        bound = 2 * (2 * ROW_BLOCK - 1) * n_items * 8
+        bound = ROW_BLOCK * n_items * 8
         assert peak < bound, f"peak {peak / 1e6:.1f} MB, bound {bound / 1e6:.1f} MB"
