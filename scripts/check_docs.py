@@ -30,7 +30,8 @@ fails if any is dangling:
 * **Class names** — every CamelCase ``Name``, ``Name.attr`` or
   ``Name(`` in an inline code span must be a public ``repro`` name, a
   builtin or a class of ``tests/``, so a deleted class cannot live on
-  in prose.
+  in prose; when ``Name`` is a ``repro`` class, it must also have
+  ``attr``, so a deleted method cannot either.
 
 Run directly (``python scripts/check_docs.py``) or via
 ``scripts/verify.sh`` / ``make verify``; ``tests/test_docs.py`` runs the
@@ -74,9 +75,10 @@ _FLAG = re.compile(r"--[a-z0-9][a-z0-9-]*")
 _CALL = re.compile(r"\b([A-Za-z_]\w*)\(")
 _KEYWORD = re.compile(r"([A-Za-z_]\w*)\s*=(?!=)")
 #: a CamelCase identifier opening a span or an argument, then its end,
-#: an attribute or a call (``BENCH_ann.json`` and ``+Inf`` are no names)
+#: a call or an attribute, which is captured (``BENCH_ann.json`` and
+#: ``+Inf`` are no names)
 _CLASS_NAME = re.compile(r"(?:^|(?<=[\s(\[{,=]))([A-Z][A-Za-z0-9]*[a-z]"
-                         r"[A-Za-z0-9]*)(?=$|\(|\.[A-Za-z_])")
+                         r"[A-Za-z0-9]*)(?:$|(?=\()|\.([A-Za-z_]\w*))")
 
 #: packages whose exported callables have their documented keywords checked
 _API_MODULES = ("serve", "ann")
@@ -162,22 +164,51 @@ def api_parameters() -> dict[str, frozenset[str]]:
 
 
 @functools.cache
+def _repro_modules() -> tuple:
+    """Every module of the ``repro`` package, imported."""
+    package = _repro("cli").__package__
+    return tuple(importlib.import_module(info.name)
+                 for info in pkgutil.walk_packages(
+                     sys.modules[package].__path__, package + "."))
+
+
+def _defined(module) -> dict:
+    """The names ``module`` binds to objects ``repro`` defines."""
+    return {name: value for name, value in vars(module).items()
+            if getattr(value, "__module__", "").startswith("repro")}
+
+
+@functools.cache
 def known_names() -> frozenset[str]:
     """Names a code span may use: builtins, the classes and functions
     ``repro`` defines (plus every module's ``__all__``) and the classes
     of ``tests/``."""
     names = set(dir(builtins))
-    package = _repro("cli").__package__
-    for info in pkgutil.walk_packages(sys.modules[package].__path__,
-                                      package + "."):
-        module = importlib.import_module(info.name)
+    for module in _repro_modules():
         names.update(getattr(module, "__all__", ()))
-        names.update(name for name, value in vars(module).items()
-                     if getattr(value, "__module__", "").startswith(package))
+        names.update(_defined(module))
     for path in (REPO_ROOT / "tests").rglob("*.py"):
         names.update(node.name for node in ast.walk(ast.parse(
             path.read_text())) if isinstance(node, ast.ClassDef))
     return frozenset(names)
+
+
+@functools.cache
+def repro_classes() -> dict[str, frozenset[type]]:
+    """The classes ``repro`` defines, by name."""
+    classes: dict[str, set] = {}
+    for module in _repro_modules():
+        for name, value in _defined(module).items():
+            if inspect.isclass(value):
+                classes.setdefault(name, set()).add(value)
+    return {name: frozenset(found) for name, found in classes.items()}
+
+
+def has_attribute(cls: type, attr: str) -> bool:
+    """``hasattr``, or a field the class (or a base) only annotates,
+    such as a dataclass field without a default."""
+    return hasattr(cls, attr) or any(
+        attr in vars(base).get("__annotations__", {}) for base in cls.__mro__)
 
 
 def unknown_keywords(span: str, params: dict) -> list[tuple[str, str]]:
@@ -278,10 +309,15 @@ def check_file(path: pathlib.Path, verbs: set[str],
             problems.append(f"{rel}: `{name}` has no parameter `{keyword}`")
 
     for span in inline:
-        for name in _CLASS_NAME.findall(span.strip()):
+        for name, attr in _CLASS_NAME.findall(span.strip()):
+            classes = repro_classes().get(name)
             if name not in known_names():
                 problems.append(f"{rel}: `{name}` is not a public repro "
                                 f"name, a builtin or a tests/ class")
+            elif attr and classes and not any(has_attribute(cls, attr)
+                                              for cls in classes):
+                problems.append(f"{rel}: `{name}` has no attribute "
+                                f"`{attr}`")
 
     for match in _BENCH_SUITE.finditer(text):
         verb_suite, make_suite, file_suite = match.groups()

@@ -15,12 +15,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.scoring import normalize_rows
+
 __all__ = ["silhouette_score", "cluster_separation_ratio",
            "alignment_uniformity"]
-
-
-def _normalize_rows(x: np.ndarray) -> np.ndarray:
-    return x / (np.linalg.norm(x, axis=1, keepdims=True) + 1e-12)
 
 
 def silhouette_score(x: np.ndarray, labels: np.ndarray) -> float:
@@ -86,7 +84,7 @@ def alignment_uniformity(x: np.ndarray, labels: np.ndarray,
     same-cluster pairs (lower is better).  Uniformity:
     ``log E[exp(-t ||zi - zj||^2)]`` over all pairs (lower is better).
     """
-    z = _normalize_rows(np.asarray(x, dtype=np.float64))
+    z = normalize_rows(np.asarray(x, dtype=np.float64))
     labels = np.asarray(labels)
     sq = (z ** 2).sum(axis=1)
     d2 = np.maximum(sq[:, None] + sq[None, :] - 2 * z @ z.T, 0.0)

@@ -14,23 +14,9 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from repro.data.source import InteractionSource
+from repro.data.source import InteractionSource, _group_by_user
 
 __all__ = ["InteractionDataset"]
-
-
-def _group_by_user(pairs: np.ndarray,
-                   num_users: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only ``(indptr, items)`` CSR of ``pairs`` grouped by user.
-
-    A stable sort, so within a user items keep original pair order.
-    """
-    order = np.argsort(pairs[:, 0], kind="stable")
-    items = pairs[order, 1]
-    indptr = np.zeros(num_users + 1, dtype=np.int64)
-    np.cumsum(np.bincount(pairs[:, 0], minlength=num_users), out=indptr[1:])
-    items.flags.writeable = indptr.flags.writeable = False
-    return indptr, items
 
 
 class InteractionDataset(InteractionSource):
@@ -64,8 +50,6 @@ class InteractionDataset(InteractionSource):
                               else np.asarray(item_clusters, dtype=np.int64))
         self._indptr, self._csr_items = _group_by_user(self.train_pairs,
                                                        self.num_users)
-        self._test_indptr, self._test_items = _group_by_user(self.test_pairs,
-                                                             self.num_users)
         self._item_degrees = np.bincount(self.train_pairs[:, 1],
                                          minlength=self.num_items)
 
@@ -84,10 +68,6 @@ class InteractionDataset(InteractionSource):
     def pairs(self, indices: np.ndarray) -> np.ndarray:
         return self.train_pairs[indices]
 
-    def test_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only ``(indptr, items)`` of the held-out pairs by user."""
-        return self._test_indptr, self._test_items
-
     @cached_property
     def train_items_by_user(self) -> list[np.ndarray]:
         """Per-user read-only views of the train CSR, pair order."""
@@ -96,7 +76,8 @@ class InteractionDataset(InteractionSource):
     @cached_property
     def test_items_by_user(self) -> list[np.ndarray]:
         """Per-user read-only views of the test CSR, pair order."""
-        return np.split(self._test_items, self._test_indptr[1:-1])
+        indptr, items = self.test_csr()
+        return np.split(items, indptr[1:-1])
 
     # ------------------------------------------------------------------
     # Statistics

@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import pathlib
 import time
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
@@ -45,6 +46,20 @@ if TYPE_CHECKING:
 INTERACTION_SHARDS_SCHEMA = "bsl-interaction-shards/v1"
 _MANIFEST_NAME = "interactions.json"
 DEFAULT_BLOCK_ROWS = 1 << 21
+
+
+def _group_by_user(pairs: np.ndarray,
+                   num_users: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only ``(indptr, items)`` CSR of ``pairs`` grouped by user.
+
+    A stable sort, so within a user items keep original pair order.
+    """
+    order = np.argsort(pairs[:, 0], kind="stable")
+    items = pairs[order, 1]
+    indptr = np.zeros(num_users + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pairs[:, 0], minlength=num_users), out=indptr[1:])
+    items.flags.writeable = indptr.flags.writeable = False
+    return indptr, items
 
 
 def batch_contains(sorted_padded: np.ndarray,
@@ -103,8 +118,9 @@ class InteractionSource:
     """Access protocol shared by in-memory and out-of-core train data.
 
     A backend sets the identity fields ``name`` / ``num_users`` /
-    ``num_items`` / ``num_train``, implements :meth:`pairs`, and opens
-    the three arrays every other method reads: ``_indptr``
+    ``num_items`` / ``num_train`` and the resident ``(num_test, 2)``
+    held-out ``test_pairs``, implements :meth:`pairs`, and opens the
+    three arrays every other method reads: ``_indptr``
     (``num_users + 1`` CSR row pointers), ``_csr_items`` (``num_train``
     items grouped by user, within a user in original pair order) and
     ``_item_degrees`` (``num_items`` train counts).  Batch views touch
@@ -115,6 +131,7 @@ class InteractionSource:
     num_users: int
     num_items: int
     num_train: int
+    test_pairs: np.ndarray
     _indptr: np.ndarray
     _csr_items: np.ndarray
     _item_degrees: np.ndarray
@@ -140,6 +157,15 @@ class InteractionSource:
         items = np.asarray(self._csr_items[window[0]:window[-1]],
                            dtype=np.int64)
         return window - window[0], items
+
+    def test_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(indptr, items)`` of the held-out pairs by user,
+        within a user in pair order; grouped on first use."""
+        return self._test_csr
+
+    @cached_property
+    def _test_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        return _group_by_user(self.test_pairs, self.num_users)
 
     def _batch_lists(self,
                      users: np.ndarray) -> tuple[np.ndarray, np.ndarray,

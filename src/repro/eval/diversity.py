@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.dataset import InteractionDataset
-from repro.eval.masking import mask_seen_items
-from repro.eval.metrics import rank_items
+from repro.eval.evaluator import Evaluator
 from repro.models.base import Recommender
 
 __all__ = ["recommendation_counts", "item_coverage", "gini_index",
@@ -22,16 +21,11 @@ __all__ = ["recommendation_counts", "item_coverage", "gini_index",
 
 def recommendation_counts(model: Recommender, dataset: InteractionDataset,
                           k: int = 20, batch_users: int = 256) -> np.ndarray:
-    """How often each item appears in users' masked top-``k`` lists."""
-    counts = np.zeros(dataset.num_items, dtype=np.int64)
-    users = np.arange(dataset.num_users)
-    for lo in range(0, len(users), batch_users):
-        chunk = users[lo:lo + batch_users]
-        scores = model.predict_scores(user_ids=chunk)
-        mask_seen_items(scores, *dataset.train_csr(), chunk)
-        counts += np.bincount(rank_items(scores, k).ravel(),
-                              minlength=dataset.num_items)
-    return counts
+    """How often each item appears in users' masked top-``k`` lists
+    (every user's, from :meth:`Evaluator.top_items`)."""
+    top = Evaluator(dataset, batch_users=batch_users).top_items(
+        model, k, users=np.arange(dataset.num_users))
+    return np.bincount(top.ravel(), minlength=dataset.num_items)
 
 
 def item_coverage(counts: np.ndarray) -> float:

@@ -12,8 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.dataset import InteractionDataset
-from repro.eval.masking import mask_seen_items
-from repro.eval.metrics import rank_items
+from repro.eval.evaluator import Evaluator
 from repro.models.base import Recommender
 
 __all__ = ["group_ndcg", "fairness_gap"]
@@ -27,28 +26,19 @@ def group_ndcg(model: Recommender, dataset: InteractionDataset,
     For user ``u`` with ideal DCG ``IDCG_u``, a hit at rank ``r`` on an
     item of group ``g`` adds ``(1/log2(r+2)) / IDCG_u`` to group ``g``.
     Summing per user and averaging over users yields a decomposition
-    whose total equals the standard NDCG@k.
+    whose total equals the standard NDCG@k.  The gains come from the
+    :class:`~repro.eval.evaluator.Evaluator`; one in-order ``bincount``
+    sums them user by user, rank by rank (a miss adds an exact 0).
 
     Returns
     -------
     Array of shape ``(n_groups,)``, index 0 = least popular decile.
     """
-    groups = dataset.popularity_groups(n_groups)
-    discounts = 1.0 / np.log2(np.arange(2, k + 2))
-    test_users = np.flatnonzero(np.diff(dataset.test_csr()[0]))
-    totals = np.zeros(n_groups)
-    for lo in range(0, len(test_users), batch_users):
-        users = test_users[lo:lo + batch_users]
-        scores = model.predict_scores(user_ids=users)
-        mask_seen_items(scores, *dataset.train_csr(), users)
-        top = rank_items(scores, k)
-        for row, u in enumerate(users):
-            relevant = set(dataset.test_items_by_user[u].tolist())
-            idcg = discounts[: min(len(relevant), k)].sum()
-            for rank, item in enumerate(top[row]):
-                if int(item) in relevant:
-                    totals[groups[item]] += discounts[rank] / idcg
-    return totals / max(1, len(test_users))
+    evaluator = Evaluator(dataset, ks=(k,), batch_users=batch_users)
+    top = evaluator.top_items(model, k)
+    gains = evaluator.ndcg_gains(top).ravel()
+    groups = dataset.popularity_groups(n_groups)[top].ravel()
+    return np.bincount(groups, gains, n_groups) / len(top)
 
 
 def fairness_gap(group_values: np.ndarray) -> float:

@@ -146,7 +146,7 @@ def collect_negative_scores(result: ExperimentResult, n_users: int = 64,
         rnoise = result.spec.rnoise
     users = rng.choice(dataset.num_users, size=min(n_users, dataset.num_users),
                        replace=False)
-    scores = result.model.predict_scores(user_ids=users)
+    scores = result.model.scoring_tables().scores(users)
     all_items = np.arange(dataset.num_items)
     out = np.empty((len(users), n_negatives))
     for row, user in enumerate(users):

@@ -16,6 +16,8 @@ import numpy as np
 
 from repro.data.sampling import TrainingBatch
 from repro.nn.module import Module
+from repro.scoring import (euclidean_scores, scoring_ready_items,
+                           scoring_ready_users)
 from repro.tensor import Tensor, no_grad
 from repro.tensor import functional as F
 
@@ -42,11 +44,10 @@ class ScoringTables(NamedTuple):
         users = self.users
         if user_ids is not None:
             users = users[np.asarray(user_ids, dtype=np.int64)]
+        scores = users @ self.items.T
         if self.item_sq is not None:
-            # negative squared distance ranks identically to -distance
-            u2 = (users ** 2).sum(axis=1, keepdims=True)
-            return -(u2 + self.item_sq - 2.0 * users @ self.items.T)
-        return users @ self.items.T
+            return euclidean_scores(scores, users, self.item_sq, out=scores)
+        return scores
 
 
 class Recommender(Module):
@@ -147,12 +148,27 @@ class Recommender(Module):
     def scoring_tables(self) -> ScoringTables:
         """The final tables, ready for test scoring.
 
-        Propagates once in eval mode under ``no_grad`` and restores the
-        training flag.  Cosine scoring normalises the rows here, and
-        euclidean scoring computes ``‖i‖²`` here, so scoring any set of
-        user rows afterwards is one slice and one GEMM
+        Cosine scoring normalises the rows and euclidean scoring computes
+        ``‖i‖²`` here, through serving's transforms (:mod:`repro.scoring`),
+        so scoring user rows afterwards is one slice and one GEMM
         (:meth:`ScoringTables.scores`) that touches no model state.
         """
+        users, items = self._final_tables()
+        users = scoring_ready_users(users, self.test_scoring)
+        items = scoring_ready_items(items, self.test_scoring)
+        item_sq = ((items ** 2).sum(axis=1)
+                   if self.test_scoring == "euclidean" else None)
+        return ScoringTables(users, items, item_sq)
+
+    def embeddings(self) -> tuple[np.ndarray, np.ndarray]:
+        """C-ordered float64 copies of the final tables, as evaluation
+        sees them (for analysis, t-SNE and snapshots)."""
+        return tuple(np.array(table, dtype=np.float64, order="C")
+                     for table in self._final_tables())
+
+    def _final_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """One :meth:`propagate` in eval mode (no dropout or SSL noise)
+        under ``no_grad``; may share memory with the parameters."""
         was_training = self.training
         self.eval()
         try:
@@ -161,26 +177,4 @@ class Recommender(Module):
         finally:
             if was_training:
                 self.train()
-        users, items = users_t.data, items_t.data
-        if self.test_scoring == "cosine":
-            users = users / (np.linalg.norm(users, axis=1, keepdims=True) + 1e-12)
-            items = items / (np.linalg.norm(items, axis=1, keepdims=True) + 1e-12)
-        item_sq = ((items ** 2).sum(axis=1)
-                   if self.test_scoring == "euclidean" else None)
-        return ScoringTables(users, items, item_sq)
-
-    def predict_scores(self, user_ids=None) -> np.ndarray:
-        """Dense score matrix for evaluation, using test scoring.
-
-        Parameters
-        ----------
-        user_ids:
-            Optional subset of users; defaults to all users.
-        """
-        return self.scoring_tables().scores(user_ids)
-
-    def embeddings(self) -> tuple[np.ndarray, np.ndarray]:
-        """Final numpy embedding tables (no grad), for analysis/t-SNE."""
-        with no_grad():
-            users_t, items_t = self.propagate()
-        return users_t.data.copy(), items_t.data.copy()
+        return users_t.data, items_t.data

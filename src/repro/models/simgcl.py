@@ -14,6 +14,7 @@ from repro.data.dataset import InteractionDataset
 from repro.data.sampling import TrainingBatch
 from repro.losses.contrastive import InfoNCELoss
 from repro.models.lightgcn import LightGCN
+from repro.scoring import normalize_rows
 from repro.tensor import Tensor, ops
 from repro.tensor.random import ensure_rng
 
@@ -47,8 +48,8 @@ class SimGCL(LightGCN):
 
         def add_noise(layer: Tensor) -> Tensor:
             raw = self._noise_rng.random(layer.shape)
-            direction = raw / (np.linalg.norm(raw, axis=1, keepdims=True) + 1e-12)
-            noise = np.sign(layer.data) * direction * self.noise_eps
+            noise = (np.sign(layer.data) * normalize_rows(raw)
+                     * self.noise_eps)
             return layer + Tensor(noise)
 
         return self._propagate_on(self.adjacency, noise_fn=add_noise)

@@ -3,10 +3,9 @@
 :class:`ExactTopKIndex` answers ``topk(user_ids, k)`` by chunked dense
 matmul over the snapshot's float64 tables.  It reproduces the offline
 :class:`~repro.eval.evaluator.Evaluator` protocol exactly: the same
-scoring formulas as
-:meth:`~repro.models.base.Recommender.predict_scores`, the same ``-inf``
-seen-item scatter (:func:`repro.eval.masking.mask_seen_items`), and the
-same canonical ranking (:func:`repro.eval.metrics.rank_items`), so
+scoring transforms (:mod:`repro.scoring`), the same ``-inf`` seen-item
+scatter (:func:`repro.eval.masking.mask_seen_items`), and the same
+canonical ranking (:func:`repro.eval.metrics.rank_items`), so
 online recommendations are exactly the lists the paper's metrics were
 computed on.
 
@@ -58,6 +57,8 @@ import numpy as np
 from repro.eval.masking import mask_seen_items
 from repro.eval.metrics import rank_items
 from repro.obs.metrics import get_registry
+from repro.scoring import (euclidean_scores, scoring_ready_items,
+                           scoring_ready_users)
 from repro.serve.snapshot import EmbeddingSnapshot
 
 __all__ = ["PANEL_WIDTH", "ROW_BLOCK", "SHORTLIST_EXTRA", "TopKResult",
@@ -82,42 +83,10 @@ SHORTLIST_EXTRA = 8
 #: float32 first pass is trusted with; float32 overflows at ~3.4e38.
 FLOAT32_SAFE = 1e30
 
-#: Column slab :func:`euclidean_scores` forms ``‖u‖² + ‖i‖²`` in.
-_EXPANSION_COLUMNS = 2048
-
 
 # ----------------------------------------------------------------------
 # Shared scoring kernels (also used by repro.serve.shard)
 # ----------------------------------------------------------------------
-def scoring_ready_users(vectors: np.ndarray, scoring: str) -> np.ndarray:
-    """Query-side prep: float64 cast plus cosine row-normalization.
-
-    Mirrors ``predict_scores``: rows are selected *before* the
-    normalization so the arithmetic matches element for element.  All
-    operations are row-local, so gathering rows from user shards first
-    cannot change the result.
-    """
-    vectors = np.asarray(vectors, dtype=np.float64)
-    if scoring == "cosine":
-        vectors = vectors / (np.linalg.norm(vectors, axis=1,
-                                            keepdims=True) + 1e-12)
-    return vectors
-
-
-def scoring_ready_items(items: np.ndarray, scoring: str) -> np.ndarray:
-    """Catalogue-side prep with the scoring transform baked in.
-
-    The float64 cast and the cosine ``+ 1e-12`` row-normalization are
-    load-bearing for ranking parity — every index and every item shard
-    must start from exactly this per-row transform.
-    """
-    items = np.asarray(items, dtype=np.float64)
-    if scoring == "cosine":
-        items = items / (np.linalg.norm(items, axis=1, keepdims=True)
-                         + 1e-12)
-    return items
-
-
 def build_panels(items: np.ndarray, width: int = PANEL_WIDTH,
                  dtype=None) -> np.ndarray:
     """Pack item rows into zero-padded ``(n_panels, width, dim)`` panels.
@@ -170,31 +139,6 @@ def panel_scores(vectors: np.ndarray, panels, n_items: int,
             out[:, lo:hi] = (vectors @ panel.T)[:, :hi - lo]
         lo = hi
     return out
-
-
-def euclidean_scores(dots: np.ndarray, vectors: np.ndarray,
-                     item_sq: np.ndarray,
-                     out: np.ndarray | None = None) -> np.ndarray:
-    """Negated squared distances from a dot-product score block.
-
-    ``-(‖u‖² + ‖i‖² - 2 u·i)`` with ``‖u‖²`` taken from ``vectors`` and
-    ``item_sq`` the scored columns' ``‖i‖²``, both in the dtype of
-    ``dots``: the one euclidean expansion the scorer's two passes and
-    the IVF list loop share.  ``out`` (which may be ``dots`` itself)
-    receives the result; the doubling is exact, so doing it in place
-    keeps every bit, and ``‖u‖² + ‖i‖²`` is formed
-    :data:`_EXPANSION_COLUMNS` columns at a time, so no temporary is as
-    wide as the block.
-    """
-    dtype = dots.dtype
-    u_sq = (vectors.astype(dtype) ** 2).sum(axis=1, keepdims=True)
-    item_sq = item_sq.astype(dtype, copy=False)
-    twice = np.multiply(dots, 2.0, out=out)
-    for lo in range(0, twice.shape[1], _EXPANSION_COLUMNS):
-        cols = twice[:, lo:lo + _EXPANSION_COLUMNS]
-        np.subtract(u_sq + item_sq[lo:lo + _EXPANSION_COLUMNS], cols,
-                    out=cols)
-    return np.negative(twice, out=twice)
 
 
 def score_margin(user_norms: np.ndarray, item_norm: float, dim: int,

@@ -298,23 +298,6 @@ class EmbeddingSnapshot:
                 f"scoring={m.scoring!r})")
 
 
-def _frozen_tables(model: Recommender) -> tuple[np.ndarray, np.ndarray]:
-    """Final (user, item) float64 tables with propagation applied.
-
-    Runs ``model.embeddings()`` once in eval mode (dropout and SSL
-    perturbations off, exactly like ``predict_scores``).
-    """
-    was_training = model.training
-    model.eval()
-    try:
-        users, items = model.embeddings()
-    finally:
-        if was_training:
-            model.train()
-    return (np.ascontiguousarray(users, dtype=np.float64),
-            np.ascontiguousarray(items, dtype=np.float64))
-
-
 def _check_sizes(model: Recommender, dataset: InteractionDataset) -> None:
     """Refuse to export a model sized for another dataset."""
     if (model.num_users, model.num_items) != (dataset.num_users,
@@ -332,7 +315,7 @@ def export_snapshot(model: Recommender, dataset: InteractionDataset,
 
     Runs ``model.propagate()`` once in eval mode (so dropout and
     SSL perturbations are off, exactly like
-    :meth:`~repro.models.base.Recommender.predict_scores`) and writes
+    :meth:`~repro.models.base.Recommender.scoring_tables`) and writes
     the final tables plus the dataset's train-interaction CSR as a
     shard set of one user shard and one item shard — the
     ``export_sharded_snapshot(..., shards=1)`` bytes.  Returns the dense
@@ -357,7 +340,7 @@ def export_snapshot(model: Recommender, dataset: InteractionDataset,
         pin it when byte-comparing two exports.
     """
     _check_sizes(model, dataset)
-    users, items = _frozen_tables(model)
+    users, items = model.embeddings()
     seen_indptr, seen_items = dataset.train_csr()
     out_dir = pathlib.Path(out_dir)
     manifest = _export_sharded_tables(
@@ -659,7 +642,7 @@ def export_sharded_snapshot(model: Recommender, dataset: InteractionDataset,
     """
     from repro.serve.shard import load_sharded_snapshot
     _check_sizes(model, dataset)
-    users, items = _frozen_tables(model)
+    users, items = model.embeddings()
     _export_sharded_tables(
         out_dir, users, items, dataset.train_csr(),
         **_model_identity(model, dataset, model_name), shards=shards,

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.data.dataset import InteractionDataset
 from repro.data.sampling import (InBatchSampler, PopularityNegativeSampler,
                                  UniformNegativeSampler)
 from repro.eval.evaluator import Evaluator
@@ -57,10 +56,10 @@ class Trainer:
         The three pluggable components.  ``dataset`` may be an
         in-memory :class:`~repro.data.dataset.InteractionDataset` or
         any other :class:`~repro.data.source.InteractionSource` (e.g. an
-        out-of-core ``ShardedInteractionSource``); sources stream
-        epochs without dense per-catalogue state but carry no held-out
-        split, so periodic evaluation / early stopping require a real
-        dataset (or an explicit ``evaluator``).
+        out-of-core ``ShardedInteractionSource``), which streams epochs
+        without dense per-catalogue state.  Periodic evaluation / early
+        stopping evaluate the source's own held-out pairs
+        (``test_csr()``), and raise ``ValueError`` if it has none.
     config:
         Hyperparameters; see :class:`~repro.train.config.TrainConfig`.
     evaluator:
@@ -103,11 +102,6 @@ class Trainer:
                 "train.touched_rows",
                 "embedding rows touched per step (grad_mode='sparse' only)")
         if evaluator is None and (config.eval_every or config.patience):
-            if not isinstance(dataset, InteractionDataset):
-                raise ValueError(
-                    "eval_every/patience need an InteractionDataset (or an "
-                    "explicit evaluator); interaction sources carry no test "
-                    "split")
             evaluator = Evaluator(dataset, ks=(20,))
         self.evaluator = evaluator
 

@@ -131,7 +131,7 @@ def evaluate_per_user(model, dataset, ks=(20,),
     ks = sorted(set(int(k) for k in ks))
     users = np.array([u for u in range(dataset.num_users)
                       if len(dataset.test_items_by_user[u])], dtype=np.int64)
-    scores = model.predict_scores(user_ids=users)
+    scores = model.scoring_tables().scores(users)
     for row, u in enumerate(users):
         seen = dataset.train_items_by_user[u]
         if len(seen):
@@ -152,7 +152,7 @@ def evaluate_per_user(model, dataset, ks=(20,),
 
 def _masked_top(model, dataset, users, k):
     """Top-``k`` of ``users`` with each seen item set to -inf row by row."""
-    scores = model.predict_scores(user_ids=users)
+    scores = model.scoring_tables().scores(users)
     for row, u in enumerate(users):
         seen = dataset.train_items_by_user[u]
         if len(seen):

@@ -21,8 +21,8 @@ class TestCheckpoint:
         load_checkpoint(clone, path)
         np.testing.assert_array_equal(clone.user_embedding.weight.data,
                                       model.user_embedding.weight.data)
-        np.testing.assert_array_equal(clone.predict_scores(),
-                                      model.predict_scores())
+        np.testing.assert_array_equal(clone.scoring_tables().scores(),
+                                      model.scoring_tables().scores())
 
     def test_class_mismatch_rejected(self, tiny_dataset, tmp_path):
         model = MF(tiny_dataset.num_users, tiny_dataset.num_items, dim=8,

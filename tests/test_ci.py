@@ -334,16 +334,18 @@ class TestBenchmarkSurface:
     def test_patched_serve_names_are_called_through(
             self, tiny_dataset, tiny_mf_snapshot, tmp_path, monkeypatch):
         """A patched name can resolve and still time nothing: serving
-        must look it up as a global of the patched module per call."""
+        and evaluation must look it up as a global of the patched module
+        per call, evaluation from the workers of its pool too."""
         import collections
         import importlib
+        import os
 
+        from repro.eval.evaluator import Evaluator
         from repro.serve import (ExactTopKIndex, ShardedTopKIndex,
                                  export_sharded_snapshot)
         calls = collections.Counter()
-        serve_patches = [pair for pair in self._surface()[1]
-                         if pair[0].startswith("repro.serve")]
-        for module, attr in serve_patches:
+        patches = self._surface()[1]
+        for module, attr in patches:
             owner = importlib.import_module(module)
 
             def counting(*args, _real=getattr(owner, attr),
@@ -352,6 +354,10 @@ class TestBenchmarkSurface:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(owner, attr, counting)
+        serve_patches = [pair for pair in patches
+                         if pair[0].startswith("repro.serve")]
+        eval_patches = sorted(pair for pair in patches
+                              if pair[0].startswith("repro.eval"))
         model, snapshot = tiny_mf_snapshot
         ExactTopKIndex(snapshot).topk([0, 1], k=5)
         sharded = export_sharded_snapshot(model, tiny_dataset, tmp_path,
@@ -359,11 +365,20 @@ class TestBenchmarkSurface:
         ShardedTopKIndex(sharded, workers=1).topk([0, 1], k=5)
         assert serve_patches
         assert [pair for pair in serve_patches if not calls[pair]] == []
+        before = calls.copy()
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        Evaluator(tiny_dataset, ks=(20,), batch_users=8).evaluate(model)
+        assert eval_patches == [
+            ("repro.eval.evaluator", "mask_seen_items"),
+            ("repro.eval.metrics", "rank_items")]
+        assert [pair for pair in eval_patches
+                if calls[pair] == before[pair]] == []
 
     def test_patched_eval_names_are_called_through_by_workers(
             self, tiny_dataset, monkeypatch):
-        """The same for evaluation, with the chunks on the evaluator's
-        pool: a worker must look each name up as a module global."""
+        """The same for evaluation alone, with the chunks on the
+        evaluator's pool: a worker must look each name up as a module
+        global."""
         import collections
         import importlib
         import os

@@ -174,6 +174,23 @@ class TestDocsLinks:
             assert any(f"`{name}` is not a public repro name" in problem
                        for problem in problems)
 
+    def test_missing_method_is_reported(self, check_docs, tmp_path):
+        """``Name.attr`` of a ``repro`` class must name an attribute it
+        has; an annotated-only field counts, and names outside
+        ``repro`` are not looked into."""
+        page = tmp_path / "page.md"
+        page.write_text(
+            "`Recommender.predict_scores(users)` and "
+            "`RuntimeStats.breakdown()` are gone.\n"
+            "`Recommender.scoring_tables()`, `ServingRuntime.breakdown()`, "
+            "`EvalResult.metrics`, `InteractionSource.test_pairs` and "
+            "`ValueError.nothing` pass.\n")
+        problems = check_docs.check_file(page, check_docs.cli_verbs(),
+                                         check_docs.bench_suites())
+        assert sorted(problems) == [
+            f"{page}: `Recommender` has no attribute `predict_scores`",
+            f"{page}: `RuntimeStats` has no attribute `breakdown`"]
+
     def test_required_docs_exist(self):
         for path in ("README.md", "docs/architecture.md",
                      "docs/fastpath.md", "docs/sharding.md"):

@@ -384,7 +384,8 @@ class TestGroups:
             training = False
             def eval(self): return self
             def train(self): return self
-            def predict_scores(self, user_ids=None):
+            def scoring_tables(self): return self
+            def scores(self, user_ids=None):
                 return scores[np.asarray(user_ids)].copy()
 
         groups = group_ndcg(_Fixed(), tiny_dataset, k=20, n_groups=10)

@@ -13,11 +13,16 @@ import threading
 import numpy as np
 import pytest
 
-from repro.data import load_dataset
+from repro.data import InteractionDataset, load_dataset
+from repro.data.source import (ShardedInteractionSource,
+                               write_interaction_shards)
 from repro.eval import metrics as M
 from repro.eval.evaluator import Evaluator, evaluate_scores
+from repro.eval.masking import mask_seen_items
+from repro.losses import get_loss
 from repro.models.registry import get_model
 from repro.tensor import is_grad_enabled
+from repro.train import TrainConfig, Trainer
 
 from tests.oracles import evaluate_per_user
 
@@ -82,8 +87,8 @@ class TestMaskingPreserved:
         model = get_model("mf", tiny_dataset, dim=8, rng=4)
         evaluator = Evaluator(tiny_dataset, ks=(20,))
         users = evaluator._test_users
-        scores = model.predict_scores(user_ids=users)
-        evaluator._mask_train_items(scores, users)
+        scores = model.scoring_tables().scores(users)
+        mask_seen_items(scores, *tiny_dataset.train_csr(), users)
         for row, u in enumerate(users):
             train_items = tiny_dataset.train_items_by_user[u]
             if len(train_items):
@@ -100,8 +105,8 @@ class TestMaskingPreserved:
         users = evaluator._test_users.copy()
         rng.shuffle(users)
         users = users[::2]
-        scores = model.predict_scores(user_ids=users)
-        evaluator._mask_train_items(scores, users)
+        scores = model.scoring_tables().scores(users)
+        mask_seen_items(scores, *tiny_dataset.train_csr(), users)
         for row, u in enumerate(users):
             train_items = tiny_dataset.train_items_by_user[u]
             if len(train_items):
@@ -115,9 +120,9 @@ class TestMaskingPreserved:
         model = get_model("mf", tiny_dataset, dim=8, rng=5)
         evaluator = Evaluator(tiny_dataset, ks=(20,))
         users = evaluator._test_users
-        scores = model.predict_scores(user_ids=users)
+        scores = model.scoring_tables().scores(users)
         reference = scores.copy()
-        evaluator._mask_train_items(scores, users)
+        mask_seen_items(scores, *tiny_dataset.train_csr(), users)
         for row, u in enumerate(users):
             reference[row, tiny_dataset.train_items_by_user[u]] = -np.inf
         np.testing.assert_array_equal(M.rank_items(scores, 20),
@@ -132,12 +137,59 @@ class TestEvaluateScores:
                                metric_names=ALL_METRICS)
 
         class _Fixed:
-            def predict_scores(self, user_ids):
+            def scoring_tables(self):
+                return self
+
+            def scores(self, user_ids):
                 return scores[user_ids].copy()
 
         ref = evaluate_per_user(_Fixed(), tiny_dataset, ks=(10,),
                                 metric_names=ALL_METRICS)
         _assert_identical(fast, ref)
+
+    def test_duplicate_test_pair_counts_once(self):
+        """A held-out pair listed twice is one relevant item, as in the
+        per-user metric functions: user 0 recalls its one item fully."""
+        dataset = InteractionDataset(
+            2, 4, [[0, 0], [1, 1]], [[0, 2], [0, 2], [1, 3]], name="dup")
+        scores = np.array([[0.0, 0.0, 2.0, 1.0], [0.0, 0.0, 1.0, 2.0]])
+
+        class _Fixed:
+            def scoring_tables(self):
+                return self
+
+            def scores(self, user_ids):
+                return scores[user_ids].copy()
+
+        fast = evaluate_scores(scores, dataset, ks=(2,),
+                               metric_names=ALL_METRICS)
+        _assert_identical(fast, evaluate_per_user(
+            _Fixed(), dataset, ks=(2,), metric_names=ALL_METRICS))
+        np.testing.assert_array_equal(fast.per_user["recall@2"], [1.0, 1.0])
+        np.testing.assert_array_equal(fast.per_user["ndcg@2"], [1.0, 1.0])
+
+
+class TestInteractionSource:
+    """An out-of-core source evaluates its own held-out pairs."""
+
+    def test_same_per_user_arrays_as_the_dataset(self, tiny_dataset,
+                                                 tmp_path):
+        source = ShardedInteractionSource(
+            write_interaction_shards(tiny_dataset, tmp_path).path)
+        model = get_model("lightgcn", tiny_dataset, dim=8, rng=0)
+        _assert_identical(
+            Evaluator(source, ks=(5, 20),
+                      metric_names=ALL_METRICS).evaluate(model),
+            Evaluator(tiny_dataset, ks=(5, 20),
+                      metric_names=ALL_METRICS).evaluate(model))
+
+    def test_trainer_evaluates_a_source(self, tiny_dataset, tmp_path):
+        source = write_interaction_shards(tiny_dataset, tmp_path)
+        model = get_model("mf", tiny_dataset, dim=8, rng=0)
+        result = Trainer(model, get_loss("bsl"), source, TrainConfig(
+            epochs=2, batch_size=64, n_negatives=8, eval_every=1)).fit()
+        assert [epoch for epoch, _ in result.eval_history] == [1, 2]
+        assert set(result.final_metrics) == {"recall@20", "ndcg@20"}
 
 
 class TestWorkerPool:

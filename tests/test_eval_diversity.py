@@ -25,7 +25,10 @@ class _FixedModel:
     def train(self):
         return self
 
-    def predict_scores(self, user_ids=None):
+    def scoring_tables(self):
+        return self
+
+    def scores(self, user_ids=None):
         if user_ids is None:
             return self._scores.copy()
         return self._scores[np.asarray(user_ids)].copy()

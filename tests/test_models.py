@@ -58,12 +58,12 @@ class TestMF:
         assert model.user_embedding.weight.grad is not None
         assert model.item_embedding.weight.grad is not None
 
-    def test_predict_scores_shape_and_subset(self, tiny_dataset):
+    def test_scoring_tables_shape_and_subset(self, tiny_dataset):
         model = MF(tiny_dataset.num_users, tiny_dataset.num_items, dim=8,
                    rng=0)
-        full = model.predict_scores()
+        full = model.scoring_tables().scores()
         assert full.shape == (tiny_dataset.num_users, tiny_dataset.num_items)
-        subset = model.predict_scores(user_ids=[3, 5])
+        subset = model.scoring_tables().scores([3, 5])
         np.testing.assert_allclose(subset, full[[3, 5]], atol=1e-12)
 
     def test_invalid_scoring_rejected(self, tiny_dataset):
@@ -101,8 +101,8 @@ class TestLightGCN:
         assert np.abs(model.user_embedding.weight.grad).sum() > 0
 
     def test_deterministic_under_seed(self, tiny_dataset):
-        a = LightGCN(tiny_dataset, dim=6, rng=3).predict_scores()
-        b = LightGCN(tiny_dataset, dim=6, rng=3).predict_scores()
+        a = LightGCN(tiny_dataset, dim=6, rng=3).scoring_tables().scores()
+        b = LightGCN(tiny_dataset, dim=6, rng=3).scoring_tables().scores()
         np.testing.assert_array_equal(a, b)
 
 
@@ -126,6 +126,20 @@ class TestNGCF:
         a, _ = model.propagate()
         b, _ = model.propagate()
         np.testing.assert_array_equal(a.data, b.data)
+
+    def test_embeddings_are_the_eval_tables_in_training_mode(
+            self, tiny_dataset):
+        """``embeddings()`` on a training-mode model returns the
+        dropout-free tables evaluation scores, and keeps the mode."""
+        model = NGCF(tiny_dataset, dim=8, num_layers=2, rng=0)
+        assert model.training
+        users, items = model.embeddings()
+        again, _ = model.embeddings()
+        assert model.training
+        tables = model.scoring_tables()  # inner test scoring: raw tables
+        np.testing.assert_array_equal(users, again)
+        np.testing.assert_array_equal(users, tables.users)
+        np.testing.assert_array_equal(items, tables.items)
 
     def test_gradients_reach_transforms(self, tiny_dataset, rng):
         model = NGCF(tiny_dataset, dim=8, num_layers=1, rng=0)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.eval.evaluator import Evaluator
-from repro.eval.metrics import rank_items
 from repro.models import get_model
 from repro.serve import ExactTopKIndex, export_snapshot
 
@@ -12,13 +11,7 @@ from repro.serve import ExactTopKIndex, export_snapshot
 def evaluator_rankings(model, dataset, k):
     """Ranked lists exactly as the Evaluator computes them."""
     ev = Evaluator(dataset, ks=(k,))
-    tops = []
-    for lo in range(0, len(ev._test_users), ev.batch_users):
-        users = ev._test_users[lo:lo + ev.batch_users]
-        scores = model.predict_scores(user_ids=users)
-        ev._mask_train_items(scores, users)
-        tops.append(rank_items(scores, k))
-    return ev._test_users, np.concatenate(tops)
+    return ev._test_users, ev.top_items(model, k)
 
 
 class TestExactIndex:

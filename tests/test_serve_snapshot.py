@@ -163,7 +163,7 @@ class TestExport:
         model.train()
         snapshot = export_snapshot(model, tiny_dataset, tmp_path)
         assert model.training  # mode restored
-        eval_scores = model.predict_scores(user_ids=np.arange(4))
+        eval_scores = model.scoring_tables().scores(np.arange(4))
         users = np.asarray(snapshot.users)[:4]
         items = np.asarray(snapshot.items)
         np.testing.assert_array_equal(users @ items.T, eval_scores)

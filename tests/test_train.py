@@ -60,7 +60,7 @@ class TestTrainer:
                        dim=8, rng=0)
             train_model(model, get_loss("sl", tau=0.2), tiny_dataset,
                         fast_cfg)
-            return model.predict_scores()
+            return model.scoring_tables().scores()
         np.testing.assert_array_equal(run(), run())
 
     def test_periodic_eval_recorded(self, tiny_dataset, fast_cfg):
