@@ -15,7 +15,8 @@ an item table" and the one score → mask → rank loop
 (:meth:`PanelScorer.topk`).  The loop scores a chunk :data:`ROW_BLOCK`
 rows at a time into one ``(block, n_items)`` float32 buffer, so a
 chunk's score block is never held whole, and ranks a shortlist from
-that float32 first pass; the shortlist, certified by
+that float32 first pass: one GEMM per row block against the scorer's
+float32 ``(dim, n_items)`` transposed table.  The shortlist, certified by
 :func:`score_margin` to hold every item the exact ranking can return,
 is then re-scored in float64, so every returned item and score is the
 float64 answer.  :class:`~repro.serve.shard.ItemShardIndex` runs the
@@ -26,8 +27,8 @@ serving.
 **Partition-invariant scoring.**  Dense BLAS matmuls are *not* bitwise
 stable across matrix shapes: computing a score block as one large GEMM
 versus per-shard sub-GEMMs can differ in the last ulp, which would make
-sharded serving drift from the single-process answer.  Every score in
-this module is therefore produced by a **fixed-shape panel kernel**
+sharded serving drift from the single-process answer.  Every score this
+module returns is therefore produced by a **fixed-shape panel kernel**
 (:func:`build_panels` / :func:`panel_scores`): the item side is cut into
 zero-padded panels of exactly :data:`PANEL_WIDTH` rows, so every GEMM
 call has an identical ``(block rows, dim) @ (dim, PANEL_WIDTH)`` shape
@@ -36,8 +37,9 @@ pair then always runs through the same BLAS micro-kernel with the same
 accumulation order, making scores a pure function of the two embedding
 rows — the property the sharded router in :mod:`repro.serve.router`
 needs for bit-identical scatter-gather (see ``docs/sharding.md``).  The
-float32 first pass's bits belong to no contract; the float64 re-score
-keeps the ``(block rows, dim) @ (dim, PANEL_WIDTH)`` shape.
+float32 first pass's bits belong to no contract, so it skips the panels
+and scores all of a table's rows in one
+``(block rows, dim) @ (dim, n_items)`` GEMM.
 One caveat: the GEMM's *row* count is the number of users scored
 together, and BLAS may pick another kernel for very few rows (measured
 on OpenBLAS 0.3.31: the last ulp moves only for ``m <= 9`` at width 128
@@ -79,6 +81,14 @@ ROW_BLOCK = 64
 #: still within its margin of the ``k``-th is re-scored over every item.
 SHORTLIST_EXTRA = 8
 
+#: Item rows :class:`PanelScorer` readies and casts at a time while it
+#: builds its first-pass table, so no temporary spans the table.
+TABLE_ROWS = 512
+
+#: Item rows it transposes per copy into that table: a float32 tile of
+#: 128 rows of dim 64 (32 KB) stays in L1 while its columns are written.
+TRANSPOSE_ROWS = 128
+
 #: Largest ``‖u‖``, ``M`` and ``‖u‖·M`` (euclidean: ``(‖u‖ + M)²``) the
 #: float32 first pass is trusted with; float32 overflows at ~3.4e38.
 FLOAT32_SAFE = 1e30
@@ -87,21 +97,18 @@ FLOAT32_SAFE = 1e30
 # ----------------------------------------------------------------------
 # Shared scoring kernels (also used by repro.serve.shard)
 # ----------------------------------------------------------------------
-def build_panels(items: np.ndarray, width: int = PANEL_WIDTH,
-                 dtype=None) -> np.ndarray:
+def build_panels(items: np.ndarray, width: int = PANEL_WIDTH) -> np.ndarray:
     """Pack item rows into zero-padded ``(n_panels, width, dim)`` panels.
 
     The fixed panel width is what pins the GEMM shape (and therefore the
     BLAS kernel and its accumulation order) independently of how many
-    items a table or shard holds.  ``dtype`` (default: the rows') is
-    cast to while packing, so float32 panels need no float32 copy of
-    the rows first.
+    items a table or shard holds.
     """
     if width <= 0:
         raise ValueError(f"panel width must be positive, got {width}")
     n, dim = items.shape
     n_panels = max(1, -(-n // width))
-    panels = np.zeros((n_panels, width, dim), dtype=dtype or items.dtype)
+    panels = np.zeros((n_panels, width, dim), dtype=items.dtype)
     for p in range(n_panels):
         lo = p * width
         hi = min(lo + width, n)
@@ -120,12 +127,14 @@ def panel_scores(vectors: np.ndarray, panels, n_items: int,
     score no matter which panel — or which shard's panel — the item
     row sits in.  This is the only scoring loop in the serving stack;
     a second copy could drift and break the sharded bit-parity.
+    :class:`PanelScorer`'s first pass, whose bits no contract pins,
+    passes one panel that spans every row instead (``table.T[None]``),
+    so each of its row blocks costs one GEMM.
 
     ``out`` is an optional ``(len(vectors), n_items)`` block to fill and
-    return, in the dtype of ``vectors`` and ``panels`` (float64 for the
-    exact scores, float32 for :class:`PanelScorer`'s first pass).  Each
-    full panel's GEMM writes straight into its columns of the block;
-    only the zero-padded last panel goes through a temporary.
+    return, in the dtype of ``vectors`` and ``panels``.  Each full
+    panel's GEMM writes straight into its columns of the block; only
+    the zero-padded last panel goes through a temporary.
     """
     if out is None:
         out = np.empty((len(vectors), n_items),
@@ -223,34 +232,43 @@ class TopKResult:
 
 
 class PanelScorer:
-    """Item rows scored in two passes: float32 panels, then an exact
-    float64 re-score of a certified shortlist.
+    """Item rows scored in two passes: a float32 pass over a transposed
+    table, then an exact float64 re-score of a certified shortlist.
 
     ``rows`` are raw ``(n, dim)`` float64 embedding rows — the whole
     catalogue (:class:`ExactTopKIndex`) or one shard's slice of it
     (:class:`~repro.serve.shard.ItemShardIndex`) — scored under
-    ``scoring`` (``inner`` / ``cosine`` / ``euclidean``) in GEMMs of
-    ``panel_width`` item rows.  The scorer keeps the scoring-ready rows
-    as float32 panels for the first pass, a reference to ``rows`` (a
-    snapshot's memory map) for the re-score, the largest scoring-ready
-    row norm for :func:`score_margin` and, for euclidean, the exact
-    float64 squared row norms.
+    ``scoring`` (``inner`` / ``cosine`` / ``euclidean``).  The scorer
+    keeps the scoring-ready rows as one C-contiguous ``(dim, n)``
+    float32 table, which the first pass scores a row block against in
+    one GEMM; a reference to ``rows`` (a snapshot's memory map) for the
+    re-score, whose GEMMs take ``panel_width`` item rows each; the
+    largest scoring-ready row norm for :func:`score_margin`; and, for
+    euclidean, the exact float64 squared row norms.  The table is built
+    :data:`TABLE_ROWS` rows at a time: the scoring transform is
+    row-local, so no scoring-ready copy of the whole of ``rows`` is made.
     """
 
     def __init__(self, rows: np.ndarray, scoring: str,
                  panel_width: int = PANEL_WIDTH):
-        items = scoring_ready_items(rows, scoring)
         self.rows = rows
         self.scoring = scoring
         self.panel_width = panel_width
-        self.n_items, self.dim = items.shape
-        self._panels = build_panels(items, panel_width, dtype=np.float32)
-        if scoring == "euclidean":
-            # exact: the re-score's ‖i‖² must be the full table's bits
-            self._item_sq = sq = (items ** 2).sum(axis=1)
-        else:
-            self._item_sq = None
-            sq = np.einsum("ij,ij->i", items, items)
+        self.n_items, self.dim = rows.shape
+        self._table = np.empty((self.dim, self.n_items), dtype=np.float32)
+        sq = np.empty(self.n_items)
+        plain = np.asarray(rows)  # no np.memmap wrapping per block op
+        for lo in range(0, self.n_items, TABLE_ROWS):
+            items = scoring_ready_items(plain[lo:lo + TABLE_ROWS], scoring)
+            hi = lo + len(items)
+            tile = items.astype(np.float32)
+            for t in range(0, hi - lo, TRANSPOSE_ROWS):
+                self._table[:, lo + t:lo + t + TRANSPOSE_ROWS] = (
+                    tile[t:t + TRANSPOSE_ROWS].T)
+            # euclidean: the re-score's exact ‖i‖², row-local bits
+            sq[lo:hi] = ((items ** 2).sum(axis=1) if scoring == "euclidean"
+                         else np.einsum("ij,ij->i", items, items))
+        self._item_sq = sq if scoring == "euclidean" else None
         self._item_norm = float(np.sqrt(np.max(sq, initial=0.0)))
         self._uncertified = get_registry().counter(
             "serve.index.uncertified_rows",
@@ -259,16 +277,18 @@ class PanelScorer:
 
     @property
     def table_bytes(self) -> int:
-        """Bytes held by the float32 panel table: half a float64 copy
-        of the scoring-ready rows (the re-score reads ``rows``)."""
-        return self._panels.nbytes
+        """Bytes held by the float32 first-pass table, ``n_items × dim
+        × 4`` with no padding: half a float64 copy of the scoring-ready
+        rows (the re-score reads ``rows``)."""
+        return self._table.nbytes
 
     def _first_pass(self, block: np.ndarray, score,
                     out: np.ndarray | None = None) -> np.ndarray:
         """Float32 ``(len(block), n_items)`` scores of a float64 user
-        block, through the caller's ``score`` kernel."""
+        block, through the caller's ``score`` kernel: one panel that
+        spans every row, so one GEMM against the transposed table."""
         vectors = block.astype(np.float32)
-        scores = score(vectors, self._panels, self.n_items, out=out)
+        scores = score(vectors, self._table.T[None], self.n_items, out=out)
         if self._item_sq is not None:
             return euclidean_scores(scores, vectors, self._item_sq,
                                     out=scores)
@@ -299,9 +319,10 @@ class PanelScorer:
         :func:`row_blocks` block of ``vectors`` goes through:
 
         1. **First pass.**  The block is scored in float32 against the
-           float32 panels into one ``(block, n_items)`` buffer, allocated
-           once per call, its seen items are masked, and each row's best
-           ``k + SHORTLIST_EXTRA`` columns are ranked.
+           float32 table, in one GEMM, into one ``(block, n_items)``
+           buffer, allocated once per call; its seen items are masked,
+           and each row's best ``k + SHORTLIST_EXTRA`` columns are
+           ranked.
         2. **Certificate.**  With ``t32`` a row's ``k``-th first-pass
            score and ``δ`` its :func:`score_margin`, let
            ``thr = t32 - 2δ``.  The row is *certified* when ``thr`` is
@@ -433,8 +454,10 @@ class ExactTopKIndex:
         :data:`ROW_BLOCK`, not by this: :meth:`PanelScorer.topk` scores
         a chunk in blocks of 64–127 rows (the whole chunk below 128).
     panel_width:
-        Item rows per scoring GEMM (default :data:`PANEL_WIDTH`).  Both
-        sides of a sharded parity comparison must use the same width.
+        Item rows per GEMM of the float64 re-score (default
+        :data:`PANEL_WIDTH`); the float32 first pass scores the whole
+        table in one GEMM per row block whatever the width.  Both sides
+        of a sharded parity comparison must use the same width.
     """
 
     #: tag recorded in benchmarks and service cache keys

@@ -537,8 +537,8 @@ class TestRepoBenchmarkWiring:
 
     def test_ci_slow_gates_batch_serving_peak_rss_at_full_shape(self):
         """Exact retrieval scores a chunk in float32 row blocks against
-        float32 panels: a shard that holds a whole ``(chunk, shard
-        items)`` score block, or float64 panels, again breaks the memory
+        a float32 table: a shard that holds a whole ``(chunk, shard
+        items)`` score block, or a float64 table, again breaks the memory
         bound.  A full-shape memory pass fails on any failed op or above
         290 MB, on the inputs an earlier step built."""
         commands = _run_commands(_load("ci-slow.yml"))
@@ -556,6 +556,24 @@ class TestRepoBenchmarkWiring:
         checks = [c for c in commands[first:] if "'peak_rss_mb'" in c]
         assert checks and ("r['failed'] == 0" in checks[0]
                            and "r['peak_rss_mb'] <= 290" in checks[0])
+
+    def test_ci_slow_checks_online_serving_at_full_shape(self):
+        """``--tiny`` shrinks the catalogue to a toy: the online workload,
+        whose micro-batches of a few dozen users are what the first
+        pass's one-GEMM-per-block layout is for, also runs once at the
+        100k shape, every op checked against the oracle, and the step
+        fails on any failed op."""
+        commands = _run_commands(_load("ci-slow.yml"))
+        runs = [c for c in commands if "bench/run.py --workload "
+                "serve-online-100k --seed 7 --seconds 5" in c]
+        assert runs and all("--tiny" not in c and "--memory-pass" not in c
+                            for c in runs)
+        checks = [c for c in commands[commands.index(runs[0]):]
+                  if "r['failed'] == 0" in c]
+        assert checks and "r['correct']" in checks[0]
+        names = {w["name"] for w in json.loads(
+            (REPO_ROOT / "BENCHMARK.json").read_text())["workloads"]}
+        assert "serve-online-100k" in names
 
     def test_ci_slow_gates_sparse_training_peak_rss_at_full_shape(self):
         """A training step split over the cores must write each block into

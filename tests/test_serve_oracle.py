@@ -17,8 +17,11 @@ from repro.models import MF
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.serve import (ExactTopKIndex, ShardedTopKIndex,
                          export_sharded_snapshot, export_snapshot)
-from repro.serve.index import (ROW_BLOCK, PanelScorer, panel_scores,
-                               row_blocks, score_margin, scoring_ready_users)
+from repro.eval.masking import mask_seen_items
+from repro.eval.metrics import rank_items
+from repro.serve.index import (PANEL_WIDTH, ROW_BLOCK, PanelScorer,
+                               panel_scores, row_blocks, score_margin,
+                               scoring_ready_users)
 
 K = 30  # larger than one of three item shards (80 items -> 26/27 rows)
 #: chunk sizes on both sides of every row-block edge (ROW_BLOCK = 64),
@@ -309,3 +312,50 @@ def test_first_pass_error_stays_within_half_the_margin(
     trusted = np.isfinite(delta)
     worst = np.abs(first - exact)[trusted].max(axis=1, initial=0.0)
     assert np.all(worst <= 0.5 * delta[trusted]), (worst / delta[trusted])
+
+
+@pytest.mark.parametrize("scoring", ["inner", "cosine", "euclidean"])
+@pytest.mark.parametrize("table", ["random", "ties"])
+@pytest.mark.parametrize("n_users", [20, 64, 127, 129, 256])
+def test_first_pass_is_one_gemm_per_row_block(n_users, table, scoring):
+    """Each row block's first pass hands the caller's ``score`` one
+    float32 panel that spans all ``n_items`` rows, so one GEMM per block;
+    its re-score, certified (``random``) or over every column (``ties``),
+    still gets ``PANEL_WIDTH``-wide float64 panels."""
+    rng = np.random.default_rng(n_users)
+    n_items, dim, k = 1300, 16, 10
+    rows = (rng.standard_normal((n_items, dim)) if table == "random"
+            else np.ones((n_items, dim)))
+    scorer = PanelScorer(rows, scoring)
+    calls = []
+
+    def spy(vectors, panels, n, out=None):
+        calls.append((len(vectors), vectors.dtype, panels.dtype,
+                      panels.shape, n))
+        return panel_scores(vectors, panels, n, out=out)
+
+    vectors = scoring_ready_users(rng.standard_normal((n_users, dim)),
+                                  scoring)
+    seen_indptr = np.arange(0, 3 * n_users + 1, 3, dtype=np.int64)
+    seen = (seen_indptr, rng.integers(0, n_items, size=3 * n_users),
+            np.arange(n_users))
+    scorer.topk(vectors, k, seen, score=spy, mask=mask_seen_items,
+                rank=rank_items)
+    blocks = row_blocks(n_users)
+    assert len(calls) == 2 * len(blocks)
+    for (lo, hi), first, rescore in zip(blocks, calls[::2], calls[1::2]):
+        assert first == (hi - lo, np.float32, np.float32, (1, n_items, dim),
+                         n_items)
+        m, user_dtype, dtype, shape, _ = rescore
+        assert (m, user_dtype, dtype, shape[1:]) == (
+            hi - lo, np.float64, np.float64, (PANEL_WIDTH, dim))
+        if table == "ties":  # no row certified: every column re-scored
+            assert shape[0] == -(-n_items // PANEL_WIDTH)
+
+
+def test_table_bytes_are_the_float32_rows_without_padding():
+    n_items, dim = 1300, 16
+    assert n_items % PANEL_WIDTH
+    scorer = PanelScorer(np.random.default_rng(0).standard_normal(
+        (n_items, dim)), "cosine")
+    assert scorer.table_bytes == n_items * dim * 4
