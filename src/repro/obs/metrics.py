@@ -89,9 +89,8 @@ class Counter:
         return self._value
 
     def _set(self, value) -> None:
-        """Backdoor for registry-backed stats views (``stats.x += 1``
-        compiles to a read-modify-write through the property setter) and
-        for ``reset()``-style APIs.  Not part of the public counter
+        """Backdoor for registry-backed stats views' setters and for
+        ``reset()``-style APIs.  Not part of the public counter
         contract — counters only go up through :meth:`inc`."""
         with self._lock:
             self._value = value

@@ -2,13 +2,17 @@
 
 The serving stack predates the metrics registry; its public telemetry
 objects (``ServiceStats``, ``RouterStats``, ``RuntimeStats``) started
-as plain mutable dataclasses read and written attribute-style
-(``stats.cache_hits += 1``).  :class:`RegistryBackedStats` re-homes
-those fields as *views over registry counters* without changing the
-API: each declared field becomes a property whose getter reads the
-instrument and whose setter writes it, so existing ``+=`` call sites,
-attribute reads in tests, and derived properties keep working while
-every count is simultaneously visible to the exporters.
+as plain mutable dataclasses read and written attribute-style.
+:class:`RegistryBackedStats` re-homes those fields as *views over
+registry counters*: each declared field becomes a property whose
+getter reads the instrument and whose setter writes it, so attribute
+reads in tests and derived properties keep working while every count
+is simultaneously visible to the exporters.
+
+Increments go through :meth:`RegistryBackedStats.inc`, never ``+=``:
+``stats.x += n`` is a read and a separate write, so two threads bumping
+the same field lose updates, while ``inc`` adds under the counter's
+lock.  The setter stays for reset-style writes.
 
 Each view instance labels its instruments with a process-unique
 ``instance`` index so two services in one process never share a time
@@ -70,6 +74,10 @@ class RegistryBackedStats:
                     f"{type(self).__name__} has no field {field!r}")
             if value:
                 self._instruments[field]._set(value)
+
+    def inc(self, field: str, amount=1) -> None:
+        """Add ``amount`` to ``field`` atomically (one locked add)."""
+        self._instruments[field].inc(amount)
 
     def __repr__(self) -> str:
         body = ", ".join(f"{field}={getattr(self, field)!r}"

@@ -56,8 +56,8 @@ class RouterStats(RegistryBackedStats):
 
     A registry-backed view (see
     :class:`~repro.obs.stats.RegistryBackedStats`): each field is a
-    ``serve.router.<field>`` counter labeled per router instance,
-    mutated attribute-style exactly like the dataclass it replaced.
+    ``serve.router.<field>`` counter labeled per router instance, read
+    attribute-style and bumped with ``stats.inc(field, amount)``.
     """
 
     _PREFIX = "serve.router"
@@ -174,8 +174,8 @@ class ShardedTopKIndex:
             out_items[lo:lo + len(chunk)] = items
             out_scores[lo:lo + len(chunk)] = scores
             failed_union.update(failed)
-        self.stats.sweeps += 1
-        self.stats.users_routed += len(users)
+        self.stats.inc("sweeps")
+        self.stats.inc("users_routed", len(users))
         coverage = self._coverage(failed_union)
         return TopKResult(user_ids=users, items=out_items, scores=out_scores,
                           k=k, filtered_seen=filter_seen, coverage=coverage,
@@ -238,7 +238,7 @@ class ShardedTopKIndex:
                     f"(coverage {coverage:.2f}); strict mode refuses a "
                     f"partial top-K", coverage=coverage,
                     failed_shards=failed)
-            self.stats.degraded_chunks += 1
+            self.stats.inc("degraded_chunks")
             survivors = [p for p in partials if p is not None]
             if survivors:
                 items, scores = _merge_partials(survivors, k,
@@ -257,9 +257,9 @@ class ShardedTopKIndex:
             tracer.record("serve.router.score", t1, t2,
                           shards=len(self.shard_indexes))
             tracer.record("serve.router.merge", t2, t3)
-        self.stats.gather_s += t1 - t0
-        self.stats.score_s += t2 - t1
-        self.stats.merge_s += t3 - t2
+        self.stats.inc("gather_s", t1 - t0)
+        self.stats.inc("score_s", t2 - t1)
+        self.stats.inc("merge_s", t3 - t2)
         return items, scores, failed
 
     # ------------------------------------------------------------------
@@ -272,7 +272,7 @@ class ShardedTopKIndex:
         try:
             return self._call_shard(s, call)
         except ShardCallError:
-            self.stats.shard_failures += 1
+            self.stats.inc("shard_failures")
             return None
 
     def _call_shard(self, s: int, call):
@@ -287,7 +287,7 @@ class ShardedTopKIndex:
         cfg = self.resilience
         breaker = self.breakers[s] if self.breakers is not None else None
         if breaker is not None and not breaker.allow():
-            self.stats.breaker_open_skips += 1
+            self.stats.inc("breaker_open_skips")
             raise BreakerOpenError(f"shard {s} circuit breaker is open")
         index = self.shard_indexes[s]
         deadline = time.monotonic() + cfg.deadline_ms / 1e3
@@ -297,7 +297,7 @@ class ShardedTopKIndex:
             if remaining <= 0:
                 break
             if attempt:
-                self.stats.retries += 1
+                self.stats.inc("retries")
             try:
                 result = self._attempt(index, call, remaining)
                 if breaker is not None:
@@ -356,7 +356,7 @@ class ShardedTopKIndex:
                 exc = future.exception()
                 if exc is None:
                     if backup is not None and future is backup:
-                        self.stats.hedge_wins += 1
+                        self.stats.inc("hedge_wins")
                     return future.result()
                 last_error = exc
             if not pending:
@@ -367,7 +367,7 @@ class ShardedTopKIndex:
                 # The primary is a straggler: hedge it with a backup
                 # drawing fresh decisions (the fault that slowed the
                 # primary need not slow the backup).
-                self.stats.hedges += 1
+                self.stats.inc("hedges")
                 backup = pool.submit(call, index)
                 pending.add(backup)
 

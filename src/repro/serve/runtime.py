@@ -5,31 +5,37 @@ traffic" items call for.  It puts a **bounded admission queue** in front
 of a :class:`~repro.serve.service.RecommendationService` and drains it
 from a background worker thread in **adaptive micro-batches**:
 
-* **Admission / overload.**  :meth:`ServingRuntime.submit` enqueues one
-  request and returns an :class:`AsyncRequest` future.  When the queue
-  holds ``max_queue`` requests the submit is **shed** — it raises
+* **Admission / overload.**  :meth:`ServingRuntime.submit` returns an
+  :class:`AsyncRequest` future for one request.  It first asks the
+  service's result cache (``service.cached``): a hit completes the
+  future on the caller's thread and never enters the queue.  Only a
+  miss is enqueued; one with a user id outside the snapshot or a
+  ``k <= 0`` fails through its own future instead.  When the queue
+  holds ``max_queue`` requests a miss is **shed** — ``submit`` raises
   :class:`OverloadError` immediately instead of growing an unbounded
   backlog whose every entry would blow the latency SLO anyway.  Shed
   counts are tracked on :class:`RuntimeStats` and reported as the
   ``shed_rate`` column of the latency benchmark.
 * **Adaptive micro-batch sizing.**  The worker collects up to
-  ``batch_size`` queued requests per sweep.  Every ``window`` completed
-  requests it re-reads the recent p99 latency: while p99 is under
+  ``batch_size`` queued misses per sweep, so ``batch_size`` bounds the
+  index work of a sweep.  Every ``window`` requests it serves, it
+  re-reads their recent p99 latency: while p99 is under
   ``headroom * slo_ms`` the batch grows multiplicatively (amortizing
   per-sweep overhead → more throughput), and once p99 crosses the SLO
   it shrinks multiplicatively (smaller sweeps → lower queueing delay).
   The batch size always stays inside ``[min_batch, max_batch]``.
 * **Latency breakdown.**  Each request records wall-clock queue wait
-  and in-batch service time; the service underneath accumulates index
-  sweep seconds (``ServiceStats.sweep_s``) and — when serving a sharded
+  and in-batch service time (an admission hit: its cache lookup and
+  0); the service underneath accumulates index sweep seconds
+  (``ServiceStats.sweep_s``) and — when serving a sharded
   snapshot — the router splits its time into gather/score/merge
   (:class:`~repro.serve.router.RouterStats`).  :meth:`ServingRuntime.breakdown`
   stitches the three layers into one per-request view.
 
 The runtime never changes *what* is served: results are exactly the
-service's ``recommend`` answers, so every parity/caching contract of
-the layers below carries through unchanged.  The full contract is
-documented in ``docs/serving.md``; the latency suite in
+service's ``cached`` / ``recommend`` answers, so every parity/caching
+contract of the layers below carries through unchanged.  The full
+contract is documented in ``docs/serving.md``; the latency suite in
 :mod:`repro.experiments.perf` (``repro bench latency``) drives paced
 open-loop arrivals through this runtime, stepping the offered load
 with a closed-loop sweep controller until saturation, and commits the
@@ -171,20 +177,24 @@ class RuntimeStats(RegistryBackedStats):
 
     A registry-backed view (see
     :class:`~repro.obs.stats.RegistryBackedStats`): each field is a
-    ``serve.runtime.<field>`` counter labeled per runtime instance,
-    mutated attribute-style exactly like the dataclass it replaced.
+    ``serve.runtime.<field>`` counter labeled per runtime instance, read
+    attribute-style and bumped with ``stats.inc(field, amount)``.
 
-    ``queue_s`` / ``service_s`` are **per-request sums**: each completed
-    request contributes its own queue wait and its batch's execution
-    time, so dividing by ``completed`` gives the mean per-request
+    ``admitted`` and ``completed`` include ``admission_hits``, the
+    requests answered from the cache inside ``submit``; the rest went
+    through a micro-batch.  ``queue_s`` / ``service_s`` are
+    **per-request sums**: each completed request contributes its own
+    queue wait and its batch's execution time (a hit: its lookup time
+    and 0), so dividing by ``completed`` gives the mean per-request
     breakdown terms.
     """
 
     _PREFIX = "serve.runtime"
     _COUNTERS = {
-        "admitted": "requests accepted into the bounded queue",
+        "admitted": "requests accepted (queued or admission hits)",
         "rejected": "requests shed at admission (queue full)",
-        "completed": "requests finished by the worker",
+        "completed": "requests finished (worker or admission hit)",
+        "admission_hits": "requests answered from the cache in submit()",
         "batches": "micro-batches executed",
         "queue_s": "per-request admission-to-batch-start wait, summed",
         "service_s": "per-request batch execution time, summed",
@@ -205,8 +215,9 @@ class RuntimeStats(RegistryBackedStats):
 
     @property
     def mean_batch(self) -> float:
-        """Mean requests per executed micro-batch."""
-        return self.completed / self.batches if self.batches else 0.0
+        """Mean worker-served requests per executed micro-batch."""
+        served = self.completed - self.admission_hits
+        return served / self.batches if self.batches else 0.0
 
 
 class AsyncRequest:
@@ -288,7 +299,8 @@ class ServingRuntime:
             lists = [h.result(timeout=5.0) for h in handles]
 
     ``stop()`` drains every already-admitted request before the worker
-    exits, so accepted work is never silently dropped.
+    exits, so accepted work is never silently dropped.  Cache hits are
+    answered inside ``submit`` whether or not the worker runs.
     """
 
     def __init__(self, service, config: RuntimeConfig | None = None):
@@ -374,6 +386,15 @@ class ServingRuntime:
                filter_seen: bool = True) -> AsyncRequest:
         """Admit one request, or shed it with :class:`OverloadError`.
 
+        A cache hit returns a done future: the service's
+        :meth:`~repro.serve.service.RecommendationService.cached`
+        answers it on this thread and it never waits for a batch.  Only
+        a miss is queued.  A miss with a user id outside
+        ``[0, num_users)`` of the served snapshot or a ``k <= 0`` is
+        neither queued nor counted as admitted: its future raises
+        ``ValueError`` from ``result()``, so one bad request never
+        fails a whole batch.
+
         Sheds *immediately* when the queue is at ``max_queue`` — the
         explicit overload contract: a caller sees backpressure at
         submit time rather than a result that silently missed the SLO
@@ -386,18 +407,59 @@ class ServingRuntime:
         self._check_worker()
         request = AsyncRequest(user_id, k, filter_seen)
         request.enqueued_at = time.perf_counter()
+        answer = self.service.cached(user_id, k, filter_seen)
+        if answer is not None:
+            self._complete_hit(request, answer)
+            return request
         if self.config.deadline_ms is not None:
             request.deadline_at = (request.enqueued_at
                                    + self.config.deadline_ms / 1e3)
+        error = self._invalid(user_id, k)
         try:
-            self._queue.put_nowait(request)
+            # A full queue sheds every miss, a bad one included.
+            if error is None:
+                self._queue.put_nowait(request)
+            elif self._queue.full():
+                raise queue.Full
         except queue.Full:
-            self.stats.rejected += 1
+            self.stats.inc("rejected")
             raise OverloadError(
                 f"admission queue full ({self.config.max_queue} pending); "
                 f"request for user {user_id} shed") from None
-        self.stats.admitted += 1
+        if error is not None:
+            request._error = error
+            request._event.set()
+            return request
+        self.stats.inc("admitted")
         return request
+
+    def _invalid(self, user_id: int, k: int) -> ValueError | None:
+        """The error a request would raise inside a batch, or ``None``."""
+        num_users = self.service.snapshot.manifest.num_users
+        if not 0 <= user_id < num_users:
+            return ValueError(f"user ids must lie in [0, {num_users})")
+        if k <= 0:
+            return ValueError(f"k must be positive, got {k}")
+        return None
+
+    def _complete_hit(self, request: AsyncRequest, answer) -> None:
+        """Publish an admission hit: its lookup was its queue wait.
+
+        It enters the latency reservoir and histograms but not the
+        batch-size controller's window: a hit never waited for a batch,
+        so its latency says nothing about the batch size.
+        """
+        request._result = answer
+        request.started_at = request.finished_at = time.perf_counter()
+        latency_ms = request.latency_ms
+        self.stats.inc("admitted")
+        self.stats.inc("admission_hits")
+        self.stats.inc("completed")
+        self.stats.inc("queue_s", request.started_at - request.enqueued_at)
+        self._reservoir.add(latency_ms)
+        self._hist_latency.observe(latency_ms)
+        self._hist_queue.observe(request.queue_ms)
+        request._event.set()
 
     @property
     def pending(self) -> int:
@@ -421,7 +483,7 @@ class ServingRuntime:
         if (worker is not None and not worker.is_alive()
                 and not self._stop.is_set()):
             self._fatal = RuntimeError("worker thread died unexpectedly")
-            self.stats.worker_crashes += 1
+            self.stats.inc("worker_crashes")
             self._fail_pending(WorkerCrashed(
                 "worker thread died unexpectedly"))
             raise WorkerCrashed(
@@ -516,8 +578,8 @@ class ServingRuntime:
                 slot["error"] = exc
         ended = span.end_s if span is not None else time.perf_counter()
         if slot["error"] is None:
-            self.stats.refreshes += 1
-            self.stats.refresh_s += ended - started
+            self.stats.inc("refreshes")
+            self.stats.inc("refresh_s", ended - started)
         slot["done"].set()
 
     # ------------------------------------------------------------------
@@ -597,7 +659,7 @@ class ServingRuntime:
                     return
             except BaseException as exc:  # noqa: BLE001 — supervisor
                 self._crash_count += 1
-                self.stats.worker_crashes += 1
+                self.stats.inc("worker_crashes")
                 crash = WorkerCrashed(f"serving worker crashed: {exc!r}")
                 crash.__cause__ = exc
                 self._fail_pending(crash)
@@ -606,7 +668,7 @@ class ServingRuntime:
                         or self._crash_count > self.config.max_restarts):
                     self._fatal = exc
                     return
-                self.stats.worker_restarts += 1
+                self.stats.inc("worker_restarts")
 
     def _collect_batch(self) -> list[AsyncRequest]:
         """Up to ``batch_size`` queued requests; [] after an idle poll.
@@ -632,7 +694,7 @@ class ServingRuntime:
         live = []
         for request in batch:
             if request.deadline_at is not None and now > request.deadline_at:
-                self.stats.deadline_expired += 1
+                self.stats.inc("deadline_expired")
                 request._error = DeadlineExceeded(
                     f"request for user {request.user_id} waited "
                     f"{1e3 * (now - request.enqueued_at):.1f} ms in queue "
@@ -688,8 +750,8 @@ class ServingRuntime:
                     for member, answer in zip(members, answers):
                         member._result = answer
         finished = span.end_s if span is not None else time.perf_counter()
-        self.stats.batches += 1
-        self.stats.completed += len(batch)
+        self.stats.inc("batches")
+        self.stats.inc("completed", len(batch))
         # Sum per-request terms locally and publish once: instrument
         # writes are lock-protected, so per-request updates would put
         # O(batch) lock traffic on the hot path.
@@ -704,8 +766,8 @@ class ServingRuntime:
             self._hist_latency.observe(latency_ms)
             self._hist_queue.observe(request.queue_ms)
             request._event.set()
-        self.stats.queue_s += queue_s
-        self.stats.service_s += (finished - started) * len(batch)
+        self.stats.inc("queue_s", queue_s)
+        self.stats.inc("service_s", (finished - started) * len(batch))
         self._since_adapt += len(batch)
         if self._since_adapt >= self.config.window:
             self._adapt()
@@ -718,13 +780,13 @@ class ServingRuntime:
         if p99 > config.slo_ms and self.batch_size > config.min_batch:
             self.batch_size = max(config.min_batch,
                                   int(self.batch_size * config.shrink))
-            self.stats.shrinks += 1
+            self.stats.inc("shrinks")
         elif (p99 < config.headroom * config.slo_ms
               and self.batch_size < config.max_batch):
             self.batch_size = min(config.max_batch,
                                   max(self.batch_size + 1,
                                       int(self.batch_size * config.grow)))
-            self.stats.grows += 1
+            self.stats.inc("grows")
         self._gauge_batch.set(self.batch_size)
 
     def __repr__(self) -> str:

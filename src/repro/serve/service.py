@@ -12,7 +12,7 @@ serving stack.  It adds two things on top of an index:
   chops its cache misses into index sweeps of at most
   :attr:`max_batch` users.  Coalescing concurrent single-user traffic
   into such batches is :class:`~repro.serve.runtime.ServingRuntime`'s
-  job.
+  job; it asks :meth:`cached` first, so only misses reach a batch.
 """
 
 from __future__ import annotations
@@ -68,18 +68,19 @@ class ServiceStats(RegistryBackedStats):
 
     A registry-backed view: each field is a ``serve.service.<field>``
     counter in the global :class:`~repro.obs.metrics.MetricsRegistry`
-    (labeled per service instance), readable and writable
-    attribute-style exactly like the dataclass it replaced — so the
-    pinned accounting invariants below survive unchanged while the same
-    counts flow to the Prometheus/JSON exporters.
+    (labeled per service instance), read attribute-style and bumped
+    with ``stats.inc(field, amount)``, one locked add, so concurrent
+    callers never lose an update and the accounting invariants below
+    hold exactly once they return.
 
     ``requests`` counts **client-facing** calls: one per
     :meth:`RecommendationService.recommend` call, however many index
-    sweeps it issues.  Every user slot of every request
-    lands in exactly one of ``cache_hits`` / ``cache_misses`` —
-    including in-batch duplicates, which tally as hits — so
-    ``cache_hits + cache_misses == users_served`` always holds and
-    ``hit_rate`` describes the same population as ``users_served``.
+    sweeps it issues, and one per hit that
+    :meth:`RecommendationService.cached` answers.  Every user slot of
+    every request lands in exactly one of ``cache_hits`` /
+    ``cache_misses`` — including in-batch duplicates, which tally as
+    hits — so ``cache_hits + cache_misses == users_served`` always holds
+    and ``hit_rate`` describes the same population as ``users_served``.
 
     ``sweep_s`` accumulates wall-clock seconds spent inside the
     underlying index's ``topk`` sweeps — the "batch" term of the
@@ -90,7 +91,7 @@ class ServiceStats(RegistryBackedStats):
 
     _PREFIX = "serve.service"
     _COUNTERS = {
-        "requests": "client-facing recommend() calls",
+        "requests": "client-facing recommend() calls and cached() hits",
         "users_served": "user slots answered (hits + misses)",
         "cache_hits": "user slots answered from the LRU or in-batch dedup",
         "cache_misses": "user slots that required index work",
@@ -246,6 +247,38 @@ class RecommendationService:
         return self._live[1]
 
     # ------------------------------------------------------------------
+    # Hit path
+    # ------------------------------------------------------------------
+    def cached(self, user_id: int, k: int = 10,
+               filter_seen: bool = True) -> Recommendation | None:
+        """The cached answer for one user, or ``None`` on a miss.
+
+        Touches no index.  A hit counts as one request, one served user
+        slot and one cache hit; a miss counts nothing, because the
+        caller sends it on to :meth:`recommend`, which counts it there.
+        Reads the live ``(snapshot, index)`` pair once, so one version
+        serves the hit, and a lookup that starts after :meth:`refresh`
+        returns never hits the retired version.
+        """
+        rec = self._lookup(int(user_id), k, filter_seen, self._live)
+        if rec is not None:
+            self.stats.inc("requests")
+            self.stats.inc("users_served")
+            self.stats.inc("cache_hits")
+        return rec
+
+    def _lookup(self, user: int, k: int, filter_seen: bool,
+                live: tuple) -> Recommendation | None:
+        """The one hit path: the cached lists of ``live``'s version."""
+        entry = self.cache.get(self._key(user, k, filter_seen, live))
+        if entry is None:
+            return None
+        items, scores = entry
+        return Recommendation(user_id=user, items=items, scores=scores,
+                              snapshot_version=live[0].version,
+                              from_cache=True)
+
+    # ------------------------------------------------------------------
     # Batched path
     # ------------------------------------------------------------------
     def recommend(self, user_ids, k: int = 10,
@@ -257,7 +290,7 @@ class RecommendationService:
         slices.  Results come back in input order (duplicate user ids
         each get their own entry).
         """
-        self.stats.requests += 1
+        self.stats.inc("requests")
         users = np.atleast_1d(np.asarray(user_ids, dtype=np.int64))
         with get_tracer().span("serve.service.recommend",
                                users=len(users), k=k):
@@ -274,7 +307,7 @@ class RecommendationService:
         live = self._live
         snapshot, index = live
         order = users.tolist()
-        self.stats.users_served += len(order)
+        self.stats.inc("users_served", len(order))
         results: dict[int, Recommendation] = {}
         misses: list[int] = []
         queued: set[int] = set()
@@ -290,18 +323,15 @@ class RecommendationService:
                 # so hits + misses always reconciles with users_served.
                 hits += 1
                 continue
-            cached = self.cache.get(self._key(user, k, filter_seen, live))
-            if cached is not None:
+            hit = self._lookup(user, k, filter_seen, live)
+            if hit is not None:
                 hits += 1
-                items, scores = cached
-                results[user] = Recommendation(
-                    user_id=user, items=items, scores=scores,
-                    snapshot_version=snapshot.version, from_cache=True)
+                results[user] = hit
             else:
                 queued.add(user)
                 misses.append(user)
-        self.stats.cache_hits += hits
-        self.stats.cache_misses += len(misses)
+        self.stats.inc("cache_hits", hits)
+        self.stats.inc("cache_misses", len(misses))
         for lo in range(0, len(misses), self.max_batch):
             batch = np.asarray(misses[lo:lo + self.max_batch], dtype=np.int64)
             sweep_start = time.perf_counter()
@@ -311,12 +341,12 @@ class RecommendationService:
             # so the trace and the counters can never disagree.
             get_tracer().record("serve.service.sweep", sweep_start,
                                 sweep_end, users=len(batch))
-            self.stats.sweep_s += sweep_end - sweep_start
-            self.stats.index_sweeps += 1
+            self.stats.inc("sweep_s", sweep_end - sweep_start)
+            self.stats.inc("index_sweeps")
             coverage = top.coverage
             degraded = coverage < 1.0
             if degraded:
-                self.stats.degraded_served += len(batch)
+                self.stats.inc("degraded_served", len(batch))
             for row, user in enumerate(batch.tolist()):
                 items = top.items[row].copy()
                 scores = top.scores[row].copy()
@@ -395,8 +425,8 @@ class RecommendationService:
         self._live = (snapshot, index)
         live = (snapshot.version, index.kind)
         invalidated = self.cache.invalidate(lambda key: key[:2] != live)
-        self.stats.refreshes += 1
-        self.stats.cache_invalidated += invalidated
+        self.stats.inc("refreshes")
+        self.stats.inc("cache_invalidated", invalidated)
         return invalidated
 
     def refresh_from_path(self, path, *, mmap: bool = True,
@@ -426,7 +456,7 @@ class RecommendationService:
             load = load_sharded_snapshot if sharded else load_snapshot
             snapshot = load(path, mmap=mmap, verify=True)
         except Exception as exc:
-            self.stats.refresh_rejected += 1
+            self.stats.inc("refresh_rejected")
             quarantined = None
             if quarantine and path.exists():
                 quarantined = quarantine_snapshot(path)

@@ -557,6 +557,27 @@ class TestRepoBenchmarkWiring:
         assert checks and ("r['failed'] == 0" in checks[0]
                            and "r['peak_rss_mb'] <= 290" in checks[0])
 
+    def test_ci_slow_gates_online_serving_peak_rss_at_full_shape(self):
+        """Answering cache hits at admission makes the online workload's
+        micro-batches taller, and a taller sweep holds larger score
+        blocks.  A full-shape memory pass fails on any failed op or
+        above 272 MB, on the inputs an earlier step built."""
+        commands = _run_commands(_load("ci-slow.yml"))
+        passes = [c for c in commands if "bench/run.py --memory-pass "
+                  "--workload serve-online-100k --seed 7" in c]
+        assert passes and all("--tiny" not in c for c in passes)
+
+        def work_dir(command):
+            tokens = shlex.split(command)
+            return tokens[tokens.index("--work-dir") + 1]
+        first = commands.index(passes[0])
+        builders = [c for c in commands[:first]
+                    if "bench/run.py --workload serve-" in c]
+        assert builders and work_dir(passes[0]) == work_dir(builders[0])
+        checks = [c for c in commands[first:] if "'peak_rss_mb'" in c]
+        assert checks and ("r['failed'] == 0" in checks[0]
+                           and "r['peak_rss_mb'] <= 272" in checks[0])
+
     def test_ci_slow_checks_online_serving_at_full_shape(self):
         """``--tiny`` shrinks the catalogue to a toy: the online workload,
         whose micro-batches of a few dozen users are what the first

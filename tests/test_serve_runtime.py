@@ -511,3 +511,190 @@ class TestRefreshRacesStop:
         refresher.join()
         assert not errors
         assert service.snapshot.version == snap_b.version
+
+
+# ----------------------------------------------------------------------
+# Admission hits: the cache answers in submit(), batches carry misses
+# ----------------------------------------------------------------------
+BURST_BATCH = 8
+
+
+def burst_config():
+    """A controller pinned at ``BURST_BATCH``: full batches are exactly
+    that tall."""
+    return fast_config(slo_ms=1e9, initial_batch=BURST_BATCH,
+                       max_batch=BURST_BATCH, window=1024)
+
+
+class _RecommendSpy:
+    """Records the user ids of every ``service.recommend`` call."""
+
+    def __init__(self, service):
+        self.calls = []
+        self._recommend = service.recommend
+        service.recommend = self
+
+    def __call__(self, users, k=10, filter_seen=True):
+        self.calls.append([int(u) for u in users])
+        return self._recommend(users, k=k, filter_seen=filter_seen)
+
+
+class TestAdmissionHits:
+    def test_hit_is_answered_in_submit_without_a_worker(self, service):
+        runtime = ServingRuntime(service, fast_config())  # never started
+        want = service.recommend_one(5, k=7)
+        handle = runtime.submit(5, k=7)
+        assert handle.done and runtime.pending == 0
+        rec = handle.result(timeout=0)
+        assert rec.from_cache and rec.user_id == 5
+        assert rec.items.tobytes() == want.items.tobytes()
+        assert rec.scores.tobytes() == want.scores.tobytes()
+        miss = runtime.submit(6, k=7)
+        assert not miss.done and runtime.pending == 1
+        assert runtime.stats.admission_hits == 1
+        runtime.start()
+        runtime.stop()
+        assert miss.result(timeout=0).user_id == 6
+
+    def test_hit_timestamps_put_its_lookup_in_queue_time(self, service):
+        service.recommend_one(5, k=7)
+        runtime = ServingRuntime(service, fast_config())
+        handle = runtime.submit(5, k=7)
+        assert handle.enqueued_at <= handle.started_at == handle.finished_at
+        assert handle.service_ms == 0.0
+        assert handle.latency_ms == handle.queue_ms
+
+    def test_batches_carry_only_queued_misses(self, service):
+        warm = list(range(10))
+        service.recommend(warm, k=5)
+        cold = list(range(20, 40))
+        burst = [u for pair in zip(warm + warm, cold) for u in pair]
+        spy = _RecommendSpy(service)
+        sweeps = service.stats.index_sweeps
+        runtime = ServingRuntime(service, burst_config())
+        handles = [runtime.submit(u, k=5) for u in burst]
+        assert runtime.pending == len(cold)
+        runtime.start()
+        runtime.stop()
+        assert [u for call in spy.calls for u in call] == cold
+        assert service.stats.index_sweeps - sweeps \
+            == -(-len(cold) // BURST_BATCH)
+        assert [h.result(timeout=0).user_id for h in handles] == burst
+
+    def test_drain_reconciles_every_counter(self, service):
+        service.recommend(list(range(10)), k=5)
+        burst = [u % 25 for u in range(60)]  # hits, misses, repeat misses
+        runtime = ServingRuntime(service, burst_config())
+        handles = [runtime.submit(u, k=5) for u in burst]
+        runtime.start()
+        runtime.stop()
+        for handle in handles:
+            handle.result(timeout=0)
+        stats = runtime.stats
+        assert stats.admitted == stats.completed == len(burst)
+        hits = sum(u < 10 for u in burst)
+        assert stats.admission_hits == hits
+        assert stats.batches == -(-(len(burst) - hits) // BURST_BATCH)
+        assert stats.mean_batch == pytest.approx(
+            (stats.completed - stats.admission_hits) / stats.batches)
+        assert stats.mean_batch < len(burst) / stats.batches
+        assert stats.queue_s + stats.service_s == pytest.approx(
+            1e-3 * sum(h.latency_ms for h in handles), rel=1e-9)
+        served = service.stats
+        assert served.cache_hits + served.cache_misses == served.users_served
+        assert len(runtime._reservoir) == len(burst)
+
+    def test_hits_stay_out_of_the_controller_window(self, service):
+        service.recommend(list(range(10)), k=5)
+        runtime = ServingRuntime(service, fast_config(window=4))
+        for u in range(10):
+            runtime.submit(u, k=5).result(timeout=0)
+        assert len(runtime._latencies) == 0 and runtime._since_adapt == 0
+        assert runtime.stats.grows == runtime.stats.shrinks == 0
+        assert runtime._reservoir.seen == 10
+
+    def test_no_admission_hit_from_the_retired_version(
+            self, tiny_mf_snapshot, tiny_mf_snapshot_next):
+        _, snap_a = tiny_mf_snapshot
+        _, snap_b = tiny_mf_snapshot_next
+        with ServingRuntime(RecommendationService(snap_a),
+                            fast_config()) as runtime:
+            runtime.submit(0, k=5).result(timeout=10.0)
+            old = runtime.submit(0, k=5)
+            assert old.done
+            assert old.result(timeout=0).snapshot_version == snap_a.version
+            runtime.refresh(snap_b, timeout=10.0)
+            fresh = runtime.submit(0, k=5)
+            assert fresh.result(timeout=10.0).snapshot_version \
+                == snap_b.version
+            hit = runtime.submit(0, k=5)
+            assert hit.done
+            assert hit.result(timeout=0).snapshot_version == snap_b.version
+        assert runtime.stats.admission_hits == 2
+
+    def test_full_queue_sheds_misses_not_hits(self, service):
+        service.recommend_one(0, k=5)
+        runtime = ServingRuntime(service, fast_config(max_queue=2))
+        runtime.submit(1, k=5)
+        runtime.submit(2, k=5)
+        assert runtime.submit(0, k=5).done
+        with pytest.raises(OverloadError, match="shed"):
+            runtime.submit(3, k=5)
+        assert runtime.stats.rejected == 1
+        runtime.start()
+        runtime.stop()
+
+    def test_hits_get_no_deadline(self, service):
+        service.recommend_one(0, k=5)
+        runtime = ServingRuntime(service, fast_config(deadline_ms=1.0))
+        assert runtime.submit(0, k=5).deadline_at is None
+        assert runtime.submit(1, k=5).deadline_at is not None
+        runtime.start()
+        runtime.stop()
+
+    def test_fail_stopped_runtime_refuses_hits(self, service):
+        from repro.serve import WorkerCrashed
+        service.recommend_one(0, k=5)
+        runtime = ServingRuntime(service,
+                                 fast_config(restart_on_crash=False))
+        runtime._fatal = RuntimeError("kaboom")
+        with pytest.raises(WorkerCrashed, match="fail-stopped"):
+            runtime.submit(0, k=5)
+        assert runtime.stats.admitted == 0
+
+    def test_cache_disabled_queues_every_request(self, tiny_mf_snapshot):
+        _, snapshot = tiny_mf_snapshot
+        service = RecommendationService(snapshot, cache_size=0)
+        service.recommend_one(0, k=5)
+        runtime = ServingRuntime(service, fast_config())
+        handles = [runtime.submit(0, k=5) for _ in range(3)]
+        assert runtime.pending == 3 and not any(h.done for h in handles)
+        runtime.start()
+        runtime.stop()
+        assert runtime.stats.admission_hits == 0
+        assert runtime.stats.mean_batch == pytest.approx(
+            3 / runtime.stats.batches)
+
+
+class TestInvalidRequests:
+    def test_bad_request_fails_alone(self, service):
+        """An out-of-range id batched with valid users used to fail the
+        whole micro-batch; it now fails through its own future."""
+        runtime = ServingRuntime(service, burst_config())
+        bad_user = service.snapshot.manifest.num_users
+        handles = {u: runtime.submit(u, k=5) for u in (1, 2)}
+        bad = runtime.submit(bad_user, k=5)
+        handles[3] = runtime.submit(3, k=5)
+        no_k = runtime.submit(4, k=0)
+        assert bad.done and no_k.done
+        assert runtime.pending == 3
+        runtime.start()
+        runtime.stop()
+        for user, handle in handles.items():
+            assert handle.result(timeout=0).user_id == user
+        with pytest.raises(ValueError, match="user ids must lie in"):
+            bad.result(timeout=0)
+        with pytest.raises(ValueError, match="k must be positive"):
+            no_k.result(timeout=0)
+        assert runtime.stats.batches == 1
+        assert runtime.stats.admitted == runtime.stats.completed == 3

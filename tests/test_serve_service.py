@@ -1,5 +1,8 @@
 """RecommendationService: caching, batching, version keying."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -133,12 +136,81 @@ class TestStatsAccounting:
         assert results[1].from_cache
         assert stats.index_sweeps == 1
 
+    def test_concurrent_callers_lose_no_update(self, service):
+        """``stats.x += n`` was a read and a separate write: with four
+        threads switching every microsecond it lost dozens of updates
+        in 20,000 calls and broke the hits + misses invariant."""
+        service.recommend(np.arange(8), k=5)  # warm: every call below hits
+        before = service.stats.users_served
+        calls = 5_000
+
+        def client(user):
+            for _ in range(calls):
+                service.recommend([user], k=5)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=client, args=(user,))
+                       for user in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        stats = service.stats
+        assert stats.requests == 1 + 4 * calls
+        assert stats.users_served == before + 4 * calls
+        assert stats.cache_hits + stats.cache_misses == stats.users_served
+
     def test_sweep_clock_accumulates(self, service):
         assert service.stats.sweep_ms_per_sweep == 0.0
         service.recommend([0, 1], k=5)
         assert service.stats.index_sweeps == 1
         assert service.stats.sweep_s > 0.0
         assert service.stats.sweep_ms_per_sweep > 0.0
+
+
+class TestCachedLookup:
+    """``cached()`` is the hit path the serving runtime asks at
+    admission: it answers from the cache or returns ``None``, and
+    counts only a hit."""
+
+    def test_miss_returns_none_and_counts_nothing(self, service):
+        assert service.cached(3, k=5) is None
+        stats = service.stats
+        assert (stats.requests, stats.users_served, stats.cache_hits,
+                stats.cache_misses) == (0, 0, 0, 0)
+
+    def test_hit_equals_recommend_and_counts_one_slot(self, service):
+        served = service.recommend_one(3, k=5)
+        hit = service.cached(3, k=5)
+        assert hit.from_cache and hit.user_id == 3
+        assert hit.snapshot_version == served.snapshot_version
+        assert hit.items.tobytes() == served.items.tobytes()
+        assert hit.scores.tobytes() == served.scores.tobytes()
+        stats = service.stats
+        assert stats.requests == 2 and stats.users_served == 2
+        assert stats.cache_hits == 1 and stats.cache_misses == 1
+
+    def test_key_includes_k_and_filtering(self, service):
+        service.recommend_one(3, k=5)
+        assert service.cached(3, k=6) is None
+        assert service.cached(3, k=5, filter_seen=False) is None
+        assert service.cached(3, k=5) is not None
+
+    def test_no_hit_from_the_retired_version(self, tiny_mf_snapshot,
+                                             tiny_mf_snapshot_next):
+        _, snap_a = tiny_mf_snapshot
+        _, snap_b = tiny_mf_snapshot_next
+        service = RecommendationService(snap_a)
+        service.recommend_one(3, k=5)
+        assert service.cached(3, k=5).snapshot_version == snap_a.version
+        service.refresh(snap_b)
+        assert service.cached(3, k=5) is None
+        service.recommend_one(3, k=5)
+        assert service.cached(3, k=5).snapshot_version == snap_b.version
 
 
 class TestVersionKeying:
