@@ -26,8 +26,10 @@ scores it returns are directly comparable to
 :class:`IVFFlatIndex` speaks the same ``topk`` protocol as
 :class:`~repro.serve.index.ExactTopKIndex`, so it drops into
 :class:`~repro.serve.service.RecommendationService` unchanged
-(``index=...``) on an unsharded snapshot; the sharded router always
-scores exactly.  See ``docs/ann.md`` for the full contract.
+(``index=...``).  It reads the whole tables of a 1×1
+:class:`~repro.serve.shard.ShardedSnapshot`, so it serves only that
+set; the service's own router scores every item shard exactly.  See
+``docs/ann.md`` for the full contract.
 """
 
 from repro.ann.build import (ANN_INDEX_SCHEMA, AnnManifest, build_ann_index,

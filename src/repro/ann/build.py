@@ -29,8 +29,8 @@ import numpy as np
 from repro.ann.ivf import (ANN_PANEL_WIDTH, IVFFlatIndex, IVFIndexData,
                            assign_lists, train_coarse_quantizer)
 from repro.serve.index import scoring_ready_items
-from repro.serve.snapshot import (EmbeddingSnapshot, _content_version,
-                                  _ManifestCodec, _publish)
+from repro.serve.shard import ShardedSnapshot
+from repro.serve.snapshot import _content_version, _ManifestCodec, _publish
 
 __all__ = ["ANN_INDEX_SCHEMA", "AnnManifest", "build_ann_index",
            "load_ann_index", "is_ann_index"]
@@ -108,7 +108,7 @@ def _ann_version(arrays: dict[str, np.ndarray], identity: tuple) -> str:
                             identity)
 
 
-def build_ann_index(snapshot: EmbeddingSnapshot, out_dir, *,
+def build_ann_index(snapshot: ShardedSnapshot, out_dir, *,
                     nlist: int = 16, spill: int = 1,
                     default_nprobe: int = 2,
                     panel_width: int = ANN_PANEL_WIDTH,
@@ -122,7 +122,8 @@ def build_ann_index(snapshot: EmbeddingSnapshot, out_dir, *,
     Parameters
     ----------
     snapshot:
-        Loaded snapshot to train from (also the re-scoring source).
+        Loaded 1×1 snapshot to train from (also the re-scoring source);
+        a multi-shard set raises ``ValueError``.
     out_dir:
         Target directory (created if missing; files are overwritten).
     nlist, spill, default_nprobe, panel_width, train_iters:
@@ -199,7 +200,7 @@ def _read_data(path: pathlib.Path, manifest: AnnManifest,
                         default_nprobe=manifest.default_nprobe)
 
 
-def load_ann_index(path, snapshot: EmbeddingSnapshot, *,
+def load_ann_index(path, snapshot: ShardedSnapshot, *,
                    verify: bool = False) -> IVFFlatIndex:
     """Open an ANN index directory against its source snapshot.
 

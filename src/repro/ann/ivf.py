@@ -43,7 +43,8 @@ from repro.obs.trace import get_tracer
 from repro.serve.index import (TopKResult, build_panels, euclidean_scores,
                                panel_scores, prepare_request,
                                scoring_ready_items, scoring_ready_users)
-from repro.serve.snapshot import EmbeddingSnapshot, _csr_rows
+from repro.serve.shard import ShardedSnapshot
+from repro.serve.snapshot import _csr_rows
 
 __all__ = ["ANN_PANEL_WIDTH", "train_coarse_quantizer", "assign_lists",
            "IVFIndexData", "IVFFlatIndex"]
@@ -279,9 +280,10 @@ class IVFFlatIndex:
     Parameters
     ----------
     snapshot:
-        Loaded :class:`~repro.serve.snapshot.EmbeddingSnapshot` the
-        index was built from (provides user vectors, item rows for the
-        re-scoring panels, and the seen-item CSR).
+        Loaded 1×1 :class:`~repro.serve.shard.ShardedSnapshot` the
+        index was built from (its whole-table reads provide user
+        vectors, item rows for the re-scoring panels, and the seen-item
+        CSR; a multi-shard set raises ``ValueError``).
     data:
         Trained :class:`IVFIndexData` (centroids + inverted lists).
     nprobe:
@@ -298,7 +300,7 @@ class IVFFlatIndex:
 
     kind = "ivf"
 
-    def __init__(self, snapshot: EmbeddingSnapshot, data: IVFIndexData,
+    def __init__(self, snapshot: ShardedSnapshot, data: IVFIndexData,
                  nprobe: int | None = None, chunk_users: int = 1024,
                  panel_width: int = ANN_PANEL_WIDTH):
         if chunk_users <= 0:
@@ -365,7 +367,7 @@ class IVFFlatIndex:
                           k=k, filtered_seen=filter_seen)
 
     # ------------------------------------------------------------------
-    def refreshed(self, snapshot: EmbeddingSnapshot) -> "IVFFlatIndex":
+    def refreshed(self, snapshot: ShardedSnapshot) -> "IVFFlatIndex":
         """This index's geometry over a new snapshot generation.
 
         One :func:`assign_lists` pass files the new catalogue under the

@@ -20,15 +20,15 @@ Subcommands:
 * ``build-ann`` — train an approximate-retrieval IVF index
   (:mod:`repro.ann`) from an exported snapshot into an index
   directory with a content-hashed manifest.
-* ``recommend`` — answer top-K requests from an exported snapshot
-  (sharded directories are detected and scatter-gather-routed
-  automatically; on an unsharded snapshot ``--ann DIR`` serves
-  through an IVF candidate index built by ``build-ann``).
+* ``recommend`` — answer top-K requests from an exported snapshot of
+  any shard count through the scatter-gather router; on the unsharded
+  1×1 set ``--ann DIR`` serves through an IVF candidate index built
+  by ``build-ann``.
 * ``refresh`` — demo the live swap: serve a paced request stream from
   a base snapshot and atomically refresh to a re-exported snapshot
-  directory mid-stream (loaded verified; a damaged one is quarantined
-  and rejected while the base keeps serving), printing the swap pause
-  and version accounting.
+  directory mid-stream, either of any shard count (loaded verified; a
+  damaged one is quarantined and rejected while the base keeps
+  serving), printing the swap pause and version accounting.
 * ``metrics`` — export the process metrics registry
   (:mod:`repro.obs`) as Prometheus text or JSON; ``--demo`` drives a
   tiny train + serve workload first so every family has samples.
@@ -293,20 +293,16 @@ def _cmd_build_ann(args) -> int:
 def _cmd_recommend(args) -> int:
     """Serve top-K recommendations for a list of users from a snapshot.
 
-    Sharded snapshot directories (written by ``repro export --shards``)
-    are detected automatically; the one
-    :class:`~repro.serve.service.RecommendationService` serves either
-    layout.  On an unsharded snapshot, ``--ann DIR`` takes candidates
-    from an IVF index built by ``repro build-ann`` — over-fetched per
-    user and re-scored exactly, so scores remain comparable to the
-    exact index.  ``main`` refuses ``--ann`` on a sharded snapshot.
+    Any shard count (``repro export --shards``) loads and is served by
+    the one :class:`~repro.serve.service.RecommendationService` through
+    its scatter-gather router.  ``--ann DIR`` takes candidates from an
+    IVF index built by ``repro build-ann`` — over-fetched per user and
+    re-scored exactly, so scores remain comparable to the exact index.
+    The IVF index reads whole tables, so it opens only over the 1×1 set.
     """
-    from repro.serve import (RecommendationService, is_sharded_snapshot,
-                             load_sharded_snapshot, load_snapshot)
+    from repro.serve import RecommendationService, load_snapshot
 
-    sharded = is_sharded_snapshot(args.snapshot)
-    load = load_sharded_snapshot if sharded else load_snapshot
-    snapshot = load(args.snapshot, verify=args.verify)
+    snapshot = load_snapshot(args.snapshot, verify=args.verify)
     index = None
     if args.ann:
         from repro.ann import load_ann_index
@@ -328,9 +324,11 @@ def _cmd_recommend(args) -> int:
              " ".join(str(i) for i in rec.items.tolist()),
              " ".join(f"{s:.4f}" for s in rec.scores.tolist())]
             for rec in recs]
+    m = snapshot.manifest
     print_table(
-        f"top-{args.k} from {args.snapshot} "
-        f"({index.kind}, snapshot {snapshot.version})",
+        f"top-{args.k} from {args.snapshot} ({index.kind}, "
+        f"{m.num_user_shards}x{m.num_item_shards} shards, "
+        f"snapshot {snapshot.version})",
         ["user", "items", "scores"], rows, precision=0)
     if args.trace:
         # Sharded routing records its phase spans from fan-out worker
@@ -610,11 +608,6 @@ def main(argv=None) -> int:
     """Parse ``argv`` (default: ``sys.argv``) and dispatch a subcommand."""
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "recommend" and args.ann:
-        from repro.serve import is_sharded_snapshot
-        if is_sharded_snapshot(args.snapshot):
-            parser.error("recommend: --ann serves unsharded snapshots; the "
-                         "sharded router scores every item shard exactly")
     handlers = {"datasets": _cmd_datasets, "train": _cmd_train,
                 "sweep-tau": _cmd_sweep_tau, "bench": _cmd_bench,
                 "export": _cmd_export,

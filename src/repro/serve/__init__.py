@@ -4,21 +4,20 @@ The offline stack (train → evaluate) hands a trained backbone to this
 package, which freezes it into a snapshot directory.  Every snapshot
 on disk is a shard set — user and item partitions with per-shard
 manifests under a content-hashed ``shards.json`` — and the unsharded
-snapshot is the 1×1 set: :func:`~repro.serve.snapshot.export_snapshot`
-writes it, :func:`~repro.serve.snapshot.load_snapshot` opens it as the
-memory-mappable :class:`~repro.serve.snapshot.EmbeddingSnapshot` the
-exact float64 :class:`~repro.serve.index.ExactTopKIndex` retrieves
-over, and :class:`~repro.serve.service.RecommendationService` answers
-batched user requests.
+snapshot is the 1×1 set, which
+:func:`~repro.serve.snapshot.export_snapshot` writes;
+:func:`~repro.serve.snapshot.export_sharded_snapshot` writes any other
+shard count.  :func:`~repro.serve.shard.load_snapshot` opens every set
+as the one memory-mappable type,
+:class:`~repro.serve.shard.ShardedSnapshot`.
 
-For horizontal scale the same state is exported with more shards
-(:func:`~repro.serve.snapshot.export_sharded_snapshot`) and read back
-by :mod:`repro.serve.shard`.  The same service serves it: handed a
-:class:`~repro.serve.shard.ShardedSnapshot` it builds the
-scatter-gather :class:`~repro.serve.router.ShardedTopKIndex`, whose
-item shards hold the same scorer over their own rows, so the routed
-answer is bit-identical to the single-process index (see
-``docs/sharding.md``).
+:class:`~repro.serve.service.RecommendationService` answers batched
+user requests through the scatter-gather
+:class:`~repro.serve.router.ShardedTopKIndex` whatever the shard
+count: each item shard holds the same scorer over its own rows, so the
+routed answer is bit-identical to the single-table
+:class:`~repro.serve.index.ExactTopKIndex` over a 1×1 set's whole
+tables (see ``docs/sharding.md``).
 
 A refresh is a re-export plus a swap:
 :meth:`RecommendationService.refresh` /
@@ -64,21 +63,21 @@ from repro.serve.service import (LRUCache, Recommendation,
                                  RecommendationService, ServiceStats,
                                  ShardedRecommendationService)
 from repro.serve.shard import (ItemShard, ItemShardIndex, ShardedSnapshot,
-                               UserShard, load_sharded_snapshot)
+                               UserShard, load_sharded_snapshot,
+                               load_snapshot)
 from repro.serve.snapshot import (SHARD_SCHEMA, SHARDED_SCHEMA,
-                                  EmbeddingSnapshot, ShardedManifest,
-                                  ShardManifest, SnapshotIntegrityError,
+                                  ShardedManifest, ShardManifest,
+                                  SnapshotIntegrityError,
                                   export_sharded_snapshot,
                                   export_sharded_source_snapshot,
-                                  export_snapshot, is_sharded_snapshot,
-                                  load_snapshot, partition_ids,
+                                  export_snapshot, partition_ids,
                                   quarantine_snapshot)
 
 __all__ = [
     "SHARD_SCHEMA", "SHARDED_SCHEMA", "ShardManifest", "ShardedManifest",
-    "EmbeddingSnapshot", "export_snapshot", "load_snapshot",
+    "export_snapshot", "load_snapshot",
     "partition_ids", "export_sharded_snapshot",
-    "export_sharded_source_snapshot", "is_sharded_snapshot",
+    "export_sharded_source_snapshot",
     "PANEL_WIDTH", "TopKResult", "ExactTopKIndex",
     "UserShard", "ItemShard", "ItemShardIndex", "ShardedSnapshot",
     "load_sharded_snapshot",

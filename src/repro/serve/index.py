@@ -1,8 +1,8 @@
 """Top-K retrieval over a frozen embedding snapshot.
 
 :class:`ExactTopKIndex` answers ``topk(user_ids, k)`` by chunked dense
-matmul over the snapshot's float64 tables.  It reproduces the offline
-:class:`~repro.eval.evaluator.Evaluator` protocol exactly: the same
+matmul over a 1×1 snapshot's whole float64 tables.  It reproduces the
+offline :class:`~repro.eval.evaluator.Evaluator` protocol exactly: the same
 scoring transforms (:mod:`repro.scoring`), the same ``-inf`` seen-item
 scatter (:func:`repro.eval.masking.mask_seen_items`), and the same
 canonical ranking (:func:`repro.eval.metrics.rank_items`), so
@@ -22,7 +22,8 @@ is then re-scored in float64, so every returned item and score is the
 float64 answer.  :class:`~repro.serve.shard.ItemShardIndex` runs the
 same scorer and loop over one shard's rows, so neither scoring nor
 ``filter_seen`` semantics can drift between sharded and unsharded
-serving.
+serving; :class:`~repro.serve.service.RecommendationService` serves
+every snapshot, 1×1 included, through the router over those shards.
 
 **Partition-invariant scoring.**  Dense BLAS matmuls are *not* bitwise
 stable across matrix shapes: computing a score block as one large GEMM
@@ -61,7 +62,6 @@ from repro.eval.metrics import rank_items
 from repro.obs.metrics import get_registry
 from repro.scoring import (euclidean_scores, scoring_ready_items,
                            scoring_ready_users)
-from repro.serve.snapshot import EmbeddingSnapshot
 
 __all__ = ["PANEL_WIDTH", "ROW_BLOCK", "SHORTLIST_EXTRA", "TopKResult",
            "ExactTopKIndex", "scoring_ready_users", "scoring_ready_items",
@@ -447,7 +447,9 @@ class ExactTopKIndex:
     Parameters
     ----------
     snapshot:
-        Loaded :class:`~repro.serve.snapshot.EmbeddingSnapshot`.
+        Loaded 1×1 :class:`~repro.serve.shard.ShardedSnapshot`; any
+        other shard count raises ``ValueError`` (its whole-table reads
+        do).
     chunk_users:
         Users handed to the scorer at a time, the unit the sharded
         router also fans out per chunk.  The score buffer is bounded by
@@ -463,7 +465,7 @@ class ExactTopKIndex:
     #: tag recorded in benchmarks and service cache keys
     kind = "exact"
 
-    def __init__(self, snapshot: EmbeddingSnapshot, chunk_users: int = 256,
+    def __init__(self, snapshot, chunk_users: int = 256,
                  panel_width: int = PANEL_WIDTH):
         if chunk_users <= 0:
             raise ValueError(f"chunk_users must be positive, got {chunk_users}")
@@ -510,7 +512,7 @@ class ExactTopKIndex:
                           k=k, filtered_seen=filter_seen)
 
     # ------------------------------------------------------------------
-    def refreshed(self, snapshot: EmbeddingSnapshot) -> "ExactTopKIndex":
+    def refreshed(self, snapshot) -> "ExactTopKIndex":
         """Rebuild this index over ``snapshot``, keeping tuning knobs.
 
         The exact index derives everything from the item table, so a

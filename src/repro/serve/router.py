@@ -25,9 +25,9 @@ scores — is bit-identical to the unsharded index
 partition axis; the full contract is in ``docs/sharding.md``).
 
 :class:`~repro.serve.service.RecommendationService` builds this router
-as its index when handed a sharded snapshot, so result caching (keyed on
-the sharded snapshot's content hash) and batching are the
-single-process code.
+as its index for every snapshot, the 1×1 set included, so sharded and
+unsharded serving share one path: the same caching (keyed on the
+snapshot's content hash), batching and merge.
 """
 
 from __future__ import annotations
@@ -119,8 +119,10 @@ class ShardedTopKIndex:
         as before.
     """
 
-    #: Tag recorded in benchmarks and service cache keys.
-    kind = "sharded-exact"
+    #: Tag recorded in benchmarks and service cache keys.  It names the
+    #: answer set, not the code path: the router's lists and scores are
+    #: bit-identical to :class:`~repro.serve.index.ExactTopKIndex`'s.
+    kind = "exact"
 
     def __init__(self, snapshot: ShardedSnapshot,
                  chunk_users: int = 256,
@@ -134,6 +136,9 @@ class ShardedTopKIndex:
             ItemShardIndex(shard, PanelScorer(shard.embeddings,
                                               snapshot.scoring))
             for shard in snapshot.item_shards]
+        # what ``refreshed`` passes on: ``None`` re-sizes to the new
+        # snapshot's shard count
+        self._workers_arg = workers
         if workers is None:
             workers = min(len(self.shard_indexes), os.cpu_count() or 1)
         if workers < 0:
@@ -151,9 +156,11 @@ class ShardedTopKIndex:
 
     # ------------------------------------------------------------------
     def refreshed(self, snapshot: ShardedSnapshot) -> "ShardedTopKIndex":
-        """Rebuild the router over a new sharded snapshot, same knobs."""
+        """Rebuild the router over a new snapshot of any shard count,
+        same knobs."""
         return type(self)(snapshot, chunk_users=self.chunk_users,
-                          workers=self.workers, resilience=self.resilience)
+                          workers=self._workers_arg,
+                          resilience=self.resilience)
 
     # ------------------------------------------------------------------
     def topk(self, user_ids, k: int = 10,

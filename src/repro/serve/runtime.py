@@ -601,8 +601,10 @@ class ServingRuntime:
 
         ``queue_ms`` / ``service_ms`` come from this runtime's own
         counters, ``sweep_ms`` from the service's index-sweep clock, and
-        — when the service routes a sharded snapshot — the router's
-        gather/score/merge split is appended per sweep.
+        — when the service's router fans out over more than one item
+        shard — the router's gather/score/merge split is appended per
+        sweep.  Over one item shard there is nothing to split: the merge
+        is a copy and the sweep is the score.
 
         With tracing enabled (:func:`repro.obs.trace.tracing`) these
         counters are accumulated from the batch/refresh spans' own clock
@@ -622,7 +624,8 @@ class ServingRuntime:
             "batch_size": self.batch_size,
         }
         router = self.service.router_stats
-        if router is not None:
+        if router is not None and self.service.snapshot.manifest \
+                .num_item_shards > 1:
             sweeps = max(router.sweeps, 1)
             out.update({
                 "gather_ms": 1e3 * router.gather_s / sweeps,

@@ -1,7 +1,9 @@
 """Batched recommendation front end over a top-K index.
 
 :class:`RecommendationService` is the request-facing layer of the
-serving stack.  It adds two things on top of an index:
+serving stack.  It serves every snapshot, of any shard count, through
+the scatter-gather :class:`~repro.serve.router.ShardedTopKIndex`
+unless handed another index, and adds two things on top of it:
 
 * **Result caching** — an LRU of finished ``(items, scores)`` lists
   keyed on ``(snapshot version, index kind, user, k, filter_seen)``.
@@ -27,13 +29,10 @@ import numpy as np
 
 from repro.obs.stats import RegistryBackedStats
 from repro.obs.trace import get_tracer
-from repro.serve.index import ExactTopKIndex
 from repro.serve.resilience import ResilienceConfig
 from repro.serve.router import RouterStats, ShardedTopKIndex
-from repro.serve.shard import ShardedSnapshot, load_sharded_snapshot
-from repro.serve.snapshot import (EmbeddingSnapshot, SnapshotIntegrityError,
-                                  is_sharded_snapshot, load_snapshot,
-                                  quarantine_snapshot)
+from repro.serve.shard import load_snapshot
+from repro.serve.snapshot import SnapshotIntegrityError, quarantine_snapshot
 
 __all__ = ["Recommendation", "ServiceStats", "LRUCache",
            "RecommendationService", "ShardedRecommendationService"]
@@ -182,35 +181,36 @@ class LRUCache:
 class RecommendationService:
     """Serve ``recommend(user_ids, k)`` on top of a snapshot + index.
 
-    The one front end of both snapshot views (the dense unsharded one
-    and the shard set): only the default index depends on the
-    snapshot's type; caching, batching and refresh do not.
+    One front end for every shard count: the default index is the
+    scatter-gather :class:`ShardedTopKIndex` (scoring ``max_batch``
+    users per chunk), whose answers are bit-identical to
+    :class:`~repro.serve.index.ExactTopKIndex`'s over the same tables,
+    so the 1×1 set and a multi-shard set of one model serve the same
+    lists.
 
     Parameters
     ----------
     snapshot:
-        Loaded :class:`~repro.serve.snapshot.EmbeddingSnapshot` or
-        :class:`~repro.serve.shard.ShardedSnapshot`.  The default index
-        is an :class:`~repro.serve.index.ExactTopKIndex` over an
-        unsharded snapshot and the scatter-gather
-        :class:`ShardedTopKIndex` (scoring ``max_batch`` users per
-        block) over a sharded one.
+        Loaded :class:`~repro.serve.shard.ShardedSnapshot` of any
+        shard count.
     index:
-        Pre-built index replacing the default.  Must wrap the same
+        Pre-built index replacing the router.  Must wrap the same
         snapshot (checked by content version).  Any object speaking the
         ``topk``/``kind``/``snapshot`` protocol plugs in — including
         the approximate :class:`~repro.ann.ivf.IVFFlatIndex` candidate
         index, whose distinct ``kind`` keeps its cache entries separate
-        from the exact index's.
+        from the exact answers'.
     cache_size:
         LRU capacity in finished per-user lists; 0 disables caching.
     max_batch:
         Upper bound on users per index sweep: the slice size of large
         ``recommend`` calls.
     workers, resilience:
-        Fan-out width and failure policy of the default router (see
-        :class:`ShardedTopKIndex`); unused when none is built.  Degraded
-        answers surface as ``Recommendation.degraded``, never cached.
+        Fan-out width and failure policy of the router (see
+        :class:`ShardedTopKIndex`).  They configure the router this
+        service builds, so passing either with ``index=`` is a
+        ``ValueError``.  Degraded answers surface as
+        ``Recommendation.degraded``, never cached.
     """
 
     def __init__(self, snapshot, *, index=None, cache_size: int = 4096,
@@ -219,12 +219,13 @@ class RecommendationService:
         if max_batch <= 0:
             raise ValueError(f"max_batch must be positive, got {max_batch}")
         if index is None:
-            if isinstance(snapshot, ShardedSnapshot):
-                index = ShardedTopKIndex(snapshot, chunk_users=max_batch,
-                                         workers=workers,
-                                         resilience=resilience)
-            else:
-                index = ExactTopKIndex(snapshot)
+            index = ShardedTopKIndex(snapshot, chunk_users=max_batch,
+                                     workers=workers, resilience=resilience)
+        elif workers is not None or resilience is not None:
+            raise ValueError(
+                "workers and resilience configure the router this service "
+                "builds; a service given index= would ignore them, so "
+                "configure that index instead")
         elif index.snapshot.version != snapshot.version:
             raise ValueError(
                 f"index wraps snapshot {index.snapshot.version!r} but the "
@@ -390,15 +391,14 @@ class RecommendationService:
     def refresh(self, snapshot, *, index=None) -> int:
         """Swap in a new snapshot version; returns evicted cache entries.
 
-        ``snapshot`` is a loaded snapshot of the layout being served, or
-        a path to a snapshot directory (delegated to
+        ``snapshot`` is a loaded
+        :class:`~repro.serve.shard.ShardedSnapshot` of any shard count,
+        or a path to a snapshot directory (delegated to
         :meth:`refresh_from_path`, which verifies, quarantines on
-        damage, and falls back to the current version).  A service keeps
-        its layout for life: an unsharded service refreshes from an
-        :class:`~repro.serve.snapshot.EmbeddingSnapshot`, a sharded one
-        from a :class:`~repro.serve.shard.ShardedSnapshot`.  ``index``
+        damage, and falls back to the current version).  ``index``
         overrides the refreshed index; by default the current index's
-        ``refreshed(snapshot)`` rebuilds it with the same knobs.
+        ``refreshed(snapshot)`` rebuilds it with the same knobs, so a
+        routed service may move between shard counts.
 
         The swap is atomic from a caller's point of view: snapshot and
         index move together in one assignment, so a sweep already
@@ -409,13 +409,6 @@ class RecommendationService:
         """
         if isinstance(snapshot, (str, pathlib.Path)):
             return self.refresh_from_path(snapshot, index=index)
-        layout = (ShardedSnapshot if isinstance(self.snapshot, ShardedSnapshot)
-                  else EmbeddingSnapshot)
-        if not isinstance(snapshot, layout):
-            raise TypeError(
-                f"this service serves {layout.__name__} and refreshes only "
-                f"from that layout (or its directory); got "
-                f"{type(snapshot).__name__}")
         if index is None:
             index = self.index.refreshed(snapshot)
         if index.snapshot.version != snapshot.version:
@@ -433,13 +426,9 @@ class RecommendationService:
                           quarantine: bool = True, index=None) -> int:
         """Verified refresh from a snapshot directory, with fallback.
 
-        Loads ``path`` with ``verify=True`` and swaps it in: as a
-        :class:`~repro.serve.shard.ShardedSnapshot` when this service
-        serves one or the directory holds more than one user or item
-        shard, else as the unsharded
-        :class:`~repro.serve.snapshot.EmbeddingSnapshot` view.  A
-        snapshot that fails to load or fails its content-hash verify
-        is **rejected**: the service
+        Loads ``path`` (any shard count) with ``verify=True`` and swaps
+        it in.  A snapshot that fails to load or fails its content-hash
+        verify is **rejected**: the service
         keeps serving its current (last-good) version untouched, the
         damaged directory is moved aside
         (:func:`~repro.serve.snapshot.quarantine_snapshot`, unless
@@ -451,10 +440,7 @@ class RecommendationService:
         """
         path = pathlib.Path(path)
         try:
-            sharded = (isinstance(self.snapshot, ShardedSnapshot)
-                       or is_sharded_snapshot(path))
-            load = load_sharded_snapshot if sharded else load_snapshot
-            snapshot = load(path, mmap=mmap, verify=True)
+            snapshot = load_snapshot(path, mmap=mmap, verify=True)
         except Exception as exc:
             self.stats.inc("refresh_rejected")
             quarantined = None
@@ -487,6 +473,6 @@ class RecommendationService:
                 f"hit_rate={self.stats.hit_rate:.2%})")
 
 
-#: The sharded front end's historical name.  It was a subclass adding a
-#: constructor default and a type check; both now live in the one service.
+#: The sharded front end's historical name: one service serves every
+#: shard count.
 ShardedRecommendationService = RecommendationService

@@ -1,4 +1,4 @@
-"""Per-shard wrappers of a snapshot directory.
+"""Loaded snapshots: the per-shard wrappers and the one snapshot type.
 
 Every snapshot directory is a shard set (written by
 :func:`repro.serve.snapshot.export_sharded_snapshot`, or by
@@ -14,10 +14,14 @@ splits the serving state along two independent axes:
   (:class:`repro.serve.index.PanelScorer`) and the same row-blocked
   score → mask → rank loop as the unsharded index.
 
-:class:`ShardedSnapshot` loads the whole directory and owns the
-global→(shard, local) routing tables.  The scatter-gather that merges
-partial answers back into the unsharded ranking lives in
-:mod:`repro.serve.router`.
+:class:`ShardedSnapshot` is the one in-memory snapshot type:
+:func:`load_snapshot` opens any shard set as one, and it owns the
+global→(shard, local) routing tables.  A 1×1 set also reads as whole
+tables in global order (``users`` / ``items`` / ``seen_indptr`` /
+``seen_items`` / ``seen(u)``), which is what
+:class:`~repro.serve.index.ExactTopKIndex` and the IVF index serve
+from.  The scatter-gather that merges partial answers back into the
+unsharded ranking lives in :mod:`repro.serve.router`.
 
 A shard scores through the unsharded index's own scorer class and
 fixed-shape panel kernel (:func:`~repro.serve.index.panel_scores`),
@@ -41,7 +45,7 @@ from repro.serve.snapshot import (_MANIFEST, _SHARDS_MANIFEST, SHARD_SCHEMA,
                                   _sharded_version)
 
 __all__ = ["UserShard", "ItemShard", "ItemShardIndex", "ShardedSnapshot",
-           "load_sharded_snapshot"]
+           "load_snapshot", "load_sharded_snapshot"]
 
 
 def _load_shard_manifest(shard_dir: pathlib.Path, kind: str) -> ShardManifest:
@@ -238,13 +242,14 @@ class ItemShardIndex:
 
 
 class ShardedSnapshot:
-    """A loaded sharded snapshot: manifest, shards, and routing tables.
+    """A loaded snapshot of any shard count: manifest, shards, routing.
 
-    Exposes the same identity surface as an unsharded
-    :class:`~repro.serve.snapshot.EmbeddingSnapshot` (``version``,
-    ``scoring``, user/item counts) so
-    :class:`~repro.serve.service.RecommendationService` can key caches
-    on it unchanged.
+    ``version`` (the content hash) keys
+    :class:`~repro.serve.service.RecommendationService`'s cache and
+    ``scoring`` names the test-time scoring function.  The 1×1 set
+    also reads as whole tables in global order (``users``, ``items``,
+    ``seen_indptr``, ``seen_items``, ``seen(u)``), its one user and
+    one item shard; on any other set those reads raise ``ValueError``.
     """
 
     def __init__(self, manifest: ShardedManifest,
@@ -295,6 +300,41 @@ class ShardedSnapshot:
         """Test-time scoring function: ``inner``/``cosine``/``euclidean``."""
         return self.manifest.scoring
 
+    def _dense(self) -> tuple[UserShard, ItemShard]:
+        """The one user and one item shard of a 1×1 set."""
+        m = self.manifest
+        if (m.num_user_shards, m.num_item_shards) != (1, 1):
+            raise ValueError(
+                f"{self.path or 'snapshot'} holds {m.num_user_shards} user "
+                f"shards x {m.num_item_shards} item shards; whole-table "
+                f"reads exist only on the unsharded 1x1 set, so serve it "
+                f"through ShardedTopKIndex")
+        return self.user_shards[0], self.item_shards[0]
+
+    @property
+    def users(self) -> np.ndarray:
+        """``(num_users, dim)`` float64 user table (1×1 set only)."""
+        return self._dense()[0].embeddings
+
+    @property
+    def items(self) -> np.ndarray:
+        """``(num_items, dim)`` float64 item table (1×1 set only)."""
+        return self._dense()[1].embeddings
+
+    @property
+    def seen_indptr(self) -> np.ndarray:
+        """Row pointers of the seen-item CSR (1×1 set only)."""
+        return self._dense()[0].seen_indptr
+
+    @property
+    def seen_items(self) -> np.ndarray:
+        """Item ids of the seen-item CSR (1×1 set only)."""
+        return self._dense()[0].seen_items
+
+    def seen(self, user_id: int) -> np.ndarray:
+        """Training items of one user (1×1 set only)."""
+        return self._dense()[0].seen(user_id)
+
     def route_users(self, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Owning shard index and local row for each global user id."""
         users = np.asarray(users, dtype=np.int64)
@@ -327,28 +367,23 @@ class ShardedSnapshot:
                 f"partition={m.strategy!r} by {m.partition_by!r})")
 
 
-def load_sharded_snapshot(path, *, mmap: bool = True,
-                          verify: bool = False) -> ShardedSnapshot:
-    """Open a snapshot directory (any shard count, 1×1 included) written
-    by :func:`repro.serve.snapshot.export_sharded_snapshot`.
+def load_snapshot(path, *, mmap: bool = True,
+                  verify: bool = False) -> ShardedSnapshot:
+    """Open a snapshot directory of any shard count, 1×1 included.
 
     Parameters
     ----------
     path:
         Directory holding ``shards.json`` plus the shard subdirectories.
     mmap:
-        Memory-map each shard's embedding tables read-only (default).
+        Memory-map each shard's embedding tables read-only (the
+        default) so many serving processes share one page cache; pass
+        ``False`` to load plain in-memory copies.
     verify:
         Re-hash every shard's arrays and the top-level manifest; fail
         loudly on any mismatch (detects truncated or edited shards).
     """
     path = pathlib.Path(path)
-    return _open_shard_set(path, _read_manifest(path), mmap=mmap,
-                           verify=verify)
-
-
-def _read_manifest(path: pathlib.Path) -> ShardedManifest:
-    """Read and schema-check a snapshot directory's ``shards.json``."""
     manifest_path = path / _SHARDS_MANIFEST
     if not manifest_path.is_file():
         raise FileNotFoundError(f"no snapshot manifest at {manifest_path}")
@@ -356,12 +391,6 @@ def _read_manifest(path: pathlib.Path) -> ShardedManifest:
     if manifest.schema != SHARDED_SCHEMA:
         raise ValueError(f"snapshot schema {manifest.schema!r} is "
                          f"not {SHARDED_SCHEMA!r}")
-    return manifest
-
-
-def _open_shard_set(path: pathlib.Path, manifest: ShardedManifest, *,
-                    mmap: bool, verify: bool) -> ShardedSnapshot:
-    """Load the shards ``manifest`` names, verified on request."""
     user_shards = [UserShard.load(path / entry["path"], mmap=mmap)
                    for entry in manifest.user_shards]
     item_shards = [ItemShard.load(path / entry["path"], mmap=mmap)
@@ -370,6 +399,10 @@ def _open_shard_set(path: pathlib.Path, manifest: ShardedManifest, *,
     if verify:
         _verify_sharded(snapshot)
     return snapshot
+
+
+#: The loader's name from when shard sets and the 1×1 set loaded apart.
+load_sharded_snapshot = load_snapshot
 
 
 def _verify_sharded(snapshot: ShardedSnapshot) -> None:

@@ -22,17 +22,18 @@ tables with graph propagation already applied, so serving cost is one
 dense gather + matmul per request batch regardless of backbone depth.
 
 The *unsharded* snapshot is the 1×1 set (one user shard, one item
-shard): :func:`export_snapshot` writes it and :func:`load_snapshot`
-opens it as the dense :class:`EmbeddingSnapshot` the single-process
-indexes serve from.  :func:`export_sharded_snapshot` writes any other
-shard count; users and items partition independently
+shard), which :func:`export_snapshot` writes.
+:func:`export_sharded_snapshot` writes any other shard count; users and
+items partition independently
 (``partition_by`` ∈ ``user``/``item``/``both``) with either
 ``contiguous`` range or ``hash`` (``id % n``) placement.  Every export
 goes through one write core and one publish routine (:func:`_publish`),
-which keeps a loadable snapshot in place while it runs.  The
-scatter-gather reader lives in :mod:`repro.serve.shard` /
-:mod:`repro.serve.router`; the partitioning and merge contract is
-documented in ``docs/sharding.md``.
+which keeps a loadable snapshot in place while it runs.  Every shard
+set, 1×1 included, loads as one type,
+:class:`~repro.serve.shard.ShardedSnapshot`
+(:func:`~repro.serve.shard.load_snapshot`); the scatter-gather reader
+lives in :mod:`repro.serve.shard` / :mod:`repro.serve.router`, and the
+partitioning and merge contract is documented in ``docs/sharding.md``.
 """
 
 from __future__ import annotations
@@ -57,10 +58,9 @@ from repro.data.dataset import InteractionDataset
 from repro.models.base import Recommender
 
 __all__ = ["SHARD_SCHEMA", "SHARDED_SCHEMA", "ShardManifest",
-           "ShardedManifest", "EmbeddingSnapshot", "SnapshotIntegrityError",
-           "export_snapshot", "load_snapshot", "quarantine_snapshot",
-           "partition_ids", "export_sharded_snapshot",
-           "export_sharded_source_snapshot", "is_sharded_snapshot"]
+           "ShardedManifest", "SnapshotIntegrityError", "export_snapshot",
+           "quarantine_snapshot", "partition_ids", "export_sharded_snapshot",
+           "export_sharded_source_snapshot"]
 
 #: Schema of one shard directory's ``manifest.json``.
 SHARD_SCHEMA = "bsl-serve-shard/v1"
@@ -243,61 +243,6 @@ def _content_version(users: np.ndarray, items: np.ndarray,
     return digest.hexdigest()[:16]
 
 
-class EmbeddingSnapshot:
-    """The dense view of a 1×1 shard set: whole tables in global order.
-
-    What :class:`~repro.serve.index.ExactTopKIndex` and the IVF index
-    serve from.  :func:`load_snapshot` builds it over a loaded set's one
-    user shard and one item shard (validated by their loaders);
-    :func:`export_snapshot` over the tables it just wrote.
-
-    Parameters
-    ----------
-    manifest:
-        The set's :class:`ShardedManifest`.
-    users, items:
-        ``(num_users, dim)`` / ``(num_items, dim)`` float64 tables with
-        propagation already applied.
-    seen_indptr, seen_items:
-        CSR layout of each user's training interactions
-        (``seen_items[seen_indptr[u]:seen_indptr[u + 1]]``).
-    path:
-        Directory the snapshot was loaded from or exported to, if any.
-    """
-
-    def __init__(self, manifest: "ShardedManifest", users: np.ndarray,
-                 items: np.ndarray, seen_indptr: np.ndarray,
-                 seen_items: np.ndarray, path: pathlib.Path | None = None):
-        self.manifest = manifest
-        self.users = users
-        self.items = items
-        self.seen_indptr = seen_indptr
-        self.seen_items = seen_items
-        self.path = path
-
-    @property
-    def version(self) -> str:
-        """Content-hash identity (cache key for downstream services)."""
-        return self.manifest.version
-
-    @property
-    def scoring(self) -> str:
-        """Test-time scoring function: ``inner``/``cosine``/``euclidean``."""
-        return self.manifest.scoring
-
-    def seen(self, user_id: int) -> np.ndarray:
-        """Training items of one user (the filter-seen candidate mask)."""
-        return np.asarray(
-            self.seen_items[self.seen_indptr[user_id]:
-                            self.seen_indptr[user_id + 1]])
-
-    def __repr__(self) -> str:
-        m = self.manifest
-        return (f"EmbeddingSnapshot(model={m.model!r}, version={m.version!r}, "
-                f"users={m.num_users}, items={m.num_items}, dim={m.dim}, "
-                f"scoring={m.scoring!r})")
-
-
 def _check_sizes(model: Recommender, dataset: InteractionDataset) -> None:
     """Refuse to export a model sized for another dataset."""
     if (model.num_users, model.num_items) != (dataset.num_users,
@@ -310,7 +255,7 @@ def _check_sizes(model: Recommender, dataset: InteractionDataset) -> None:
 def export_snapshot(model: Recommender, dataset: InteractionDataset,
                     out_dir, *, model_name: str | None = None,
                     extra: dict | None = None,
-                    created_unix: float | None = None) -> EmbeddingSnapshot:
+                    created_unix: float | None = None):
     """Freeze a trained model into an unsharded (1×1) snapshot directory.
 
     Runs ``model.propagate()`` once in eval mode (so dropout and
@@ -318,8 +263,10 @@ def export_snapshot(model: Recommender, dataset: InteractionDataset,
     :meth:`~repro.models.base.Recommender.scoring_tables`) and writes
     the final tables plus the dataset's train-interaction CSR as a
     shard set of one user shard and one item shard — the
-    ``export_sharded_snapshot(..., shards=1)`` bytes.  Returns the dense
-    view over the tables already in memory; nothing is read back.
+    ``export_sharded_snapshot(..., shards=1)`` bytes.  Returns the
+    :class:`~repro.serve.shard.ShardedSnapshot` over the shards as
+    staged in memory: the tables are the model's own, and nothing is
+    read back.
 
     Parameters
     ----------
@@ -341,49 +288,11 @@ def export_snapshot(model: Recommender, dataset: InteractionDataset,
     """
     _check_sizes(model, dataset)
     users, items = model.embeddings()
-    seen_indptr, seen_items = dataset.train_csr()
-    out_dir = pathlib.Path(out_dir)
-    manifest = _export_sharded_tables(
-        out_dir, users, items, (seen_indptr, seen_items),
+    return _export_sharded_tables(
+        out_dir, users, items, dataset.train_csr(),
         **_model_identity(model, dataset, model_name), shards=1,
         partition_by="both", strategy="contiguous", extra=extra,
         created_unix=created_unix)
-    return EmbeddingSnapshot(manifest, users, items, seen_indptr, seen_items,
-                             path=out_dir)
-
-
-def load_snapshot(path, *, mmap: bool = True,
-                  verify: bool = False) -> EmbeddingSnapshot:
-    """Open an unsharded (1×1) snapshot directory as its dense view.
-
-    Parameters
-    ----------
-    path:
-        Snapshot directory written by :func:`export_snapshot` (or any
-        1×1 shard set).  A directory with more shards is refused:
-        serve it with :func:`~repro.serve.shard.load_sharded_snapshot`.
-    mmap:
-        Memory-map the embedding tables read-only (the default) so many
-        serving processes share one page cache; pass ``False`` to load
-        plain in-memory copies.
-    verify:
-        Re-hash the arrays and fail loudly if the content does not match
-        the manifests (detects truncated or edited files).
-    """
-    from repro.serve.shard import _open_shard_set, _read_manifest
-    path = pathlib.Path(path)
-    manifest = _read_manifest(path)
-    counts = (manifest.num_user_shards, manifest.num_item_shards)
-    if counts != (1, 1):
-        raise ValueError(
-            f"{path} holds {counts[0]} user shards x {counts[1]} item "
-            f"shards; load_snapshot opens only the unsharded 1x1 set, so "
-            f"open it with load_sharded_snapshot")
-    sharded = _open_shard_set(path, manifest, mmap=mmap, verify=verify)
-    (user,), (item,) = sharded.user_shards, sharded.item_shards
-    return EmbeddingSnapshot(sharded.manifest, user.embeddings,
-                             item.embeddings, user.seen_indptr,
-                             user.seen_items, path=sharded.path)
 
 
 def partition_ids(n: int, num_shards: int,
@@ -499,9 +408,12 @@ def _csr_rows(indptr: np.ndarray, items: np.ndarray,
 
 def _stage_shard(staging: pathlib.Path, kind: str, index: int,
                  ids: np.ndarray, table: np.ndarray, seen_csr: tuple | None,
-                 base: dict) -> dict:
-    """Stage one ``{kind}-shard-NN`` directory; returns its shards.json
-    entry.  User shards carry their seen-item CSR, item shards none."""
+                 base: dict):
+    """Stage one ``{kind}-shard-NN`` directory.  Returns the shard over
+    the in-memory arrays it wrote, at its published path: a
+    :class:`~repro.serve.shard.UserShard` with its seen-item CSR, or an
+    :class:`~repro.serve.shard.ItemShard`."""
+    from repro.serve.shard import ItemShard, UserShard
     # ``ids`` ascend, so a contiguous run is a slice: a view, not a copy
     run = len(ids) == ids[-1] - ids[0] + 1
     rows = np.ascontiguousarray(table[ids[0]:ids[-1] + 1] if run
@@ -522,7 +434,16 @@ def _stage_shard(staging: pathlib.Path, kind: str, index: int,
     for fname, array in files.items():
         np.save(shard_dir / fname, array)
     (shard_dir / _MANIFEST).write_text(manifest.to_json() + "\n")
-    return {"path": shard_dir.name, "version": version, "count": len(ids)}
+    path = staging.parent / shard_dir.name
+    if seen_csr is None:
+        return ItemShard(manifest, ids, rows, path=path)
+    return UserShard(manifest, ids, rows, indptr, seen, path=path)
+
+
+def _entry(shard) -> dict:
+    """The ``shards.json`` entry naming one staged shard."""
+    return {"path": shard.path.name, "version": shard.manifest.version,
+            "count": len(shard)}
 
 
 def _model_identity(model: Recommender, dataset: InteractionDataset,
@@ -540,7 +461,7 @@ def _export_sharded_tables(out_dir, users, items, seen_csr, *,
                            dataset_name: str, scoring: str, shards: int,
                            partition_by: str, strategy: str,
                            extra: dict | None,
-                           created_unix: float | None) -> ShardedManifest:
+                           created_unix: float | None):
     """The one export core: tables + seen CSR → a published shard set.
 
     Every front door (:func:`export_snapshot`,
@@ -548,8 +469,11 @@ def _export_sharded_tables(out_dir, users, items, seen_csr, *,
     :func:`export_sharded_source_snapshot`) funnels through here, so
     identical inputs produce byte-identical shard files and manifests
     regardless of which one was used (pin ``created_unix`` to make the
-    manifests comparable too).  Returns the written manifest.
+    manifests comparable too).  Returns the written set as a
+    :class:`~repro.serve.shard.ShardedSnapshot` over the staged arrays
+    (table slices are views where a shard's ids are contiguous).
     """
+    from repro.serve.shard import ShardedSnapshot
     if partition_by not in ("user", "item", "both"):
         raise ValueError(f"partition_by must be user/item/both, "
                          f"got {partition_by!r}")
@@ -560,16 +484,18 @@ def _export_sharded_tables(out_dir, users, items, seen_csr, *,
             "strategy": strategy}
     out_dir = pathlib.Path(out_dir)
     with _publish(out_dir, _SHARDS_MANIFEST) as staging:
-        user_entries = [
+        user_shards = [
             _stage_shard(staging, "user", i, ids, users, seen_csr,
                          {**base, "num_shards": num_user_shards})
             for i, ids in enumerate(partition_ids(num_users,
                                                   num_user_shards, strategy))]
-        item_entries = [
+        item_shards = [
             _stage_shard(staging, "item", i, ids, items, None,
                          {**base, "num_shards": num_item_shards})
             for i, ids in enumerate(partition_ids(num_items,
                                                   num_item_shards, strategy))]
+        user_entries = [_entry(shard) for shard in user_shards]
+        item_entries = [_entry(shard) for shard in item_shards]
         identity = (SHARDED_SCHEMA, model_class, dim,
                     num_users, num_items, scoring,
                     partition_by, strategy, num_user_shards, num_item_shards)
@@ -601,7 +527,7 @@ def _export_sharded_tables(out_dir, users, items, seen_csr, *,
         if (child.name not in named and _SHARD_DIR.match(child.name)
                 and (child / _MANIFEST).is_file()):
             shutil.rmtree(child)
-    return manifest
+    return ShardedSnapshot(manifest, user_shards, item_shards, path=out_dir)
 
 
 def export_sharded_snapshot(model: Recommender, dataset: InteractionDataset,
@@ -637,10 +563,9 @@ def export_sharded_snapshot(model: Recommender, dataset: InteractionDataset,
     strategy:
         ``"contiguous"`` or ``"hash"`` (see :func:`partition_ids`).
 
-    Returns the loaded
-    :class:`~repro.serve.shard.ShardedSnapshot`.
+    Returns the set loaded back from ``out_dir`` (memory-mapped).
     """
-    from repro.serve.shard import load_sharded_snapshot
+    from repro.serve.shard import load_snapshot
     _check_sizes(model, dataset)
     users, items = model.embeddings()
     _export_sharded_tables(
@@ -648,7 +573,7 @@ def export_sharded_snapshot(model: Recommender, dataset: InteractionDataset,
         **_model_identity(model, dataset, model_name), shards=shards,
         partition_by=partition_by, strategy=strategy, extra=extra,
         created_unix=created_unix)
-    return load_sharded_snapshot(out_dir)
+    return load_snapshot(out_dir)
 
 
 def export_sharded_source_snapshot(users, items, source, out_dir, *,
@@ -672,9 +597,10 @@ def export_sharded_source_snapshot(users, items, source, out_dir, *,
     Given equal table bytes and interactions, the output is
     byte-identical to :func:`export_sharded_snapshot` of the equivalent
     in-memory model/dataset (``created_unix`` pinned), because both
-    funnel through the same write core.
+    funnel through the same write core.  Returns the set loaded back
+    from ``out_dir`` (memory-mapped).
     """
-    from repro.serve.shard import load_sharded_snapshot
+    from repro.serve.shard import load_snapshot
     users = np.asarray(users)
     items = np.asarray(items)
     if users.ndim != 2 or items.ndim != 2 or users.shape[1] != items.shape[1]:
@@ -691,18 +617,7 @@ def export_sharded_source_snapshot(users, items, source, out_dir, *,
         num_items=source.num_items, dataset_name=source.name,
         scoring=scoring, shards=shards, partition_by=partition_by,
         strategy=strategy, extra=extra, created_unix=created_unix)
-    return load_sharded_snapshot(out_dir)
-
-
-def is_sharded_snapshot(path) -> bool:
-    """True if ``path`` holds a multi-shard snapshot: its ``shards.json``
-    names more than one user or item shard.  The 1×1 set is the
-    unsharded snapshot (:func:`load_snapshot`)."""
-    manifest = pathlib.Path(path) / _SHARDS_MANIFEST
-    if not manifest.is_file():
-        return False
-    counts = json.loads(manifest.read_text())
-    return (counts["num_user_shards"], counts["num_item_shards"]) != (1, 1)
+    return load_snapshot(out_dir)
 
 
 def quarantine_snapshot(path) -> pathlib.Path:

@@ -34,6 +34,9 @@ through a dense ``(users, catalogue)`` membership matrix; the list-major
 heap over the shards' canonically sorted partial lists; the one-sort
 :func:`repro.serve.router._merge_partials` must reproduce its items and
 score bits, its underflow error and its degraded padding.
+``with_items`` hand-builds a hostile snapshot: a 1×1 set like a loaded
+one but over an item table a test edited in memory, with no files
+behind it.
 """
 
 from __future__ import annotations
@@ -333,3 +336,13 @@ def merge_partials_heap(partials, k, allow_underflow=False):
                 heapq.heappush(heap, (-scores[row, pos + 1],
                                       int(ids[row, pos + 1]), s, pos + 1))
     return out_items, out_scores
+
+
+def with_items(snapshot, items):
+    """A 1×1 :class:`repro.serve.shard.ShardedSnapshot` with
+    ``snapshot``'s manifests, user table and seen-item CSR over another
+    ``items`` table; its version is ``snapshot``'s."""
+    from repro.serve.shard import ItemShard, ShardedSnapshot
+    (item,) = snapshot.item_shards
+    return ShardedSnapshot(snapshot.manifest, snapshot.user_shards,
+                           [ItemShard(item.manifest, item.ids, items)])

@@ -11,8 +11,7 @@ from repro.models import get_model
 from repro.serve import (ExactTopKIndex, RecommendationService,
                          export_snapshot)
 from repro.serve.index import scoring_ready_users
-from repro.serve.snapshot import EmbeddingSnapshot
-from tests.oracles import ivf_candidates_csr
+from tests.oracles import ivf_candidates_csr, with_items
 
 
 @pytest.fixture(scope="module")
@@ -306,10 +305,7 @@ class TestListMajorLoop:
         a, b, c = (int(data[1].list_ids(lst)[0]) for lst in range(3))
         items = np.array(snapshot.items)
         items[b] = items[c] = items[a]
-        return EmbeddingSnapshot(
-            snapshot.manifest, np.asarray(snapshot.users), items,
-            np.asarray(snapshot.seen_indptr),
-            np.asarray(snapshot.seen_items)), data
+        return with_items(snapshot, items), data
 
     @staticmethod
     def _oracle(snapshot, data, users, k, nprobe, filter_seen, width):

@@ -477,6 +477,36 @@ class TestRepoBenchmarkWiring:
                 if "bench/run.py --all --tiny" in c]
         assert runs and all("--results-dir" in c for c in runs)
 
+    def test_ci_diffs_answers_against_the_merge_base(self):
+        """One PR-gate job runs `scripts/answers.py` on a git worktree of
+        the merge-base and on HEAD (full history checked out), then
+        fails on any changed entry the change's own CHANGES.md lines do
+        not name under ANSWERS CHANGED."""
+        workflow = _load("ci.yml")
+        (job,) = workflow["jobs"].values()
+        (checkout,) = [step for step in job["steps"]
+                       if step.get("uses", "").startswith("actions/checkout")]
+        assert checkout["with"]["fetch-depth"] == 0
+        (step,) = [step for step in job["steps"]
+                   if "scripts/answers.py" in step.get("run", "")]
+        lines = [line.strip() for line in step["run"].splitlines()]
+        worktree = next(shlex.split(line) for line in lines
+                        if line.startswith("git worktree add"))
+        base_src = f"{worktree[-2]}/src"
+        runs = [shlex.split(line) for line in lines
+                if "scripts/answers.py" in line]
+        outs = [argv for argv in runs if "--out" in argv]
+        assert len(outs) == 2
+        assert [argv[argv.index("--src") + 1] for argv in outs
+                if "--src" in argv] == [base_src]
+        (compare,) = [argv for argv in runs if "--compare" in argv]
+        at = compare.index("--compare")
+        assert compare[at + 1:at + 3] == [
+            argv[argv.index("--out") + 1] for argv in outs]
+        notes = compare[compare.index("--allowed") + 1]
+        assert any("CHANGES.md" in line and notes in line for line in lines)
+        assert (REPO_ROOT / "scripts" / "answers.py").is_file()
+
     def test_ci_slow_runs_sparse_training_at_full_shape(self):
         """``--tiny`` shrinks the tables to 2000 rows; the falling-loss end
         check must also run once on the 100k shape the benchmark gates."""

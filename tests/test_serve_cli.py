@@ -87,23 +87,22 @@ class TestRecommend:
 
     def test_ann_on_sharded_snapshot_is_a_usage_error(self, exported,
                                                       tmp_path, capsys):
-        """``--ann`` serves unsharded snapshots only: the sharded router
-        scores every item shard exactly, so the flag is refused."""
+        """The IVF index reads whole tables, which only the 1×1 set has:
+        it cannot be built over a sharded snapshot, and one built from
+        another snapshot is refused by version."""
         sharded = tmp_path / "sharded"
         ann = tmp_path / "ann"
         assert cli.main(["export", "--dataset", "tiny", "--model", "mf",
                          "--epochs", "1", "--dim", "8", "--shards", "2",
                          "--out", str(sharded)]) == 0
+        with pytest.raises(ValueError, match="2 user shards x 2 item shards"):
+            cli.main(["build-ann", "--snapshot", str(sharded),
+                      "--nlist", "4", "--out", str(ann)])
         assert cli.main(["build-ann", "--snapshot", str(exported),
                          "--nlist", "4", "--out", str(ann)]) == 0
-        capsys.readouterr()
-        with pytest.raises(SystemExit) as exc:
+        with pytest.raises(ValueError, match="ANN index was built from"):
             cli.main(["recommend", "--snapshot", str(sharded),
                       "--ann", str(ann)])
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert "--ann serves unsharded snapshots" in err
-        assert "scores every item shard exactly" in err
 
 
 class TestRefresh:
@@ -151,3 +150,24 @@ class TestRefresh:
         assert "refresh rejected" in out
         assert self._served(out) == {base.version: 32}
         assert not damaged.exists()  # quarantined aside
+
+    def test_sharded_base_refreshes_from_sharded_reexport(
+            self, tiny_dataset, tiny_mf_snapshot, tiny_mf_snapshot_next,
+            tmp_path, capsys):
+        """The base may be any shard set: a 2-shard base swaps to a
+        2-shard re-export, and every response names one of the two."""
+        from repro.serve import export_sharded_snapshot
+        model_a, _ = tiny_mf_snapshot
+        model_b, _ = tiny_mf_snapshot_next
+        base = export_sharded_snapshot(model_a, tiny_dataset, tmp_path / "a",
+                                       shards=2)
+        new = export_sharded_snapshot(model_b, tiny_dataset, tmp_path / "b",
+                                      shards=2)
+        rc = cli.main(["refresh", "--snapshot", str(base.path),
+                       "--new", str(new.path), "--requests", "32",
+                       "--qps", "2000", "--verify"])
+        assert rc == 0
+        served = self._served(capsys.readouterr().out)
+        assert set(served) <= {base.version, new.version}
+        assert new.version in served
+        assert sum(served.values()) == 32

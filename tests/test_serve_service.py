@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.serve import (ExactTopKIndex, LRUCache, RecommendationService,
-                         load_snapshot)
+                         ResilienceConfig, load_snapshot)
 
 
 @pytest.fixture()
@@ -244,6 +244,18 @@ class TestVersionKeying:
         other = export_snapshot(other_model, tiny_dataset, tmp_path)
         with pytest.raises(ValueError, match="wraps snapshot"):
             RecommendationService(snapshot, index=ExactTopKIndex(other))
+
+    @pytest.mark.parametrize("policy", [
+        {"resilience": ResilienceConfig(strict=True)}, {"workers": 2},
+        {"workers": 0}])
+    def test_router_options_with_an_index_rejected(self, tiny_mf_snapshot,
+                                                   policy):
+        """``workers`` / ``resilience`` configure the router the service
+        builds; with ``index=`` they would be dropped silently."""
+        _, snapshot = tiny_mf_snapshot
+        with pytest.raises(ValueError, match="configure the router"):
+            RecommendationService(snapshot, index=ExactTopKIndex(snapshot),
+                                  **policy)
 
     def test_ivf_index_cached_separately(self, tiny_mf_snapshot, tmp_path):
         from repro.ann import build_ann_index

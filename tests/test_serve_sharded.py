@@ -8,6 +8,7 @@ returns **bit-identical** items *and* scores to the unsharded
 """
 
 import json
+import os
 import tracemalloc
 
 import numpy as np
@@ -22,8 +23,7 @@ from repro.serve import (ExactTopKIndex, RecommendationService,
                          ResilienceConfig, ShardedRecommendationService,
                          ShardedTopKIndex, ShardManifest, ShardedManifest,
                          export_sharded_snapshot, export_snapshot,
-                         is_sharded_snapshot, load_sharded_snapshot,
-                         partition_ids)
+                         load_sharded_snapshot, partition_ids)
 from repro.serve.index import ROW_BLOCK, PanelScorer, scoring_ready_users
 from repro.serve.router import _merge_partials
 from repro.serve.shard import ItemShard, ItemShardIndex
@@ -31,6 +31,12 @@ from repro.serve.snapshot import SHARD_SCHEMA
 from repro.train import TrainConfig, train_model
 
 SHARD_COUNTS = (1, 2, 3, 7)
+
+
+def _shard_counts(path) -> tuple[int, int]:
+    """``(user shards, item shards)`` named by a directory's shards.json."""
+    manifest = json.loads((path / "shards.json").read_text())
+    return manifest["num_user_shards"], manifest["num_item_shards"]
 PARTITION_AXES = ("user", "item", "both")
 STRATEGIES = ("contiguous", "hash")
 
@@ -98,7 +104,7 @@ class TestExportLoadRoundTrip:
         sharded = export_sharded_snapshot(model, dataset, tmp_path,
                                           shards=3, partition_by="both",
                                           strategy="hash", model_name="mf")
-        assert is_sharded_snapshot(tmp_path)
+        assert _shard_counts(tmp_path) == (3, 3)
         assert (tmp_path / "shards.json").is_file()
         manifest = sharded.manifest
         assert isinstance(manifest, ShardedManifest)
@@ -161,7 +167,7 @@ class TestExportLoadRoundTrip:
         assert (sharded.manifest.num_user_shards,
                 sharded.manifest.num_item_shards) == (1, 1)
         assert sharded.version == snapshot.version
-        assert not is_sharded_snapshot(snapshot.path)
+        assert _shard_counts(snapshot.path) == (1, 1)
 
     def test_unsharded_export_is_the_one_shard_export(self, tiny_cell,
                                                       tmp_path):
@@ -188,14 +194,19 @@ class TestExportLoadRoundTrip:
         with pytest.raises(FileNotFoundError, match="shards.json"):
             load_sharded_snapshot(tmp_path)
 
-    def test_dense_load_refuses_a_multi_shard_set(self, tiny_cell, tmp_path):
-        from repro.serve import load_snapshot
+    def test_dense_reads_refuse_a_multi_shard_set(self, tiny_cell, tmp_path):
+        """Any set loads; only the 1×1 set reads as whole tables, so the
+        dense reads and the single-table index refuse the others."""
         model, dataset, _ = tiny_cell
-        export_sharded_snapshot(model, dataset, tmp_path, shards=3,
-                                partition_by="item")
-        with pytest.raises(ValueError, match="1 user shards x 3 item "
-                                             "shards"):
-            load_snapshot(tmp_path)
+        sharded = export_sharded_snapshot(model, dataset, tmp_path, shards=3,
+                                          partition_by="item")
+        reads = [lambda: sharded.users, lambda: sharded.items,
+                 lambda: sharded.seen_indptr, lambda: sharded.seen_items,
+                 lambda: sharded.seen(0), lambda: ExactTopKIndex(sharded)]
+        for read in reads:
+            with pytest.raises(ValueError, match="1 user shards x 3 item "
+                                                 "shards"):
+                read()
 
     def test_export_rejects_bad_partition_by(self, tiny_cell, tmp_path):
         model, dataset, _ = tiny_cell
@@ -209,9 +220,9 @@ class TestExportLoadRoundTrip:
         stale shards.json that `recommend` would route to."""
         model, dataset, _ = tiny_cell
         export_sharded_snapshot(model, dataset, tmp_path, shards=3)
-        assert is_sharded_snapshot(tmp_path)
+        assert _shard_counts(tmp_path) == (3, 3)
         export_snapshot(model, dataset, tmp_path)
-        assert not is_sharded_snapshot(tmp_path)
+        assert _shard_counts(tmp_path) == (1, 1)
         assert sorted(p.name for p in tmp_path.glob("*-shard-*")) == [
             "item-shard-00", "user-shard-00"]
         from repro.serve import load_snapshot
@@ -222,7 +233,7 @@ class TestExportLoadRoundTrip:
         model, dataset, _ = tiny_cell
         export_snapshot(model, dataset, tmp_path)
         export_sharded_snapshot(model, dataset, tmp_path, shards=2)
-        assert is_sharded_snapshot(tmp_path)
+        assert _shard_counts(tmp_path) == (2, 2)
         assert not (tmp_path / "manifest.json").exists()
         assert not (tmp_path / "user_embeddings.npy").exists()
         load_sharded_snapshot(tmp_path, verify=True)
@@ -388,7 +399,7 @@ class TestShardedService:
     def test_kind_tags(self, tiny_cell, tmp_path):
         model, dataset, _ = tiny_cell
         sharded = export_sharded_snapshot(model, dataset, tmp_path, shards=2)
-        assert ShardedTopKIndex(sharded).kind == "sharded-exact"
+        assert ShardedTopKIndex(sharded).kind == "exact"
 
 
 class TestShardedRefresh:
@@ -438,33 +449,45 @@ class TestShardedRefresh:
             old_router.close()
             router.close()
 
-    def test_layout_mismatch_rejected_both_ways(self, tiny_dataset,
-                                                tiny_mf_snapshot,
-                                                tiny_mf_snapshot_next,
-                                                tmp_path):
-        """A service keeps its layout: an unsharded one refuses a sharded
-        snapshot (or directory) and a sharded one an unsharded snapshot,
-        with one message, and keeps serving what it served."""
-        model_a, flat_a = tiny_mf_snapshot
+    def test_refresh_across_shard_counts(self, tiny_dataset,
+                                         tiny_mf_snapshot,
+                                         tiny_mf_snapshot_next, tmp_path):
+        """A service over the 1×1 set refreshes to a 3-shard export of the
+        next model and back.  Each time it answers like a fresh service,
+        ``ExactTopKIndex`` over that model's 1×1 set and the router, bit
+        for bit, and evicts the retired version's entries."""
         model_b, flat_b = tiny_mf_snapshot_next
-        sharded_a = export_sharded_snapshot(model_a, tiny_dataset,
-                                            tmp_path / "a", shards=2)
+        _, flat_a = tiny_mf_snapshot
         sharded_b = export_sharded_snapshot(model_b, tiny_dataset,
-                                            tmp_path / "b", shards=2)
-        flat_service = RecommendationService(flat_a)
-        for candidate in (sharded_b, tmp_path / "b"):
-            with pytest.raises(TypeError, match="serves EmbeddingSnapshot "
-                                                "and refreshes only from"):
-                flat_service.refresh(candidate)
-        assert is_sharded_snapshot(tmp_path / "b")  # refused, not quarantined
-        sharded_service = RecommendationService(sharded_a)
-        with pytest.raises(TypeError, match="serves ShardedSnapshot "
-                                            "and refreshes only from"):
-            sharded_service.refresh(flat_b)
-        assert flat_service.snapshot.version == flat_a.version
-        assert sharded_service.snapshot.version == sharded_a.version
-        assert flat_service.stats.refreshes == 0
-        assert sharded_service.stats.refreshes == 0
+                                            tmp_path / "b", shards=3)
+        users = np.arange(tiny_dataset.num_users, dtype=np.int64)
+        service = RecommendationService(flat_a, cache_size=256)
+        service.recommend(users, k=5)
+        for target, flat in ((sharded_b, flat_b), (flat_a, flat_a)):
+            retired = service.snapshot.version
+            assert service.refresh(target) == len(users)
+            assert service.snapshot is target
+            # the default fan-out follows the new shard count
+            assert service.index.workers == min(
+                target.manifest.num_item_shards, os.cpu_count() or 1)
+            assert not any(key[0] == retired for key in service.cache._data)
+            fresh = RecommendationService(target, cache_size=0, workers=1)
+            exact = ExactTopKIndex(flat).topk(users, k=5)
+            routed = ShardedTopKIndex(target, workers=1).topk(users, k=5)
+            for row, (got, want) in enumerate(zip(
+                    service.recommend(users, k=5),
+                    fresh.recommend(users, k=5))):
+                assert got.snapshot_version == target.version
+                assert not got.from_cache
+                for other in (want.items, exact.items[row],
+                              routed.items[row]):
+                    np.testing.assert_array_equal(got.items, other)
+                for other in (want.scores, exact.scores[row],
+                              routed.scores[row]):
+                    np.testing.assert_array_equal(got.scores, other)
+            assert all(key[0] == target.version for key in service.cache._data)
+            service.index.close()
+        assert service.stats.refreshes == 2
 
 
 class TestShardedCLI:
@@ -476,13 +499,13 @@ class TestShardedCLI:
                    "--shards", "3", "--partition-by", "both",
                    "--partition", "hash", "--out", str(out)])
         assert rc == 0
-        assert is_sharded_snapshot(out)
+        assert _shard_counts(out) == (3, 3)
         assert "sharded snapshot" in capsys.readouterr().out
         rc = main(["recommend", "--snapshot", str(out), "--users", "0,1,2",
                    "--k", "5", "--verify"])
         assert rc == 0
         shown = capsys.readouterr().out
-        assert "sharded-exact" in shown
+        assert "(exact, 3x3 shards" in shown
 
 
 class TestConcurrentFanout:

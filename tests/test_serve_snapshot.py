@@ -570,8 +570,7 @@ class TestLivePublish:
         """``shards.json`` is staged like every other file: a kill at its
         swap leaves a ``.staging-*`` directory, never a loose temp file,
         and the next sharded export sweeps it."""
-        from repro.serve import (export_sharded_snapshot,
-                                 is_sharded_snapshot, load_sharded_snapshot)
+        from repro.serve import export_sharded_snapshot, load_sharded_snapshot
         model = MF(tiny_dataset.num_users, tiny_dataset.num_items,
                    dim=8, rng=0)
         out = tmp_path / "sharded"
@@ -579,7 +578,7 @@ class TestLivePublish:
         with pytest.raises(_Killed):
             export_sharded_snapshot(model, tiny_dataset, out, shards=2)
         monkeypatch.undo()
-        assert not is_sharded_snapshot(out)
+        assert not (out / "shards.json").is_file()
         assert not list(out.glob(".shards.json*"))
         (orphan,) = out.glob(".staging-*")
         export_sharded_snapshot(model, tiny_dataset, out, shards=2)
