@@ -17,7 +17,12 @@ between machines do not matter; both runs happen on one machine):
   ``RecommendationService`` (``max_batch`` = chunk, no cache), at chunk
   sizes 1, 7 and 256, k of 5 and 20, ``filter_seen`` on and off;
 * ``<dataset>/<model>/1x1/ivf-full/...`` — the IVF index at full probe
-  (``nprobe == nlist``) and the bytes of its directory.
+  (``nprobe == nlist``) and the bytes of its directory;
+* ``tiny/train/<model>/<grad_mode>/...`` — a fixed six-step BSL stream
+  through ``Trainer.train_step`` for MF (cosine) and CML (euclidean)
+  in both ``grad_mode``s and LightGCN (dense): each step's loss
+  (``step=<i>/loss``), then every parameter's bytes (``param/<name>``)
+  and its Adam moments (``adam-m/<name>``, ``adam-v/<name>``).
 
 Usage::
 
@@ -58,6 +63,11 @@ CREATED_UNIX = 0.0
 TIE_GROUPS = 5
 #: inverted lists of the IVF index, probed all at once
 NLIST = 4
+#: the training trajectories: model -> grad modes, over one fixed stream
+TRAIN_MODELS = {"mf": ("dense", "sparse"), "cml": ("dense", "sparse"),
+                "lightgcn": ("dense",)}
+TRAIN_STEPS = 6
+TRAIN_BATCH = 96
 MARKER = "ANSWERS CHANGED:"
 
 
@@ -93,6 +103,39 @@ def _trained(name: str, dataset):
         table = model.item_embedding.weight.data
         table[:] = table[np.arange(len(table)) % TIE_GROUPS]
     return model
+
+
+def trajectories(dataset_name: str = "tiny") -> dict[str, str]:
+    """Loss, parameter and Adam-moment bits of every
+    :data:`TRAIN_MODELS` run over one fixed stream of
+    :data:`TRAIN_STEPS` BSL batches."""
+    from repro.data import load_dataset
+    from repro.data.sampling import UniformNegativeSampler
+    from repro.losses import get_loss
+    from repro.models import get_model
+    from repro.train import TrainConfig, Trainer
+    dataset = load_dataset(dataset_name)
+    sampler = UniformNegativeSampler(dataset, n_negatives=16,
+                                     batch_size=TRAIN_BATCH, rng=0)
+    stream = [batch for _, batch in zip(range(TRAIN_STEPS), sampler.epoch())]
+    out = {}
+    for name, modes in TRAIN_MODELS.items():
+        for grad_mode in modes:
+            model = get_model(name, dataset, dim=16, rng=0)
+            trainer = Trainer(model, get_loss("bsl"), dataset, TrainConfig(
+                epochs=1, batch_size=TRAIN_BATCH, n_negatives=16,
+                grad_mode=grad_mode, seed=0))
+            prefix = f"{dataset_name}/train/{name}/{grad_mode}"
+            for step, batch in enumerate(stream):
+                out[f"{prefix}/step={step}/loss"] = _digest(
+                    np.float64(trainer.train_step(batch)))
+            optimizer = trainer.optimizer
+            optimizer.flush()
+            for i, (key, param) in enumerate(model.named_parameters()):
+                out[f"{prefix}/param/{key}"] = _digest(param.data)
+                out[f"{prefix}/adam-m/{key}"] = _digest(optimizer._m[i])
+                out[f"{prefix}/adam-v/{key}"] = _digest(optimizer._v[i])
+    return out
 
 
 def _close(index) -> None:
@@ -176,6 +219,8 @@ def answers(datasets=DATASETS, models=MODELS) -> dict[str, str]:
                                 out.update(_lists(
                                     f"{prefix}/ivf-full/k={k}/seen="
                                     f"{int(seen)}", top.items, top.scores))
+    if "tiny" in datasets:
+        out.update(trajectories("tiny"))
     return out
 
 

@@ -67,6 +67,17 @@ _CHUNK_BYTES = 128 * 1024
 _MIN_ROWS = 1024
 
 
+def _zero_state(params) -> list[np.ndarray]:
+    """One C-ordered zero array per parameter, as untouched zero pages.
+
+    ``np.zeros`` gets pre-zeroed memory from the allocator, where
+    ``np.zeros_like`` writes every byte: state costs resident memory only
+    as its rows are first updated (on a 100k-row table, the moments of
+    the rows a sparse step has not reached yet cost nothing).
+    """
+    return [np.zeros(p.data.shape, p.data.dtype) for p in params]
+
+
 class Optimizer:
     """Base class: the parameter list, the zero-grad hook and the chunk
     walk of the in-place row kernels every update rule runs through."""
@@ -158,7 +169,7 @@ class SGD(Optimizer):
         super().__init__(params, lr)
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self._velocity = [np.zeros_like(p.data) for p in self.params]
+        self._velocity = _zero_state(self.params)
 
     def step(self) -> None:
         self._every_row(lambda i, g: self._rows(i, slice(None), g))
@@ -195,8 +206,8 @@ class Adam(Optimizer):
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        self._m = _zero_state(self.params)
+        self._v = _zero_state(self.params)
 
     def step(self) -> None:
         self._t += 1

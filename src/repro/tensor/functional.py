@@ -16,7 +16,7 @@ import numpy as np
 
 from repro.tensor import ops, parallel
 from repro.tensor.sparse import RowSparseGrad
-from repro.tensor.tensor import Tensor, as_tensor
+from repro.tensor.tensor import Tensor, as_tensor, data_version
 
 #: Bytes of one gather/scratch slice of :func:`fused_sampled_scores`.
 _CHUNK_BYTES = 256 * 1024
@@ -305,19 +305,30 @@ def _distinct_rows(idx: np.ndarray, n_rows: int):
     """``np.unique(idx, return_inverse=True)`` of flat row ids in
     ``[0, n_rows)``, identical arrays from either branch.
 
-    A block with at least ``n_rows`` slots (in-batch negatives, or a
-    catalogue smaller than the batch's draws) reads a boolean presence
-    table instead of sorting: ``flatnonzero`` gives the distinct ids and
-    ``cumsum - 1`` their positions.  That table is never larger than the
-    block, so memory still follows the batch; smaller blocks sort.
+    Unless the table has more than four rows per slot, a boolean
+    presence table replaces the sort: ``flatnonzero`` gives the distinct
+    ids and ``cumsum - 1`` their positions (66.5k slots over 100k rows:
+    1.2 ms against a 3.1 ms sort).  The table is at most four times the
+    block, so memory still follows the batch; sparser blocks sort.
     """
-    if idx.size < n_rows:
+    if 4 * idx.size < n_rows:
         return np.unique(idx, return_inverse=True)
     present = np.zeros(n_rows, dtype=bool)
     present[idx] = True
     position = np.cumsum(present, dtype=np.intp)
     position -= 1
     return np.flatnonzero(present), position[idx]
+
+
+def _take_rows(table: np.ndarray, ids: np.ndarray,
+               out: np.ndarray) -> np.ndarray:
+    """``table[ids]`` (ids in range) written into ``out``.  ``np.take``
+    would first copy a table that is not C-contiguous whole, on every
+    call; such a table is fancy-indexed instead."""
+    if table.flags.c_contiguous:
+        return np.take(table, ids, axis=0, mode="clip", out=out)
+    out[...] = table[ids]
+    return out
 
 
 def fused_sampled_scores(users_t, items_t, user_idx, pos_idx, neg_idx,
@@ -329,12 +340,22 @@ def fused_sampled_scores(users_t, items_t, user_idx, pos_idx, neg_idx,
     ``m`` negative scores — computed from the **gathered rows only**
     (``O(B * m * dim)``), never against the full catalogue.  Oracle:
     ``tests/oracles.py::catalogue_batch_scores`` (normalise the tables,
-    one matmul against the catalogue, gather).  The forward gathers each
-    distinct item row once and the VJP is three closed-form products,
-    which is what makes the sparse training step flat in the catalogue
-    size.  Normalisation uses the :func:`l2_normalize` convention
-    (``x / sqrt(sum(x^2) + eps)``), so sampled and dense scores agree
-    to a few ULPs.
+    one matmul against the catalogue, gather).  Per-row quantities are
+    computed once per distinct item and the VJP is three closed-form
+    products, which is what makes the sparse training step flat in the
+    catalogue size.  Normalisation uses the :func:`l2_normalize`
+    convention (``x / sqrt(sum(x^2) + eps)``), so sampled and dense
+    scores agree to a few ULPs.
+
+    The node keeps no copy of the batch's item rows: forward and
+    backward read them from the item table, one cache-sized gather at a
+    time, so what it holds beyond the scores is a few ``(B, 1 + m)``
+    index and coefficient arrays.  The table must therefore not change
+    between the two passes; a backward after any in-place edit
+    (:func:`~repro.tensor.tensor.bump_data_version`, an optimizer step)
+    raises ``RuntimeError`` instead of returning a gradient of tables
+    that no longer exist.  Item ids outside ``[0, num_items)`` raise
+    ``IndexError`` before anything is read.
 
     The VJP emits coalesced :class:`~repro.tensor.sparse.RowSparseGrad`
     gradients for both tables; they stay sparse into leaf parameters
@@ -352,39 +373,66 @@ def fused_sampled_scores(users_t, items_t, user_idx, pos_idx, neg_idx,
         raise ValueError(f"index shapes disagree: users {u_idx.shape}, "
                          f"positives {p_idx.shape}, negatives {n_idx.shape}")
     batch = len(u_idx)
+    version = data_version()
+    table = items_t.data
     # The positive is scored exactly like an extra negative column, so
     # one (B, 1 + m) item-index block drives the whole kernel; column 0
     # of every per-slot array below is the positive.
     idx = np.concatenate([p_idx[:, None], n_idx], axis=1)     # (B, 1+m)
+    # The gathers below clip and the CSR products below index raw memory,
+    # so ids are checked once, here.
+    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+        raise IndexError(f"item ids must lie in [0, {table.shape[0]}), "
+                         f"got {idx.min()}..{idx.max()}")
     # Unique gathered item rows: every per-row quantity (norms, backward
     # coefficients) is computed once per *distinct* item and mapped back
     # through ``inverse`` — the kernel's footprint follows the batch, not
     # the catalogue.
-    uniq, inverse = _distinct_rows(idx.reshape(-1), items_t.shape[0])
+    uniq, inverse = _distinct_rows(idx.reshape(-1), table.shape[0])
     inverse = inverse.reshape(idx.shape)
-    rows = items_t.data[uniq]                                 # (n_uniq, d)
+    n_uniq, row_bytes = len(uniq), table[:1].nbytes or 1
+    # Rows per cache-sized gather of distinct item rows.
+    rows_step = max(1, _CHUNK_BYTES // row_bytes)
+
+    def chunks(lo: int, hi: int, gather: bool = True):
+        """``(at, rows)`` per cache-sized chunk ``at`` of the distinct
+        rows ``lo:hi``: ``rows`` their table rows gathered into one
+        workspace (``None`` unless ``gather``)."""
+        work = np.empty((min(rows_step, hi - lo),) + table.shape[1:],
+                        table.dtype) if gather else None
+        for start in range(lo, hi, rows_step):
+            at = slice(start, min(start + rows_step, hi))
+            yield at, (_take_rows(table, uniq[at], work[:at.stop - start])
+                       if gather else None)
+
     U = users_t.data[u_idx]                                   # (B, d)
     if scoring != "inner":
-        row_sq = np.einsum("ij,ij->i", rows, rows)            # (n_uniq,)
+        row_sq = np.empty(n_uniq, dtype=table.dtype)          # (n_uniq,)
+
+        def squared_norms(lo: int, hi: int) -> None:
+            for at, rows in chunks(lo, hi):
+                np.einsum("ij,ij->i", rows, rows, out=row_sq[at])
+
+        parallel.fan_out(n_uniq, squared_norms, _MIN_ITEM_ROWS)
     if scoring == "cosine":
         inv_u = 1.0 / np.sqrt((U * U).sum(axis=1) + eps)      # (B,)
         inv_i = (1.0 / np.sqrt(row_sq + eps))[inverse]
         base_u = U * inv_u[:, None]                           # û
     else:
         inv_i, base_u = None, U
-    # Slot dot-products, a few batch rows at a time through ``inverse``:
-    # the (B, 1+m, d) block only ever exists one cache-sized slice deep.
-    # Batch slices fan out over the cores, each with its own slice buffer.
-    data = np.empty(idx.shape, dtype=np.result_type(rows, base_u))
-    step = max(1, _CHUNK_BYTES // (rows[:1].nbytes * idx.shape[1] or 1))
+    # Slot dot-products, a few batch rows at a time straight from the
+    # table: the (B, 1+m, d) block only ever exists one cache-sized
+    # slice deep.  Batch slices fan out over the cores, each with its
+    # own slice buffer.
+    data = np.empty(idx.shape, dtype=np.result_type(table, base_u))
+    step = max(1, _CHUNK_BYTES // (row_bytes * idx.shape[1]))
 
     def slot_dots(lo: int, hi: int) -> None:
-        block = np.empty((min(step, hi - lo), idx.shape[1]) + rows.shape[1:],
-                         rows.dtype)
+        block = np.empty((min(step, hi - lo), idx.shape[1]) + table.shape[1:],
+                         table.dtype)
         for start in range(lo, hi, step):
             at = slice(start, min(start + step, hi))
-            np.matmul(np.take(rows, inverse[at], axis=0, mode="clip",
-                              out=block[:at.stop - start]),
+            np.matmul(_take_rows(table, idx[at], block[:at.stop - start]),
                       base_u[at, :, None], out=data[at, :, None])
 
     parallel.fan_out(batch, slot_dots, _MIN_SLOT_ROWS)
@@ -394,6 +442,11 @@ def fused_sampled_scores(users_t, items_t, user_idx, pos_idx, neg_idx,
         data = 2.0 * data - (U * U).sum(axis=1)[:, None] - row_sq[inverse]
 
     def backward(g):
+        if data_version() != version:
+            raise RuntimeError(
+                "fused_sampled_scores: a table was modified in place "
+                "between this node's forward and backward; the backward "
+                "re-reads the item rows, so run it before the update")
         # Per-slot item gradient rows have the closed form
         #   grad_item[b, c] = a[b, c] * base_u[b] - b[b, c] * item_row,
         # so the per-unique-item sums collapse to one sparse matmul
@@ -407,26 +460,44 @@ def fused_sampled_scores(users_t, items_t, user_idx, pos_idx, neg_idx,
         else:
             a = b = 2.0 * g
         # Every batch row holds exactly 1+m slots, in order: already CSR.
-        coeff = sp.csr_matrix(
-            (a.reshape(-1), inverse.reshape(-1),
-             np.arange(batch + 1) * idx.shape[1]), shape=(batch, len(uniq)))
+        indptr = np.arange(batch + 1) * idx.shape[1]
+        coeff = sp.csr_matrix((a.reshape(-1), inverse.reshape(-1), indptr),
+                              shape=(batch, n_uniq))
         # dL/d(item rows), already coalesced over unique ids.  As a CSR
         # the transpose splits by item rows, and each row still adds its
-        # terms in batch order, as ``coeff.T @ base_u`` does.
-        vals = parallel.csr_matmul(coeff.T.tocsr(), base_u)   # (n_uniq, d)
-        if b is not None:
-            s = np.bincount(inverse.reshape(-1), weights=b.reshape(-1),
-                            minlength=len(uniq))
-            step = max(1, _CHUNK_BYTES // (rows[:1].nbytes or 1))
+        # terms in batch order, as ``coeff.T @ base_u`` does.  Each block
+        # of distinct rows is finished (product, then ``- s * row``) one
+        # cache-sized chunk at a time.
+        dtype = np.promote_types(a.dtype, base_u.dtype)
+        coeff_t = coeff.T.tocsr().astype(dtype, copy=False)
+        scatter = np.ascontiguousarray(base_u, dtype=dtype)
+        vals = np.empty((n_uniq,) + table.shape[1:], dtype)   # (n_uniq, d)
+        s = None if b is None else np.bincount(
+            inverse.reshape(-1), weights=b.reshape(-1), minlength=n_uniq)
 
-            def subtract(lo: int, hi: int) -> None:
-                for at in range(lo, hi, step):  # in place, chunk-sized temp
-                    end = min(at + step, hi)
-                    vals[at:end] -= s[at:end, None] * rows[at:end]
+        def item_rows(lo: int, hi: int) -> None:
+            for at, rows in chunks(lo, hi, gather=s is not None):
+                vals[at] = 0
+                parallel.csr_rows_into(coeff_t, scatter, at.start, at.stop,
+                                       vals[at])
+                if rows is not None:
+                    vals[at] -= np.multiply(
+                        s[at, None], rows,
+                        out=rows if rows.dtype == s.dtype else None)
 
-            parallel.fan_out(len(uniq), subtract, _MIN_ITEM_ROWS)
-        # dL/dU through the shared ``h = sum_c a[b, c] * item_row`` form.
-        h = parallel.csr_matmul(coeff, rows)                  # (B, d)
+        parallel.fan_out(n_uniq, item_rows, _MIN_ITEM_ROWS)
+        # dL/dU through the shared ``h = sum_c a[b, c] * item_row`` form:
+        # the same products against the table itself (global ids as the
+        # CSR's columns: the same terms in the same order).  A table
+        # ``csr_matmul`` would copy (not C-contiguous, or of a narrower
+        # type than ``a``) gives up its distinct rows instead.
+        if (table.flags.c_contiguous
+                and table.dtype == np.promote_types(a.dtype, table.dtype)):
+            h = parallel.csr_matmul(sp.csr_matrix(
+                (a.reshape(-1), idx.reshape(-1), indptr),
+                shape=(batch, table.shape[0])), table)        # (B, d)
+        else:
+            h = parallel.csr_matmul(coeff, table[uniq])
         if scoring == "cosine":
             grad_u = (h - base_u * (h * base_u).sum(axis=1, keepdims=True)) \
                 * inv_u[:, None]

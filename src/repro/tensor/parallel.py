@@ -27,7 +27,7 @@ import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 from scipy.sparse._sputils import upcast_char
 
-__all__ = ["workers", "scope", "fan_out", "csr_matmul"]
+__all__ = ["workers", "scope", "fan_out", "csr_matmul", "csr_rows_into"]
 
 
 class _ThreadState(threading.local):
@@ -100,11 +100,12 @@ def fan_out(n: int, fn, min_rows: int = 1) -> None:
 def csr_matmul(csr, x: np.ndarray) -> np.ndarray:
     """``csr @ x`` for a dense 2-D ``x``, bit for bit, split by row blocks.
 
-    Each block runs scipy's own ``csr_matvecs`` kernel (which releases
-    the GIL) straight into its slice of the output, so no block makes a
-    temporary and every row adds its entries in the same order.  Other
-    operands go through ``@``: scipy sends a vector or one column to
-    another kernel, and a subclass may redefine ``@``.
+    Each block runs :func:`csr_rows_into` (scipy's own ``csr_matvecs``
+    kernel, which releases the GIL) straight into its slice of the
+    output, so no block makes a temporary and every row adds its entries
+    in the same order.  Other operands go through ``@``: scipy sends a
+    vector or one column to another kernel, and a subclass may redefine
+    ``@``.
     """
     if (type(csr) not in (sp.csr_matrix, sp.csr_array)
             or type(x) is not np.ndarray or x.ndim != 2 or x.shape[1] < 2):
@@ -117,14 +118,28 @@ def csr_matmul(csr, x: np.ndarray) -> np.ndarray:
                    dtype=upcast_char(csr.dtype.char, x.dtype.char))
     # The kernel would cast each block's operands to the output type
     # again; cast (exactly) once, here.
-    data = csr.data.astype(out.dtype, copy=False)
-    flat = x.astype(out.dtype, copy=False).ravel()
-
-    def block(lo: int, hi: int) -> None:
-        _sparsetools.csr_matvecs(hi - lo, n_cols, n_vecs,
-                                 csr.indptr[lo:hi + 1], csr.indices,
-                                 data, flat, out[lo:hi].ravel())
-
-    fan_out(n_rows, block,
+    csr = csr.astype(out.dtype, copy=False)
+    x = np.ascontiguousarray(x, dtype=out.dtype)
+    fan_out(n_rows, lambda lo, hi: csr_rows_into(csr, x, lo, hi, out[lo:hi]),
             _MIN_BLOCK_MACS * n_rows // max(1, csr.nnz * n_vecs))
     return out
+
+
+def csr_rows_into(csr, x: np.ndarray, lo: int, hi: int,
+                  out: np.ndarray) -> None:
+    """Add rows ``lo:hi`` of ``csr @ x`` into ``out``, in place.
+
+    scipy's ``csr_matvecs`` kernel: each row adds its entries in order,
+    as ``csr @ x`` does, so a caller can split a product into blocks and
+    finish each block while it is in cache.  ``csr``, ``x`` and the
+    ``(hi - lo, x.shape[1])`` ``out`` share one dtype; ``x`` and ``out``
+    are C-contiguous (so no operand is copied).
+    """
+    if not (csr.dtype == x.dtype == out.dtype and x.flags.c_contiguous
+            and out.flags.c_contiguous and out.shape == (hi - lo, x.shape[1])):
+        raise ValueError(f"csr_rows_into needs one dtype and C-contiguous "
+                         f"operands, got {csr.dtype} @ {x.dtype} "
+                         f"{x.shape} into {out.dtype} {out.shape}")
+    _sparsetools.csr_matvecs(hi - lo, csr.shape[1], x.shape[1],
+                             csr.indptr[lo:hi + 1], csr.indices, csr.data,
+                             x.ravel(), out.ravel())

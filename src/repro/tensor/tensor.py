@@ -45,6 +45,16 @@ forward+backward as one ``ops._node`` call caching only what backward
 needs, and register a gradcheck against the oracle in
 ``tests/test_tensor_fused.py``.
 
+What a node keeps for its backward is its memory cost from forward to
+the end of the backward.  Rather than cache a copy of an input it
+gathered from, a kernel may re-read the input's ``data`` in the
+backward, under a data-version guard: record :func:`data_version` in
+the forward and raise ``RuntimeError`` in the backward if it has moved
+(an optimizer step or any in-place edit in between would otherwise
+give silently wrong gradients).  ``fused_sampled_scores`` reads the
+batch's item rows from the item table this way instead of holding a
+copy of them.
+
 Row-sparse gradients
 --------------------
 ``ops.take_rows(..., sparse_grad=True)`` makes the embedding-lookup

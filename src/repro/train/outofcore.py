@@ -1,9 +1,11 @@
 """Out-of-core model tables: mmap-backed embeddings for million-scale MF.
 
 The sparse-grad training path already touches only the sampled rows of
-each embedding table per step (``take_rows(sparse_grad=True)`` +
-``SparseAdam``'s lazily allocated moments), so the only dense state left
-is the tables themselves.  This module keeps them on disk:
+each embedding table per step: ``fused_sampled_scores`` reads them from
+the table without a copy, and ``SparseAdam`` updates only them, over
+moments allocated as untouched zero pages that become resident only as
+rows are first updated.  So the only dense state left is the tables
+themselves.  This module keeps them on disk:
 
 * :func:`init_mmap_mf_tables` draws the Xavier tables chunk-by-chunk
   straight into ``.npy`` memmaps — **byte-identical** to the in-memory

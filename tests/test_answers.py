@@ -1,8 +1,9 @@
 """``scripts/answers.py``: the same-answers fingerprint CI compares.
 
 Two runs of one tree must agree entry for entry, and the fingerprint
-must see a planted defect: the router's merge breaking score ties by
-descending instead of ascending item id changes the tied model's lists.
+must see planted defects: the router's merge breaking score ties by
+descending instead of ascending item id changes the tied model's lists,
+and Adam's ``eps`` one ulp off changes the training trajectories.
 """
 
 import importlib.util
@@ -45,6 +46,39 @@ def test_merge_tie_order_defect_changes_entries(tiny_answers, monkeypatch):
                if tiny_answers[key] != value]
     assert changed
     assert all("/router/" in key or "/service/" in key for key in changed)
+
+
+def test_training_trajectories_cover_every_run(tiny_answers):
+    runs = {f"tiny/train/{name}/{mode}"
+            for name, modes in answers_script.TRAIN_MODELS.items()
+            for mode in modes}
+    assert runs == {key.rsplit("/", 2)[0] for key in tiny_answers
+                    if key.startswith("tiny/train/") and "/step=" in key}
+    for run in runs:
+        steps = [key for key in tiny_answers
+                 if key.startswith(f"{run}/step=")]
+        assert len(steps) == answers_script.TRAIN_STEPS
+        for part in ("param", "adam-m", "adam-v"):
+            assert any(key.startswith(f"{run}/{part}/")
+                       for key in tiny_answers)
+
+
+def test_one_ulp_adam_eps_changes_the_trajectories(tiny_answers,
+                                                   monkeypatch):
+    import repro.nn.optim as optim
+    init = optim.Adam.__init__
+
+    def eps_one_ulp_up(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.eps = float(np.nextafter(self.eps, np.inf))
+
+    monkeypatch.setattr(optim.Adam, "__init__", eps_one_ulp_up)
+    planted = answers_script.trajectories("tiny")
+    assert planted.keys() <= tiny_answers.keys()
+    changed = [key for key, value in planted.items()
+               if tiny_answers[key] != value]
+    assert any("/param/" in key for key in changed)
+    assert any("/adam-v/" in key for key in changed)
 
 
 def test_compare_needs_a_reasoned_answers_changed_line():

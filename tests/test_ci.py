@@ -629,8 +629,10 @@ class TestRepoBenchmarkWiring:
     def test_ci_slow_gates_sparse_training_peak_rss_at_full_shape(self):
         """A training step split over the cores must write each block into
         its slice of the output: a per-block temporary is how the split
-        breaks the memory bound.  A full-shape memory pass fails on any
-        failed op or above 445 MB, on the inputs an earlier step built."""
+        breaks the memory bound, and a private copy of the batch's item
+        rows or zero-filled optimizer state is how the step outgrows it.
+        A full-shape memory pass fails on any failed op or above 380 MB,
+        on the inputs an earlier step built."""
         commands = _run_commands(_load("ci-slow.yml"))
         passes = [c for c in commands if "bench/run.py --memory-pass "
                   "--workload train-sparse-100k --seed 7" in c]
@@ -645,4 +647,4 @@ class TestRepoBenchmarkWiring:
         assert builders and work_dir(passes[0]) == work_dir(builders[0])
         checks = [c for c in commands[first:] if "'peak_rss_mb'" in c]
         assert checks and ("r['failed'] == 0" in checks[0]
-                           and "r['peak_rss_mb'] <= 445" in checks[0])
+                           and "r['peak_rss_mb'] <= 380" in checks[0])
