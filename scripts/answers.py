@@ -18,11 +18,14 @@ between machines do not matter; both runs happen on one machine):
   sizes 1, 7 and 256, k of 5 and 20, ``filter_seen`` on and off;
 * ``<dataset>/<model>/1x1/ivf-full/...`` — the IVF index at full probe
   (``nprobe == nlist``) and the bytes of its directory;
-* ``tiny/train/<model>/<grad_mode>/...`` — a fixed six-step BSL stream
+* ``tiny/train/<model>/<mode>/...`` — a fixed six-step BSL stream
   through ``Trainer.train_step`` for MF (cosine) and CML (euclidean)
-  in both ``grad_mode``s and LightGCN (dense): each step's loss
-  (``step=<i>/loss``), then every parameter's bytes (``param/<name>``)
-  and its Adam moments (``adam-m/<name>``, ``adam-v/<name>``).
+  in both ``grad_mode``s and LightGCN (dense), plus MF's ``sparse-exact``
+  run (``grad_mode="sparse"``, ``sparse_mode="exact"``, the default
+  ``weight_decay``, so idle rows are replayed rather than skipped):
+  each step's loss (``step=<i>/loss``), then, after
+  ``optimizer.flush()``, every parameter's bytes (``param/<name>``) and
+  its Adam moments (``adam-m/<name>``, ``adam-v/<name>``).
 
 Usage::
 
@@ -63,9 +66,10 @@ CREATED_UNIX = 0.0
 TIE_GROUPS = 5
 #: inverted lists of the IVF index, probed all at once
 NLIST = 4
-#: the training trajectories: model -> grad modes, over one fixed stream
-TRAIN_MODELS = {"mf": ("dense", "sparse"), "cml": ("dense", "sparse"),
-                "lightgcn": ("dense",)}
+#: the training trajectories: model -> ``grad_mode[-sparse_mode]`` runs,
+#: over one fixed stream
+TRAIN_MODELS = {"mf": ("dense", "sparse", "sparse-exact"),
+                "cml": ("dense", "sparse"), "lightgcn": ("dense",)}
 TRAIN_STEPS = 6
 TRAIN_BATCH = 96
 MARKER = "ANSWERS CHANGED:"
@@ -120,12 +124,14 @@ def trajectories(dataset_name: str = "tiny") -> dict[str, str]:
     stream = [batch for _, batch in zip(range(TRAIN_STEPS), sampler.epoch())]
     out = {}
     for name, modes in TRAIN_MODELS.items():
-        for grad_mode in modes:
+        for mode in modes:
+            grad_mode, _, sparse_mode = mode.partition("-")
             model = get_model(name, dataset, dim=16, rng=0)
             trainer = Trainer(model, get_loss("bsl"), dataset, TrainConfig(
                 epochs=1, batch_size=TRAIN_BATCH, n_negatives=16,
-                grad_mode=grad_mode, seed=0))
-            prefix = f"{dataset_name}/train/{name}/{grad_mode}"
+                grad_mode=grad_mode, sparse_mode=sparse_mode or "lazy",
+                seed=0))
+            prefix = f"{dataset_name}/train/{name}/{mode}"
             for step, batch in enumerate(stream):
                 out[f"{prefix}/step={step}/loss"] = _digest(
                     np.float64(trainer.train_step(batch)))

@@ -93,8 +93,7 @@ class UniformNegativeSampler(_PairShuffler):
         self.rnoise = rnoise
         self.exclude_positives = exclude_positives
         # Redraw telemetry: instruments are fetched once at construction
-        # (a disabled registry hands back shared no-op singletons) and
-        # bumped once per batch, so the draw loop itself stays clean.
+        # and bumped once per batch, so the draw loop itself stays clean.
         registry = get_registry()
         self._ctr_draws = registry.counter(
             "train.sampler.draws", "negative slots drawn")

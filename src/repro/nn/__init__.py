@@ -4,12 +4,10 @@ from repro.nn.module import Module, Parameter
 from repro.nn.embedding import Embedding
 from repro.nn.linear import Linear
 from repro.nn.dropout import Dropout
-from repro.nn.optim import (Optimizer, SGD, Adam, SparseOptimizer,
-                            SparseSGD, SparseAdam)
+from repro.nn.optim import Adam, SparseAdam
 from repro.nn import init
 
 __all__ = [
-    "Module", "Parameter", "Embedding", "Linear", "Dropout",
-    "Optimizer", "SGD", "Adam", "SparseOptimizer", "SparseSGD",
+    "Module", "Parameter", "Embedding", "Linear", "Dropout", "Adam",
     "SparseAdam", "init",
 ]

@@ -32,8 +32,8 @@ class Embedding(Module):
     sparse_grad:
         When True, lookups produce row-sparse gradients
         (:class:`~repro.tensor.sparse.RowSparseGrad`) touching only the
-        gathered rows — pair with ``SparseAdam``/``SparseSGD``; dense
-        optimizers densify them.  Mirrors
+        gathered rows — pair with ``SparseAdam``; dense ``Adam``
+        densifies them.  Mirrors
         ``torch.nn.Embedding(sparse=True)``.
     weight:
         Pre-built ``(num_embeddings, dim)`` float64 table to wrap

@@ -7,8 +7,7 @@ and training stacks:
   ``Histogram`` instruments behind a process-global but swappable
   :class:`MetricsRegistry`.  Histograms use fixed log-spaced bucket
   boundaries so quantile estimates are deterministic and mergeable
-  across shards and workers.  A disabled registry hands out shared
-  no-op instruments, so telemetry can be switched off wholesale.
+  across shards and workers.
 * :mod:`repro.obs.trace` — request-scoped ``Span`` trees on the
   monotonic clock, opt-in via :func:`tracing`, JSON-serializable.
 * :mod:`repro.obs.export` — Prometheus v0.0.4 text exposition
@@ -25,7 +24,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
-    NULL_REGISTRY,
     Reservoir,
     get_registry,
     set_registry,
@@ -44,7 +42,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_REGISTRY",
     "Reservoir",
     "get_registry",
     "set_registry",

@@ -10,12 +10,10 @@ Design constraints (see ``docs/observability.md``):
   adding their count vectors — associative and commutative — which is
   what lets per-shard / per-worker histograms be combined without any
   loss relative to observing into one shared instrument.
-* **Swappable global registry with a true off switch.** Call sites
-  fetch instruments from :func:`get_registry`.  A registry constructed
-  with ``enabled=False`` hands out *shared singleton* no-op instruments
-  (the identity fast path: every disabled counter **is** the same
-  object), so disabling telemetry removes the bookkeeping, not just the
-  exposition.
+* **Swappable global registry.** Call sites fetch instruments from
+  :func:`get_registry`; a test or bench lane scopes a fresh registry
+  with :func:`use_registry`.  There is no off switch: every instrument
+  counts, so every stats view reads what happened.
 """
 
 from __future__ import annotations
@@ -33,10 +31,6 @@ __all__ = [
     "Histogram",
     "DEFAULT_BOUNDARIES",
     "MetricsRegistry",
-    "NULL_REGISTRY",
-    "NULL_COUNTER",
-    "NULL_GAUGE",
-    "NULL_HISTOGRAM",
     "Reservoir",
     "get_registry",
     "set_registry",
@@ -260,101 +254,16 @@ class Histogram:
         return f"Histogram({self.name!r}, count={self._count})"
 
 
-class _NullCounter:
-    """Shared no-op counter handed out by a disabled registry."""
-
-    kind = "counter"
-    name = ""
-    help = ""
-    labels = ()
-    __slots__ = ()
-    value = 0
-
-    def inc(self, amount=1) -> None:
-        pass
-
-    def _set(self, value) -> None:
-        pass
-
-    def __repr__(self) -> str:
-        return "NULL_COUNTER"
-
-
-class _NullGauge:
-    kind = "gauge"
-    name = ""
-    help = ""
-    labels = ()
-    __slots__ = ()
-    value = 0
-
-    def set(self, value) -> None:
-        pass
-
-    def inc(self, amount=1) -> None:
-        pass
-
-    def dec(self, amount=1) -> None:
-        pass
-
-    _set = set
-
-    def __repr__(self) -> str:
-        return "NULL_GAUGE"
-
-
-class _NullHistogram:
-    kind = "histogram"
-    name = ""
-    help = ""
-    labels = ()
-    boundaries = DEFAULT_BOUNDARIES
-    __slots__ = ()
-    count = 0
-    sum = 0.0
-
-    def observe(self, value) -> None:
-        pass
-
-    def bucket_counts(self) -> list:
-        return []
-
-    def quantile(self, q: float) -> float:
-        return 0.0
-
-    def quantiles(self, qs=(0.5, 0.9, 0.99)) -> dict:
-        return {q: 0.0 for q in qs}
-
-    def merge(self, other):
-        return other
-
-    def snapshot(self) -> dict:
-        return {"count": 0, "sum": 0.0, "buckets": []}
-
-    def __repr__(self) -> str:
-        return "NULL_HISTOGRAM"
-
-
-NULL_COUNTER = _NullCounter()
-NULL_GAUGE = _NullGauge()
-NULL_HISTOGRAM = _NullHistogram()
-
-
 class MetricsRegistry:
     """Get-or-create instrument store, keyed on ``(name, labels)``.
 
-    A registry is either *enabled* (real instruments, one per
-    name+labels combination, kind-checked) or *disabled* (every request
-    returns the module-level null singleton of the right kind — the
-    identity fast path that makes "telemetry off" genuinely free).
-
-    The process-global registry (:func:`get_registry`) is enabled by
-    default; swap it with :func:`set_registry` or scope a replacement
-    with :func:`use_registry`.
+    One real instrument per name+labels combination, kind-checked.
+    Swap the process-global registry (:func:`get_registry`) with
+    :func:`set_registry` or scope a replacement with
+    :func:`use_registry`.
     """
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = bool(enabled)
+    def __init__(self):
         self._lock = threading.Lock()
         self._instruments = {}
         self._kinds = {}
@@ -364,23 +273,19 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def counter(self, name: str, help: str = "",  # noqa: A002
                 labels: dict | None = None) -> Counter:
-        return self._get(Counter, NULL_COUNTER, name, help, labels)
+        return self._get(Counter, name, help, labels)
 
     def gauge(self, name: str, help: str = "",  # noqa: A002
               labels: dict | None = None) -> Gauge:
-        return self._get(Gauge, NULL_GAUGE, name, help, labels)
+        return self._get(Gauge, name, help, labels)
 
     def histogram(self, name: str, help: str = "",  # noqa: A002
                   labels: dict | None = None,
                   boundaries=None) -> Histogram:
-        if not self.enabled:
-            return NULL_HISTOGRAM
-        return self._get(Histogram, NULL_HISTOGRAM, name, help, labels,
+        return self._get(Histogram, name, help, labels,
                          boundaries=boundaries)
 
-    def _get(self, cls, null, name, help_text, labels, **kwargs):
-        if not self.enabled:
-            return null
+    def _get(self, cls, name, help_text, labels, **kwargs):
         _check_name(name)
         label_items = tuple(sorted((labels or {}).items()))
         for key, value in label_items:
@@ -445,28 +350,22 @@ class MetricsRegistry:
             self._instances.clear()
 
     def __repr__(self) -> str:
-        state = "enabled" if self.enabled else "disabled"
-        return (f"MetricsRegistry({state}, "
-                f"instruments={len(self._instruments)})")
+        return f"MetricsRegistry(instruments={len(self._instruments)})"
 
 
-NULL_REGISTRY = MetricsRegistry(enabled=False)
-
-_DEFAULT_REGISTRY = MetricsRegistry(enabled=True)
+_DEFAULT_REGISTRY = MetricsRegistry()
 _registry = _DEFAULT_REGISTRY
 
 
 def get_registry() -> MetricsRegistry:
-    """The process-global registry (enabled by default)."""
+    """The process-global registry."""
     return _registry
 
 
 def set_registry(registry: MetricsRegistry | None) -> MetricsRegistry:
     """Swap the global registry; returns the previous one.
 
-    ``set_registry(None)`` restores the built-in default registry;
-    ``set_registry(NULL_REGISTRY)`` turns telemetry off for every call
-    site that fetches instruments afterwards.
+    ``set_registry(None)`` restores the built-in default registry.
     """
     global _registry
     previous = _registry

@@ -16,9 +16,7 @@ lock.  The setter stays for reset-style writes.
 
 Each view instance labels its instruments with a process-unique
 ``instance`` index so two services in one process never share a time
-series.  Under a disabled registry the instruments are the shared
-no-op singletons: the view stays constructible and readable (every
-field reports 0) while recording nothing.
+series.
 """
 
 from __future__ import annotations
@@ -57,9 +55,7 @@ class RegistryBackedStats:
 
     def __init__(self, **initial):
         registry = get_registry()
-        labels = None
-        if registry.enabled:
-            labels = {"instance": registry.next_instance(self._PREFIX)}
+        labels = {"instance": registry.next_instance(self._PREFIX)}
         #: instance labels of this view's instruments — owners reuse
         #: these for their *other* instruments (latency histograms,
         #: gauges) so one service is one instance across every family.

@@ -123,11 +123,9 @@ class CircuitBreaker:
         self._opened_at = 0.0
         self._half_open_inflight = 0
         registry = get_registry()
-        labels = None
-        if registry.enabled:
-            labels = {"instance": registry.next_instance("serve.breaker")}
-            if name:
-                labels["target"] = name
+        labels = {"instance": registry.next_instance("serve.breaker")}
+        if name:
+            labels["target"] = name
         self._counter_opened = registry.counter(
             "serve.breaker.opened", "breaker transitions into open",
             labels=labels)

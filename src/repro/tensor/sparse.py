@@ -22,9 +22,9 @@ The contract:
   gradient must flow *through* an interior graph node (graph backbones
   propagate through their tables, so their gradients densify anyway —
   see ``Tensor.backward``).
-* The row-sparse optimizers (``SparseAdam`` / ``SparseSGD``) update
-  only the rows of a :class:`RowSparseGrad` in ``Parameter.grad``; the
-  dense optimizers densify it and update every row.
+* The row-sparse optimizer (``SparseAdam``) updates only the rows of
+  a :class:`RowSparseGrad` in ``Parameter.grad``; dense ``Adam``
+  densifies it and updates every row.
 """
 
 from __future__ import annotations

@@ -49,6 +49,10 @@ class TrainConfig:
             raise ValueError("epochs must be positive")
         if self.sampler not in ("uniform", "in-batch", "popularity"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
+        if self.eval_every < 0:
+            raise ValueError(f"eval_every must be >= 0, got {self.eval_every}")
+        if self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience}")
         if self.patience and not self.eval_every:
             raise ValueError("patience requires eval_every > 0")
         if self.grad_mode not in ("dense", "sparse"):

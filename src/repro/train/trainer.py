@@ -83,26 +83,29 @@ class Trainer:
             self.optimizer = Adam(model.parameters(),
                                   lr=config.learning_rate,
                                   weight_decay=config.weight_decay)
-        # Training telemetry.  All per-step instrumentation is gated on
-        # ``self._metrics_on`` so a disabled registry costs nothing —
-        # the perf harness times train_step() directly and must not pay
-        # for clock reads or grad introspection it didn't ask for.
         registry = get_registry()
-        self._metrics_on = registry.enabled
-        if self._metrics_on:
-            self._ctr_steps = registry.counter(
-                "train.steps", "optimizer steps taken")
-            self._ctr_epochs = registry.counter(
-                "train.epochs", "training epochs completed")
-            self._hist_step = registry.histogram(
-                "train.step_ms", "wall time of one train_step() in ms")
-            self._hist_epoch_loss = registry.histogram(
-                "train.epoch_loss", "mean training loss per epoch")
-            self._hist_touched = registry.histogram(
-                "train.touched_rows",
-                "embedding rows touched per step (grad_mode='sparse' only)")
+        self._ctr_steps = registry.counter(
+            "train.steps", "optimizer steps taken")
+        self._ctr_epochs = registry.counter(
+            "train.epochs", "training epochs completed")
+        self._hist_step = registry.histogram(
+            "train.step_ms", "wall time of one train_step() in ms")
+        self._hist_epoch_loss = registry.histogram(
+            "train.epoch_loss", "mean training loss per epoch")
+        self._hist_touched = registry.histogram(
+            "train.touched_rows",
+            "embedding rows touched per step (grad_mode='sparse' only)")
         if evaluator is None and (config.eval_every or config.patience):
             evaluator = Evaluator(dataset, ks=(20,))
+        if config.eval_every:
+            # An unknown key would read -inf at every evaluation: no
+            # best epoch, and early stopping on noise.
+            watched = {f"{m}@{k}" for m in evaluator.metric_names
+                       for k in evaluator.ks}
+            if config.watch_metric not in watched:
+                raise ValueError(
+                    f"watch_metric {config.watch_metric!r} is not one of "
+                    f"the evaluator's metrics {sorted(watched)}")
         self.evaluator = evaluator
 
     @property
@@ -139,9 +142,8 @@ class Trainer:
                 self.loss.set_epoch(epoch, cfg.epochs)
             epoch_loss = self._run_epoch()
             result.loss_history.append(epoch_loss)
-            if self._metrics_on:
-                self._ctr_epochs.inc()
-                self._hist_epoch_loss.observe(epoch_loss)
+            self._ctr_epochs.inc()
+            self._hist_epoch_loss.observe(epoch_loss)
             if cfg.verbose:
                 print(f"[{self.dataset.name}] epoch {epoch:3d} "
                       f"loss={epoch_loss:.4f}")
@@ -191,7 +193,7 @@ class Trainer:
         parameters (evaluation, checkpointing, the final model) must
         see the caught-up state, or exact mode would silently diverge
         from the dense trajectory at exactly the points we measure it.
-        ``flush`` is a no-op on every other optimizer.
+        ``flush`` is a no-op on dense ``Adam`` and in lazy mode.
         """
         self.optimizer.flush()
 
@@ -206,7 +208,7 @@ class Trainer:
         :meth:`~repro.models.base.Recommender.batch_scores` (row gathers
         only, never the catalogue); the mode picks the optimizer.
         """
-        started = time.perf_counter() if self._metrics_on else 0.0
+        started = time.perf_counter()
         with parallel.scope("trainer"):
             self.optimizer.zero_grad()
             loss_t = self.model.custom_loss(batch)
@@ -219,17 +221,16 @@ class Trainer:
             loss_t.backward()
             self.optimizer.step()
             self.model.post_step()
-        if self._metrics_on:
-            self._hist_step.observe((time.perf_counter() - started) * 1e3)
-            self._ctr_steps.inc()
-            # Gradients survive step() (cleared by the next zero_grad),
-            # so row-sparse nnz can still be read here.  Only a sparse
-            # optimizer leaves the other rows alone.
-            if self.config.grad_mode == "sparse":
-                touched = [p.grad.nnz for p in self.optimizer.params
-                           if isinstance(p.grad, RowSparseGrad)]
-                if touched:
-                    self._hist_touched.observe(sum(touched))
+        self._hist_step.observe((time.perf_counter() - started) * 1e3)
+        self._ctr_steps.inc()
+        # Gradients survive step() (cleared by the next zero_grad), so
+        # row-sparse nnz can still be read here.  Only a sparse optimizer
+        # leaves the other rows alone.
+        if self.config.grad_mode == "sparse":
+            touched = [p.grad.nnz for p in self.optimizer.params
+                       if isinstance(p.grad, RowSparseGrad)]
+            if touched:
+                self._hist_touched.observe(sum(touched))
         return loss_t.item()
 
 

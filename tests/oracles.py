@@ -7,10 +7,10 @@ live here, written only from public :mod:`repro.tensor` /
 production path against them.  ``catalogue_batch_scores`` is the oracle
 of ``fused_sampled_scores``: the batch scored against the whole catalogue
 through one ``(B, num_items)`` block, then gathered.
-``adam_rows`` / ``sgd_rows`` are the row-sparse optimizers' update
-arithmetic in plain fancy indexing and temporaries, and ``adam_table``
-dense Adam's whole-table step; the chunked in-place kernels of
-:mod:`repro.nn.optim` must reproduce their bits.
+``adam_rows`` is the Adam update of a row subset in plain fancy
+indexing and temporaries, and ``adam_table`` dense Adam's whole-table
+step; the chunked in-place kernel of :mod:`repro.nn.optim` must
+reproduce their bits.
 ``layer_mean_chain`` is LightGCN's layer mean as one graph node per hop
 plus ``stack`` and ``mean``; :func:`repro.graph.propagation.layer_mean`
 must reproduce its values and gradients bit for bit.
@@ -192,21 +192,17 @@ def recommendation_counts_per_user(model, dataset, k=20, batch_users=256):
     return counts
 
 
-def adam_rows(p, m, v, rows, g, step_nums, *, lr, betas=(0.9, 0.999),
+def adam_rows(p, m, v, rows, g, bias1, bias2, *, lr, betas=(0.9, 0.999),
               eps=1e-8, weight_decay=0.0):
     """One Adam update of ``rows`` (ids or ``slice(None)``) of arrays
-    ``p``/``m``/``v`` in place, at a scalar or per-row step number."""
+    ``p``/``m``/``v`` in place, with scalar or per-row bias terms
+    ``1 - beta ** step``."""
     b1, b2 = betas
     if weight_decay:
         g = g + weight_decay * p[rows]
     m[rows] = b1 * m[rows] + (1.0 - b1) * g
     v[rows] = b2 * v[rows] + (1.0 - b2) * g * g
-    steps = np.asarray(step_nums, dtype=np.float64)
-    if steps.ndim:
-        steps = steps.reshape((-1,) + (1,) * (p.ndim - 1))
-    m_hat = m[rows] / (1.0 - b1 ** steps)
-    v_hat = v[rows] / (1.0 - b2 ** steps)
-    p[rows] -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    p[rows] -= lr * (m[rows] / bias1) / (np.sqrt(v[rows] / bias2) + eps)
 
 
 def adam_table(p, m, v, g, step, *, lr, betas=(0.9, 0.999), eps=1e-8,
@@ -223,16 +219,6 @@ def adam_table(p, m, v, g, step, *, lr, betas=(0.9, 0.999), eps=1e-8,
     m_hat = m / (1.0 - b1 ** step)
     v_hat = v / (1.0 - b2 ** step)
     p -= lr * m_hat / (np.sqrt(v_hat) + eps)
-
-
-def sgd_rows(p, vel, rows, g, *, lr, momentum=0.0, weight_decay=0.0):
-    """One SGD update of ``rows`` of ``p`` (and velocity ``vel``) in place."""
-    if weight_decay:
-        g = g + weight_decay * p[rows]
-    if momentum:
-        vel[rows] = momentum * vel[rows] + g
-        g = vel[rows]
-    p[rows] -= lr * g
 
 
 def layer_mean_chain(adjacency, ego, num_layers):

@@ -3,7 +3,9 @@
 Two runs of one tree must agree entry for entry, and the fingerprint
 must see planted defects: the router's merge breaking score ties by
 descending instead of ascending item id changes the tied model's lists,
-and Adam's ``eps`` one ulp off changes the training trajectories.
+Adam's ``eps`` one ulp off changes the training trajectories, and an
+``exact``-mode ``SparseAdam`` that skips its replays changes the
+``sparse-exact`` run and nothing else.
 """
 
 import importlib.util
@@ -52,6 +54,7 @@ def test_training_trajectories_cover_every_run(tiny_answers):
     runs = {f"tiny/train/{name}/{mode}"
             for name, modes in answers_script.TRAIN_MODELS.items()
             for mode in modes}
+    assert "tiny/train/mf/sparse-exact" in runs
     assert runs == {key.rsplit("/", 2)[0] for key in tiny_answers
                     if key.startswith("tiny/train/") and "/step=" in key}
     for run in runs:
@@ -79,6 +82,20 @@ def test_one_ulp_adam_eps_changes_the_trajectories(tiny_answers,
                if tiny_answers[key] != value]
     assert any("/param/" in key for key in changed)
     assert any("/adam-v/" in key for key in changed)
+
+
+def test_skipped_exact_replay_changes_the_exact_run(tiny_answers,
+                                                    monkeypatch):
+    import repro.nn.optim as optim
+    monkeypatch.setattr(optim.SparseAdam, "_catch_up",
+                        lambda self, i, rows, upto: None)
+    planted = answers_script.trajectories("tiny")
+    changed = [key for key, value in planted.items()
+               if tiny_answers[key] != value]
+    assert any("/param/" in key for key in changed)
+    assert any("/adam-m/" in key for key in changed)
+    assert all(key.startswith("tiny/train/mf/sparse-exact/")
+               for key in changed)
 
 
 def test_compare_needs_a_reasoned_answers_changed_line():

@@ -7,7 +7,7 @@ from repro.data import load_dataset
 from repro.graph.propagation import PropagationCache, spmm
 from repro.losses import BSLLoss
 from repro.models.registry import get_model
-from repro.nn.optim import SGD
+from repro.nn.optim import Adam, SparseAdam
 from repro.tensor import Tensor, no_grad
 from repro.tensor.tensor import bump_data_version
 
@@ -78,7 +78,7 @@ class TestCacheMechanics:
         u1, _ = model.propagate()
         u2, _ = model.propagate()
         assert u1 is u2, "same step must reuse the memoized forward"
-        opt = SGD(model.parameters(), lr=0.1)
+        opt = Adam(model.parameters(), lr=0.1)
         model.zero_grad()
         (u1.sum()).backward()
         opt.step()
@@ -104,10 +104,9 @@ class TestCacheMechanics:
     def test_noop_optimizer_step_keeps_cache_valid(self, tiny_dataset):
         """A step where every p.grad is None changes nothing, so it must
         not bump the data version and invalidate the propagation memo."""
-        from repro.nn.optim import Adam, SparseAdam
         model = get_model("lightgcn", tiny_dataset, dim=8, rng=0)
         u1, _ = model.propagate()
-        for make in (lambda p: SGD(p, lr=0.1), lambda p: Adam(p, lr=0.1),
+        for make in (lambda p: Adam(p, lr=0.1),
                      lambda p: SparseAdam(p, lr=0.1)):
             opt = make(model.parameters())
             model.zero_grad()

@@ -15,7 +15,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.nn import SGD, Adam, Parameter, SparseAdam
+from repro.nn import Adam, Parameter, SparseAdam
 from repro.tensor import Tensor
 from repro.tensor import functional as F
 from repro.tensor.tensor import bump_data_version
@@ -112,10 +112,6 @@ def _resident_bytes() -> int:
     return int(STATM.read_text().split()[1]) * os.sysconf("SC_PAGE_SIZE")
 
 
-def _state(opt) -> list[np.ndarray]:
-    return (opt._m + opt._v) if isinstance(opt, Adam) else opt._velocity
-
-
 @pytest.mark.skipif(not STATM.exists(), reason="needs /proc/self/statm")
 class TestLazyOptimizerState:
     """State is allocated as untouched zero pages: building an optimizer
@@ -124,7 +120,6 @@ class TestLazyOptimizerState:
     BUILDERS = {
         "adam": lambda p: Adam(p, lr=1e-3),
         "sparse-adam": lambda p: SparseAdam(p, lr=1e-3),
-        "sgd-momentum": lambda p: SGD(p, lr=0.1, momentum=0.9),
     }
 
     @pytest.mark.parametrize("kind", sorted(BUILDERS))
@@ -133,7 +128,7 @@ class TestLazyOptimizerState:
         before = _resident_bytes()
         opt = self.BUILDERS[kind]([param])
         grown = _resident_bytes() - before
-        state = _state(opt)
+        state = opt._m + opt._v
         state_bytes = sum(s.nbytes for s in state)
         assert state_bytes >= 64 << 20
         assert grown < state_bytes / 4, (grown, state_bytes)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import Embedding, Adam, SGD, Parameter
+from repro.nn import Embedding, Adam, Parameter, SparseAdam
 from repro.nn.init import xavier_uniform, xavier_normal, normal
 from repro.tensor import Tensor
 
@@ -66,41 +66,6 @@ def _loss_of(p):
     return ((p - 3.0) ** 2).sum()
 
 
-class TestSGD:
-    def test_converges_on_quadratic(self):
-        p = _quadratic_param([0.0])
-        opt = SGD([p], lr=0.1)
-        for _ in range(100):
-            opt.zero_grad()
-            _loss_of(p).backward()
-            opt.step()
-        np.testing.assert_allclose(p.data, [3.0], atol=1e-3)
-
-    def test_momentum_accelerates(self):
-        def run(momentum):
-            p = _quadratic_param([0.0])
-            opt = SGD([p], lr=0.01, momentum=momentum)
-            for _ in range(50):
-                opt.zero_grad()
-                _loss_of(p).backward()
-                opt.step()
-            return abs(p.data[0] - 3.0)
-        assert run(0.9) < run(0.0)
-
-    def test_weight_decay_shrinks(self):
-        p = _quadratic_param([1.0])
-        opt = SGD([p], lr=0.1, weight_decay=10.0)
-        opt.zero_grad()
-        (p * 0.0).sum().backward()  # zero data gradient
-        opt.step()
-        assert abs(p.data[0]) < 1.0
-
-    def test_skips_params_without_grad(self):
-        p = _quadratic_param([1.0])
-        SGD([p], lr=0.1).step()  # no grad set: no crash, no change
-        np.testing.assert_allclose(p.data, [1.0])
-
-
 class TestAdam:
     def test_converges_on_quadratic(self):
         p = _quadratic_param([0.0, 10.0])
@@ -124,9 +89,56 @@ class TestAdam:
         with pytest.raises(ValueError):
             Adam([_quadratic_param([0.0])], lr=0.0)
 
+    def test_rejects_nan_lr(self):
+        """``nan <= 0`` is false: a NaN rate would pass a plain
+        comparison and turn every parameter NaN on the first step."""
+        with pytest.raises(ValueError, match="learning rate"):
+            Adam([_quadratic_param([0.0])], lr=float("nan"))
+
     def test_rejects_empty_params(self):
         with pytest.raises(ValueError):
             Adam([], lr=0.1)
+
+    @pytest.mark.parametrize("betas", [(1.0, 0.999), (0.9, 1.0),
+                                       (-0.1, 0.999), (0.9, float("nan"))])
+    @pytest.mark.parametrize("make", [Adam, SparseAdam])
+    def test_rejects_betas_outside_unit_interval(self, make, betas):
+        """A beta of 1 zeroes the bias correction: NaN on step one."""
+        with pytest.raises(ValueError, match="betas"):
+            make([_quadratic_param([0.0])], lr=0.1, betas=betas)
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-8, float("nan")])
+    @pytest.mark.parametrize("make", [Adam, SparseAdam])
+    def test_rejects_non_positive_eps(self, make, eps):
+        """Zero moments over ``sqrt(0) + eps`` would be 0 / 0."""
+        with pytest.raises(ValueError, match="eps"):
+            make([_quadratic_param([0.0])], lr=0.1, eps=eps)
+
+    @pytest.mark.parametrize("make", [Adam, SparseAdam])
+    def test_rejects_negative_weight_decay(self, make):
+        with pytest.raises(ValueError, match="weight_decay"):
+            make([_quadratic_param([0.0])], lr=0.1, weight_decay=-1e-6)
+
+    def test_zero_beta_and_weight_decay_are_valid(self):
+        p = _quadratic_param([1.0])
+        opt = Adam([p], lr=0.1, betas=(0.0, 0.0), weight_decay=0.0)
+        opt.zero_grad()
+        _loss_of(p).backward()
+        opt.step()
+        assert np.isfinite(p.data).all() and p.data[0] > 1.0
+
+    def test_weight_decay_shrinks(self):
+        p = _quadratic_param([1.0])
+        opt = Adam([p], lr=0.1, weight_decay=10.0)
+        opt.zero_grad()
+        (p * 0.0).sum().backward()  # zero data gradient
+        opt.step()
+        assert abs(p.data[0]) < 1.0
+
+    def test_skips_params_without_grad(self):
+        p = _quadratic_param([1.0])
+        Adam([p], lr=0.1).step()  # no grad set: no crash, no change
+        np.testing.assert_allclose(p.data, [1.0])
 
     def test_independent_state_per_param(self):
         p1 = _quadratic_param([0.0])

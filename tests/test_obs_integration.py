@@ -68,17 +68,6 @@ class TestServiceStatsView:
         assert b.stats.users_served == 0
         assert a.stats.obs_labels != b.stats.obs_labels
 
-    def test_disabled_registry_view_still_counts_nothing(
-            self, tiny_mf_snapshot):
-        from repro.obs.metrics import NULL_REGISTRY
-        _, snapshot = tiny_mf_snapshot
-        with use_registry(NULL_REGISTRY):
-            service = RecommendationService(snapshot, cache_size=0)
-            service.recommend([0, 1, 2], k=5)
-            # null instruments: the view reads 0 but serving still works
-            assert service.stats.users_served == 0
-            assert service.stats.obs_labels is None
-
 
 class TestServiceTrace:
     def test_recommend_root_span_with_sweep_child(self, tiny_mf_snapshot,

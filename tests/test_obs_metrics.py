@@ -5,8 +5,7 @@ Pins the contracts ``docs/observability.md`` documents:
 * exact counts under concurrency (instruments are lock-protected);
 * deterministic histogram quantiles — a pure function of the bucket
   counts, invariant under observation order and merge association;
-* the disabled registry's identity fast path (every request returns
-  the shared null singleton, and recording is a true no-op);
+* get-or-create instruments keyed by name and labels, kind-checked;
 * well-formed Prometheus v0.0.4 / JSON expositions.
 """
 
@@ -18,10 +17,9 @@ import pytest
 
 from repro.obs.export import json as json_export
 from repro.obs.export import prom
-from repro.obs.metrics import (DEFAULT_BOUNDARIES, NULL_COUNTER, NULL_GAUGE,
-                               NULL_HISTOGRAM, NULL_REGISTRY, Counter, Gauge,
-                               Histogram, MetricsRegistry, Reservoir,
-                               get_registry, set_registry, use_registry)
+from repro.obs.metrics import (DEFAULT_BOUNDARIES, Counter, Gauge, Histogram,
+                               MetricsRegistry, Reservoir, get_registry,
+                               set_registry, use_registry)
 
 
 class TestCounter:
@@ -206,26 +204,6 @@ class TestRegistry:
         reg.counter("a.first")
         assert [i.name for i in reg.collect()] == ["a.first", "z.last"]
 
-    def test_disabled_registry_identity_noops(self):
-        """Every request on a disabled registry returns the shared
-        singleton, and recording through it changes nothing."""
-        reg = MetricsRegistry(enabled=False)
-        assert reg.counter("x.y") is NULL_COUNTER
-        assert reg.counter("other.name") is NULL_COUNTER
-        assert reg.gauge("x.g") is NULL_GAUGE
-        assert reg.histogram("x.h") is NULL_HISTOGRAM
-        NULL_COUNTER.inc(100)
-        NULL_GAUGE.set(5)
-        NULL_HISTOGRAM.observe(1.0)
-        assert NULL_COUNTER.value == 0
-        assert NULL_GAUGE.value == 0
-        assert NULL_HISTOGRAM.count == 0
-        assert reg.collect() == []
-
-    def test_null_registry_is_disabled(self):
-        assert not NULL_REGISTRY.enabled
-        assert NULL_REGISTRY.counter("a.b") is NULL_COUNTER
-
 
 class TestGlobalRegistry:
     def test_use_registry_scopes_and_restores(self):
@@ -237,11 +215,12 @@ class TestGlobalRegistry:
         assert get_registry() is before
 
     def test_set_registry_none_restores_default(self):
-        previous = set_registry(NULL_REGISTRY)
+        default = get_registry()
+        previous = set_registry(MetricsRegistry())
         try:
-            assert not get_registry().enabled
+            assert get_registry() is not default
             set_registry(None)
-            assert get_registry().enabled
+            assert get_registry() is default
         finally:
             set_registry(previous)
 

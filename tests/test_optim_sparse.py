@@ -1,8 +1,8 @@
-"""Sparse optimizers: exact dense-parity, lazy semantics, edge cases.
+"""Sparse optimizer: exact dense-parity, lazy semantics, edge cases.
 
-The acceptance pin for the row-sparse training engine: ``exact`` mode
-must be numerically equivalent (allclose at 1e-10) to the dense
-optimizer fed explicit zero gradients for untouched rows, over 50+
+The acceptance pin for the row-sparse training engine: ``SparseAdam``'s
+``exact`` mode must be numerically equivalent (allclose at 1e-10) to
+dense ``Adam`` fed explicit zero gradients for untouched rows, over 50+
 steps of realistic sparse gradient streams drawn from the tiny
 dataset's sampler.
 """
@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from repro.data.sampling import UniformNegativeSampler
-from repro.nn import Adam, Parameter, SGD, SparseAdam, SparseSGD, optim
+from repro.nn import Adam, Parameter, SparseAdam, optim
 from repro.tensor import RowSparseGrad
 from repro.tensor.tensor import data_version
-from tests.oracles import adam_rows, adam_table, sgd_rows
+from tests.oracles import adam_rows, adam_table
 
 
 def _tiny_gradient_stream(tiny_dataset, steps, dim, seed=0):
@@ -63,18 +63,6 @@ class TestExactParity:
             lambda p: Adam(p, lr=0.05, weight_decay=weight_decay),
             lambda p: SparseAdam(p, lr=0.05, weight_decay=weight_decay,
                                  mode="exact"))
-        np.testing.assert_allclose(sparse, dense, atol=1e-10, rtol=0)
-
-    @pytest.mark.parametrize("momentum,weight_decay",
-                             [(0.0, 0.0), (0.9, 0.0), (0.9, 1e-3)])
-    def test_sparse_sgd_exact_matches_dense_sgd(self, tiny_dataset,
-                                                momentum, weight_decay):
-        dense, sparse = _run_parity(
-            tiny_dataset,
-            lambda p: SGD(p, lr=0.05, momentum=momentum,
-                          weight_decay=weight_decay),
-            lambda p: SparseSGD(p, lr=0.05, momentum=momentum,
-                                weight_decay=weight_decay, mode="exact"))
         np.testing.assert_allclose(sparse, dense, atol=1e-10, rtol=0)
 
     def test_flush_is_required_for_parity(self, tiny_dataset):
@@ -152,22 +140,12 @@ class TestExactParity:
 class OracleAdam(SparseAdam):
     """``SparseAdam`` with its row kernel swapped for ``oracles.adam_rows``."""
 
-    def _apply(self, i, rows, g, step_nums):
+    def _rows(self, i, rows, g, bias1, bias2):
         p = self.params[i].data
         g = g if isinstance(g, np.ndarray) else np.zeros_like(p[rows])
-        adam_rows(p, self._m[i], self._v[i], rows, g, step_nums, lr=self.lr,
-                  betas=(self.beta1, self.beta2), eps=self.eps,
+        adam_rows(p, self._m[i], self._v[i], rows, g, bias1, bias2,
+                  lr=self.lr, betas=(self.beta1, self.beta2), eps=self.eps,
                   weight_decay=self.weight_decay)
-
-
-class OracleSGD(SparseSGD):
-    """``SparseSGD`` with its row kernel swapped for ``oracles.sgd_rows``."""
-
-    def _apply(self, i, rows, g, step_nums):
-        p = self.params[i].data
-        g = g if isinstance(g, np.ndarray) else np.zeros_like(p[rows])
-        sgd_rows(p, self._velocity[i], rows, g, lr=self.lr,
-                 momentum=self.momentum, weight_decay=self.weight_decay)
 
 
 DIM = 8
@@ -195,10 +173,7 @@ def _run_stream(make, nnz, steps):
         if t == steps // 2:
             opt.flush()
     opt.flush()
-    state = [table.data, small.data]
-    for name in ("_m", "_v", "_velocity"):
-        state += getattr(opt, name, [])
-    return state
+    return [table.data, small.data] + opt._m + opt._v
 
 
 class TestKernelsMatchOracleBits:
@@ -213,18 +188,6 @@ class TestKernelsMatchOracleBits:
         got = _run_stream(lambda p: SparseAdam(p, **kw), nnz, steps=12)
         want = _run_stream(lambda p: OracleAdam(p, **kw), nnz, steps=12)
         assert len(got) == len(want) == 6       # p, m, v of both parameters
-        for a, b in zip(got, want):
-            np.testing.assert_array_equal(a, b)
-
-    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
-    @pytest.mark.parametrize("momentum", [0.0, 0.9])
-    @pytest.mark.parametrize("mode", ["lazy", "exact"])
-    def test_sparse_sgd(self, mode, momentum, weight_decay):
-        kw = dict(lr=0.05, momentum=momentum, weight_decay=weight_decay,
-                  mode=mode)
-        got = _run_stream(lambda p: SparseSGD(p, **kw), CHUNK + 3, steps=20)
-        want = _run_stream(lambda p: OracleSGD(p, **kw), CHUNK + 3, steps=20)
-        assert len(got) == len(want) == 4
         for a, b in zip(got, want):
             np.testing.assert_array_equal(a, b)
 
@@ -245,23 +208,6 @@ class TestKernelsMatchOracleBits:
             adam_table(want, m, v, g, t, lr=0.05, weight_decay=weight_decay)
         for got, ref in zip((p.data, opt._m[0], opt._v[0]), (want, m, v)):
             np.testing.assert_array_equal(got, ref)
-
-    @pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
-    @pytest.mark.parametrize("momentum", [0.0, 0.9])
-    def test_dense_sgd_over_every_row(self, momentum, weight_decay):
-        rng = np.random.default_rng(6)
-        start = rng.normal(size=(2 * CHUNK + 5, DIM))
-        p = Parameter(start.copy())
-        opt = SGD([p], lr=0.05, momentum=momentum, weight_decay=weight_decay)
-        want, vel = start.copy(), np.zeros_like(start)
-        for _ in range(6):
-            g = rng.normal(size=start.shape)
-            p.grad = g.copy()
-            opt.step()
-            sgd_rows(want, vel, slice(None), g, lr=0.05, momentum=momentum,
-                     weight_decay=weight_decay)
-        np.testing.assert_array_equal(p.data, want)
-        np.testing.assert_array_equal(opt._velocity[0], vel)
 
     def test_step_workspace_is_chunk_sized_not_nnz_sized(self):
         """Peak traced allocation of a step must not follow nnz."""
@@ -291,22 +237,24 @@ class TestLazySemantics:
         np.testing.assert_array_equal(p.data[untouched], before[untouched])
         assert not np.allclose(p.data[[2, 7]], before[[2, 7]])
 
-    def test_lazy_sgd_without_momentum_equals_dense(self, tiny_dataset):
-        dense, sparse = _run_parity(
-            tiny_dataset,
-            lambda p: SGD(p, lr=0.05),
-            lambda p: SparseSGD(p, lr=0.05, mode="lazy"),
-            steps=50)
-        np.testing.assert_allclose(sparse, dense, atol=1e-12)
-
     def test_lazy_weight_decay_applies_only_on_touch(self):
-        """Lazy regularization: decay pulls a row only when touched."""
-        p = Parameter(np.full((4, 2), 10.0))
-        opt = SparseSGD([p], lr=0.1, weight_decay=1.0, mode="lazy")
-        p.grad = RowSparseGrad(np.array([1]), np.zeros((1, 2)), p.shape)
-        opt.step()
-        np.testing.assert_allclose(p.data[1], 9.0)   # 10 - lr * wd * 10
-        np.testing.assert_allclose(p.data[0], 10.0)  # untouched: no decay
+        """Lazy regularization: decay pulls a row only on the steps that
+        touch it, where ``exact`` replays the pull on every row."""
+        rows = {}
+        for mode in ("lazy", "exact"):
+            p = Parameter(np.full((4, 2), 10.0))
+            opt = SparseAdam([p], lr=0.1, weight_decay=1.0, mode=mode)
+            for _ in range(3):
+                p.grad = RowSparseGrad(np.array([1]), np.zeros((1, 2)),
+                                       p.shape)
+                opt.step()
+            opt.flush()
+            rows[mode] = p.data
+        decayed = rows["lazy"][1, 0]
+        assert decayed < 10.0
+        np.testing.assert_array_equal(rows["lazy"][1], decayed)
+        np.testing.assert_array_equal(rows["lazy"][[0, 2, 3]], 10.0)
+        np.testing.assert_allclose(rows["exact"], decayed, rtol=1e-12)
 
     def test_lazy_adam_weight_decay_documented_semantics(self):
         """Touched rows see grad + wd * p, untouched rows see nothing."""
@@ -330,29 +278,24 @@ class TestLazySemantics:
 
 class TestEdgeCases:
     def test_dense_optimizers_densify_sparse_grads(self):
-        """``Adam``/``SGD`` fed a ``RowSparseGrad`` leave ``p`` and the
-        moments equal to the same optimizer fed ``grad.densify()``."""
+        """``Adam`` fed a ``RowSparseGrad`` leaves ``p`` and the moments
+        equal to the same optimizer fed ``grad.densify()``."""
         rng = np.random.default_rng(4)
         start = rng.normal(size=(6, 3))
         grads = [RowSparseGrad.from_rows(rng.integers(0, 6, size=4),
                                          rng.normal(size=(4, 3)), start.shape)
                  for _ in range(4)]
-        for make, state in (
-                (lambda p: Adam(p, lr=0.1, weight_decay=0.01),
-                 lambda opt: opt._m + opt._v),
-                (lambda p: SGD(p, lr=0.1, momentum=0.9, weight_decay=0.01),
-                 lambda opt: opt._velocity)):
-            runs = []
-            for densify in (False, True):
-                p = Parameter(start.copy())
-                opt = make([p])
-                for g in grads:
-                    p.grad = g.densify() if densify else g
-                    opt.step()
-                runs.append([p.data] + state(opt))
-            for sparse_fed, dense_fed in zip(*runs):
-                np.testing.assert_array_equal(sparse_fed, dense_fed)
-            assert not np.array_equal(runs[0][0], start)
+        runs = []
+        for densify in (False, True):
+            p = Parameter(start.copy())
+            opt = Adam([p], lr=0.1, weight_decay=0.01)
+            for g in grads:
+                p.grad = g.densify() if densify else g
+                opt.step()
+            runs.append([p.data] + opt._m + opt._v)
+        for sparse_fed, dense_fed in zip(*runs):
+            np.testing.assert_array_equal(sparse_fed, dense_fed)
+        assert not np.array_equal(runs[0][0], start)
 
     def test_duplicate_indices_accumulate_not_overwrite(self):
         """A batch repeating one row must apply the summed gradient."""

@@ -24,7 +24,7 @@ import repro.tensor.functional
 from repro.eval.evaluator import Evaluator
 from repro.losses import get_loss
 from repro.models.registry import get_model
-from repro.nn import SGD, Parameter, SparseAdam
+from repro.nn import Adam, Parameter, SparseAdam
 from repro.tensor import RowSparseGrad, is_grad_enabled, no_grad, ops
 from repro.tensor import parallel
 from repro.tensor.parallel import csr_matmul, fan_out
@@ -265,7 +265,7 @@ class TestBitIdentity:
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
 
-    def test_sgd_with_momentum(self, cores):
+    def test_dense_adam_with_weight_decay(self, cores):
         rng = np.random.default_rng(5)
         start = rng.normal(size=(300, 6))
         grads = [rng.normal(size=start.shape) for _ in range(20)]
@@ -273,12 +273,12 @@ class TestBitIdentity:
         for n_cores in CORES:
             cores(n_cores)
             p = Parameter(start.copy())
-            opt = SGD([p], lr=0.05, momentum=0.9, weight_decay=1e-3)
+            opt = Adam([p], lr=0.05, weight_decay=1e-3)
             for g in grads:
                 p.grad = g.copy()
                 with parallel.scope():
                     opt.step()
-            runs[n_cores] = (p.data, opt._velocity[0])
+            runs[n_cores] = (p.data, opt._m[0], opt._v[0])
         for n_cores in CORES[1:]:
             for got, want in zip(runs[n_cores], runs[1]):
                 np.testing.assert_array_equal(got, want)

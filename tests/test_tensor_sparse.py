@@ -225,11 +225,14 @@ class TestFusedSampledScores:
 
 
 class TestDistinctRows:
-    """``_distinct_rows`` switches from ``np.unique`` to a presence table
-    once a block has ``n_rows`` slots; both sides must give the same
-    arrays, so the kernel's scores and gradients cannot tell them apart."""
+    """``_distinct_rows`` takes a presence table unless the table has
+    more than four rows per slot, where it sorts (``np.unique``); blocks
+    of ``4 * slots + {-1, 0, 1}`` rows straddle the switch (only ``+1``
+    sorts).  Both sides must give the same arrays, so the kernel's
+    scores and gradients cannot tell them apart."""
 
     BATCH, NEG = 6, 5  # 6 x (1 + 5) = 36 slots; in-batch has B - 1 = 5
+    SLOTS = BATCH * (1 + NEG)
 
     @classmethod
     def _block(cls, kind, n_rows, rng):
@@ -248,13 +251,17 @@ class TestDistinctRows:
              for offset in (-1, 0, 1)]
 
     @pytest.mark.parametrize("kind,offset", CASES)
-    def test_matches_np_unique(self, kind, offset):
-        slots = self.BATCH * (1 + self.NEG)
-        n_rows = slots + offset
+    def test_matches_np_unique(self, kind, offset, monkeypatch):
+        n_rows = 4 * self.SLOTS + offset
         pos, neg = self._block(kind, n_rows, np.random.default_rng(offset + 2))
         flat = np.concatenate([pos[:, None], neg], axis=1).reshape(-1)
-        assert flat.size == slots
+        assert flat.size == self.SLOTS
+        sorts, unique = [], np.unique
+        monkeypatch.setattr(np, "unique", lambda *a, **kw: (
+            sorts.append(True), unique(*a, **kw))[1])
         uniq, inverse = F._distinct_rows(flat, n_rows)
+        monkeypatch.undo()
+        assert bool(sorts) == (offset == 1)
         ref_uniq, ref_inverse = np.unique(flat, return_inverse=True)
         np.testing.assert_array_equal(uniq, ref_uniq)
         np.testing.assert_array_equal(inverse, ref_inverse)
@@ -263,7 +270,7 @@ class TestDistinctRows:
     @pytest.mark.parametrize("kind,offset", CASES)
     def test_kernel_bits_equal_across_branches(self, kind, offset,
                                                monkeypatch):
-        n_rows = self.BATCH * (1 + self.NEG) + offset
+        n_rows = 4 * self.SLOTS + offset
         rng = np.random.default_rng(offset + 5)
         pos, neg = self._block(kind, n_rows, rng)
         users = Tensor(rng.normal(size=(4, 3)), requires_grad=True)

@@ -25,6 +25,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             TrainConfig(patience=2, eval_every=0)
 
+    def test_rejects_negative_eval_every(self):
+        with pytest.raises(ValueError, match="eval_every"):
+            TrainConfig(eval_every=-1)
+
+    def test_rejects_negative_patience(self):
+        with pytest.raises(ValueError, match="patience"):
+            TrainConfig(eval_every=1, patience=-1)
+
     def test_replace(self):
         cfg = TrainConfig(epochs=10)
         new = cfg.replace(epochs=3, rnoise=1.0)
@@ -82,6 +90,32 @@ class TestTrainer:
         assert result.best_epoch > 0
         # stopped before exhausting the epoch budget OR ran to completion
         assert len(result.loss_history) <= 50
+
+    @pytest.mark.parametrize("watch", ["ndcg@10", "NDCG@20", "auc"])
+    def test_unknown_watch_metric_rejected(self, tiny_dataset, watch):
+        """An unwatched key would read -inf at every evaluation: early
+        stopping on noise and no best epoch, with no error."""
+        model = MF(tiny_dataset.num_users, tiny_dataset.num_items, dim=8,
+                   rng=0)
+        cfg = TrainConfig(epochs=6, eval_every=1, patience=2,
+                          watch_metric=watch)
+        with pytest.raises(ValueError, match="watch_metric"):
+            Trainer(model, get_loss("sl"), tiny_dataset, cfg)
+
+    def test_watch_metric_checked_against_given_evaluator(self,
+                                                          tiny_dataset):
+        from repro.eval import Evaluator
+        model = MF(tiny_dataset.num_users, tiny_dataset.num_items, dim=8,
+                   rng=0)
+        evaluator = Evaluator(tiny_dataset, ks=(10,))
+        cfg = TrainConfig(epochs=1, eval_every=1, watch_metric="recall@10")
+        Trainer(model, get_loss("sl"), tiny_dataset, cfg, evaluator)
+        with pytest.raises(ValueError, match="recall@10"):
+            Trainer(model, get_loss("sl"), tiny_dataset,
+                    cfg.replace(watch_metric="ndcg@20"), evaluator)
+        # without periodic evaluation the watched key is never read
+        Trainer(model, get_loss("sl"), tiny_dataset,
+                cfg.replace(eval_every=0, watch_metric="ndcg@20"), evaluator)
 
     def test_in_batch_sampler_path(self, tiny_dataset):
         model = MF(tiny_dataset.num_users, tiny_dataset.num_items, dim=8,
