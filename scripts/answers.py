@@ -25,7 +25,11 @@ between machines do not matter; both runs happen on one machine):
   ``weight_decay``, so idle rows are replayed rather than skipped):
   each step's loss (``step=<i>/loss``), then, after
   ``optimizer.flush()``, every parameter's bytes (``param/<name>``) and
-  its Adam moments (``adam-m/<name>``, ``adam-v/<name>``).
+  its Adam moments (``adam-m/<name>``, ``adam-v/<name>``);
+* ``split-8k/train/mf/<dense|sparse>/...`` — the same for MF at dim 64
+  on a generated 4096 × 8192 set at batch 1024, where the optimizer's
+  and the fused kernel's fan-outs split over the cores (no ``tiny``
+  step is large enough to).
 
 Usage::
 
@@ -72,6 +76,16 @@ TRAIN_MODELS = {"mf": ("dense", "sparse", "sparse-exact"),
                 "cml": ("dense", "sparse"), "lightgcn": ("dense",)}
 TRAIN_STEPS = 6
 TRAIN_BATCH = 96
+#: the trajectories on a generated set where the optimizer's item rows
+#: (and a dense step's user rows) and the fused kernel's slot, norm and
+#: item-gradient loops split over two or more cores (blocks of >= 1024
+#: optimizer rows, 2048 distinct item rows, 256 batch rows): model -> runs
+SPLIT_MODELS = {"mf": ("dense", "sparse")}
+SPLIT_BATCH = 1024
+SPLIT_DIM = 64
+SPLIT_SET = dict(num_users=4096, num_items=8192, num_clusters=8,
+                 mean_interactions=6.0, train_noise=0.0, seed=0,
+                 name="split-8k")
 MARKER = "ANSWERS CHANGED:"
 
 
@@ -114,27 +128,45 @@ def trajectories(dataset_name: str = "tiny") -> dict[str, str]:
     :data:`TRAIN_MODELS` run over one fixed stream of
     :data:`TRAIN_STEPS` BSL batches."""
     from repro.data import load_dataset
+    return _runs(load_dataset(dataset_name), dataset_name, TRAIN_MODELS,
+                 TRAIN_BATCH, dim=16)
+
+
+def split_trajectories() -> dict[str, str]:
+    """:func:`trajectories` for :data:`SPLIT_MODELS` on the generated
+    :data:`SPLIT_SET` at batch :data:`SPLIT_BATCH`: runs whose optimizer
+    and fused-kernel fan-outs split, so the chunk rule and the hand-off
+    to workers are in the bits (on a machine with two or more cores)."""
+    from repro.data import SyntheticConfig, generate_dataset
+    dataset = generate_dataset(SyntheticConfig(**SPLIT_SET))
+    return _runs(dataset, SPLIT_SET["name"], SPLIT_MODELS, SPLIT_BATCH,
+                 dim=SPLIT_DIM)
+
+
+def _runs(dataset, dataset_name: str, models: dict, batch_size: int,
+          dim: int) -> dict[str, str]:
     from repro.data.sampling import UniformNegativeSampler
     from repro.losses import get_loss
     from repro.models import get_model
+    from repro.tensor import parallel
     from repro.train import TrainConfig, Trainer
-    dataset = load_dataset(dataset_name)
     sampler = UniformNegativeSampler(dataset, n_negatives=16,
-                                     batch_size=TRAIN_BATCH, rng=0)
+                                     batch_size=batch_size, rng=0)
     stream = [batch for _, batch in zip(range(TRAIN_STEPS), sampler.epoch())]
     out = {}
-    for name, modes in TRAIN_MODELS.items():
+    for name, modes in models.items():
         for mode in modes:
             grad_mode, _, sparse_mode = mode.partition("-")
-            model = get_model(name, dataset, dim=16, rng=0)
+            model = get_model(name, dataset, dim=dim, rng=0)
             trainer = Trainer(model, get_loss("bsl"), dataset, TrainConfig(
-                epochs=1, batch_size=TRAIN_BATCH, n_negatives=16,
+                epochs=1, batch_size=batch_size, n_negatives=16,
                 grad_mode=grad_mode, sparse_mode=sparse_mode or "lazy",
                 seed=0))
             prefix = f"{dataset_name}/train/{name}/{mode}"
-            for step, batch in enumerate(stream):
-                out[f"{prefix}/step={step}/loss"] = _digest(
-                    np.float64(trainer.train_step(batch)))
+            with parallel.scope("answers"):
+                for step, batch in enumerate(stream):
+                    out[f"{prefix}/step={step}/loss"] = _digest(
+                        np.float64(trainer.train_step(batch)))
             optimizer = trainer.optimizer
             optimizer.flush()
             for i, (key, param) in enumerate(model.named_parameters()):
@@ -227,6 +259,7 @@ def answers(datasets=DATASETS, models=MODELS) -> dict[str, str]:
                                     f"{int(seen)}", top.items, top.scores))
     if "tiny" in datasets:
         out.update(trajectories("tiny"))
+        out.update(split_trajectories())
     return out
 
 

@@ -87,8 +87,9 @@ class UniformNegativeSampler(_PairShuffler):
         super().__init__(dataset, batch_size, rng)
         if n_negatives <= 0:
             raise ValueError(f"n_negatives must be positive, got {n_negatives}")
-        if rnoise < 0:
-            raise ValueError(f"rnoise must be non-negative, got {rnoise}")
+        if not 0.0 <= rnoise < float("inf"):  # NaN included
+            raise ValueError(f"rnoise must be finite and non-negative, "
+                             f"got {rnoise}")
         self.n_negatives = n_negatives
         self.rnoise = rnoise
         self.exclude_positives = exclude_positives

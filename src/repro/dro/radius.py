@@ -33,7 +33,7 @@ def optimal_tau(variance: float, eta: float) -> float:
 
 def implied_eta(variance: float, tau: float) -> float:
     """Invert Eq. (16): ``η = V / (2 τ²)``."""
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     return float(variance / (2.0 * tau ** 2))
 

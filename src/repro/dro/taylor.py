@@ -21,7 +21,7 @@ __all__ = ["log_expectation_exp", "taylor_approximation",
 def log_expectation_exp(scores: np.ndarray, tau: float) -> float:
     """Exact ``τ · log E[exp(f/τ)]`` under the uniform distribution."""
     scores = np.asarray(scores, dtype=np.float64)
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     return float(tau * (_logsumexp(scores / tau) - np.log(scores.size)))
 

@@ -26,7 +26,7 @@ class VarianceAblatedSoftmaxLoss(Loss):
     name = "sl-novar"
 
     def __init__(self, tau: float = 0.1):
-        if tau <= 0:
+        if not tau > 0:
             raise ValueError(f"temperature must be positive, got {tau}")
         self.tau = tau
 
@@ -46,7 +46,7 @@ class MeanVarianceSoftmaxLoss(Loss):
     name = "sl-meanvar"
 
     def __init__(self, tau: float = 0.1):
-        if tau <= 0:
+        if not tau > 0:
             raise ValueError(f"temperature must be positive, got {tau}")
         self.tau = tau
 

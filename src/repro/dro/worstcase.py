@@ -35,7 +35,7 @@ def worst_case_weights(scores: np.ndarray, tau: float,
         Nominal distribution ``P0``; uniform when omitted.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError(f"tau must be positive, got {tau}")
     if base_probs is None:
         log_base = -np.log(len(scores)) * np.ones_like(scores)

@@ -54,7 +54,7 @@ class Evaluator:
         Subset of {"recall", "ndcg", "precision", "hit", "map"}.
     batch_users:
         Score rows in flight at once, summed over the workers (memory
-        control): each of ``w = min(os.cpu_count(), batch_users)``
+        control): each of ``w = min(parallel.workers(), batch_users)``
         workers scores chunks of ``batch_users // w`` users.
 
     Each chunk of users is one dense score block, one two-level top-K

@@ -56,7 +56,7 @@ class BSLLoss(Loss):
 
     def __init__(self, tau1: float = 0.1, tau2: float = 0.1,
                  pooling: str = "mean"):
-        if tau1 <= 0 or tau2 <= 0:
+        if not (tau1 > 0 and tau2 > 0):
             raise ValueError(f"temperatures must be positive, got {tau1}, {tau2}")
         if pooling not in _POOLINGS:
             raise ValueError(f"pooling must be one of {_POOLINGS}, got {pooling!r}")

@@ -31,7 +31,7 @@ class InfoNCELoss:
     name = "infonce"
 
     def __init__(self, tau: float = 0.2):
-        if tau <= 0:
+        if not tau > 0:
             raise ValueError(f"temperature must be positive, got {tau}")
         self.tau = tau
 

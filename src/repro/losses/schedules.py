@@ -38,7 +38,7 @@ class TemperatureSchedule:
 
 class ConstantSchedule(TemperatureSchedule):
     def __init__(self, tau: float):
-        if tau <= 0:
+        if not tau > 0:
             raise ValueError("tau must be positive")
         self.tau = tau
 
@@ -56,7 +56,7 @@ class CosineSchedule(TemperatureSchedule):
     """
 
     def __init__(self, tau_start: float, tau_end: float):
-        if tau_start <= 0 or tau_end <= 0:
+        if not (tau_start > 0 and tau_end > 0):
             raise ValueError("temperatures must be positive")
         self.tau_start = tau_start
         self.tau_end = tau_end
@@ -69,7 +69,7 @@ class CosineSchedule(TemperatureSchedule):
 
 class LinearSchedule(TemperatureSchedule):
     def __init__(self, tau_start: float, tau_end: float):
-        if tau_start <= 0 or tau_end <= 0:
+        if not (tau_start > 0 and tau_end > 0):
             raise ValueError("temperatures must be positive")
         self.tau_start = tau_start
         self.tau_end = tau_end

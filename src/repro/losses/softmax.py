@@ -46,7 +46,7 @@ class SoftmaxLoss(Loss):
 
     def __init__(self, tau: float = 0.1, include_positive: bool = False,
                  scale_by_temperature: bool = False):
-        if tau <= 0:
+        if not tau > 0:
             raise ValueError(f"temperature must be positive, got {tau}")
         self.tau = tau
         self.include_positive = include_positive

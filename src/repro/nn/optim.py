@@ -33,9 +33,10 @@ scoring emits row-sparse gradients for leaf tables in every
 ``grad_mode`` (``Recommender.batch_scores``), and a dense step then
 moves every row exactly as if it had been handed ``grad.densify()``.
 
-Both run one in-place kernel that walks a table in cache-sized row
-chunks (``Adam._rows``): dense ``Adam`` over every row, ``SparseAdam``
-over the touched rows and ``exact`` mode's replays.
+Both run one in-place kernel that walks a table in row chunks
+(``Adam._rows``; cache-sized unless the block shares the cores): dense
+``Adam`` over every row, ``SparseAdam`` over the touched rows and
+``exact`` mode's replays.
 
 Every ``step()`` bumps the global data version only when at least one
 parameter actually changed, so a no-op step (all grads ``None`` or empty)
@@ -54,8 +55,11 @@ from repro.tensor.tensor import bump_data_version
 
 __all__ = ["Adam", "SparseAdam"]
 
-#: Bytes per workspace buffer of the row kernel (256 rows at dim 64), sized
-#: to a 4 MiB L2: 2x measured ~10 ms slower on a 48k-row step, 4x+ ~25 ms.
+#: Bytes per workspace buffer of the row kernel in a block that runs alone
+#: (256 rows at dim 64; :func:`~repro.tensor.parallel.chunk_bytes` gives a
+#: block that shares the cores longer chunks).  Measured on one worker of
+#: a 2-vCPU box with 2 MiB of L2 per core: a 49.6k-row step takes 53-63 ms
+#: at 128 KiB and 70-73 ms at 512 KiB.
 _CHUNK_BYTES = 128 * 1024
 #: Fewest rows per block a core gets: below it the hand-off to a worker
 #: costs what the split saves (Adam, dim 64, 2 cores: 1024 rows 250 us in
@@ -107,9 +111,9 @@ class Adam:
         self._t = 0
         self._m = _zero_state(self.params)
         self._v = _zero_state(self.params)
-        #: per-parameter free list of kernel workspaces, five chunk-sized
-        #: row buffers each: one per row block running at once.
-        self._work: list[list[np.ndarray]] = [[] for _ in self.params]
+        #: free list of kernel workspaces (raw bytes, shared by every
+        #: parameter): one per row block running at once.
+        self._work: list[np.ndarray] = []
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -173,22 +177,32 @@ class Adam:
 
     def _chunks(self, i: int, rows, g, tables, update) -> None:
         """``update(positions, g chunk, table chunks, scratch G, scratch T)``
-        per cache-sized chunk of ``rows`` (ids or ``slice(None)``), in row
-        blocks over one worker per core (:func:`~repro.tensor.parallel.
-        fan_out`), each block with a workspace of its own.  Index-array
-        chunks are gathered before and scattered back after the in-place
-        update (ids are unique, so blocks write disjoint rows);
-        ``slice(None)`` chunks are views.  ``g``: an array or scalar 0.0.
+        per chunk of ``rows`` (ids or ``slice(None)``) of the size
+        :func:`~repro.tensor.parallel.chunk_bytes` gives, in row blocks
+        over one worker per core (:func:`~repro.tensor.parallel.fan_out`),
+        each block with a workspace of its own.  Index-array chunks are
+        gathered into the workspace before and scattered back after the
+        in-place update (ids are unique, so blocks write disjoint rows);
+        ``slice(None)`` chunks are views, so a dense step's workspace is
+        the two scratch buffers only.  ``g``: an array or scalar 0.0.
         """
-        dense, table, spare = isinstance(rows, slice), tables[0], self._work[i]
+        dense, table = isinstance(rows, slice), tables[0]
         n = len(table) if dense else len(rows)
-        size = max(1, min(len(table), _CHUNK_BYTES // (table[:1].nbytes or 1)))
+        n_bufs = 2 if dense else len(tables) + 2
+        row_bytes = table[:1].nbytes
 
         def block(lo: int, hi: int) -> None:
+            size = max(1, min(len(table), parallel.chunk_bytes(_CHUNK_BYTES)
+                              // (row_bytes or 1)))
+            need = n_bufs * size * row_bytes
             try:  # one atomic pop: another block may take the last one
-                work = spare.pop()
+                raw = self._work.pop()
             except IndexError:
-                work = np.empty((5, size) + table.shape[1:], table.dtype)
+                raw = None
+            if raw is None or raw.nbytes < need:
+                raw = np.empty(need, np.uint8)
+            work = raw[:need].view(table.dtype).reshape(
+                (n_bufs, size) + table.shape[1:])
             try:
                 for start in range(lo, hi, size):
                     at = slice(start, min(start + size, hi))
@@ -200,12 +214,12 @@ class Adam:
                                         mode="clip")
                                 for t, w in zip(tables, work)]
                     update(at, g[at] if isinstance(g, np.ndarray) else g,
-                           bufs, work[3, :width], work[4, :width])
+                           bufs, work[-2, :width], work[-1, :width])
                     if not dense:
                         for t, buf in zip(tables, bufs):
                             t[rows[at]] = buf
             finally:
-                spare.append(work)
+                self._work.append(raw)
 
         parallel.fan_out(n, block, _MIN_ROWS)
 

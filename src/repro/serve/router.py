@@ -32,7 +32,6 @@ snapshot's content hash), batching and merge.
 
 from __future__ import annotations
 
-import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 
@@ -47,6 +46,7 @@ from repro.serve.resilience import (BreakerOpenError, CircuitBreaker,
                                     PartialResultError, ResilienceConfig,
                                     ShardCallError)
 from repro.serve.shard import ItemShardIndex, ShardedSnapshot
+from repro.tensor import parallel
 
 __all__ = ["RouterStats", "ShardedTopKIndex"]
 
@@ -96,14 +96,16 @@ class ShardedTopKIndex:
         pattern is pinned per (block, panel) shape.
     workers:
         Concurrent item-shard fan-out width.  ``None`` (default) picks
-        ``min(num_item_shards, cpu count)``; values ``<= 1`` score the
-        shards sequentially.  The per-shard ``partial_topk`` calls
-        release the GIL inside BLAS, so a thread pool genuinely
-        overlaps shard scoring — and because each shard's scores come
-        from the same fixed-shape panel kernels regardless of which
-        thread runs them, and the k-way merge consumes the partials in
-        shard order, concurrent results are **bit-identical** to the
-        sequential router (pinned by ``tests/test_serve_sharded.py``).
+        ``min(num_item_shards, parallel.workers())``, the cores this
+        process may run on; values ``<= 1`` score the shards
+        sequentially.  The per-shard ``partial_topk`` calls release the
+        GIL inside BLAS, so a thread pool genuinely overlaps shard
+        scoring (with BLAS held at one thread while it does) — and
+        because each shard's scores come from the same fixed-shape panel
+        kernels regardless of which thread runs them, and the k-way
+        merge consumes the partials in shard order, concurrent results
+        are **bit-identical** to the sequential router (pinned by
+        ``tests/test_serve_sharded.py``).
     resilience:
         Optional :class:`~repro.serve.resilience.ResilienceConfig`.
         When set, every shard call runs on a helper thread under a
@@ -140,7 +142,7 @@ class ShardedTopKIndex:
         # snapshot's shard count
         self._workers_arg = workers
         if workers is None:
-            workers = min(len(self.shard_indexes), os.cpu_count() or 1)
+            workers = min(len(self.shard_indexes), parallel.workers())
         if workers < 0:
             raise ValueError(f"workers must be >= 0, got {workers}")
         self.workers = workers
@@ -230,8 +232,11 @@ class ShardedTopKIndex:
         if self.workers > 1 and len(self.shard_indexes) > 1:
             # Concurrent fan-out: the pool maps over shards in order, so
             # the merge below consumes partials exactly as the
-            # sequential path would — parity stays bit-identical.
-            partials = list(self._fanout_pool().map(shard_call, shard_ids))
+            # sequential path would — parity stays bit-identical.  The
+            # pool's threads are the cores' workers, so BLAS gets one.
+            with parallel.one_blas_thread():
+                partials = list(self._fanout_pool().map(shard_call,
+                                                        shard_ids))
         else:
             partials = [shard_call(s) for s in shard_ids]
         failed = tuple(s for s, p in enumerate(partials) if p is None)

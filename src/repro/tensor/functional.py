@@ -18,7 +18,9 @@ from repro.tensor import ops, parallel
 from repro.tensor.sparse import RowSparseGrad
 from repro.tensor.tensor import Tensor, as_tensor, data_version
 
-#: Bytes of one gather/scratch slice of :func:`fused_sampled_scores`.
+#: Bytes of one gather/scratch slice of :func:`fused_sampled_scores` in a
+#: block that runs alone (:func:`~repro.tensor.parallel.chunk_bytes` gives
+#: a block that shares the cores longer slices).
 _CHUNK_BYTES = 256 * 1024
 #: Fewest batch rows (slot loop) and item rows (``vals -= s * rows``) per
 #: block a core gets: below them the hand-off to a worker costs what the
@@ -348,7 +350,7 @@ def fused_sampled_scores(users_t, items_t, user_idx, pos_idx, neg_idx,
     scores agree to a few ULPs.
 
     The node keeps no copy of the batch's item rows: forward and
-    backward read them from the item table, one cache-sized gather at a
+    backward read them from the item table, one chunk-sized gather at a
     time, so what it holds beyond the scores is a few ``(B, 1 + m)``
     index and coefficient arrays.  The table must therefore not change
     between the two passes; a backward after any in-place edit
@@ -391,13 +393,13 @@ def fused_sampled_scores(users_t, items_t, user_idx, pos_idx, neg_idx,
     uniq, inverse = _distinct_rows(idx.reshape(-1), table.shape[0])
     inverse = inverse.reshape(idx.shape)
     n_uniq, row_bytes = len(uniq), table[:1].nbytes or 1
-    # Rows per cache-sized gather of distinct item rows.
-    rows_step = max(1, _CHUNK_BYTES // row_bytes)
 
     def chunks(lo: int, hi: int, gather: bool = True):
-        """``(at, rows)`` per cache-sized chunk ``at`` of the distinct
-        rows ``lo:hi``: ``rows`` their table rows gathered into one
-        workspace (``None`` unless ``gather``)."""
+        """``(at, rows)`` per chunk ``at`` of the distinct rows ``lo:hi``
+        (:func:`~repro.tensor.parallel.chunk_bytes` sized): ``rows`` their
+        table rows gathered into one workspace (``None`` unless
+        ``gather``)."""
+        rows_step = max(1, parallel.chunk_bytes(_CHUNK_BYTES) // row_bytes)
         work = np.empty((min(rows_step, hi - lo),) + table.shape[1:],
                         table.dtype) if gather else None
         for start in range(lo, hi, rows_step):
@@ -421,13 +423,14 @@ def fused_sampled_scores(users_t, items_t, user_idx, pos_idx, neg_idx,
     else:
         inv_i, base_u = None, U
     # Slot dot-products, a few batch rows at a time straight from the
-    # table: the (B, 1+m, d) block only ever exists one cache-sized
-    # slice deep.  Batch slices fan out over the cores, each with its
-    # own slice buffer.
+    # table: the (B, 1+m, d) block only ever exists one slice deep.
+    # Batch slices fan out over the cores, each with its own slice
+    # buffer.
     data = np.empty(idx.shape, dtype=np.result_type(table, base_u))
-    step = max(1, _CHUNK_BYTES // (row_bytes * idx.shape[1]))
 
     def slot_dots(lo: int, hi: int) -> None:
+        step = max(1, parallel.chunk_bytes(_CHUNK_BYTES)
+                   // (row_bytes * idx.shape[1]))
         block = np.empty((min(step, hi - lo), idx.shape[1]) + table.shape[1:],
                          table.dtype)
         for start in range(lo, hi, step):
@@ -467,7 +470,7 @@ def fused_sampled_scores(users_t, items_t, user_idx, pos_idx, neg_idx,
         # the transpose splits by item rows, and each row still adds its
         # terms in batch order, as ``coeff.T @ base_u`` does.  Each block
         # of distinct rows is finished (product, then ``- s * row``) one
-        # cache-sized chunk at a time.
+        # chunk at a time.
         dtype = np.promote_types(a.dtype, base_u.dtype)
         coeff_t = coeff.T.tocsr().astype(dtype, copy=False)
         scatter = np.ascontiguousarray(base_u, dtype=dtype)

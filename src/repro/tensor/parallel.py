@@ -13,21 +13,34 @@ when it exits, so no thread outlives the call that made it.  A fan-out
 outside any scope, on one core, or from inside a running block runs
 inline: one core makes no pool and nested use cannot deadlock.  Workers
 build no autograd node (the grad-mode flag is process-global).
+
+Two rules keep a split worth its threads.  :func:`chunk_bytes`: a block
+that shares the cores walks its rows in longer chunks than one that runs
+alone, so its workers trade the GIL between fewer numpy calls.
+:func:`one_blas_thread`: while the repo's own workers run (a split
+fan-out, the router's shard pool), numpy's BLAS is held at one thread,
+so the workers and BLAS's threads do not compete for the same cores.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 from scipy.sparse._sputils import upcast_char
 
-__all__ = ["workers", "scope", "fan_out", "csr_matmul", "csr_rows_into"]
+from repro.obs.metrics import get_registry
+
+__all__ = ["workers", "scope", "fan_out", "chunk_bytes", "one_blas_thread",
+           "csr_matmul", "csr_rows_into"]
 
 
 class _ThreadState(threading.local):
@@ -44,11 +57,96 @@ _local = _ThreadState()
 #: columns, 2 cores: 512 rows 78 us in one block vs 107 in two, 1024 rows
 #: 151 vs 145, 2048 rows 307 vs 183).
 _MIN_BLOCK_MACS = 1 << 20
+#: Bytes per chunk of a block that shares the cores with other workers
+#: (:func:`chunk_bytes`).  Every numpy call of a chunk loop releases the
+#: GIL and takes it back, and the workers trade it on each call, so a
+#: shared block wants fewer, longer calls than a cache-sized chunk gives
+#: (``SparseAdam.step``, 100k x 64 tables, 49.6k touched rows, 2 vCPUs,
+#: one BLAS thread: 56-60 ms on one worker; on two, 46-48 ms at 128 KiB,
+#: 41 at 256 KiB, 37-40 at 512 KiB and 1 MiB, 42-44 at 2 MiB).
+_SHARED_CHUNK_BYTES = 512 * 1024
 
 
 def workers() -> int:
-    """Worker count of a fan-out: one per core."""
+    """Worker count of a fan-out: one per core this process may run on
+    (its CPU affinity mask where the platform has one, which a container
+    or ``taskset`` narrows; the machine's core count elsewhere)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) or 1
     return os.cpu_count() or 1
+
+
+def chunk_bytes(alone: int) -> int:
+    """Bytes per chunk of a chunk loop on the calling thread: ``alone``
+    (the kernel's cache-sized chunk) in a block that runs by itself,
+    :data:`_SHARED_CHUNK_BYTES` in a block of a split fan-out.
+
+    Chunking a loop over independent rows moves no bit, so the rule
+    changes only how many numpy calls a block makes.
+    """
+    return _SHARED_CHUNK_BYTES if _local.inline else alone
+
+
+@cache
+def _openblas():
+    """``(set, get)`` of the thread count of the OpenBLAS bundled with
+    numpy's wheel, or ``None`` for any other BLAS."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*"))):
+        try:
+            lib = ctypes.CDLL(path)  # the copy numpy loaded: same file
+            set_threads = lib.scipy_openblas_set_num_threads64_
+            get_threads = lib.scipy_openblas_get_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        return set_threads, get_threads
+    return None
+
+
+class _BlasHold:
+    #: open holds, and the thread count the first one found
+    count = 0
+    saved = 1
+    lock = threading.Lock()
+
+
+@contextmanager
+def one_blas_thread():
+    """Hold numpy's BLAS at one thread inside the block.
+
+    For code that runs the repo's own workers: BLAS threads inside them
+    ask for more cores than there are (on 2 vCPUs, evaluation at 9k
+    users took 480 ms with two BLAS threads per worker, 275 with one,
+    and the 4-shard router 530 against 241).  The setting is
+    process-global, so holds are counted and the first one's thread
+    count comes back when the last ends; serial code outside any hold
+    keeps BLAS's own threading.  A BLAS this cannot drive is left alone
+    and counted (``tensor.parallel.blas_unmanaged``).
+    Only the thread count changes: OpenBLAS splits a product over its
+    output, never over the terms of one output element.
+    """
+    blas = _openblas()
+    if blas is None:
+        get_registry().counter(
+            "tensor.parallel.blas_unmanaged",
+            "fan-outs that ran with BLAS threading left as it was").inc()
+        yield
+        return
+    set_threads, get_threads = blas
+    with _BlasHold.lock:
+        if _BlasHold.count == 0:
+            _BlasHold.saved = get_threads()
+            set_threads(1)
+        _BlasHold.count += 1
+    try:
+        yield
+    finally:
+        with _BlasHold.lock:
+            _BlasHold.count -= 1
+            if _BlasHold.count == 0:
+                set_threads(_BlasHold.saved)
 
 
 def _mark_inline() -> None:
@@ -78,6 +176,7 @@ def fan_out(n: int, fn, min_rows: int = 1) -> None:
     than ``min_rows`` (unless ``n`` is), the first on the calling thread;
     otherwise ``fn(0, n)``.  Blocks must write disjoint outputs.  The
     first exception raised is re-raised once every block has finished.
+    A split runs under :func:`one_blas_thread`.
     """
     pool = _local.pool
     k = min(workers(), n // max(1, min_rows))
@@ -85,14 +184,15 @@ def fan_out(n: int, fn, min_rows: int = 1) -> None:
         fn(0, n)
         return
     bounds = [n * j // k for j in range(k + 1)]
-    futures = [pool.submit(fn, lo, hi)
-               for lo, hi in zip(bounds[1:-1], bounds[2:])]
-    _local.inline = True
-    try:
-        fn(0, bounds[1])
-    finally:
-        _local.inline = False
-        wait(futures)
+    with one_blas_thread():
+        futures = [pool.submit(fn, lo, hi)
+                   for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        _local.inline = True
+        try:
+            fn(0, bounds[1])
+        finally:
+            _local.inline = False
+            wait(futures)
     for future in futures:
         future.result()
 

@@ -49,6 +49,9 @@ class TrainConfig:
             raise ValueError("epochs must be positive")
         if self.sampler not in ("uniform", "in-batch", "popularity"):
             raise ValueError(f"unknown sampler {self.sampler!r}")
+        if not 0.0 <= self.rnoise < float("inf"):  # NaN included
+            raise ValueError(f"rnoise must be finite and non-negative, "
+                             f"got {self.rnoise}")
         if self.eval_every < 0:
             raise ValueError(f"eval_every must be >= 0, got {self.eval_every}")
         if self.patience < 0:

@@ -66,6 +66,27 @@ def test_training_trajectories_cover_every_run(tiny_answers):
                        for key in tiny_answers)
 
 
+def test_split_trajectories_hand_blocks_to_workers(tiny_answers,
+                                                  monkeypatch):
+    """The ``split-8k`` runs are in the fingerprint, and their steps
+    split the optimizer's and the fused kernel's loops into blocks."""
+    from repro.tensor import parallel
+    real, split = parallel.fan_out, set()
+
+    def recording(n, fn, min_rows=1):
+        if parallel._local.pool is not None and n // max(1, min_rows) > 1:
+            split.add(fn.__qualname__.split(".")[0])
+        return real(n, fn, min_rows)
+    monkeypatch.setattr(parallel, "workers", lambda: 2)
+    monkeypatch.setattr(parallel, "fan_out", recording)
+    planted = answers_script.split_trajectories()
+    assert {"Adam", "fused_sampled_scores"} <= split
+    runs = {f"split-8k/train/mf/{mode}" for mode in ("dense", "sparse")}
+    assert runs == {key.rsplit("/", 2)[0] for key in planted
+                    if "/step=" in key}
+    assert planted.items() <= tiny_answers.items()
+
+
 def test_one_ulp_adam_eps_changes_the_trajectories(tiny_answers,
                                                    monkeypatch):
     import repro.nn.optim as optim

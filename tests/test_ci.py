@@ -338,11 +338,11 @@ class TestBenchmarkSurface:
         per call, evaluation from the workers of its pool too."""
         import collections
         import importlib
-        import os
 
         from repro.eval.evaluator import Evaluator
         from repro.serve import (ExactTopKIndex, ShardedTopKIndex,
                                  export_sharded_snapshot)
+        from repro.tensor import parallel
         calls = collections.Counter()
         patches = self._surface()[1]
         for module, attr in patches:
@@ -366,7 +366,7 @@ class TestBenchmarkSurface:
         assert serve_patches
         assert [pair for pair in serve_patches if not calls[pair]] == []
         before = calls.copy()
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(parallel, "workers", lambda: 2)
         Evaluator(tiny_dataset, ks=(20,), batch_users=8).evaluate(model)
         assert eval_patches == [
             ("repro.eval.evaluator", "mask_seen_items"),
@@ -381,10 +381,10 @@ class TestBenchmarkSurface:
         global."""
         import collections
         import importlib
-        import os
 
         from repro.eval.evaluator import Evaluator
         from repro.models import MF
+        from repro.tensor import parallel
         calls = collections.Counter()
         eval_patches = [pair for pair in self._surface()[1]
                         if pair[0].startswith("repro.eval")]
@@ -397,7 +397,7 @@ class TestBenchmarkSurface:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(owner, attr, counting)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(parallel, "workers", lambda: 2)
         model = MF(tiny_dataset.num_users, tiny_dataset.num_items, dim=8,
                    rng=0)
         Evaluator(tiny_dataset, ks=(20,), batch_users=8).evaluate(model)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.data import (InBatchSampler, PopularityNegativeSampler,
                         UniformNegativeSampler)
+from repro.train import TrainConfig
 from tests.oracles import positive_mask
 
 
@@ -54,6 +55,16 @@ class TestUniformSampler:
         expected = (rnoise * deg / (rnoise * deg
                                     + tiny_dataset.num_items - deg)).mean()
         assert actual == pytest.approx(expected, rel=0.15)
+
+    @pytest.mark.parametrize("rnoise", [float("nan"), float("inf")],
+                             ids=["nan", "inf"])
+    def test_rnoise_must_be_finite(self, tiny_dataset, rnoise):
+        """NaN passes ``rnoise < 0`` and then samples as if it were 0;
+        an infinite weight has no sampling distribution."""
+        with pytest.raises(ValueError, match="rnoise"):
+            UniformNegativeSampler(tiny_dataset, rnoise=rnoise)
+        with pytest.raises(ValueError, match="rnoise"):
+            TrainConfig(rnoise=rnoise)
 
     def test_rnoise_zero_equals_clean(self, tiny_dataset):
         sampler = UniformNegativeSampler(tiny_dataset, n_negatives=8,

@@ -5,9 +5,14 @@ import pytest
 import scipy.sparse as sp
 
 from repro.data import InteractionDataset
+from repro.dro.variance import (MeanVarianceSoftmaxLoss,
+                                VarianceAblatedSoftmaxLoss)
 from repro.eval import evaluate_scores, rank_items
 from repro.graph import normalize_adjacency, spmm
 from repro.losses import get_loss
+from repro.losses.contrastive import InfoNCELoss
+from repro.losses.schedules import (ConstantSchedule, CosineSchedule,
+                                    LinearSchedule)
 from repro.tensor import Tensor
 from repro.tensor import functional as F
 
@@ -85,6 +90,29 @@ class TestLossBoundaries:
             assert np.isfinite(get_loss("sl", tau=tau)(pos, neg).item())
             assert np.isfinite(get_loss("bsl", tau1=tau,
                                         tau2=tau)(pos, neg).item())
+
+    @pytest.mark.parametrize("bad", [float("nan"), 0.0, -0.1],
+                             ids=["nan", "zero", "negative"])
+    @pytest.mark.parametrize("make", [
+        lambda t: get_loss("sl", tau=t),
+        lambda t: get_loss("bsl", tau1=t, tau2=0.1),
+        lambda t: get_loss("bsl", tau1=0.1, tau2=t),
+        lambda t: InfoNCELoss(tau=t),
+        lambda t: VarianceAblatedSoftmaxLoss(tau=t),
+        lambda t: MeanVarianceSoftmaxLoss(tau=t),
+        lambda t: ConstantSchedule(t),
+        lambda t: CosineSchedule(t, 0.1),
+        lambda t: CosineSchedule(0.1, t),
+        lambda t: LinearSchedule(t, 0.1),
+        lambda t: LinearSchedule(0.1, t),
+    ], ids=["sl", "bsl-tau1", "bsl-tau2", "infonce", "variance-ablated",
+            "mean-variance", "constant", "cosine-start", "cosine-end",
+            "linear-start", "linear-end"])
+    def test_temperature_must_be_positive(self, make, bad):
+        """NaN fails ``tau <= 0`` as well as ``tau > 0``: every loss and
+        schedule must reject it, not train on a NaN temperature."""
+        with pytest.raises(ValueError):
+            make(bad)
 
     def test_identical_scores_everywhere(self):
         pos = Tensor(np.full(4, 0.5))

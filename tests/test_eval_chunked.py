@@ -6,7 +6,6 @@ train-item masking preserved — across datasets, cutoffs, metric sets
 and chunk sizes (including chunks that don't divide the user count).
 """
 
-import os
 import sys
 import threading
 
@@ -21,7 +20,7 @@ from repro.eval.evaluator import Evaluator, evaluate_scores
 from repro.eval.masking import mask_seen_items
 from repro.losses import get_loss
 from repro.models.registry import get_model
-from repro.tensor import is_grad_enabled
+from repro.tensor import is_grad_enabled, parallel
 from repro.train import TrainConfig, Trainer
 
 from tests.oracles import evaluate_per_user
@@ -193,14 +192,14 @@ class TestInteractionSource:
 
 
 class TestWorkerPool:
-    """The chunks fan out over ``os.cpu_count()`` workers; the split
+    """The chunks fan out over ``parallel.workers()`` workers; the split
     into sub-chunks and the thread interleaving must not show."""
 
     @pytest.mark.parametrize("cores", [1, 2, 3, 8])
     @pytest.mark.parametrize("batch_users", [1, 7, 256])
     def test_any_core_count_matches_oracle(self, tiny_dataset, monkeypatch,
                                            cores, batch_users):
-        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(parallel, "workers", lambda: cores)
         model = get_model("mf", tiny_dataset, dim=8, rng=7)
         fast = Evaluator(tiny_dataset, ks=(5, 20), metric_names=ALL_METRICS,
                          batch_users=batch_users).evaluate(model)
@@ -212,7 +211,7 @@ class TestWorkerPool:
             self, tiny_dataset, monkeypatch):
         """Sixteen workers of one user each, switching every microsecond:
         a lost or misplaced ``per_user`` write breaks the oracle match."""
-        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        monkeypatch.setattr(parallel, "workers", lambda: 16)
         model = get_model("mf", tiny_dataset, dim=8, rng=8)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -227,7 +226,7 @@ class TestWorkerPool:
 
     def test_propagates_once_on_the_calling_thread(self, tiny_dataset,
                                                    monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(parallel, "workers", lambda: 4)
         model = get_model("lightgcn", tiny_dataset, dim=8, rng=0)
         threads = []
         real = model.propagate
@@ -243,7 +242,7 @@ class TestWorkerPool:
     @pytest.mark.parametrize("training", [True, False])
     def test_training_flag_and_grad_mode_unchanged(self, tiny_dataset,
                                                    monkeypatch, training):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(parallel, "workers", lambda: 2)
         model = get_model("lightgcn", tiny_dataset, dim=8, rng=0)
         model.train() if training else model.eval()
         Evaluator(tiny_dataset, ks=(20,), batch_users=8).evaluate(model)
@@ -252,7 +251,7 @@ class TestWorkerPool:
 
     def test_chunk_error_propagates_and_no_worker_survives(
             self, tiny_dataset, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(parallel, "workers", lambda: 2)
         calls = []
         real = M.rank_items
 

@@ -30,6 +30,7 @@ from repro.tensor import parallel
 from repro.tensor.parallel import csr_matmul, fan_out
 from repro.train import TrainConfig
 from repro.train.trainer import Trainer
+from tests.oracles import adam_rows, adam_table
 
 CORES = [1, 2, 3, 8]
 
@@ -44,7 +45,7 @@ def cores(monkeypatch):
     monkeypatch.setattr(parallel, "_MIN_BLOCK_MACS", 1)
 
     def set_cores(n):
-        monkeypatch.setattr(os, "cpu_count", lambda: n)
+        monkeypatch.setattr(parallel, "workers", lambda: n)
     return set_cores
 
 
@@ -284,21 +285,270 @@ class TestBitIdentity:
                 np.testing.assert_array_equal(got, want)
 
     def test_workspaces_are_per_worker_not_per_step(self, cores):
-        """Each running block takes its own workspace from a free list the
-        parameter keeps, so after the first step none is allocated."""
+        """Each running block takes its own workspace from one free list
+        the optimizer keeps for all its parameters, so after the first
+        step no workspace is allocated: not for the second parameter,
+        not for a dense gradient, not for the next step."""
         cores(2)
         nnz = 20_000
-        p = Parameter(np.ones((nnz, 64)))
-        opt = SparseAdam([p], lr=0.01, weight_decay=1e-6)
+        p, q = Parameter(np.ones((nnz, 64))), Parameter(np.ones((nnz, 64)))
+        opt = SparseAdam([p, q], lr=0.01, weight_decay=1e-6)
         p.grad = RowSparseGrad(np.arange(nnz), np.ones((nnz, 64)), p.shape)
+        q.grad = np.ones((nnz, 64))
         with parallel.scope():
             opt.step()
             tracemalloc.start()
             opt.step()
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-        assert len(opt._work[0]) == 2
-        assert peak < 64 * 1024  # one chunk workspace is 640 KiB
+        assert len(opt._work) == 2
+        assert peak < 64 * 1024  # one shared-chunk workspace is 2.5 MiB
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["lazy", "dense"])
+    def test_adam_at_both_chunk_sizes_matches_the_oracle(self, cores,
+                                                         monkeypatch, dense):
+        assert _adam_mismatches(cores, monkeypatch, dense, Adam,
+                                SparseAdam) == []
+
+    @pytest.mark.parametrize("dense", [False, True], ids=["lazy", "dense"])
+    def test_control_regrouped_bias_correction_fails(self, cores,
+                                                     monkeypatch, dense):
+        """``M * (lr / bias1)`` for ``M / bias1 * lr`` moves the last ulp
+        of some rows: the comparison above must see it at every size."""
+        assert len(_adam_mismatches(cores, monkeypatch, dense, _RegroupedAdam,
+                                    _RegroupedSparseAdam)) == 4
+
+    @pytest.mark.parametrize("scoring", ["cosine", "inner", "euclidean"])
+    def test_fused_scores_at_both_chunk_sizes(self, cores, monkeypatch,
+                                              scoring):
+        """Forward scores and both backward gradients: the same bits on
+        1 and 2 workers at the rule's alone and shared chunk sizes."""
+        rng = np.random.default_rng(6)
+        users = rng.normal(size=(200, 64))
+        items = rng.normal(size=(6000, 64))
+        u = rng.integers(0, 200, size=300)
+        pos = rng.integers(0, 6000, size=300)
+        neg = rng.integers(0, 6000, size=(300, 64))
+
+        def run():
+            users_t, items_t = Parameter(users), Parameter(items)
+            with parallel.scope():
+                scores = repro.tensor.functional.fused_sampled_scores(
+                    users_t, items_t, u, pos, neg, scoring=scoring)
+                (scores * scores).sum().backward()
+            return (scores.data, users_t.grad.indices, users_t.grad.values,
+                    items_t.grad.indices, items_t.grad.values)
+        runs = _at_both_chunk_sizes(cores, monkeypatch, run)
+        for config, got in runs.items():
+            for a, b in zip(got, runs[1, "alone"]):
+                np.testing.assert_array_equal(a, b, err_msg=str(config))
+
+
+#: The chunk rule's two sizes, forced on every block of a run.
+_CHUNK_SIZES = {"alone": lambda alone: alone,
+                "shared": lambda alone: parallel._SHARED_CHUNK_BYTES}
+
+
+def _at_both_chunk_sizes(cores, monkeypatch, run):
+    """``run()`` per ``(workers, chunk size)``, on 1 and 2 workers at both
+    sizes of :func:`~repro.tensor.parallel.chunk_bytes`."""
+    runs = {}
+    for n_cores in (1, 2):
+        cores(n_cores)
+        for name, rule in _CHUNK_SIZES.items():
+            monkeypatch.setattr(parallel, "chunk_bytes", rule)
+            runs[n_cores, name] = run()
+    return runs
+
+
+def _adam_mismatches(cores, monkeypatch, dense, dense_cls, sparse_cls):
+    """The ``(workers, chunk size)`` runs whose parameter or moments
+    differ in any bit from the plain arithmetic of ``tests/oracles.py``:
+    four steps of ``dense_cls`` over a 6000 x 64 table, or of lazy
+    ``sparse_cls`` over 3000 of its rows (both sizes cut each block into
+    several chunks)."""
+    rng = np.random.default_rng(11)
+    start = rng.normal(size=(6000, 64))
+    steps = []
+    for _ in range(4):
+        rows = np.sort(rng.choice(len(start), size=3000, replace=False))
+        steps.append((rows, rng.normal(size=(3000, 64))))
+    kw = dict(lr=0.05, weight_decay=1e-4)
+
+    want, m, v = start.copy(), np.zeros_like(start), np.zeros_like(start)
+    for t, (rows, g) in enumerate(steps, start=1):
+        if dense:
+            full = np.zeros_like(start)
+            full[rows] = g
+            adam_table(want, m, v, full, t, **kw)
+        else:
+            step = np.float64(t)  # numpy's power, as SparseAdam's
+            adam_rows(want, m, v, rows, g, 1.0 - 0.9 ** step,
+                      1.0 - 0.999 ** step, **kw)
+
+    def run():
+        p = Parameter(start.copy())
+        opt = dense_cls([p], **kw) if dense else sparse_cls([p], **kw)
+        for rows, g in steps:
+            p.grad = RowSparseGrad(rows, g.copy(), p.shape)
+            if dense:
+                p.grad = p.grad.densify()
+            with parallel.scope():
+                opt.step()
+        return p.data, opt._m[0], opt._v[0]
+    runs = _at_both_chunk_sizes(cores, monkeypatch, run)
+    return [config for config, got in runs.items()
+            if not all(map(np.array_equal, got, (want, m, v)))]
+
+
+def _regrouped_rows(self, i, rows, g, bias1, bias2):
+    """``Adam._rows`` with the step regrouped as ``M * (lr / bias1)``."""
+    p = self.params[i]
+    b1, b2 = self.beta1, self.beta2
+
+    def update(at, gc, bufs, G, T):
+        P, M, V = bufs
+        if self.weight_decay:
+            np.multiply(P, self.weight_decay, out=T)
+            gc = np.add(gc, T, out=G)
+        M *= b1
+        M += np.multiply(gc, 1.0 - b1, out=T)
+        V *= b2
+        np.multiply(gc, 1.0 - b2, out=T)
+        T *= gc
+        V += T
+        np.multiply(M, self.lr / bias1, out=T)
+        np.divide(V, bias2, out=G)
+        np.sqrt(G, out=G)
+        G += self.eps
+        T /= G
+        P -= T
+
+    self._chunks(i, rows, g, [p.data, self._m[i], self._v[i]], update)
+
+
+class _RegroupedAdam(Adam):
+    _rows = _regrouped_rows
+
+
+class _RegroupedSparseAdam(SparseAdam):
+    _rows = _regrouped_rows
+
+
+class TestChunkRule:
+    """A block that runs alone keeps its kernel's cache-sized chunk; a
+    block of a split fan-out takes the longer shared one."""
+
+    def test_blocks_of_a_split_take_the_shared_chunk(self, cores):
+        cores(2)
+        seen, lock = [], threading.Lock()
+
+        def block(lo, hi):
+            with lock:
+                seen.append(parallel.chunk_bytes(1000))
+        with parallel.scope():
+            fan_out(10, block)
+            assert seen == [parallel._SHARED_CHUNK_BYTES] * 2
+            seen.clear()
+            fan_out(10, block, min_rows=10)  # one block: alone
+            assert seen == [1000]
+        assert parallel.chunk_bytes(1000) == 1000
+
+    @pytest.mark.parametrize("n_cores", [1, 2])
+    def test_nested_fan_out_inherits_its_block(self, cores, n_cores):
+        cores(n_cores)
+        seen = []
+        with parallel.scope():
+            fan_out(4, lambda lo, hi: fan_out(
+                2, lambda a, b: seen.append(parallel.chunk_bytes(1000))))
+        shared = parallel._SHARED_CHUNK_BYTES
+        assert set(seen) == {shared if n_cores > 1 else 1000}
+
+    def test_workers_is_the_affinity_mask(self, monkeypatch):
+        """The core budget is the CPUs the process may run on, not the
+        machine's count."""
+        if not hasattr(os, "sched_getaffinity"):
+            pytest.skip("no CPU affinity on this platform")
+        assert parallel.workers() == len(os.sched_getaffinity(0))
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+        assert parallel.workers() == 1
+
+
+@pytest.fixture
+def blas():
+    """``(set, get)`` of numpy's OpenBLAS thread count, put back after."""
+    found = parallel._openblas()
+    if found is None:
+        pytest.skip("numpy's BLAS is not the OpenBLAS of its wheel")
+    set_threads, get_threads = found
+    before = get_threads()
+    yield found
+    set_threads(before)
+
+
+class TestBlasHold:
+    """While the repo's own workers run, BLAS runs on one thread."""
+
+    def test_one_thread_inside_fan_out_workers_and_back_after(self, cores,
+                                                               blas):
+        set_threads, get_threads = blas
+        set_threads(2)
+        cores(2)
+        seen, lock = [], threading.Lock()
+
+        def block(lo, hi):
+            with lock:
+                seen.append((get_threads(), threading.current_thread()))
+        with parallel.scope():
+            fan_out(2, block)
+            between = get_threads()  # serial code keeps its threads
+            fan_out(2, block)
+        assert [n for n, _ in seen] == [1] * 4
+        assert {t for _, t in seen} - {threading.current_thread()}
+        assert between == 2 and get_threads() == 2
+
+    def test_holds_are_counted_and_the_last_restores(self, blas):
+        set_threads, get_threads = blas
+        set_threads(2)
+        with parallel.one_blas_thread():
+            with parallel.one_blas_thread():
+                assert get_threads() == 1
+            assert get_threads() == 1
+        assert get_threads() == 2
+
+    def test_held_across_threads(self, blas):
+        """Two threads' holds overlap: BLAS comes back only after the
+        later one ends, whichever started first."""
+        set_threads, get_threads = blas
+        set_threads(2)
+        entered, release = threading.Event(), threading.Event()
+
+        def hold():
+            with parallel.one_blas_thread():
+                entered.set()
+                release.wait(5)
+        other = threading.Thread(target=hold)
+        other.start()
+        entered.wait(5)
+        with parallel.one_blas_thread():
+            pass
+        assert get_threads() == 1
+        release.set()
+        other.join()
+        assert get_threads() == 2
+
+    def test_unrecognised_blas_is_left_alone_and_counted(self, cores,
+                                                         monkeypatch):
+        from repro.obs.metrics import get_registry
+        monkeypatch.setattr(parallel, "_openblas", lambda: None)
+        counter = get_registry().counter("tensor.parallel.blas_unmanaged")
+        before = counter.value
+        cores(2)
+        with parallel.scope():
+            assert len(_blocks(4)) == 2
+            _blocks(4, min_rows=4)  # one block: no hold asked for
+        assert counter.value == before + 1
 
 
 class TestGradMode:

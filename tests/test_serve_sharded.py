@@ -8,7 +8,6 @@ returns **bit-identical** items *and* scores to the unsharded
 """
 
 import json
-import os
 import tracemalloc
 
 import numpy as np
@@ -28,6 +27,7 @@ from repro.serve.index import ROW_BLOCK, PanelScorer, scoring_ready_users
 from repro.serve.router import _merge_partials
 from repro.serve.shard import ItemShard, ItemShardIndex
 from repro.serve.snapshot import SHARD_SCHEMA
+from repro.tensor import parallel
 from repro.train import TrainConfig, train_model
 
 SHARD_COUNTS = (1, 2, 3, 7)
@@ -469,7 +469,7 @@ class TestShardedRefresh:
             assert service.snapshot is target
             # the default fan-out follows the new shard count
             assert service.index.workers == min(
-                target.manifest.num_item_shards, os.cpu_count() or 1)
+                target.manifest.num_item_shards, parallel.workers())
             assert not any(key[0] == retired for key in service.cache._data)
             fresh = RecommendationService(target, cache_size=0, workers=1)
             exact = ExactTopKIndex(flat).topk(users, k=5)
@@ -542,10 +542,40 @@ class TestConcurrentFanout:
         finally:
             concurrent.close()
 
-    def test_default_workers_bounded_by_cpus(self, tiny_sharded):
-        import os
-        router = ShardedTopKIndex(tiny_sharded)
-        assert router.workers == min(3, os.cpu_count() or 1)
+    def test_default_workers_bounded_by_cpus(self, tiny_sharded,
+                                             monkeypatch):
+        """The default width is the shard count, capped by the cores
+        the process may run on (``parallel.workers()``)."""
+        for cores in (1, 2, 8):
+            monkeypatch.setattr(parallel, "workers", lambda: cores)
+            assert ShardedTopKIndex(tiny_sharded).workers == min(3, cores)
+
+    def test_shard_pool_holds_blas_at_one_thread(self, tiny_sharded,
+                                                 monkeypatch):
+        """The pool's threads are the cores' workers: BLAS runs on one
+        thread inside them, and on its own count again after."""
+        blas = parallel._openblas()
+        if blas is None:
+            pytest.skip("numpy's BLAS is not the OpenBLAS of its wheel")
+        set_threads, get_threads = blas
+        seen, real = [], ItemShardIndex.partial_topk
+
+        def recording(self, *args, **kwargs):
+            seen.append(get_threads())
+            return real(self, *args, **kwargs)
+        monkeypatch.setattr(ItemShardIndex, "partial_topk", recording)
+        before = get_threads()
+        set_threads(2)
+        router = ShardedTopKIndex(tiny_sharded, workers=3)
+        try:
+            router.topk([0, 1, 2], k=5)
+            assert seen == [1, 1, 1] and get_threads() == 2
+            seen.clear()
+            ShardedTopKIndex(tiny_sharded, workers=1).topk([0, 1, 2], k=5)
+            assert seen == [2, 2, 2]  # sequential: BLAS keeps its threads
+        finally:
+            router.close()
+            set_threads(before)
 
     def test_negative_workers_rejected(self, tiny_sharded):
         with pytest.raises(ValueError, match="workers"):
