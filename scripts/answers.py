@@ -18,14 +18,17 @@ between machines do not matter; both runs happen on one machine):
   sizes 1, 7 and 256, k of 5 and 20, ``filter_seen`` on and off;
 * ``<dataset>/<model>/1x1/ivf-full/...`` — the IVF index at full probe
   (``nprobe == nlist``) and the bytes of its directory;
+* ``<dataset>/<model>/eval/...`` — the evaluator at cutoffs 5 and 20
+  with all five metrics, in chunks of 8 users split over the cores:
+  every per-user metric array (``per-user/<metric>@<k>``), the test
+  users' masked top-20 lists (``top-items/k=20``), ``group_ndcg``
+  (``group-ndcg/k=20``) and ``recommendation_counts``
+  (``recommendation-counts/k=20``);
 * ``tiny/train/<model>/<mode>/...`` — a fixed six-step BSL stream
   through ``Trainer.train_step`` for MF (cosine) and CML (euclidean)
-  in both ``grad_mode``s and LightGCN (dense), plus MF's ``sparse-exact``
-  run (``grad_mode="sparse"``, ``sparse_mode="exact"``, the default
-  ``weight_decay``, so idle rows are replayed rather than skipped):
-  each step's loss (``step=<i>/loss``), then, after
-  ``optimizer.flush()``, every parameter's bytes (``param/<name>``) and
-  its Adam moments (``adam-m/<name>``, ``adam-v/<name>``);
+  in both ``grad_mode``s and LightGCN (dense): each step's loss
+  (``step=<i>/loss``), then every parameter's bytes (``param/<name>``)
+  and its Adam moments (``adam-m/<name>``, ``adam-v/<name>``);
 * ``split-8k/train/mf/<dense|sparse>/...`` — the same for MF at dim 64
   on a generated 4096 × 8192 set at batch 1024, where the optimizer's
   and the fused kernel's fan-outs split over the cores (no ``tiny``
@@ -70,10 +73,15 @@ CREATED_UNIX = 0.0
 TIE_GROUPS = 5
 #: inverted lists of the IVF index, probed all at once
 NLIST = 4
-#: the training trajectories: model -> ``grad_mode[-sparse_mode]`` runs,
-#: over one fixed stream
-TRAIN_MODELS = {"mf": ("dense", "sparse", "sparse-exact"),
-                "cml": ("dense", "sparse"), "lightgcn": ("dense",)}
+#: the evaluator's cutoffs, metrics and users per chunk (small, so even
+#: ``tiny``'s test users make chunks for every core)
+EVAL_KS = (5, 20)
+EVAL_METRICS = ("recall", "ndcg", "precision", "hit", "map")
+EVAL_BATCH = 8
+#: the training trajectories: model -> ``grad_mode`` runs, over one fixed
+#: stream
+TRAIN_MODELS = {"mf": ("dense", "sparse"), "cml": ("dense", "sparse"),
+                "lightgcn": ("dense",)}
 TRAIN_STEPS = 6
 TRAIN_BATCH = 96
 #: the trajectories on a generated set where the optimizer's item rows
@@ -123,6 +131,30 @@ def _trained(name: str, dataset):
     return model
 
 
+def evaluations(model, dataset, base: str) -> dict[str, str]:
+    """The ``<base>/eval/...`` entries of ``model``, computed inside one
+    :func:`~repro.tensor.parallel.scope` so the chunks split over the
+    workers."""
+    from repro.eval import Evaluator, group_ndcg
+    from repro.eval.diversity import recommendation_counts
+    from repro.tensor import parallel
+    evaluator = Evaluator(dataset, ks=EVAL_KS, metric_names=EVAL_METRICS,
+                          batch_users=EVAL_BATCH)
+    k = max(EVAL_KS)
+    prefix = f"{base}/eval"
+    with parallel.scope("answers"):
+        out = {f"{prefix}/per-user/{key}": _digest(values) for key, values
+               in evaluator.evaluate(model).per_user.items()}
+        out[f"{prefix}/top-items/k={k}"] = _digest(
+            evaluator.top_items(model, k))
+        out[f"{prefix}/group-ndcg/k={k}"] = _digest(
+            group_ndcg(model, dataset, k=k, batch_users=EVAL_BATCH))
+        out[f"{prefix}/recommendation-counts/k={k}"] = _digest(
+            recommendation_counts(model, dataset, k=k,
+                                  batch_users=EVAL_BATCH))
+    return out
+
+
 def trajectories(dataset_name: str = "tiny") -> dict[str, str]:
     """Loss, parameter and Adam-moment bits of every
     :data:`TRAIN_MODELS` run over one fixed stream of
@@ -156,19 +188,16 @@ def _runs(dataset, dataset_name: str, models: dict, batch_size: int,
     out = {}
     for name, modes in models.items():
         for mode in modes:
-            grad_mode, _, sparse_mode = mode.partition("-")
             model = get_model(name, dataset, dim=dim, rng=0)
             trainer = Trainer(model, get_loss("bsl"), dataset, TrainConfig(
                 epochs=1, batch_size=batch_size, n_negatives=16,
-                grad_mode=grad_mode, sparse_mode=sparse_mode or "lazy",
-                seed=0))
+                grad_mode=mode, seed=0))
             prefix = f"{dataset_name}/train/{name}/{mode}"
             with parallel.scope("answers"):
                 for step, batch in enumerate(stream):
                     out[f"{prefix}/step={step}/loss"] = _digest(
                         np.float64(trainer.train_step(batch)))
             optimizer = trainer.optimizer
-            optimizer.flush()
             for i, (key, param) in enumerate(model.named_parameters()):
                 out[f"{prefix}/param/{key}"] = _digest(param.data)
                 out[f"{prefix}/adam-m/{key}"] = _digest(optimizer._m[i])
@@ -227,6 +256,7 @@ def answers(datasets=DATASETS, models=MODELS) -> dict[str, str]:
             for name in models:
                 model = _trained(name, dataset)
                 base = f"{dataset_name}/{name}"
+                out.update(evaluations(model, dataset, base))
                 for layout, shards in LAYOUTS.items():
                     where = tmp / base / layout
                     if shards == 1:

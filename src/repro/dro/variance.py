@@ -8,6 +8,8 @@ variance regularizer.
 
 from __future__ import annotations
 
+import math
+
 from repro.losses.base import Loss
 from repro.tensor import Tensor
 from repro.tensor import functional as F
@@ -26,8 +28,9 @@ class VarianceAblatedSoftmaxLoss(Loss):
     name = "sl-novar"
 
     def __init__(self, tau: float = 0.1):
-        if not tau > 0:
-            raise ValueError(f"temperature must be positive, got {tau}")
+        if not 0 < tau < math.inf:
+            raise ValueError(f"temperature must be positive and finite, "
+                             f"got {tau}")
         self.tau = tau
 
     def compute(self, pos: Tensor, neg: Tensor) -> Tensor:
@@ -46,8 +49,9 @@ class MeanVarianceSoftmaxLoss(Loss):
     name = "sl-meanvar"
 
     def __init__(self, tau: float = 0.1):
-        if not tau > 0:
-            raise ValueError(f"temperature must be positive, got {tau}")
+        if not 0 < tau < math.inf:
+            raise ValueError(f"temperature must be positive and finite, "
+                             f"got {tau}")
         self.tau = tau
 
     def compute(self, pos: Tensor, neg: Tensor) -> Tensor:

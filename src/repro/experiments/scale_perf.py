@@ -171,7 +171,6 @@ def run_scale_phase(phase: str, work_dir: str | pathlib.Path) -> dict:
         for _ in range(run["steps"]):
             trainer.train_step(next(stream))
         timed = clamp_elapsed(time.perf_counter() - t0)
-        trainer.optimizer.flush()
         flush_model(model)
         pairs = run["steps"] * run["batch_size"]
         return {"phase": phase,

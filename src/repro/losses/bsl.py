@@ -26,6 +26,8 @@ the two).
 
 from __future__ import annotations
 
+import math
+
 from repro.losses.base import Loss
 from repro.tensor import Tensor
 from repro.tensor import functional as F
@@ -56,8 +58,9 @@ class BSLLoss(Loss):
 
     def __init__(self, tau1: float = 0.1, tau2: float = 0.1,
                  pooling: str = "mean"):
-        if not (tau1 > 0 and tau2 > 0):
-            raise ValueError(f"temperatures must be positive, got {tau1}, {tau2}")
+        if not (0 < tau1 < math.inf and 0 < tau2 < math.inf):
+            raise ValueError(f"temperatures must be positive and finite, "
+                             f"got {tau1}, {tau2}")
         if pooling not in _POOLINGS:
             raise ValueError(f"pooling must be one of {_POOLINGS}, got {pooling!r}")
         self.tau1 = tau1

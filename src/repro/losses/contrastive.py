@@ -8,6 +8,8 @@
 
 from __future__ import annotations
 
+import math
+
 from repro.losses.base import Loss
 from repro.tensor import Tensor
 from repro.tensor import functional as F
@@ -31,8 +33,9 @@ class InfoNCELoss:
     name = "infonce"
 
     def __init__(self, tau: float = 0.2):
-        if not tau > 0:
-            raise ValueError(f"temperature must be positive, got {tau}")
+        if not 0 < tau < math.inf:
+            raise ValueError(f"temperature must be positive and finite, "
+                             f"got {tau}")
         self.tau = tau
 
     def __call__(self, z1, z2) -> Tensor:

@@ -38,8 +38,8 @@ class TemperatureSchedule:
 
 class ConstantSchedule(TemperatureSchedule):
     def __init__(self, tau: float):
-        if not tau > 0:
-            raise ValueError("tau must be positive")
+        if not 0 < tau < math.inf:
+            raise ValueError("tau must be positive and finite")
         self.tau = tau
 
     def __call__(self, progress: float) -> float:
@@ -56,8 +56,8 @@ class CosineSchedule(TemperatureSchedule):
     """
 
     def __init__(self, tau_start: float, tau_end: float):
-        if not (tau_start > 0 and tau_end > 0):
-            raise ValueError("temperatures must be positive")
+        if not (0 < tau_start < math.inf and 0 < tau_end < math.inf):
+            raise ValueError("temperatures must be positive and finite")
         self.tau_start = tau_start
         self.tau_end = tau_end
 
@@ -69,8 +69,8 @@ class CosineSchedule(TemperatureSchedule):
 
 class LinearSchedule(TemperatureSchedule):
     def __init__(self, tau_start: float, tau_end: float):
-        if not (tau_start > 0 and tau_end > 0):
-            raise ValueError("temperatures must be positive")
+        if not (0 < tau_start < math.inf and 0 < tau_end < math.inf):
+            raise ValueError("temperatures must be positive and finite")
         self.tau_start = tau_start
         self.tau_end = tau_end
 

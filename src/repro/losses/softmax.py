@@ -13,6 +13,8 @@ study.
 
 from __future__ import annotations
 
+import math
+
 from repro.losses.base import Loss
 from repro.tensor import Tensor
 from repro.tensor import functional as F
@@ -46,8 +48,9 @@ class SoftmaxLoss(Loss):
 
     def __init__(self, tau: float = 0.1, include_positive: bool = False,
                  scale_by_temperature: bool = False):
-        if not tau > 0:
-            raise ValueError(f"temperature must be positive, got {tau}")
+        if not 0 < tau < math.inf:
+            raise ValueError(f"temperature must be positive and finite, "
+                             f"got {tau}")
         self.tau = tau
         self.include_positive = include_positive
         self.scale_by_temperature = scale_by_temperature

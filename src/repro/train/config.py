@@ -38,9 +38,6 @@ class TrainConfig:
     #: touched rows, so per-step cost scales with the batch instead of
     #: the catalogue (see ``docs/training.md``).
     grad_mode: str = "dense"
-    #: sparse-optimizer mode: "lazy" (touched-rows-only, the fast
-    #: default) or "exact" (dense-Adam-equivalent lazy catch-up).
-    sparse_mode: str = "lazy"
     seed: int = 0
     verbose: bool = False
 
@@ -61,9 +58,6 @@ class TrainConfig:
         if self.grad_mode not in ("dense", "sparse"):
             raise ValueError(f"grad_mode must be dense/sparse, "
                              f"got {self.grad_mode!r}")
-        if self.sparse_mode not in ("lazy", "exact"):
-            raise ValueError(f"sparse_mode must be lazy/exact, "
-                             f"got {self.sparse_mode!r}")
 
     def replace(self, **kwargs) -> "TrainConfig":
         """Return a copy with some fields overridden."""

@@ -78,7 +78,7 @@ class Trainer:
         if config.grad_mode == "sparse":
             self.optimizer = SparseAdam(
                 model.parameters(), lr=config.learning_rate,
-                weight_decay=config.weight_decay, mode=config.sparse_mode)
+                weight_decay=config.weight_decay)
         else:
             self.optimizer = Adam(model.parameters(),
                                   lr=config.learning_rate,
@@ -150,7 +150,6 @@ class Trainer:
             should_eval = cfg.eval_every and (epoch % cfg.eval_every == 0)
             if not should_eval:
                 continue
-            self._flush_optimizer()
             metrics = self.evaluator.evaluate(self.model).metrics
             result.eval_history.append((epoch, metrics))
             value = metrics.get(cfg.watch_metric, -np.inf)
@@ -163,7 +162,6 @@ class Trainer:
                 stale += 1
                 if cfg.patience and stale >= cfg.patience:
                     break
-        self._flush_optimizer()
         if best_state is not None:
             self.model.load_state_dict(best_state)
             result.final_metrics = dict(
@@ -184,18 +182,6 @@ class Trainer:
             total += self.train_step(batch) * len(batch)
             count += len(batch)
         return total / max(count, 1)
-
-    def _flush_optimizer(self) -> None:
-        """Replay pending exact-mode sparse updates before observation.
-
-        An ``exact``-mode sparse optimizer defers zero-gradient row
-        updates until the row's next touch; anything that *reads*
-        parameters (evaluation, checkpointing, the final model) must
-        see the caught-up state, or exact mode would silently diverge
-        from the dense trajectory at exactly the points we measure it.
-        ``flush`` is a no-op on dense ``Adam`` and in lazy mode.
-        """
-        self.optimizer.flush()
 
     def train_step(self, batch) -> float:
         """One optimizer step on a prepared batch; returns the batch loss.

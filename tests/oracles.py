@@ -195,8 +195,7 @@ def recommendation_counts_per_user(model, dataset, k=20, batch_users=256):
 def adam_rows(p, m, v, rows, g, bias1, bias2, *, lr, betas=(0.9, 0.999),
               eps=1e-8, weight_decay=0.0):
     """One Adam update of ``rows`` (ids or ``slice(None)``) of arrays
-    ``p``/``m``/``v`` in place, with scalar or per-row bias terms
-    ``1 - beta ** step``."""
+    ``p``/``m``/``v`` in place, with bias terms ``1 - beta ** step``."""
     b1, b2 = betas
     if weight_decay:
         g = g + weight_decay * p[rows]

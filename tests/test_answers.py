@@ -3,9 +3,9 @@
 Two runs of one tree must agree entry for entry, and the fingerprint
 must see planted defects: the router's merge breaking score ties by
 descending instead of ascending item id changes the tied model's lists,
-Adam's ``eps`` one ulp off changes the training trajectories, and an
-``exact``-mode ``SparseAdam`` that skips its replays changes the
-``sparse-exact`` run and nothing else.
+Adam's ``eps`` one ulp off changes the training trajectories, and NDCG
+discounts one rank off change the evaluator's NDCG entries and nothing
+else.
 """
 
 import importlib.util
@@ -54,7 +54,6 @@ def test_training_trajectories_cover_every_run(tiny_answers):
     runs = {f"tiny/train/{name}/{mode}"
             for name, modes in answers_script.TRAIN_MODELS.items()
             for mode in modes}
-    assert "tiny/train/mf/sparse-exact" in runs
     assert runs == {key.rsplit("/", 2)[0] for key in tiny_answers
                     if key.startswith("tiny/train/") and "/step=" in key}
     for run in runs:
@@ -105,18 +104,36 @@ def test_one_ulp_adam_eps_changes_the_trajectories(tiny_answers,
     assert any("/adam-v/" in key for key in changed)
 
 
-def test_skipped_exact_replay_changes_the_exact_run(tiny_answers,
-                                                    monkeypatch):
-    import repro.nn.optim as optim
-    monkeypatch.setattr(optim.SparseAdam, "_catch_up",
-                        lambda self, i, rows, upto: None)
-    planted = answers_script.trajectories("tiny")
-    changed = [key for key, value in planted.items()
-               if tiny_answers[key] != value]
-    assert any("/param/" in key for key in changed)
-    assert any("/adam-m/" in key for key in changed)
-    assert all(key.startswith("tiny/train/mf/sparse-exact/")
-               for key in changed)
+def test_evaluation_covers_every_model(tiny_answers):
+    for name in answers_script.MODELS:
+        entries = {key.split("/eval/", 1)[1] for key in tiny_answers
+                   if key.startswith(f"tiny/{name}/eval/")}
+        assert entries == {
+            *(f"per-user/{m}@{k}" for m in answers_script.EVAL_METRICS
+              for k in answers_script.EVAL_KS),
+            "top-items/k=20", "group-ndcg/k=20",
+            "recommendation-counts/k=20"}
+
+
+def test_ndcg_discount_one_rank_off_changes_only_ndcg(tiny_answers,
+                                                      monkeypatch):
+    from repro.data import load_dataset
+    from repro.eval import Evaluator
+    init = Evaluator.__init__
+
+    def discounts_one_rank_off(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._discounts = 1.0 / np.log2(np.arange(3, len(self._discounts)
+                                                  + 3))
+
+    dataset = load_dataset("tiny")
+    model = answers_script._trained("mf", dataset)
+    monkeypatch.setattr(Evaluator, "__init__", discounts_one_rank_off)
+    planted = answers_script.evaluations(model, dataset, "tiny/mf")
+    changed = {key for key, value in planted.items()
+               if tiny_answers[key] != value}
+    assert {"tiny/mf/eval/per-user/ndcg@5", "tiny/mf/eval/per-user/ndcg@20",
+            "tiny/mf/eval/group-ndcg/k=20"} == changed
 
 
 def test_compare_needs_a_reasoned_answers_changed_line():

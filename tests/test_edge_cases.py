@@ -91,8 +91,8 @@ class TestLossBoundaries:
             assert np.isfinite(get_loss("bsl", tau1=tau,
                                         tau2=tau)(pos, neg).item())
 
-    @pytest.mark.parametrize("bad", [float("nan"), 0.0, -0.1],
-                             ids=["nan", "zero", "negative"])
+    @pytest.mark.parametrize("bad", [float("nan"), 0.0, -0.1, float("inf")],
+                             ids=["nan", "zero", "negative", "inf"])
     @pytest.mark.parametrize("make", [
         lambda t: get_loss("sl", tau=t),
         lambda t: get_loss("bsl", tau1=t, tau2=0.1),
@@ -109,8 +109,9 @@ class TestLossBoundaries:
             "mean-variance", "constant", "cosine-start", "cosine-end",
             "linear-start", "linear-end"])
     def test_temperature_must_be_positive(self, make, bad):
-        """NaN fails ``tau <= 0`` as well as ``tau > 0``: every loss and
-        schedule must reject it, not train on a NaN temperature."""
+        """NaN fails ``tau <= 0`` as well as ``tau > 0``, and infinity
+        passes ``tau > 0`` but makes its term of the loss a constant:
+        every loss and schedule must reject both, not train on them."""
         with pytest.raises(ValueError):
             make(bad)
 

@@ -119,6 +119,18 @@ class TestAdam:
         with pytest.raises(ValueError, match="weight_decay"):
             make([_quadratic_param([0.0])], lr=0.1, weight_decay=-1e-6)
 
+    @pytest.mark.parametrize("name, match", [
+        ("lr", "learning rate"), ("eps", "eps"),
+        ("weight_decay", "weight_decay")])
+    @pytest.mark.parametrize("make", [Adam, SparseAdam])
+    def test_rejects_infinite_hyperparameters(self, make, name, match):
+        """An infinite rate leaves the table at -inf after one step, an
+        infinite decay turns it NaN, and an infinite ``eps`` makes every
+        update 0: training silently frozen."""
+        kwargs = {"lr": 0.1, name: float("inf")}
+        with pytest.raises(ValueError, match=match):
+            make([_quadratic_param([0.0])], **kwargs)
+
     def test_zero_beta_and_weight_decay_are_valid(self):
         p = _quadratic_param([1.0])
         opt = Adam([p], lr=0.1, betas=(0.0, 0.0), weight_decay=0.0)

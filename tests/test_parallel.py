@@ -33,6 +33,8 @@ from repro.train.trainer import Trainer
 from tests.oracles import adam_rows, adam_table
 
 CORES = [1, 2, 3, 8]
+#: steps of the sixteen-block stress run
+STRESS_STEPS = 20
 
 
 @pytest.fixture
@@ -93,7 +95,7 @@ class TestFanOut:
                             lambda self: started.append(self))
         with parallel.scope():
             assert len(_blocks(1000)) == 1
-        trainer = _mf_trainer(tiny_dataset, "lazy")
+        trainer = _mf_trainer(tiny_dataset)
         trainer.train_step(next(iter(trainer.sampler.epoch())))
         Evaluator(tiny_dataset, ks=(20,), batch_users=8).evaluate(
             trainer.model)
@@ -204,11 +206,10 @@ class TestCsrMatmul:
                 csr_matmul(coeff.T.tocsr(), x), coeff.T @ x)
 
 
-def _mf_trainer(dataset, sparse_mode):
+def _mf_trainer(dataset):
     model = get_model("mf", dataset, dim=8, rng=3)
     return Trainer(model, get_loss("bsl"), dataset, TrainConfig(
-        epochs=1, batch_size=16, n_negatives=6, grad_mode="sparse",
-        sparse_mode=sparse_mode, seed=4))
+        epochs=1, batch_size=16, n_negatives=6, grad_mode="sparse", seed=4))
 
 
 def _lightgcn_trainer(dataset):
@@ -225,7 +226,6 @@ def _train(trainer, steps=20):
             losses.append(trainer.train_step(batch))
             if len(losses) == steps:
                 break
-    trainer.optimizer.flush()
     opt = trainer.optimizer
     return ([np.array(losses)] + [p.data.copy() for p in opt.params]
             + [m.copy() for m in opt._m] + [v.copy() for v in opt._v])
@@ -234,11 +234,8 @@ def _train(trainer, steps=20):
 class TestBitIdentity:
     """Twenty steps at N workers equal the one-worker run exactly."""
 
-    @pytest.mark.parametrize("make", [
-        lambda d: _mf_trainer(d, "lazy"),
-        lambda d: _mf_trainer(d, "exact"),
-        _lightgcn_trainer,
-    ], ids=["sparse-adam-lazy", "sparse-adam-exact", "lightgcn-adam"])
+    @pytest.mark.parametrize("make", [_mf_trainer, _lightgcn_trainer],
+                             ids=["sparse-adam-lazy", "lightgcn-adam"])
     def test_training(self, cores, tiny_dataset, make):
         runs = {}
         for n_cores in CORES:
@@ -249,20 +246,30 @@ class TestBitIdentity:
                 np.testing.assert_array_equal(got, want,
                                               err_msg=f"{n_cores} cores")
 
-    def test_more_workers_than_cores_under_fast_switching(self, cores,
-                                                          tiny_dataset):
-        """Sixteen blocks share each parameter's workspace free list and
+    def test_more_workers_than_cores_under_fast_switching(
+            self, cores, tiny_dataset, monkeypatch):
+        """Sixteen blocks share the optimizer's workspace free list and
         switch every microsecond: a workspace two blocks held at once, or
-        a lost row write, breaks the match with one worker."""
+        a lost row write, breaks the match with one worker.  Every step
+        of the run splits both tables' touched rows, into one block per
+        row up to sixteen."""
         cores(1)
-        want = _train(_mf_trainer(tiny_dataset, "exact"), steps=5)
+        want = _train(_mf_trainer(tiny_dataset), steps=STRESS_STEPS)
         cores(16)
+        real, sizes = parallel.fan_out, []
+
+        def recording(n, fn, min_rows=1):
+            if fn.__qualname__.startswith("Adam."):
+                sizes.append(n)
+            return real(n, fn, min_rows)
+        monkeypatch.setattr(parallel, "fan_out", recording)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = _train(_mf_trainer(tiny_dataset, "exact"), steps=5)
+            got = _train(_mf_trainer(tiny_dataset), steps=STRESS_STEPS)
         finally:
             sys.setswitchinterval(interval)
+        assert len(sizes) == 2 * STRESS_STEPS and min(sizes) > 1
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
 
@@ -566,7 +573,7 @@ class TestGradMode:
             threads.add(threading.current_thread())
             return real(data, parents, backward)
         monkeypatch.setattr(ops, "_node", recording)
-        for trainer in (_mf_trainer(tiny_dataset, "lazy"),
+        for trainer in (_mf_trainer(tiny_dataset),
                         _lightgcn_trainer(tiny_dataset)):
             trainer.train_step(next(iter(trainer.sampler.epoch())))
             assert is_grad_enabled()
