@@ -33,6 +33,12 @@ between machines do not matter; both runs happen on one machine):
   on a generated 4096 × 8192 set at batch 1024, where the optimizer's
   and the fused kernel's fan-outs split over the cores (no ``tiny``
   step is large enough to).
+* ``split-8k/<mf|mf-ties>/...`` — on that set, an untrained MF at dim
+  64 and its tied variant, wide enough that every item shard of the
+  3×3 export (2730+ items) and every evaluator chunk takes the
+  group-maxima selection: the evaluator entries (chunks of 256 users),
+  and the lists of a fixed sample of 512 users through every path at
+  chunk 256, k of 5 and 20, ``filter_seen`` on and off.
 
 Usage::
 
@@ -94,6 +100,12 @@ SPLIT_DIM = 64
 SPLIT_SET = dict(num_users=4096, num_items=8192, num_clusters=8,
                  mean_interactions=6.0, train_noise=0.0, seed=0,
                  name="split-8k")
+#: the wide entries: models on :data:`SPLIT_SET`, users sampled, serving
+#: chunks and evaluator chunks
+WIDE_MODELS = ("mf", "mf-ties")
+WIDE_USERS = 512
+WIDE_CHUNKS = (256,)
+WIDE_EVAL_BATCH = 256
 MARKER = "ANSWERS CHANGED:"
 
 
@@ -125,21 +137,26 @@ def _trained(name: str, dataset):
     train_model(model, get_loss("bsl"), dataset,
                 TrainConfig(epochs=2, batch_size=256, n_negatives=16,
                             eval_every=0, patience=0, seed=0))
-    if name == "mf-ties":
-        table = model.item_embedding.weight.data
-        table[:] = table[np.arange(len(table)) % TIE_GROUPS]
+    return _tied(model) if name == "mf-ties" else model
+
+
+def _tied(model):
+    """``model`` with item row ``j`` set to row ``j % TIE_GROUPS``."""
+    table = model.item_embedding.weight.data
+    table[:] = table[np.arange(len(table)) % TIE_GROUPS]
     return model
 
 
-def evaluations(model, dataset, base: str) -> dict[str, str]:
+def evaluations(model, dataset, base: str,
+                batch_users: int = EVAL_BATCH) -> dict[str, str]:
     """The ``<base>/eval/...`` entries of ``model``, computed inside one
-    :func:`~repro.tensor.parallel.scope` so the chunks split over the
-    workers."""
+    :func:`~repro.tensor.parallel.scope` so the chunks of ``batch_users``
+    split over the workers."""
     from repro.eval import Evaluator, group_ndcg
     from repro.eval.diversity import recommendation_counts
     from repro.tensor import parallel
     evaluator = Evaluator(dataset, ks=EVAL_KS, metric_names=EVAL_METRICS,
-                          batch_users=EVAL_BATCH)
+                          batch_users=batch_users)
     k = max(EVAL_KS)
     prefix = f"{base}/eval"
     with parallel.scope("answers"):
@@ -148,10 +165,10 @@ def evaluations(model, dataset, base: str) -> dict[str, str]:
         out[f"{prefix}/top-items/k={k}"] = _digest(
             evaluator.top_items(model, k))
         out[f"{prefix}/group-ndcg/k={k}"] = _digest(
-            group_ndcg(model, dataset, k=k, batch_users=EVAL_BATCH))
+            group_ndcg(model, dataset, k=k, batch_users=batch_users))
         out[f"{prefix}/recommendation-counts/k={k}"] = _digest(
             recommendation_counts(model, dataset, k=k,
-                                  batch_users=EVAL_BATCH))
+                                  batch_users=batch_users))
     return out
 
 
@@ -169,10 +186,13 @@ def split_trajectories() -> dict[str, str]:
     :data:`SPLIT_SET` at batch :data:`SPLIT_BATCH`: runs whose optimizer
     and fused-kernel fan-outs split, so the chunk rule and the hand-off
     to workers are in the bits (on a machine with two or more cores)."""
-    from repro.data import SyntheticConfig, generate_dataset
-    dataset = generate_dataset(SyntheticConfig(**SPLIT_SET))
-    return _runs(dataset, SPLIT_SET["name"], SPLIT_MODELS, SPLIT_BATCH,
+    return _runs(_split_set(), SPLIT_SET["name"], SPLIT_MODELS, SPLIT_BATCH,
                  dim=SPLIT_DIM)
+
+
+def _split_set():
+    from repro.data import SyntheticConfig, generate_dataset
+    return generate_dataset(SyntheticConfig(**SPLIT_SET))
 
 
 def _runs(dataset, dataset_name: str, models: dict, batch_size: int,
@@ -211,15 +231,15 @@ def _close(index) -> None:
         close()
 
 
-def _served(users, prefix: str, *, router, service,
-            exact=None) -> dict[str, str]:
+def _served(users, prefix: str, *, router, service, exact=None,
+            chunks=CHUNKS) -> dict[str, str]:
     """Lists of every path, chunk size, k and ``filter_seen`` setting:
     the router over ``router``, a service over ``service`` and, when
     given, ``ExactTopKIndex`` over the 1×1 set ``exact``."""
     from repro.serve import (ExactTopKIndex, RecommendationService,
                              ShardedTopKIndex)
     out = {}
-    for chunk in CHUNKS:
+    for chunk in chunks:
         indexes = {"router": ShardedTopKIndex(router, chunk_users=chunk)}
         if exact is not None:
             indexes["exact"] = ExactTopKIndex(exact, chunk_users=chunk)
@@ -237,6 +257,38 @@ def _served(users, prefix: str, *, router, service,
                                   np.stack([r.scores for r in recs])))
         for index in (*indexes.values(), front.index):
             _close(index)
+    return out
+
+
+def _wide_model(name: str, dataset):
+    """An untrained MF of dim :data:`SPLIT_DIM`, tied for ``mf-ties``."""
+    from repro.models import get_model
+    model = get_model("mf", dataset, dim=SPLIT_DIM, rng=0)
+    return _tied(model) if name == "mf-ties" else model
+
+
+def wide_answers(models=WIDE_MODELS) -> dict[str, str]:
+    """The ``split-8k/<model>/...`` entries of :data:`WIDE_MODELS`."""
+    from repro.serve import export_sharded_snapshot, load_sharded_snapshot
+    dataset = _split_set()
+    users = np.sort(np.random.default_rng(0).choice(
+        dataset.num_users, WIDE_USERS, replace=False))
+    out: dict[str, str] = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in models:
+            model = _wide_model(name, dataset)
+            base = f"{SPLIT_SET['name']}/{name}"
+            out.update(evaluations(model, dataset, base, WIDE_EVAL_BATCH))
+            for layout, shards in LAYOUTS.items():
+                where = pathlib.Path(tmp) / base / layout
+                written = export_sharded_snapshot(
+                    model, dataset, where, shards=shards, model_name=name,
+                    created_unix=CREATED_UNIX)
+                out.update(_served(
+                    users, f"{base}/{layout}",
+                    router=load_sharded_snapshot(where), service=written,
+                    exact=written if shards == 1 else None,
+                    chunks=WIDE_CHUNKS))
     return out
 
 
@@ -290,6 +342,7 @@ def answers(datasets=DATASETS, models=MODELS) -> dict[str, str]:
     if "tiny" in datasets:
         out.update(trajectories("tiny"))
         out.update(split_trajectories())
+        out.update(wide_answers([m for m in WIDE_MODELS if m in models]))
     return out
 
 

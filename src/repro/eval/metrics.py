@@ -51,6 +51,54 @@ def _rank_block(scores: np.ndarray, k: int) -> np.ndarray:
     return top
 
 
+def kth_group_max(scores: np.ndarray, k: int) -> np.ndarray:
+    """Per-row lower bound ``t`` on the ``k``-th largest entry of a 2-D
+    float block, ``1 <= k <= n``: the ``k``-th largest of ``G = ⌊√(k·n)⌋``
+    *strided* group maxima (group ``g`` holds columns ``g, g+G, g+2G,
+    …``), from one read of the block, or the exact ``k``-th value on
+    blocks too narrow for two levels (``n < 32·k`` or ``n < 1024``).
+    ``k`` groups hold an entry ``>= t``, so at least ``k`` entries are.
+    ``t`` is NaN on a row holding a NaN and ``-inf`` on one with fewer
+    than ``k`` groups above ``-inf``."""
+    rows, n = scores.shape
+    if n < 32 * k or n < 1024:
+        return np.partition(scores, n - k, axis=1)[:, n - k:].min(axis=1)
+    groups = math.isqrt(k * n)
+    slabs = n // groups
+    body = slabs * groups
+    # A contiguous elementwise maximum over the slabs; the n % groups
+    # columns left over belong to the first groups.
+    gmax = scores[:, :body].reshape(rows, slabs, groups).max(axis=1)
+    head = gmax[:, :n - body]
+    np.maximum(head, scores[:, body:], out=head)
+    # NaN sorts last, so min() of the k best is NaN when any group is
+    return np.partition(gmax, groups - k, axis=1)[:, groups - k:].min(axis=1)
+
+
+def columns_at_least(scores: np.ndarray, thr: np.ndarray, k: int,
+                     limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(columns, listed)``: every entry ``>= thr[row]`` of a 2-D block.
+
+    ``columns`` is ``(rows, width)`` int64, ``width >= k``: each row's
+    columns ascending, left-aligned, padded with ``n``.  ``listed`` is
+    False on the rows that list nothing: a NaN or ``-inf`` threshold, or
+    more than ``limit`` entries.  The comparison takes one byte per
+    score, in C order whatever the block's layout.  ``thr`` should have
+    the block's dtype: a wider one makes the comparison cast the block.
+    """
+    rows, n = scores.shape
+    thr = np.where(thr > -np.inf, thr, np.nan)  # NaN compares false
+    hits = np.empty((rows, n), dtype=bool)
+    np.greater_equal(scores, thr[:, None], out=hits)
+    row, col = np.divmod(np.flatnonzero(hits), n)
+    listed = ~np.isnan(thr) & (np.bincount(row, minlength=rows) <= limit)
+    row, col = row[listed[row]], col[listed[row]]
+    counts = np.bincount(row, minlength=rows)
+    columns = np.full((rows, max(k, counts.max(initial=0))), n)
+    columns[row, np.arange(len(col)) - (np.cumsum(counts) - counts)[row]] = col
+    return columns, listed
+
+
 def rank_items(scores: np.ndarray, k: int) -> np.ndarray:
     """Top-``k`` item indices per row, highest score first.
 
@@ -62,33 +110,27 @@ def rank_items(scores: np.ndarray, k: int) -> np.ndarray:
     the score row was computed or partitioned — the contract the sharded
     serving router's k-way merge relies on (see ``docs/sharding.md``).
 
-    **Algorithm.**  Selection is exact and two-level.  With
-    ``G = ⌊√(k·n)⌋`` *strided* groups (group ``g`` holds columns
-    ``g, g+G, g+2G, …``), one read of the block reduces every row to its
-    ``G`` group maxima; the ``k`` best groups of a row name
-    ``k·⌈n/G⌉ ≈ √(k·n)`` candidate columns, and only those are gathered
-    and ranked, by one ``argpartition`` + ``lexsort`` + boundary-tie
-    patch (which is also all that runs on blocks too narrow for two
-    levels to shrink the work).  Cost per row: ``n`` reads plus
-    ``O(√(k·n))`` selection, and no temporary as wide as the block.
-    Views (sliced or Fortran-ordered blocks) and float32 take the same
-    path without a copy; non-float input is ranked as float64.
+    **Algorithm.**  Selection is by threshold: :func:`kth_group_max`
+    reduces each row to ``t``, its ``k``-th largest strided group
+    maximum, in one read; :func:`columns_at_least` lists the row's
+    entries ``>= t`` in ascending column order, and only those, gathered
+    and padded with ``-inf``, are ranked by the base case ``_rank_block``
+    (one ``argpartition`` + ``lexsort`` + boundary-tie patch, which is
+    also all that runs on blocks too narrow for two levels).  Views
+    (sliced or Fortran-ordered blocks) and float32 take the same path
+    without a copy; non-float input is ranked as float64.
 
-    **Why it is exact.**  Let ``t`` be a row's ``k``-th largest group
-    maximum.  Each selected group holds an item ``>= t``, so the
-    ``k``-th best item scores ``>= t``.  An item scoring ``> t`` sits in
-    a group whose maximum is ``> t``; fewer than ``k`` groups have one,
-    so all of them are selected.  An item scoring exactly ``t`` sits in
-    a group whose maximum is ``>= t``; when exactly ``k`` groups have
-    that, all of them are selected.  So on rows where
-    ``count(group max >= t) == k`` the candidates hold every item the
-    canonical order can return, boundary ties included, and they are
-    laid out in ascending item id, so ranking candidate positions ranks
-    item ids.
+    **Why it is exact.**  ``k`` groups have a maximum ``>= t``, so at
+    least ``k`` entries are ``>= t`` and the ``k``-th best scores
+    ``>= t``: every entry the canonical order can return, boundary ties
+    included, is a candidate, and candidates in ascending column order
+    make ranking their positions rank item ids.  The padding scores
+    ``-inf < t`` and sits last, so it is never picked.
 
-    **Fallback.**  Every other row is ranked over its full width: group
-    maxima tied at the boundary, a NaN score (it makes ``t`` NaN and the
-    count 0), fewer than ``k`` groups above ``-inf`` (a masked-out row).
+    **Fallback.**  A row is ranked over its full width when ``t`` is NaN
+    (the row holds a NaN), when ``t`` is ``-inf`` (fewer than ``k``
+    groups above ``-inf``, a masked-out row) or when more than
+    ``⌊√(k·n)⌋`` entries reach ``t`` (a tie flood).
     """
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
@@ -104,34 +146,12 @@ def rank_items(scores: np.ndarray, k: int) -> np.ndarray:
     if n < 32 * k or n < 1024:
         return _rank_block(scores, k)
     flat = scores.reshape(-1, n)
-    rows = len(flat)
-    groups = math.isqrt(k * n)
-    slabs = n // groups
-    body = slabs * groups
-    # Level 1: a contiguous elementwise maximum over the slabs; the
-    # n % groups columns left over belong to the first groups.
-    gmax = flat[:, :body].reshape(rows, slabs, groups).max(axis=1)
-    head = gmax[:, :n - body]
-    np.maximum(head, flat[:, body:], out=head)
-    # Level 2: the k best groups, ascending, so that laying their
-    # columns out layer by layer puts candidates in ascending item id.
-    sel = np.argpartition(gmax, groups - k, axis=1)[:, groups - k:]
-    sel.sort(axis=1)
-    kth = np.take_along_axis(gmax, sel, axis=1).min(axis=1, keepdims=True)
-    exact = np.count_nonzero(gmax >= kth, axis=1) == k
-    layers = -(-n // groups)
-    cols = (sel[:, None, :] + groups * np.arange(layers)[None, :, None]
-            ).reshape(rows, layers * k)
-    # Only the last layer can run past the row.  Those slots sit last and
-    # score -inf, and every selected group has a real column, so the
-    # canonical order never picks one.
-    last = cols[:, -k:]
-    past = last >= n
-    np.minimum(last, n - 1, out=last)
-    cand = np.take_along_axis(flat, cols, axis=1)
-    cand[:, -k:][past] = -np.inf
+    cols, listed = columns_at_least(flat, kth_group_max(flat, k), k,
+                                    limit=math.isqrt(k * n))
+    cand = np.take_along_axis(flat, np.minimum(cols, n - 1), axis=1)
+    cand[cols == n] = -np.inf
     top = np.take_along_axis(cols, _rank_block(cand, k), axis=1)
-    redo = np.flatnonzero(~exact)
+    redo = np.flatnonzero(~listed)
     if redo.size:
         top[redo] = _rank_block(flat[redo], k)
     return top.reshape(scores.shape[:-1] + (k,))

@@ -14,14 +14,14 @@ The index cuts a request into user chunks and hands each to a
 an item table" and the one score → mask → rank loop
 (:meth:`PanelScorer.topk`).  The loop scores a chunk :data:`ROW_BLOCK`
 rows at a time into one ``(block, n_items)`` float32 buffer, so a
-chunk's score block is never held whole, and ranks a shortlist from
+chunk's score block is never held whole, and picks candidates from
 that float32 first pass: one GEMM per row block against the scorer's
-float32 ``(dim, n_items)`` transposed table.  The shortlist, certified by
-:func:`score_margin` to hold every item the exact ranking can return,
-is then re-scored in float64, so every returned item and score is the
-float64 answer.  :class:`~repro.serve.shard.ItemShardIndex` runs the
-same scorer and loop over one shard's rows, so neither scoring nor
-``filter_seen`` semantics can drift between sharded and unsharded
+float32 ``(dim, n_items)`` transposed table.  The candidates, certified
+by :func:`score_margin` to hold every item the exact ranking can
+return, are then re-scored in float64, so every returned item and
+score is the float64 answer.  :class:`~repro.serve.shard.ItemShardIndex`
+runs the same scorer and loop over one shard's rows, so neither scoring
+nor ``filter_seen`` semantics can drift between sharded and unsharded
 serving; :class:`~repro.serve.service.RecommendationService` serves
 every snapshot, 1×1 included, through the router over those shards.
 
@@ -58,12 +58,12 @@ import dataclasses
 import numpy as np
 
 from repro.eval.masking import mask_seen_items
-from repro.eval.metrics import rank_items
+from repro.eval.metrics import columns_at_least, kth_group_max, rank_items
 from repro.obs.metrics import get_registry
 from repro.scoring import (euclidean_scores, scoring_ready_items,
                            scoring_ready_users)
 
-__all__ = ["PANEL_WIDTH", "ROW_BLOCK", "SHORTLIST_EXTRA", "TopKResult",
+__all__ = ["PANEL_WIDTH", "ROW_BLOCK", "TopKResult",
            "ExactTopKIndex", "scoring_ready_users", "scoring_ready_items",
            "build_panels", "panel_scores", "euclidean_scores",
            "score_margin", "row_blocks", "PanelScorer", "prepare_request"]
@@ -75,11 +75,6 @@ PANEL_WIDTH = 512
 #: User rows scored together by :meth:`PanelScorer.topk`: the height of
 #: its one score buffer, and so of every scoring GEMM.
 ROW_BLOCK = 64
-
-#: Columns :meth:`PanelScorer.topk`'s float32 first pass ranks beyond
-#: ``k``.  A row whose ``(k + SHORTLIST_EXTRA)``-th first-pass score is
-#: still within its margin of the ``k``-th is re-scored over every item.
-SHORTLIST_EXTRA = 8
 
 #: Item rows :class:`PanelScorer` readies and casts at a time while it
 #: builds its first-pass table, so no temporary spans the table.
@@ -233,7 +228,7 @@ class TopKResult:
 
 class PanelScorer:
     """Item rows scored in two passes: a float32 pass over a transposed
-    table, then an exact float64 re-score of a certified shortlist.
+    table, then an exact float64 re-score of certified candidates.
 
     ``rows`` are raw ``(n, dim)`` float64 embedding rows — the whole
     catalogue (:class:`ExactTopKIndex`) or one shard's slice of it
@@ -320,18 +315,17 @@ class PanelScorer:
 
         1. **First pass.**  The block is scored in float32 against the
            float32 table, in one GEMM, into one ``(block, n_items)``
-           buffer, allocated once per call; its seen items are masked,
-           and each row's best ``k + SHORTLIST_EXTRA`` columns are
-           ranked.
-        2. **Certificate.**  With ``t32`` a row's ``k``-th first-pass
-           score and ``δ`` its :func:`score_margin`, let
-           ``thr = t32 - 2δ``.  The row is *certified* when ``thr`` is
-           finite and its ``(k + SHORTLIST_EXTRA)``-th first-pass score
-           lies strictly below ``thr`` (or every column was ranked); its
-           candidates are its ranked columns scoring ``>= thr``.  Any
-           other row — a tie flood across rank ``k``, fewer than ``k``
-           unseen items, a non-finite value, norms where float32 could
-           overflow — takes every column.
+           buffer, allocated once per call, and its seen items are
+           masked.
+        2. **Certificate.**  With ``t`` a row's
+           :func:`~repro.eval.metrics.kth_group_max` and ``δ`` its
+           :func:`score_margin`, ``thr = t - 2δ`` is rounded down to
+           float32, and :func:`~repro.eval.metrics.columns_at_least`
+           lists the row's columns scoring ``>= thr`` (one byte per
+           score, freed before the re-score).  The row is
+           *certified* when ``thr`` is finite; any other row — ``t``
+           of ``-inf`` (too few unseen items), a non-finite value, norms
+           where float32 could overflow — takes every column.
         3. **Re-score.**  The union of the block's candidates is scored
            in float64 through ``score`` with the same row block and
            panel width (:meth:`_exact`), so every score has the bits a
@@ -341,18 +335,18 @@ class PanelScorer:
 
         **Why a certified row is exact.**  ``δ`` bounds ``|s32 - s64|``
         for every item of the row.  Let ``T64`` be the row's ``k``-th
-        float64 score over unseen items.  The ``k`` best first-pass
-        columns (unseen, as ``t32`` is finite) score ``>= t32`` in
-        float32, so ``>= t32 - δ`` in float64, so ``T64 >= t32 - δ``.
+        float64 score over unseen items, and ``t32`` its ``k``-th
+        first-pass one.  ``k`` groups hold an entry ``>= t``, unseen as
+        ``t`` is finite, so ``t <= t32``; the ``k`` best first-pass
+        columns score ``>= t32 - δ`` in float64, so ``T64 >= t32 - δ``.
         Every column ``j`` the canonical order can return has
         ``s64_j >= T64``, hence
-        ``s32_j >= s64_j - δ >= T64 - δ >= t32 - 2δ = thr``.  A column
-        the first pass did not rank scores at most the
-        ``(k + SHORTLIST_EXTRA)``-th first-pass score, which is
-        ``< thr``, so every such ``j`` is a candidate, boundary ties
-        included; seen columns are ``-inf`` and never are.  Ranking the
-        candidates by ``(score desc, column asc)`` therefore returns the
-        columns and float64 scores that ranking the whole row would.
+        ``s32_j >= s64_j - δ >= T64 - δ >= t32 - 2δ >= t - 2δ``, at or
+        above ``thr`` and its rounding down, and ``j`` is a candidate,
+        boundary ties included; seen columns are ``-inf`` and never
+        are.  Ranking the candidates by ``(score desc, column asc)``
+        therefore returns the columns and float64 scores that ranking
+        the whole row would.
 
         ``seen`` is ``None`` or ``(indptr, indices, positions)``: row
         ``r`` of ``vectors`` masks ``indices[indptr[p]:indptr[p + 1]]``
@@ -373,7 +367,6 @@ class PanelScorer:
         blocks = row_blocks(len(vectors))
         buffer = np.empty((max((hi - lo for lo, hi in blocks), default=0),
                            self.n_items), dtype=np.float32)
-        wide = min(k + SHORTLIST_EXTRA, self.n_items)
         for lo, hi in blocks:
             block = vectors[lo:hi]
             block_seen = None if seen is None else (*seen[:2], seen[2][lo:hi])
@@ -383,22 +376,20 @@ class PanelScorer:
                 first = self._first_pass(block, score, out=buffer[:hi - lo])
                 if block_seen is not None:
                     mask(first, *block_seen)
-                ranked = rank(first, wide)
-                ranked_scores = np.take_along_axis(first, ranked, axis=1
-                                                   ).astype(np.float64)
-                thr = ranked_scores[:, k - 1] - 2 * score_margin(
+                thr = kth_group_max(first, k) - 2 * score_margin(
                     np.sqrt(np.einsum("ij,ij->i", block, block)),
                     self._item_norm, self.dim, self.scoring)
-            certified = np.isfinite(thr)
-            if wide < self.n_items:
-                certified &= ranked_scores[:, -1] < thr
-            keep = certified[:, None] & (ranked_scores >= thr[:, None])
+                # rounded down, so that the compare runs in float32
+                thr32 = thr.astype(np.float32)
+                thr32[thr32 > thr] = np.nextafter(thr32[thr32 > thr], -np.inf)
+            candidates, certified = columns_at_least(first, thr32, k,
+                                                     self.n_items)
             full = np.flatnonzero(~certified)
-            columns = None if full.size else np.unique(ranked[keep])
+            union = np.zeros(self.n_items + 1, dtype=bool)
+            union[candidates] = True
+            columns = None if full.size else np.flatnonzero(union[:-1])
             exact = self._exact(block, columns, score)
 
-            candidates = np.where(keep, ranked, self.n_items)
-            candidates.sort(axis=1)
             slots = (candidates if columns is None
                      else np.searchsorted(columns, candidates))
             cand_scores = np.take_along_axis(

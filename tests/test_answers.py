@@ -104,6 +104,28 @@ def test_one_ulp_adam_eps_changes_the_trajectories(tiny_answers,
     assert any("/adam-v/" in key for key in changed)
 
 
+def test_one_ulp_high_threshold_changes_a_wide_tied_entry(tiny_answers,
+                                                         monkeypatch):
+    """Control for the wide entries: a selection threshold one ulp above
+    the k-th group maximum drops the tied k-th items from the evaluator's
+    ``split-8k`` ``mf-ties`` lists, and the fingerprint sees it."""
+    from repro.eval import Evaluator, metrics
+    dataset = answers_script._split_set()
+    model = answers_script._wide_model("mf-ties", dataset)
+    key = "split-8k/mf-ties/eval/top-items/k=20"
+
+    def top_items():
+        evaluator = Evaluator(dataset, ks=(20,),
+                              batch_users=answers_script.WIDE_EVAL_BATCH)
+        return answers_script._digest(evaluator.top_items(model, 20))
+
+    assert top_items() == tiny_answers[key]
+    real = metrics.kth_group_max
+    monkeypatch.setattr(metrics, "kth_group_max", lambda scores, k:
+                        np.nextafter(real(scores, k), np.inf))
+    assert top_items() != tiny_answers[key]
+
+
 def test_evaluation_covers_every_model(tiny_answers):
     for name in answers_script.MODELS:
         entries = {key.split("/eval/", 1)[1] for key in tiny_answers

@@ -1,9 +1,11 @@
 """Metrics vs brute force; evaluator masking and aggregation; groups."""
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.data import InteractionDataset
 from repro.eval import metrics
@@ -142,7 +144,8 @@ class TestRankItemsAgainstPythonSort:
 
 
 class TestRankItemsFallback:
-    """Rows the two-level selection cannot decide take the base case."""
+    """Rows the threshold selection cannot decide take the base case: a
+    NaN threshold, a ``-inf`` threshold and a candidate flood."""
 
     N, K = 4000, 20
 
@@ -150,8 +153,8 @@ class TestRankItemsFallback:
     def block(self, rng):
         """Rows 1, 3, 4 each force one fallback cause; 0, 2, 5 do not."""
         block = rng.normal(size=(6, self.N))
-        # K - 1 winners fill at most K - 1 groups, so every other group's
-        # maximum is 0.0 and more than K groups reach the K-th one
+        # K - 1 winners fill at most K - 1 groups, so the threshold is
+        # 0.0 and every column reaches it: a flood
         block[1] = 0.0
         block[1, rng.choice(self.N, self.K - 1, replace=False)] = 5.0
         # one NaN makes one group maximum, hence the threshold, NaN
@@ -160,6 +163,15 @@ class TestRankItemsFallback:
         block[4] = -np.inf
         block[4, rng.choice(self.N, self.K - 1, replace=False)] = 1.0
         return block
+
+    def test_each_row_has_the_cause_it_is_built_for(self, block):
+        thr = metrics.kth_group_max(block, self.K)
+        limit = math.isqrt(self.K * self.N)
+        assert thr[1] == 0.0 and np.count_nonzero(block[1] >= 0.0) > limit
+        assert np.isnan(thr[3]) and thr[4] == -np.inf
+        assert np.all(np.isfinite(thr[[0, 2, 5]]))
+        _, listed = metrics.columns_at_least(block, thr, self.K, limit)
+        assert listed.tolist() == [True, False, True, False, False, True]
 
     @pytest.fixture()
     def base_calls(self, monkeypatch):
@@ -199,6 +211,68 @@ class TestRankItemsFallback:
         np.testing.assert_array_equal(got, base(block, self.K))
         for row in (0, 2, 5):
             assert got[row].tolist() == python_order(block[row])[:self.K]
+
+
+@st.composite
+def wide_blocks(draw):
+    """``(block, k)``: 1–4 rows of 1024–2600 columns, float32 or float64,
+    C-ordered, Fortran-ordered or a view into a wider array, each row
+    normal, tied (2, 50 or 10·n levels), with a ``-inf`` run, or with
+    NaNs in at most ``n - k`` columns; ``k`` small or up to ``n``."""
+    n = draw(st.integers(1024, 2600))
+    k = draw(st.one_of(st.integers(1, 40), st.integers(1, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(
+            ["normal", "ties", "-inf run", "nan"]), min_size=1, max_size=4)):
+        row = rng.normal(size=n)
+        if kind == "ties":
+            levels = draw(st.sampled_from([2, 50, 10 * n]))
+            row = rng.integers(0, levels, size=n).astype(np.float64)
+        elif kind == "-inf run":
+            start = draw(st.integers(0, n - 1))
+            row[start:start + draw(st.integers(1, n))] = -np.inf
+        elif kind == "nan":
+            nans = draw(st.integers(1, n - k)) if k < n else 0
+            row[rng.choice(n, nans, replace=False)] = np.nan
+        rows.append(row)
+    block = np.array(rows, dtype=draw(st.sampled_from([np.float32,
+                                                       np.float64])))
+    layout = draw(st.sampled_from(["C", "fortran", "view"]))
+    if layout == "fortran":
+        block = np.asfortranarray(block)
+    elif layout == "view":
+        wide = np.full((len(block) + 2, n + 5), 99.0, dtype=block.dtype)
+        wide[1:-1, :n] = block
+        block = wide[1:-1, :n]
+    return block, k
+
+
+def same_as_base_case(block, k):
+    return np.array_equal(rank_items(block, k), metrics._rank_block(block, k))
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=wide_blocks())
+def test_rank_items_equals_the_base_case_row_for_row(case):
+    """Candidate rows and every fallback cause return the answer of
+    ranking each row over its full width."""
+    assert same_as_base_case(*case)
+
+
+def test_a_threshold_one_ulp_high_fails_the_property(monkeypatch):
+    """Control: the property sees a threshold one ulp above the k-th
+    group maximum, which leaves some row fewer than k candidates."""
+    rng = np.random.default_rng(0)
+    blocks = [rng.normal(size=(8, 4000)),
+              rng.normal(size=(8, 3000)).astype(np.float32),
+              np.asfortranarray(rng.integers(0, 40000, size=(8, 4000))
+                                .astype(np.float64))]
+    assert all(same_as_base_case(block, 20) for block in blocks)
+    real = metrics.kth_group_max
+    monkeypatch.setattr(metrics, "kth_group_max", lambda scores, k:
+                        np.nextafter(real(scores, k), np.inf))
+    assert not any(same_as_base_case(block, 20) for block in blocks)
 
 
 def test_rank_items_allocates_a_fraction_of_the_block():

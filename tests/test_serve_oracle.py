@@ -141,6 +141,7 @@ def test_row_block_edges_match_the_oracle(scoring, yelp_small, tmp_path):
 # the same bits unsharded and over three item shards.
 # ----------------------------------------------------------------------
 HOSTILE_K = 10
+HOSTILE_FILLERS = 3072
 HOSTILE_CASES = ("near-ties", "duplicate-ties", "few-unseen",
                  "k-covers-catalogue", "float32-overflow",
                  "float32-underflow", "nan-row")
@@ -154,7 +155,9 @@ def hostile_tables(case, seed=None):
     same way under inner, cosine and euclidean scoring: 7 winners, a
     cluster straddling rank ``k`` whose scores differ by ~1e-8 (two of
     its rows by 1e-12) — below float32's resolution, so its first pass
-    orders the cluster at random — and fillers far below.
+    orders the cluster at random — and :data:`HOSTILE_FILLERS` fillers
+    far below, so that every item shard of a 3-shard export holds at
+    least 1024 items and takes the group-maxima threshold.
     """
     rng = np.random.default_rng(HOSTILE_CASES.index(case) if seed is None
                                 else seed)
@@ -172,13 +175,13 @@ def hostile_tables(case, seed=None):
         axis + 5e-8 * rng.standard_normal((n_users, dim)))
     winners = (1.2 + 0.05 * np.arange(7))[:, None] * axis + off_axis(7, 0.3)
     if case == "duplicate-ties":
-        # 20 identical rows across rank k: a tie flood wider than the
-        # shortlist's SHORTLIST_EXTRA spare columns
+        # 20 identical rows across rank k: a tie flood, every one of
+        # them a candidate
         cluster = np.tile(axis + off_axis(1, 1.0), (20, 1))
     else:
         cluster = axis + off_axis(6, 1.0)
         cluster[1] = cluster[0] + 1e-12 * axis
-    fillers = 0.3 * axis + off_axis(70, 1.5)
+    fillers = 0.3 * axis + off_axis(HOSTILE_FILLERS, 1.5)
     items = np.vstack([winners, cluster, fillers])
     n_items = len(items)
     first_filler = n_items - len(fillers)
@@ -213,6 +216,7 @@ def hostile_indexes(case, scoring, tmp_path, seed=None):
     sharded = export_sharded_snapshot(
         model, dataset, tmp_path / f"{case}-{seed}-item-3", shards=3,
         partition_by="item")
+    assert min(len(shard) for shard in sharded.item_shards) >= 1024
     return ((users, items, seen_by_user, k), ExactTopKIndex(flat),
             ShardedTopKIndex(sharded, workers=1))
 
@@ -263,17 +267,19 @@ def test_near_ties_fail_parity_without_the_margin(scoring, tmp_path,
 
 
 def test_uncertified_rows_are_counted(tmp_path):
+    """Only a non-finite threshold leaves a row uncertified: fewer than
+    ``k`` unseen items (user 0 of ``few-unseen``) or norms where float32
+    could overflow (every user of ``float32-overflow``).  A tie flood and
+    near-ties certify, their extra columns re-scored as candidates."""
     with use_registry(MetricsRegistry()) as registry:
         counter = registry.counter("serve.index.uncertified_rows")
-        (users, *_), index, _ = hostile_indexes("duplicate-ties", "inner",
-                                                tmp_path)
-        index.topk(np.arange(len(users)), k=HOSTILE_K)
-        assert counter.value == len(users)
-
-        (users, *_), index, _ = hostile_indexes("near-ties", "inner",
-                                                tmp_path)
-        index.topk(np.arange(len(users)), k=HOSTILE_K)
-        assert counter.value == len(users)
+        for case, uncertified in (("duplicate-ties", 0), ("near-ties", 0),
+                                  ("few-unseen", 1),
+                                  ("float32-overflow", 12)):
+            (users, *_), index, _ = hostile_indexes(case, "inner", tmp_path)
+            before = counter.value
+            index.topk(np.arange(len(users)), k=HOSTILE_K)
+            assert counter.value - before == uncertified, case
 
 
 def test_a_random_table_certifies_every_row(tiny_dataset, tmp_path):
