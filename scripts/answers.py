@@ -17,7 +17,10 @@ between machines do not matter; both runs happen on one machine):
   ``RecommendationService`` (``max_batch`` = chunk, no cache), at chunk
   sizes 1, 7 and 256, k of 5 and 20, ``filter_seen`` on and off;
 * ``<dataset>/<model>/1x1/ivf-full/...`` — the IVF index at full probe
-  (``nprobe == nlist``) and the bytes of its directory;
+  (``nprobe == nlist``), ``.../1x1/ivf-probe<p>/...`` the same index at
+  ``nprobe`` 1 and 2, where seen items are masked in a subset of the
+  lists, each at k of 5 and 20, ``filter_seen`` on and off, and
+  ``<dataset>/<model>/ivf-index/<file>`` the bytes of its directory;
 * ``<dataset>/<model>/eval/...`` — the evaluator at cutoffs 5 and 20
   with all five metrics, in chunks of 8 users split over the cores:
   every per-user metric array (``per-user/<metric>@<k>``), the test
@@ -77,8 +80,10 @@ KS = (5, 20)
 CREATED_UNIX = 0.0
 #: tied item rows of ``mf-ties``: row ``j`` becomes row ``j % TIE_GROUPS``
 TIE_GROUPS = 5
-#: inverted lists of the IVF index, probed all at once
+#: inverted lists of the IVF index, and the partial probe counts served
+#: besides the full probe
 NLIST = 4
+PARTIAL_PROBES = (1, 2)
 #: the evaluator's cutoffs, metrics and users per chunk (small, so even
 #: ``tiny``'s test users make chunks for every core)
 EVAL_KS = (5, 20)
@@ -292,10 +297,30 @@ def wide_answers(models=WIDE_MODELS) -> dict[str, str]:
     return out
 
 
+def ivf_answers(snapshot, where: pathlib.Path, base: str) -> dict[str, str]:
+    """The IVF entries of one 1×1 ``snapshot``: the bytes of the index
+    directory built at ``where``, and every user's lists at full and at
+    partial probe."""
+    from repro.ann import IVFFlatIndex, build_ann_index
+    full = build_ann_index(snapshot, where, nlist=NLIST,
+                           default_nprobe=NLIST, seed=0)
+    out = _files(f"{base}/ivf-index", where)
+    users = np.arange(snapshot.manifest.num_users, dtype=np.int64)
+    paths = {"ivf-full": full, **{
+        f"ivf-probe{p}": IVFFlatIndex(snapshot, full.data, nprobe=p)
+        for p in PARTIAL_PROBES}}
+    for path, index in paths.items():
+        for k in KS:
+            for seen in (True, False):
+                top = index.topk(users, k=k, filter_seen=seen)
+                out.update(_lists(f"{base}/1x1/{path}/k={k}/seen={int(seen)}",
+                                  top.items, top.scores))
+    return out
+
+
 def answers(datasets=DATASETS, models=MODELS) -> dict[str, str]:
     """The ``{entry: sha256}`` fingerprint of the matrix in the module
     docstring, restricted to ``datasets`` × ``models``."""
-    from repro.ann import build_ann_index
     from repro.data import load_dataset
     from repro.serve import (export_sharded_snapshot, export_snapshot,
                              load_sharded_snapshot)
@@ -328,17 +353,8 @@ def answers(datasets=DATASETS, models=MODELS) -> dict[str, str]:
                         service=written,
                         exact=written if shards == 1 else None))
                     if shards == 1:
-                        ivf = build_ann_index(written, tmp / base / "ivf",
-                                              nlist=NLIST,
-                                              default_nprobe=NLIST, seed=0)
-                        out.update(_files(f"{base}/ivf-index",
-                                          tmp / base / "ivf"))
-                        for k in KS:
-                            for seen in (True, False):
-                                top = ivf.topk(users, k=k, filter_seen=seen)
-                                out.update(_lists(
-                                    f"{prefix}/ivf-full/k={k}/seen="
-                                    f"{int(seen)}", top.items, top.scores))
+                        out.update(ivf_answers(written, tmp / base / "ivf",
+                                               base))
     if "tiny" in datasets:
         out.update(trajectories("tiny"))
         out.update(split_trajectories())

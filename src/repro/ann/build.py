@@ -53,8 +53,9 @@ class AnnManifest(_ManifestCodec):
     ``version`` is a content hash over the arrays and the identity
     fields; ``snapshot_version`` ties the index to the exact snapshot
     export it was trained from.  Deliberately timestamp-free so builds
-    are byte-reproducible.  ``kind`` is always ``"ivf"``; it stays in
-    the hashed identity so existing directories keep their ``version``.
+    are byte-reproducible.  ``kind`` is always ``"ivf"`` and ``spill``
+    (the lists each item is filed in) always 1; both stay in the hashed
+    identity so existing directories keep their ``version``.
     """
 
     _FILE = "ANN manifest"
@@ -82,13 +83,19 @@ class AnnManifest(_ManifestCodec):
 
         Directories written while an ``ivfpq`` kind existed carry a
         ``"pq": null`` field, dropped here; an ``ivfpq`` directory
-        itself is refused.
+        itself is refused, and so is one that files items in several
+        lists (``spill`` other than 1).
         """
         if payload.get("kind") != "ivf":
             raise ValueError(
                 f"ANN index kind {payload.get('kind')!r} is not supported: "
                 f"the 'ivfpq' kind was removed; rebuild the directory as "
                 f"an IVF index with `repro build-ann`")
+        if payload.get("spill") != 1:
+            raise ValueError(
+                f"ANN index spill {payload.get('spill')!r} is not supported: "
+                f"every item is in exactly one inverted list; rebuild the "
+                f"directory with `repro build-ann`")
         payload.pop("pq", None)
         return super().from_payload(payload)
 
@@ -109,15 +116,16 @@ def _ann_version(arrays: dict[str, np.ndarray], identity: tuple) -> str:
 
 
 def build_ann_index(snapshot: ShardedSnapshot, out_dir, *,
-                    nlist: int = 16, spill: int = 1,
-                    default_nprobe: int = 2,
+                    nlist: int = 16, default_nprobe: int = 2,
                     panel_width: int = ANN_PANEL_WIDTH,
                     train_iters: int = 25, seed: int = 0) -> IVFFlatIndex:
     """Train an IVF index from a snapshot and persist it.
 
-    Runs the coarse quantizer on the scoring-ready item table, builds
-    the inverted lists (``spill`` nearest lists per item), writes the
-    index directory and returns the loaded serving index.
+    Runs the coarse quantizer on the scoring-ready item table, files
+    each item in the inverted list of its nearest centroid, writes the
+    index directory and returns the loaded serving index.  Bad
+    parameters raise ``ValueError`` before anything is written, so the
+    index already at ``out_dir`` stays loadable.
 
     Parameters
     ----------
@@ -126,7 +134,7 @@ def build_ann_index(snapshot: ShardedSnapshot, out_dir, *,
         a multi-shard set raises ``ValueError``.
     out_dir:
         Target directory (created if missing; files are overwritten).
-    nlist, spill, default_nprobe, panel_width, train_iters:
+    nlist, default_nprobe, panel_width, train_iters:
         Index geometry; see :mod:`repro.ann.ivf`.
     seed:
         Seeds the k-means; same snapshot + same parameters + same seed
@@ -136,9 +144,11 @@ def build_ann_index(snapshot: ShardedSnapshot, out_dir, *,
     centroids, _ = train_coarse_quantizer(items_ready, nlist, seed=seed,
                                           n_iter=train_iters)
     data = IVFIndexData.from_lists(
-        centroids, assign_lists(items_ready, centroids, spill=spill),
+        centroids, assign_lists(items_ready, centroids),
         num_items=snapshot.manifest.num_items,
         default_nprobe=default_nprobe)
+    index = IVFFlatIndex(snapshot, data, nprobe=default_nprobe,
+                         panel_width=panel_width)
     arrays = {"centroids": data.centroids,
               "list_indptr": data.list_indptr,
               "list_items": data.list_items}
@@ -155,7 +165,7 @@ def build_ann_index(snapshot: ShardedSnapshot, out_dir, *,
         num_items=m.num_items,
         num_users=m.num_users,
         nlist=data.nlist,
-        spill=data.spill,
+        spill=1,
         default_nprobe=data.default_nprobe,
         panel_width=panel_width,
         train_iters=train_iters,
@@ -168,8 +178,7 @@ def build_ann_index(snapshot: ShardedSnapshot, out_dir, *,
         for name, fname in _FILES.items():
             np.save(staging / fname, arrays[name])
         (staging / _MANIFEST).write_text(manifest.to_json() + "\n")
-    return IVFFlatIndex(snapshot, data, nprobe=default_nprobe,
-                        panel_width=panel_width)
+    return index
 
 
 def _read_manifest(path: pathlib.Path) -> AnnManifest:

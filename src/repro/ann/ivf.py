@@ -18,7 +18,7 @@ Three properties make this a drop-in backend for the serving stack:
   bit-identical.
 * **Over-fetch.**  When ``filter_seen`` is on, each user's probe count
   is expanded past ``nprobe`` until the probed lists hold at least
-  ``k + |seen(u)|`` postings, so masking the user's training items can
+  ``k + |seen(u)|`` items, so masking the user's training items can
   never starve the top-``k``.
 * **List-major execution.**  A request chunk is scored one inverted
   list at a time: the chunk rows probing list ``c`` go through one GEMM
@@ -71,29 +71,21 @@ def train_coarse_quantizer(items_ready: np.ndarray, nlist: int,
     if not 1 <= nlist <= len(items_ready):
         raise ValueError(f"need 1 <= nlist <= {len(items_ready)}, "
                          f"got {nlist}")
+    if n_iter < 0:
+        raise ValueError(f"need n_iter >= 0, got {n_iter}")
     return kmeans(items_ready, nlist, n_iter=n_iter,
                   rng=np.random.default_rng(seed))
 
 
-def assign_lists(items_ready: np.ndarray, centroids: np.ndarray,
-                 spill: int = 1) -> list[np.ndarray]:
-    """Assign every item to its ``spill`` nearest centroids.
+def assign_lists(items_ready: np.ndarray, centroids: np.ndarray
+                 ) -> list[np.ndarray]:
+    """File every item under its nearest centroid: one list per item.
 
-    ``spill == 1`` is plain IVF; larger values store each item
-    redundantly in several lists (ScaNN-style spilling), trading index
-    size for recall at small ``nprobe``.  Every returned list is sorted
-    ascending in global item id — the property that makes a list's
-    column order the canonical id order.
+    Every returned list is ascending in global item id — the property
+    that makes a list's column order the canonical id order.
     """
-    nlist = len(centroids)
-    if not 1 <= spill <= nlist:
-        raise ValueError(f"need 1 <= spill <= nlist={nlist}, got {spill}")
-    d = sq_dists(items_ready, centroids)
-    # list membership needs only the set of nearest centroids, not its order
-    owners = (d.argmin(axis=1)[:, None] if spill == 1
-              else np.argpartition(d, spill - 1, axis=1)[:, :spill])
-    return [np.sort(np.flatnonzero((owners == c).any(axis=1))).astype(
-        np.int64) for c in range(nlist)]
+    owner = sq_dists(items_ready, centroids).argmin(axis=1)
+    return [np.flatnonzero(owner == c) for c in range(len(centroids))]
 
 
 # ----------------------------------------------------------------------
@@ -114,7 +106,7 @@ class IVFIndexData:
     list_indptr, list_items:
         CSR layout of the inverted lists: list ``c`` holds global item
         ids ``list_items[list_indptr[c]:list_indptr[c + 1]]``, sorted
-        ascending.
+        ascending.  Every item is in exactly one list.
     num_items:
         Catalogue size (bounds the stored ids).
     default_nprobe:
@@ -141,24 +133,24 @@ class IVFIndexData:
         if not 1 <= default_nprobe <= len(centroids):
             raise ValueError(f"need 1 <= default_nprobe <= nlist, "
                              f"got {default_nprobe}")
-        covered = np.unique(list_items)
-        if len(covered) != num_items:
-            raise ValueError(f"inverted lists cover {len(covered)} of "
-                             f"{num_items} items; every item must appear "
-                             f"in at least one list")
+        counts = np.bincount(list_items, minlength=num_items)
+        if np.any(counts != 1):
+            raise ValueError(
+                f"every item must be in exactly one inverted list: "
+                f"{np.count_nonzero(counts == 0)} of {num_items} items are "
+                f"in none, {np.count_nonzero(counts > 1)} in several")
+        owner = np.repeat(np.arange(len(centroids)), np.diff(list_indptr))
+        if np.any(np.diff(owner * num_items + list_items) <= 0):
+            raise ValueError("item ids must ascend within each inverted list")
         self.centroids = centroids
         self.list_indptr = list_indptr
         self.list_items = list_items
         self.num_items = int(num_items)
         self.default_nprobe = int(default_nprobe)
         self.sizes = np.diff(list_indptr)
-        #: most lists any single item appears in; the over-fetch
-        #: expansion scales by this so posting counts (which count a
-        #: spilled item once per list) still bound unique candidates
-        self.max_spill = int(np.bincount(
-            list_items, minlength=num_items).max()) if len(list_items) else 1
-        #: item -> postings CSR, built on first use
-        self._item_csr: tuple | None = None
+        #: item -> its row in ``list_items``
+        self.position = np.empty(num_items, dtype=np.int64)
+        self.position[list_items] = np.arange(len(list_items))
 
     @classmethod
     def from_lists(cls, centroids: np.ndarray, lists: list[np.ndarray],
@@ -177,11 +169,6 @@ class IVFIndexData:
         return len(self.centroids)
 
     @property
-    def spill(self) -> int:
-        """Ceil of the average number of lists holding each item."""
-        return -(-len(self.list_items) // self.num_items)
-
-    @property
     def table_bytes(self) -> int:
         """Bytes held by centroids and inverted lists (not panels)."""
         return (self.centroids.nbytes + self.list_indptr.nbytes
@@ -190,24 +177,6 @@ class IVFIndexData:
     def list_ids(self, c: int) -> np.ndarray:
         """Global item ids of inverted list ``c`` (ascending)."""
         return self.list_items[self.list_indptr[c]:self.list_indptr[c + 1]]
-
-    def _item_postings(self) -> tuple[np.ndarray, np.ndarray]:
-        """Where every item sits: item → postings, ``(indptr, postings)``.
-
-        Item ``i`` is stored at rows
-        ``postings[indptr[i]:indptr[i + 1]]`` of ``list_items``
-        (ascending, so by ascending list) — several under ``spill > 1``.
-        One stable argsort, built lazily: only seen-item masking needs
-        it, and a racing second build writes the same arrays.
-        """
-        if self._item_csr is None:
-            indptr = np.concatenate([
-                np.zeros(1, np.int64),
-                np.cumsum(np.bincount(self.list_items,
-                                      minlength=self.num_items))])
-            self._item_csr = (indptr,
-                              np.argsort(self.list_items, kind="stable"))
-        return self._item_csr
 
     # ------------------------------------------------------------------
     def plan(self, vectors: np.ndarray, seen_counts: np.ndarray, k: int,
@@ -220,7 +189,7 @@ class IVFIndexData:
         already-transformed ``vectors``; euclidean: negated squared
         distance), descending, ties broken by the smaller list index.
         The probe count starts at ``nprobe`` and expands per user until
-        the probed lists hold at least ``k + seen_counts[u]`` postings
+        the probed lists hold at least ``k + seen_counts[u]`` items
         (``k`` when ``filter_seen`` is off) — the over-fetch guarantee.
 
         Returns the ``(len(vectors), pmax)`` array of probed list
@@ -240,7 +209,6 @@ class IVFIndexData:
         need = np.full(m, k, dtype=np.int64)
         if filter_seen:
             need = need + np.asarray(seen_counts, dtype=np.int64)
-        need = need * self.max_spill
         p = np.maximum(nprobe, 1 + (cum < need[:, None]).sum(axis=1))
         p = np.minimum(p, self.nlist)
         pmax = int(p.max()) if m else nprobe
@@ -331,7 +299,7 @@ class IVFFlatIndex:
         self._ctr_candidates = registry.counter(
             "ann.ivf.candidates",
             "candidate score slots assembled (sum of per-user probed-list "
-            "sizes: postings, so a spilled item probed twice counts twice)")
+            "sizes)")
 
     @property
     def table_bytes(self) -> int:
@@ -371,17 +339,16 @@ class IVFFlatIndex:
         """This index's geometry over a new snapshot generation.
 
         One :func:`assign_lists` pass files the new catalogue under the
-        existing centroids at the same spill — no k-means, and every
-        list follows its rows wherever a re-export moved them.  New
-        centroids are a :func:`~repro.ann.build.build_ann_index` away.
+        existing centroids — no k-means, and every list follows its rows
+        wherever a re-export moved them.  New centroids are a
+        :func:`~repro.ann.build.build_ann_index` away.
         The receiver is untouched: refresh is a swap, not a mutation.
         """
         items_ready = scoring_ready_items(np.asarray(snapshot.items),
                                           snapshot.scoring)
         centroids = self.data.centroids
         data = IVFIndexData.from_lists(
-            centroids, assign_lists(items_ready, centroids,
-                                    spill=self.data.spill),
+            centroids, assign_lists(items_ready, centroids),
             num_items=snapshot.manifest.num_items,
             default_nprobe=self.data.default_nprobe)
         return type(self)(snapshot, data, nprobe=self.nprobe,
@@ -451,15 +418,6 @@ class IVFFlatIndex:
             cand_ids[rows[:, None], cols] = data.list_ids(c)[top]
             cand_scores[rows[:, None], cols] = np.take_along_axis(
                 scores, top, axis=1)
-        if data.max_spill > 1:
-            # an item can arrive from several probed lists: keep its
-            # best copy, turn the others into unused slots
-            cand_ids, cand_scores = _along_rows(
-                np.lexsort((-cand_scores, cand_ids)), cand_ids, cand_scores)
-            dup = ((cand_ids[:, 1:] == cand_ids[:, :-1])
-                   & (cand_ids[:, 1:] < data.num_items))
-            cand_ids[:, 1:][dup] = data.num_items
-            cand_scores[:, 1:][dup] = -np.inf
         # ascending ids make rank_items' tie-break the canonical order
         cand_ids, cand_scores = _along_rows(
             np.argsort(cand_ids, axis=1, kind="stable"),
@@ -479,16 +437,15 @@ class IVFFlatIndex:
         Returns ``(bounds, rows, cols)``: the score block of list ``c``
         (one row per chunk user probing it, ascending) is masked at
         ``[rows[bounds[c]:bounds[c + 1]], cols[bounds[c]:bounds[c + 1]]]``.
-        A lookup through the item → postings CSR: no search of the
-        lists' id arrays.
+        A lookup through ``data.position``: no search of the lists' id
+        arrays.
         """
         data = self.data
         m = len(users)
         indptr, seen = _csr_rows(self.snapshot.seen_indptr,
                                  self.snapshot.seen_items, users)
         row = np.repeat(np.arange(m), np.diff(indptr))
-        indptr, posting = _csr_rows(*data._item_postings(), seen)
-        row = np.repeat(row, np.diff(indptr))
+        posting = data.position[seen]
         lists = np.searchsorted(data.list_indptr, posting, side="right") - 1
         cols = posting - data.list_indptr[lists]
         probed = np.zeros((m, data.nlist + 1), dtype=bool)

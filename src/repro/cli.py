@@ -275,13 +275,10 @@ def _cmd_build_ann(args) -> int:
 
     snapshot = load_snapshot(args.snapshot, verify=args.verify)
     index = build_ann_index(
-        snapshot, args.out, nlist=args.nlist, spill=args.spill,
-        default_nprobe=args.nprobe, seed=args.seed,
-        train_iters=args.train_iters)
+        snapshot, args.out, nlist=args.nlist, default_nprobe=args.nprobe,
+        seed=args.seed, train_iters=args.train_iters)
     data = index.data
-    rows = [["nlist", data.nlist],
-            ["spill", data.max_spill], ["nprobe", data.default_nprobe],
-            ["postings", len(data.list_items)],
+    rows = [["nlist", data.nlist], ["nprobe", data.default_nprobe],
             ["items", data.num_items],
             ["index KiB", f"{index.table_bytes / 1024:.0f}"],
             ["snapshot", snapshot.version]]
@@ -537,8 +534,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="ANN index output directory")
     build_ann.add_argument("--nlist", type=int, default=16,
                            help="number of inverted lists (k-means clusters)")
-    build_ann.add_argument("--spill", type=int, default=1,
-                           help="lists each item is stored in (1 = plain IVF)")
     build_ann.add_argument("--nprobe", type=int, default=2,
                            help="default lists probed per request")
     build_ann.add_argument("--train-iters", type=int, default=25,

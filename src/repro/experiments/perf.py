@@ -177,7 +177,6 @@ class AnnPerfConfig:
     k: int = 10
     nlists: tuple = _flag((8, 16, 32), "comma-separated IVF list counts")
     nprobes: tuple = _flag((1, 2, 4), "comma-separated probe counts")
-    spill: int = 1
     train_iters: int = 25
     batch_size: int = _flag(1024, "request batch per topk call (both lanes "
                                   "time the same stream)")
@@ -252,8 +251,7 @@ def run_ann_suite(config: AnnPerfConfig | None = None) -> dict:
         results.append(baseline)
         for nlist in config.nlists:
             built = build_ann_index(
-                snapshot, pathlib.Path(tmp) / f"ann-{nlist:03d}",
-                nlist=nlist, spill=config.spill,
+                snapshot, pathlib.Path(tmp) / f"ann-{nlist:03d}", nlist=nlist,
                 default_nprobe=min(min(config.nprobes), nlist),
                 seed=config.seed, train_iters=config.train_iters)
             for nprobe in config.nprobes:
@@ -275,7 +273,7 @@ def _ann_row(index, exact_truth: np.ndarray, all_users: np.ndarray,
     from repro.serve.index import scoring_ready_users
     recall = overlap_at_k(exact_truth,
                           index.topk(all_users, k=config.k).items)
-    # candidate sizes from the probe plan alone: the postings of each
+    # candidate sizes from the probe plan alone: the sizes of each
     # user's probed lists (the ``nlist`` padding has size 0)
     vectors = scoring_ready_users(
         np.asarray(index.snapshot.users), index.snapshot.scoring)
@@ -290,7 +288,6 @@ def _ann_row(index, exact_truth: np.ndarray, all_users: np.ndarray,
         "index": index.kind,
         "nlist": int(nlist),
         "nprobe": int(nprobe),
-        "spill": int(config.spill),
         "recall": float(recall),
         "candidates_mean": float(candidates.mean()),
         "speedup_vs_exact": row["users_per_s"] / baseline["users_per_s"],

@@ -82,8 +82,8 @@ class WorkerCrashed(RuntimeError):
     Surfaced in two places: on every future that was pending when the
     worker crashed (``__cause__`` holds the original exception), and
     from ``submit()`` once the supervisor has fail-stopped (crash
-    budget exhausted, or ``restart_on_crash=False``) — the runtime
-    refuses new work loudly instead of queueing into a dead loop.
+    budget exhausted) — the runtime refuses new work loudly instead of
+    queueing into a dead loop.
     """
 
 
@@ -134,9 +134,8 @@ class RuntimeConfig:
     #: request still queued past it fails with :class:`DeadlineExceeded`
     #: when the worker picks it up.  ``None`` disables deadlines.
     deadline_ms: float | None = None
-    #: supervisor policy after a worker-loop crash: restart in place
-    #: (up to ``max_restarts`` times) or fail-stop immediately
-    restart_on_crash: bool = True
+    #: worker-loop crashes the supervisor restarts in place before it
+    #: fail-stops; ``0`` fail-stops on the first crash
     max_restarts: int = 3
 
     def __post_init__(self):
@@ -645,9 +644,9 @@ class ServingRuntime:
         leave callers blocked on futures forever.  The supervisor
         catches any escape, fails the whole backlog with
         :class:`WorkerCrashed` (carrying the cause), and either restarts
-        the loop in place (``restart_on_crash``, up to ``max_restarts``)
-        or fail-stops: the thread exits, :meth:`health` reports the
-        fatal cause, and :meth:`submit` refuses new work loudly.
+        the loop in place (up to ``max_restarts`` times) or fail-stops:
+        the thread exits, :meth:`health` reports the fatal cause, and
+        :meth:`submit` refuses new work loudly.
         """
         while True:
             try:
@@ -667,7 +666,6 @@ class ServingRuntime:
                 crash.__cause__ = exc
                 self._fail_pending(crash)
                 if (self._stop.is_set()
-                        or not self.config.restart_on_crash
                         or self._crash_count > self.config.max_restarts):
                     self._fatal = exc
                     return

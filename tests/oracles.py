@@ -27,7 +27,7 @@ GEMM-only :func:`repro.analysis.kmeans.kmeans` must reproduce its
 labels and centroid bytes, and its ``sq_dists`` (the distance formula
 as one expression) the bytes of the buffered one.
 ``ivf_candidates_csr`` is the set of items an IVF search may return: the
-postings of every list :meth:`repro.ann.ivf.IVFIndexData.plan` probes,
+items of every list :meth:`repro.ann.ivf.IVFIndexData.plan` probes,
 through a dense ``(users, catalogue)`` membership matrix; the list-major
 :class:`repro.ann.ivf.IVFFlatIndex` must rank exactly within it.
 ``merge_partials_heap`` is the sharded router's merge as a per-row k-way
@@ -274,8 +274,7 @@ def ivf_candidates_csr(data, vectors, seen_counts, k, nprobe=None,
     """Per-user candidate ids, CSR layout, ascending global ids.
 
     Row ``r`` of the request block may only be served items in
-    ``ids[indptr[r]:indptr[r + 1]]`` (de-duplicated: a spilled item
-    probed through two lists appears once).
+    ``ids[indptr[r]:indptr[r + 1]]``.
     """
     probes = data.plan(vectors, seen_counts, k, nprobe, filter_seen,
                        scoring)

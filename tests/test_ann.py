@@ -39,29 +39,19 @@ class TestTraining:
         _, snapshot = tiny_mf_snapshot
         items = np.asarray(snapshot.items)
         centroids, _ = train_coarse_quantizer(items, 4, seed=0)
-        lists = assign_lists(items, centroids, spill=1)
+        lists = assign_lists(items, centroids)
         merged = np.sort(np.concatenate(lists))
         np.testing.assert_array_equal(merged, np.arange(len(items)))
         for ids in lists:
             assert np.all(np.diff(ids) > 0)  # ascending, unique
-
-    def test_spill_stores_items_redundantly(self, tiny_mf_snapshot):
-        _, snapshot = tiny_mf_snapshot
-        items = np.asarray(snapshot.items)
-        centroids, _ = train_coarse_quantizer(items, 4, seed=0)
-        spilled = assign_lists(items, centroids, spill=2)
-        assert sum(len(ids) for ids in spilled) == 2 * len(items)
 
     def test_bad_args_rejected(self, tiny_mf_snapshot):
         _, snapshot = tiny_mf_snapshot
         items = np.asarray(snapshot.items)
         with pytest.raises(ValueError):
             train_coarse_quantizer(items, 0)
-        centroids, _ = train_coarse_quantizer(items, 4, seed=0)
-        with pytest.raises(ValueError):
-            assign_lists(items, centroids, spill=0)
-        with pytest.raises(ValueError):
-            assign_lists(items, centroids, spill=5)
+        with pytest.raises(ValueError, match="n_iter"):
+            train_coarse_quantizer(items, 4, n_iter=-1)
 
 
 class TestExactnessBoundary:
@@ -296,13 +286,11 @@ class TestListMajorLoop:
 
     @pytest.fixture(scope="class")
     def tied(self, tiny_mf_snapshot, tmp_path_factory):
-        """(snapshot with the tied rows, {spill: index data})."""
+        """(snapshot with the tied rows, index data)."""
         _, snapshot = tiny_mf_snapshot
-        data = {spill: build_ann_index(
-            snapshot, tmp_path_factory.mktemp(f"tied-{spill}"),
-            nlist=self.NLIST, spill=spill, seed=0).data
-            for spill in (1, 2, 3)}
-        a, b, c = (int(data[1].list_ids(lst)[0]) for lst in range(3))
+        data = build_ann_index(snapshot, tmp_path_factory.mktemp("tied"),
+                               nlist=self.NLIST, seed=0).data
+        a, b, c = (int(data.list_ids(lst)[0]) for lst in range(3))
         items = np.array(snapshot.items)
         items[b] = items[c] = items[a]
         return with_items(snapshot, items), data
@@ -326,16 +314,11 @@ class TestListMajorLoop:
         top = rank_items(dense, k)
         return top, np.take_along_axis(dense, top, axis=1)
 
-    @pytest.mark.parametrize("spill", [1, 2, 3])
     @pytest.mark.parametrize("nprobe", [1, 2, NLIST])
-    def test_matches_restricted_exact(self, tied, spill, nprobe):
-        snapshot, by_spill = tied
-        data = by_spill[spill]
-        assert data.max_spill == spill
+    def test_matches_restricted_exact(self, tied, nprobe):
+        snapshot, data = tied
         num_items = snapshot.manifest.num_items
         users = np.arange(snapshot.manifest.num_users, dtype=np.int64)
-        # spill 2, k = num_items - 1, filter_seen once returned an id
-        # twice in the -inf tail: a masked duplicate is still a duplicate
         for k in (1, 5, num_items - 1, num_items, 5 * num_items):
             for filter_seen in (True, False):
                 want_items, want_scores = self._oracle(
@@ -357,10 +340,10 @@ class TestListMajorLoop:
                     assert np.all(ranked[:, 1:] > ranked[:, :-1]), case
 
     def test_candidates_csr_ascending_and_deduplicated(self, tied):
-        snapshot, by_spill = tied
+        snapshot, data = tied
         users = np.arange(snapshot.manifest.num_users, dtype=np.int64)
         indptr, ids = ivf_candidates_csr(
-            by_spill[2],
+            data,
             scoring_ready_users(snapshot.users[users], snapshot.scoring),
             np.diff(snapshot.seen_indptr)[users], 5, 2, True,
             snapshot.scoring)
@@ -425,8 +408,8 @@ class TestPersistence:
         """Satellite acceptance: same snapshot + seed => same bytes."""
         _, _, snapshot = yelp_retrieval
         a, b = tmp_path / "a", tmp_path / "b"
-        build_ann_index(snapshot, a, nlist=8, spill=2, seed=3)
-        build_ann_index(snapshot, b, nlist=8, spill=2, seed=3)
+        build_ann_index(snapshot, a, nlist=8, seed=3)
+        build_ann_index(snapshot, b, nlist=8, seed=3)
         files = sorted(p.name for p in a.iterdir())
         assert files == sorted(p.name for p in b.iterdir())
         for name in files:
@@ -481,7 +464,7 @@ class TestPersistence:
         """Directories written while IVF-PQ existed carry ``"pq": null``;
         the loader accepts them, verified, and serves the same lists."""
         _, snapshot = tiny_mf_snapshot
-        built = build_ann_index(snapshot, tmp_path, nlist=4, spill=2, seed=0)
+        built = build_ann_index(snapshot, tmp_path, nlist=4, seed=0)
         self._rewrite_manifest(tmp_path, pq=None)
         loaded = load_ann_index(tmp_path, snapshot, verify=True)
         users = np.arange(snapshot.manifest.num_users, dtype=np.int64)
@@ -497,6 +480,45 @@ class TestPersistence:
         with pytest.raises(ValueError, match="'ivfpq'.*repro build-ann"):
             load_ann_index(tmp_path, snapshot)
 
+    def test_spilled_manifest_rejected(self, tiny_mf_snapshot, tmp_path):
+        """A directory recording items filed in several lists is refused
+        before its arrays are read."""
+        _, snapshot = tiny_mf_snapshot
+        build_ann_index(snapshot, tmp_path, nlist=4, seed=0)
+        self._rewrite_manifest(tmp_path, spill=2)
+        with pytest.raises(ValueError, match="spill 2.*repro build-ann"):
+            load_ann_index(tmp_path, snapshot)
+
+    def test_unsorted_list_rejected_without_verify(self, tiny_mf_snapshot,
+                                                   tmp_path):
+        """An unverified load still refuses a list whose ids do not
+        ascend: its ``k`` cut would break ties by column, not by id."""
+        _, snapshot = tiny_mf_snapshot
+        built = build_ann_index(snapshot, tmp_path, nlist=4, seed=0)
+        items = np.load(tmp_path / "list_items.npy")
+        first = slice(0, int(built.data.sizes[0]))
+        assert first.stop > 1
+        items[first] = items[first][::-1]
+        np.save(tmp_path / "list_items.npy", items)
+        with pytest.raises(ValueError, match="ascend"):
+            load_ann_index(tmp_path, snapshot)
+
+    @pytest.mark.parametrize("bad", [
+        {"panel_width": 0}, {"train_iters": -1}, {"nlist": 0},
+        {"default_nprobe": 5}])
+    def test_bad_rebuild_leaves_previous_index(self, tiny_mf_snapshot,
+                                               tmp_path, bad):
+        """Parameters are checked before the publish: a refused rebuild
+        leaves the directory's bytes as they were, and loadable."""
+        _, snapshot = tiny_mf_snapshot
+        build_ann_index(snapshot, tmp_path, nlist=4, seed=0)
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(ValueError):
+            build_ann_index(snapshot, tmp_path, **{"nlist": 4, "seed": 0,
+                                                   **bad})
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        load_ann_index(tmp_path, snapshot, verify=True)
+
     def test_missing_directory_reported(self, yelp_retrieval, tmp_path):
         _, _, snapshot = yelp_retrieval
         with pytest.raises(FileNotFoundError):
@@ -510,12 +532,30 @@ class TestIndexDataValidation:
         with pytest.raises(ValueError, match="span"):
             IVFIndexData(centroids, np.array([0, 1, 3]),
                          np.array([0, 1]), num_items=2)
-        with pytest.raises(ValueError, match="cover"):
+        with pytest.raises(ValueError, match="exactly one"):
             IVFIndexData(centroids, np.array([0, 1, 2]),
                          np.array([0, 0]), num_items=2)
         with pytest.raises(ValueError, match="out-of-range"):
             IVFIndexData(centroids, np.array([0, 1, 2]),
                          np.array([0, 5]), num_items=2)
+
+    def test_each_item_in_exactly_one_ascending_list(self):
+        centroids = np.zeros((2, 4))
+        with pytest.raises(ValueError, match="0 of 2 items are in none, "
+                                             "1 in several"):
+            IVFIndexData(centroids, np.array([0, 2, 3]),
+                         np.array([0, 1, 1]), num_items=2)
+        with pytest.raises(ValueError, match="1 of 2 items are in none, "
+                                             "0 in several"):
+            IVFIndexData(centroids, np.array([0, 1, 1]),
+                         np.array([0]), num_items=2)
+        with pytest.raises(ValueError, match="ascend"):
+            IVFIndexData(centroids, np.array([0, 2, 2]),
+                         np.array([1, 0]), num_items=2)
+        # ids ascend within a list, not across lists
+        data = IVFIndexData(centroids, np.array([0, 1, 2]),
+                            np.array([1, 0]), num_items=2)
+        np.testing.assert_array_equal(data.position, [1, 0])
 
     def test_default_nprobe_bounds(self):
         centroids = np.zeros((2, 4))

@@ -126,6 +126,38 @@ def test_one_ulp_high_threshold_changes_a_wide_tied_entry(tiny_answers,
     assert top_items() != tiny_answers[key]
 
 
+def test_unmasked_seen_items_change_only_filtered_ivf_lists(
+        tiny_answers, monkeypatch, tmp_path):
+    """Control for the partial-probe IVF entries: with seen-item masking
+    that masks nothing, ``seen=1`` lists at partial probe change and no
+    ``seen=0`` entry does, while the real masking reproduces them."""
+    from repro.ann import IVFFlatIndex
+    from repro.data import load_dataset
+    from repro.serve import export_snapshot
+    dataset = load_dataset("tiny")
+    snapshot = export_snapshot(
+        answers_script._trained("mf", dataset), dataset, tmp_path / "snap",
+        model_name="mf", created_unix=answers_script.CREATED_UNIX)
+
+    def ivf_entries(name):
+        return answers_script.ivf_answers(snapshot, tmp_path / name,
+                                          "tiny/mf")
+
+    real = ivf_entries("real")
+    assert any("/ivf-probe1/" in key for key in real)
+    assert real.items() <= tiny_answers.items()
+
+    def masks_nothing(self, users, probes):
+        empty = np.empty(0, dtype=np.int64)
+        return np.zeros(self.data.nlist + 1, dtype=np.int64), empty, empty
+
+    monkeypatch.setattr(IVFFlatIndex, "_seen_by_list", masks_nothing)
+    changed = {key for key, value in ivf_entries("planted").items()
+               if real[key] != value}
+    assert any("/ivf-probe" in key and "/seen=1/" in key for key in changed)
+    assert not any("/seen=0/" in key for key in changed)
+
+
 def test_evaluation_covers_every_model(tiny_answers):
     for name in answers_script.MODELS:
         entries = {key.split("/eval/", 1)[1] for key in tiny_answers

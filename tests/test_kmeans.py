@@ -124,14 +124,12 @@ class TestIndexDirectories:
     """Satellite acceptance: an index built on the fast k-means is the
     one the oracle builds, file for file."""
 
-    @pytest.mark.parametrize("kind, nlist, spill", [
-        ("ivf", 32, 1), ("ivf", 64, 2)])
+    @pytest.mark.parametrize("nlist", [32, 64])
     def test_bytes_equal_oracle_build(self, yelp_retrieval, tmp_path,
-                                      monkeypatch, kind, nlist, spill):
+                                      monkeypatch, nlist):
         _, _, snapshot = yelp_retrieval
-        params = dict(nlist=nlist, spill=spill, seed=0)
-        assert build_ann_index(snapshot, tmp_path / "fast",
-                               **params).kind == kind
+        params = dict(nlist=nlist, seed=0)
+        build_ann_index(snapshot, tmp_path / "fast", **params)
         calls = []
 
         def oracle(*args, **kwargs):

@@ -104,6 +104,19 @@ class TestRecommend:
             cli.main(["recommend", "--snapshot", str(sharded),
                       "--ann", str(ann)])
 
+    def test_build_ann_refuses_bad_options(self, exported, tmp_path):
+        """``--spill`` is gone (argparse usage error, exit 2), and a
+        negative ``--train-iters`` is refused before anything is written."""
+        ann = tmp_path / "ann"
+        with pytest.raises(SystemExit) as usage:
+            cli.main(["build-ann", "--snapshot", str(exported), "--spill",
+                      "2", "--out", str(ann)])
+        assert usage.value.code == 2
+        with pytest.raises(ValueError, match="n_iter"):
+            cli.main(["build-ann", "--snapshot", str(exported),
+                      "--train-iters", "-1", "--out", str(ann)])
+        assert not ann.exists()
+
 
 class TestRefresh:
     """``repro refresh`` swaps a re-exported snapshot in mid-stream."""

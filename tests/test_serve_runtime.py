@@ -449,7 +449,7 @@ class TestWorkerSupervision:
     def test_fail_stop_refuses_work_until_restarted(self, service):
         from repro.serve import WorkerCrashed
         runtime = ServingRuntime(service,
-                                 fast_config(restart_on_crash=False))
+                                 fast_config(max_restarts=0))
 
         def always_boom():
             raise RuntimeError("kaboom")
@@ -656,7 +656,7 @@ class TestAdmissionHits:
         from repro.serve import WorkerCrashed
         service.recommend_one(0, k=5)
         runtime = ServingRuntime(service,
-                                 fast_config(restart_on_crash=False))
+                                 fast_config(max_restarts=0))
         runtime._fatal = RuntimeError("kaboom")
         with pytest.raises(WorkerCrashed, match="fail-stopped"):
             runtime.submit(0, k=5)
