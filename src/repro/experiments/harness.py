@@ -44,7 +44,6 @@ class ExperimentSpec:
     dataset: str = "yelp2018-small"
     model: str = "mf"
     loss: str = "sl"
-    model_kwargs: dict = field(default_factory=dict)
     loss_kwargs: dict = field(default_factory=dict)
     dim: int = 64
     epochs: int = 25
@@ -96,8 +95,7 @@ def build_components(spec: ExperimentSpec
     if spec.positive_noise > 0:
         train_ds = inject_positive_noise(clean, spec.positive_noise,
                                          rng=spec.seed + 1)
-    model = get_model(spec.model, train_ds, dim=spec.dim, rng=spec.seed,
-                      **spec.model_kwargs)
+    model = get_model(spec.model, train_ds, dim=spec.dim, rng=spec.seed)
     if spec.loss in _EXTRA_LOSSES:
         loss = _EXTRA_LOSSES[spec.loss](**spec.loss_kwargs)
     else:

@@ -163,8 +163,10 @@ class PropagationCache:
     values are kept apart, keyed on the data version alone.
     """
 
-    def __init__(self, max_entries: int = 32):
-        self.max_entries = max_entries
+    #: cached products kept before the cache is cleared wholesale
+    MAX_ENTRIES = 32
+
+    def __init__(self):
         self._entries: dict[tuple[int, int], tuple] = {}
         #: ``(id(matrix), num_layers) -> (matrix, data version, value)``
         self._values: dict[tuple[int, int], tuple] = {}
@@ -211,7 +213,7 @@ class PropagationCache:
         repopulates the handful of hot products).
         """
         if self._entries and (
-                len(self._entries) >= self.max_entries
+                len(self._entries) >= self.MAX_ENTRIES
                 or next(iter(self._entries.values()))[2] != token):
             self._drop(self._entries)
 

@@ -31,9 +31,8 @@ The serving path is hardened for partial failure: the sharded router
 takes a :class:`~repro.serve.resilience.ResilienceConfig` (per-shard
 deadlines, jittered retries, hedged backup requests, circuit breakers)
 and reports shard loss as **explicit degraded results**
-(``TopKResult.coverage`` / ``Recommendation.degraded``) or a
-:class:`~repro.serve.resilience.PartialResultError` in strict mode —
-never a silently-wrong top-k.  :mod:`repro.serve.faults` provides a
+(``TopKResult.coverage`` / ``Recommendation.degraded``) — never a
+silently-wrong top-k.  :mod:`repro.serve.faults` provides a
 deterministic, seeded fault-injection harness for chaos testing (see
 ``docs/robustness.md``).
 
@@ -53,8 +52,8 @@ from repro.serve.faults import (FAULT_KINDS, FaultEvent, FaultPlan, FaultSpec,
                                 ManualClock, corrupt_array_file)
 from repro.serve.index import PANEL_WIDTH, ExactTopKIndex, TopKResult
 from repro.serve.resilience import (BreakerConfig, BreakerOpenError,
-                                    CircuitBreaker, PartialResultError,
-                                    ResilienceConfig, ShardCallError)
+                                    CircuitBreaker, ResilienceConfig,
+                                    ShardCallError)
 from repro.serve.router import RouterStats, ShardedTopKIndex
 from repro.serve.runtime import (AsyncRequest, DeadlineExceeded, OverloadError,
                                  RuntimeConfig, RuntimeStats, ServingRuntime,
@@ -90,6 +89,6 @@ __all__ = [
     "FaultyShardIndex", "FaultyService", "corrupt_array_file",
     "ManualClock",
     "ResilienceConfig", "BreakerConfig", "CircuitBreaker",
-    "PartialResultError", "ShardCallError", "BreakerOpenError",
+    "ShardCallError", "BreakerOpenError",
     "DeadlineExceeded", "WorkerCrashed",
 ]

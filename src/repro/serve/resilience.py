@@ -1,4 +1,4 @@
-"""Resilience primitives for the serving stack: breakers, budgets, modes.
+"""Resilience primitives for the serving stack: breakers and budgets.
 
 The scatter-gather router (:mod:`repro.serve.router`) is fail-stop by
 default: one slow or crashing shard call takes the whole request with
@@ -7,18 +7,14 @@ latency and *explicit* partial results instead:
 
 * :class:`ResilienceConfig` — the per-shard failure policy: a deadline
   budget per shard call, jittered retry/backoff inside that budget,
-  optional hedged backup attempts for stragglers, a circuit breaker per
-  shard, and the degraded-result mode (annotate vs. strict).
+  optional hedged backup attempts for stragglers, and a circuit breaker
+  per shard.
 * :class:`CircuitBreaker` — classic closed → open → half-open breaker
   with a pluggable monotonic clock (tests drive transitions with
   :class:`~repro.serve.faults.ManualClock` instead of sleeping).  State
   changes and rejections are counted in the metrics registry.
-* :class:`PartialResultError` — raised in ``strict`` mode when a shard
-  stays down: the caller asked for exact top-K or nothing, and the
-  router will not silently return a ranking that ignored part of the
-  catalogue.
 
-Degraded-result semantics (the non-strict default) are carried on
+A shard that stays down yields a degraded result, carried on
 :class:`~repro.serve.index.TopKResult` (``coverage`` < 1,
 ``failed_shards``) and surfaced per user as
 ``Recommendation.degraded`` — and degraded lists are **never cached**,
@@ -29,23 +25,26 @@ full contract is in ``docs/robustness.md``.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 
 from repro.obs.metrics import get_registry
 
-__all__ = ["PartialResultError", "ShardCallError", "BreakerOpenError",
-           "BreakerConfig", "CircuitBreaker", "ResilienceConfig"]
+__all__ = ["ShardCallError", "BreakerOpenError", "BreakerConfig",
+           "CircuitBreaker", "ResilienceConfig"]
+
+#: base backoff between a shard's attempts, milliseconds
+BACKOFF_MS = 2.0
+#: uniform jitter fraction applied to the backoff (0.5 -> ±50%)
+BACKOFF_JITTER = 0.5
 
 
-class PartialResultError(RuntimeError):
-    """Strict mode's answer to a dead shard: fail the request loudly
-    rather than return a top-K that ignored part of the catalogue."""
-
-    def __init__(self, message: str, *, coverage: float = 0.0,
-                 failed_shards: tuple = ()):
-        super().__init__(message)
-        self.coverage = coverage
-        self.failed_shards = failed_shards
+def require_positive(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is a
+    positive finite number (NaN and infinity fail)."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, "
+                         f"got {value}")
 
 
 class ShardCallError(RuntimeError):
@@ -65,31 +64,19 @@ class BreakerConfig:
     """Knobs of one :class:`CircuitBreaker`.
 
     ``failure_threshold`` consecutive failures trip the breaker open;
-    after ``reset_timeout_s`` it admits probe calls (half-open), and
-    ``success_threshold`` consecutive probe successes close it again.
-    A failure while half-open re-opens immediately (and restarts the
-    reset timer).
+    after ``reset_timeout_s`` it admits one probe call (half-open).  The
+    probe's success closes the breaker; its failure re-opens it (and
+    restarts the reset timer).
     """
 
     failure_threshold: int = 5
     reset_timeout_s: float = 30.0
-    success_threshold: int = 1
-    #: concurrent probe calls admitted while half-open
-    half_open_max: int = 1
 
     def __post_init__(self):
         if self.failure_threshold <= 0:
             raise ValueError(f"failure_threshold must be positive, "
                              f"got {self.failure_threshold}")
-        if self.reset_timeout_s <= 0:
-            raise ValueError(f"reset_timeout_s must be positive, "
-                             f"got {self.reset_timeout_s}")
-        if self.success_threshold <= 0:
-            raise ValueError(f"success_threshold must be positive, "
-                             f"got {self.success_threshold}")
-        if self.half_open_max <= 0:
-            raise ValueError(f"half_open_max must be positive, "
-                             f"got {self.half_open_max}")
+        require_positive("reset_timeout_s", self.reset_timeout_s)
 
 
 #: breaker state -> value of the ``serve.breaker.state`` gauge
@@ -119,9 +106,8 @@ class CircuitBreaker:
         self._lock = threading.Lock()
         self._state = "closed"
         self._consecutive_failures = 0
-        self._consecutive_successes = 0
         self._opened_at = 0.0
-        self._half_open_inflight = 0
+        self._probe_inflight = False
         registry = get_registry()
         labels = {"instance": registry.next_instance("serve.breaker")}
         if name:
@@ -154,8 +140,7 @@ class CircuitBreaker:
                 and self._clock() - self._opened_at
                 >= self.config.reset_timeout_s):
             self._state = "half-open"
-            self._consecutive_successes = 0
-            self._half_open_inflight = 0
+            self._probe_inflight = False
             self._gauge_state.set(_STATE_VALUES[self._state])
 
     def allow(self) -> bool:
@@ -164,12 +149,9 @@ class CircuitBreaker:
             self._maybe_half_open()
             if self._state == "closed":
                 return True
-            if self._state == "half-open":
-                if self._half_open_inflight < self.config.half_open_max:
-                    self._half_open_inflight += 1
-                    return True
-                self._counter_rejected.inc()
-                return False
+            if self._state == "half-open" and not self._probe_inflight:
+                self._probe_inflight = True
+                return True
             self._counter_rejected.inc()
             return False
 
@@ -178,24 +160,16 @@ class CircuitBreaker:
         with self._lock:
             self._consecutive_failures = 0
             if self._state == "half-open":
-                self._half_open_inflight = max(
-                    0, self._half_open_inflight - 1)
-                self._consecutive_successes += 1
-                if (self._consecutive_successes
-                        >= self.config.success_threshold):
-                    self._state = "closed"
-                    self._counter_closed.inc()
-                    self._gauge_state.set(_STATE_VALUES[self._state])
+                self._state = "closed"
+                self._counter_closed.inc()
+                self._gauge_state.set(_STATE_VALUES[self._state])
 
     def record_failure(self) -> None:
         """Report a failed dependency call (error or deadline miss)."""
         with self._lock:
-            self._consecutive_successes = 0
             if self._state == "half-open":
                 # A failed probe re-opens immediately and restarts the
                 # reset timer — no threshold while probing.
-                self._half_open_inflight = max(
-                    0, self._half_open_inflight - 1)
                 self._trip()
                 return
             if self._state == "closed":
@@ -229,49 +203,33 @@ class ResilienceConfig:
     worker thread under a **deadline budget**: ``deadline_ms`` covers
     *all* attempts at one shard for one chunk (retries eat the same
     budget — a failing shard cannot stall the request ``retries`` full
-    deadlines).  Failed attempts retry after ``backoff_ms`` with
-    deterministic seeded jitter; slow attempts are optionally
-    **hedged** (a backup attempt after ``hedge_ms`` — first success
-    wins); and a per-shard :class:`CircuitBreaker` short-circuits a
-    shard that keeps failing, so its deadline budget stops being paid
-    at all.
+    deadlines).  Failed attempts retry after :data:`BACKOFF_MS` with
+    deterministic seeded ±:data:`BACKOFF_JITTER` jitter; slow attempts
+    are optionally **hedged** (a backup attempt after ``hedge_ms`` —
+    first success wins); and a per-shard :class:`CircuitBreaker`
+    short-circuits a shard that keeps failing, so its deadline budget
+    stops being paid at all.
 
-    When a shard still fails: ``strict=False`` (default) returns a
-    **degraded** result — merged from the surviving shards, coverage
-    and failed-shard list attached, never cached; ``strict=True``
-    raises :class:`PartialResultError` instead.
+    A shard that still fails yields a **degraded** result — merged
+    from the surviving shards, coverage and failed-shard list attached,
+    never cached.
     """
 
     #: total per-shard deadline budget per routed chunk, milliseconds
     deadline_ms: float = 100.0
     #: additional attempts after the first (0 = no retry)
     retries: int = 1
-    #: base backoff between attempts, milliseconds
-    backoff_ms: float = 2.0
-    #: uniform jitter fraction applied to the backoff (0.5 -> ±50%)
-    backoff_jitter: float = 0.5
     #: hedge trigger: back-up attempt after this many ms without a
     #: result (None disables hedging)
     hedge_ms: float | None = None
     #: per-shard circuit breaker (None disables breakers)
     breaker: BreakerConfig | None = None
-    #: strict mode raises PartialResultError instead of degrading
-    strict: bool = False
     #: seed of the deterministic backoff-jitter stream
     seed: int = 0
 
     def __post_init__(self):
-        if self.deadline_ms <= 0:
-            raise ValueError(f"deadline_ms must be positive, "
-                             f"got {self.deadline_ms}")
+        require_positive("deadline_ms", self.deadline_ms)
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.backoff_ms < 0:
-            raise ValueError(f"backoff_ms must be >= 0, "
-                             f"got {self.backoff_ms}")
-        if not 0.0 <= self.backoff_jitter <= 1.0:
-            raise ValueError(f"backoff_jitter must lie in [0, 1], "
-                             f"got {self.backoff_jitter}")
-        if self.hedge_ms is not None and self.hedge_ms <= 0:
-            raise ValueError(f"hedge_ms must be positive, "
-                             f"got {self.hedge_ms}")
+        if self.hedge_ms is not None:
+            require_positive("hedge_ms", self.hedge_ms)

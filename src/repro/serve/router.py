@@ -42,9 +42,9 @@ from repro.obs.trace import get_tracer
 from repro.serve.faults import _draw
 from repro.serve.index import (PanelScorer, TopKResult, prepare_request,
                                scoring_ready_users)
-from repro.serve.resilience import (BreakerOpenError, CircuitBreaker,
-                                    PartialResultError, ResilienceConfig,
-                                    ShardCallError)
+from repro.serve.resilience import (BACKOFF_JITTER, BACKOFF_MS,
+                                    BreakerOpenError, CircuitBreaker,
+                                    ResilienceConfig, ShardCallError)
 from repro.serve.shard import ItemShardIndex, ShardedSnapshot
 from repro.tensor import parallel
 
@@ -114,11 +114,9 @@ class ShardedTopKIndex:
         ``resilience.breaker`` is set) a per-shard circuit breaker.  A
         shard that still fails yields an explicitly **degraded** result
         (``TopKResult.coverage`` < 1, unfillable ranks padded with item
-        ``-1`` / score ``-inf``) — or, in ``strict`` mode, a
-        :class:`~repro.serve.resilience.PartialResultError`.  ``None``
-        (default) keeps the fail-stop fast path: no helper threads, no
-        per-call overhead, bit-parity with the unsharded index exactly
-        as before.
+        ``-1`` / score ``-inf``).  ``None`` (default) keeps the
+        fail-stop fast path: no helper threads, no per-call overhead,
+        bit-parity with the unsharded index exactly as before.
     """
 
     #: Tag recorded in benchmarks and service cache keys.  It names the
@@ -205,9 +203,7 @@ class ShardedTopKIndex:
 
         Returns ``(items, scores, failed_shards)``; the last element is
         empty except on the resilient path when a shard exhausted its
-        deadline budget (degraded merge, or a
-        :class:`~repro.serve.resilience.PartialResultError` in strict
-        mode).
+        deadline budget (a degraded merge).
         """
         t0 = time.perf_counter()
         vectors = scoring_ready_users(
@@ -242,14 +238,6 @@ class ShardedTopKIndex:
         failed = tuple(s for s, p in enumerate(partials) if p is None)
         t2 = time.perf_counter()
         if failed:
-            if self.resilience.strict:
-                coverage = self._coverage(set(failed))
-                raise PartialResultError(
-                    f"{len(failed)} of {len(self.shard_indexes)} item "
-                    f"shards failed their deadline budget "
-                    f"(coverage {coverage:.2f}); strict mode refuses a "
-                    f"partial top-K", coverage=coverage,
-                    failed_shards=failed)
             self.stats.inc("degraded_chunks")
             survivors = [p for p in partials if p is not None]
             if survivors:
@@ -279,8 +267,7 @@ class ShardedTopKIndex:
     # ------------------------------------------------------------------
     def _guard_shard(self, s: int, call):
         """One shard's resilient call.  Never raises for a failing
-        shard: its partial comes back ``None`` (strict-mode handling is
-        the caller's)."""
+        shard: its partial comes back ``None``."""
         try:
             return self._call_shard(s, call)
         except ShardCallError:
@@ -326,8 +313,7 @@ class ShardedTopKIndex:
                     # RNG stream (replays stay bit-identical).
                     spread = 2.0 * _draw(cfg.seed, f"backoff:{s}",
                                          attempt, 0) - 1.0
-                    pause = cfg.backoff_ms / 1e3 \
-                        * (1.0 + cfg.backoff_jitter * spread)
+                    pause = BACKOFF_MS / 1e3 * (1.0 + BACKOFF_JITTER * spread)
                     budget = deadline - time.monotonic()
                     if budget > 0:
                         time.sleep(min(pause, budget))

@@ -20,10 +20,10 @@ from a background worker thread in **adaptive micro-batches**:
   ``batch_size`` queued misses per sweep, so ``batch_size`` bounds the
   index work of a sweep.  Every ``window`` requests it serves, it
   re-reads their recent p99 latency: while p99 is under
-  ``headroom * slo_ms`` the batch grows multiplicatively (amortizing
+  ``HEADROOM * slo_ms`` the batch grows by ``GROW``× (amortizing
   per-sweep overhead → more throughput), and once p99 crosses the SLO
-  it shrinks multiplicatively (smaller sweeps → lower queueing delay).
-  The batch size always stays inside ``[min_batch, max_batch]``.
+  it shrinks by ``SHRINK``× (smaller sweeps → lower queueing delay).
+  The batch size always stays inside ``[MIN_BATCH, max_batch]``.
 * **Latency breakdown.**  Each request records wall-clock queue wait
   and in-batch service time (an admission hit: its cache lookup and
   0); the service underneath accumulates index sweep seconds
@@ -55,6 +55,7 @@ import numpy as np
 from repro.obs.metrics import Reservoir, get_registry
 from repro.obs.stats import RegistryBackedStats
 from repro.obs.trace import get_tracer
+from repro.serve.resilience import require_positive
 
 __all__ = ["OverloadError", "DeadlineExceeded", "WorkerCrashed",
            "RuntimeConfig", "RuntimeStats", "AsyncRequest",
@@ -98,6 +99,21 @@ def latency_percentile(samples, q: float) -> float:
     return float(np.percentile(np.asarray(samples, dtype=np.float64), q))
 
 
+#: batch-size controller: floor of the batch size, grow while recent
+#: p99 < HEADROOM * slo_ms, multiplicative growth / shrink factors
+MIN_BATCH = 1
+HEADROOM = 0.7
+GROW = 2.0
+SHRINK = 0.5
+#: idle worker poll interval, milliseconds
+POLL_MS = 0.2
+#: lifetime latency sample kept for :meth:`ServingRuntime.latency_quantiles`
+#: — a fixed-size seeded reservoir, so memory stays bounded over
+#: arbitrarily long soaks while the quantiles describe the whole run
+RESERVOIR_SIZE = 2048
+RESERVOIR_SEED = 0
+
+
 @dataclasses.dataclass
 class RuntimeConfig:
     """Knobs of the admission queue and the batch-size controller.
@@ -111,25 +127,12 @@ class RuntimeConfig:
     slo_ms: float = 50.0
     #: admission-queue bound; a full queue sheds instead of growing
     max_queue: int = 1024
-    #: micro-batch size limits and starting point
-    min_batch: int = 1
+    #: micro-batch size ceiling and starting point
     max_batch: int = 256
     initial_batch: int = 8
     #: completed requests between batch-size adaptations (also the
     #: sliding-window length of the controller's p99 estimate)
     window: int = 64
-    #: grow the batch while recent p99 < headroom * slo_ms
-    headroom: float = 0.7
-    #: multiplicative batch growth / shrink factors
-    grow: float = 2.0
-    shrink: float = 0.5
-    #: idle worker poll interval, milliseconds
-    poll_ms: float = 0.2
-    #: lifetime latency sample kept for :meth:`ServingRuntime.latency_quantiles`
-    #: — a fixed-size seeded reservoir, so memory stays bounded over
-    #: arbitrarily long soaks while the quantiles describe the whole run
-    reservoir_size: int = 2048
-    reservoir_seed: int = 0
     #: per-request deadline (enqueue → batch start), milliseconds; a
     #: request still queued past it fails with :class:`DeadlineExceeded`
     #: when the worker picks it up.  ``None`` disables deadlines.
@@ -139,36 +142,20 @@ class RuntimeConfig:
     max_restarts: int = 3
 
     def __post_init__(self):
-        if self.deadline_ms is not None and self.deadline_ms <= 0:
-            raise ValueError(f"deadline_ms must be positive, "
-                             f"got {self.deadline_ms}")
+        if self.deadline_ms is not None:
+            require_positive("deadline_ms", self.deadline_ms)
         if self.max_restarts < 0:
             raise ValueError(f"max_restarts must be >= 0, "
                              f"got {self.max_restarts}")
-        if self.slo_ms <= 0:
-            raise ValueError(f"slo_ms must be positive, got {self.slo_ms}")
+        require_positive("slo_ms", self.slo_ms)
         if self.max_queue <= 0:
             raise ValueError(f"max_queue must be positive, "
                              f"got {self.max_queue}")
-        if not 0 < self.min_batch <= self.max_batch:
-            raise ValueError(f"need 0 < min_batch <= max_batch, got "
-                             f"[{self.min_batch}, {self.max_batch}]")
-        if not self.min_batch <= self.initial_batch <= self.max_batch:
+        if not MIN_BATCH <= self.initial_batch <= self.max_batch:
             raise ValueError(f"initial_batch {self.initial_batch} outside "
-                             f"[{self.min_batch}, {self.max_batch}]")
+                             f"[{MIN_BATCH}, {self.max_batch}]")
         if self.window <= 0:
             raise ValueError(f"window must be positive, got {self.window}")
-        if not 0 < self.headroom <= 1:
-            raise ValueError(f"headroom must lie in (0, 1], "
-                             f"got {self.headroom}")
-        if self.grow <= 1 or not 0 < self.shrink < 1:
-            raise ValueError(f"need grow > 1 and 0 < shrink < 1, got "
-                             f"grow={self.grow}, shrink={self.shrink}")
-        if self.poll_ms <= 0:
-            raise ValueError(f"poll_ms must be positive, got {self.poll_ms}")
-        if self.reservoir_size <= 0:
-            raise ValueError(f"reservoir_size must be positive, "
-                             f"got {self.reservoir_size}")
 
 
 class RuntimeStats(RegistryBackedStats):
@@ -313,8 +300,8 @@ class ServingRuntime:
         # for latency_quantiles() without ever growing RSS.
         self._latencies: collections.deque = collections.deque(
             maxlen=self.config.window)
-        self._reservoir = Reservoir(capacity=self.config.reservoir_size,
-                                    seed=self.config.reservoir_seed)
+        self._reservoir = Reservoir(capacity=RESERVOIR_SIZE,
+                                    seed=RESERVOIR_SEED)
         registry = get_registry()
         # Share the stats view's instance label so one runtime is one
         # instance across its counters, histograms and gauge.
@@ -588,7 +575,7 @@ class ServingRuntime:
         """Lifetime latency quantiles, e.g. ``{"p50_ms": ...}``.
 
         Computed over a fixed-size seeded reservoir sample of *every*
-        completed request (capacity ``config.reservoir_size``), so the
+        completed request (capacity :data:`RESERVOIR_SIZE`), so the
         estimate covers the whole soak at bounded memory.  The batch-size
         controller keeps using its separate recent-window deque.
         """
@@ -680,7 +667,7 @@ class ServingRuntime:
         caller has stopped waiting.
         """
         try:
-            first = self._queue.get(timeout=1e-3 * self.config.poll_ms)
+            first = self._queue.get(timeout=1e-3 * POLL_MS)
         except queue.Empty:
             return []
         batch = [first]
@@ -778,15 +765,14 @@ class ServingRuntime:
         self._since_adapt = 0
         config = self.config
         p99 = latency_percentile(list(self._latencies), 99.0)
-        if p99 > config.slo_ms and self.batch_size > config.min_batch:
-            self.batch_size = max(config.min_batch,
-                                  int(self.batch_size * config.shrink))
+        if p99 > config.slo_ms and self.batch_size > MIN_BATCH:
+            self.batch_size = max(MIN_BATCH, int(self.batch_size * SHRINK))
             self.stats.inc("shrinks")
-        elif (p99 < config.headroom * config.slo_ms
+        elif (p99 < HEADROOM * config.slo_ms
               and self.batch_size < config.max_batch):
             self.batch_size = min(config.max_batch,
                                   max(self.batch_size + 1,
-                                      int(self.batch_size * config.grow)))
+                                      int(self.batch_size * GROW)))
             self.stats.inc("grows")
         self._gauge_batch.set(self.batch_size)
 

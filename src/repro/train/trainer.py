@@ -108,11 +108,6 @@ class Trainer:
                     f"the evaluator's metrics {sorted(watched)}")
         self.evaluator = evaluator
 
-    @property
-    def epoch_rng(self):
-        """RNG driving per-epoch model hooks (public for the perf harness)."""
-        return self._epoch_rng
-
     def _build_sampler(self, rng):
         cfg = self.config
         if cfg.sampler == "in-batch":

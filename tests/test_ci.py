@@ -442,6 +442,82 @@ class TestBenchmarkSurface:
             f"saw {calls}")
 
 
+class TestConfigSurface:
+    """Every serving config field has a caller outside ``tests/``.
+
+    A field that only tests set is an option with one value in use: it
+    belongs in a module constant.  The checker ``ast``-parses the
+    program directories and collects each keyword passed to a call of a
+    config class; a field that no call sets, and that the allowlist does
+    not name with its reason, fails tier-1."""
+
+    CALLER_DIRS = ("src", "bench", "scripts", "examples", "benchmarks")
+    ALLOWED = {
+        ("RuntimeConfig", "deadline_ms"):
+            "ROADMAP item 19 keeps queue deadlines",
+        ("RuntimeConfig", "max_restarts"):
+            "ROADMAP item 19 keeps worker restarts",
+    }
+
+    @staticmethod
+    def _configs():
+        from repro.serve import BreakerConfig, ResilienceConfig, RuntimeConfig
+        return (RuntimeConfig, ResilienceConfig, BreakerConfig)
+
+    @classmethod
+    def _set_keywords(cls) -> set[tuple[str, str]]:
+        """``(class name, keyword)`` of every keyword argument to a call
+        ``Name(...)`` or ``module.Name(...)`` in the caller dirs."""
+        import ast
+        found = set()
+        for directory in cls.CALLER_DIRS:
+            for path in sorted((REPO_ROOT / directory).rglob("*.py")):
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    func = node.func
+                    name = (func.id if isinstance(func, ast.Name) else
+                            func.attr if isinstance(func, ast.Attribute)
+                            else None)
+                    found.update((name, kw.arg) for kw in node.keywords
+                                 if kw.arg is not None)
+        return found
+
+    @classmethod
+    def uncalled(cls, fields: dict[str, list[str]],
+                 keywords: set[tuple[str, str]]) -> list[str]:
+        """``Class.field`` names no call sets and the allowlist omits."""
+        return [f"{owner}.{name}" for owner, names in fields.items()
+                for name in names
+                if (owner, name) not in keywords
+                and (owner, name) not in cls.ALLOWED]
+
+    def _fields(self) -> dict[str, list[str]]:
+        import dataclasses
+        return {config.__name__: [f.name for f in dataclasses.fields(config)]
+                for config in self._configs()}
+
+    def test_every_field_has_a_caller(self):
+        assert self.uncalled(self._fields(), self._set_keywords()) == []
+
+    def test_allowlist_names_real_uncalled_fields(self):
+        """A stale entry would hide the next field that loses its
+        caller: each must be a field, and one nothing sets."""
+        fields, keywords = self._fields(), self._set_keywords()
+        for owner, name in self.ALLOWED:
+            assert name in fields[owner]
+            assert (owner, name) not in keywords
+
+    def test_checker_reports_a_planted_field(self):
+        """Control: the same checker, given one field no program file
+        passes, reports exactly that name and nothing else."""
+        fields = self._fields()
+        fields["ResilienceConfig"] = fields["ResilienceConfig"] + [
+            "planted_knob"]
+        assert self.uncalled(fields, self._set_keywords()) == [
+            "ResilienceConfig.planted_knob"]
+
+
 class TestRepoBenchmarkWiring:
     """The repo benchmark is reachable from make, the README and CI."""
 

@@ -13,7 +13,8 @@ from repro.experiments.perf import (CLOCK_RESOLUTION_S, LATENCY_SCHEMA,
                                     run_latency_level, run_latency_suite,
                                     summarize_latency, time_index_topk,
                                     write_report)
-from repro.serve import RecommendationService
+from repro.serve import (FaultPlan, FaultSpec, FaultyService,
+                         RecommendationService)
 from repro.serve.runtime import RuntimeConfig
 
 pytestmark = pytest.mark.filterwarnings("ignore")
@@ -95,11 +96,15 @@ class TestLatencyLevel:
 
     def test_tiny_queue_sheds_and_reports(self, tiny_mf_snapshot):
         """An offered burst far beyond a 1-deep queue must shed, not
-        grow an unbounded backlog — and the row must account for it."""
+        grow an unbounded backlog — and the row must account for it.
+        Every sweep sleeps 20 ms first, so the worker cannot keep up."""
         _, snapshot = tiny_mf_snapshot
-        service = RecommendationService(snapshot, cache_size=0)
+        plan = FaultPlan(0, {"svc": FaultSpec("latency", 1.0,
+                                              latency_ms=20.0)})
+        service = FaultyService(RecommendationService(snapshot, cache_size=0),
+                                plan, "svc")
         config = RuntimeConfig(slo_ms=100.0, max_queue=1, initial_batch=1,
-                               max_batch=1, window=4, poll_ms=20.0)
+                               max_batch=1, window=4)
         row = run_latency_level(service, np.arange(50, dtype=np.int64),
                                 offered_qps=100_000.0, k=5,
                                 runtime_config=config)

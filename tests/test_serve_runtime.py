@@ -6,10 +6,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.serve import (AsyncRequest, ExactTopKIndex, OverloadError,
-                         RecommendationService, RuntimeConfig, RuntimeStats,
+from repro.serve import (AsyncRequest, BreakerConfig, ExactTopKIndex,
+                         OverloadError, RecommendationService,
+                         ResilienceConfig, RuntimeConfig, RuntimeStats,
                          ServingRuntime, ShardedRecommendationService,
                          export_sharded_snapshot)
+from repro.serve import runtime as runtime_module
+from repro.serve.runtime import MIN_BATCH, RESERVOIR_SEED, RESERVOIR_SIZE
 
 
 @pytest.fixture()
@@ -29,11 +32,10 @@ def fast_config(**overrides):
 class TestConfigValidation:
     @pytest.mark.parametrize("bad", [
         dict(slo_ms=0.0), dict(slo_ms=-1.0), dict(max_queue=0),
-        dict(min_batch=0), dict(min_batch=8, max_batch=4),
+        dict(max_batch=0, initial_batch=0),
+        dict(initial_batch=8, max_batch=4),
         dict(initial_batch=0), dict(initial_batch=512),
-        dict(window=0), dict(headroom=0.0), dict(headroom=1.5),
-        dict(grow=1.0), dict(shrink=1.0), dict(shrink=0.0),
-        dict(poll_ms=0.0),
+        dict(window=0),
     ])
     def test_bad_knobs_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -41,7 +43,19 @@ class TestConfigValidation:
 
     def test_defaults_valid(self):
         config = RuntimeConfig()
-        assert config.min_batch <= config.initial_batch <= config.max_batch
+        assert MIN_BATCH <= config.initial_batch <= config.max_batch
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("cls, field", [
+        (RuntimeConfig, "slo_ms"), (RuntimeConfig, "deadline_ms"),
+        (ResilienceConfig, "deadline_ms"), (ResilienceConfig, "hedge_ms"),
+        (BreakerConfig, "reset_timeout_s"),
+    ])
+    def test_non_finite_durations_rejected(self, cls, field, value):
+        """``x <= 0`` lets NaN through: a NaN deadline never expires and
+        a NaN reset timeout never half-opens.  Positive *and finite*."""
+        with pytest.raises(ValueError, match=field):
+            cls(**{field: value})
 
 
 class TestSubmitAndResults:
@@ -170,9 +184,8 @@ class TestAdaptiveBatching:
         assert runtime.batch_size > config.initial_batch
 
     def test_batch_shrinks_when_slo_violated(self, service):
-        """An impossibly tight SLO forces shrink toward min_batch."""
-        config = fast_config(slo_ms=1e-6, initial_batch=16, min_batch=1,
-                             window=4)
+        """An impossibly tight SLO forces shrink toward MIN_BATCH."""
+        config = fast_config(slo_ms=1e-6, initial_batch=16, window=4)
         with ServingRuntime(service, config) as runtime:
             handles = [runtime.submit(u % 50, k=5) for u in range(40)]
             for handle in handles:
@@ -187,20 +200,19 @@ class TestAdaptiveBatching:
             handles = [runtime.submit(u % 50, k=5) for u in range(60)]
             for handle in handles:
                 handle.result(timeout=10.0)
-        assert config.min_batch <= runtime.batch_size <= config.max_batch
+        assert MIN_BATCH <= runtime.batch_size <= config.max_batch
 
     @pytest.mark.parametrize("p99_over_slo, batch, grows, shrinks", [
         (1.5, 4, 0, 1),   # slo_ms < p99 < 2 x slo_ms: shrink
-        (0.5, 16, 1, 0),  # p99 < headroom x slo_ms: grow
+        (0.5, 16, 1, 0),  # p99 < HEADROOM x slo_ms: grow
         (0.8, 8, 0, 0),   # in between: hold
     ])
     def test_controller_step_from_window_p99(self, service, p99_over_slo,
                                              batch, grows, shrinks):
         """One controller step over a planted latency window: any p99
-        above ``slo_ms`` shrinks the batch, one under ``headroom *
-        slo_ms`` grows it, and the band between holds it."""
-        config = fast_config(slo_ms=20.0, initial_batch=8, window=4,
-                             headroom=0.7)
+        above ``slo_ms`` shrinks the batch, one under ``HEADROOM *
+        slo_ms`` (0.7) grows it, and the band between holds it."""
+        config = fast_config(slo_ms=20.0, initial_batch=8, window=4)
         runtime = ServingRuntime(service, config)
         runtime._latencies.extend([p99_over_slo * config.slo_ms]
                                   * config.window)
@@ -281,15 +293,9 @@ class TestLatencyReservoir:
     lifetime estimate is deterministic for a given request order and
     never grows with the soak length."""
 
-    def test_reservoir_config_knobs_validated(self):
-        with pytest.raises(ValueError, match="reservoir_size"):
-            RuntimeConfig(reservoir_size=0)
-        with pytest.raises(ValueError, match="reservoir_size"):
-            RuntimeConfig(reservoir_size=-8)
-
-    def test_sample_is_bounded_by_capacity(self, service):
-        config = fast_config(reservoir_size=16)
-        with ServingRuntime(service, config) as runtime:
+    def test_sample_is_bounded_by_capacity(self, service, monkeypatch):
+        monkeypatch.setattr(runtime_module, "RESERVOIR_SIZE", 16)
+        with ServingRuntime(service, fast_config()) as runtime:
             for u in range(80):
                 runtime.submit(u % 50, k=5).result(timeout=10.0)
         assert len(runtime._reservoir) == 16
@@ -310,17 +316,15 @@ class TestLatencyReservoir:
         function of (capacity, seed) — replaying the same stream through
         a twin reservoir keeps identical samples."""
         from repro.obs.metrics import Reservoir
-        config = RuntimeConfig(reservoir_size=32, reservoir_seed=7)
-        twin = Reservoir(capacity=config.reservoir_size,
-                         seed=config.reservoir_seed)
-        stream = [float(i % 97) for i in range(500)]
-        mirror = Reservoir(capacity=config.reservoir_size,
-                           seed=config.reservoir_seed)
+        twin = Reservoir(capacity=RESERVOIR_SIZE, seed=RESERVOIR_SEED)
+        mirror = Reservoir(capacity=RESERVOIR_SIZE, seed=RESERVOIR_SEED)
+        stream = [float(i % 97) for i in range(3 * RESERVOIR_SIZE)]
         for v in stream:
             twin.add(v)
             mirror.add(v)
         assert twin.values() == mirror.values()
-        assert twin.seen == 500
+        assert len(twin) == RESERVOIR_SIZE
+        assert twin.seen == len(stream)
 
 
 # ----------------------------------------------------------------------

@@ -246,7 +246,7 @@ class TestVersionKeying:
             RecommendationService(snapshot, index=ExactTopKIndex(other))
 
     @pytest.mark.parametrize("policy", [
-        {"resilience": ResilienceConfig(strict=True)}, {"workers": 2},
+        {"resilience": ResilienceConfig()}, {"workers": 2},
         {"workers": 0}])
     def test_router_options_with_an_index_rejected(self, tiny_mf_snapshot,
                                                    policy):

@@ -416,7 +416,7 @@ class TestShardedRefresh:
                                          tmp_path / "a", shards=3)
         snap_b = export_sharded_snapshot(model_b, tiny_dataset,
                                          tmp_path / "b", shards=3)
-        resilience = ResilienceConfig(deadline_ms=5000.0, strict=True)
+        resilience = ResilienceConfig(deadline_ms=5000.0)
         service = RecommendationService(snap_a, cache_size=256, max_batch=16,
                                         workers=2, resilience=resilience)
         users = np.arange(tiny_dataset.num_users, dtype=np.int64)
