@@ -2,7 +2,9 @@
 
 The GCN backbones propagate embeddings over the user-item bipartite
 graph ``A = [[0, R], [R^T, 0]]`` using the symmetric normalization
-``Ã = D^{-1/2} A D^{-1/2}`` introduced by NGCF/LightGCN.
+``Ã = D^{-1/2} A D^{-1/2}`` introduced by NGCF/LightGCN.  The graph a
+model propagates over is float32, like its tables: a float64 graph
+would widen every product it takes part in.
 """
 
 from __future__ import annotations
@@ -41,16 +43,21 @@ def normalize_adjacency(adj: sp.csr_matrix) -> sp.csr_matrix:
 
 def normalized_bipartite(pairs: np.ndarray, num_users: int,
                          num_items: int) -> sp.csr_matrix:
-    """``Ã`` of an interaction list, memoized as its own CSR transpose.
+    """Float32 ``Ã`` of an interaction list, memoized as its own CSR
+    transpose.
 
     ``A`` holds both directions of every edge with value 1, and each
     stored value of ``D^-1/2 A D^-1/2`` is the product ``d_i·d_j`` in one
     order or the other, so in canonical CSR form (sorted indices, no
     duplicates) ``Ã`` and ``Ãᵀ`` have the same three arrays.  Backward
-    passes then multiply by ``Ã`` itself instead of a second copy.
+    passes then multiply by ``Ã`` itself instead of a second copy.  The
+    products are formed in float64 and rounded once, to the dtype of
+    the tables the graph propagates; the rounding is elementwise, so the
+    two sets of arrays stay equal.
     """
     adj = normalize_adjacency(adjacency_from_pairs(pairs, num_users,
                                                    num_items))
+    adj = adj.astype(np.float32)
     return mark_self_transpose(adj) if adj.has_canonical_format else adj
 
 

@@ -43,7 +43,9 @@ def svd_view(dataset: InteractionDataset, rank: int = 8
     Returns ``(U_s, V_s)`` with shapes ``(num_users, rank)`` and
     ``(num_items, rank)`` such that ``U_s @ V_s.T`` approximates the
     degree-normalized ``R``.  LightGCL propagates embeddings through this
-    reconstruction to obtain its second (global) view.
+    reconstruction to obtain its second (global) view.  The
+    decomposition runs in float64; the factors are returned in float32,
+    the dtype of the tables they multiply.
 
     ARPACK starts from a fixed seeded vector rather than its own random
     one: the reconstruction is unique, but its factors are so only up
@@ -67,4 +69,5 @@ def svd_view(dataset: InteractionDataset, rank: int = 8
     order = np.argsort(s)[::-1]
     u, s, vt = u[:, order], s[order], vt[order]
     sqrt_s = np.sqrt(s)
-    return u * sqrt_s, (vt.T * sqrt_s)
+    return ((u * sqrt_s).astype(np.float32),
+            (vt.T * sqrt_s).astype(np.float32))

@@ -161,8 +161,9 @@ class Recommender(Module):
         return ScoringTables(users, items, item_sq)
 
     def embeddings(self) -> tuple[np.ndarray, np.ndarray]:
-        """C-ordered float64 copies of the final tables, as evaluation
-        sees them (for analysis, t-SNE and snapshots)."""
+        """C-ordered float64 copies of the final tables evaluation scores
+        (an exact cast of a float32 model's), for analysis, t-SNE and
+        snapshots."""
         return tuple(np.array(table, dtype=np.float64, order="C")
                      for table in self._final_tables())
 

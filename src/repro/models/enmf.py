@@ -43,7 +43,8 @@ class ENMF(Recommender):
         user_rng, item_rng = spawn_rngs(rng, 2)
         self.user_embedding = Embedding(dataset.num_users, dim, rng=user_rng)
         self.item_embedding = Embedding(dataset.num_items, dim, rng=item_rng)
-        self._train_matrix = dataset.train_matrix()
+        # 0/1 entries: exact in float32, the dtype the scores it masks have
+        self._train_matrix = dataset.train_matrix().astype(np.float32)
 
     def propagate(self) -> tuple[Tensor, Tensor]:
         return self.user_embedding.all(), self.item_embedding.all()

@@ -100,7 +100,8 @@ class NCL(LightGCN):
             total = self.ssl_weight * struct
         if self.proto_weight and self._user_protos is not None:
             stacked = ops.stack(layers, axis=0).mean(axis=0)
-            protos = np.concatenate([self._user_protos, self._item_protos])
+            protos = np.concatenate([self._user_protos, self._item_protos]
+                                    ).astype(stacked.dtype)
             proto = (self._infonce(ops.take_rows(stacked, users),
                                    Tensor(protos[users]))
                      + self._infonce(ops.take_rows(stacked, items),

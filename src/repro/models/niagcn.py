@@ -15,6 +15,7 @@ signals through learned transforms.
 
 from __future__ import annotations
 
+import numpy as np
 import scipy.sparse as sp
 
 from repro.data.dataset import InteractionDataset
@@ -50,7 +51,7 @@ class NIAGCN(Recommender):
                                    dataset.num_items)
         degree = adj.sum(axis=1).A.ravel()
         degree[degree == 0] = 1.0
-        self._adjacency = sp.diags(1.0 / degree) @ adj
+        self._adjacency = (sp.diags(1.0 / degree) @ adj).astype(np.float32)
 
     def propagate(self) -> tuple[Tensor, Tensor]:
         current = ops.concatenate(

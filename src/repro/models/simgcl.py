@@ -49,7 +49,7 @@ class SimGCL(LightGCN):
         def add_noise(layer: Tensor) -> Tensor:
             raw = self._noise_rng.random(layer.shape)
             noise = (np.sign(layer.data) * normalize_rows(raw)
-                     * self.noise_eps)
+                     * self.noise_eps).astype(layer.dtype)
             return layer + Tensor(noise)
 
         return self._propagate_on(self.adjacency, noise_fn=add_noise)

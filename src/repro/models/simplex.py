@@ -52,7 +52,8 @@ class SimpleX(Recommender):
         mat = dataset.train_matrix()
         degree = np.asarray(mat.sum(axis=1)).ravel()
         degree[degree == 0] = 1.0
-        self._history = (sp.diags(1.0 / degree) @ mat).tocsr()
+        self._history = (sp.diags(1.0 / degree) @ mat).tocsr().astype(
+            np.float32)
 
     @property
     def gate(self) -> float:

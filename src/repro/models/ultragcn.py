@@ -92,15 +92,16 @@ class UltraGCN(Recommender):
         users_t, items_t = self.propagate()
         u = F.l2_normalize(ops.take_rows(users_t, batch.users), axis=1)
         i = F.l2_normalize(ops.take_rows(items_t, batch.positives), axis=1)
-        beta = Tensor(user_factor[batch.users]
-                      * item_factor[batch.positives])
+        beta = Tensor((user_factor[batch.users]
+                       * item_factor[batch.positives]).astype(u.dtype))
         pos_scores = (u * i).sum(axis=-1)
         constraint = (beta * F.softplus(-pos_scores)).mean()
 
         if self.item_weight == 0:
             return constraint
         neigh_idx = self._item_neighbors[batch.positives]      # (B, k)
-        neigh_w = Tensor(self._item_neighbor_w[batch.positives])
+        neigh_w = Tensor(self._item_neighbor_w[batch.positives]
+                         .astype(u.dtype))
         neigh = F.l2_normalize(ops.take_rows(items_t, neigh_idx), axis=-1)
         sim = (u.unsqueeze(1) * neigh).sum(axis=-1)            # (B, k)
         item_term = (neigh_w * F.softplus(-sim)).mean()

@@ -32,7 +32,7 @@ class Dropout(Module):
         if not self.training or self.p == 0.0:
             return x
         keep = 1.0 - self.p
-        mask = (self._rng.random(x.shape) < keep).astype(np.float64) / keep
+        mask = (self._rng.random(x.shape) < keep).astype(x.dtype) / keep
         return x * Tensor(mask)
 
     def __repr__(self) -> str:

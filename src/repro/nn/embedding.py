@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.init import xavier_uniform
-from repro.nn.module import Module, Parameter
+from repro.nn.module import FLOAT_DTYPES, Module, Parameter
 from repro.tensor import Tensor, ops
 
 __all__ = ["Embedding"]
@@ -36,10 +36,11 @@ class Embedding(Module):
         densifies them.  Mirrors
         ``torch.nn.Embedding(sparse=True)``.
     weight:
-        Pre-built ``(num_embeddings, dim)`` float64 table to wrap
-        instead of drawing a fresh one — the out-of-core path passes a
-        writable ``np.memmap`` here so optimizer updates land directly
-        in the on-disk table.  Mutually exclusive with ``init``/``rng``.
+        Pre-built ``(num_embeddings, dim)`` float32 or float64 table to
+        wrap (not copy) instead of drawing a fresh one — the out-of-core
+        path passes a writable float64 ``np.memmap`` here so optimizer
+        updates land directly in the on-disk table.  Mutually exclusive
+        with ``init``/``rng``.
     """
 
     def __init__(self, num_embeddings: int, dim: int, init=None, rng=None,
@@ -55,8 +56,9 @@ class Embedding(Module):
             if weight.shape != (num_embeddings, dim):
                 raise ValueError(f"weight shape {weight.shape} does not match "
                                  f"({num_embeddings}, {dim})")
-            if weight.dtype != np.float64:
-                raise ValueError(f"weight must be float64, got {weight.dtype}")
+            if weight.dtype not in FLOAT_DTYPES:
+                raise ValueError(f"weight must be float32 or float64, got "
+                                 f"{weight.dtype}")
             self.weight = Parameter(weight)
         else:
             initializer = init if init is not None else xavier_uniform

@@ -15,12 +15,23 @@ from repro.tensor.tensor import bump_data_version
 __all__ = ["Parameter", "Module"]
 
 
+#: The dtypes a parameter may hold; anything else is stored as float32.
+FLOAT_DTYPES = (np.float32, np.float64)
+
+
 class Parameter(Tensor):
-    """A trainable leaf tensor (``requires_grad=True`` by construction)."""
+    """A trainable leaf tensor (``requires_grad=True`` by construction).
+
+    An ndarray that is already float32 or float64 is aliased, not copied
+    (the out-of-core path wraps float64 memmaps this way); anything else
+    (lists, Python numbers, integer arrays) becomes float32, the dtype
+    every model is built in.
+    """
 
     def __init__(self, data, name: str | None = None):
-        super().__init__(np.asarray(data, dtype=np.float64), requires_grad=True,
-                         name=name)
+        if not (isinstance(data, np.ndarray) and data.dtype in FLOAT_DTYPES):
+            data = np.asarray(data, dtype=np.float32)
+        super().__init__(np.asarray(data), requires_grad=True, name=name)
 
 
 class Module:

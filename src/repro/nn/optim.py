@@ -226,9 +226,11 @@ class SparseAdam(Adam):
     def _bias(self):
         """``1 - beta ** t`` through numpy's power, not Python's: the two
         round some steps differently (``0.999 ** 7``), and numpy's is
-        what every lazy trajectory was computed with."""
-        t = np.asarray(self._t, dtype=np.float64)
-        return 1.0 - self.beta1 ** t, 1.0 - self.beta2 ** t
+        what every lazy trajectory was computed with.  Returned as
+        Python floats, which numpy treats as weak scalars: a numpy
+        float64 would run a float32 table's update in float64."""
+        return (float(1.0 - np.power(self.beta1, self._t)),
+                float(1.0 - np.power(self.beta2, self._t)))
 
     def _touched(self, grad):
         """``(ids, values)`` of a ``RowSparseGrad``, ``None`` when it

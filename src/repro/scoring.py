@@ -24,14 +24,18 @@ def normalize_rows(x: np.ndarray) -> np.ndarray:
 
 
 def scoring_ready_users(vectors: np.ndarray, scoring: str) -> np.ndarray:
-    """Rows in test-scoring form: float64, row-normalised for cosine.
+    """Rows in test-scoring form, row-normalised for cosine.
 
     Load-bearing for ranking parity: every table, index and shard starts
     from exactly this transform.  It is row-local, so gathering rows
-    before or after it gives the same bits.  Without cosine the float64
-    rows may share memory with the input.
+    before or after it gives the same bits.  A float32 table (a model's)
+    stays float32 and anything else becomes float64 (a snapshot's
+    tables already are); without cosine the rows may share memory with
+    the input.
     """
-    vectors = np.asarray(vectors, dtype=np.float64)
+    vectors = np.asarray(vectors)
+    if vectors.dtype != np.float32:
+        vectors = vectors.astype(np.float64, copy=False)
     return normalize_rows(vectors) if scoring == "cosine" else vectors
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 import time
 
 from repro.obs.metrics import get_registry
@@ -45,6 +46,14 @@ def require_positive(name: str, value) -> None:
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, "
                          f"got {value}")
+
+
+def require_int(name: str, value) -> None:
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is an
+    integer and not a bool: a count such as ``retries=1.5`` would
+    otherwise construct and fail later, in ``range()``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 class ShardCallError(RuntimeError):
@@ -73,6 +82,7 @@ class BreakerConfig:
     reset_timeout_s: float = 30.0
 
     def __post_init__(self):
+        require_int("failure_threshold", self.failure_threshold)
         if self.failure_threshold <= 0:
             raise ValueError(f"failure_threshold must be positive, "
                              f"got {self.failure_threshold}")
@@ -229,6 +239,7 @@ class ResilienceConfig:
 
     def __post_init__(self):
         require_positive("deadline_ms", self.deadline_ms)
+        require_int("retries", self.retries)
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.hedge_ms is not None:

@@ -55,7 +55,7 @@ import numpy as np
 from repro.obs.metrics import Reservoir, get_registry
 from repro.obs.stats import RegistryBackedStats
 from repro.obs.trace import get_tracer
-from repro.serve.resilience import require_positive
+from repro.serve.resilience import require_int, require_positive
 
 __all__ = ["OverloadError", "DeadlineExceeded", "WorkerCrashed",
            "RuntimeConfig", "RuntimeStats", "AsyncRequest",
@@ -114,13 +114,15 @@ RESERVOIR_SIZE = 2048
 RESERVOIR_SEED = 0
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class RuntimeConfig:
     """Knobs of the admission queue and the batch-size controller.
 
     ``slo_ms`` is a **p99 target** over the most recent ``window``
     completed requests — tail latency, not the mean, because heavy
-    traffic is judged by its slowest percentile.
+    traffic is judged by its slowest percentile.  Frozen, like
+    :class:`~repro.serve.resilience.ResilienceConfig`: the runtime reads
+    it live, so a value assigned after the checks below would skip them.
     """
 
     #: p99 latency target (enqueue → result ready), milliseconds
@@ -142,6 +144,9 @@ class RuntimeConfig:
     max_restarts: int = 3
 
     def __post_init__(self):
+        for name in ("max_queue", "max_batch", "initial_batch", "window",
+                     "max_restarts"):
+            require_int(name, getattr(self, name))
         if self.deadline_ms is not None:
             require_positive("deadline_ms", self.deadline_ms)
         if self.max_restarts < 0:

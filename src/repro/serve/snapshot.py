@@ -415,9 +415,11 @@ def _stage_shard(staging: pathlib.Path, kind: str, index: int,
     :class:`~repro.serve.shard.ItemShard`."""
     from repro.serve.shard import ItemShard, UserShard
     # ``ids`` ascend, so a contiguous run is a slice: a view, not a copy
+    # (of a float64 table; a float32 one is cast exactly, since every
+    # snapshot stores float64 rows)
     run = len(ids) == ids[-1] - ids[0] + 1
     rows = np.ascontiguousarray(table[ids[0]:ids[-1] + 1] if run
-                                else table[ids])
+                                else table[ids], dtype=np.float64)
     files = {f"{kind}_embeddings.npy": rows, f"{kind}_ids.npy": ids}
     if seen_csr is None:
         indptr = seen = np.empty(0, np.int64)
@@ -594,10 +596,11 @@ def export_sharded_source_snapshot(users, items, source, out_dir, *,
     :class:`~repro.data.source.ShardedInteractionSource` providing the
     seen-item CSR — no dense intermediate table or per-user Python list
     is ever materialized; each shard reads only its own row block.
-    Given equal table bytes and interactions, the output is
-    byte-identical to :func:`export_sharded_snapshot` of the equivalent
-    in-memory model/dataset (``created_unix`` pinned), because both
-    funnel through the same write core.  Returns the set loaded back
+    Given equal table values (float32 or float64: the shards store
+    float64) and interactions, the output is byte-identical to
+    :func:`export_sharded_snapshot` of the equivalent in-memory
+    model/dataset (``created_unix`` pinned), because both funnel
+    through the same write core.  Returns the set loaded back
     from ``out_dir`` (memory-mapped).
     """
     from repro.serve.shard import load_snapshot

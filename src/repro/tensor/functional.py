@@ -51,7 +51,7 @@ def sigmoid(x) -> Tensor:
 
 
 def _sigmoid_raw(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
+    out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
     ez = np.exp(z[~pos])
@@ -86,8 +86,7 @@ def leaky_relu(x, negative_slope: float = 0.2) -> Tensor:
     data = np.where(x.data > 0, x.data, negative_slope * x.data)
 
     def backward(g):
-        slope = np.where(x.data > 0, 1.0, negative_slope)
-        return (g * slope,)
+        return (np.where(x.data > 0, g, g * negative_slope),)
 
     return ops._node(data, (x,), backward)
 
@@ -475,8 +474,11 @@ def fused_sampled_scores(users_t, items_t, user_idx, pos_idx, neg_idx,
         coeff_t = coeff.T.tocsr().astype(dtype, copy=False)
         scatter = np.ascontiguousarray(base_u, dtype=dtype)
         vals = np.empty((n_uniq,) + table.shape[1:], dtype)   # (n_uniq, d)
+        # bincount sums in float64; rounded once to the rows' dtype, so
+        # ``s * rows`` below runs in place
         s = None if b is None else np.bincount(
-            inverse.reshape(-1), weights=b.reshape(-1), minlength=n_uniq)
+            inverse.reshape(-1), weights=b.reshape(-1),
+            minlength=n_uniq).astype(dtype, copy=False)
 
         def item_rows(lo: int, hi: int) -> None:
             for at, rows in chunks(lo, hi, gather=s is not None):

@@ -37,11 +37,22 @@ def _needs_grad(t: Tensor) -> bool:
     return t.requires_grad or t._parents != ()
 
 
+def _operands(a, b) -> tuple[Tensor, Tensor]:
+    """Both operands as tensors.  A Python number is weak, as numpy's
+    are: it takes the dtype of the tensor it meets, so ``x + 1.0`` stays
+    float32 for a float32 ``x`` (a float64 0-d array would widen it)."""
+    if isinstance(a, (int, float)) and isinstance(b, Tensor):
+        a = Tensor(np.asarray(a, dtype=b.dtype))
+    elif isinstance(b, (int, float)) and isinstance(a, Tensor):
+        b = Tensor(np.asarray(b, dtype=a.dtype))
+    return as_tensor(a), as_tensor(b)
+
+
 # ----------------------------------------------------------------------
 # Elementwise arithmetic
 # ----------------------------------------------------------------------
 def add(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     data = a.data + b.data
 
     def backward(g):
@@ -51,7 +62,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     data = a.data - b.data
 
     def backward(g):
@@ -61,7 +72,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     data = a.data * b.data
 
     def backward(g):
@@ -72,7 +83,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     data = a.data / b.data
 
     def backward(g):
@@ -159,7 +170,7 @@ def abs_(a) -> Tensor:
 
 def maximum(a, b) -> Tensor:
     """Elementwise max; the gradient flows to the larger operand (ties split)."""
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     data = np.maximum(a.data, b.data)
 
     def backward(g):
@@ -173,7 +184,7 @@ def maximum(a, b) -> Tensor:
 
 
 def minimum(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     data = np.minimum(a.data, b.data)
 
     def backward(g):
@@ -384,7 +395,7 @@ def where(condition, a, b) -> Tensor:
     """Select from ``a`` where ``condition`` else ``b`` (condition is constant)."""
     cond = np.asarray(condition.data if isinstance(condition, Tensor) else condition,
                       dtype=bool)
-    a, b = as_tensor(a), as_tensor(b)
+    a, b = _operands(a, b)
     data = np.where(cond, a.data, b.data)
 
     def backward(g):

@@ -8,10 +8,14 @@ rows are first updated.  So the only dense state left is the tables
 themselves.  This module keeps them on disk:
 
 * :func:`init_mmap_mf_tables` draws the Xavier tables chunk-by-chunk
-  straight into ``.npy`` memmaps — **byte-identical** to the in-memory
-  ``MF(rng=seed)`` initialization, because row-block ``uniform`` draws
-  consume the generator's value stream in the same order and the bound
-  comes from the full-table fans (:func:`~repro.nn.init.xavier_limit`).
+  straight into float64 ``.npy`` memmaps.  Cast to float32, they equal
+  the in-memory ``MF(rng=seed)`` initialization, because row-block
+  ``uniform`` draws consume the generator's value stream in the same
+  order, the bound comes from the full-table fans
+  (:func:`~repro.nn.init.xavier_limit`), and the in-memory initializer
+  rounds that same float64 stream to float32.  The files keep float64
+  (see ``docs/training.md``, "Dtypes"): the out-of-core path trains in
+  float64.
 * :func:`open_mmap_mf` wraps the on-disk tables in an :class:`MF` whose
   parameters alias the memmaps (``Embedding(weight=...)``), so in-place
   optimizer updates dirty only the touched pages and the OS writes them
@@ -23,7 +27,8 @@ Training at scale goes through the normal ``Trainer`` with
 ``grad_mode="sparse"`` and an out-of-core
 :class:`~repro.data.source.ShardedInteractionSource` — the parity suite
 (``tests/test_outofcore.py``) pins streamed-epoch parameters
-byte-identical to the in-memory epoch at small scale.
+byte-identical to the in-memory epoch over copies of the same float64
+tables at small scale.
 """
 
 from __future__ import annotations
@@ -50,9 +55,9 @@ def init_mmap_table(path: str | pathlib.Path, num_rows: int, dim: int,
     """Write a Xavier-uniform ``(num_rows, dim)`` table as a ``.npy`` memmap.
 
     Drawn in ``chunk_rows`` row blocks from ``rng`` — the value stream
-    equals one full-shape ``xavier_uniform`` call, so bytes match the
-    in-memory initialization; only ``chunk_rows * dim`` doubles are ever
-    resident.
+    equals one full-shape ``xavier_uniform`` call, which rounds it to
+    float32, so the file cast to float32 matches the in-memory
+    initialization; only ``chunk_rows * dim`` doubles are ever resident.
     """
     path = pathlib.Path(path)
     bound = xavier_limit((num_rows, dim))
@@ -74,8 +79,8 @@ def init_mmap_mf_tables(table_dir: str | pathlib.Path, num_users: int,
     """Initialize on-disk MF user/item tables, mirroring ``MF(rng=...)``.
 
     Uses the same ``spawn_rngs(rng, 2)`` user/item split as the ``MF``
-    constructor, so ``open_mmap_mf(dir)`` starts from byte-identical
-    parameters to ``MF(num_users, num_items, dim, rng=rng)``.
+    constructor, so ``open_mmap_mf(dir)`` starts from the float64 draws
+    that ``MF(num_users, num_items, dim, rng=rng)`` rounds to float32.
     """
     table_dir = pathlib.Path(table_dir)
     table_dir.mkdir(parents=True, exist_ok=True)

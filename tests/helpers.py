@@ -1,10 +1,25 @@
-"""Shared test helpers (gradient checking)."""
+"""Shared test helpers (gradient checking, the float32 tolerance)."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from repro.tensor import RowSparseGrad, Tensor
+
+#: The one tolerance of a pin whose two sides round differently: a
+#: float32 model result against a float64 reference, or two float32
+#: paths that sum in different orders.  It serves as both ``rtol`` and
+#: ``atol`` (:func:`assert_close32`): 64 float32 ulps (``64 * 2**-23``)
+#: covers the rounding of the short sums the pinned kernels take (dot
+#: products over ``dim``, a batch row's softmax), while a wrong term
+#: moves a value by far more.  Pins between two production float32
+#: results that take the same operations stay bitwise.
+TOL32 = 64 * float(np.finfo(np.float32).eps)
+
+
+def assert_close32(actual, desired) -> None:
+    """``actual`` equals ``desired`` to :data:`TOL32`."""
+    np.testing.assert_allclose(actual, desired, rtol=TOL32, atol=TOL32)
 
 
 def numeric_gradient(fn, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:

@@ -88,12 +88,16 @@ def test_split_trajectories_hand_blocks_to_workers(tiny_answers,
 
 def test_one_ulp_adam_eps_changes_the_trajectories(tiny_answers,
                                                    monkeypatch):
+    """The tables are float32, so the update sees ``eps`` rounded to
+    float32: the plant is one float32 ulp (one float64 ulp rounds
+    away)."""
     import repro.nn.optim as optim
     init = optim.Adam.__init__
 
     def eps_one_ulp_up(self, *args, **kwargs):
         init(self, *args, **kwargs)
-        self.eps = float(np.nextafter(self.eps, np.inf))
+        self.eps = float(np.nextafter(np.float32(self.eps),
+                                      np.float32(np.inf)))
 
     monkeypatch.setattr(optim.Adam, "__init__", eps_one_ulp_up)
     planted = answers_script.trajectories("tiny")

@@ -9,6 +9,8 @@ from repro.graph import (adjacency_from_pairs, normalize_adjacency,
                          svd_view)
 from repro.tensor import Tensor
 
+from tests.helpers import TOL32
+
 
 @pytest.fixture()
 def pairs():
@@ -49,9 +51,13 @@ class TestAdjacency:
 
     def test_spectral_radius_at_most_one(self, tiny_dataset):
         adj = bipartite_adjacency(tiny_dataset)
-        # Largest singular value of the symmetric normalization is <= 1.
-        top = sp.linalg.svds(adj, k=1, return_singular_vectors=False)
-        assert top[0] <= 1.0 + 1e-9
+        # Largest singular value of the symmetric normalization is <= 1
+        # (the float32 graph and ARPACK's float32 iteration round).  A
+        # seeded start: ARPACK's own random one made the rounding vary
+        # from run to run.
+        top = sp.linalg.svds(adj, k=1, return_singular_vectors=False,
+                             random_state=0)
+        assert top[0] <= 1.0 + TOL32
 
 
 class TestSpmm:

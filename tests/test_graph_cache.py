@@ -11,6 +11,8 @@ from repro.nn.optim import Adam, SparseAdam
 from repro.tensor import Tensor, no_grad
 from repro.tensor.tensor import bump_data_version
 
+from tests.helpers import assert_close32
+
 
 @pytest.fixture()
 def adjacency(tiny_dataset):
@@ -147,7 +149,8 @@ class TestSharedSubgraphGradients:
             loss.backward()
             grads[cached] = [p.grad.copy() for p in model.parameters()]
         for g_cached, g_ref in zip(grads[True], grads[False]):
-            np.testing.assert_allclose(g_cached, g_ref, rtol=1e-12)
+            # the two forwards sum the shared gradients in another order
+            assert_close32(g_cached, g_ref)
 
 
 class TestTrainingParity:
@@ -163,8 +166,7 @@ class TestTrainingParity:
                                  batch_size=64, n_negatives=8,
                                  eval_every=0, patience=0, seed=5)
             histories[cached] = result.loss_history
-        np.testing.assert_allclose(histories[True], histories[False],
-                                   rtol=1e-12, atol=1e-14)
+        assert_close32(histories[True], histories[False])
 
 
 class TestRegistryCounters:

@@ -134,7 +134,8 @@ def graph_dataset():
 
 def test_dense_step_peak_heap_at_most_nine_tables(graph_dataset):
     """One LightGCN/BSL step allocates at most 9 ``(users + items, dim)``
-    float64 tables at its peak (the per-hop chain needed ~14)."""
+    tables of the model's dtype at its peak (the per-hop chain needed
+    ~14)."""
     trainer = _trainer(graph_dataset)
     batches = iter(trainer.sampler.epoch())
     trainer.train_step(next(batches))       # Adam moments, memos, views
@@ -145,7 +146,8 @@ def test_dense_step_peak_heap_at_most_nine_tables(graph_dataset):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    table = (graph_dataset.num_users + graph_dataset.num_items) * 16 * 8
+    itemsize = trainer.model.user_embedding.weight.data.itemsize
+    table = (graph_dataset.num_users + graph_dataset.num_items) * 16 * itemsize
     assert peak <= 9 * table, f"step peak {peak / table:.1f} tables"
 
 

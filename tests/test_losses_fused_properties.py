@@ -16,6 +16,7 @@ from repro.losses import BSLLoss, InfoNCELoss, SoftmaxLoss
 from repro.tensor import Tensor
 
 from tests import oracles
+from tests.helpers import assert_close32
 
 
 def _sl(fused, tau, **flags):
@@ -175,5 +176,4 @@ class TestTrainingParityEndToEnd:
                                  batch_size=64, n_negatives=8,
                                  eval_every=0, patience=0, seed=9)
             histories[fused] = result.loss_history
-        np.testing.assert_allclose(histories[True], histories[False],
-                                   rtol=1e-9, atol=1e-12)
+        assert_close32(histories[True], histories[False])

@@ -9,6 +9,8 @@ from repro.models import (MF, CML, ENMF, NGCF, LightGCN, SGL, SimGCL,
                           LightGCL, get_model, model_names)
 from repro.tensor import Tensor
 
+from tests.helpers import TOL32, assert_close32
+
 
 def _batch(dataset, rng, n_neg=4, size=8):
     pairs = dataset.train_pairs[rng.choice(len(dataset.train_pairs), size)]
@@ -48,7 +50,7 @@ class TestMF:
         i = model.item_embedding.weight.data[batch.positives]
         u = u / np.linalg.norm(u, axis=1, keepdims=True)
         i = i / np.linalg.norm(i, axis=1, keepdims=True)
-        np.testing.assert_allclose(pos.data, (u * i).sum(axis=1), atol=1e-9)
+        assert_close32(pos.data, (u * i).sum(axis=1))
 
     def test_gradients_reach_embeddings(self, tiny_dataset, rng):
         model = MF(tiny_dataset.num_users, tiny_dataset.num_items, dim=8,
@@ -87,12 +89,8 @@ class TestLightGCN:
         e1 = adj @ e0
         e2 = adj @ e1
         final = (e0 + e1 + e2) / 3.0
-        np.testing.assert_allclose(users.data,
-                                   final[: tiny_dataset.num_users],
-                                   atol=1e-10)
-        np.testing.assert_allclose(items.data,
-                                   final[tiny_dataset.num_users:],
-                                   atol=1e-10)
+        assert_close32(users.data, final[: tiny_dataset.num_users])
+        assert_close32(items.data, final[tiny_dataset.num_users:])
 
     def test_gradients_flow_through_propagation(self, tiny_dataset, rng):
         model = LightGCN(tiny_dataset, dim=6, num_layers=2, rng=0)
@@ -206,7 +204,7 @@ class TestCML:
         model.user_embedding.weight.data *= 100.0
         model.post_step()
         norms = np.linalg.norm(model.user_embedding.weight.data, axis=1)
-        assert np.all(norms <= 1.0 + 1e-9)
+        assert np.all(norms <= 1.0 + TOL32)
 
     def test_projection_preserves_small_rows(self, tiny_dataset):
         model = CML(tiny_dataset.num_users, tiny_dataset.num_items, dim=8,

@@ -9,6 +9,8 @@ from repro.data.sampling import TrainingBatch
 from repro.models import (DGCF, LRGCCF, NCL, NIAGCN, SimpleX, UltraGCN,
                           get_model)
 
+from tests.helpers import assert_close32
+
 
 def _batch(dataset, rng, n_neg=4, size=8):
     pairs = dataset.train_pairs[rng.choice(len(dataset.train_pairs), size)]
@@ -116,8 +118,7 @@ class TestSimpleX:
         # behaviour-only user repr lives in the item-embedding span
         history = tiny_dataset.train_matrix().toarray()
         history /= np.maximum(history.sum(axis=1, keepdims=True), 1.0)
-        np.testing.assert_allclose(users_b.data,
-                                   history @ items_b.data, atol=1e-9)
+        assert_close32(users_b.data, history @ items_b.data)
 
     def test_learned_gate_is_parameter(self, tiny_dataset):
         model = SimpleX(tiny_dataset, dim=8, gate=0.5, learn_gate=True,

@@ -4,10 +4,13 @@ The safety contract of the million-scale engine: routing data through
 mmap shards and mmap parameter tables must change **nothing** about the
 numbers.  These tests pin the three links of that chain —
 
-* chunked mmap Xavier init == one-shot ``MF(rng=seed)`` init,
+* chunked mmap Xavier init, cast to float32 == one-shot
+  ``MF(rng=seed)`` init (the files keep float64, the format the
+  out-of-core path trains in; models built in memory are float32),
 * a streamed epoch over a :class:`ShardedInteractionSource` into an
-  mmap-backed model == the same epoch in memory (parameter bytes, loss
-  histories, and the on-disk table bytes after ``flush_model``),
+  mmap-backed model == the same epoch in memory over copies of the same
+  float64 tables (parameter bytes, loss histories, and the on-disk
+  table bytes after ``flush_model``),
 * a sharded export straight from mmap tables + source ==
   ``export_sharded_snapshot`` of the equivalent dense model/dataset,
   file for file.
@@ -58,7 +61,11 @@ class TestMmapInitParity:
                                         rng=42, chunk_rows=50)
         reference = MF(257, 181, 12, rng=42)
         mmapped = open_mmap_mf(table_dir, mode="r")
-        assert _table_bytes(mmapped) == _table_bytes(reference)
+        for name in ("user_embedding", "item_embedding"):
+            on_disk = getattr(mmapped, name).weight.data
+            assert on_disk.dtype == np.float64
+            assert (on_disk.astype(np.float32).tobytes()
+                    == getattr(reference, name).weight.data.tobytes())
 
     def test_chunk_size_is_irrelevant(self, tmp_path):
         a = open_mmap_mf(init_mmap_mf_tables(tmp_path / "a", 100, 90, 8,
@@ -69,8 +76,15 @@ class TestMmapInitParity:
 
 
 class TestStreamedTrainingParity:
-    def _run_in_memory(self, dataset, cfg):
-        model = MF(dataset.num_users, dataset.num_items, 16, rng=5)
+    def _run_in_memory(self, dataset, cfg, tmp_path):
+        """The same epoch over in-memory copies of the float64 tables
+        :func:`init_mmap_mf_tables` writes."""
+        table_dir = init_mmap_mf_tables(tmp_path / "memory",
+                                        dataset.num_users, dataset.num_items,
+                                        16, rng=5)
+        tables = tuple(np.load(table_dir / name)
+                       for name in (USER_TABLE, ITEM_TABLE))
+        model = MF(dataset.num_users, dataset.num_items, 16, tables=tables)
         return Trainer(model, get_loss("bsl", tau1=0.2, tau2=0.1),
                        dataset, cfg).fit()
 
@@ -88,7 +102,7 @@ class TestStreamedTrainingParity:
     def test_streamed_epoch_is_bit_identical(self, dataset, shard_dir,
                                              tmp_path):
         cfg = _train_config()
-        dense = self._run_in_memory(dataset, cfg)
+        dense = self._run_in_memory(dataset, cfg, tmp_path)
         streamed, table_dir = self._run_out_of_core(shard_dir, cfg, tmp_path)
         assert streamed.loss_history == dense.loss_history
         assert _table_bytes(streamed.model) == _table_bytes(dense.model)
@@ -101,7 +115,7 @@ class TestStreamedTrainingParity:
 
     def test_rnoise_parity(self, dataset, shard_dir, tmp_path):
         cfg = _train_config(epochs=1, rnoise=0.1)
-        dense = self._run_in_memory(dataset, cfg)
+        dense = self._run_in_memory(dataset, cfg, tmp_path)
         streamed, _ = self._run_out_of_core(shard_dir, cfg, tmp_path)
         assert streamed.loss_history == dense.loss_history
         assert _table_bytes(streamed.model) == _table_bytes(dense.model)

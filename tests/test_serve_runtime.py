@@ -57,6 +57,29 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=field):
             cls(**{field: value})
 
+    @pytest.mark.parametrize("value", [1.5, 2.0, True])
+    @pytest.mark.parametrize("cls, field", [
+        (RuntimeConfig, "max_queue"), (RuntimeConfig, "max_batch"),
+        (RuntimeConfig, "initial_batch"), (RuntimeConfig, "window"),
+        (RuntimeConfig, "max_restarts"), (ResilienceConfig, "retries"),
+        (BreakerConfig, "failure_threshold"),
+    ])
+    def test_counts_must_be_integers(self, cls, field, value):
+        """``retries=1.5`` used to construct and then fail in
+        ``range(retries + 1)`` outside the degraded-result handling; a
+        float equal to an integer and a bool are refused too."""
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            cls(**{field: value})
+
+    def test_config_is_frozen(self):
+        """The runtime reads its config live: a NaN assigned after the
+        checks would freeze the batch controller."""
+        import dataclasses
+        config = RuntimeConfig()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.slo_ms = float("nan")
+        assert config.slo_ms == 50.0
+
 
 class TestSubmitAndResults:
     def test_results_match_direct_recommend(self, tiny_mf_snapshot, service):

@@ -164,8 +164,9 @@ class TestExport:
         snapshot = export_snapshot(model, tiny_dataset, tmp_path)
         assert model.training  # mode restored
         eval_scores = model.scoring_tables().scores(np.arange(4))
-        users = np.asarray(snapshot.users)[:4]
-        items = np.asarray(snapshot.items)
+        # the snapshot stores the float32 tables cast to float64, exactly
+        users = np.asarray(snapshot.users)[:4].astype(np.float32)
+        items = np.asarray(snapshot.items).astype(np.float32)
         np.testing.assert_array_equal(users @ items.T, eval_scores)
 
     def test_size_mismatch_rejected(self, tiny_dataset, tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from repro.nn import Embedding, Parameter
 from repro.tensor import RowSparseGrad, Tensor, no_grad, ops
 from repro.tensor import functional as F
+from tests.helpers import assert_close32
 from tests.oracles import catalogue_batch_scores
 
 
@@ -308,10 +309,8 @@ class TestSampledBatchScoresParity:
         batch = next(iter(sampler.epoch()))
         pos_ref, neg_ref = catalogue_batch_scores(model, batch)
         pos, neg = model.sampled_batch_scores(batch)
-        np.testing.assert_allclose(pos.data, pos_ref.data,
-                                   rtol=1e-10, atol=1e-12)
-        np.testing.assert_allclose(neg.data, neg_ref.data,
-                                   rtol=1e-10, atol=1e-12)
+        assert_close32(pos.data, pos_ref.data)
+        assert_close32(neg.data, neg_ref.data)
 
     @pytest.mark.parametrize("model_name", ["mf", "cml"])
     def test_gradients_match_dense_path(self, tiny_dataset, model_name):
@@ -333,9 +332,7 @@ class TestSampledBatchScoresParity:
                        else param.grad)
                 for name, param in model.named_parameters()}
         for name in grads["dense"]:
-            np.testing.assert_allclose(grads["sampled"][name],
-                                       grads["dense"][name],
-                                       rtol=1e-9, atol=1e-12)
+            assert_close32(grads["sampled"][name], grads["dense"][name])
 
     def test_sparse_grads_reach_leaf_tables(self, tiny_dataset):
         from repro.data.sampling import UniformNegativeSampler

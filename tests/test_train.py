@@ -174,7 +174,8 @@ class TestTrainer:
 class TestDenseStepMemory:
     def test_dense_step_builds_no_batch_by_catalogue_block(self):
         """One dense LightGCN step at B=256 over 20k items allocates well
-        under a quarter of one ``(B, num_items)`` float64 block.  dim 2
+        under a quarter of one ``(B, num_items)`` block of the model's
+        dtype.  dim 2
         keeps the table-sized autograd buffers (about a dozen
         ``(users + items) x dim`` copies) at half the bound, so the bound
         sees any batch-by-catalogue temporary."""
@@ -186,8 +187,9 @@ class TestDenseStepMemory:
                           rng.permutation(num_items)[:5 * num_users]], axis=1)
         dataset = InteractionDataset(num_users, num_items, train,
                                      np.empty((0, 2), dtype=np.int64))
-        trainer = Trainer(LightGCN(dataset, dim=2, rng=0), get_loss("bsl"),
-                          dataset, TrainConfig(batch_size=batch, seed=0))
+        model = LightGCN(dataset, dim=2, rng=0)
+        trainer = Trainer(model, get_loss("bsl"), dataset,
+                          TrainConfig(batch_size=batch, seed=0))
         batches = trainer.sampler.epoch()
         trainer.train_step(next(batches))  # first-step allocations
         step = next(batches)
@@ -197,7 +199,8 @@ class TestDenseStepMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 0.25 * batch * num_items * 8
+        itemsize = model.user_embedding.weight.data.itemsize
+        assert peak < 0.25 * batch * num_items * itemsize
 
 
 class TestGridSearch:
